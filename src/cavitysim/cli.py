@@ -25,7 +25,7 @@ from cavitysim.device import (
     load_params,
     static_hamiltonian,
 )
-from cavitysim.errors import ValidationError
+from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.experiments import (
     ExperimentResult,
     run_bell_generation,
@@ -635,7 +635,12 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    except (np.linalg.LinAlgError, FloatingPointError, ArithmeticError) as exc:
+    except (
+        NumericalError,
+        np.linalg.LinAlgError,
+        FloatingPointError,
+        ArithmeticError,
+    ) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         return 2
     return 0

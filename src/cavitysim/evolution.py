@@ -3,14 +3,25 @@
 Pure states evolve by exact per-segment matrix exponentials.  Mixed states
 evolve by adaptive RK45 on the vectorized Lindblad generator, with
 piecewise-constant drives honored at segment boundaries.
+
+The Lindblad generator is a sparse superoperator, as in QuTiP's ``mesolve``
+(Johansson, Nation & Nori, Comput. Phys. Commun. 183, 1760 (2012)): a
+dim²×dim² CSR matrix 𝓛 acting on the row-major vectorization
+vec(ρ) = ρ.reshape(-1), for which vec(AρB) = (A ⊗ Bᵀ) vec(ρ).  So
+
+    −i[H, ρ]        →  −i (H ⊗ I − I ⊗ Hᵀ)
+    L ρ L†          →  L ⊗ L̄
+    −½{L†L, ρ}      →  −½ (L†L ⊗ I + I ⊗ (L†L)ᵀ)
+
+and each right-hand-side evaluation is one sparse product 𝓛 · vec(ρ).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from cavitysim.device import DeviceParams, SystemLayout, drive_operator
@@ -292,6 +303,28 @@ def _segment_keys(pulse: PulseSequence):
 # Lindblad integration
 
 
+def lindblad_dissipator(collapses: CollapseSet, dim: int) -> sp.csr_matrix:
+    """Σ_k (L_k ⊗ L̄_k − ½ (L_k†L_k ⊗ I + I ⊗ (L_k†L_k)ᵀ)), L_k = √rate_k · op_k.
+
+    The dissipative part of the row-major Lindblad superoperator (see the
+    module docstring); a dim²×dim² CSR matrix.
+    """
+    eye = sp.identity(dim, dtype=complex, format="csr")
+    out = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
+    for op, rate in collapses:
+        l = sp.csr_matrix(np.sqrt(rate) * op.matrix)
+        ll = (l.conj().T @ l).tocsr()
+        out = out + sp.kron(l, l.conj()) - 0.5 * (sp.kron(ll, eye) + sp.kron(eye, ll.T))
+    return out.tocsr()
+
+
+def liouvillian(h: np.ndarray, dissipator: sp.csr_matrix) -> sp.csr_matrix:
+    """−i (H ⊗ I − I ⊗ Hᵀ) + dissipator: the full row-major Lindblad generator."""
+    hs = sp.csr_matrix(h)
+    eye = sp.identity(hs.shape[0], dtype=complex, format="csr")
+    return (-1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T)) + dissipator).tocsr()
+
+
 def lindblad_evolve(
     rho: DensityOp,
     H,
@@ -307,24 +340,21 @@ def lindblad_evolve(
     H may be a static LinearOp (with duration T) or a (H0, PulseSequence)
     pair, in which case `layout` is required and the drive is honored as
     piecewise constant at segment boundaries.
+
+    Each run of identical segments is one adaptive RK45 solve of
+    d vec(ρ)/dt = 𝓛 vec(ρ), with 𝓛 = `liouvillian(h, D)` in the row-major
+    convention of the module docstring; the dissipator D is built once.
+
+    Raises NumericalError if the solver fails, or if the result is not finite
+    or its trace drifts from 1 by more than 1e-6 (the map is trace-preserving).
     """
-    ls = [np.sqrt(rate) * op.matrix for op, rate in collapses]
-    lls = [l.conj().T @ l for l in ls]
     dim = rho.space.dim
-
-    def make_rhs(h):
-        def rhs(_t, y):
-            r = y.reshape(dim, dim)
-            dr = -1j * (h @ r - r @ h)
-            for l, ll in zip(ls, lls):
-                dr += l @ r @ l.conj().T - 0.5 * (ll @ r + r @ ll)
-            return dr.reshape(-1)
-
-        return rhs
+    dissipator = lindblad_dissipator(collapses, dim)
 
     def integrate(y, h, t0, t1):
+        gen = liouvillian(h, dissipator)
         sol = solve_ivp(
-            make_rhs(h),
+            lambda _t, v: gen @ v,
             (t0, t1),
             y,
             method="RK45",
@@ -365,8 +395,9 @@ def lindblad_evolve(
 
     m = y.reshape(dim, dim)
     m = 0.5 * (m + m.conj().T)
-    out = DensityOp(rho.space, m)
-    tr = abs(np.trace(m) - 1.0)
-    if tr > 1e-6:
-        warnings.warn(f"Lindblad trace drift {tr:.2e}", stacklevel=2)
-    return out
+    if not np.all(np.isfinite(m)):
+        raise NumericalError("Lindblad integration produced a non-finite state")
+    drift = abs(np.trace(m) - 1.0)
+    if drift > 1e-6:
+        raise NumericalError(f"Lindblad trace drift {drift:.2e} exceeds 1e-6")
+    return DensityOp(rho.space, m)

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+import cavitysim.cli as cli
 from cavitysim.cli import main
+from cavitysim.errors import NumericalError
 from cavitysim.readout import default_assignment
 
 
@@ -121,6 +123,23 @@ def test_unknown_flag_exits_1(capsys):
 def test_unsupported_override_rejected(tmp_path, capsys):
     assert main(["parity-sweep", "--dim", "12", "-o", str(tmp_path / "x")]) == 1
     assert "--dim" in capsys.readouterr().err
+
+
+def test_qpt_and_cz_reject_decoherence_mode(tmp_path, capsys):
+    for args in (["qpt", "--gate", "z"], ["cz", "--encoding", "coherent"]):
+        out = tmp_path / args[0]
+        assert main(args + ["--mode", "pulse+decoherence", "-o", str(out)]) == 1
+        assert "unsupported mode" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
+
+def test_numerical_error_exits_2(tmp_path, monkeypatch, capsys):
+    def failing_budget(*args, **kwargs):
+        raise NumericalError("Lindblad trace drift 1.00e+00 exceeds 1e-6")
+
+    monkeypatch.setattr(cli, "run_error_budget", failing_budget)
+    assert main(["error-budget", "--gate", "z", "-o", str(tmp_path / "eb")]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_bad_phis_spec_rejected(tmp_path):

@@ -1,17 +1,30 @@
 import numpy as np
 import pytest
 
-from cavitysim.device import SystemLayout, cavity_drive, load_params
-from cavitysim.errors import ValidationError
+from scipy.integrate import solve_ivp
+
+import cavitysim.evolution as evolution
+from cavitysim.device import (
+    SystemLayout,
+    cavity_drive,
+    drive_operator,
+    load_params,
+    qubit_drive,
+    static_hamiltonian,
+)
+from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.evolution import (
     CollapseSet,
     PulseSequence,
     dephasing_rate,
     evolve_pulse,
+    lindblad_dissipator,
     lindblad_evolve,
+    liouvillian,
     segment_propagator,
     standard_collapses,
 )
+from cavitysim.experiments import run_error_budget
 from cavitysim.fock import (
     CompositeSpace,
     DensityOp,
@@ -24,6 +37,8 @@ from cavitysim.fock import (
     expectation,
     fock_ket,
     number_op,
+    sigma_minus,
+    sigma_z,
 )
 
 
@@ -231,3 +246,109 @@ def test_pulse_sequence_roundtrip_serialization():
     rows = p.to_csv_rows()
     p2 = PulseSequence.from_csv_rows(rows, dt=1.0)
     assert np.array_equal(p2.channels[("Q1", "qubit")], a)
+
+
+# ---------------------------------------------------------------------------
+# Sparse Liouvillian against the dense right-hand side it replaced
+
+
+def _dense_rhs(h, collapses):
+    """Reference dρ/dt = −i[H,ρ] + Σ (LρL† − ½{L†L, ρ}) by dense matmuls."""
+    ls = [np.sqrt(rate) * op.matrix for op, rate in collapses]
+    lls = [l.conj().T @ l for l in ls]
+    dim = h.shape[0]
+
+    def rhs(_t, y):
+        r = y.reshape(dim, dim)
+        dr = -1j * (h @ r - r @ h)
+        for l, ll in zip(ls, lls):
+            dr += l @ r @ l.conj().T - 0.5 * (ll @ r + r @ ll)
+        return dr.reshape(-1)
+
+    return rhs
+
+
+def _all_channel_kinds(layout):
+    """σ⁻ and σ_z on Q1, a and a†a on S1, at distinct rates."""
+    spec = layout.mode("S1")
+    return CollapseSet(
+        (
+            (layout.lift(sigma_minus(), "Q1"), 1.0 / 20e3),
+            (layout.lift(sigma_z(), "Q1"), 1.0 / 50e3),
+            (layout.lift(annihilation(spec), "S1"), 1.0 / 480e3),
+            (layout.lift(number_op(spec), "S1"), 1.0 / 900e3),
+        )
+    )
+
+
+def _random_density(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho)
+
+
+def test_liouvillian_matches_dense_rhs():
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 6})
+    cs = _all_channel_kinds(layout)
+    rng = np.random.default_rng(11)
+    m = 0.01 * (rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+    h = m + m.conj().T
+    gen = liouvillian(h, lindblad_dissipator(cs, 12))
+    oracle = _dense_rhs(h, cs)
+    for _ in range(5):
+        y = _random_density(rng, 12).reshape(-1)
+        assert np.max(np.abs(gen @ y - oracle(0.0, y))) < 1e-14
+
+
+def test_lindblad_pulse_matches_dense_oracle(params):
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 6})
+    cs = _all_channel_kinds(layout)
+    h0 = static_hamiltonian(params, layout)
+    # runs of identical steps, each run one merged solver segment
+    runs = [(0.02, 0.0, 3), (0.01j, 0.003, 2), (0.0, 0.0, 4), (-0.015, 0.002j, 3)]
+    q = np.concatenate([np.full(n, u) for u, _, n in runs])
+    c = np.concatenate([np.full(n, v) for _, v, n in runs])
+    chq, aq = qubit_drive(layout, "Q1", q)
+    chc, ac = cavity_drive(layout, "S1", c)
+    pulse = PulseSequence(dt=10.0, channels={chq: aq, chc: ac})
+    rng = np.random.default_rng(4)
+    rho0 = _random_density(rng, 12)
+
+    out = lindblad_evolve(DensityOp(layout.space, rho0), (h0, pulse), cs, layout=layout)
+
+    opq = drive_operator(layout, chq).matrix
+    opc = drive_operator(layout, chc).matrix
+    y, t = rho0.reshape(-1), 0.0
+    for u, v, n in runs:
+        h = h0.matrix + u * opq + v * opc
+        h = h + (u * opq + v * opc).conj().T
+        span = n * pulse.dt
+        sol = solve_ivp(
+            _dense_rhs(h, cs), (t, t + span), y, method="RK45", rtol=1e-10, atol=1e-12
+        )
+        y, t = sol.y[:, -1], t + span
+    ref = y.reshape(12, 12)
+    ref = 0.5 * (ref + ref.conj().T)
+    assert np.max(np.abs(out.matrix - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [2.0, np.nan])
+def test_lindblad_rejects_trace_drift_and_nonfinite(monkeypatch, scale):
+    def drifting_solve_ivp(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        sol.y = sol.y * scale
+        return sol
+
+    monkeypatch.setattr(evolution, "solve_ivp", drifting_solve_ivp)
+    layout = SystemLayout.build(["Q1"], [], {})
+    h = LinearOp(layout.space, np.diag([0.0, 0.01]))
+    plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
+    with pytest.raises(NumericalError):
+        lindblad_evolve(plus.density(), h, CollapseSet.empty(), T=10.0)
+
+
+def test_error_budget_z_pinned():
+    """The sparse generator reproduces the dense right-hand side's budget."""
+    budget = dict(run_error_budget("z").tables["budget"]["rows"])
+    assert abs(budget["decoherence"] - 0.04396158706586106) < 1e-12
+    assert abs(budget["total"] - 0.044916267086326456) < 1e-12

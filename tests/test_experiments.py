@@ -85,7 +85,6 @@ def test_qpt_ideal_truth_tables():
         s = r.summary["process_fidelity"]
         assert s.value >= 1.0 - 1e-8
         assert s.tolerance == 1e-8
-        assert r.summary["F_ED_control"].value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qpt_reference_rows_are_reference_only():
@@ -119,6 +118,12 @@ def test_qpt_pulse_cz_coherent():
 def test_qpt_unknown_gate_rejected():
     with pytest.raises(ValidationError):
         run_qpt("cnot")
+
+
+def test_qpt_rejects_modes_it_does_not_simulate():
+    for mode in ("pulse+decoherence", "puls"):
+        with pytest.raises(ValidationError):
+            run_qpt("z", mode=mode)
 
 
 def test_bell_generation_binomial_ideal_exact():
