@@ -42,7 +42,6 @@ from cavitysim.fock import (
     recommended_dim,
     tensor,
 )
-from cavitysim.gates import cz_binomial, cz_coherent
 from cavitysim.grape import TransferTask, optimize
 from cavitysim.readout import (
     correct_readout,
@@ -285,20 +284,18 @@ def cmd_cz(config_path, output_dir, seed, mode, dim, shots, encoding, alpha):
     """Two-cavity controlled-phase gate: tomography plus the gate recipe."""
     _reject_unsupported(dim=dim, shots=shots)
     config_text = _read_config(config_path)
-    params = load_params(config_text)
     result = run_qpt(
         f"cz-{encoding}", mode=mode, alpha=alpha, config_text=config_text, seed=seed
     )
-    if encoding == "coherent":
-        spec = cz_coherent(alpha, params)
-    else:
-        spec = cz_binomial(params, mode="ideal")
     _write_result(
         output_dir,
         result,
         _manifest("cz", result, encoding=encoding, alpha=alpha, mode=mode, seed=seed),
     )
-    _write_json(os.path.join(output_dir, "gate_spec.json"), spec.to_json_dict())
+    # the spec that was simulated: in pulse mode, the calibrated multitone pulse
+    _write_json(
+        os.path.join(output_dir, "gate_spec.json"), result.gate_spec.to_json_dict()
+    )
 
 
 @cli.command("bell")

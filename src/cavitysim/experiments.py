@@ -47,6 +47,7 @@ from cavitysim.fock import (
 )
 from cavitysim.gates import (
     CANONICAL_DELTA_PHI,
+    GateSpec,
     IdealBackend,
     PulseBackend,
     component_logical_unitary,
@@ -104,6 +105,8 @@ class ExperimentResult:
     tables: dict = field(default_factory=dict)  # name -> {"columns", "rows"}
     summary: dict = field(default_factory=dict)  # name -> Scalar
     provenance: dict = field(default_factory=dict)
+    #: the GateSpec the experiment simulated (not part of result.json)
+    gate_spec: GateSpec | None = None
 
     def __post_init__(self):
         for key, s in self.summary.items():
@@ -471,6 +474,7 @@ def run_qpt(
         tables={"ptm": {"columns": ("row", "column", "value"), "rows": rows}},
         summary=summary,
         provenance=_provenance(cfg_hash, seed, mode),
+        gate_spec=spec,
     )
 
 

@@ -381,18 +381,24 @@ def expectation(state, op: LinearOp) -> complex:
 
 
 def partial_trace(rho, keep) -> DensityOp:
-    """Reduced density operator over the kept factor indices (order preserved)."""
-    if isinstance(rho, Ket):
-        rho = rho.density()
+    """Reduced density operator over the kept factor indices (order preserved).
+
+    For a Ket the reduced state is M M†, with M the amplitude tensor reshaped
+    to (kept, traced) indices; the full outer product is never formed.
+    """
     keep = sorted(set(keep))
     n = rho.space.n_factors
     if any(k < 0 or k >= n for k in keep):
         raise ValidationError("invalid factor indices in partial trace")
     dims = rho.space.dims
+    sub = CompositeSpace(tuple(rho.space.factors[k] for k in keep))
+    if isinstance(rho, Ket):
+        m = np.moveaxis(rho.amplitudes.reshape(dims), keep, range(len(keep)))
+        m = m.reshape(sub.dim, -1)
+        return DensityOp(sub, m @ m.conj().T)
     t = rho.matrix.reshape(dims + dims)
     traced = [i for i in range(n) if i not in keep]
     # trace highest-numbered factors first so lower axis numbers stay valid
     for i in sorted(traced, reverse=True):
         t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
-    sub = CompositeSpace(tuple(rho.space.factors[k] for k in keep))
     return DensityOp(sub, t.reshape(sub.dim, sub.dim))

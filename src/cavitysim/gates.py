@@ -33,8 +33,11 @@ from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.evolution import (
     CollapseSet,
     PulseSequence,
+    apply_block_rotations,
+    block_rotations,
     evolve_pulse,
     lindblad_evolve,
+    qubit_blocks,
     segment_propagator,
 )
 from cavitysim.fock import (
@@ -295,39 +298,61 @@ class IdealBackend:
     """Realize gate steps with exact effective conditional-drive propagators.
 
     The static Hamiltonian is taken as zero: no dispersive or Kerr dynamics,
-    only the geometric-phase content of the sequence.
+    only the geometric-phase content of the sequence.  A conditional rotation
+    is then the SU(2) rotation a = cos(θ/2), b = −i sin(θ/2) e^{iφ} on every
+    g/e block whose cavity levels meet the condition, and the identity on the
+    rest.
     """
 
     def __init__(self, layout: SystemLayout):
         self.layout = layout
 
-    def step_unitary(self, step) -> LinearOp:
+    def _condition_mask(self, step: ConditionalRotation) -> np.ndarray:
+        """Boolean mask over the g/e blocks of step.qubit meeting the condition."""
         layout = self.layout
-        if isinstance(step, Displacement):
-            return layout.lift(displacement(step.alpha, layout.mode(step.label)), step.label)
-        if isinstance(step, Wait):
-            return LinearOp.identity(layout.space)
-        if isinstance(step, ConditionalRotation):
-            proj = condition_projector(layout, step.condition)
-            h = effective_conditional_drive(
-                layout, step.qubit, step.epsilon, step.phi_axis, proj
-            )
-            return segment_propagator(h, step.duration)
-        raise ValidationError(
-            "multitone pulses have no ideal realization; use the explicit "
-            "conditional-rotation variant of the gate"
-        )
+        dims = layout.space.dims
+        mask = np.ones(dims, dtype=bool)
+        for label, n in step.condition:
+            if layout.is_qubit(label):
+                raise ValidationError("conditions may only reference cavity modes")
+            axis = layout.index[label]
+            if not 0 <= int(n) < dims[axis]:
+                raise ValidationError(
+                    f"Fock level {n} outside truncation 0..{dims[axis] - 1}"
+                )
+            shape = [1] * len(dims)
+            shape[axis] = dims[axis]
+            mask &= (np.arange(dims[axis]) == int(n)).reshape(shape)
+        return qubit_blocks(mask.reshape(-1), layout, step.qubit)[0]
+
+    def _propagate(self, x: np.ndarray, spec: GateSpec) -> np.ndarray:
+        """Apply the gate to a state vector or to the columns of a matrix."""
+        layout = self.layout
+        for step in spec.steps:
+            if isinstance(step, Displacement):
+                d = layout.lift(displacement(step.alpha, layout.mode(step.label)), step.label)
+                x = d.matrix @ x
+            elif isinstance(step, ConditionalRotation):
+                mask = self._condition_mask(step)
+                half = 0.5 * step.theta
+                a = np.where(mask, np.cos(half), 1.0)
+                b = np.where(mask, -1j * np.sin(half) * np.exp(1j * step.phi_axis), 0.0)
+                x = apply_block_rotations(x, layout, step.qubit, a, b)
+            elif not isinstance(step, Wait):
+                raise ValidationError(
+                    "multitone pulses have no ideal realization; use the explicit "
+                    "conditional-rotation variant of the gate"
+                )
+        return x
 
     def unitary(self, spec: GateSpec) -> LinearOp:
-        u = LinearOp.identity(self.layout.space)
-        for step in spec.steps:
-            u = self.step_unitary(step) @ u
-        return u
+        eye = np.eye(self.layout.space.dim, dtype=complex)
+        return LinearOp(self.layout.space, self._propagate(eye, spec))
 
     def apply(self, psi: Ket, spec: GateSpec) -> Ket:
-        for step in spec.steps:
-            psi = self.step_unitary(step) @ psi
-        return psi
+        if psi.space != self.layout.space:
+            raise ValidationError("state and layout spaces must agree")
+        return Ket(psi.space, self._propagate(psi.amplitudes, spec))
 
 
 def gaussian_flattop(n_steps: int, rise_sigma: float = 4.0) -> np.ndarray:
@@ -343,6 +368,31 @@ def gaussian_flattop(n_steps: int, rise_sigma: float = 4.0) -> np.ndarray:
     fall = t > n_steps - ramp
     env[fall] = np.exp(-0.5 * ((t[fall] - (n_steps - ramp)) / rise_sigma) ** 2)
     return env
+
+
+def _drive_samples(step, params: DeviceParams, dt: float, t0: float) -> np.ndarray:
+    """Qubit-drive samples of a conditional rotation or multitone pulse that
+    starts at time t0, on a global clock so detuned tones stay phase-coherent."""
+    if isinstance(step, ConditionalRotation):
+        # snap the duration to the sample grid, preserving the exact rotation
+        # angle by adjusting the amplitude within one part in n
+        n = max(1, int(round(step.duration / dt)))
+        eps = step.theta / (n * dt)
+        delta = step.detuning
+        if delta is None:
+            delta = -sum(
+                n_ph * params.chi.get((label, step.qubit), 0.0)
+                for label, n_ph in step.condition
+            )
+        t = t0 + (np.arange(n) + 0.5) * dt
+        return eps * np.exp(1j * (step.phi_axis - delta * t))
+    n = int(round(step.duration / dt))
+    env = gaussian_flattop(n, step.rise_sigma)
+    t = t0 + (np.arange(n) + 0.5) * dt
+    amps = np.zeros(n, dtype=complex)
+    for tone in step.tones:
+        amps += tone.epsilon * np.exp(1j * (tone.phi - tone.detuning * t))
+    return env * amps
 
 
 class PulseBackend:
@@ -374,29 +424,6 @@ class PulseBackend:
             self.layout.space, np.diag(np.exp(1j * self._cavity_diag * span))
         )
 
-    def _rotation_amps(self, step: ConditionalRotation, t0: float) -> np.ndarray:
-        # snap the duration to the sample grid, preserving the exact rotation
-        # angle by adjusting the amplitude within one part in n
-        n = max(1, int(round(step.duration / self.dt)))
-        eps = step.theta / (n * self.dt)
-        delta = step.detuning
-        if delta is None:
-            delta = -sum(
-                n_ph * self.params.chi.get((label, step.qubit), 0.0)
-                for label, n_ph in step.condition
-            )
-        t = t0 + (np.arange(n) + 0.5) * self.dt
-        return eps * np.exp(1j * (step.phi_axis - delta * t))
-
-    def _multitone_amps(self, step: MultitonePulse, t0: float) -> np.ndarray:
-        n = int(round(step.duration / self.dt))
-        env = gaussian_flattop(n, step.rise_sigma)
-        t = t0 + (np.arange(n) + 0.5) * self.dt
-        amps = np.zeros(n, dtype=complex)
-        for tone in step.tones:
-            amps += tone.epsilon * np.exp(1j * (tone.phi - tone.detuning * t))
-        return env * amps
-
     def _segments(self, spec: GateSpec, t0: float):
         """Yield ('u', LinearOp) or ('p', qubit, PulseSequence) items in order."""
         t = t0
@@ -411,10 +438,7 @@ class PulseBackend:
                     yield "u", self._compensation_op(step.duration)
                 t += step.duration
             else:
-                if isinstance(step, ConditionalRotation):
-                    amps = self._rotation_amps(step, t)
-                else:
-                    amps = self._multitone_amps(step, t)
+                amps = _drive_samples(step, self.params, self.dt, t)
                 yield "p", step.qubit, PulseSequence(
                     dt=self.dt, channels={(step.qubit, "qubit"): amps}
                 )
@@ -660,26 +684,20 @@ def dispersive_phase_table(
 _BINOMIAL_JOINT_STATES = tuple((j, k) for j in (0, 2, 4) for k in (0, 2, 4))
 
 
-def _gate_drive_amplitudes(spec: GateSpec, backend: PulseBackend, qubit: str) -> np.ndarray:
+def _gate_drive_amplitudes(spec: GateSpec, params: DeviceParams, qubit: str, dt: float) -> np.ndarray:
     """Concatenated qubit-drive samples of a displacement-free gate spec."""
     parts = []
     t = 0.0
     for step in spec.steps:
         if isinstance(step, Wait):
-            parts.append(np.zeros(int(round(step.duration / backend.dt)), dtype=complex))
+            parts.append(np.zeros(int(round(step.duration / dt)), dtype=complex))
             t += step.duration
-        elif isinstance(step, ConditionalRotation):
+        elif isinstance(step, (ConditionalRotation, MultitonePulse)):
             if step.qubit != qubit:
                 raise ValidationError("all drives must address the declared qubit")
-            a = backend._rotation_amps(step, t)
+            a = _drive_samples(step, params, dt, t)
             parts.append(a)
-            t += len(a) * backend.dt
-        elif isinstance(step, MultitonePulse):
-            if step.qubit != qubit:
-                raise ValidationError("all drives must address the declared qubit")
-            a = backend._multitone_amps(step, t)
-            parts.append(a)
-            t += len(a) * backend.dt
+            t += len(a) * dt
         else:
             raise ValidationError("blockwise evaluation requires a displacement-free spec")
     return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
@@ -696,13 +714,12 @@ def joint_block_unitaries(
     """Exact 2x2 qubit propagator for each joint cavity Fock state.
 
     Qubit-only drives conserve the cavity photon numbers, so the full
-    propagator is block diagonal over joint Fock states; each block is built by
-    a batched pairwise product of per-sample 2x2 propagators.  Much faster than
-    the full-space evolution and exactly equivalent on these blocks.
+    propagator is block diagonal over joint Fock states.  Each block is
+    e^{−i c T} [[a, −b̄], [b, ā]], with c the mean of its g and e energies and
+    (a, b) from `evolution.block_rotations` over the gate's drive samples:
+    exactly the blocks of the full-space evolution, at the cost of nine.
     """
-    layout = SystemLayout.build([qubit], list(cavities), {c: 2 for c in cavities})
-    backend = PulseBackend(params, layout, dt)
-    u = _gate_drive_amplitudes(spec, backend, qubit)
+    u = _gate_drive_amplitudes(spec, params, qubit, dt)
 
     chi1 = params.chi.get((cavities[0], qubit), 0.0)
     chi2 = params.chi.get((cavities[1], qubit), 0.0)
@@ -717,26 +734,11 @@ def joint_block_unitaries(
     )
     e_e = e_g - (j * chi1 + k * chi2)
 
-    c = 0.5 * (e_g + e_e)[None, :]
-    delta = 0.5 * (e_g - e_e)[None, :]
-    half = 0.5 * u[:, None]
-    omega = np.sqrt(delta**2 + np.abs(half) ** 2)
-    theta = omega * dt
-    sinc = np.where(omega > 0, np.sin(theta) / np.where(omega > 0, omega, 1.0), dt)
-    cosf = np.cos(theta)
-    phase = np.exp(-1j * c * dt)
-    mats = np.empty((len(u), len(states), 2, 2), dtype=complex)
-    mats[:, :, 0, 0] = phase * (cosf - 1j * sinc * delta)
-    mats[:, :, 0, 1] = phase * (-1j * sinc * np.conjugate(half))
-    mats[:, :, 1, 0] = phase * (-1j * sinc * half)
-    mats[:, :, 1, 1] = phase * (cosf + 1j * sinc * delta)
-
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2:
-            eye = np.broadcast_to(np.eye(2, dtype=complex), (1,) + mats.shape[1:])
-            mats = np.concatenate([mats, eye])
-        mats = np.matmul(mats[1::2], mats[0::2])
-    total = mats[0] if len(mats) else np.broadcast_to(np.eye(2, dtype=complex), (len(states), 2, 2))
+    a, b = block_rotations(0.5 * (e_g - e_e), u, dt)
+    phase = np.exp(-0.5j * (e_g + e_e) * len(u) * dt)
+    total = phase[:, None, None] * np.stack(
+        [np.stack([a, -np.conj(b)], -1), np.stack([b, np.conj(a)], -1)], -2
+    )
     return {tuple(map(int, s)): total[i] for i, s in enumerate(states)}
 
 

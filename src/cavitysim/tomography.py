@@ -68,7 +68,9 @@ def joint_wigner(
     d2 = displacement(beta2, s2).matrix
     op1 = d1 @ parity_op(s1).matrix @ d1.conj().T
     op2 = d2 @ parity_op(s2).matrix @ d2.conj().T
-    val = float(np.real(np.trace(rho.matrix @ np.kron(op1, op2))))
+    # Tr[ρ (A ⊗ B)] = Σ ρ[i,j,k,l] A[k,i] B[l,j] on the (d1, d2, d1, d2) tensor
+    r = rho.matrix.reshape(s1.dim, s2.dim, s1.dim, s2.dim)
+    val = float(np.real(np.einsum("ijkl,ki,lj->", r, op1, op2, optimize=True)))
     return val * _TWO_OVER_PI**2 if scaled else val
 
 

@@ -217,6 +217,28 @@ def test_cz_writes_gate_spec(tmp_path):
     assert "conditional_rotation" in kinds
 
 
+def test_cz_binomial_pulse_writes_simulated_spec(tmp_path, monkeypatch):
+    """gate_spec.json holds the multitone pulse run_qpt simulated, not the
+    ideal rotations (the calibration is skipped to keep the test fast)."""
+    import cavitysim.experiments as experiments
+    from cavitysim.gates import GateSpec
+
+    simulated = []
+
+    def uncalibrated(*args, **kwargs):
+        out = original(*args, **{**kwargs, "calibrate": False})
+        simulated.append(out[0])
+        return out
+
+    original = experiments.cz_binomial
+    monkeypatch.setattr(experiments, "cz_binomial", uncalibrated)
+    out = tmp_path / "run"
+    assert main(["cz", "--encoding", "binomial", "--mode", "pulse", "-o", str(out)]) == 0
+    spec = json.loads((out / "gate_spec.json").read_text())
+    assert "multitone_pulse" in {s["type"] for s in spec["steps"]}
+    assert simulated and GateSpec.from_json_dict(spec) == simulated[-1]
+
+
 def test_config_flag_round_trip(tmp_path):
     from cavitysim.device import default_config_text
 

@@ -236,6 +236,32 @@ def test_unitary_and_lindblad_paths_agree_on_pulse(params):
     assert fid > 1 - 1e-7
 
 
+def test_blockwise_fast_path_matches_dense_segment_product(params):
+    """Oracle: the single-qubit fast path of evolve_pulse equals the product of
+    per-sample dense propagators exp(−i dt (H0 + u O + ū O†))."""
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 4, "S2": 3})
+    h0 = static_hamiltonian(params, layout)
+    assert params.chi[("S1", "Q3")] and params.chi[("S2", "Q3")]
+    assert params.kerr["S1"] and params.kerr["S2"] and params.cross_kerr
+    # an odd sample count spanning more than two chunks of the kernel
+    chunk = evolution._CHUNK_ELEMENTS // (layout.space.dim // 2)
+    n = 2 * chunk + 3
+    rng = np.random.default_rng(11)
+    amps = 0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    amps[rng.random(n) < 0.2] = 0.0  # zero samples take the ω = 0 branch
+    pulse = PulseSequence(dt=0.7, channels={("Q3", "qubit"): amps})
+    v = rng.normal(size=layout.space.dim) + 1j * rng.normal(size=layout.space.dim)
+    psi = Ket(layout.space, v).normalized()
+
+    op = drive_operator(layout, ("Q3", "qubit")).matrix
+    ref = psi.amplitudes
+    for u in amps:
+        h = LinearOp(layout.space, h0.matrix + u * op + np.conj(u) * op.conj().T)
+        ref = segment_propagator(h, pulse.dt).matrix @ ref
+    out = evolve_pulse(psi, h0, pulse, layout)
+    assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
+
+
 def test_pulse_sequence_roundtrip_serialization():
     rng = np.random.default_rng(1)
     a = rng.normal(size=20) + 1j * rng.normal(size=20)

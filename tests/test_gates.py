@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from cavitysim.codes import binomial_encoding, cat_encoding
-from cavitysim.device import SystemLayout, load_params, static_hamiltonian
+from cavitysim.device import SystemLayout, drive_operator, load_params, static_hamiltonian
+from cavitysim.evolution import segment_propagator
 from cavitysim.errors import ValidationError
 from cavitysim.fock import (
     Ket,
+    LinearOp,
     expectation,
     fock_ket,
     parity_op,
@@ -219,6 +221,36 @@ def test_ideal_backend_rejects_multitone():
         IdealBackend(layout).unitary(spec)
 
 
+@pytest.mark.parametrize(
+    "condition", [(("S1", 0), ("S2", 0)), (("S2", 1),), ()], ids=["joint-vacuum", "single", "empty"]
+)
+def test_ideal_backend_matches_dense_conditional_rotation(condition):
+    """Oracle: the masked SU(2) rotation equals the dense eigh propagator of
+    the lifted conditional drive, on a state and as a full unitary."""
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 4, "S2": 3})
+    step, u = conditional_rotation(layout, "Q3", 0.37, 2.1, condition, 0.01)
+    spec = GateSpec("r", (step,))
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=layout.space.dim) + 1j * rng.normal(size=layout.space.dim)
+    psi = Ket(layout.space, v).normalized()
+    backend = IdealBackend(layout)
+    assert np.max(np.abs(backend.apply(psi, spec).amplitudes - (u @ psi).amplitudes)) < 1e-12
+    assert np.max(np.abs(backend.unitary(spec).matrix - u.matrix)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "driven, condition",
+    [("Q3", (("Q3", 0),)), ("Q3", (("S1", 4),)), ("S1", (("S2", 0),))],
+    ids=["qubit-condition", "out-of-range", "cavity-driven"],
+)
+def test_ideal_backend_rejects_invalid_condition(driven, condition):
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 4, "S2": 3})
+    psi = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0), fock_ket(layout.mode("S2"), 0)])
+    spec = GateSpec("r", (ConditionalRotation(driven, 0.0, np.pi, 0.01, condition),))
+    with pytest.raises(ValidationError):
+        IdealBackend(layout).apply(psi, spec)
+
+
 def test_gaussian_flattop_envelope():
     env = gaussian_flattop(400, 4.0)
     assert np.max(env) <= 1.0
@@ -359,17 +391,27 @@ def test_cz_binomial_pulse_calibrates_and_hits_fidelity(params):
 
 
 def test_blockwise_propagator_matches_full_evolution(params):
-    """Oracle: batched 2x2 block products equal the full-space pulse run."""
+    """Oracle: each joint-Fock 2x2 block equals the same block of the product
+    of per-sample dense propagators exp(−i dt (H0 + u O + ū O†))."""
     from cavitysim.gates import joint_block_unitaries
 
-    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 5})
     spec, _ = cz_binomial(params, mode="pulse", layout=layout, calibrate=False)
     blocks = joint_block_unitaries(spec, params)
-    full = simulate_joint_state_phases(spec, params, layout, ("S1", "S2"), "Q3")
-    for jk, (phase, amp) in full.items():
-        b = blocks[jk][0, 0]
-        assert abs(abs(b) - amp) < 1e-10
-        assert abs(wrap_angle(float(np.angle(b)) - phase)) < 1e-10
+    backend = PulseBackend(params, layout)
+    op = drive_operator(layout, ("Q3", "qubit")).matrix
+    cols = [
+        layout.space.joint_index((q, j, k)) for j, k in blocks for q in (0, 1)
+    ]
+    u = np.eye(layout.space.dim, dtype=complex)[:, cols]
+    for item in backend._segments(spec, 0.0):
+        assert item[0] == "p"
+        for amp in item[2].channels[("Q3", "qubit")]:
+            h = LinearOp(layout.space, backend.h0.matrix + amp * op + np.conj(amp) * op.conj().T)
+            u = segment_propagator(h, item[2].dt).matrix @ u
+    for i, jk in enumerate(blocks):
+        full = u[cols[2 * i : 2 * i + 2], 2 * i : 2 * i + 2]
+        assert np.max(np.abs(blocks[jk] - full)) < 1e-10
 
 
 def test_snap_bell_fidelity():
