@@ -64,6 +64,10 @@ class DeviceParams:
                 raise ValidationError("Kerr coefficients must be entered >= 0")
         if self.cross_kerr < 0:
             raise ValidationError("cross-Kerr must be entered >= 0")
+        for name, times in (("T1", self.T1), ("T2", self.T2)):
+            for label, t in times.items():
+                if not t > 0:  # also rejects NaN; inf means no decay
+                    raise ValidationError(f"{label}: {name} must be positive, got {t} ns")
         for label, t2 in self.T2.items():
             t1 = self.T1.get(label)
             if t1 is not None and t2 > 2.0 * t1 + 1e-9:

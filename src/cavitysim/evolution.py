@@ -1,8 +1,9 @@
 """Time evolution: exact piecewise-constant propagators and Lindblad integration.
 
 Pure states evolve by exact per-segment matrix exponentials.  Mixed states
-evolve by adaptive RK45 on the vectorized Lindblad generator, with
-piecewise-constant drives honored at segment boundaries.
+evolve by the exact action of the exponentiated Lindblad generator on the
+vectorized density matrix, one action per run of identical piecewise-constant
+drive samples.
 
 When a single qubit is the only driven mode and the static Hamiltonian is
 diagonal, the propagator is block diagonal: one 2×2 g/e block per joint
@@ -24,7 +25,9 @@ vec(ρ) = ρ.reshape(-1), for which vec(AρB) = (A ⊗ Bᵀ) vec(ρ).  So
     L ρ L†          →  L ⊗ L̄
     −½{L†L, ρ}      →  −½ (L†L ⊗ I + I ⊗ (L†L)ᵀ)
 
-and each right-hand-side evaluation is one sparse product 𝓛 · vec(ρ).
+A run of length τ maps vec(ρ) to exp(𝓛 τ) vec(ρ), computed by
+`scipy.sparse.linalg.expm_multiply` (Al-Mohy & Higham, SIAM J. Sci. Comput.
+33, 488 (2011)) from sparse products 𝓛 · v, without forming exp(𝓛 τ).
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/tracer.py patches this name
+from scipy.sparse.linalg import expm_multiply
 
 from cavitysim.device import DeviceParams, SystemLayout, drive_operator
 from cavitysim.errors import NumericalError, ValidationError
@@ -134,8 +138,8 @@ class CollapseSet:
 
     def __post_init__(self):
         for _, rate in self.items:
-            if rate < 0:
-                raise ValidationError("collapse rates must be >= 0")
+            if not (np.isfinite(rate) and rate >= 0):
+                raise ValidationError("collapse rates must be finite and >= 0")
         object.__setattr__(self, "items", tuple(self.items))
 
     def __len__(self):
@@ -199,15 +203,28 @@ def standard_collapses(params: DeviceParams, layout: SystemLayout) -> CollapseSe
 # Pure-state pulse evolution
 
 
-def _segment_hamiltonians(H0: LinearOp, pulse: PulseSequence, layout: SystemLayout):
-    ops = {ch: drive_operator(layout, ch).matrix for ch in pulse.channels}
-    for k in range(pulse.n_steps):
+def _segment_runs(H0: LinearOp, pulse: PulseSequence, layout: SystemLayout):
+    """Runs of consecutive identical drive samples, as (key, h, n_steps).
+
+    key holds the run's samples (sorted by channel, rounded to 14 digits) and
+    h is the dense Hamiltonian H0 + Σ (u O + ū O†) of the run, built once.
+    """
+    if pulse.n_steps == 0:
+        return
+    ops = {}
+    for ch in pulse.channels:
+        op = drive_operator(layout, ch).matrix
+        ops[ch] = (op, op.conj().T)
+    samples = np.round(np.stack([pulse.channels[c] for c in sorted(pulse.channels)], axis=1), 14)
+    starts = np.flatnonzero(np.any(samples[1:] != samples[:-1], axis=1)) + 1
+    bounds = [0, *starts.tolist(), pulse.n_steps]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
         h = np.array(H0.matrix)
         for ch, amps in pulse.channels.items():
-            u = amps[k]
+            u = amps[start]
             if u != 0:
-                h += u * ops[ch] + np.conjugate(u) * ops[ch].conj().T
-        yield h
+                h += u * ops[ch][0] + np.conjugate(u) * ops[ch][1]
+        yield tuple(samples[start].tolist()), h, stop - start
 
 
 def _is_diagonal(m: np.ndarray) -> bool:
@@ -332,24 +349,14 @@ def evolve_pulse(
 
     psi = np.array(state.amplitudes)
     cache = {}
-    keys = _segment_keys(pulse)
-    for k, h in zip(keys, _segment_hamiltonians(H0, pulse, layout)):
-        u = cache.get(k)
+    for key, h, n in _segment_runs(H0, pulse, layout):
+        u = cache.get(key)
         if u is None:
             w, v = np.linalg.eigh(h)
-            u = (v * np.exp(-1j * w * pulse.dt)) @ v.conj().T
-            cache[k] = u
-        psi = u @ psi
+            u = cache[key] = (v * np.exp(-1j * w * pulse.dt)) @ v.conj().T
+        for _ in range(n):
+            psi = u @ psi
     return Ket(state.space, psi)
-
-
-def _segment_keys(pulse: PulseSequence):
-    chans = sorted(pulse.channels)
-    arrs = [pulse.channels[c] for c in chans]
-    keys = []
-    for k in range(pulse.n_steps):
-        keys.append(tuple(complex(np.round(a[k], 14)) for a in arrs))
-    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -384,73 +391,44 @@ def lindblad_evolve(
     collapses: CollapseSet,
     T: float | None = None,
     layout: SystemLayout | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    max_step: float = np.inf,
 ) -> DensityOp:
-    """Integrate dρ/dt = −i[H,ρ] + Σ (L ρ L† − ½{L†L, ρ}).
+    """Evolve ρ under dρ/dt = −i[H,ρ] + Σ (L ρ L† − ½{L†L, ρ}).
 
-    H may be a static LinearOp (with duration T) or a (H0, PulseSequence)
+    H may be a static LinearOp (with duration T ≥ 0) or a (H0, PulseSequence)
     pair, in which case `layout` is required and the drive is honored as
     piecewise constant at segment boundaries.
 
-    Each run of identical segments is one adaptive RK45 solve of
-    d vec(ρ)/dt = 𝓛 vec(ρ), with 𝓛 = `liouvillian(h, D)` in the row-major
-    convention of the module docstring; the dissipator D is built once.
+    Each run of identical segments, of length τ, is one exact action
+    vec(ρ) ← exp(𝓛 τ) vec(ρ) by `expm_multiply`, with 𝓛 = `liouvillian(h, D)`
+    in the row-major convention of the module docstring; the dissipator D is
+    built once.
 
-    Raises NumericalError if the solver fails, or if the result is not finite
-    or its trace drifts from 1 by more than 1e-6 (the map is trace-preserving).
+    Raises ValidationError for a negative or non-finite T, and NumericalError
+    if the result is not finite or its trace drifts from 1 by more than 1e-6
+    (the map is trace-preserving).
     """
-    dim = rho.space.dim
-    dissipator = lindblad_dissipator(collapses, dim)
-
-    def integrate(y, h, t0, t1):
-        gen = liouvillian(h, dissipator)
-        sol = solve_ivp(
-            lambda _t, v: gen @ v,
-            (t0, t1),
-            y,
-            method="RK45",
-            t_eval=[t1],  # keep only the final state, not every accepted step
-            rtol=rtol,
-            atol=atol,
-            max_step=max_step,
-        )
-        if not sol.success:
-            raise NumericalError(f"Lindblad integration failed: {sol.message}")
-        return sol.y[:, -1]
-
-    y = rho.matrix.astype(complex).reshape(-1)
     if isinstance(H, LinearOp):
         if T is None:
             raise ValidationError("static Hamiltonian requires a duration T")
-        if T > 0:
-            y = integrate(y, H.matrix, 0.0, T)
+        if not np.isfinite(T) or T < 0:
+            raise ValidationError(f"duration T must be finite and >= 0, got {T}")
+        runs = [(H.matrix, T)]
     else:
         H0, pulse = H
         if layout is None:
             raise ValidationError("pulse-driven Lindblad evolution requires a layout")
-        t = 0.0
-        keys = _segment_keys(pulse)
-        seg_iter = zip(keys, _segment_hamiltonians(H0, pulse, layout))
-        # merge consecutive identical segments into one solver call
-        prev_key, prev_h, span = None, None, 0.0
-        for k, h in seg_iter:
-            if prev_key is None:
-                prev_key, prev_h, span = k, h, pulse.dt
-            elif k == prev_key:
-                span += pulse.dt
-            else:
-                y = integrate(y, prev_h, t, t + span)
-                t += span
-                prev_key, prev_h, span = k, h, pulse.dt
-        if prev_key is not None:
-            y = integrate(y, prev_h, t, t + span)
+        runs = ((h, n * pulse.dt) for _, h, n in _segment_runs(H0, pulse, layout))
+
+    dim = rho.space.dim
+    dissipator = lindblad_dissipator(collapses, dim)
+    y = rho.matrix.astype(complex).reshape(-1)
+    for h, span in runs:
+        y = expm_multiply(liouvillian(h, dissipator) * span, y)
 
     m = y.reshape(dim, dim)
     m = 0.5 * (m + m.conj().T)
     if not np.all(np.isfinite(m)):
-        raise NumericalError("Lindblad integration produced a non-finite state")
+        raise NumericalError("Lindblad evolution produced a non-finite state")
     drift = abs(np.trace(m) - 1.0)
     if drift > 1e-6:
         raise NumericalError(f"Lindblad trace drift {drift:.2e} exceeds 1e-6")

@@ -29,7 +29,7 @@ from cavitysim.device import (
     load_params,
 )
 from cavitysim.errors import ValidationError
-from cavitysim.evolution import CollapseSet, standard_collapses
+from cavitysim.evolution import standard_collapses
 from cavitysim.fock import (
     CompositeSpace,
     DensityOp,
@@ -159,6 +159,44 @@ def _code_subspace_unitary(enc: Encoding, u2: np.ndarray) -> LinearOp:
     p = basis @ basis.conj().T
     m = basis @ u2 @ basis.conj().T + (np.eye(enc.mode.dim) - p)
     return LinearOp(CompositeSpace.single(enc.mode), m).assert_unitary(1e-8)
+
+
+def _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, post, m, collapses=None):
+    """The qubit channel ρ_q ↦ Tr_cavity[D Gᵐ E (ρ_q ⊗ |0⟩⟨0|) E† D†] as a
+    function returning a 2×2 matrix: E is the ideal encoder `enc_u`, D = E†,
+    and G is `spec` on `backend` followed by the unitary `post`.
+
+    With collapses, G acts on the density matrix through `apply_density`;
+    without, each eigenvector of ρ_q is propagated as a ket and the results
+    are mixed.
+    """
+    vac = fock_ket(layout.mode(cavity), 0).amplitudes
+    if collapses is not None:
+        e, d, c = enc_u.matrix, enc_u.dag().matrix, post.matrix
+
+        def process(rho_q: DensityOp) -> np.ndarray:
+            full = np.kron(rho_q.matrix, np.outer(vac, vac.conj()))
+            rho = DensityOp(layout.space, e @ full @ e.conj().T)
+            for _ in range(m):
+                rho = backend.apply_density(rho, spec, collapses)
+                rho = DensityOp(rho.space, c @ rho.matrix @ c.conj().T)
+            rho = DensityOp(layout.space, d @ rho.matrix @ d.conj().T)
+            return partial_trace(rho, [0]).matrix
+
+        return process
+
+    def process(rho_q: DensityOp) -> np.ndarray:
+        w, v = np.linalg.eigh(rho_q.matrix)
+        out = np.zeros((2, 2), dtype=complex)
+        for i in range(2):
+            if w[i] > 1e-12:
+                full = enc_u @ Ket(layout.space, np.kron(v[:, i], vac))
+                for _ in range(m):
+                    full = post @ backend.apply(full, spec)
+                out += w[i] * partial_trace(enc_u.dag() @ full, [0]).matrix
+        return out
+
+    return process
 
 
 # ---------------------------------------------------------------------------
@@ -291,56 +329,14 @@ def run_zgate_repetition(
         comp = stark_phase_compensation(spec, params, layout, cavity, qubit)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    collapses = standard_collapses(params, layout) if decohere else CollapseSet.empty()
-
-    def channel(m: int):
-        if decohere:
-            def process(rho_q: DensityOp) -> np.ndarray:
-                full = np.kron(
-                    rho_q.matrix, np.outer(
-                        fock_ket(layout.mode(cavity), 0).amplitudes,
-                        fock_ket(layout.mode(cavity), 0).amplitudes.conj(),
-                    )
-                )
-                e = enc_u.matrix
-                full = e @ full @ e.conj().T
-                rho = DensityOp(layout.space, full)
-                c = comp.matrix
-                for _ in range(m):
-                    rho = backend.apply_density(rho, spec, collapses)
-                    rho = DensityOp(rho.space, c @ rho.matrix @ c.conj().T)
-                d = enc_u.dag().matrix
-                rho = DensityOp(layout.space, d @ rho.matrix @ d.conj().T)
-                return partial_trace(rho, [0]).matrix
-
-            return process
-
-        def apply_ket(psi_q: Ket) -> Ket:
-            vac = fock_ket(layout.mode(cavity), 0).amplitudes
-            full = Ket(layout.space, np.kron(psi_q.amplitudes, vac))
-            full = enc_u @ full
-            for _ in range(m):
-                full = comp @ backend.apply(full, spec)
-            return enc_u.dag() @ full
-
-        def process(rho_q: DensityOp) -> np.ndarray:
-            w, v = np.linalg.eigh(rho_q.matrix)
-            out = np.zeros((2, 2), dtype=complex)
-            for i in range(2):
-                if w[i] > 1e-12:
-                    res = apply_ket(Ket(CompositeSpace.single(rho_q.space.factors[0]), v[:, i]))
-                    red = partial_trace(res, [0]).matrix
-                    out += w[i] * red
-            return out
-
-        return process
+    collapses = standard_collapses(params, layout) if decohere else None
 
     ms = np.arange(m_max + 1)
     fids = []
     for m in ms:
-        ptm = pauli_transfer(channel(int(m)), 1)
+        channel = _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, comp, int(m), collapses)
         ideal = unitary_transfer(np.linalg.matrix_power(zmat, int(m)), 1)
-        fids.append(process_fidelity(ptm, ideal))
+        fids.append(process_fidelity(pauli_transfer(channel, 1), ideal))
     fids = np.array(fids)
     slope, intercept = np.polyfit(ms, fids, 1)
     consistency = (fids[0] - fids[1]) + slope  # slope estimate vs m∈{0,1} points
@@ -633,37 +629,8 @@ def run_error_budget(
 
     def fidelity(backend, collapses=None):
         post = comp if isinstance(backend, PulseBackend) else LinearOp.identity(layout.space)
-        if collapses is None:
-            def apply_ket(psi_q: Ket) -> Ket:
-                vac = fock_ket(layout.mode("S1"), 0).amplitudes
-                full = Ket(layout.space, np.kron(psi_q.amplitudes, vac))
-                full = post @ backend.apply(enc_u @ full, spec)
-                return enc_u.dag() @ full
-
-            def process(rho_q: DensityOp) -> np.ndarray:
-                w, v = np.linalg.eigh(rho_q.matrix)
-                out = np.zeros((2, 2), dtype=complex)
-                for i in range(2):
-                    if w[i] > 1e-12:
-                        res = apply_ket(
-                            Ket(CompositeSpace.single(rho_q.space.factors[0]), v[:, i])
-                        )
-                        out += w[i] * partial_trace(res, [0]).matrix
-                return out
-        else:
-            def process(rho_q: DensityOp) -> np.ndarray:
-                vac = fock_ket(layout.mode("S1"), 0).amplitudes
-                full = np.kron(rho_q.matrix, np.outer(vac, vac.conj()))
-                e = enc_u.matrix
-                rho = DensityOp(layout.space, e @ full @ e.conj().T)
-                rho = backend.apply_density(rho, spec, collapses)
-                c = post.matrix
-                rho = DensityOp(rho.space, c @ rho.matrix @ c.conj().T)
-                d = enc_u.dag().matrix
-                rho = DensityOp(layout.space, d @ rho.matrix @ d.conj().T)
-                return partial_trace(rho, [0]).matrix
-
-        return process_fidelity(pauli_transfer(process, 1), ideal_ptm)
+        channel = _encoded_qubit_channel(layout, "S1", enc_u, backend, spec, post, 1, collapses)
+        return process_fidelity(pauli_transfer(channel, 1), ideal_ptm)
 
     f_ideal = fidelity(IdealBackend(layout))
     f_selectivity = fidelity(

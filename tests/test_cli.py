@@ -142,6 +142,21 @@ def test_numerical_error_exits_2(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_zero_coherence_time_in_config_exits_1(tmp_path, capsys):
+    from cavitysim.device import default_config_text
+
+    text = default_config_text()
+    # T1 = T2 = 0 passes the T2 <= 2 T1 check; the decay rates would be 1/0
+    text = text.replace("[T1_us]\nS1 = 480", "[T1_us]\nS1 = 0")
+    text = text.replace("[T2_us]\nS1 = 559", "[T2_us]\nS1 = 0")
+    cfg = tmp_path / "device.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "eb"
+    assert main(["error-budget", "--config", str(cfg), "-o", str(out)]) == 1
+    assert "T1 must be positive" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
 def test_bad_phis_spec_rejected(tmp_path):
     assert main(["parity-sweep", "--phis", "0:1", "-o", str(tmp_path / "x")]) == 1
 

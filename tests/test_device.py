@@ -53,6 +53,17 @@ def test_t2_invariant_violation():
         load_params(bad)
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "nan"])
+@pytest.mark.parametrize("section", ["T1_us", "T2_us"])
+def test_coherence_times_must_be_positive(section, value):
+    text = default_config_text()
+    head = f"[{section}]\nS1 = "
+    start = text.index(head) + len(head)
+    bad = text[:start] + value + text[text.index("\n", start):]
+    with pytest.raises(ValidationError):
+        load_params(bad)
+
+
 def test_static_hamiltonian_zero_couplings(params):
     import dataclasses
 

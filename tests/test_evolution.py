@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 import cavitysim.evolution as evolution
 from cavitysim.device import (
@@ -208,13 +210,34 @@ def test_lindblad_trace_and_hermiticity_preserved(params):
 
 
 def test_lindblad_step_halving_convergence(params):
+    """Semigroup property: one solve over T equals two solves over T/2, and
+    an uneven split 0.3 T + 0.7 T."""
     layout = SystemLayout.build(["Q1"], [], {})
     cs = standard_collapses(params, layout)
     plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
     h = LinearOp(layout.space, np.diag([0.0, 0.01]))
-    r1 = lindblad_evolve(plus.density(), h, cs, T=5e3, max_step=100.0)
-    r2 = lindblad_evolve(plus.density(), h, cs, T=5e3, max_step=50.0)
-    assert np.max(np.abs(r1.matrix - r2.matrix)) < 1e-8
+    t = 5e3
+    r1 = lindblad_evolve(plus.density(), h, cs, T=t)
+    for first in (0.5 * t, 0.3 * t):
+        part = lindblad_evolve(plus.density(), h, cs, T=first)
+        r2 = lindblad_evolve(part, h, cs, T=t - first)
+        assert np.max(np.abs(r1.matrix - r2.matrix)) < 1e-8
+
+
+@pytest.mark.parametrize("t", [-5.0, np.nan, np.inf])
+def test_lindblad_rejects_bad_duration(t):
+    layout = SystemLayout.build(["Q1"], [], {})
+    h = LinearOp(layout.space, np.diag([0.0, 0.01]))
+    plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
+    with pytest.raises(ValidationError):
+        lindblad_evolve(plus.density(), h, CollapseSet.empty(), T=t)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
+def test_collapse_set_rejects_non_finite_or_negative_rate(rate):
+    layout = SystemLayout.build(["Q1"], [], {})
+    with pytest.raises(ValidationError):
+        CollapseSet(((layout.lift(sigma_minus(), "Q1"), rate),))
 
 
 def test_unitary_and_lindblad_paths_agree_on_pulse(params):
@@ -342,30 +365,58 @@ def test_lindblad_pulse_matches_dense_oracle(params):
 
     out = lindblad_evolve(DensityOp(layout.space, rho0), (h0, pulse), cs, layout=layout)
 
+    # exact oracle: expm of the dense generator, built column by column from
+    # the dense right-hand side, once per run
     opq = drive_operator(layout, chq).matrix
     opc = drive_operator(layout, chc).matrix
-    y, t = rho0.reshape(-1), 0.0
+    y = rho0.reshape(-1)
     for u, v, n in runs:
         h = h0.matrix + u * opq + v * opc
         h = h + (u * opq + v * opc).conj().T
-        span = n * pulse.dt
-        sol = solve_ivp(
-            _dense_rhs(h, cs), (t, t + span), y, method="RK45", rtol=1e-10, atol=1e-12
-        )
-        y, t = sol.y[:, -1], t + span
+        rhs = _dense_rhs(h, cs)
+        gen = np.stack([rhs(0.0, e) for e in np.eye(144, dtype=complex)], axis=1)
+        y = expm(gen * n * pulse.dt) @ y
     ref = y.reshape(12, 12)
     ref = 0.5 * (ref + ref.conj().T)
     assert np.max(np.abs(out.matrix - ref)) < 1e-12
 
 
+def test_lindblad_matches_rk45_on_selective_drive(params):
+    """Oracle: an adaptive RK45 solve of the dense right-hand side, run by run,
+    for a vacuum-selective square qubit drive with every standard channel."""
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 6})
+    cs = standard_collapses(params, layout)
+    assert len(cs) == 4
+    h0 = static_hamiltonian(params, layout)
+    # 40 ns idle, a 500 ns π pulse resonant with the qubit at zero photons, 40 ns idle
+    runs = [(0.0, 40), (np.pi / 500.0, 500), (0.0, 40)]
+    ch, amps = qubit_drive(layout, "Q1", np.concatenate([np.full(n, u) for u, n in runs]))
+    pulse = PulseSequence(dt=1.0, channels={ch: amps})
+    rho0 = _random_density(np.random.default_rng(8), 12)
+
+    out = lindblad_evolve(DensityOp(layout.space, rho0), (h0, pulse), cs, layout=layout)
+
+    op = drive_operator(layout, ch).matrix
+    y, t = rho0.reshape(-1), 0.0
+    for u, n in runs:
+        h = h0.matrix + u * op + np.conj(u) * op.conj().T
+        sol = solve_ivp(
+            _dense_rhs(h, cs), (t, t + n), y, method="RK45", rtol=1e-10, atol=1e-12
+        )
+        y, t = sol.y[:, -1], t + n
+    ref = y.reshape(12, 12)
+    assert np.max(np.abs(out.matrix - 0.5 * (ref + ref.conj().T))) < 1e-8
+    # the pulse flips the qubit when S1 is empty
+    g0, e0 = layout.space.joint_index((0, 0)), layout.space.joint_index((1, 0))
+    assert abs(np.real(out.matrix[e0, e0]) - np.real(rho0[g0, g0])) < 0.05
+
+
 @pytest.mark.parametrize("scale", [2.0, np.nan])
 def test_lindblad_rejects_trace_drift_and_nonfinite(monkeypatch, scale):
-    def drifting_solve_ivp(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        sol.y = sol.y * scale
-        return sol
+    def drifting_expm_multiply(*args, **kwargs):
+        return expm_multiply(*args, **kwargs) * scale
 
-    monkeypatch.setattr(evolution, "solve_ivp", drifting_solve_ivp)
+    monkeypatch.setattr(evolution, "expm_multiply", drifting_expm_multiply)
     layout = SystemLayout.build(["Q1"], [], {})
     h = LinearOp(layout.space, np.diag([0.0, 0.01]))
     plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))

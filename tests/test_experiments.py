@@ -6,6 +6,7 @@ from cavitysim.experiments import (
     ExperimentResult,
     Scalar,
     run_bell_generation,
+    run_error_budget,
     run_parity_sweep,
     run_qpt,
     run_snap_bell,
@@ -77,6 +78,16 @@ def test_zgate_repetition_pulse_reports_decay_consistently():
     assert abs(s["slope_consistency_m01"].value) < s["slope_consistency_m01"].tolerance
     rows = r.tables["fidelity_vs_m"]["rows"]
     assert [m for m, _ in rows] == [0, 1, 2, 3]
+
+
+def test_zgate_repetition_decoherent_matches_error_budget():
+    """m ∈ {0, 1} under decoherence: the m = 0 channel is encode→decode (F = 1)
+    and the m = 1 channel is the error budget's total pipeline."""
+    alpha = float(np.sqrt(2.0))
+    s = run_zgate_repetition(m_max=1, mode="pulse+decoherence", alpha=alpha).summary
+    total = dict(run_error_budget("z", alpha=alpha).tables["budget"]["rows"])["total"]
+    assert abs(s["per_gate_infidelity"].value - total) < 1e-12
+    assert abs(s["intercept_F_ED"].value - 1.0) < 1e-9
 
 
 def test_qpt_ideal_truth_tables():
