@@ -211,6 +211,24 @@ def test_grape_optimize_pi_pulse(tmp_path):
     assert len(rows) == 60
 
 
+def test_grape_optimize_zero_iterations(tmp_path):
+    out = tmp_path / "run"
+    assert main(["grape-optimize", "--max-iters", "0", "-o", str(out)]) == 0
+    report = json.loads((out / "result.json").read_text())
+    assert report["iterations"] == 0
+    assert len(report["fidelity_history"]) == 1
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [("--max-iters", "-1"), ("--target-fidelity", "nan")],
+    ids=["negative-max-iters", "nan-target"],
+)
+def test_grape_optimize_rejects_bad_limits(tmp_path, flag, capsys):
+    assert main(["grape-optimize", *flag, "-o", str(tmp_path / "run")]) == 1
+    assert not (tmp_path / "run" / "result.json").exists()
+
+
 def test_snap_bell_and_error_budget_commands(tmp_path):
     out1 = tmp_path / "sb"
     assert main(["snap-bell", "--sign", "-1", "-o", str(out1)]) == 0
