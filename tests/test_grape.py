@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cavitysim import grape
+from cavitysim.codes import binomial_encoding, logical_ket
 from cavitysim.device import SystemLayout, load_params, default_config_text, static_hamiltonian
 from cavitysim.errors import ValidationError
 from cavitysim.evolution import PulseSequence, evolve_pulse
@@ -241,6 +242,45 @@ def test_rediscretization_consistency():
     p1 = PulseSequence(channels={("Q1", "qubit"): np.full(10, u)})
     p2 = PulseSequence(channels={("Q1", "qubit"): np.full(20, 0.5 * u)})
     assert abs(transfer_fidelity(p1, task1) - transfer_fidelity(p2, task2)) < 1e-12
+
+
+def test_optimize_binomial_encode():
+    params = load_params(default_config_text())
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 8})
+    h0 = static_hamiltonian(params, layout)
+    enc = binomial_encoding(8)
+    b0, b1 = enc.orthonormal_basis()
+    g, e = qubit_ket(0), qubit_ket(1)
+    vac = fock_ket(layout.mode("S1"), 0)
+
+    def pair(c0, c1):
+        init = Ket(
+            layout.space,
+            c0 * tensor([g, vac]).amplitudes + c1 * tensor([e, vac]).amplitudes,
+        ).normalized()
+        cav = logical_ket(enc, c0, c1)
+        targ = tensor([g, Ket(vac.space, cav.amplitudes)])
+        return (init, targ)
+
+    task = TransferTask(
+        pairs=(
+            pair(1.0, 0.0),
+            pair(0.0, 1.0),
+            pair(1.0, 1.0),
+            pair(1.0, 1.0j),
+        ),
+        H0=h0,
+        layout=layout,
+        channels=(("Q1", "qubit"), ("S1", "cavity")),
+        n_steps=500,
+    )
+    pulse, report = optimize(task, max_iters=400, target_fidelity=0.995, seed=4)
+    assert report.final_fidelity >= 0.99
+    # verify against the reference evolution path
+    init, targ = task.pairs[2]
+    out = evolve_pulse(init, h0, pulse, layout)
+    assert abs(targ.overlap(out)) ** 2 >= 0.98
+    assert b0.overlap(b1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gaussian_pulse_shape_and_area():
