@@ -37,6 +37,7 @@ from cavitysim.experiments import (
 )
 from cavitysim.fock import (
     Ket,
+    LinearOp,
     fock_ket,
     qubit_ket,
     recommended_dim,
@@ -462,7 +463,7 @@ def cmd_grape_optimize(
         if steps is None:
             steps = 60
         layout = SystemLayout.build(["Q1"], [], {})
-        h0 = static_hamiltonian(params, layout)
+        h0 = LinearOp(layout.space, np.diag(static_hamiltonian(params, layout)))
         task = TransferTask(
             pairs=((qubit_ket(0), qubit_ket(1)),),
             H0=h0,
@@ -476,7 +477,7 @@ def cmd_grape_optimize(
         if dim is None:
             dim = 8
         layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
-        h0 = static_hamiltonian(params, layout)
+        h0 = LinearOp(layout.space, np.diag(static_hamiltonian(params, layout)))
         enc = binomial_encoding(dim)
         g, e = qubit_ket(0), qubit_ket(1)
         vac = fock_ket(layout.mode("S1"), 0)

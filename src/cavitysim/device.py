@@ -25,8 +25,6 @@ from cavitysim.fock import (
     ModeSpec,
     annihilation,
     embed,
-    excited_projector,
-    number_op,
     sigma_plus,
 )
 
@@ -192,55 +190,49 @@ class SystemLayout:
 COUPLED_PAIRS = (("S1", "Q1"), ("S1", "Q3"), ("S2", "Q2"), ("S2", "Q3"))
 
 
-def static_hamiltonian(params: DeviceParams, layout: SystemLayout) -> LinearOp:
-    """Rotating-frame static Hamiltonian: dispersive + Kerr terms only.
+def _levels(layout: SystemLayout) -> dict:
+    """Level index of each label on the joint basis: the factor's np.arange(d),
+    shaped to broadcast along its own axis.  For a qubit it is the |e⟩
+    population, for a cavity the photon number."""
+    grids = np.indices(layout.space.dims, sparse=True)
+    return {label: grids[i] for label, i in layout.index.items()}
+
+
+def _minus_cavity_terms(diag: np.ndarray, params: DeviceParams, n: dict) -> np.ndarray:
+    """diag − Σ (K_i/2) n_i(n_i − 1) − χ_12 n_1 n_2, flattened to (dim,)."""
+    for cav, K in params.kerr.items():
+        if cav in n:
+            diag -= 0.5 * K * n[cav] * (n[cav] - 1.0)
+    cavs = [c for c in CAVITY_LABELS if c in n]
+    if len(cavs) == 2:
+        diag -= params.cross_kerr * n[cavs[0]] * n[cavs[1]]
+    return diag.reshape(-1)
+
+
+def static_hamiltonian(params: DeviceParams, layout: SystemLayout) -> np.ndarray:
+    """Rotating-frame static Hamiltonian as its real (dim,) energy vector.
 
     H = − Σ χ_{si,qj} |e_j⟩⟨e_j| n_i − Σ (K_i/2) a†a†aa − χ_12 n_1 n_2,
-    restricted to the labels present in the layout.  Diagonal by construction.
+    restricted to the labels present in the layout.  Every term is diagonal
+    in the joint Fock basis, so H is held as its diagonal, broadcast from the
+    per-factor level numbers; wrap it as LinearOp(space, np.diag(H)) where a
+    dense operator is needed.
     """
-    dim = layout.space.dim
-    labels = set(layout.index)
-    diag = np.zeros(dim)
-
-    def lifted_diag(op, label):
-        return np.real(np.diag(layout.lift(op, label).matrix))
-
+    n = _levels(layout)
+    diag = np.zeros(layout.space.dims)
     for (cav, qub), chi in params.chi.items():
-        if cav in labels and qub in labels:
-            pe = lifted_diag(excited_projector(), qub)
-            n = lifted_diag(number_op(layout.mode(cav)), cav)
-            diag -= chi * pe * n
-    for cav, K in params.kerr.items():
-        if cav in labels:
-            n = lifted_diag(number_op(layout.mode(cav)), cav)
-            diag -= 0.5 * K * n * (n - 1.0)
-    cavs = [c for c in CAVITY_LABELS if c in labels]
-    if len(cavs) == 2:
-        n1 = lifted_diag(number_op(layout.mode(cavs[0])), cavs[0])
-        n2 = lifted_diag(number_op(layout.mode(cavs[1])), cavs[1])
-        diag -= params.cross_kerr * n1 * n2
-    return LinearOp(layout.space, np.diag(diag).astype(complex))
+        if cav in n and qub in n:
+            diag -= chi * n[qub] * n[cav]
+    return _minus_cavity_terms(diag, params, n)
 
 
 def cavity_static_diag(params: DeviceParams, layout: SystemLayout) -> np.ndarray:
-    """Diagonal of the cavity-only (Kerr + cross-Kerr) part of the Hamiltonian.
+    """The cavity-only (Kerr + cross-Kerr) part of `static_hamiltonian`.
 
     These phases are deterministic and qubit-independent; the decoding step
     compensates them exactly.
     """
-    dim = layout.space.dim
-    labels = set(layout.index)
-    diag = np.zeros(dim)
-    for cav, K in params.kerr.items():
-        if cav in labels:
-            n = np.real(np.diag(layout.lift(number_op(layout.mode(cav)), cav).matrix))
-            diag -= 0.5 * K * n * (n - 1.0)
-    cavs = [c for c in CAVITY_LABELS if c in labels]
-    if len(cavs) == 2:
-        n1 = np.real(np.diag(layout.lift(number_op(layout.mode(cavs[0])), cavs[0]).matrix))
-        n2 = np.real(np.diag(layout.lift(number_op(layout.mode(cavs[1])), cavs[1]).matrix))
-        diag -= params.cross_kerr * n1 * n2
-    return diag
+    return _minus_cavity_terms(np.zeros(layout.space.dims), params, _levels(layout))
 
 
 def qubit_drive(layout: SystemLayout, label: str, amplitudes, detuning: float = 0.0,
@@ -281,23 +273,3 @@ def drive_operator(layout: SystemLayout, channel) -> LinearOp:
     if kind == "cavity":
         return layout.lift(annihilation(layout.mode(label)).dag(), label)
     raise ValidationError(f"unknown drive kind {kind!r}")
-
-
-def effective_conditional_drive(
-    layout: SystemLayout,
-    qubit: str,
-    epsilon: float,
-    phi: float,
-    condition: LinearOp,
-) -> LinearOp:
-    """Effective conditional drive (ε/2) e^{iφ} |e⟩⟨g| ⊗ P_cond + h.c.
-
-    The condition projector must be diagonal in the joint Fock basis of the
-    non-qubit factors (lifted to the full space, acting as identity on qubits).
-    """
-    off = condition.matrix - np.diag(np.diag(condition.matrix))
-    if np.max(np.abs(off)) > 1e-12:
-        raise ValidationError("condition projector must be diagonal in the Fock basis")
-    sp = layout.lift(sigma_plus(), qubit)
-    term = (0.5 * epsilon * np.exp(1j * phi)) * (sp @ condition)
-    return LinearOp(layout.space, term.matrix + term.matrix.conj().T)

@@ -5,8 +5,9 @@ evolve by the exact action of the exponentiated Lindblad generator on the
 vectorized density matrix, one action per run of identical piecewise-constant
 drive samples.
 
-When a single qubit is the only driven mode and the static Hamiltonian is
-diagonal, the propagator is block diagonal: one 2×2 g/e block per joint
+The static Hamiltonian is diagonal in the joint Fock basis and is passed as
+its real (dim,) energy vector.  When a single qubit is the only driven mode,
+the propagator is therefore block diagonal: one 2×2 g/e block per joint
 level of the other factors, since the drive changes no photon number.  Each
 block is a global phase times an SU(2) matrix [[a, −b̄], [b, ā]], so a whole
 pulse reduces to one Cayley–Klein pair (a, b) per block.
@@ -203,11 +204,22 @@ def standard_collapses(params: DeviceParams, layout: SystemLayout) -> CollapseSe
 # Pure-state pulse evolution
 
 
-def _segment_runs(H0: LinearOp, pulse: PulseSequence, layout: SystemLayout):
+def _static_energies(H0, layout: SystemLayout) -> np.ndarray:
+    e = np.asarray(H0)
+    if e.shape != (layout.space.dim,) or np.iscomplexobj(e):
+        raise ValidationError(
+            f"H0 must be the real energy vector of shape ({layout.space.dim},), "
+            f"got {e.dtype} of shape {e.shape}"
+        )
+    return e
+
+
+def _segment_runs(H0: np.ndarray, pulse: PulseSequence, layout: SystemLayout):
     """Runs of consecutive identical drive samples, as (key, h, n_steps).
 
     key holds the run's samples (sorted by channel, rounded to 14 digits) and
-    h is the dense Hamiltonian H0 + Σ (u O + ū O†) of the run, built once.
+    h is the dense Hamiltonian diag(H0) + Σ (u O + ū O†) of the run, built
+    once.
     """
     if pulse.n_steps == 0:
         return
@@ -215,11 +227,12 @@ def _segment_runs(H0: LinearOp, pulse: PulseSequence, layout: SystemLayout):
     for ch in pulse.channels:
         op = drive_operator(layout, ch).matrix
         ops[ch] = (op, op.conj().T)
+    h0 = np.diag(H0).astype(complex)
     samples = np.round(np.stack([pulse.channels[c] for c in sorted(pulse.channels)], axis=1), 14)
     starts = np.flatnonzero(np.any(samples[1:] != samples[:-1], axis=1)) + 1
     bounds = [0, *starts.tolist(), pulse.n_steps]
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        h = np.array(H0.matrix)
+        h = h0.copy()
         for ch, amps in pulse.channels.items():
             u = amps[start]
             if u != 0:
@@ -227,15 +240,11 @@ def _segment_runs(H0: LinearOp, pulse: PulseSequence, layout: SystemLayout):
         yield tuple(samples[start].tolist()), h, stop - start
 
 
-def _is_diagonal(m: np.ndarray) -> bool:
-    return np.max(np.abs(m - np.diag(np.diag(m)))) < 1e-13
-
-
-def _single_qubit_fast_path(pulse: PulseSequence, H0: LinearOp) -> str | None:
+def _single_qubit_fast_path(pulse: PulseSequence) -> str | None:
     """Label of the single driven qubit, if the blockwise 2x2 path applies."""
     labels = {label for (label, kind) in pulse.channels if kind == "qubit"}
     kinds = {kind for (_, kind) in pulse.channels}
-    if kinds == {"qubit"} and len(labels) == 1 and _is_diagonal(H0.matrix):
+    if kinds == {"qubit"} and len(labels) == 1:
         return labels.pop()
     return None
 
@@ -324,11 +333,15 @@ def apply_block_rotations(
 
 
 def evolve_pulse(
-    state: Ket, H0: LinearOp, pulse: PulseSequence, layout: SystemLayout
+    state: Ket, H0: np.ndarray, pulse: PulseSequence, layout: SystemLayout
 ) -> Ket:
-    """Apply the exact piecewise-constant propagator of H0 + drive terms."""
-    if state.space != layout.space or H0.space != layout.space:
-        raise ValidationError("state, Hamiltonian, and layout spaces must agree")
+    """Apply the exact piecewise-constant propagator of diag(H0) + drive terms.
+
+    H0 is the static Hamiltonian as its real (dim,) energy vector.
+    """
+    if state.space != layout.space:
+        raise ValidationError("state and layout spaces must agree")
+    H0 = _static_energies(H0, layout)
     for label, kind in pulse.channels:
         if label not in layout.index:
             raise ValidationError(f"channel label {label} not present in layout")
@@ -337,11 +350,11 @@ def evolve_pulse(
     if pulse.n_steps == 0:
         return state
 
-    fast_label = _single_qubit_fast_path(pulse, H0)
+    fast_label = _single_qubit_fast_path(pulse)
     if fast_label is not None:
-        # H0 is diagonal and only one qubit is driven: the Hamiltonian is
+        # only one qubit is driven: the Hamiltonian is
         # c_j I + [[δ_j, ū/2], [u/2, −δ_j]] in each g/e block j
-        eg, ee = qubit_blocks(np.real(np.diag(H0.matrix)), layout, fast_label)
+        eg, ee = qubit_blocks(H0, layout, fast_label)
         a, b = block_rotations(0.5 * (eg - ee), pulse.channels[(fast_label, "qubit")], pulse.dt)
         phase = np.exp(-0.5j * (eg + ee) * pulse.duration)
         out = apply_block_rotations(state.amplitudes, layout, fast_label, a, b, phase)
@@ -395,8 +408,9 @@ def lindblad_evolve(
     """Evolve ρ under dρ/dt = −i[H,ρ] + Σ (L ρ L† − ½{L†L, ρ}).
 
     H may be a static LinearOp (with duration T ≥ 0) or a (H0, PulseSequence)
-    pair, in which case `layout` is required and the drive is honored as
-    piecewise constant at segment boundaries.
+    pair, with H0 the real (dim,) energy vector of the static Hamiltonian, in
+    which case `layout` is required and the drive is honored as piecewise
+    constant at segment boundaries.
 
     Each run of identical segments, of length τ, is one exact action
     vec(ρ) ← exp(𝓛 τ) vec(ρ) by `expm_multiply`, with 𝓛 = `liouvillian(h, D)`
@@ -417,6 +431,7 @@ def lindblad_evolve(
         H0, pulse = H
         if layout is None:
             raise ValidationError("pulse-driven Lindblad evolution requires a layout")
+        H0 = _static_energies(H0, layout)
         runs = ((h, n * pulse.dt) for _, h, n in _segment_runs(H0, pulse, layout))
 
     dim = rho.space.dim

@@ -35,6 +35,7 @@ from cavitysim.fock import (
     DensityOp,
     Ket,
     LinearOp,
+    apply_on_factor,
     coherent,
     displacement,
     expectation,
@@ -164,7 +165,8 @@ def _code_subspace_unitary(enc: Encoding, u2: np.ndarray) -> LinearOp:
 def _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, post, m, collapses=None):
     """The qubit channel ρ_q ↦ Tr_cavity[D Gᵐ E (ρ_q ⊗ |0⟩⟨0|) E† D†] as a
     function returning a 2×2 matrix: E is the ideal encoder `enc_u`, D = E†,
-    and G is `spec` on `backend` followed by the unitary `post`.
+    and G is `spec` on `backend` followed by the diagonal unitary whose
+    (dim,) phase vector is `post`.
 
     With collapses, G acts on the density matrix through `apply_density`;
     without, each eigenvector of ρ_q is propagated as a ket and the results
@@ -172,14 +174,14 @@ def _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, post, m, collap
     """
     vac = fock_ket(layout.mode(cavity), 0).amplitudes
     if collapses is not None:
-        e, d, c = enc_u.matrix, enc_u.dag().matrix, post.matrix
+        e, d = enc_u.matrix, enc_u.dag().matrix
 
         def process(rho_q: DensityOp) -> np.ndarray:
             full = np.kron(rho_q.matrix, np.outer(vac, vac.conj()))
             rho = DensityOp(layout.space, e @ full @ e.conj().T)
             for _ in range(m):
                 rho = backend.apply_density(rho, spec, collapses)
-                rho = DensityOp(rho.space, c @ rho.matrix @ c.conj().T)
+                rho = DensityOp(rho.space, post[:, None] * rho.matrix * post.conj())
             rho = DensityOp(layout.space, d @ rho.matrix @ d.conj().T)
             return partial_trace(rho, [0]).matrix
 
@@ -192,7 +194,7 @@ def _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, post, m, collap
             if w[i] > 1e-12:
                 full = enc_u @ Ket(layout.space, np.kron(v[:, i], vac))
                 for _ in range(m):
-                    full = post @ backend.apply(full, spec)
+                    full = Ket(layout.space, post * backend.apply(full, spec).amplitudes)
                 out += w[i] * partial_trace(enc_u.dag() @ full, [0]).matrix
         return out
 
@@ -259,7 +261,8 @@ def run_parity_sweep(
         if mode == "pulse":
             # the drive-induced phases accrue in the undisplaced frame, so
             # undo them before the read-out displacement
-            out = stark_phase_compensation(spec, params, layout, cavity, qubit) @ out
+            comp = stark_phase_compensation(spec, params, layout, cavity, qubit)
+            out = Ket(out.space, comp * out.amplitudes)
         out = read_out @ out
         p = float(np.real(expectation(out, parity)))
         law = float(np.cos(np.pi + phi))
@@ -323,7 +326,7 @@ def run_zgate_repetition(
     decohere = mode == "pulse+decoherence"
     if mode == "ideal":
         backend = IdealBackend(layout)
-        comp = LinearOp.identity(layout.space)
+        comp = np.ones(layout.space.dim)
     elif mode in ("pulse", "pulse+decoherence"):
         backend = PulseBackend(params, layout, compensate_static_cavity_phases=True)
         comp = stark_phase_compensation(spec, params, layout, cavity, qubit)
@@ -379,7 +382,10 @@ def _single_cavity_qpt(gate: str, params, mode: str, alpha: float):
         comp = stark_phase_compensation(spec, params, layout, "S1", "Q1")
         logical = list(enc.orthonormal_basis())
         k = realized_logical_map(
-            lambda psi: comp @ backend.apply(psi, spec), layout, "Q1", logical
+            lambda psi: Ket(psi.space, comp * backend.apply(psi, spec).amplitudes),
+            layout,
+            "Q1",
+            logical,
         )
     return k, ideal_u, 1, spec
 
@@ -525,8 +531,10 @@ def run_bell_generation(
     psi = tensor([qubit_ket(0), plus1, plus2])
     psi = backend.apply(psi, spec)
     # rotate CZ|++⟩ into (|01⟩_L + |10⟩_L)/√2: Hadamard on cavity 2, X on 1
-    psi = layout.lift(_code_subspace_unitary(enc2, _HADAMARD), "S2") @ psi
-    psi = layout.lift(_code_subspace_unitary(enc1, _X), "S1") @ psi
+    x = psi.amplitudes
+    for label, enc, u2 in (("S2", enc2, _HADAMARD), ("S1", enc1, _X)):
+        x = apply_on_factor(_code_subspace_unitary(enc, u2), layout.index[label], layout.space, x)
+    psi = Ket(psi.space, x)
 
     b0_1, b1_1 = enc1.orthonormal_basis()
     b0_2, b1_2 = enc2.orthonormal_basis()
@@ -628,7 +636,7 @@ def run_error_budget(
     comp = stark_phase_compensation(spec, params, layout, "S1", "Q1")
 
     def fidelity(backend, collapses=None):
-        post = comp if isinstance(backend, PulseBackend) else LinearOp.identity(layout.space)
+        post = comp if isinstance(backend, PulseBackend) else np.ones(layout.space.dim)
         channel = _encoded_qubit_channel(layout, "S1", enc_u, backend, spec, post, 1, collapses)
         return process_fidelity(pauli_transfer(channel, 1), ideal_ptm)
 

@@ -370,6 +370,27 @@ def embed(op: LinearOp, factor_index: int, space: CompositeSpace) -> LinearOp:
     return LinearOp(space, m)
 
 
+def apply_on_factor(
+    op: LinearOp, factor_index: int, space: CompositeSpace, x: np.ndarray
+) -> np.ndarray:
+    """embed(op, factor_index, space).matrix @ x, without forming the lift.
+
+    x is a state vector of shape (dim,) or a stack of them, (dim, k); op acts
+    on the factor's axis of x reshaped to the factor dims.
+    """
+    if not 0 <= factor_index < space.n_factors:
+        raise ValidationError("factor index out of range")
+    dims = space.dims
+    if op.space.dim != dims[factor_index]:
+        raise ValidationError(
+            f"operator dim {op.space.dim} does not match factor dim {dims[factor_index]}"
+        )
+    rest = x.shape[1:]
+    v = np.moveaxis(x.reshape(dims + rest), factor_index, 0)
+    out = (op.matrix @ v.reshape(dims[factor_index], -1)).reshape(v.shape)
+    return np.moveaxis(out, 0, factor_index).reshape(x.shape)
+
+
 def expectation(state, op: LinearOp) -> complex:
     """⟨ψ|A|ψ⟩ for kets, Tr(ρA) for density operators."""
     _check_same_space(state, op)

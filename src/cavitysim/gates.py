@@ -3,11 +3,15 @@
 Gates are declared as sequences of primitive steps (displacements, conditional
 qubit rotations, waits, multitone pulses) and realized by one of two backends:
 
-* an ideal backend that integrates the effective conditional-drive Hamiltonian
-  exactly (no dispersive dynamics, no Kerr), isolating the geometric-phase
-  logic, and
-* a pulse backend that drives the full static Hamiltonian with shaped tones,
-  exposing selectivity and dynamical-phase errors.
+* an ideal backend with no static Hamiltonian (no dispersive dynamics, no
+  Kerr), isolating the geometric-phase logic: a conditional rotation is an
+  exact SU(2) rotation on the g/e blocks selected by a Fock-level mask, and
+* a pulse backend that drives the static Hamiltonian, held as its energy
+  vector, with shaped tones, exposing selectivity and dynamical-phase
+  errors; waits and phase compensations are phase vectors.
+
+Both apply each displacement as a single-cavity matrix along that cavity's
+axis of the state (`fock.apply_on_factor`), never as a lifted operator.
 
 The central identity: two successive conditional pi rotations about axes
 separated by an angle dphi imprint the geometric phase gamma = pi + dphi
@@ -26,7 +30,6 @@ from cavitysim.device import (
     DeviceParams,
     SystemLayout,
     cavity_static_diag,
-    effective_conditional_drive,
     static_hamiltonian,
 )
 from cavitysim.errors import NumericalError, ValidationError
@@ -38,16 +41,14 @@ from cavitysim.evolution import (
     evolve_pulse,
     lindblad_evolve,
     qubit_blocks,
-    segment_propagator,
 )
 from cavitysim.fock import (
-    CompositeSpace,
     DensityOp,
     Ket,
     LinearOp,
+    apply_on_factor,
     displacement,
     expectation,
-    fock_ket,
     number_op,
 )
 
@@ -243,55 +244,14 @@ class GatePhaseReport:
 
 
 # ---------------------------------------------------------------------------
-# Conditional rotations
-
-
-def condition_projector(layout: SystemLayout, condition) -> LinearOp:
-    """Diagonal projector onto the listed (cavity label, Fock level) levels."""
-    proj = LinearOp.identity(layout.space)
-    for label, n in condition:
-        if layout.is_qubit(label):
-            raise ValidationError("conditions may only reference cavity modes")
-        proj = proj @ layout.lift(fock_ket(layout.mode(label), int(n)).projector(), label)
-    return proj
-
-
-def conditional_rotation(
-    layout: SystemLayout,
-    qubit: str,
-    phi_axis: float,
-    theta: float,
-    condition,
-    epsilon: float,
-    selectivity_gap: float | None = None,
-):
-    """Gate step plus its ideal realization on the layout space.
-
-    selectivity_gap is the smallest dispersive detuning (rad/ns) separating the
-    conditioned state from any occupied off-condition state; the drive must be
-    slow on that scale (warn above gap/10, hard error above gap/3).
-    """
-    if selectivity_gap is not None and condition:
-        if epsilon > selectivity_gap / 3.0:
-            raise ValidationError(
-                f"epsilon = {epsilon:.3e} rad/ns is not selective: exceeds a third "
-                f"of the discriminating gap {selectivity_gap:.3e} rad/ns"
-            )
-        if epsilon > selectivity_gap / 10.0:
-            warnings.warn(
-                f"epsilon = {epsilon:.3e} rad/ns above a tenth of the "
-                f"discriminating gap {selectivity_gap:.3e} rad/ns; selectivity "
-                "errors may dominate",
-                stacklevel=2,
-            )
-    step = ConditionalRotation(qubit, phi_axis, theta, epsilon, tuple(condition))
-    proj = condition_projector(layout, step.condition)
-    h = effective_conditional_drive(layout, qubit, epsilon, phi_axis, proj)
-    return step, segment_propagator(h, step.duration)
-
-
-# ---------------------------------------------------------------------------
 # Backends
+
+
+def _displace(x: np.ndarray, layout: SystemLayout, step: Displacement) -> np.ndarray:
+    """Apply D(step.alpha) along the step's cavity axis of a state vector or
+    of a (dim, k) stack of them."""
+    d = displacement(step.alpha, layout.mode(step.label))
+    return apply_on_factor(d, layout.index[step.label], layout.space, x)
 
 
 class IdealBackend:
@@ -330,8 +290,7 @@ class IdealBackend:
         layout = self.layout
         for step in spec.steps:
             if isinstance(step, Displacement):
-                d = layout.lift(displacement(step.alpha, layout.mode(step.label)), step.label)
-                x = d.matrix @ x
+                x = _displace(x, layout, step)
             elif isinstance(step, ConditionalRotation):
                 mask = self._condition_mask(step)
                 half = 0.5 * step.theta
@@ -396,13 +355,16 @@ def _drive_samples(step, params: DeviceParams, dt: float, t0: float) -> np.ndarr
 
 
 class PulseBackend:
-    """Realize gate steps against the full static Hamiltonian.
+    """Realize gate steps against the static Hamiltonian.
 
-    Conditional rotations become finite-strength qubit tones at the dispersive
-    shift of the conditioned state; displacements are applied as exact
-    unitaries (ideal fast cavity drives); waits evolve under the static
-    Hamiltonian.  A global clock keeps detuned tones phase-coherent across
-    steps.
+    h0 is the static Hamiltonian as its (dim,) energy vector.  Conditional
+    rotations become finite-strength qubit tones at the dispersive shift of
+    the conditioned state; displacements are applied as exact single-cavity
+    unitaries (ideal fast cavity drives); waits evolve under h0, which for a
+    pure state is the phase vector e^{−i h0 T}.  With
+    compensate_static_cavity_phases, each timed step is followed by the phase
+    vector undoing its Kerr and cross-Kerr phases.  A global clock keeps
+    detuned tones phase-coherent across steps.
     """
 
     def __init__(
@@ -419,62 +381,63 @@ class PulseBackend:
         self.compensate = compensate_static_cavity_phases
         self._cavity_diag = cavity_static_diag(params, layout)
 
-    def _compensation_op(self, span: float) -> LinearOp:
-        return LinearOp(
-            self.layout.space, np.diag(np.exp(1j * self._cavity_diag * span))
-        )
-
     def _segments(self, spec: GateSpec, t0: float):
-        """Yield ('u', LinearOp) or ('p', qubit, PulseSequence) items in order."""
+        """Yield, in order, ("displace", step), ("wait", T), ("pulse",
+        PulseSequence) and ("phase", v) items, v a diagonal unitary as its
+        (dim,) vector."""
         t = t0
         for step in spec.steps:
             if isinstance(step, Displacement):
-                yield "u", self.layout.lift(
-                    displacement(step.alpha, self.layout.mode(step.label)), step.label
-                )
-            elif isinstance(step, Wait):
-                yield "u", segment_propagator(self.h0, step.duration)
-                if self.compensate:
-                    yield "u", self._compensation_op(step.duration)
-                t += step.duration
+                yield "displace", step
+                continue
+            if isinstance(step, Wait):
+                yield "wait", step.duration
+                span = step.duration
             else:
                 amps = _drive_samples(step, self.params, self.dt, t)
-                yield "p", step.qubit, PulseSequence(
+                yield "pulse", PulseSequence(
                     dt=self.dt, channels={(step.qubit, "qubit"): amps}
                 )
-                # the cavity-only diagonal commutes with both the dispersive
-                # term and the qubit drive, so undoing it right after the
-                # segment (in the same displacement frame) is exact
-                if self.compensate:
-                    yield "u", self._compensation_op(len(amps) * self.dt)
-                t += len(amps) * self.dt
+                span = len(amps) * self.dt
+            # the cavity-only diagonal commutes with both the dispersive
+            # term and the qubit drive, so undoing it right after the
+            # segment (in the same displacement frame) is exact
+            if self.compensate:
+                yield "phase", np.exp(1j * self._cavity_diag * span)
+            t += span
 
     def apply(self, psi: Ket, spec: GateSpec, t0: float = 0.0) -> Ket:
-        for item in self._segments(spec, t0):
-            if item[0] == "u":
-                psi = item[1] @ psi
+        for kind, item in self._segments(spec, t0):
+            if kind == "pulse":
+                psi = evolve_pulse(psi, self.h0, item, self.layout)
+                continue
+            x = psi.amplitudes
+            if kind == "displace":
+                x = _displace(x, self.layout, item)
+            elif kind == "wait":
+                x = np.exp(-1j * self.h0 * item) * x
             else:
-                psi = evolve_pulse(psi, self.h0, item[2], self.layout)
+                x = item * x
+            psi = Ket(psi.space, x)
         return psi
 
     def apply_density(
         self, rho: DensityOp, spec: GateSpec, collapses: CollapseSet, t0: float = 0.0
     ) -> DensityOp:
-        for item in self._segments(spec, t0):
-            if item[0] == "u":
-                m = item[1].matrix
-                rho = DensityOp(rho.space, m @ rho.matrix @ m.conj().T)
+        for kind, item in self._segments(spec, t0):
+            if kind == "pulse":
+                rho = lindblad_evolve(rho, (self.h0, item), collapses, layout=self.layout)
+            elif kind == "wait":
+                h = LinearOp(self.layout.space, np.diag(self.h0))
+                rho = lindblad_evolve(rho, h, collapses, T=item)
+            elif kind == "displace":
+                # D ρ D† = (D (D ρ)†)†
+                m = _displace(rho.matrix, self.layout, item)
+                m = _displace(m.conj().T, self.layout, item).conj().T
+                rho = DensityOp(rho.space, m)
             else:
-                rho = lindblad_evolve(
-                    rho, (self.h0, item[2]), collapses, layout=self.layout
-                )
+                rho = DensityOp(rho.space, item[:, None] * rho.matrix * item.conj())
         return rho
-
-    def cavity_phase_compensation(self, spec: GateSpec) -> LinearOp:
-        """Unitary undoing the deterministic Kerr/cross-Kerr phases over the
-        gate's timed duration (applied after the gate, as decoding does)."""
-        diag = cavity_static_diag(self.params, self.layout)
-        return LinearOp(self.layout.space, np.diag(np.exp(1j * diag * spec.duration)))
 
 
 def component_logical_unitary(spec: GateSpec, cavities, qubit: str) -> np.ndarray:
@@ -530,21 +493,6 @@ def component_logical_unitary(spec: GateSpec, cavities, qubit: str) -> np.ndarra
     if np.max(np.abs(u[half:, :half])) > 1e-9:
         raise NumericalError("qubit does not return to the ground state")
     return u[:half, :half]
-
-
-def accumulated_phase_table(u: LinearOp, layout: SystemLayout, qubit: str) -> dict:
-    """Phases arg<g; n|U|g; n> per joint cavity Fock state, for diagonal gates."""
-    cavs = layout.cavity_labels()
-    table = {}
-    dims = layout.space.dims
-    for idx in np.ndindex(*dims):
-        if any(idx[layout.index[q]] != 0 for q in layout.qubit_labels()):
-            continue
-        flat = layout.space.joint_index(idx)
-        amp = u.matrix[flat, flat]
-        key = tuple(idx[layout.index[c]] for c in cavs)
-        table[key] = float(np.angle(amp)) if abs(amp) > 1e-12 else 0.0
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +586,9 @@ def cz_coherent(
 
 def stark_phase_compensation(
     spec: GateSpec, params: DeviceParams, layout: SystemLayout, cavity: str, qubit: str
-) -> LinearOp:
-    """Unitary undoing the drive-induced AC-Stark phases of a selective gate.
+) -> np.ndarray:
+    """Phase vector (dim,) of the diagonal unitary undoing the drive-induced
+    AC-Stark phases of a selective gate.
 
     A resonant vacuum-conditioned drive of Rabi frequency eps dresses every
     occupied level |n >= 1>, whose qubit transition is detuned by n*chi, and
@@ -654,12 +603,9 @@ def stark_phase_compensation(
     for step in spec.steps:
         if isinstance(step, ConditionalRotation) and step.condition:
             theta[1:] += step.epsilon**2 * step.duration / (4.0 * levels * chi)
-    return layout.lift(
-        LinearOp(
-            CompositeSpace.single(layout.mode(cavity)), np.diag(np.exp(1j * theta))
-        ),
-        cavity,
-    )
+    shape = [1] * layout.space.n_factors
+    shape[layout.index[cavity]] = dim
+    return np.broadcast_to(np.exp(1j * theta).reshape(shape), layout.space.dims).reshape(-1)
 
 
 def dispersive_phase_table(
@@ -670,7 +616,7 @@ def dispersive_phase_table(
     Keys are (qubit path, joint cavity Fock tuple) with path "g" or "e" per
     layout qubit (concatenated for several qubits); values are phases in rad.
     """
-    diag = np.real(np.diag(static_hamiltonian(params, layout).matrix))
+    diag = static_hamiltonian(params, layout)
     cavs = layout.cavity_labels()
     qubits = layout.qubit_labels()
     table = {}
@@ -866,29 +812,6 @@ def cz_binomial(
         for jk in _BINOMIAL_JOINT_STATES
     }
     return spec, final_errs
-
-
-def simulate_joint_state_phases(
-    spec: GateSpec, params: DeviceParams, layout: SystemLayout, cavities, qubit: str
-) -> dict:
-    """Phase and return amplitude per joint Fock state under the pulse backend.
-
-    Returns {(j, k): (phase of <g;j,k|U|g;j,k>, |amplitude|)}.  Cavity photon
-    numbers are conserved by qubit-only drives, so these blocks are exact.
-    """
-    backend = PulseBackend(params, layout)
-    out = {}
-    for j, k in _BINOMIAL_JOINT_STATES:
-        idx = [0] * layout.space.n_factors
-        idx[layout.index[cavities[0]]] = j
-        idx[layout.index[cavities[1]]] = k
-        flat = layout.space.joint_index(tuple(idx))
-        v = np.zeros(layout.space.dim, dtype=complex)
-        v[flat] = 1.0
-        res = backend.apply(Ket(layout.space, v), spec)
-        amp = res.amplitudes[flat]
-        out[(j, k)] = (float(np.angle(amp)), float(abs(amp)))
-    return out
 
 
 def snap_bell(

@@ -158,7 +158,7 @@ def test_ptm_matches_brute_force_pauli_conjugation():
 def test_cavity_photon_number_decays_at_T1():
     t1 = PARAMS.T1["S1"]
     layout = SystemLayout.build([], ["S1"], {"S1": 4})
-    h0 = static_hamiltonian(PARAMS, layout)
+    h0 = LinearOp(layout.space, np.diag(static_hamiltonian(PARAMS, layout)))
     collapses = standard_collapses(PARAMS, layout)
     rho = fock_ket(layout.mode("S1"), 2).density()
     n_op = LinearOp(layout.space, number_op(layout.mode("S1")).matrix)
@@ -215,7 +215,7 @@ def test_encode_kerr_decode_round_trip(enc_name, enc):
 
 def _small_control_task(n_steps=8, dim=4):
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
-    h0 = static_hamiltonian(PARAMS, layout)
+    h0 = LinearOp(layout.space, np.diag(static_hamiltonian(PARAMS, layout)))
     init = tensor([qubit_ket(0), fock_ket(layout.mode("S1"), 0)])
     targ = tensor([qubit_ket(1), fock_ket(layout.mode("S1"), 0)])
     return TransferTask(
@@ -284,7 +284,7 @@ def test_optimizer_reaches_encode_fidelity():
 
     task = TransferTask(
         pairs=(pair(1.0, 0.0), pair(0.0, 1.0), pair(1.0, 1.0), pair(1.0, 1.0j)),
-        H0=h0,
+        H0=LinearOp(layout.space, np.diag(h0)),
         layout=layout,
         channels=(("Q1", "qubit"), ("S1", "cavity")),
         n_steps=500,

@@ -1,0 +1,107 @@
+"""The names the benchmark harness reads from the package still exist.
+
+`perfbench/tracer.py` wraps cavitysim functions and methods by name, binds
+some of their parameters by name, and `BENCHMARK.json` lists per-layer
+metrics named after them.  A deleted or renamed target makes a traced run
+report "metrics not measured" or fail with a KeyError; these checks catch
+that in the test suite instead.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import cavitysim.cli  # noqa: F401  imports every layer, as the tracer does
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _perfbench(name):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = _perfbench("tracer")
+WORKLOADS = _perfbench("workloads").WORKLOADS
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+#: parameters the tracer's observers bind by name: span -> parameter names
+OBSERVED_PARAMETERS = {
+    "device.static_hamiltonian": ("layout",),
+    "evolution.evolve_pulse": ("state", "pulse"),
+    "evolution.segment_propagator": ("H",),
+    "fock.displacement": ("spec",),
+    "evolution.lindblad_evolve": ("rho",),
+    "tomography.wigner_grid": ("re_axis", "im_axis"),
+    "tomography.pauli_transfer": ("process",),
+}
+
+
+def _span_target(span):
+    """The callable the tracer wraps for a span name, or None if it wraps none."""
+    if span in TRACER.METHODS:
+        short, cls, attr = TRACER.METHODS[span]
+        klass = getattr(importlib.import_module(f"cavitysim.{short}"), cls, None)
+        return None if klass is None else vars(klass).get(attr)
+    short, _, name = span.partition(".")
+    obj = getattr(importlib.import_module(f"cavitysim.{short}"), name, None)
+    wrapped = (
+        inspect.isfunction(obj)
+        and obj.__module__ == f"cavitysim.{short}"
+        and not name.startswith("_")
+        and not inspect.isgeneratorfunction(obj)
+    )
+    return obj if wrapped else None
+
+
+def _per_layer_spans():
+    """Span names behind the per-layer metrics `<module>.<span...>.<quantity>`."""
+    spans = set()
+    for metric in BENCHMARK["per_layer"]:
+        parts = metric["name"].split(".")
+        if parts[0] in TRACER.MODULES and len(parts) >= 3:
+            spans.add(".".join(parts[:-1]))
+    return sorted(spans)
+
+
+def _required_spans():
+    return sorted({span for w in WORKLOADS.values() for span in w.required})
+
+
+@pytest.mark.parametrize("span", _per_layer_spans())
+def test_per_layer_metric_targets_exist(span):
+    assert _span_target(span) is not None, f"{span} is not a traced cavitysim callable"
+
+
+@pytest.mark.parametrize("span", _required_spans())
+def test_workload_required_spans_exist(span):
+    assert _span_target(span) is not None, f"{span} is not a traced cavitysim callable"
+
+
+@pytest.mark.parametrize("span", sorted(OBSERVED_PARAMETERS))
+def test_observed_parameter_names(span):
+    params = inspect.signature(_span_target(span)).parameters
+    for name in OBSERVED_PARAMETERS[span]:
+        assert name in params, f"{span} has no parameter {name!r}"
+
+
+def test_lift_is_a_class_attribute():
+    from cavitysim.device import SystemLayout
+
+    assert "lift" in vars(SystemLayout)
+
+
+def test_patched_solver_name_exists():
+    """The tracer replaces `solve_ivp` as bound in cavitysim.evolution."""
+    import cavitysim.evolution
+
+    assert hasattr(cavitysim.evolution, "solve_ivp")

@@ -7,19 +7,20 @@ from cavitysim.device import (
     SystemLayout,
     cavity_static_diag,
     default_config_text,
-    effective_conditional_drive,
     load_params,
     qubit_drive,
     static_hamiltonian,
 )
 from cavitysim.errors import ValidationError
-from cavitysim.evolution import PulseSequence, evolve_pulse, segment_propagator
+from cavitysim.evolution import PulseSequence, evolve_pulse
 from cavitysim.fock import (
     LinearOp,
     fock_ket,
     qubit_ket,
+    sigma_plus,
     tensor,
 )
+from cavitysim.gates import ConditionalRotation, GateSpec, IdealBackend
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +75,14 @@ def test_static_hamiltonian_zero_couplings(params):
         cross_kerr=0.0,
     )
     h = static_hamiltonian(zeroed, two_cavity_layout())
-    assert np.max(np.abs(h.matrix)) == 0.0
+    assert np.max(np.abs(h)) == 0.0
 
 
 def test_static_hamiltonian_single_term(params):
     layout = two_cavity_layout()
     h = static_hamiltonian(params, layout)
     idx = layout.space.joint_index((1, 1, 0))  # |e3; n1=1, n2=0⟩
-    assert abs(h.matrix[idx, idx] - (-params.chi[("S1", "Q3")])) < 1e-15
+    assert abs(h[idx] - (-params.chi[("S1", "Q3")])) < 1e-15
 
 
 def test_static_hamiltonian_against_bruteforce_kron(params):
@@ -102,22 +103,25 @@ def test_static_hamiltonian_against_bruteforce_kron(params):
         - 0.5 * k2 * np.kron(i2, np.kron(i4, n @ (n - i4)))
         - params.cross_kerr * np.kron(i2, np.kron(n, n))
     )
-    assert np.max(np.abs(h.matrix - href)) < 1e-14
+    assert np.max(np.abs(np.diag(h) - href)) < 1e-14
 
     idx = layout.space.joint_index((1, 2, 2))
     expected = -2 * chi13 - 2 * chi23 - k1 - k2 - 4 * params.cross_kerr
-    assert abs(h.matrix[idx, idx] - expected) < 1e-15
+    assert abs(h[idx] - expected) < 1e-15
 
 
 def test_static_hamiltonian_diagonal_hermitian(params):
-    h = static_hamiltonian(params, two_cavity_layout())
-    assert np.max(np.abs(h.matrix - np.diag(np.diag(h.matrix)))) == 0
-    assert h.is_hermitian()
+    layout = two_cavity_layout()
+    h = static_hamiltonian(params, layout)
+    # diagonal: held as its (dim,) energy vector; hermitian: the energies are real
+    assert h.shape == (layout.space.dim,)
+    assert np.isrealobj(h)
+    assert LinearOp(layout.space, np.diag(h)).is_hermitian()
 
 
 def test_dispersive_shift_readout_property(params):
     layout = two_cavity_layout(5)
-    h = np.real(np.diag(static_hamiltonian(params, layout).matrix))
+    h = static_hamiltonian(params, layout)
     for n in range(5):
         ge = layout.space.joint_index((0, n, 0))
         ee = layout.space.joint_index((1, n, 0))
@@ -131,7 +135,7 @@ def test_qubit_drive_pi_pulse(params):
     dt = np.pi / eps / n_steps
     ch, amps = qubit_drive(layout, "Q1", np.full(n_steps, eps))
     pulse = PulseSequence(dt=dt, channels={ch: amps})
-    h0 = LinearOp(layout.space, np.zeros((6, 6)))
+    h0 = np.zeros(6)
     psi0 = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0)])
     out = evolve_pulse(psi0, h0, pulse, layout)
     pe = abs(out.amplitudes[layout.space.joint_index((1, 0))]) ** 2
@@ -145,7 +149,7 @@ def test_qubit_drive_off_resonant_suppression(params):
     n_steps = 4000
     ch, amps = qubit_drive(layout, "Q1", np.full(n_steps, eps), detuning=delta, dt=1.0)
     pulse = PulseSequence(dt=1.0, channels={ch: amps})
-    h0 = LinearOp(layout.space, np.zeros((4, 4)))
+    h0 = np.zeros(4)
     psi0 = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0)])
     # sample the excited population along the evolution and take the max
     max_pe = 0.0
@@ -170,7 +174,7 @@ def test_cavity_drive_phase_convention(params):
     t = 100.0
     ch, amps = cavity_drive(layout, "S1", np.full(100, eps))
     pulse = PulseSequence(dt=1.0, channels={ch: amps})
-    h0 = LinearOp(layout.space, np.zeros((30, 30)))
+    h0 = np.zeros(30)
     out = evolve_pulse(fock_ket(layout.mode("S1"), 0), h0, pulse, layout)
     target = displacement(-1j * eps * t, layout.mode("S1")) @ fock_ket(
         layout.mode("S1"), 0
@@ -188,67 +192,65 @@ def test_cavity_drive_inverse_composition(params):
     ch, fwd = cavity_drive(layout, "S1", amps)
     _, bwd = cavity_drive(layout, "S1", -amps[::-1])
     pulse = PulseSequence(dt=1.0, channels={ch: np.concatenate([fwd, bwd])})
-    h0 = LinearOp(layout.space, np.zeros((25, 25)))
+    h0 = np.zeros(25)
     psi0 = fock_ket(layout.mode("S1"), 0)
     out = evolve_pulse(psi0, h0, pulse, layout)
     assert abs(abs(out.overlap(psi0)) - 1.0) < 1e-8
 
 
+def _rotation(qubit, phi, theta, eps, condition):
+    """One conditional rotation as a gate spec, for the ideal backend."""
+    return GateSpec("r", (ConditionalRotation(qubit, phi, theta, eps, condition),))
+
+
+def _dense_conditional_drive(layout, qubit, epsilon, phi, condition):
+    """Oracle: (ε/2) e^{iφ} |e⟩⟨g| ⊗ P_cond + h.c. from lifted dense operators."""
+    proj = LinearOp.identity(layout.space)
+    for label, n in condition:
+        proj = proj @ layout.lift(fock_ket(layout.mode(label), n).projector(), label)
+    term = (0.5 * epsilon * np.exp(1j * phi)) * (layout.lift(sigma_plus(), qubit) @ proj)
+    return term + term.dag()
+
+
 def test_effective_conditional_drive_vacuum_flip(params):
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 4})
-    proj = layout.lift(fock_ket(layout.mode("S1"), 0).projector(), "S1")
     eps = 0.01
-    h = effective_conditional_drive(layout, "Q1", eps, 0.0, proj)
-    u = segment_propagator(h, np.pi / eps)
+    backend = IdealBackend(layout)
+    spec = _rotation("Q1", 0.0, np.pi, eps, (("S1", 0),))
     psi_vac = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0)])
-    out = u @ psi_vac
+    out = backend.apply(psi_vac, spec)
     assert abs(abs(out.amplitudes[layout.space.joint_index((1, 0))]) - 1.0) < 1e-10
     psi_one = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 1)])
-    out1 = u @ psi_one
+    out1 = backend.apply(psi_one, spec)
     assert abs(out1.overlap(psi_one) - 1.0) < 1e-12
 
 
 def test_effective_conditional_drive_2pi_sign(params):
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 4})
-    proj = layout.lift(fock_ket(layout.mode("S1"), 0).projector(), "S1")
     eps = 0.01
-    h = effective_conditional_drive(layout, "Q1", eps, 0.3, proj)
-    u = segment_propagator(h, 2 * np.pi / eps)
+    backend = IdealBackend(layout)
+    spec = _rotation("Q1", 0.3, 2 * np.pi, eps, (("S1", 0),))
     psi_vac = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0)])
-    assert abs((u @ psi_vac).overlap(psi_vac) + 1.0) < 1e-10
+    assert abs(backend.apply(psi_vac, spec).overlap(psi_vac) + 1.0) < 1e-10
     psi_one = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 1)])
-    assert abs((u @ psi_one).overlap(psi_one) - 1.0) < 1e-10
+    assert abs(backend.apply(psi_one, spec).overlap(psi_one) - 1.0) < 1e-10
 
 
 def test_effective_conditional_drive_unconditional(params):
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 3})
     eps = 0.02
-    h = effective_conditional_drive(
-        layout, "Q1", eps, 0.0, LinearOp.identity(layout.space)
-    )
-    u = segment_propagator(h, np.pi / eps)
+    backend = IdealBackend(layout)
+    spec = _rotation("Q1", 0.0, np.pi, eps, ())
     for n in range(3):
         psi = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), n)])
-        out = u @ psi
+        out = backend.apply(psi, spec)
         assert abs(abs(out.amplitudes[layout.space.joint_index((1, n))]) - 1.0) < 1e-10
-
-
-def test_effective_conditional_drive_rejects_offdiagonal(params):
-    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 3})
-    from cavitysim.fock import annihilation
-
-    bad = layout.lift(annihilation(layout.mode("S1")), "S1")
-    with pytest.raises(ValidationError):
-        effective_conditional_drive(layout, "Q1", 0.01, 0.0, bad)
 
 
 def test_conditional_drive_commutes_with_static_on_condition(params):
     layout = two_cavity_layout(3)
-    h0 = static_hamiltonian(params, layout)
-    proj = layout.lift(
-        fock_ket(layout.mode("S1"), 0).projector(), "S1"
-    ) @ layout.lift(fock_ket(layout.mode("S2"), 0).projector(), "S2")
-    hd = effective_conditional_drive(layout, "Q3", 0.01, 0.0, proj)
+    h0 = LinearOp(layout.space, np.diag(static_hamiltonian(params, layout)))
+    hd = _dense_conditional_drive(layout, "Q3", 0.01, 0.0, (("S1", 0), ("S2", 0)))
     comm = h0 @ hd - hd @ h0
     assert np.max(np.abs(comm.matrix)) < 1e-15
 
@@ -256,7 +258,7 @@ def test_conditional_drive_commutes_with_static_on_condition(params):
 def test_cavity_static_diag_matches_full_without_chi(params):
     layout = two_cavity_layout(4)
     diag = cavity_static_diag(params, layout)
-    h = np.real(np.diag(static_hamiltonian(params, layout).matrix))
+    h = static_hamiltonian(params, layout)
     # on the qubit-ground block the full Hamiltonian is cavity-only
     for n1 in range(4):
         for n2 in range(4):

@@ -81,10 +81,28 @@ def test_segment_propagator_rejects_nonhermitian():
 
 def test_empty_pulse_is_identity():
     layout = SystemLayout.build([], ["S1"], {"S1": 5})
-    h0 = LinearOp(layout.space, np.zeros((5, 5)))
+    h0 = np.zeros(5)
     psi = coherent(0.5, layout.mode("S1"))
     out = evolve_pulse(psi, h0, PulseSequence(), layout)
     assert np.allclose(out.amplitudes, psi.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "h0",
+    [np.zeros((10, 10)), np.zeros(11), np.zeros(10, dtype=complex), LinearOp.identity(
+        CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(5)))
+    )],
+    ids=["matrix", "length", "complex", "linear-op"],
+)
+def test_evolve_pulse_rejects_h0_not_an_energy_vector(h0):
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 5})
+    psi = Ket(layout.space, np.eye(10)[0])
+    ch, amps = qubit_drive(layout, "Q1", np.full(4, 0.01))
+    pulse = PulseSequence(dt=1.0, channels={ch: amps})
+    with pytest.raises(ValidationError):
+        evolve_pulse(psi, h0, pulse, layout)
+    with pytest.raises(ValidationError):
+        lindblad_evolve(psi.density(), (h0, pulse), CollapseSet.empty(), layout=layout)
 
 
 def test_pulse_displacement_matches_operator():
@@ -95,7 +113,7 @@ def test_pulse_displacement_matches_operator():
     eps = 1j * np.sqrt(2) / t
     ch, amps = cavity_drive(layout, "S1", np.full(n, eps))
     pulse = PulseSequence(dt=t / n, channels={ch: amps})
-    h0 = LinearOp(layout.space, np.zeros((30, 30)))
+    h0 = np.zeros(30)
     out = evolve_pulse(fock_ket(spec, 0), h0, pulse, layout)
     target = displacement(np.sqrt(2), spec) @ fock_ket(spec, 0)
     assert abs(out.overlap(target)) ** 2 > 0.9999
@@ -109,7 +127,7 @@ def test_pulse_norm_preserved():
     chq, aq = qubit_drive(layout, "Q1", 0.01 * rng.normal(size=300))
     chc, ac = cavity_drive(layout, "S1", 0.01 * rng.normal(size=300))
     pulse = PulseSequence(dt=1.0, channels={chq: aq, chc: ac})
-    h0 = LinearOp(layout.space, np.diag(rng.normal(size=20) * 0.01))
+    h0 = rng.normal(size=20) * 0.01
     psi = Ket(layout.space, rng.normal(size=20) + 1j * rng.normal(size=20)).normalized()
     out = evolve_pulse(psi, h0, pulse, layout)
     assert abs(out.norm - 1.0) < 1e-8
@@ -279,7 +297,7 @@ def test_blockwise_fast_path_matches_dense_segment_product(params):
     op = drive_operator(layout, ("Q3", "qubit")).matrix
     ref = psi.amplitudes
     for u in amps:
-        h = LinearOp(layout.space, h0.matrix + u * op + np.conj(u) * op.conj().T)
+        h = LinearOp(layout.space, np.diag(h0) + u * op + np.conj(u) * op.conj().T)
         ref = segment_propagator(h, pulse.dt).matrix @ ref
     out = evolve_pulse(psi, h0, pulse, layout)
     assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
@@ -371,7 +389,7 @@ def test_lindblad_pulse_matches_dense_oracle(params):
     opc = drive_operator(layout, chc).matrix
     y = rho0.reshape(-1)
     for u, v, n in runs:
-        h = h0.matrix + u * opq + v * opc
+        h = np.diag(h0) + u * opq + v * opc
         h = h + (u * opq + v * opc).conj().T
         rhs = _dense_rhs(h, cs)
         gen = np.stack([rhs(0.0, e) for e in np.eye(144, dtype=complex)], axis=1)
@@ -399,7 +417,7 @@ def test_lindblad_matches_rk45_on_selective_drive(params):
     op = drive_operator(layout, ch).matrix
     y, t = rho0.reshape(-1), 0.0
     for u, n in runs:
-        h = h0.matrix + u * op + np.conj(u) * op.conj().T
+        h = np.diag(h0) + u * op + np.conj(u) * op.conj().T
         sol = solve_ivp(
             _dense_rhs(h, cs), (t, t + n), y, method="RK45", rtol=1e-10, atol=1e-12
         )

@@ -11,6 +11,7 @@ from cavitysim.fock import (
     LinearOp,
     ModeSpec,
     annihilation,
+    apply_on_factor,
     coherent,
     displacement,
     embed,
@@ -165,6 +166,27 @@ def test_embed_dim_mismatch():
     space = CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(4)))
     with pytest.raises(ValidationError):
         embed(annihilation(ModeSpec.bosonic(5)), 1, space)
+
+
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "stack"])
+def test_apply_on_factor_matches_embed(shape):
+    """Oracle: the factor-local product equals the lifted dense product on
+    every factor of a qubit + two-cavity space with unequal cavity dims."""
+    space = CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(4), ModeSpec.bosonic(3)))
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(space.dim,) + shape) + 1j * rng.normal(size=(space.dim,) + shape)
+    for i, f in enumerate(space.factors):
+        m = rng.normal(size=(f.dim, f.dim)) + 1j * rng.normal(size=(f.dim, f.dim))
+        op = LinearOp(CompositeSpace.single(f), m)
+        out = apply_on_factor(op, i, space, x)
+        assert out.shape == x.shape
+        assert np.max(np.abs(out - embed(op, i, space).matrix @ x)) < 1e-14
+
+
+def test_apply_on_factor_dim_mismatch():
+    space = CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(4)))
+    with pytest.raises(ValidationError):
+        apply_on_factor(annihilation(ModeSpec.bosonic(5)), 1, space, np.zeros(8))
 
 
 def test_expectation_hermitian_is_real():

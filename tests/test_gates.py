@@ -2,17 +2,27 @@ import numpy as np
 import pytest
 
 from cavitysim.codes import binomial_encoding, cat_encoding
-from cavitysim.device import SystemLayout, drive_operator, load_params, static_hamiltonian
-from cavitysim.evolution import segment_propagator
+from cavitysim.device import (
+    SystemLayout,
+    cavity_static_diag,
+    drive_operator,
+    load_params,
+    static_hamiltonian,
+)
+from cavitysim.evolution import CollapseSet, segment_propagator, standard_collapses
 from cavitysim.errors import ValidationError
 from cavitysim.fock import (
+    DensityOp,
     Ket,
     LinearOp,
+    displacement,
     expectation,
     fock_ket,
+    number_op,
     parity_op,
     partial_trace,
     qubit_ket,
+    sigma_plus,
     tensor,
 )
 from cavitysim.gates import (
@@ -25,19 +35,18 @@ from cavitysim.gates import (
     PulseBackend,
     Tone,
     Wait,
-    accumulated_phase_table,
     component_logical_unitary,
-    conditional_rotation,
     cz_binomial,
     cz_coherent,
     dispersive_phase_table,
     gaussian_flattop,
+    joint_block_unitaries,
     phase_gate_report,
-    simulate_joint_state_phases,
     single_cavity_phase_gate,
     snap_bell,
     wrap_angle,
 )
+from cavitysim.gates import _drive_samples  # the pulse backend's samples, for the dense oracle
 from cavitysim.tomography import (
     pauli_transfer,
     process_fidelity,
@@ -50,6 +59,37 @@ CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 @pytest.fixture(scope="module")
 def params():
     return load_params()
+
+
+def _rotation(qubit, phi, theta, eps, condition):
+    """One conditional rotation as a gate spec."""
+    return GateSpec("r", (ConditionalRotation(qubit, phi, theta, eps, condition),))
+
+
+def dense_conditional_rotation(layout, step):
+    """Oracle: exp(−i T H) of the lifted dense conditional drive
+    H = (ε/2) e^{iφ} |e⟩⟨g| ⊗ P_cond + h.c., by eigendecomposition."""
+    proj = LinearOp.identity(layout.space)
+    for label, n in step.condition:
+        proj = proj @ layout.lift(fock_ket(layout.mode(label), n).projector(), label)
+    term = (0.5 * step.epsilon * np.exp(1j * step.phi_axis)) * (
+        layout.lift(sigma_plus(), step.qubit) @ proj
+    )
+    return segment_propagator(term + term.dag(), step.duration)
+
+
+def accumulated_phase_table(u, layout):
+    """Oracle: phases arg⟨g; n|U|g; n⟩ per joint cavity Fock state."""
+    cavs = layout.cavity_labels()
+    table = {}
+    for idx in np.ndindex(*layout.space.dims):
+        if any(idx[layout.index[q]] != 0 for q in layout.qubit_labels()):
+            continue
+        flat = layout.space.joint_index(idx)
+        amp = u.matrix[flat, flat]
+        key = tuple(idx[layout.index[c]] for c in cavs)
+        table[key] = float(np.angle(amp)) if abs(amp) > 1e-12 else 0.0
+    return table
 
 
 def test_gate_spec_serialization_roundtrip():
@@ -78,28 +118,38 @@ def test_gate_step_validation():
         GateSpec("bad", ("not-a-step",))
 
 
-def test_conditional_rotation_selectivity_guards():
-    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 4})
-    gap = 0.03
+def test_conditional_rotation_selectivity_guards(params):
+    """The phase gate's drive must be selective on the code splitting
+    gap = n̄χ: an error above gap/3, a warning above gap/10."""
+    import warnings
+
+    enc = cat_encoding(1.5, 32, variant="shifted")
+    nbar = float(np.real(expectation(enc.ket0, number_op(enc.mode))))
+    gap = nbar * params.chi[("S1", "Q1")]
     with pytest.raises(ValidationError):
-        conditional_rotation(layout, "Q1", 0.0, np.pi, (("S1", 0),), 0.011, gap)
+        single_cavity_phase_gate(0.0, enc, params, epsilon=gap / 2.9)
     with pytest.warns(UserWarning):
-        conditional_rotation(layout, "Q1", 0.0, np.pi, (("S1", 0),), 0.005, gap)
-    step, u = conditional_rotation(layout, "Q1", 0.0, np.pi, (("S1", 0),), 0.002, gap)
-    u.assert_unitary(1e-9)
-    assert abs(step.duration - np.pi / 0.002) < 1e-12
+        single_cavity_phase_gate(0.0, enc, params, epsilon=gap / 6.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = single_cavity_phase_gate(0.0, enc, params, epsilon=gap / 15.0)
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 32})
+    IdealBackend(layout).unitary(spec).assert_unitary(1e-9)
+    for step in spec.steps:
+        assert abs(step.duration - np.pi / (gap / 15.0)) < 1e-12
 
 
 def test_ideal_conditional_pi_flip_and_2pi_sign():
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 4})
-    _, u_pi = conditional_rotation(layout, "Q1", 0.0, np.pi, (("S1", 0),), 0.01)
+    backend = IdealBackend(layout)
+    pi = _rotation("Q1", 0.0, np.pi, 0.01, (("S1", 0),))
     psi_vac = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0)])
-    out = u_pi @ psi_vac
+    out = backend.apply(psi_vac, pi)
     assert abs(abs(out.amplitudes[layout.space.joint_index((1, 0))]) - 1.0) < 1e-10
-    _, u_2pi = conditional_rotation(layout, "Q1", 0.7, 2 * np.pi, (("S1", 0),), 0.01)
-    assert abs((u_2pi @ psi_vac).overlap(psi_vac) + 1.0) < 1e-10
+    two_pi = _rotation("Q1", 0.7, 2 * np.pi, 0.01, (("S1", 0),))
+    assert abs(backend.apply(psi_vac, two_pi).overlap(psi_vac) + 1.0) < 1e-10
     psi_two = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 2)])
-    assert abs((u_2pi @ psi_two).overlap(psi_two) - 1.0) < 1e-12
+    assert abs(backend.apply(psi_two, two_pi).overlap(psi_two) - 1.0) < 1e-12
 
 
 def test_geometric_phase_law_sweep():
@@ -228,8 +278,8 @@ def test_ideal_backend_matches_dense_conditional_rotation(condition):
     """Oracle: the masked SU(2) rotation equals the dense eigh propagator of
     the lifted conditional drive, on a state and as a full unitary."""
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 4, "S2": 3})
-    step, u = conditional_rotation(layout, "Q3", 0.37, 2.1, condition, 0.01)
-    spec = GateSpec("r", (step,))
+    spec = _rotation("Q3", 0.37, 2.1, 0.01, condition)
+    u = dense_conditional_rotation(layout, spec.steps[0])
     rng = np.random.default_rng(8)
     v = rng.normal(size=layout.space.dim) + 1j * rng.normal(size=layout.space.dim)
     psi = Ket(layout.space, v).normalized()
@@ -274,7 +324,7 @@ def test_dispersive_phase_table_oracle(params):
     # oracle: diagonal of the exact propagator
     from cavitysim.evolution import segment_propagator
 
-    u = segment_propagator(static_hamiltonian(params, layout), T)
+    u = segment_propagator(LinearOp(layout.space, np.diag(static_hamiltonian(params, layout))), T)
     for (path, (n1, n2)), phase in table.items():
         q = 1 if path == "e" else 0
         idx = layout.space.joint_index((q, n1, n2))
@@ -374,9 +424,9 @@ def test_cz_binomial_pulse_calibrates_and_hits_fidelity(params):
     spec, residuals = cz_binomial(params, mode="pulse", layout=layout)
     assert max(abs(r) for r in residuals.values()) < 1e-3
 
-    blocks = simulate_joint_state_phases(spec, params, layout, ("S1", "S2"), "Q3")
+    blocks = joint_block_unitaries(spec, params)
     # return amplitude close to 1 for every joint state
-    assert min(amp for _, amp in blocks.values()) > 0.9
+    assert min(abs(b[0, 0]) for b in blocks.values()) > 0.9
 
     backend = PulseBackend(params, layout)
     enc = binomial_encoding(7)
@@ -393,8 +443,6 @@ def test_cz_binomial_pulse_calibrates_and_hits_fidelity(params):
 def test_blockwise_propagator_matches_full_evolution(params):
     """Oracle: each joint-Fock 2x2 block equals the same block of the product
     of per-sample dense propagators exp(−i dt (H0 + u O + ū O†))."""
-    from cavitysim.gates import joint_block_unitaries
-
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 5})
     spec, _ = cz_binomial(params, mode="pulse", layout=layout, calibrate=False)
     blocks = joint_block_unitaries(spec, params)
@@ -404,11 +452,11 @@ def test_blockwise_propagator_matches_full_evolution(params):
         layout.space.joint_index((q, j, k)) for j, k in blocks for q in (0, 1)
     ]
     u = np.eye(layout.space.dim, dtype=complex)[:, cols]
-    for item in backend._segments(spec, 0.0):
-        assert item[0] == "p"
-        for amp in item[2].channels[("Q3", "qubit")]:
-            h = LinearOp(layout.space, backend.h0.matrix + amp * op + np.conj(amp) * op.conj().T)
-            u = segment_propagator(h, item[2].dt).matrix @ u
+    for kind, pulse in backend._segments(spec, 0.0):
+        assert kind == "pulse"
+        for amp in pulse.channels[("Q3", "qubit")]:
+            h = LinearOp(layout.space, np.diag(backend.h0) + amp * op + np.conj(amp) * op.conj().T)
+            u = segment_propagator(h, pulse.dt).matrix @ u
     for i, jk in enumerate(blocks):
         full = u[cols[2 * i : 2 * i + 2], 2 * i : 2 * i + 2]
         assert np.max(np.abs(blocks[jk] - full)) < 1e-10
@@ -451,8 +499,96 @@ def test_snap_bell_reduced_states_are_mixed():
 
 def test_accumulated_phase_table_diagonal_gate():
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 5})
-    _, u = conditional_rotation(layout, "Q1", 0.4, 2 * np.pi, (("S1", 0),), 0.01)
-    table = accumulated_phase_table(u, layout, "Q1")
+    u = IdealBackend(layout).unitary(_rotation("Q1", 0.4, 2 * np.pi, 0.01, (("S1", 0),)))
+    table = accumulated_phase_table(u, layout)
     assert abs(abs(table[(0,)]) - np.pi) < 1e-9
     for n in range(1, 5):
         assert abs(table[(n,)]) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Backends against dense lifted operators
+
+
+def dense_gate_unitary(layout, spec, params=None, dt=1.0):
+    """Oracle: the gate as one dense matrix built from lifted operators.
+
+    Without params, the ideal backend: lifted displacements and the dense
+    conditional-drive propagator, waits idle.  With params, the pulse backend
+    with Kerr compensation: per-sample propagators exp(−i dt (H0 + u O + ū O†))
+    of the dense static Hamiltonian, each timed step followed by the dense
+    diagonal undoing its Kerr and cross-Kerr phases.
+    """
+    space = layout.space
+    u = np.eye(space.dim, dtype=complex)
+    if params is not None:
+        h0 = np.diag(static_hamiltonian(params, layout)).astype(complex)
+        kerr = cavity_static_diag(params, layout)
+    t = 0.0
+    for step in spec.steps:
+        if isinstance(step, Displacement):
+            d = layout.lift(displacement(step.alpha, layout.mode(step.label)), step.label)
+            u = d.matrix @ u
+            continue
+        if params is None:
+            if isinstance(step, ConditionalRotation):
+                u = dense_conditional_rotation(layout, step).matrix @ u
+            continue
+        if isinstance(step, Wait):
+            u = segment_propagator(LinearOp(space, h0), step.duration).matrix @ u
+            span = step.duration
+        else:
+            op = drive_operator(layout, (step.qubit, "qubit")).matrix
+            amps = _drive_samples(step, params, dt, t)
+            for a in amps:
+                h = LinearOp(space, h0 + a * op + np.conj(a) * op.conj().T)
+                u = segment_propagator(h, dt).matrix @ u
+            span = len(amps) * dt
+        u = np.diag(np.exp(1j * kerr * span)) @ u
+        t += span
+    return u
+
+
+def _backend_oracle_specs(params):
+    # a complex amplitude, so that D is not a real matrix
+    cz = cz_coherent(0.5 * np.exp(0.4j), params, epsilon=0.05)
+    return {
+        "cz_coherent": cz,
+        "snap_bell": snap_bell(+1, params, epsilon=0.05),
+        "cz_coherent_wait": GateSpec("w", cz.steps[:1] + (Wait(37.0),) + cz.steps[1:]),
+    }
+
+
+@pytest.mark.parametrize("name", ["cz_coherent", "snap_bell", "cz_coherent_wait"])
+def test_backends_match_dense_lifted_oracle(params, name):
+    """IdealBackend.apply, PulseBackend.apply and PulseBackend.apply_density
+    (closed system) equal the dense lifted-operator gate."""
+    spec = _backend_oracle_specs(params)[name]
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 4})
+    rng = np.random.default_rng(23)
+    v = rng.normal(size=layout.space.dim) + 1j * rng.normal(size=layout.space.dim)
+    psi = Ket(layout.space, v).normalized()
+
+    u = dense_gate_unitary(layout, spec)
+    out = IdealBackend(layout).apply(psi, spec)
+    assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
+
+    u = dense_gate_unitary(layout, spec, params)
+    backend = PulseBackend(params, layout, compensate_static_cavity_phases=True)
+    out = backend.apply(psi, spec)
+    assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
+    rho = DensityOp(layout.space, 0.7 * psi.density().matrix + 0.3 * np.eye(layout.space.dim) / layout.space.dim)
+    out = backend.apply_density(rho, spec, CollapseSet.empty())
+    assert np.max(np.abs(out.matrix - u @ rho.matrix @ u.conj().T)) < 1e-12
+
+
+def test_pulse_density_wait_relaxes_qubit(params):
+    """Regression: a wait in the decoherent path decays |e> at 1/T1."""
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 4})
+    psi = tensor([qubit_ket(True), fock_ket(layout.mode("S1"), 0)])
+    spec = GateSpec("idle", (Wait(2000.0),))
+    rho = PulseBackend(params, layout).apply_density(
+        psi.density(), spec, standard_collapses(params, layout)
+    )
+    pe = sum(np.real(rho.matrix[i, i]) for i in range(4, 8))
+    assert abs(pe - np.exp(-2000.0 / params.T1["Q1"])) < 1e-9
