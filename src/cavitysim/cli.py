@@ -204,7 +204,10 @@ def cmd_parity_sweep(
         parts = phis_spec.split(":")
         if len(parts) != 3:
             raise ValidationError("--phis expects start:stop:count")
-        phis = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+        try:
+            phis = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+        except ValueError as exc:  # unparsable numbers or a negative count
+            raise ValidationError(f"--phis {phis_spec!r}: {exc}") from None
     config_text = _read_config(config_path)
     result = run_parity_sweep(
         delta=delta,
@@ -383,6 +386,10 @@ def cmd_wigner(
     _reject_unsupported(shots=shots)
     if mode != "ideal":
         raise ValidationError("wigner renders ideal states; omit --mode")
+    if not np.isfinite(extent):
+        raise ValidationError("--extent must be finite")
+    if points < 1:
+        raise ValidationError("--points must be at least 1")
     if dim is None:
         # the displaced-parity grid reaches |beta| = sqrt(2) * extent at the
         # corners; keep |beta|^2 <= dim/4 there to avoid truncation artifacts

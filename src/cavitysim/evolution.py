@@ -13,8 +13,9 @@ block is a global phase times an SU(2) matrix [[a, −b̄], [b, ā]], so a whole
 pulse reduces to one Cayley–Klein pair (a, b) per block.
 `block_rotations` computes those pairs for all blocks at once and
 `apply_block_rotations` applies them on the qubit axis; the pulse path of
-`evolve_pulse`, the ideal conditional rotations and the binomial-CZ block
-calibration all run through these two functions.  The dense per-segment
+`evolve_pulse`, the ideal conditional rotations (and through them the
+component-level logical map `gates.component_logical_unitary`) and the
+binomial-CZ block calibration all run through these two functions.  The dense per-segment
 `eigh` path stays for cavity drives and serves as their oracle.
 
 The Lindblad generator is a sparse superoperator, as in QuTiP's ``mesolve``

@@ -2,7 +2,7 @@
 decay, Bell generation, and error budgets.
 
 Every recipe returns an ExperimentResult with CSV-ready tables, summary
-scalars annotated with the tolerance they were checked against, and enough
+scalars annotated with the tolerance reported as their bound, and enough
 provenance (config hash, seed, mode) to re-run deterministically.  Measured
 literature fidelities are attached as reference-only scalars and never
 asserted.
@@ -38,9 +38,7 @@ from cavitysim.fock import (
     apply_on_factor,
     coherent,
     displacement,
-    expectation,
     fock_ket,
-    parity_op,
     partial_trace,
     qubit_ket,
     recommended_dim,
@@ -84,10 +82,12 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class Scalar:
-    """Summary number with the tolerance it was checked against.
+    """Summary number with the tolerance reported as its bound.
 
-    reference=True marks externally measured values carried along for
-    comparison; those need no tolerance because nothing is asserted on them.
+    Nothing checks the value against the tolerance: it is the bound the
+    recipe reports for the number.  reference=True marks externally measured
+    values carried along for comparison; those need no tolerance because
+    nothing is asserted on them.
     """
 
     value: float
@@ -224,10 +224,14 @@ def run_parity_sweep(
     overlap of the code components; the default ideal-mode amplitude makes
     that residual < 1e−6.
     """
+    if not np.isfinite(delta):
+        raise ValidationError("read-out phase delta must be finite")
     params, cfg_hash = _resolve_params(params, config_text)
     if phis is None:
         phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     phis = np.asarray(phis, dtype=float)
+    if len(phis) < 1:
+        raise ValidationError("the sweep needs at least one axis offset")
     if alpha is None:
         alpha = 2.8 if mode == "ideal" else float(np.sqrt(2.0))
     # the truncation must hold both code components and their read-out
@@ -238,10 +242,9 @@ def run_parity_sweep(
     layout = SystemLayout.build([qubit], [cavity], {cavity: dim})
     enc = cat_encoding(alpha, dim, variant="shifted")
     psi0 = tensor([qubit_ket(0), logical_ket(enc, 1.0, 1.0)])
-    read_out = layout.lift(
-        displacement(-alpha * np.exp(1j * delta), layout.mode(cavity)), cavity
-    )
-    parity = layout.lift(parity_op(layout.mode(cavity)), cavity)
+    read_out = displacement(-alpha * np.exp(1j * delta), layout.mode(cavity))
+    # (−1)^n on the joint basis |q, n⟩ (qubit factor first)
+    parity = np.tile((-1.0) ** np.arange(dim), 2)
 
     if mode == "ideal":
         backend = IdealBackend(layout)
@@ -263,8 +266,8 @@ def run_parity_sweep(
             # undo them before the read-out displacement
             comp = stark_phase_compensation(spec, params, layout, cavity, qubit)
             out = Ket(out.space, comp * out.amplitudes)
-        out = read_out @ out
-        p = float(np.real(expectation(out, parity)))
+        x = apply_on_factor(read_out, layout.index[cavity], layout.space, out.amplitudes)
+        p = float(np.real(np.vdot(x, parity * x)))
         law = float(np.cos(np.pi + phi))
         rows.append((float(phi), p, law))
         if abs(delta) < 1e-12:
@@ -315,6 +318,8 @@ def run_zgate_repetition(
     process; a linear fit of F(m) gives the per-gate infidelity (slope) and
     the encode/decode fidelity (intercept).
     """
+    if m_max < 1:
+        raise ValidationError("m_max must be at least 1 for the linear fit")
     params, cfg_hash = _resolve_params(params, config_text)
     dim = recommended_dim(2.0 * alpha)
     layout = SystemLayout.build([qubit], [cavity], {cavity: dim})
@@ -698,7 +703,7 @@ def run_snap_bell(
     displacements around a joint-vacuum-conditional 2π rotation."""
     params, cfg_hash = _resolve_params(params, config_text)
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
-    spec = snap_bell(sign, params)
+    spec = snap_bell(sign)
     if mode == "ideal":
         backend = IdealBackend(layout)
     elif mode == "pulse":

@@ -318,6 +318,8 @@ def excited_projector() -> LinearOp:
 def recommended_dim(alpha_max: float) -> int:
     """Default truncation for peak coherent amplitude: keeps Poisson tail < 1e−8."""
     a = abs(alpha_max)
+    if not math.isfinite(a):
+        raise ValidationError(f"coherent amplitude must be finite, got {alpha_max}")
     return math.ceil(a * a + 6.0 * a + 5.0)
 
 

@@ -56,6 +56,10 @@ from cavitysim.fock import (
 #: gamma = pi + dphi.
 CANONICAL_DELTA_PHI = {"Z": 0.0, "S": -np.pi / 2, "T": -3 * np.pi / 4}
 
+#: Drive sample period (ns) of every pulse: the pulse backend, the blockwise
+#: CZ propagator and its calibration all run on this one grid.
+SAMPLE_DT = 1.0
+
 
 def wrap_angle(x: float) -> float:
     """Map an angle to (-pi, pi]."""
@@ -90,7 +94,8 @@ class ConditionalRotation:
     detuning: float | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.theta <= 0:
+        # `not x > 0` also rejects NaN
+        if not (self.epsilon > 0 and self.theta > 0):
             raise ValidationError("rotation angle and Rabi frequency must be positive")
         object.__setattr__(self, "condition", tuple(tuple(c) for c in self.condition))
 
@@ -273,8 +278,8 @@ class IdealBackend:
         dims = layout.space.dims
         mask = np.ones(dims, dtype=bool)
         for label, n in step.condition:
-            if layout.is_qubit(label):
-                raise ValidationError("conditions may only reference cavity modes")
+            if label not in layout.index or layout.is_qubit(label):
+                raise ValidationError(f"condition on {label!r}: not a cavity of the layout")
             axis = layout.index[label]
             if not 0 <= int(n) < dims[axis]:
                 raise ValidationError(
@@ -329,9 +334,11 @@ def gaussian_flattop(n_steps: int, rise_sigma: float = 4.0) -> np.ndarray:
     return env
 
 
-def _drive_samples(step, params: DeviceParams, dt: float, t0: float) -> np.ndarray:
-    """Qubit-drive samples of a conditional rotation or multitone pulse that
-    starts at time t0, on a global clock so detuned tones stay phase-coherent."""
+def _drive_samples(step, params: DeviceParams, t0: float) -> np.ndarray:
+    """Qubit-drive samples, one per SAMPLE_DT, of a conditional rotation or
+    multitone pulse that starts at time t0, on a global clock so detuned
+    tones stay phase-coherent."""
+    dt = SAMPLE_DT
     if isinstance(step, ConditionalRotation):
         # snap the duration to the sample grid, preserving the exact rotation
         # angle by adjusting the amplitude within one part in n
@@ -371,21 +378,19 @@ class PulseBackend:
         self,
         params: DeviceParams,
         layout: SystemLayout,
-        dt: float = 1.0,
         compensate_static_cavity_phases: bool = False,
     ):
         self.params = params
         self.layout = layout
-        self.dt = dt
         self.h0 = static_hamiltonian(params, layout)
         self.compensate = compensate_static_cavity_phases
         self._cavity_diag = cavity_static_diag(params, layout)
 
-    def _segments(self, spec: GateSpec, t0: float):
+    def _segments(self, spec: GateSpec):
         """Yield, in order, ("displace", step), ("wait", T), ("pulse",
         PulseSequence) and ("phase", v) items, v a diagonal unitary as its
-        (dim,) vector."""
-        t = t0
+        (dim,) vector; the clock starts at 0."""
+        t = 0.0
         for step in spec.steps:
             if isinstance(step, Displacement):
                 yield "displace", step
@@ -394,11 +399,11 @@ class PulseBackend:
                 yield "wait", step.duration
                 span = step.duration
             else:
-                amps = _drive_samples(step, self.params, self.dt, t)
+                amps = _drive_samples(step, self.params, t)
                 yield "pulse", PulseSequence(
-                    dt=self.dt, channels={(step.qubit, "qubit"): amps}
+                    dt=SAMPLE_DT, channels={(step.qubit, "qubit"): amps}
                 )
-                span = len(amps) * self.dt
+                span = len(amps) * SAMPLE_DT
             # the cavity-only diagonal commutes with both the dispersive
             # term and the qubit drive, so undoing it right after the
             # segment (in the same displacement frame) is exact
@@ -406,8 +411,8 @@ class PulseBackend:
                 yield "phase", np.exp(1j * self._cavity_diag * span)
             t += span
 
-    def apply(self, psi: Ket, spec: GateSpec, t0: float = 0.0) -> Ket:
-        for kind, item in self._segments(spec, t0):
+    def apply(self, psi: Ket, spec: GateSpec) -> Ket:
+        for kind, item in self._segments(spec):
             if kind == "pulse":
                 psi = evolve_pulse(psi, self.h0, item, self.layout)
                 continue
@@ -421,10 +426,8 @@ class PulseBackend:
             psi = Ket(psi.space, x)
         return psi
 
-    def apply_density(
-        self, rho: DensityOp, spec: GateSpec, collapses: CollapseSet, t0: float = 0.0
-    ) -> DensityOp:
-        for kind, item in self._segments(spec, t0):
+    def apply_density(self, rho: DensityOp, spec: GateSpec, collapses: CollapseSet) -> DensityOp:
+        for kind, item in self._segments(spec):
             if kind == "pulse":
                 rho = lindblad_evolve(rho, (self.h0, item), collapses, layout=self.layout)
             elif kind == "wait":
@@ -448,51 +451,38 @@ def component_logical_unitary(spec: GateSpec, cavities, qubit: str) -> np.ndarra
     the vacuum itself), so vacuum-conditioned rotations condition on component
     index 1.  Displacements are frame relabelings and must cancel by the end of
     the sequence; the qubit must return to the ground state.  Returns the
-    2^m x 2^m unitary on the cavity components, obtained by integrating the
-    conditional-drive dynamics on the reduced space.
+    2^m x 2^m unitary on the cavity components.
+
+    The rotations run on `IdealBackend` with every cavity truncated to two
+    levels: level 0 is component 1 and level 1 is component 0, so the index
+    order of the g-block is reversed on return.
     """
     cavities = list(cavities)
-    m = len(cavities)
-    dim = 2 ** (m + 1)
     frame = {c: 0.0 + 0.0j for c in cavities}
-    u = np.eye(dim, dtype=complex)
-    sx_like = {
-        "sp": np.array([[0, 0], [1, 0]], dtype=complex),
-    }
+    rotations = []
     for step in spec.steps:
         if isinstance(step, Displacement):
             if step.label not in frame:
                 raise ValidationError(f"unknown cavity label {step.label}")
             frame[step.label] += step.alpha
-        elif isinstance(step, Wait):
-            continue
         elif isinstance(step, ConditionalRotation):
             if step.qubit != qubit:
                 raise ValidationError("all rotations must drive the declared qubit")
-            conditioned = set()
-            for label, n_ph in step.condition:
-                if n_ph != 0:
-                    raise ValidationError(
-                        "component-level reduction only supports vacuum conditions"
-                    )
-                conditioned.add(label)
-            parts = [0.5 * step.epsilon * np.exp(1j * step.phi_axis) * sx_like["sp"]]
-            for c in cavities:
-                parts.append(np.diag([0.0, 1.0]) if c in conditioned else np.eye(2))
-            h_half = parts[0]
-            for p in parts[1:]:
-                h_half = np.kron(h_half, p)
-            h = h_half + h_half.conj().T
-            w, v = np.linalg.eigh(h)
-            u = ((v * np.exp(-1j * w * step.duration)) @ v.conj().T) @ u
-        else:
+            if any(n_ph != 0 for _, n_ph in step.condition):
+                raise ValidationError(
+                    "component-level reduction only supports vacuum conditions"
+                )
+            rotations.append(step)
+        elif isinstance(step, MultitonePulse):
             raise ValidationError("multitone pulses have no component-level reduction")
     if any(abs(a) > 1e-12 for a in frame.values()):
         raise ValidationError("displacements do not return to the original frame")
-    half = dim // 2
+    layout = SystemLayout.build([qubit], cavities, {c: 2 for c in cavities})
+    u = IdealBackend(layout).unitary(GateSpec(spec.name, rotations)).matrix
+    half = u.shape[0] // 2
     if np.max(np.abs(u[half:, :half])) > 1e-9:
         raise NumericalError("qubit does not return to the ground state")
-    return u[:half, :half]
+    return u[:half, :half][::-1, ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -608,84 +598,67 @@ def stark_phase_compensation(
     return np.broadcast_to(np.exp(1j * theta).reshape(shape), layout.space.dims).reshape(-1)
 
 
-def dispersive_phase_table(
-    duration: float, params: DeviceParams, layout: SystemLayout
-) -> dict:
-    """Deterministic phase e^{-i E T} accumulated by each joint basis state.
-
-    Keys are (qubit path, joint cavity Fock tuple) with path "g" or "e" per
-    layout qubit (concatenated for several qubits); values are phases in rad.
-    """
-    diag = static_hamiltonian(params, layout)
-    cavs = layout.cavity_labels()
-    qubits = layout.qubit_labels()
-    table = {}
-    for idx in np.ndindex(*layout.space.dims):
-        path = "".join("e" if idx[layout.index[q]] else "g" for q in qubits)
-        key = (path, tuple(idx[layout.index[c]] for c in cavs))
-        table[key] = -diag[layout.space.joint_index(idx)] * duration
-    return table
-
-
 _BINOMIAL_JOINT_STATES = tuple((j, k) for j in (0, 2, 4) for k in (0, 2, 4))
 
+# The binomial CZ: a nonselective pi pulse, then a selective nine-tone pulse
+# (durations in ns); the ideal variant's conditional rotations run at
+# _CZ_EPSILON_IDEAL (rad/ns).  The tone calibration stops after _CZ_MAX_NFEV
+# Levenberg-Marquardt evaluations and fails above _CZ_RESIDUAL_TOL.
+_CZ_NONSELECTIVE_NS = 20.0
+_CZ_SELECTIVE_NS = 2000.0
+_CZ_EPSILON_IDEAL = 1e-3
+_CZ_MAX_NFEV = 6000
+_CZ_RESIDUAL_TOL = 0.05
 
-def _gate_drive_amplitudes(spec: GateSpec, params: DeviceParams, qubit: str, dt: float) -> np.ndarray:
+
+def _gate_drive_amplitudes(spec: GateSpec, params: DeviceParams, qubit: str) -> np.ndarray:
     """Concatenated qubit-drive samples of a displacement-free gate spec."""
     parts = []
     t = 0.0
     for step in spec.steps:
         if isinstance(step, Wait):
-            parts.append(np.zeros(int(round(step.duration / dt)), dtype=complex))
+            parts.append(np.zeros(int(round(step.duration / SAMPLE_DT)), dtype=complex))
             t += step.duration
         elif isinstance(step, (ConditionalRotation, MultitonePulse)):
             if step.qubit != qubit:
                 raise ValidationError("all drives must address the declared qubit")
-            a = _drive_samples(step, params, dt, t)
+            a = _drive_samples(step, params, t)
             parts.append(a)
-            t += len(a) * dt
+            t += len(a) * SAMPLE_DT
         else:
             raise ValidationError("blockwise evaluation requires a displacement-free spec")
     return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
 
-def joint_block_unitaries(
-    spec: GateSpec,
-    params: DeviceParams,
-    cavities=("S1", "S2"),
-    qubit: str = "Q3",
-    joint_states=_BINOMIAL_JOINT_STATES,
-    dt: float = 1.0,
-) -> dict:
-    """Exact 2x2 qubit propagator for each joint cavity Fock state.
+def _binomial_block_energies(backend: PulseBackend, qubit: str):
+    """g and e energies, from the backend's h0, of the nine binomial joint
+    Fock states |j, k> of the layout's two cavities, in _BINOMIAL_JOINT_STATES
+    order."""
+    layout = backend.layout
+    others = list(layout.space.dims)
+    del others[layout.index[qubit]]
+    blocks = np.ravel_multi_index(np.array(_BINOMIAL_JOINT_STATES).T, others)
+    return qubit_blocks(backend.h0, layout, qubit)[:, blocks]
+
+
+def joint_block_unitaries(spec: GateSpec, backend: PulseBackend, qubit: str = "Q3") -> dict:
+    """Exact 2x2 qubit propagator for each binomial joint cavity Fock state.
 
     Qubit-only drives conserve the cavity photon numbers, so the full
     propagator is block diagonal over joint Fock states.  Each block is
-    e^{−i c T} [[a, −b̄], [b, ā]], with c the mean of its g and e energies and
-    (a, b) from `evolution.block_rotations` over the gate's drive samples:
-    exactly the blocks of the full-space evolution, at the cost of nine.
+    e^{−i c T} [[a, −b̄], [b, ā]], with c the mean of its g and e energies in
+    the backend's static Hamiltonian and (a, b) from
+    `evolution.block_rotations` over the gate's drive samples: exactly the
+    blocks of the full-space evolution, at the cost of nine.
     """
-    u = _gate_drive_amplitudes(spec, params, qubit, dt)
-
-    chi1 = params.chi.get((cavities[0], qubit), 0.0)
-    chi2 = params.chi.get((cavities[1], qubit), 0.0)
-    k1 = params.kerr.get(cavities[0], 0.0)
-    k2 = params.kerr.get(cavities[1], 0.0)
-    states = np.array(joint_states, dtype=float)
-    j, k = states[:, 0], states[:, 1]
-    e_g = (
-        -0.5 * k1 * j * (j - 1)
-        - 0.5 * k2 * k * (k - 1)
-        - params.cross_kerr * j * k
-    )
-    e_e = e_g - (j * chi1 + k * chi2)
-
-    a, b = block_rotations(0.5 * (e_g - e_e), u, dt)
-    phase = np.exp(-0.5j * (e_g + e_e) * len(u) * dt)
+    u = _gate_drive_amplitudes(spec, backend.params, qubit)
+    e_g, e_e = _binomial_block_energies(backend, qubit)
+    a, b = block_rotations(0.5 * (e_g - e_e), u, SAMPLE_DT)
+    phase = np.exp(-0.5j * (e_g + e_e) * len(u) * SAMPLE_DT)
     total = phase[:, None, None] * np.stack(
         [np.stack([a, -np.conj(b)], -1), np.stack([b, np.conj(a)], -1)], -2
     )
-    return {tuple(map(int, s)): total[i] for i, s in enumerate(states)}
+    return dict(zip(_BINOMIAL_JOINT_STATES, total))
 
 
 def binomial_cz_targets() -> dict:
@@ -699,13 +672,7 @@ def cz_binomial(
     layout: SystemLayout | None = None,
     cavities=("S1", "S2"),
     qubit: str = "Q3",
-    nonselective_duration: float = 20.0,
-    selective_duration: float = 2000.0,
-    dt: float = 1.0,
-    epsilon_ideal: float = 1e-3,
     calibrate: bool = True,
-    max_iter: int = 30,
-    residual_tol: float = 0.05,
 ):
     """CZ between two binomial qubits sharing the readout qubit.
 
@@ -722,7 +689,7 @@ def cz_binomial(
     chi1 = params.chi[(cavities[0], qubit)]
     chi2 = params.chi[(cavities[1], qubit)]
     targets = binomial_cz_targets()
-    eps_ns = np.pi / nonselective_duration
+    eps_ns = np.pi / _CZ_NONSELECTIVE_NS
 
     if mode == "ideal":
         steps = [ConditionalRotation(qubit, 0.0, np.pi, eps_ns, ())]
@@ -732,7 +699,7 @@ def cz_binomial(
                     qubit,
                     targets[(j, k)],
                     np.pi,
-                    epsilon_ideal,
+                    _CZ_EPSILON_IDEAL,
                     ((cavities[0], j), (cavities[1], k)),
                 )
             )
@@ -742,22 +709,22 @@ def cz_binomial(
 
     if layout is None:
         layout = SystemLayout.build([qubit], list(cavities), {c: 7 for c in cavities})
+    backend = PulseBackend(params, layout)
     center = -(2 * chi1 + 2 * chi2)
-    n_sel = int(round(selective_duration / dt))
-    area = float(np.sum(gaussian_flattop(n_sel))) * dt
+    n_sel = int(round(_CZ_SELECTIVE_NS / SAMPLE_DT))
+    area = float(np.sum(gaussian_flattop(n_sel))) * SAMPLE_DT
     eps_tone = np.pi / area
     shifts = {(j, k): -(j * chi1 + k * chi2) for j, k in _BINOMIAL_JOINT_STATES}
 
     # dynamical-phase seed: time spent in |e> is the nonselective pulse plus
     # roughly half the selective pulse; the tone phase enters the accumulated
     # phase with slope -1 (see the single-cavity gate construction)
-    seed_table = dispersive_phase_table(
-        nonselective_duration + 0.5 * selective_duration, params, layout
-    )
-    phis0 = []
-    for jk in _BINOMIAL_JOINT_STATES:
-        dyn = seed_table[("e", jk)] - seed_table[("g", jk)]
-        phis0.append(wrap_angle(np.pi + dyn - targets[jk]))
+    t_e = _CZ_NONSELECTIVE_NS + 0.5 * _CZ_SELECTIVE_NS
+    e_g, e_e = _binomial_block_energies(backend, qubit)
+    dyn = (-e_e * t_e) - (-e_g * t_e)
+    phis0 = [
+        wrap_angle(np.pi + dyn[i] - targets[jk]) for i, jk in enumerate(_BINOMIAL_JOINT_STATES)
+    ]
 
     def build(phis, dets, scales):
         tones = tuple(
@@ -768,7 +735,7 @@ def cz_binomial(
             "cz-binomial",
             (
                 ConditionalRotation(qubit, 0.0, np.pi, eps_ns, (), detuning=center),
-                MultitonePulse(qubit, tones, selective_duration),
+                MultitonePulse(qubit, tones, _CZ_SELECTIVE_NS),
             ),
         )
 
@@ -777,7 +744,7 @@ def cz_binomial(
 
     def residual_vector(x):
         spec = build(x[:n_tones], x[n_tones : 2 * n_tones], np.exp(x[2 * n_tones :]))
-        blocks = joint_block_unitaries(spec, params, cavities, qubit, dt=dt)
+        blocks = joint_block_unitaries(spec, backend, qubit)
         a = np.array([blocks[jk][0, 0] for jk in _BINOMIAL_JOINT_STATES])
         r = a - goals
         # weak regularization keeps the underdetermined detuning/amplitude
@@ -788,6 +755,8 @@ def cz_binomial(
 
     x = np.concatenate([phis0, np.zeros(n_tones), np.zeros(n_tones)])
     if calibrate:
+        # imported here, not at module level: the benchmark caps the
+        # calibration by replacing scipy.optimize.least_squares
         from scipy.optimize import least_squares
 
         sol = least_squares(
@@ -796,17 +765,17 @@ def cz_binomial(
             method="lm",
             xtol=1e-14,
             ftol=1e-14,
-            max_nfev=200 * max_iter,
+            max_nfev=_CZ_MAX_NFEV,
             diff_step=1e-6,
         )
         x = sol.x
-        if np.max(np.abs(sol.fun)) > residual_tol:
+        if np.max(np.abs(sol.fun)) > _CZ_RESIDUAL_TOL:
             raise NumericalError(
                 "tone calibration failed; residuals "
                 + ", ".join(f"{v:.3e}" for v in sol.fun)
             )
     spec = build(x[:n_tones], x[n_tones : 2 * n_tones], np.exp(x[2 * n_tones :]))
-    blocks = joint_block_unitaries(spec, params, cavities, qubit, dt=dt)
+    blocks = joint_block_unitaries(spec, backend, qubit)
     final_errs = {
         jk: wrap_angle(float(np.angle(blocks[jk][0, 0])) - targets[jk])
         for jk in _BINOMIAL_JOINT_STATES
@@ -816,7 +785,6 @@ def cz_binomial(
 
 def snap_bell(
     sign: int,
-    params: DeviceParams | None = None,
     cavities=("S1", "S2"),
     qubit: str = "Q3",
     epsilon: float = 2e-4,

@@ -31,7 +31,8 @@ def _perfbench(name):
 
 
 TRACER = _perfbench("tracer")
-WORKLOADS = _perfbench("workloads").WORKLOADS
+_WORKLOADS_MODULE = _perfbench("workloads")
+WORKLOADS = _WORKLOADS_MODULE.WORKLOADS
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 #: parameters the tracer's observers bind by name: span -> parameter names
@@ -105,3 +106,28 @@ def test_patched_solver_name_exists():
     import cavitysim.evolution
 
     assert hasattr(cavitysim.evolution, "solve_ivp")
+
+
+def test_cz_calibration_reaches_the_patched_least_squares(monkeypatch):
+    """The `cz-calibration` workload caps the tone calibration by replacing
+    `scipy.optimize.least_squares` and lowering its `max_nfev` keyword.  That
+    only works while `cz_binomial` looks the name up at call time and passes
+    `max_nfev` by keyword; an uncapped calibration overruns the run limit."""
+    import scipy.optimize
+
+    from cavitysim.device import load_params
+    from cavitysim.gates import cz_binomial
+
+    budget = _WORKLOADS_MODULE.CZ_LM_BUDGET
+    original = scipy.optimize.least_squares
+    calls = []
+
+    def capped(*args, **kwargs):
+        calls.append(dict(kwargs))
+        kwargs["max_nfev"] = min(kwargs.get("max_nfev") or budget, budget)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", capped)
+    cz_binomial(load_params(), mode="pulse")
+    assert len(calls) == 1
+    assert "max_nfev" in calls[0]

@@ -161,6 +161,33 @@ def test_bad_phis_spec_rejected(tmp_path):
     assert main(["parity-sweep", "--phis", "0:1", "-o", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["parity-sweep", "--mode", "pulse", "--epsilon", "nan"],
+        ["parity-sweep", "--alpha", "nan"],
+        ["zgate-repeat", "--alpha", "nan"],
+        ["qpt", "--gate", "z", "--alpha", "nan"],
+        ["wigner", "--extent", "nan"],
+        ["wigner", "--points", "-1"],
+        ["wigner", "--points", "0"],
+        ["parity-sweep", "--phis", "0:1:-3"],
+        ["parity-sweep", "--phis", "0:1:0"],
+        ["parity-sweep", "--delta", "nan"],
+        ["zgate-repeat", "--m-max", "-1"],
+        ["zgate-repeat", "--m-max", "0"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_bad_numeric_input_exits_1(tmp_path, capsys, args):
+    """NaN, empty or negative numeric inputs are usage errors (exit 1), not
+    Python exceptions, numerical failures or silent NaN/empty output."""
+    out = tmp_path / "x"
+    assert main(args + ["-o", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
 def test_wigner_grid_output(tmp_path):
     out = tmp_path / "run"
     code = main(

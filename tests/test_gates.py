@@ -38,7 +38,6 @@ from cavitysim.gates import (
     component_logical_unitary,
     cz_binomial,
     cz_coherent,
-    dispersive_phase_table,
     gaussian_flattop,
     joint_block_unitaries,
     phase_gate_report,
@@ -46,7 +45,8 @@ from cavitysim.gates import (
     snap_bell,
     wrap_angle,
 )
-from cavitysim.gates import _drive_samples  # the pulse backend's samples, for the dense oracle
+# the pulse backend's samples and sample period, for the dense oracle
+from cavitysim.gates import SAMPLE_DT, _drive_samples
 from cavitysim.tomography import (
     pauli_transfer,
     process_fidelity,
@@ -234,6 +234,60 @@ def test_cz_coherent_component_truth_table():
     assert np.max(np.abs(swap @ l @ swap - l)) < 1e-9
 
 
+def kron_eigh_component_unitary(spec, cavities, qubit):
+    """Oracle: the component map by direct integration on the reduced space.
+
+    Each conditional rotation is exp(−i T H) of
+    H = (ε/2) e^{iφ} |e⟩⟨g| ⊗ (⊗_c P_c) + h.c., with P_c = diag(0, 1) on a
+    conditioned cavity (component 1 sits at the vacuum) and the identity
+    otherwise, built with np.kron and exponentiated by eigh; displacements
+    and waits are skipped.  Returns the g-block in component order.
+    """
+    dim = 2 ** (len(cavities) + 1)
+    u = np.eye(dim, dtype=complex)
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)
+    for step in spec.steps:
+        if not isinstance(step, ConditionalRotation):
+            continue
+        conditioned = {label for label, _ in step.condition}
+        h_half = 0.5 * step.epsilon * np.exp(1j * step.phi_axis) * sp
+        for c in cavities:
+            h_half = np.kron(h_half, np.diag([0.0, 1.0]) if c in conditioned else np.eye(2))
+        w, v = np.linalg.eigh(h_half + h_half.conj().T)
+        u = ((v * np.exp(-1j * w * step.duration)) @ v.conj().T) @ u
+    return u[: dim // 2, : dim // 2]
+
+
+def _component_oracle_specs():
+    enc = cat_encoding(np.sqrt(2), 30, variant="shifted")
+    specs = {
+        name: (single_cavity_phase_gate(dphi, enc), ["S1"], "Q1")
+        for name, dphi in CANONICAL_DELTA_PHI.items()
+    }
+    specs["cz_coherent"] = (cz_coherent(np.sqrt(2)), ["S1", "S2"], "Q3")
+    # snap_bell's displacements do not cancel, so only its joint-vacuum
+    # conditional 2π rotation has a component-level map
+    for sign in (+1, -1):
+        rotation = [s for s in snap_bell(sign).steps if isinstance(s, ConditionalRotation)]
+        specs[f"snap_bell{sign:+d}"] = (GateSpec("r", rotation), ["S1", "S2"], "Q3")
+    return specs
+
+
+@pytest.mark.parametrize("name", ["Z", "S", "T", "cz_coherent", "snap_bell+1", "snap_bell-1"])
+def test_component_map_matches_kron_eigh_integration(name):
+    spec, cavities, qubit = _component_oracle_specs()[name]
+    expected = kron_eigh_component_unitary(spec, cavities, qubit)
+    got = component_logical_unitary(spec, cavities, qubit)
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_component_map_rejects_condition_outside_cavities():
+    """A condition on a cavity not in `cavities` is an error, not a no-op."""
+    spec = _rotation("Q1", 0.0, 2 * np.pi, 0.01, (("S2", 0),))
+    with pytest.raises(ValidationError):
+        component_logical_unitary(spec, ["S1"], "Q1")
+
+
 def test_cz_coherent_conditional_parity_flip():
     """Control in |1>_L flips the parity of the target cat; |0>_L does not."""
     alpha = np.sqrt(2)
@@ -309,26 +363,6 @@ def test_gaussian_flattop_envelope():
     assert env[0] < 0.01
     with pytest.raises(ValidationError):
         gaussian_flattop(20, 4.0)
-
-
-def test_dispersive_phase_table_oracle(params):
-    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 4, "S2": 4})
-    t0 = dispersive_phase_table(0.0, params, layout)
-    assert all(v == 0.0 for v in t0.values())
-    T = 700.0
-    table = dispersive_phase_table(T, params, layout)
-    # additivity over concatenated segments
-    half = dispersive_phase_table(T / 2, params, layout)
-    for k in table:
-        assert abs(table[k] - 2 * half[k]) < 1e-12
-    # oracle: diagonal of the exact propagator
-    from cavitysim.evolution import segment_propagator
-
-    u = segment_propagator(LinearOp(layout.space, np.diag(static_hamiltonian(params, layout))), T)
-    for (path, (n1, n2)), phase in table.items():
-        q = 1 if path == "e" else 0
-        idx = layout.space.joint_index((q, n1, n2))
-        assert abs(u.matrix[idx, idx] - np.exp(1j * phase)) < 1e-10
 
 
 def test_pulse_conditional_rotation_leakage_bound(params):
@@ -424,11 +458,11 @@ def test_cz_binomial_pulse_calibrates_and_hits_fidelity(params):
     spec, residuals = cz_binomial(params, mode="pulse", layout=layout)
     assert max(abs(r) for r in residuals.values()) < 1e-3
 
-    blocks = joint_block_unitaries(spec, params)
+    backend = PulseBackend(params, layout)
+    blocks = joint_block_unitaries(spec, backend)
     # return amplitude close to 1 for every joint state
     assert min(abs(b[0, 0]) for b in blocks.values()) > 0.9
 
-    backend = PulseBackend(params, layout)
     enc = binomial_encoding(7)
     logical = [tensor([a, b]) for a in (enc.ket0, enc.ket1) for b in (enc.ket0, enc.ket1)]
 
@@ -445,14 +479,14 @@ def test_blockwise_propagator_matches_full_evolution(params):
     of per-sample dense propagators exp(−i dt (H0 + u O + ū O†))."""
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 5})
     spec, _ = cz_binomial(params, mode="pulse", layout=layout, calibrate=False)
-    blocks = joint_block_unitaries(spec, params)
     backend = PulseBackend(params, layout)
+    blocks = joint_block_unitaries(spec, backend)
     op = drive_operator(layout, ("Q3", "qubit")).matrix
     cols = [
         layout.space.joint_index((q, j, k)) for j, k in blocks for q in (0, 1)
     ]
     u = np.eye(layout.space.dim, dtype=complex)[:, cols]
-    for kind, pulse in backend._segments(spec, 0.0):
+    for kind, pulse in backend._segments(spec):
         assert kind == "pulse"
         for amp in pulse.channels[("Q3", "qubit")]:
             h = LinearOp(layout.space, np.diag(backend.h0) + amp * op + np.conj(amp) * op.conj().T)
@@ -510,7 +544,7 @@ def test_accumulated_phase_table_diagonal_gate():
 # Backends against dense lifted operators
 
 
-def dense_gate_unitary(layout, spec, params=None, dt=1.0):
+def dense_gate_unitary(layout, spec, params=None):
     """Oracle: the gate as one dense matrix built from lifted operators.
 
     Without params, the ideal backend: lifted displacements and the dense
@@ -539,11 +573,11 @@ def dense_gate_unitary(layout, spec, params=None, dt=1.0):
             span = step.duration
         else:
             op = drive_operator(layout, (step.qubit, "qubit")).matrix
-            amps = _drive_samples(step, params, dt, t)
+            amps = _drive_samples(step, params, t)
             for a in amps:
                 h = LinearOp(space, h0 + a * op + np.conj(a) * op.conj().T)
-                u = segment_propagator(h, dt).matrix @ u
-            span = len(amps) * dt
+                u = segment_propagator(h, SAMPLE_DT).matrix @ u
+            span = len(amps) * SAMPLE_DT
         u = np.diag(np.exp(1j * kerr * span)) @ u
         t += span
     return u
@@ -554,7 +588,7 @@ def _backend_oracle_specs(params):
     cz = cz_coherent(0.5 * np.exp(0.4j), params, epsilon=0.05)
     return {
         "cz_coherent": cz,
-        "snap_bell": snap_bell(+1, params, epsilon=0.05),
+        "snap_bell": snap_bell(+1, epsilon=0.05),
         "cz_coherent_wait": GateSpec("w", cz.steps[:1] + (Wait(37.0),) + cz.steps[1:]),
     }
 
