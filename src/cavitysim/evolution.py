@@ -15,8 +15,12 @@ pulse reduces to one Cayley–Klein pair (a, b) per block.
 `apply_block_rotations` applies them on the qubit axis; the pulse path of
 `evolve_pulse`, the ideal conditional rotations (and through them the
 component-level logical map `gates.component_logical_unitary`) and the
-binomial-CZ block calibration all run through these two functions.  The dense per-segment
-`eigh` path stays for cavity drives and serves as their oracle.
+binomial-CZ block calibration all run through these two functions.
+`block_rotation_gradient` differentiates each block's a with respect to
+every drive sample, from one forward prefix scan of the same per-sample
+pairs; the binomial-CZ tone calibration takes its exact Jacobian from it.
+The dense per-segment `eigh` path stays for cavity drives and serves as
+their oracle.
 
 The Lindblad generator is a sparse superoperator, as in QuTiP's ``mesolve``
 (Johansson, Nation & Nori, Comput. Phys. Commun. 183, 1760 (2012)): a
@@ -257,6 +261,21 @@ def _single_qubit_fast_path(pulse: PulseSequence) -> str | None:
 _CHUNK_ELEMENTS = 16384
 
 
+def _sample_rotations(delta: np.ndarray, half: np.ndarray, dt: float):
+    """Per-sample Cayley–Klein pairs (a, b) of exp(−i dt [[δ, h̄], [h, −δ]]),
+    with ω = √(δ² + |h|²) and sinc = sin(ωdt)/ω (dt at ω = 0)."""
+    omega = np.sqrt(delta**2 + np.abs(half) ** 2)
+    sinc = np.where(omega > 0, np.sin(omega * dt) / np.where(omega > 0, omega, 1.0), dt)
+    a = np.cos(omega * dt) - 1j * sinc * delta
+    b = -1j * sinc * half
+    return a, b, omega, sinc
+
+
+def _compose(a2, b2, a1, b1):
+    """Cayley–Klein pair of the product [[a₂, −b̄₂], [b₂, ā₂]] · [[a₁, −b̄₁], [b₁, ā₁]]."""
+    return a2 * a1 - np.conj(b2) * b1, b2 * a1 + np.conj(a2) * b1
+
+
 def block_rotations(delta: np.ndarray, amps: np.ndarray, dt: float):
     """Cayley–Klein pair (a, b) of the time-ordered product of Rabi rotations.
 
@@ -278,22 +297,97 @@ def block_rotations(delta: np.ndarray, amps: np.ndarray, dt: float):
     chunk = max(1, _CHUNK_ELEMENTS // max(1, len(delta)))
     for start in range(0, len(amps), chunk):
         # (blocks, samples) arrays: samples on the last axis, the axis reduced
-        half = 0.5 * amps[start : start + chunk]
-        omega = np.sqrt(delta**2 + np.abs(half) ** 2)
-        sinc = np.where(omega > 0, np.sin(omega * dt) / np.where(omega > 0, omega, 1.0), dt)
-        a = np.cos(omega * dt) - 1j * sinc * delta
-        b = -1j * sinc * half
+        a, b, _, _ = _sample_rotations(delta, 0.5 * amps[start : start + chunk], dt)
         while a.shape[1] > 1:
-            a1, b1, a2, b2 = a[:, 0:-1:2], b[:, 0:-1:2], a[:, 1::2], b[:, 1::2]
-            na = a2 * a1 - np.conj(b2) * b1
-            nb = b2 * a1 + np.conj(a2) * b1
+            na, nb = _compose(a[:, 1::2], b[:, 1::2], a[:, 0:-1:2], b[:, 0:-1:2])
             if a.shape[1] % 2:
                 na = np.concatenate([na, a[:, -1:]], axis=1)
                 nb = np.concatenate([nb, b[:, -1:]], axis=1)
             a, b = na, nb
-        a, b = a[:, 0], b[:, 0]
-        a_tot, b_tot = a * a_tot - np.conj(b) * b_tot, b * a_tot + np.conj(a) * b_tot
+        a_tot, b_tot = _compose(a[:, 0], b[:, 0], a_tot, b_tot)
     return a_tot, b_tot
+
+
+#: Chunk lengths, in samples, of `block_rotation_gradient`: its prefix scan
+#: runs sequentially within all chunks of _SCAN_CHUNK at once, then over the
+#: chunks (64 + n/64 vectorised steps for n samples), and its per-sample
+#: terms are formed _GRADIENT_CHUNK samples at a time, which keeps its
+#: temporaries near those of a residual evaluation.
+_SCAN_CHUNK = 64
+_GRADIENT_CHUNK = 128
+
+
+def _prefix_products(delta: np.ndarray, half: np.ndarray, dt: float):
+    """Cayley–Klein pairs of the prefix products P_t = M_{t−1} ⋯ M_0,
+    t = 0 … n, of the sample propagators M_t of `_sample_rotations`;
+    arrays of shape (n_blocks, n + 1), P_0 = I and P_n the total."""
+    n = len(half)
+    n_chunks = -(-(n + 1) // _SCAN_CHUNK)
+    # the sequence I, M_0, …, M_{n−1}, padded with identities
+    pa = np.ones((len(delta), n_chunks * _SCAN_CHUNK), dtype=complex)
+    pb = np.zeros_like(pa)
+    for start in range(0, n, _GRADIENT_CHUNK):
+        t = slice(start + 1, min(start + _GRADIENT_CHUNK, n) + 1)
+        pa[:, t], pb[:, t] = _sample_rotations(delta, half[start : start + _GRADIENT_CHUNK], dt)[:2]
+    pa = pa.reshape(len(delta), n_chunks, _SCAN_CHUNK)
+    pb = pb.reshape(pa.shape)
+    for k in range(1, _SCAN_CHUNK):  # inclusive scan within every chunk
+        pa[..., k], pb[..., k] = _compose(pa[..., k], pb[..., k], pa[..., k - 1], pb[..., k - 1])
+    for c in range(1, n_chunks):  # then onto the last prefix of the chunk before
+        pa[:, c], pb[:, c] = _compose(pa[:, c], pb[:, c], pa[:, c - 1, -1:], pb[:, c - 1, -1:])
+    return (
+        pa.reshape(len(delta), -1)[:, : n + 1],
+        pb.reshape(len(delta), -1)[:, : n + 1],
+    )
+
+
+def block_rotation_gradient(delta: np.ndarray, amps: np.ndarray, dt: float):
+    """Derivatives of the total a of `block_rotations` with respect to every
+    drive sample: arrays g_re, g_im of shape (n_blocks, n_samples) with
+    g_re[j, t] = ∂a_j/∂Re u_t and g_im[j, t] = ∂a_j/∂Im u_t.
+
+    With M_t the sample propagators, P_t = M_{t−1} ⋯ M_0 and U = P_n,
+    a = e₀ᵀ U e₀ and ∂a/∂u_t = (e₀ᵀ U P_{t+1}†) ∂M_t (P_t e₀): every factor
+    is in SU(2), so the costate row needs no suffix products, and one
+    forward prefix scan (`_prefix_products`) serves all samples.  The sample
+    derivatives follow from a = cos ωdt − i δ S and b = −i h S, h = u/2,
+    S = sin(ωdt)/ω, through ∂ω/∂h_r = h_r/ω and
+    F = S′/ω = (dt cos ωdt − S)/ω², whose limit at ω → 0 is −dt³/3 (F is
+    taken from its series for ωdt < 0.01, as `block_rotations` takes
+    S → dt).  This is the adjoint gradient of GRAPE (Khaneja et al.,
+    J. Magn. Reson. 172, 296 (2005)) for the 2×2 blocks.
+    """
+    delta = np.asarray(delta, dtype=float)[:, None]
+    half = 0.5 * np.asarray(amps, dtype=complex)
+    pa, pb = _prefix_products(delta, half, dt)
+    g_re = np.empty(pa[:, 1:].shape, dtype=complex)
+    g_im = np.empty_like(g_re)
+    ua, ub = pa[:, -1:], pb[:, -1:]
+    for start in range(0, len(half), _GRADIENT_CHUNK):
+        t = slice(start, min(start + _GRADIENT_CHUNK, len(half)))
+        h = half[t]
+        a, _, omega, sinc = _sample_rotations(delta, h, dt)
+        # state (x, y) = P_t e₀ and costate row (r0, r1) = e₀ᵀ U P_{t+1}†
+        x, y = pa[:, t], pb[:, t]
+        qa, qb = pa[:, t.start + 1 : t.stop + 1], pb[:, t.start + 1 : t.stop + 1]
+        r0 = ua * np.conj(qa) + np.conj(ub) * qb
+        r1 = ua * np.conj(qb) - np.conj(ub) * qa
+        wdt = omega * dt
+        small = wdt < 0.01
+        f = np.where(
+            small,
+            dt**3 * (-1.0 / 3.0 + wdt**2 / 30.0 - wdt**4 / 840.0),
+            (dt * a.real - sinc) / np.where(small, 1.0, omega**2),  # a.real = cos ωdt
+        )
+        # ∂a_t/∂h_r = h_r G, G = −dt S − i δ F, and ∂b_t/∂h_r = −i S − i h h_r F
+        # (∂/∂h_i: h_i G and S − i h h_i F); contracted with state and costate,
+        # ∂a/∂p = ∂a_t r0 x + conj(∂a_t) r1 y + ∂b_t r1 x − conj(∂b_t) r0 y
+        g = -dt * sinc - 1j * delta * f
+        c3, c4 = r1 * x, r0 * y
+        k = g * (r0 * x) + np.conj(g) * (r1 * y) - 1j * f * (h * c3 + np.conj(h) * c4)
+        g_re[:, t] = 0.5 * (h.real * k - 1j * sinc * (c3 + c4))
+        g_im[:, t] = 0.5 * (h.imag * k + sinc * (c3 - c4))
+    return g_re, g_im
 
 
 def qubit_blocks(x: np.ndarray, layout: SystemLayout, label: str) -> np.ndarray:

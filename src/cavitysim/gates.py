@@ -37,6 +37,7 @@ from cavitysim.evolution import (
     CollapseSet,
     PulseSequence,
     apply_block_rotations,
+    block_rotation_gradient,
     block_rotations,
     evolve_pulse,
     lindblad_evolve,
@@ -610,6 +611,23 @@ _CZ_EPSILON_IDEAL = 1e-3
 _CZ_MAX_NFEV = 6000
 _CZ_RESIDUAL_TOL = 0.05
 
+# Stopping rule of the tone calibration, in radians.  A phase error δ on one
+# joint state lowers the gate fidelity by about δ²/4: 1.6e-8 at δ = 2.5e-4 rad,
+# nothing next to the 1.3e-2 selectivity loss of |<g|U|g>| = 0.9934 that no
+# tone setting removes, and a further gain of 1e-5 rad there is worth
+# δ·1e-5/2 ≈ 1e-9.  So the calibration stops once its best maximum phase
+# error has improved by less than _CZ_STOP_RAD over the last _CZ_STOP_WINDOW
+# residual evaluations.  The best error falls in steps, with plateaus of up
+# to 24 evaluations (rejected LM steps) before it reaches 2e-4 rad at about
+# 65 evaluations; the window outlasts them.  The rule cannot fire before
+# evaluation _CZ_STOP_WINDOW + 1.
+_CZ_STOP_RAD = 1e-5
+_CZ_STOP_WINDOW = 40
+
+# Selective samples per step of the Jacobian's chain rule: keeps its
+# (samples × tones) temporaries small.
+_CZ_CHAIN_CHUNK = 256
+
 
 def _gate_drive_amplitudes(spec: GateSpec, params: DeviceParams, qubit: str) -> np.ndarray:
     """Concatenated qubit-drive samples of a displacement-free gate spec."""
@@ -637,6 +655,11 @@ def _binomial_block_energies(backend: PulseBackend, qubit: str):
     layout = backend.layout
     others = list(layout.space.dims)
     del others[layout.index[qubit]]
+    if len(others) != 2 or min(others) < 5:
+        raise ValidationError(
+            "the binomial CZ acts on the nine joint Fock states |j,k>, j,k in "
+            f"{{0,2,4}}: it needs two cavities of at least 5 levels, got {others}"
+        )
     blocks = np.ravel_multi_index(np.array(_BINOMIAL_JOINT_STATES).T, others)
     return qubit_blocks(backend.h0, layout, qubit)[:, blocks]
 
@@ -666,6 +689,147 @@ def binomial_cz_targets() -> dict:
     return {s: (np.pi if s == (2, 2) else 0.0) for s in _BINOMIAL_JOINT_STATES}
 
 
+class _ToneCalibration:
+    """The binomial-CZ tone calibration as a least-squares problem.
+
+    x holds the nine tone phases φ_i, the nine detuning corrections d_i
+    (rad/ns) and the nine log-scales s_i of the tone amplitudes, in
+    _BINOMIAL_JOINT_STATES order; tone i drives at the dispersive shift of
+    its joint state plus d_i, with amplitude ε e^{s_i}.  The residual is
+    Re and Im of ⟨g|U|g⟩ − e^{iγ} for every joint state, then a weak
+    regularization of d and s.
+    """
+
+    def __init__(self, backend: PulseBackend, cavities, qubit: str):
+        chi1 = backend.params.chi[(cavities[0], qubit)]
+        chi2 = backend.params.chi[(cavities[1], qubit)]
+        self.backend = backend
+        self.qubit = qubit
+        self.center = -(2 * chi1 + 2 * chi2)
+        self.shifts = np.array([-(j * chi1 + k * chi2) for j, k in _BINOMIAL_JOINT_STATES])
+        n_sel = int(round(_CZ_SELECTIVE_NS / SAMPLE_DT))
+        self.envelope = gaussian_flattop(n_sel)
+        self.eps_tone = np.pi / (float(np.sum(self.envelope)) * SAMPLE_DT)
+        # the selective samples' times on the clock of `_drive_samples`
+        self.times = _CZ_NONSELECTIVE_NS + (np.arange(n_sel) + 0.5) * SAMPLE_DT
+        targets = binomial_cz_targets()
+        self.goals = np.exp(1j * np.array([targets[jk] for jk in _BINOMIAL_JOINT_STATES]))
+        e_g, e_e = _binomial_block_energies(backend, qubit)
+        self.delta = 0.5 * (e_g - e_e)
+        self.mean_energy = 0.5 * (e_g + e_e)
+
+        # dynamical-phase seed: time spent in |e> is the nonselective pulse
+        # plus roughly half the selective pulse; the tone phase enters the
+        # accumulated phase with slope -1 (see the single-cavity gate
+        # construction)
+        t_e = _CZ_NONSELECTIVE_NS + 0.5 * _CZ_SELECTIVE_NS
+        dyn = (-e_e * t_e) - (-e_g * t_e)
+        phis0 = [
+            wrap_angle(np.pi + dyn[i] - targets[jk])
+            for i, jk in enumerate(_BINOMIAL_JOINT_STATES)
+        ]
+        n = len(_BINOMIAL_JOINT_STATES)
+        self.x0 = np.concatenate([phis0, np.zeros(n), np.zeros(n)])
+
+    def spec(self, x) -> GateSpec:
+        phis, dets, scales = np.split(np.asarray(x), 3)
+        amps = self.eps_tone * np.exp(scales)
+        tones = tuple(Tone(*tone) for tone in zip(self.shifts + dets, amps, phis))
+        return GateSpec(
+            "cz-binomial",
+            (
+                ConditionalRotation(
+                    self.qubit, 0.0, np.pi, np.pi / _CZ_NONSELECTIVE_NS, (), detuning=self.center
+                ),
+                MultitonePulse(self.qubit, tones, _CZ_SELECTIVE_NS),
+            ),
+        )
+
+    def residual(self, x) -> np.ndarray:
+        blocks = joint_block_unitaries(self.spec(x), self.backend, self.qubit)
+        r = np.array([blocks[jk][0, 0] for jk in _BINOMIAL_JOINT_STATES]) - self.goals
+        _, dets, scales = np.split(np.asarray(x), 3)
+        # weak regularization keeps the underdetermined detuning/amplitude
+        # corrections small and the problem square for Levenberg-Marquardt
+        return np.concatenate([r.real, r.imag, 0.03 * dets / self.eps_tone, 0.03 * scales])
+
+    def max_phase_error(self, r: np.ndarray) -> float:
+        """Largest |arg ⟨g|U|g⟩ − γ| over the joint states, from a residual."""
+        n = len(self.goals)
+        a = r[:n] + 1j * r[n : 2 * n] + self.goals
+        return float(np.max(np.abs(np.angle(a / self.goals))))
+
+    def jacobian(self, x) -> np.ndarray:
+        """Exact ∂residual/∂x, without a residual evaluation.
+
+        `block_rotation_gradient` gives ∂a/∂Re u_t and ∂a/∂Im u_t over all
+        drive samples; ∂a/∂p = A ∂u/∂p + B conj(∂u/∂p) with
+        A, B = (∂a/∂Re u ∓ i ∂a/∂Im u)/2, through the selective samples
+        u_t = env_t Σ_i ε e^{s_i} e^{i(φ_i − ω_i t)}, ω_i the tone's
+        detuning: ∂u_t/∂φ_i = i u_ti, ∂u_t/∂s_i = u_ti and
+        ∂u_t/∂d_i = −i t u_ti.
+        """
+        phis, dets, scales = np.split(np.asarray(x), 3)
+        n = len(phis)
+        u = _gate_drive_amplitudes(self.spec(x), self.backend.params, self.qubit)
+        g_re, g_im = block_rotation_gradient(self.delta, u, SAMPLE_DT)
+        first = len(u) - len(self.times)  # the selective pulse's first sample
+        amp = self.eps_tone * np.exp(scales)
+        freq = self.shifts + dets
+        # A·u, B·ū, A·(t u) and B·conj(t u), summed over the samples
+        p, q, pt, qt = np.zeros((4, n, n), dtype=complex)
+        for start in range(0, len(self.times), _CZ_CHAIN_CHUNK):
+            t = self.times[start : start + _CZ_CHAIN_CHUNK, None]
+            s = slice(first + start, first + start + len(t))
+            a_w = 0.5 * (g_re[:, s] - 1j * g_im[:, s])
+            b_w = 0.5 * (g_re[:, s] + 1j * g_im[:, s])
+            terms = (self.envelope[start : start + len(t), None] * amp) * np.exp(
+                1j * (phis - freq * t)
+            )
+            p += a_w @ terms
+            q += b_w @ terms.conj()
+            terms *= t
+            pt += a_w @ terms
+            qt += b_w @ terms.conj()
+        phase = np.exp(-1j * self.mean_energy * len(u) * SAMPLE_DT)  # as in joint_block_unitaries
+        d = phase[:, None] * np.concatenate([1j * (p - q), -1j * (pt - qt), p + q], axis=1)
+        jac = np.zeros((4 * n, 3 * n))
+        jac[:n], jac[n : 2 * n] = d.real, d.imag
+        jac[2 * n : 3 * n, n : 2 * n] = np.eye(n) * (0.03 / self.eps_tone)
+        jac[3 * n :, 2 * n :] = np.eye(n) * 0.03
+        return jac
+
+
+class _Stalled(Exception):
+    """Raised inside the tone calibration by its stopping rule; carries the
+    evaluated point with the smallest maximum phase error and its residual."""
+
+    def __init__(self, x: np.ndarray, fun: np.ndarray):
+        super().__init__()
+        self.x, self.fun = x, fun
+
+
+def _stopping_residual(problem: _ToneCalibration):
+    """problem.residual, raising _Stalled once the best maximum phase error
+    has improved by less than _CZ_STOP_RAD over the last _CZ_STOP_WINDOW
+    evaluations (Levenberg-Marquardt in MINPACK has no callback)."""
+    best = []  # best maximum phase error after each evaluation
+    best_point = None
+
+    def residual(x):
+        nonlocal best_point
+        r = problem.residual(x)
+        err = problem.max_phase_error(r)
+        if not best or err < best[-1]:
+            best_point = (np.array(x), r)
+        best.append(min(best[-1:] + [err]))
+        if len(best) > _CZ_STOP_WINDOW and best[-1 - _CZ_STOP_WINDOW] - best[-1] < _CZ_STOP_RAD:
+            raise _Stalled(*best_point)
+        return r
+
+    return residual
+
+
 def cz_binomial(
     params: DeviceParams,
     mode: str = "pulse",
@@ -684,15 +848,17 @@ def cz_binomial(
 
     mode="ideal" replaces the tones by exact conditional rotations.
     mode="pulse" builds and (by default) calibrates the real multitone pulse;
-    returns (GateSpec, residual phase errors dict).
+    returns (GateSpec, residual phase errors dict).  The calibration fits the
+    tone phases, detunings and amplitudes by Levenberg-Marquardt with the
+    exact Jacobian (`evolution.block_rotation_gradient` and the chain rule
+    through the tone parameters), and stops when its best maximum phase
+    error improves by less than _CZ_STOP_RAD over _CZ_STOP_WINDOW
+    evaluations, or after _CZ_MAX_NFEV.
     """
-    chi1 = params.chi[(cavities[0], qubit)]
-    chi2 = params.chi[(cavities[1], qubit)]
     targets = binomial_cz_targets()
-    eps_ns = np.pi / _CZ_NONSELECTIVE_NS
 
     if mode == "ideal":
-        steps = [ConditionalRotation(qubit, 0.0, np.pi, eps_ns, ())]
+        steps = [ConditionalRotation(qubit, 0.0, np.pi, np.pi / _CZ_NONSELECTIVE_NS, ())]
         for j, k in _BINOMIAL_JOINT_STATES:
             steps.append(
                 ConditionalRotation(
@@ -710,71 +876,31 @@ def cz_binomial(
     if layout is None:
         layout = SystemLayout.build([qubit], list(cavities), {c: 7 for c in cavities})
     backend = PulseBackend(params, layout)
-    center = -(2 * chi1 + 2 * chi2)
-    n_sel = int(round(_CZ_SELECTIVE_NS / SAMPLE_DT))
-    area = float(np.sum(gaussian_flattop(n_sel))) * SAMPLE_DT
-    eps_tone = np.pi / area
-    shifts = {(j, k): -(j * chi1 + k * chi2) for j, k in _BINOMIAL_JOINT_STATES}
-
-    # dynamical-phase seed: time spent in |e> is the nonselective pulse plus
-    # roughly half the selective pulse; the tone phase enters the accumulated
-    # phase with slope -1 (see the single-cavity gate construction)
-    t_e = _CZ_NONSELECTIVE_NS + 0.5 * _CZ_SELECTIVE_NS
-    e_g, e_e = _binomial_block_energies(backend, qubit)
-    dyn = (-e_e * t_e) - (-e_g * t_e)
-    phis0 = [
-        wrap_angle(np.pi + dyn[i] - targets[jk]) for i, jk in enumerate(_BINOMIAL_JOINT_STATES)
-    ]
-
-    def build(phis, dets, scales):
-        tones = tuple(
-            Tone(shifts[jk] + dets[i], eps_tone * scales[i], phis[i])
-            for i, jk in enumerate(_BINOMIAL_JOINT_STATES)
-        )
-        return GateSpec(
-            "cz-binomial",
-            (
-                ConditionalRotation(qubit, 0.0, np.pi, eps_ns, (), detuning=center),
-                MultitonePulse(qubit, tones, _CZ_SELECTIVE_NS),
-            ),
-        )
-
-    n_tones = len(_BINOMIAL_JOINT_STATES)
-    goals = np.exp(1j * np.array([targets[jk] for jk in _BINOMIAL_JOINT_STATES]))
-
-    def residual_vector(x):
-        spec = build(x[:n_tones], x[n_tones : 2 * n_tones], np.exp(x[2 * n_tones :]))
-        blocks = joint_block_unitaries(spec, backend, qubit)
-        a = np.array([blocks[jk][0, 0] for jk in _BINOMIAL_JOINT_STATES])
-        r = a - goals
-        # weak regularization keeps the underdetermined detuning/amplitude
-        # corrections small and the problem square for Levenberg-Marquardt
-        reg_det = 0.03 * x[n_tones : 2 * n_tones] / eps_tone
-        reg_scale = 0.03 * x[2 * n_tones :]
-        return np.concatenate([np.real(r), np.imag(r), reg_det, reg_scale])
-
-    x = np.concatenate([phis0, np.zeros(n_tones), np.zeros(n_tones)])
+    problem = _ToneCalibration(backend, cavities, qubit)
+    x = problem.x0
     if calibrate:
         # imported here, not at module level: the benchmark caps the
         # calibration by replacing scipy.optimize.least_squares
         from scipy.optimize import least_squares
 
-        sol = least_squares(
-            residual_vector,
-            x,
-            method="lm",
-            xtol=1e-14,
-            ftol=1e-14,
-            max_nfev=_CZ_MAX_NFEV,
-            diff_step=1e-6,
-        )
-        x = sol.x
-        if np.max(np.abs(sol.fun)) > _CZ_RESIDUAL_TOL:
-            raise NumericalError(
-                "tone calibration failed; residuals "
-                + ", ".join(f"{v:.3e}" for v in sol.fun)
+        try:
+            sol = least_squares(
+                _stopping_residual(problem),
+                x,
+                jac=problem.jacobian,
+                method="lm",
+                xtol=1e-14,
+                ftol=1e-14,
+                max_nfev=_CZ_MAX_NFEV,
             )
-    spec = build(x[:n_tones], x[n_tones : 2 * n_tones], np.exp(x[2 * n_tones :]))
+            x, fun = sol.x, sol.fun
+        except _Stalled as stop:
+            x, fun = stop.x, stop.fun
+        if np.max(np.abs(fun)) > _CZ_RESIDUAL_TOL:
+            raise NumericalError(
+                "tone calibration failed; residuals " + ", ".join(f"{v:.3e}" for v in fun)
+            )
+    spec = problem.spec(x)
     blocks = joint_block_unitaries(spec, backend, qubit)
     final_errs = {
         jk: wrap_angle(float(np.angle(blocks[jk][0, 0])) - targets[jk])

@@ -112,22 +112,39 @@ def test_cz_calibration_reaches_the_patched_least_squares(monkeypatch):
     """The `cz-calibration` workload caps the tone calibration by replacing
     `scipy.optimize.least_squares` and lowering its `max_nfev` keyword.  That
     only works while `cz_binomial` looks the name up at call time and passes
-    `max_nfev` by keyword; an uncapped calibration overruns the run limit."""
+    `max_nfev` by keyword; an uncapped calibration overruns the run limit.
+
+    The calibration also passes its exact Jacobian: a return to finite
+    differences would still calibrate, but at 27 extra block evaluations per
+    Jacobian, so the capped run may evaluate the blocks only once per LM
+    evaluation plus once for the final phases."""
     import scipy.optimize
 
+    import cavitysim.gates as gates
     from cavitysim.device import load_params
     from cavitysim.gates import cz_binomial
 
     budget = _WORKLOADS_MODULE.CZ_LM_BUDGET
     original = scipy.optimize.least_squares
-    calls = []
+    calls, solutions, block_evaluations = [], [], []
 
     def capped(*args, **kwargs):
         calls.append(dict(kwargs))
         kwargs["max_nfev"] = min(kwargs.get("max_nfev") or budget, budget)
-        return original(*args, **kwargs)
+        solutions.append(original(*args, **kwargs))
+        return solutions[-1]
+
+    blocks = gates.joint_block_unitaries
+
+    def counted(*args, **kwargs):
+        block_evaluations.append(1)
+        return blocks(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "least_squares", capped)
+    monkeypatch.setattr(gates, "joint_block_unitaries", counted)
     cz_binomial(load_params(), mode="pulse")
     assert len(calls) == 1
     assert "max_nfev" in calls[0]
+    assert callable(calls[0].get("jac"))
+    assert "diff_step" not in calls[0]
+    assert len(block_evaluations) <= solutions[0].nfev + 1

@@ -9,7 +9,13 @@ from cavitysim.device import (
     load_params,
     static_hamiltonian,
 )
-from cavitysim.evolution import CollapseSet, segment_propagator, standard_collapses
+from cavitysim.evolution import (
+    CollapseSet,
+    block_rotation_gradient,
+    block_rotations,
+    segment_propagator,
+    standard_collapses,
+)
 from cavitysim.errors import ValidationError
 from cavitysim.fock import (
     DensityOp,
@@ -47,6 +53,14 @@ from cavitysim.gates import (
 )
 # the pulse backend's samples and sample period, for the dense oracle
 from cavitysim.gates import SAMPLE_DT, _drive_samples
+# the binomial-CZ tone calibration problem and its stopping rule
+from cavitysim.gates import (
+    _CZ_MAX_NFEV,
+    _CZ_STOP_WINDOW,
+    _Stalled,
+    _stopping_residual,
+    _ToneCalibration,
+)
 from cavitysim.tomography import (
     pauli_transfer,
     process_fidelity,
@@ -453,10 +467,24 @@ def test_cz_binomial_ideal_entangles(params):
     assert abs(entropy - 1.0) < 0.02
 
 
-def test_cz_binomial_pulse_calibrates_and_hits_fidelity(params):
+def test_cz_binomial_pulse_calibrates_and_hits_fidelity(params, monkeypatch):
+    import cavitysim.gates as gates
+
+    evaluations = []
+    original = gates.joint_block_unitaries
+
+    def counted(*args, **kwargs):
+        evaluations.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "joint_block_unitaries", counted)
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
     spec, residuals = cz_binomial(params, mode="pulse", layout=layout)
     assert max(abs(r) for r in residuals.values()) < 1e-3
+    # the calibration ends on its phase stopping rule, long before
+    # _CZ_MAX_NFEV, with every phase within 2.5e-4 rad of its target
+    assert max(abs(r) for r in residuals.values()) <= 2.5e-4
+    assert len(evaluations) < _CZ_MAX_NFEV // 10
 
     backend = PulseBackend(params, layout)
     blocks = joint_block_unitaries(spec, backend)
@@ -472,6 +500,102 @@ def test_cz_binomial_pulse_calibrates_and_hits_fidelity(params):
     ptm = pauli_transfer(lambda rho: k @ rho.matrix @ k.conj().T, 2)
     f = process_fidelity(ptm, unitary_transfer(CZ, 2))
     assert f >= 0.95
+
+
+def test_stopping_rule_returns_the_best_point_once_the_window_is_flat():
+    """Errors 1.0, then 0.5, then 0.7 forever: the best error stops improving
+    after the second evaluation, so the evaluation that closes a flat window
+    of _CZ_STOP_WINDOW raises _Stalled with the point of error 0.5."""
+
+    class Problem:
+        def residual(self, x):
+            return np.array([x[0]])
+
+        def max_phase_error(self, r):
+            return abs(r[0])
+
+    residual = _stopping_residual(Problem())
+    residual(np.array([1.0]))
+    residual(np.array([0.5]))
+    for _ in range(_CZ_STOP_WINDOW - 1):
+        residual(np.array([0.7]))
+    with pytest.raises(_Stalled) as stop:
+        residual(np.array([0.7]))
+    assert stop.value.x.tolist() == [0.5]
+    assert stop.value.fun.tolist() == [0.5]
+
+
+def _central_differences(fun, x, step, columns):
+    """Central-difference Jacobian of fun at x, for the given columns."""
+    out = []
+    for i in columns:
+        e = np.zeros_like(x)
+        e[i] = step
+        out.append((fun(x + e) - fun(x - e)) / (2 * step))
+    return np.stack(out, axis=1)
+
+
+def test_tone_calibration_jacobian_matches_central_differences(params):
+    """Oracle for the exact Jacobian of the binomial-CZ tone calibration, at
+    the seed point and at a random perturbation of it.  The phase and
+    log-scale columns agree with central differences to 1e-7.  The detuning
+    columns are of order 1e3 (t reaches 2 020 ns), so central differences
+    carry a step² error there: it must shrink about 100× from step 1e-6 to
+    1e-7, and the exact column must be the limit."""
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
+    problem = _ToneCalibration(PulseBackend(params, layout), ("S1", "S2"), "Q3")
+    n = 9
+    phases_and_scales = list(range(n)) + list(range(2 * n, 3 * n))
+    detunings = list(range(n, 2 * n))
+    rng = np.random.default_rng(3)
+    kick = np.concatenate(
+        [rng.normal(0, 0.1, n), rng.normal(0, 1e-4, n), rng.normal(0, 0.05, n)]
+    )
+    for x in (problem.x0, problem.x0 + kick):
+        jac = problem.jacobian(x)
+        assert jac.shape == (4 * n, 3 * n)
+        fd = _central_differences(problem.residual, x, 1e-6, phases_and_scales)
+        assert np.max(np.abs(jac[:, phases_and_scales] - fd)) < 1e-7
+        errs = [
+            np.max(np.abs(jac[:, detunings] - _central_differences(problem.residual, x, h, detunings)))
+            for h in (1e-6, 1e-7)
+        ]
+        assert errs[1] < errs[0] / 50
+        assert errs[1] < 1e-8 * np.max(np.abs(jac[:, detunings]))
+
+
+def test_block_rotation_gradient_at_zero_detuning_and_zero_drive():
+    """Block 0 has δ = 0 and samples 0, 17 and 299 have u = 0, so there
+    ω = 0, where sin(ωdt)/ω and its derivative take their limits; sample 40
+    has |u| = 2.5e-6, the smallest drive of the calibrated CZ.  The
+    derivatives are finite and match central differences of
+    `block_rotations` across several chunks of the scan and the sweep."""
+    delta = np.array([0.0, 0.013, -0.2])
+    rng = np.random.default_rng(5)
+    amps = 0.05 * (rng.normal(size=300) + 1j * rng.normal(size=300))
+    amps[[0, 17, 299]] = 0.0
+    amps[40] = 2.5e-6
+    g_re, g_im = block_rotation_gradient(delta, amps, SAMPLE_DT)
+    assert g_re.shape == g_im.shape == (3, 300)
+    assert np.all(np.isfinite(g_re)) and np.all(np.isfinite(g_im))
+    step = 1e-6
+    for t in (0, 17, 40, 123, 299):
+        for grad, direction in ((g_re, 1.0), (g_im, 1.0j)):
+            up, down = amps.copy(), amps.copy()
+            up[t] += step * direction
+            down[t] -= step * direction
+            fd = (
+                block_rotations(delta, up, SAMPLE_DT)[0] - block_rotations(delta, down, SAMPLE_DT)[0]
+            ) / (2 * step)
+            assert np.max(np.abs(grad[:, t] - fd)) < 1e-8
+
+
+def test_cz_binomial_rejects_cavities_without_the_binomial_states(params):
+    """The binomial CZ needs |j,k>, j,k <= 4: a 4-level truncation is refused
+    with a ValidationError, not a numpy indexing error."""
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 4, "S2": 4})
+    with pytest.raises(ValidationError, match=r"\|j,k>"):
+        cz_binomial(params, mode="pulse", layout=layout)
 
 
 def test_blockwise_propagator_matches_full_evolution(params):
