@@ -1,9 +1,9 @@
 """Time evolution: exact piecewise-constant propagators and Lindblad integration.
 
 Pure states evolve by exact per-segment matrix exponentials.  Mixed states
-evolve by the exact action of the exponentiated Lindblad generator on the
-vectorized density matrix, one action per run of identical piecewise-constant
-drive samples.
+evolve by the exactly exponentiated Lindblad generator, formed sector by
+sector on the vectorized density matrix, one propagator per distinct run of
+identical piecewise-constant drive samples.
 
 The static Hamiltonian is diagonal in the joint Fock basis and is passed as
 its real (dim,) energy vector.  When a single qubit is the only driven mode,
@@ -31,9 +31,21 @@ vec(ρ) = ρ.reshape(-1), for which vec(AρB) = (A ⊗ Bᵀ) vec(ρ).  So
     L ρ L†          →  L ⊗ L̄
     −½{L†L, ρ}      →  −½ (L†L ⊗ I + I ⊗ (L†L)ᵀ)
 
-A run of length τ maps vec(ρ) to exp(𝓛 τ) vec(ρ), computed by
-`scipy.sparse.linalg.expm_multiply` (Al-Mohy & Higham, SIAM J. Sci. Comput.
-33, 488 (2011)) from sparse products 𝓛 · v, without forming exp(𝓛 τ).
+A run of length τ maps vec(ρ) to exp(𝓛 τ) vec(ρ).  𝓛 seldom couples all
+dim² elements: a qubit-only drive with the standard collapse set conserves
+each cavity's coherence order n − m, a weak U(1) symmetry that splits 𝓛 into
+independent sectors (Buča & Prosen, New J. Phys. 14, 073007 (2012)).  The
+sectors are read off 𝓛's sparsity graph as its weakly connected components
+C, not assumed, and exp(𝓛 τ) is formed exactly as one dense `expm` per
+component, at a cost of Σ|C|³ per distinct run.  𝓛 maps ρ† to (𝓛ρ)†, so the
+components come in mirror pairs under ρ ↔ ρ†; only one of each pair is
+formed, and the other half of a Hermitian ρ follows by conjugation.  At
+dim 60 (one qubit, one cavity of 30 levels, a qubit drive) the 3 600
+elements fall into 59 components of at most 120; a cavity drive changes
+photon number and makes one component of all dim² elements.
+`LindbladPropagators` keeps the dissipator of one collapse set and the
+propagator of every distinct run, so a caller that evolves many inputs
+through the same gate builds each once.
 """
 
 from __future__ import annotations
@@ -43,11 +55,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/tracer.py patches this name
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import expm
 
 from cavitysim.device import DeviceParams, SystemLayout, drive_operator
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.fock import (
+    CompositeSpace,
     DensityOp,
     Ket,
     LinearOp,
@@ -217,6 +230,21 @@ def _static_energies(H0, layout: SystemLayout) -> np.ndarray:
             f"got {e.dtype} of shape {e.shape}"
         )
     return e
+
+
+def _check_pulse(space, H0, pulse: PulseSequence, layout: SystemLayout) -> np.ndarray:
+    """Validate a pulse-driven evolution of a state on `space`; returns H0 as
+    the energy vector."""
+    if layout is None:
+        raise ValidationError("pulse-driven evolution requires a layout")
+    if space != layout.space:
+        raise ValidationError("state and layout spaces must agree")
+    for label, kind in pulse.channels:
+        if label not in layout.index:
+            raise ValidationError(f"channel label {label} not present in layout")
+        if (kind == "qubit") != layout.is_qubit(label):
+            raise ValidationError(f"channel kind {kind} mismatches mode {label}")
+    return _static_energies(H0, layout)
 
 
 def _segment_runs(H0: np.ndarray, pulse: PulseSequence, layout: SystemLayout):
@@ -434,14 +462,7 @@ def evolve_pulse(
 
     H0 is the static Hamiltonian as its real (dim,) energy vector.
     """
-    if state.space != layout.space:
-        raise ValidationError("state and layout spaces must agree")
-    H0 = _static_energies(H0, layout)
-    for label, kind in pulse.channels:
-        if label not in layout.index:
-            raise ValidationError(f"channel label {label} not present in layout")
-        if (kind == "qubit") != layout.is_qubit(label):
-            raise ValidationError(f"channel kind {kind} mismatches mode {label}")
+    H0 = _check_pulse(state.space, H0, pulse, layout)
     if pulse.n_steps == 0:
         return state
 
@@ -490,13 +511,81 @@ def liouvillian(h: np.ndarray, dissipator: sp.csr_matrix) -> sp.csr_matrix:
     """−i (H ⊗ I − I ⊗ Hᵀ) + dissipator: the full row-major Lindblad generator."""
     hs = sp.csr_matrix(h)
     eye = sp.identity(hs.shape[0], dtype=complex, format="csr")
-    return (-1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T)) + dissipator).tocsr()
+    gen = (-1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T)) + dissipator).tocsr()
+    gen.eliminate_zeros()  # cancelled entries would join components
+    return gen
+
+
+def liouvillian_components(gen: sp.csr_matrix):
+    """The weakly connected components of the sparsity graph of 𝓛, one of
+    each mirror pair under ρ ↔ ρ†.
+
+    Returns (idx, mirror) pairs: idx holds the component's indices into
+    vec(ρ), ascending, and mirror the indices of the transposed elements,
+    which form the mirror component; mirror is None for a component that is
+    its own mirror.
+    """
+    # at call time, so runs without a Lindblad solve do not import it
+    from scipy.sparse.csgraph import connected_components
+
+    graph = sp.csr_matrix((np.ones(gen.nnz), gen.indices, gen.indptr), shape=gen.shape)
+    n, labels = connected_components(graph, directed=True, connection="weak")
+    dim = int(round(np.sqrt(gen.shape[0])))
+    flip = np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)  # ρ_ij -> ρ_ji
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(n + 1))
+    out = []
+    for c in range(n):
+        idx = order[bounds[c] : bounds[c + 1]]
+        twin = labels[flip[idx[0]]]
+        if twin >= c:
+            out.append((idx, None if twin == c else flip[idx]))
+    return out
+
+
+class LindbladPropagators:
+    """The dissipator of one collapse set on one space, and the exact
+    propagator exp(𝓛 τ) of every distinct run evolved with it.
+
+    A run's propagator is one dense `expm` per kept component of
+    `liouvillian_components`, formed on first use and kept, keyed by the
+    run's Hamiltonian matrix and length (not by its drive samples, so runs
+    on different static Hamiltonians never share an entry); the cache lives
+    as long as this object.
+    """
+
+    def __init__(self, collapses: CollapseSet, space: CompositeSpace):
+        for op, _ in collapses:
+            if op.space != space:
+                raise ValidationError("collapse operators and state must share one space")
+        self.collapses = collapses
+        self.space = space
+        self.dissipator = lindblad_dissipator(collapses, space.dim)
+        self._runs = {}
+
+    def apply(self, y: np.ndarray, h: np.ndarray, span: float) -> np.ndarray:
+        """exp(𝓛 span) vec(ρ) for the vectorization y of a Hermitian ρ."""
+        key = (h.tobytes(), span)
+        blocks = self._runs.get(key)
+        if blocks is None:
+            gen = liouvillian(h, self.dissipator)
+            blocks = self._runs[key] = [
+                (idx, mirror, expm(gen[idx][:, idx].toarray() * span))
+                for idx, mirror in liouvillian_components(gen)
+            ]
+        out = np.empty_like(y)
+        for idx, mirror, e in blocks:
+            v = e @ y[idx]
+            out[idx] = v
+            if mirror is not None:
+                out[mirror] = v.conj()
+        return out
 
 
 def lindblad_evolve(
     rho: DensityOp,
     H,
-    collapses: CollapseSet,
+    collapses,
     T: float | None = None,
     layout: SystemLayout | None = None,
 ) -> DensityOp:
@@ -505,35 +594,47 @@ def lindblad_evolve(
     H may be a static LinearOp (with duration T ≥ 0) or a (H0, PulseSequence)
     pair, with H0 the real (dim,) energy vector of the static Hamiltonian, in
     which case `layout` is required and the drive is honored as piecewise
-    constant at segment boundaries.
+    constant at segment boundaries.  `collapses` is a CollapseSet, or the
+    `LindbladPropagators` of one, which keeps the dissipator and each run's
+    propagator for later calls.
 
-    Each run of identical segments, of length τ, is one exact action
-    vec(ρ) ← exp(𝓛 τ) vec(ρ) by `expm_multiply`, with 𝓛 = `liouvillian(h, D)`
-    in the row-major convention of the module docstring; the dissipator D is
-    built once.
+    ρ is first made Hermitian, (ρ + ρ†)/2, since the map commutes with
+    ρ ↦ ρ† and the result is Hermitian anyway.  Each run of identical
+    segments, of length τ, is then one exact step
+    vec(ρ) ← exp(𝓛 τ) vec(ρ), with 𝓛 = `liouvillian(h, D)` in the row-major
+    convention of the module docstring, formed per component of 𝓛 (see
+    `LindbladPropagators`): Σ|C|³ work per distinct run, one component of
+    dim² elements under a cavity drive.
 
-    Raises ValidationError for a negative or non-finite T, and NumericalError
-    if the result is not finite or its trace drifts from 1 by more than 1e-6
-    (the map is trace-preserving).
+    Raises ValidationError for a negative or non-finite T, or when H, a
+    collapse operator or the layout is on another space than ρ, and
+    NumericalError if the result is not finite or its trace drifts from 1 by
+    more than 1e-6 (the map is trace-preserving).
     """
     if isinstance(H, LinearOp):
         if T is None:
             raise ValidationError("static Hamiltonian requires a duration T")
         if not np.isfinite(T) or T < 0:
             raise ValidationError(f"duration T must be finite and >= 0, got {T}")
+        if H.space != rho.space:
+            raise ValidationError("Hamiltonian and state spaces must agree")
         runs = [(H.matrix, T)]
     else:
         H0, pulse = H
-        if layout is None:
-            raise ValidationError("pulse-driven Lindblad evolution requires a layout")
-        H0 = _static_energies(H0, layout)
+        H0 = _check_pulse(rho.space, H0, pulse, layout)
         runs = ((h, n * pulse.dt) for _, h, n in _segment_runs(H0, pulse, layout))
+    if isinstance(collapses, LindbladPropagators):
+        if collapses.space != rho.space:
+            raise ValidationError("collapse operators and state must share one space")
+        propagators = collapses
+    else:
+        propagators = LindbladPropagators(collapses, rho.space)
 
     dim = rho.space.dim
-    dissipator = lindblad_dissipator(collapses, dim)
-    y = rho.matrix.astype(complex).reshape(-1)
+    m = rho.matrix
+    y = (0.5 * (m + m.conj().T)).reshape(-1)
     for h, span in runs:
-        y = expm_multiply(liouvillian(h, dissipator) * span, y)
+        y = propagators.apply(y, h, span)
 
     m = y.reshape(dim, dim)
     m = 0.5 * (m + m.conj().T)

@@ -35,6 +35,7 @@ from cavitysim.device import (
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.evolution import (
     CollapseSet,
+    LindbladPropagators,
     PulseSequence,
     apply_block_rotations,
     block_rotation_gradient,
@@ -386,6 +387,7 @@ class PulseBackend:
         self.h0 = static_hamiltonian(params, layout)
         self.compensate = compensate_static_cavity_phases
         self._cavity_diag = cavity_static_diag(params, layout)
+        self._lindblad = None
 
     def _segments(self, spec: GateSpec):
         """Yield, in order, ("displace", step), ("wait", T), ("pulse",
@@ -428,12 +430,20 @@ class PulseBackend:
         return psi
 
     def apply_density(self, rho: DensityOp, spec: GateSpec, collapses: CollapseSet) -> DensityOp:
+        """Apply `spec` to ρ with the collapse channels acting throughout.
+
+        The dissipator and each distinct run's propagator are built once per
+        collapse set and kept on the backend, so every input and repetition
+        pushed through the same gate reuses them.
+        """
+        if self._lindblad is None or self._lindblad.collapses is not collapses:
+            self._lindblad = LindbladPropagators(collapses, self.layout.space)
         for kind, item in self._segments(spec):
             if kind == "pulse":
-                rho = lindblad_evolve(rho, (self.h0, item), collapses, layout=self.layout)
+                rho = lindblad_evolve(rho, (self.h0, item), self._lindblad, layout=self.layout)
             elif kind == "wait":
                 h = LinearOp(self.layout.space, np.diag(self.h0))
-                rho = lindblad_evolve(rho, h, collapses, T=item)
+                rho = lindblad_evolve(rho, h, self._lindblad, T=item)
             elif kind == "displace":
                 # D ρ D† = (D (D ρ)†)†
                 m = _displace(rho.matrix, self.layout, item)

@@ -148,3 +148,45 @@ def test_cz_calibration_reaches_the_patched_least_squares(monkeypatch):
     assert callable(calls[0].get("jac"))
     assert "diff_step" not in calls[0]
     assert len(block_evaluations) <= solutions[0].nfev + 1
+
+
+def test_error_budget_reaches_the_open_system_spans(monkeypatch):
+    """The traced `open-system` workload requires spans of
+    `PulseBackend.apply_density` and `evolution.lindblad_evolve`, and the
+    tracer reads `rho.space.dim` from the latter.  `run_error_budget("z")`
+    must still call both, with a DensityOp bound to `rho`, or a traced run
+    fails where this test would have."""
+    import cavitysim.evolution as evolution
+    import cavitysim.gates as gates
+    from cavitysim.experiments import run_error_budget
+    from cavitysim.fock import DensityOp
+
+    required = WORKLOADS["open-system"].required
+    assert "gates.PulseBackend.apply_density" in required
+    assert "evolution.lindblad_evolve" in required
+    seen = {"apply_density": 0, "lindblad_evolve": []}
+
+    apply_density = gates.PulseBackend.apply_density
+
+    def counted_apply_density(*args, **kwargs):
+        seen["apply_density"] += 1
+        return apply_density(*args, **kwargs)
+
+    evolve = evolution.lindblad_evolve
+    signature = inspect.signature(evolve)
+
+    def observed_evolve(*args, **kwargs):
+        seen["lindblad_evolve"].append(signature.bind(*args, **kwargs).arguments["rho"])
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(gates.PulseBackend, "apply_density", counted_apply_density)
+    # installed under every name bound to it, as the tracer installs its wrappers
+    for modname, module in list(sys.modules.items()):
+        if modname == "cavitysim" or modname.startswith("cavitysim."):
+            for name, obj in list(vars(module).items()):
+                if obj is evolve:
+                    monkeypatch.setattr(module, name, observed_evolve)
+    run_error_budget("z")
+    assert seen["apply_density"] > 0
+    assert seen["lindblad_evolve"]
+    assert all(isinstance(rho, DensityOp) for rho in seen["lindblad_evolve"])

@@ -17,12 +17,14 @@ from cavitysim.device import (
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.evolution import (
     CollapseSet,
+    LindbladPropagators,
     PulseSequence,
     dephasing_rate,
     evolve_pulse,
     lindblad_dissipator,
     lindblad_evolve,
     liouvillian,
+    liouvillian_components,
     segment_propagator,
     standard_collapses,
 )
@@ -397,6 +399,10 @@ def test_lindblad_pulse_matches_dense_oracle(params):
     ref = y.reshape(12, 12)
     ref = 0.5 * (ref + ref.conj().T)
     assert np.max(np.abs(out.matrix - ref)) < 1e-12
+    # a cavity drive changes photon number: 𝓛 is one component of all 144
+    # elements, its own mirror
+    (idx, mirror), = liouvillian_components(liouvillian(h, lindblad_dissipator(cs, 12)))
+    assert len(idx) == 144 and mirror is None
 
 
 def test_lindblad_matches_rk45_on_selective_drive(params):
@@ -429,12 +435,113 @@ def test_lindblad_matches_rk45_on_selective_drive(params):
     assert abs(np.real(out.matrix[e0, e0]) - np.real(rho0[g0, g0])) < 0.05
 
 
+def _qubit_driven_runs(params, levels):
+    """Layout Q1 + S1 (`levels` cavity levels), its static energies, and a
+    qubit-drive pulse of three runs, the middle one undriven."""
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": levels})
+    h0 = static_hamiltonian(params, layout)
+    q = np.concatenate([np.full(3, 0.02), np.zeros(4), np.full(2, 0.01j - 0.005)])
+    ch, amps = qubit_drive(layout, "Q1", q)
+    return layout, h0, PulseSequence(dt=10.0, channels={ch: amps})
+
+
+def _expm_multiply_oracle(rho0, h0, pulse, layout, cs):
+    """The full-Liouvillian action: one `expm_multiply` of 𝓛 τ per run on
+    vec(ρ) as given, then the output made Hermitian."""
+    dissipator = lindblad_dissipator(cs, layout.space.dim)
+    y = rho0.reshape(-1)
+    for _, h, n in evolution._segment_runs(h0, pulse, layout):
+        y = expm_multiply(liouvillian(h, dissipator) * (n * pulse.dt), y)
+    m = y.reshape(rho0.shape)
+    return 0.5 * (m + m.conj().T)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_block_propagator_matches_full_liouvillian_action(params, hermitian):
+    """Oracle: with all four channel kinds and a qubit drive, the per-component
+    propagator equals the `expm_multiply` action of the whole generator,
+    also for a non-Hermitian input, whose output is made Hermitian."""
+    layout, h0, pulse = _qubit_driven_runs(params, 6)
+    cs = _all_channel_kinds(layout)
+    rng = np.random.default_rng(31)
+    rho0 = _random_density(rng, 12)
+    if not hermitian:
+        skew = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        rho0 = rho0 + 0.05 * (skew - np.trace(skew) / 12 * np.eye(12))
+    out = lindblad_evolve(DensityOp(layout.space, rho0), (h0, pulse), cs, layout=layout)
+    ref = _expm_multiply_oracle(rho0, h0, pulse, layout, cs)
+    assert np.max(np.abs(out.matrix - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("levels", [3, 6, 30])
+def test_qubit_drive_splits_liouvillian_by_coherence_order(params, levels):
+    """A qubit drive conserves the cavity coherence order n − m: 2d − 1
+    components for d cavity levels, kept one per mirror pair, each mirror
+    the transposed elements of its twin."""
+    layout, h0, pulse = _qubit_driven_runs(params, levels)
+    dim = layout.space.dim
+    h = next(evolution._segment_runs(h0, pulse, layout))[1]
+    gen = liouvillian(h, lindblad_dissipator(_all_channel_kinds(layout), dim))
+    comps = liouvillian_components(gen)
+    assert len(comps) == levels
+    assert sum(1 if mirror is None else 2 for _, mirror in comps) == 2 * levels - 1
+    covered = np.concatenate([i for c in comps for i in c if i is not None])
+    assert np.array_equal(np.sort(covered), np.arange(dim * dim))
+    for idx, mirror in comps:
+        row, col = np.divmod(idx, dim)
+        if mirror is None:
+            assert set(idx) == set(col * dim + row)
+        else:
+            assert np.array_equal(mirror, col * dim + row)
+    assert max(len(idx) for idx, _ in comps) == 4 * levels
+
+
+def _shifted(layout):
+    return SystemLayout.build(["Q1"], ["S1"], {"S1": layout.mode("S1").dim + 1})
+
+
+@pytest.mark.parametrize("case", ["hamiltonian", "collapse", "layout", "propagators"])
+def test_lindblad_rejects_mismatched_spaces(params, case):
+    """H, a collapse operator, the pulse layout or a propagator cache on
+    another space than ρ is a ValidationError, as in `evolve_pulse`."""
+    layout, h0, pulse = _qubit_driven_runs(params, 4)
+    other = _shifted(layout)
+    rho = DensityOp(layout.space, _random_density(np.random.default_rng(5), layout.space.dim))
+    cs = _all_channel_kinds(layout)
+    with pytest.raises(ValidationError):
+        if case == "hamiltonian":
+            h = LinearOp(other.space, np.diag(static_hamiltonian(params, other)))
+            lindblad_evolve(rho, h, cs, T=10.0)
+        elif case == "collapse":
+            lindblad_evolve(rho, (h0, pulse), _all_channel_kinds(other), layout=layout)
+        elif case == "layout":
+            lindblad_evolve(rho, (static_hamiltonian(params, other), pulse), cs, layout=other)
+        else:
+            cache = LindbladPropagators(_all_channel_kinds(other), other.space)
+            lindblad_evolve(rho, (h0, pulse), cache, layout=layout)
+
+
+def test_lindblad_propagators_reuse_each_run(params):
+    """A kept `LindbladPropagators` forms each distinct run's component
+    exponentials once, and reuse gives the same state as a fresh solve."""
+    layout, h0, pulse = _qubit_driven_runs(params, 4)
+    cs = _all_channel_kinds(layout)
+    cache = LindbladPropagators(cs, layout.space)
+    rho = DensityOp(layout.space, _random_density(np.random.default_rng(6), 8))
+    first = lindblad_evolve(rho, (h0, pulse), cache, layout=layout)
+    assert len(cache._runs) == 3
+    again = lindblad_evolve(first, (h0, pulse), cache, layout=layout)
+    assert len(cache._runs) == 3
+    fresh = lindblad_evolve(first, (h0, pulse), cs, layout=layout)
+    assert np.max(np.abs(again.matrix - fresh.matrix)) < 1e-15
+
+
 @pytest.mark.parametrize("scale", [2.0, np.nan])
 def test_lindblad_rejects_trace_drift_and_nonfinite(monkeypatch, scale):
-    def drifting_expm_multiply(*args, **kwargs):
-        return expm_multiply(*args, **kwargs) * scale
+    def drifting_expm(*args, **kwargs):
+        return expm(*args, **kwargs) * scale
 
-    monkeypatch.setattr(evolution, "expm_multiply", drifting_expm_multiply)
+    monkeypatch.setattr(evolution, "expm", drifting_expm)
     layout = SystemLayout.build(["Q1"], [], {})
     h = LinearOp(layout.space, np.diag([0.0, 0.01]))
     plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))

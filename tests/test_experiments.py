@@ -90,6 +90,47 @@ def test_zgate_repetition_decoherent_matches_error_budget():
     assert abs(s["intercept_F_ED"].value - 1.0) < 1e-9
 
 
+def test_zgate_repetition_decoherent_pinned():
+    """m = 0..4 decoherent Z gates, pinned to the values of the
+    full-Liouvillian `expm_multiply` solver that the per-component
+    propagators replaced."""
+    s = run_zgate_repetition(m_max=4, mode="pulse+decoherence").summary
+    pinned = {
+        "slope_per_gate": -0.04399879108040235,
+        "intercept_F_ED": 0.9906118650726328,
+        "per_gate_infidelity": 0.04399879108040235,
+        "slope_consistency_m01": 0.014821420982322683,
+    }
+    for name, value in pinned.items():
+        assert abs(s[name].value - value) < 1e-12, name
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_error_budget("z"),
+        lambda: run_zgate_repetition(m_max=2, mode="pulse+decoherence"),
+    ],
+    ids=["error-budget", "zgate-repetition"],
+)
+def test_decoherent_z_gate_forms_one_run_propagator(monkeypatch, run):
+    """The Z gate's two half-loops are one drive run: its propagator is formed
+    once and reused across both half-loops, the four PTM inputs and every
+    repetition."""
+    import cavitysim.evolution as evolution
+
+    built = []
+    components = evolution.liouvillian_components
+
+    def counted(gen):
+        built.append(gen.shape)
+        return components(gen)
+
+    monkeypatch.setattr(evolution, "liouvillian_components", counted)
+    run()
+    assert len(built) == 1
+
+
 def test_qpt_ideal_truth_tables():
     for gate in ("z", "s", "t", "cz-coherent", "cz-binomial"):
         r = run_qpt(gate, mode="ideal")
