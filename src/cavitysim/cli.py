@@ -38,6 +38,7 @@ from cavitysim.experiments import (
 from cavitysim.fock import (
     Ket,
     LinearOp,
+    ModeSpec,
     fock_ket,
     qubit_ket,
     recommended_dim,
@@ -388,27 +389,18 @@ def cmd_wigner(
         raise ValidationError("wigner renders ideal states; omit --mode")
     if not np.isfinite(extent):
         raise ValidationError("--extent must be finite")
-    if points < 1:
-        raise ValidationError("--points must be at least 1")
-    if dim is None:
-        # the displaced-parity grid reaches |beta| = sqrt(2) * extent at the
-        # corners; keep |beta|^2 <= dim/4 there to avoid truncation artifacts
-        grid_dim = int(np.ceil(8.0 * extent**2)) + 1
-        if state == "cat":
-            dim = max(recommended_dim(2.0 * alpha), grid_dim)
-        elif state == "binomial":
-            dim = max(7, grid_dim)
-        else:
-            dim = max(2 * fock_n + 2, grid_dim)
+    if points < 2:
+        raise ValidationError("--points must be at least 2")
+    # Wigner values are exact for the state as truncated: size the truncation to the state
     if state == "cat":
-        enc = cat_encoding(alpha, dim, variant="symmetric")
-        ket = logical_ket(enc, 1.0, 1.0)
+        dim = recommended_dim(2.0 * alpha) if dim is None else dim
+        ket = logical_ket(cat_encoding(alpha, dim, variant="symmetric"), 1.0, 1.0)
     elif state == "binomial":
-        enc = binomial_encoding(dim)
-        ket = logical_ket(enc, 1.0, 1.0)
+        dim = 7 if dim is None else dim
+        ket = logical_ket(binomial_encoding(dim), 1.0, 1.0)
     else:
-        enc = binomial_encoding(dim)  # only for the mode spec
-        ket = fock_ket(enc.mode, fock_n)
+        dim = 2 * fock_n + 2 if dim is None else dim
+        ket = fock_ket(ModeSpec.bosonic(dim), fock_n)
     axis = np.linspace(-extent, extent, points)
     grid = wigner_grid(ket, 0, axis, axis)
     os.makedirs(output_dir, exist_ok=True)
@@ -593,6 +585,8 @@ def cmd_readout_correct(
         raise ValidationError(
             f"probability vector has {p.size} entries, matrix expects {assignment.dim}"
         )
+    if not 0 < p.sum() < np.inf:  # also false for NaN
+        raise ValidationError("probabilities must be finite with a positive sum")
     p = p / p.sum()
     if shots is not None:
         counts = sample_assignment(p, assignment, shots=shots, seed=seed)

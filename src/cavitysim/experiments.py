@@ -556,11 +556,8 @@ def run_bell_generation(
     rho2 = partial_trace(psi, [2])
 
     xs = np.linspace(-2.5, 2.5, 21)
-    cut_rows = tuple(
-        (float(x), float(joint_wigner(psi, x, x, factors=(1, 2))),
-         float(joint_wigner(psi, x, -x, factors=(1, 2))))
-        for x in xs
-    )
+    w_diag, w_antidiag = (joint_wigner(psi, xs, s * xs, factors=(1, 2)).tolist() for s in (1, -1))
+    cut_rows = tuple(zip(xs.tolist(), w_diag, w_antidiag))
     tol = 1e-8 if mode == "ideal" and encoding == "binomial" else 0.05
     summary = {
         "bell_fidelity": Scalar(float(fid), tol),
@@ -734,10 +731,8 @@ def run_snap_bell(
     rho2 = partial_trace(out, [2])
 
     xs = np.linspace(-1.7, 1.7, 21)
-    wigner_rows = tuple(
-        (float(x), float(wigner(out, x, factor_index=1)), float(wigner(out, x, factor_index=2)))
-        for x in xs
-    )
+    w1, w2 = (wigner(out, xs, factor_index=i).tolist() for i in (1, 2))
+    wigner_rows = tuple(zip(xs.tolist(), w1, w2))
     return ExperimentResult(
         name="snap-bell",
         parameters={"sign": int(sign), "mode": mode, "dim": int(dim)},

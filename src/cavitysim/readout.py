@@ -163,6 +163,8 @@ def _check_probability_vector(p, dim: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (dim,):
         raise ValidationError(f"probability vector must have length {dim}")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("probabilities must be finite")
     if np.any(p < -1e-12):
         raise ValidationError("probabilities may not be negative")
     if abs(p.sum() - 1.0) > 1e-6:

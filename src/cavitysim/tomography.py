@@ -1,29 +1,20 @@
 """State and process characterization.
 
-Wigner and joint Wigner functions from displaced parity expectations, qubit
-state tomography with maximum-likelihood estimation, Pauli transfer matrices,
-and the associated fidelity measures.
+Wigner and joint Wigner functions from displaced parities in closed form (one
+kernel, no matrix exponential), qubit state tomography with maximum-likelihood
+estimation, Pauli transfer matrices, and the associated fidelity measures.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from cavitysim.errors import NumericalError, ValidationError
-from cavitysim.fock import (
-    CompositeSpace,
-    DensityOp,
-    Ket,
-    ModeSpec,
-    displacement,
-    parity_op,
-    partial_trace,
-)
+from cavitysim.fock import CompositeSpace, DensityOp, Ket, ModeSpec, partial_trace
 
 # ---------------------------------------------------------------------------
 # Wigner functions
@@ -31,47 +22,65 @@ from cavitysim.fock import (
 _TWO_OVER_PI = 2.0 / np.pi
 
 
-def _reduced_cavity_state(state, factor_index: int) -> DensityOp:
-    return partial_trace(state, keep=[factor_index])
+def _displaced_parities(betas: np.ndarray, spec: ModeSpec) -> np.ndarray:
+    """D(β) Π D(β)† = D(2β) Π for each β of a 1-D array, shape (len(betas), d, d).
 
-
-def _displaced_parity(rho: DensityOp, beta: complex) -> float:
-    spec = rho.space.factors[0]
-    if abs(beta) ** 2 > spec.dim / 4:
-        warnings.warn(
-            f"Wigner displacement |beta| = {abs(beta):.2f} large for dim {spec.dim}",
-            stacklevel=3,
-        )
-    d = displacement(beta, spec).matrix
-    pi_m = parity_op(spec).matrix
-    op = d @ pi_m @ d.conj().T
-    return float(np.real(np.trace(rho.matrix @ op)))
-
-
-def wigner(state, beta: complex, factor_index: int = 0) -> float:
-    """W(β) = (2/π) ⟨D(β) Π D†(β)⟩ on the reduced state of one cavity factor."""
-    rho = _reduced_cavity_state(state, factor_index)
-    return _TWO_OVER_PI * _displaced_parity(rho, beta)
-
-
-def joint_wigner(
-    state, beta1: complex, beta2: complex, factors=(0, 1), scaled: bool = False
-) -> float:
-    """Expectation of the product of displaced parities of two cavities.
-
-    Reported raw in [−1, 1] by default; scaled=True multiplies by (2/π)² for
-    plotting with single-mode Wigner conventions.
+    Exact in every element, at any |β|: with α = 2β = √x e^{iθ} and m = n + k,
+    ⟨m|D(α)|n⟩ = √(n!/m!) α^k e^{−x/2} L_n^{(k)}(x) = (−1)^k conj⟨n|D(α)|m⟩
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  h_n = (−1)^n √(k! n!/m!) L_n^{(k)}(x)
+    runs down all diagonals k and all β at once by the Laguerre recurrence,
+    renormalised into the logarithm of the prefactor e^{−x/2} x^{k/2} / √k!.
     """
+    if spec.kind != "bosonic":
+        raise ValidationError("Wigner functions need a bosonic mode")
+    d = spec.dim
+    alpha = 2.0 * np.asarray(betas, dtype=complex)
+    x = np.abs(alpha)[:, None] ** 2
+    k = np.arange(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log x = −inf at β = 0, where only the k = 0 diagonal survives
+        log_pref = np.where(k > 0, k * np.log(x), 0.0) / 2 - x / 2
+    log_pref -= np.cumsum(np.log(np.maximum(k, 1))) / 2
+    phase = np.exp(1j * np.angle(alpha)[:, None] * k)
+    out = np.empty((len(alpha), d, d), dtype=complex)
+    h_prev, h = np.zeros_like(log_pref), np.ones_like(log_pref)
+    for n in range(d):
+        if n % 8 == 0:  # a step grows |h| by at most x + 2 + √d: 8 steps stay finite
+            scale = np.maximum(np.abs(h), np.abs(h_prev))
+            h, h_prev, log_pref = h / scale, h_prev / scale, log_pref + np.log(scale)
+            weight = np.exp(log_pref) * phase
+        col = h[:, : d - n] * weight[:, : d - n]  # column n from the diagonal down
+        out[:, n:, n] = col
+        out[:, n, n:] = col.conj()
+        h_prev, h = h, (
+            (x - 2 * n - 1 - k) * h - np.sqrt(n * (n + k)) * h_prev
+        ) / np.sqrt((n + 1) * (n + 1 + k))
+    return out
+
+
+def _wigner_values(rho: DensityOp, betas: np.ndarray) -> np.ndarray:
+    ops = _displaced_parities(betas, rho.space.factors[0])
+    return _TWO_OVER_PI * np.einsum("ij,pji->p", rho.matrix, ops).real
+
+
+def wigner(state, beta, factor_index: int = 0):
+    """W(β) = (2/π) ⟨D(β) Π D†(β)⟩ of one cavity factor, for a scalar β or an array of β."""
+    b = np.asarray(beta)
+    vals = _wigner_values(partial_trace(state, keep=[factor_index]), b.ravel())
+    return float(vals[0]) if b.ndim == 0 else vals.reshape(b.shape)
+
+
+def joint_wigner(state, beta1, beta2, factors=(0, 1)):
+    """Product of the displaced parities of two cavities, in [−1, 1]; beta1 and beta2 broadcast."""
     rho = partial_trace(state, keep=list(factors))
     s1, s2 = rho.space.factors
-    d1 = displacement(beta1, s1).matrix
-    d2 = displacement(beta2, s2).matrix
-    op1 = d1 @ parity_op(s1).matrix @ d1.conj().T
-    op2 = d2 @ parity_op(s2).matrix @ d2.conj().T
+    b1, b2 = np.broadcast_arrays(beta1, beta2)
+    op1 = _displaced_parities(b1.ravel(), s1)
+    op2 = _displaced_parities(b2.ravel(), s2)
     # Tr[ρ (A ⊗ B)] = Σ ρ[i,j,k,l] A[k,i] B[l,j] on the (d1, d2, d1, d2) tensor
     r = rho.matrix.reshape(s1.dim, s2.dim, s1.dim, s2.dim)
-    val = float(np.real(np.einsum("ijkl,ki,lj->", r, op1, op2, optimize=True)))
-    return val * _TWO_OVER_PI**2 if scaled else val
+    vals = np.einsum("ijkl,pki,plj->p", r, op1, op2, optimize=True).real
+    return float(vals[0]) if b1.ndim == 0 else vals.reshape(b1.shape)
 
 
 @dataclass(frozen=True)
@@ -83,9 +92,10 @@ class WignerGrid:
     values: np.ndarray  # shape (len(im_axis), len(re_axis))
 
     def integral(self) -> float:
-        dre = self.re_axis[1] - self.re_axis[0]
-        dim = self.im_axis[1] - self.im_axis[0]
-        return float(np.sum(self.values) * dre * dim)
+        if len(self.re_axis) < 2 or len(self.im_axis) < 2:
+            raise ValidationError("the integral needs at least two points per axis")
+        cell = (self.re_axis[1] - self.re_axis[0]) * (self.im_axis[1] - self.im_axis[0])
+        return float(np.sum(self.values) * cell)
 
     def to_csv_rows(self):
         rows = []
@@ -103,13 +113,10 @@ class WignerGrid:
 
 
 def wigner_grid(state, factor_index: int, re_axis, im_axis) -> WignerGrid:
-    rho = _reduced_cavity_state(state, factor_index)
-    re_axis = np.asarray(re_axis, dtype=float)
-    im_axis = np.asarray(im_axis, dtype=float)
-    vals = np.empty((len(im_axis), len(re_axis)))
-    for i, b_im in enumerate(im_axis):
-        for j, b_re in enumerate(re_axis):
-            vals[i, j] = _TWO_OVER_PI * _displaced_parity(rho, b_re + 1j * b_im)
+    """W on the grid re_axis × im_axis, one im_axis row per kernel call."""
+    rho = partial_trace(state, keep=[factor_index])
+    re_axis, im_axis = np.asarray(re_axis, dtype=float), np.asarray(im_axis, dtype=float)
+    vals = np.array([_wigner_values(rho, re_axis + 1j * b_im) for b_im in im_axis])
     return WignerGrid(re_axis, im_axis, vals)
 
 

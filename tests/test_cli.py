@@ -67,6 +67,19 @@ def test_readout_correct_inversion_identity(tmp_path):
     assert rows[0][0] == "000"
 
 
+@pytest.mark.parametrize(
+    "probs", ["0,0,0,0,0,0,0,0", "0.5,nan,0.5,0,0,0,0,0"], ids=["zero-sum", "nan"]
+)
+def test_readout_correct_rejects_unnormalisable_probs(tmp_path, capsys, probs):
+    """An all-zero or NaN-containing vector exits 1, not 0 with a CSV of nan."""
+    p_path = tmp_path / "p.csv"
+    p_path.write_text(probs)
+    out = tmp_path / "run"
+    assert main(["readout-correct", "--probs", str(p_path), "-o", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
 def test_readout_correct_sampled_is_seeded(tmp_path):
     p_path = tmp_path / "p.csv"
     p_path.write_text("\n".join(["0.5", "0.5"] + ["0.0"] * 6))
@@ -171,6 +184,7 @@ def test_bad_phis_spec_rejected(tmp_path):
         ["wigner", "--extent", "nan"],
         ["wigner", "--points", "-1"],
         ["wigner", "--points", "0"],
+        ["wigner", "--points", "1"],
         ["parity-sweep", "--phis", "0:1:-3"],
         ["parity-sweep", "--phis", "0:1:0"],
         ["parity-sweep", "--delta", "nan"],
@@ -212,6 +226,20 @@ def test_wigner_grid_output(tmp_path):
     # vacuum Wigner peaks at 2/pi at the origin
     at_origin = [float(w) for re, im, w in rows if float(re) == 0 and float(im) == 0]
     assert at_origin[0] == pytest.approx(2.0 / np.pi, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim_args", [[], ["--dim", "4"]], ids=["default-dim", "dim-4"])
+def test_wigner_fock_state_fits_its_own_truncation(tmp_path, dim_args):
+    """|1> needs 2 levels; the fock state used to borrow its mode from a
+    binomial code, which needs dim >= 5.  The default truncation follows the
+    state (2 n + 2), not the grid."""
+    out = tmp_path / "run"
+    assert main(["wigner", "--state", "fock", "--fock-n", "1", *dim_args, "-o", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["parameters"]["dim"] == 4
+    _, rows = _read_csv(out / "wigner.csv")
+    assert len(rows) == 41 * 41
+    at_origin = [float(w) for re, im, w in rows if float(re) == 0 and float(im) == 0]
+    assert at_origin[0] == pytest.approx(-2.0 / np.pi, abs=1e-12)
 
 
 def test_grape_optimize_pi_pulse(tmp_path):

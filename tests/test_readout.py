@@ -96,6 +96,18 @@ def test_correct_readout_inversion_identity():
     assert np.max(np.abs(corrected - e0)) < 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_correct_readout_rejects_non_finite_entries(bad):
+    """Every comparison with NaN is false, so NaN passed the sign and sum checks."""
+    am = default_assignment()
+    with pytest.raises(ValidationError, match="finite"):
+        correct_readout(np.full(8, bad), am)
+    p = np.full(8, 1 / 8)
+    p[3] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        sample_assignment(p, am, shots=10, seed=0)
+
+
 def test_correct_readout_round_trip_random():
     am = default_assignment()
     rng = np.random.default_rng(7)

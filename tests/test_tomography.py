@@ -1,7 +1,9 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import laguerre
 
+from cavitysim.codes import cat_encoding
 from cavitysim.errors import ValidationError
 from cavitysim.fock import (
     CompositeSpace,
@@ -9,8 +11,11 @@ from cavitysim.fock import (
     Ket,
     ModeSpec,
     coherent,
+    displacement,
     fock_ket,
+    parity_op,
     qubit_ket,
+    recommended_dim,
     tensor,
 )
 from cavitysim.tomography import (
@@ -54,6 +59,133 @@ def test_wigner_grid_integral_is_one():
     assert abs(grid.integral() - 1.0) < 0.01
 
 
+# the `sim wigner` default grid: extent 2.5, 41 points per axis
+CLI_AXIS = np.linspace(-2.5, 2.5, 41)
+
+
+def _grid_betas(axis):
+    return axis[None, :] + 1j * axis[:, None]  # rows follow im_axis, as in WignerGrid
+
+
+def _fock_w(n, beta):
+    """(2/π) (−1)^n e^{−2|β|²} L_n(4|β|²)"""
+    x = 4 * np.abs(beta) ** 2
+    return TWO_PI * (-1) ** n * np.exp(-x / 2) * laguerre.lagval(x, np.eye(n + 1)[n])
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_wigner_grid_fock_states_analytic(n):
+    # the CLI's default truncation for a Fock state, 2n + 2 levels
+    grid = wigner_grid(fock_ket(ModeSpec.bosonic(2 * n + 2), n), 0, CLI_AXIS, CLI_AXIS)
+    assert np.max(np.abs(grid.values - _fock_w(n, _grid_betas(CLI_AXIS)))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha, dim, axis",
+    [(2.0, recommended_dim(4.0), CLI_AXIS), (9.0, 200, np.linspace(-12, 12, 17))],
+    ids=["cli-grid", "alpha-9-dim-200"],
+)
+def test_wigner_grid_coherent_state_analytic(alpha, dim, axis):
+    """W = (2/π) e^{−2|β−α|²}; at |β| = 12√2 the prefactor e^{−2|β|²} alone is
+    e^{−576}, so the closed form must keep it as a logarithm."""
+    grid = wigner_grid(coherent(alpha, ModeSpec.bosonic(dim)), 0, axis, axis)
+    expected = TWO_PI * np.exp(-2 * np.abs(_grid_betas(axis) - alpha) ** 2)
+    assert np.max(np.abs(grid.values - expected)) < 1e-12
+
+
+def _mixed_cavity_state(dim):
+    """Two cavities entangling a cat held in 20 levels with Fock states, so each
+    reduced state is mixed and has coherences."""
+    s = ModeSpec.bosonic(dim)
+    cat = np.zeros(dim, dtype=complex)
+    cat[:20] = coherent(0.9, ModeSpec.bosonic(20)).amplitudes
+    cat[:20] += 1j * coherent(-0.9, ModeSpec.bosonic(20)).amplitudes
+    amps = np.kron(cat, fock_ket(s, 1).amplitudes) + 0.5j * np.kron(fock_ket(s, 3).amplitudes, cat)
+    return Ket(CompositeSpace((s, s)), amps / np.linalg.norm(amps))
+
+
+def test_small_beta_matches_matrix_exponential_path():
+    """|β| <= 1: the closed form reproduces (2/π) Tr[ρ D(β) Π D(β)†] with D(β)
+    the exponential of the truncated generator, where truncation is harmless."""
+    spec = ModeSpec.bosonic(40)
+    psi = _mixed_cavity_state(40)
+    rho = psi.density().matrix.reshape(40, 40, 40, 40)
+    rho1 = np.einsum("ijkj->ik", rho)
+    pi_m = parity_op(spec).matrix
+    betas = [0.0, 0.3, -0.7j, 0.5 + 0.5j, np.exp(2.1j), -0.6 - 0.8j]
+    ops = []
+    for b in betas:
+        d = displacement(b, spec).matrix
+        ops.append(d @ pi_m @ d.conj().T)
+    for b, op in zip(betas, ops):
+        ref = TWO_PI * np.real(np.trace(rho1 @ op))
+        assert abs(wigner(psi, b) - ref) < 1e-10
+    for (b1, op1), (b2, op2) in zip(zip(betas, ops), zip(betas[::-1], ops[::-1])):
+        ref = np.real(np.einsum("ijkl,ki,lj->", rho, op1, op2))
+        assert abs(joint_wigner(psi, b1, b2) - ref) < 1e-10
+
+
+def _bell_cat(dim):
+    """The Bell recipe's cat-code state (|0_L 1_L> + |1_L 0_L>)/√2 at alpha 1.2,
+    26 levels per cavity, zero-padded to `dim` levels."""
+    with pytest.warns(UserWarning, match="overlap"):  # as in the recipe
+        b0, b1 = (b.amplitudes for b in cat_encoding(1.2, 26).orthonormal_basis())
+    amps = np.zeros((dim, dim), dtype=complex)
+    amps[:26, :26] = (np.outer(b0, b1) + np.outer(b1, b0)) / np.sqrt(2)
+    s = ModeSpec.bosonic(dim)
+    return Ket(CompositeSpace((s, s)), amps.reshape(-1))
+
+
+def test_bell_cat_state_is_independent_of_truncation():
+    """The dim-26 values equal those of the state zero-padded to more levels:
+    each value is exact for the state as truncated, also where |β|² > dim/4."""
+    xs = np.linspace(-2.5, 2.5, 21)
+    grid = _grid_betas(CLI_AXIS)
+    psi = _bell_cat(26)
+    assert np.max(np.abs(wigner(psi, grid) - wigner(_bell_cat(90), grid))) < 1e-12
+    padded = _bell_cat(36)
+    for sign in (1, -1):
+        ref = joint_wigner(padded, xs, sign * xs)
+        assert np.max(np.abs(joint_wigner(psi, xs, sign * xs) - ref)) < 1e-12
+
+
+def test_array_calls_match_scalar_calls():
+    psi = _mixed_cavity_state(30)
+    betas = np.array([[0.0, 0.4 - 1.1j, -2.0], [1.5j, 0.3 + 0.2j, 2.2 + 1.9j]])
+    w = wigner(psi, betas, factor_index=1)
+    assert w.shape == betas.shape
+    scalar = np.array([[wigner(psi, b, factor_index=1) for b in row] for row in betas])
+    assert np.max(np.abs(w - scalar)) < 1e-14
+    beta2 = betas[0, ::-1]  # broadcasts over the rows of betas
+    joint = joint_wigner(psi, betas, beta2)
+    assert joint.shape == betas.shape
+    scalar = np.array([[joint_wigner(psi, b1, b2) for b1, b2 in zip(row, beta2)] for row in betas])
+    assert np.max(np.abs(joint - scalar)) < 1e-14
+    grid = wigner_grid(psi, 1, betas[0].real, betas[:, 1].imag)
+    scalar = [[wigner(psi, x + 1j * y, factor_index=1) for x in grid.re_axis] for y in grid.im_axis]
+    assert np.max(np.abs(grid.values - np.array(scalar))) < 1e-14
+
+
+def test_wigner_of_a_qubit_factor_is_rejected():
+    psi = tensor([qubit_ket(True), fock_ket(ModeSpec.bosonic(4), 1)])
+    with pytest.raises(ValidationError):
+        wigner(psi, 0.3, factor_index=0)
+    with pytest.raises(ValidationError):
+        wigner_grid(psi, 0, [0.0, 0.1], [0.0, 0.1])
+    with pytest.raises(ValidationError):
+        joint_wigner(psi, 0.3, 0.1)
+
+
+@pytest.mark.parametrize(
+    "re_axis, im_axis", [([0.0], [0.0]), ([0.0, 0.5], [0.0]), ([], [0.0, 0.5])]
+)
+def test_wigner_grid_integral_needs_two_points_per_axis(re_axis, im_axis):
+    """A one-point axis has no step (it raised IndexError)."""
+    grid = wigner_grid(fock_ket(ModeSpec.bosonic(4), 0), 0, re_axis, im_axis)
+    with pytest.raises(ValidationError, match="two points"):
+        grid.integral()
+
+
 def test_wigner_grid_serialization_roundtrip():
     spec = ModeSpec.bosonic(6)
     ax = np.linspace(-1, 1, 5)
@@ -88,7 +220,6 @@ def test_joint_wigner_vacuum_and_bounds():
     s = ModeSpec.bosonic(6)
     psi = tensor([fock_ket(s, 0), fock_ket(s, 0)])
     assert abs(joint_wigner(psi, 0.0, 0.0) - 1.0) < 1e-12
-    assert abs(joint_wigner(psi, 0.0, 0.0, scaled=True) - TWO_PI**2) < 1e-12
 
 
 def test_joint_wigner_bell_state():
