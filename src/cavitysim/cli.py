@@ -35,16 +35,8 @@ from cavitysim.experiments import (
     run_snap_bell,
     run_zgate_repetition,
 )
-from cavitysim.fock import (
-    Ket,
-    LinearOp,
-    ModeSpec,
-    fock_ket,
-    qubit_ket,
-    recommended_dim,
-    tensor,
-)
-from cavitysim.grape import TransferTask, optimize
+from cavitysim.fock import LinearOp, ModeSpec, fock_ket, qubit_ket, recommended_dim
+from cavitysim.grape import TransferTask, binomial_encode_task, optimize
 from cavitysim.readout import (
     correct_readout,
     default_assignment,
@@ -475,27 +467,7 @@ def cmd_grape_optimize(
             steps = 500
         if dim is None:
             dim = 8
-        layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
-        h0 = LinearOp(layout.space, np.diag(static_hamiltonian(params, layout)))
-        enc = binomial_encoding(dim)
-        g, e = qubit_ket(0), qubit_ket(1)
-        vac = fock_ket(layout.mode("S1"), 0)
-
-        def pair(c0, c1):
-            init = Ket(
-                layout.space,
-                c0 * tensor([g, vac]).amplitudes + c1 * tensor([e, vac]).amplitudes,
-            ).normalized()
-            cav = logical_ket(enc, c0, c1)
-            return (init, tensor([g, Ket(vac.space, cav.amplitudes)]))
-
-        task = TransferTask(
-            pairs=(pair(1.0, 0.0), pair(0.0, 1.0), pair(1.0, 1.0), pair(1.0, 1.0j)),
-            H0=h0,
-            layout=layout,
-            channels=(("Q1", "qubit"), ("S1", "cavity")),
-            n_steps=steps,
-        )
+        task = binomial_encode_task(params, dim, steps)
     pulse, report = optimize(
         task, max_iters=max_iters, target_fidelity=target_fidelity, seed=seed
     )

@@ -150,6 +150,7 @@ def ideal_encoder(enc: Encoding) -> LinearOp:
     return LinearOp(space, cols).assert_unitary(1e-9)
 
 
+# no recipe caller: kerr_corrected_decoder's Kerr phase, checked with it by the acceptance tests
 def kerr_phase_op(enc: Encoding, K: float, T: float) -> LinearOp:
     """Free self-Kerr evolution e^{+i (K/2) n(n−1) T} on the cavity.
 
@@ -163,6 +164,7 @@ def kerr_phase_op(enc: Encoding, K: float, T: float) -> LinearOp:
     )
 
 
+# no recipe caller: the acceptance tests' encode-Kerr-decode round trip checks it
 def kerr_corrected_decoder(enc: Encoding, K: float, T: float) -> LinearOp:
     """Unitary undoing the encoder after a free Kerr evolution of duration T.
 

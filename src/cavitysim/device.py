@@ -14,7 +14,7 @@ from __future__ import annotations
 import configparser
 import importlib.resources
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,7 @@ class DeviceParams:
     cross_kerr: float  # S1-S2, rad/ns
     chi_readout: dict  # qubit -> rad/ns (unused by the Hamiltonian)
     T1: dict  # label -> ns
-    T2: dict  # label -> ns (Ramsey or echo depending on load option)
-    T2_ramsey: dict = field(default_factory=dict)
-    T2_echo: dict = field(default_factory=dict)
+    T2: dict  # label -> ns, Ramsey T2*
 
     def __post_init__(self):
         for chi in self.chi.values():
@@ -74,11 +72,10 @@ class DeviceParams:
                 )
 
 
-def load_params(config_text: str | None = None, use_echo: bool = False) -> DeviceParams:
+def load_params(config_text: str | None = None) -> DeviceParams:
     """Parse a device config.  With no argument, loads the bundled default.
 
-    use_echo selects T2^Echo (where available) instead of T2* for the
-    dephasing-relevant T2.
+    T2 is the Ramsey T2* of the [T2_us] table; a [T2echo_us] table is not read.
     """
     if config_text is None:
         config_text = default_config_text()
@@ -89,12 +86,9 @@ def load_params(config_text: str | None = None, use_echo: bool = False) -> Devic
         chi_raw = {k.upper(): float(v) for k, v in cp["chi_MHz"].items()}
         kerr = {k.upper(): float(v) * MHZ for k, v in cp["kerr_MHz"].items()}
         t1 = {k.upper(): float(v) * US for k, v in cp["T1_us"].items()}
-        t2r = {k.upper(): float(v) * US for k, v in cp["T2_us"].items()}
+        t2 = {k.upper(): float(v) * US for k, v in cp["T2_us"].items()}
     except KeyError as exc:
         raise ValidationError(f"config is missing section {exc}") from exc
-    t2e = {}
-    if cp.has_section("T2echo_us"):
-        t2e = {k.upper(): float(v) * US for k, v in cp["T2echo_us"].items()}
 
     chi = {}
     chi_readout = {}
@@ -114,9 +108,6 @@ def load_params(config_text: str | None = None, use_echo: bool = False) -> Devic
     if not required.issubset(chi):
         raise ValidationError(f"config missing chi entries: {required - set(chi)}")
 
-    t2 = dict(t2r)
-    if use_echo:
-        t2.update(t2e)
     return DeviceParams(
         freq_GHz=freq,
         chi=chi,
@@ -125,8 +116,6 @@ def load_params(config_text: str | None = None, use_echo: bool = False) -> Devic
         chi_readout=chi_readout,
         T1=t1,
         T2=t2,
-        T2_ramsey=t2r,
-        T2_echo=t2e,
     )
 
 
@@ -233,35 +222,6 @@ def cavity_static_diag(params: DeviceParams, layout: SystemLayout) -> np.ndarray
     compensates them exactly.
     """
     return _minus_cavity_terms(np.zeros(layout.space.dims), params, _levels(layout))
-
-
-def qubit_drive(layout: SystemLayout, label: str, amplitudes, detuning: float = 0.0,
-                dt: float = 1.0):
-    """Qubit drive channel for a pulse sequence.
-
-    The amplitude is the instantaneous Rabi frequency (rad/ns): a segment with
-    complex amplitude u contributes (u/2) σ⁺ + (u*/2) σ⁻, so a constant real ε
-    applied for π/ε performs a π rotation.  A nonzero detuning Δ (rad/ns from
-    the frame's qubit frequency) modulates the envelope by e^{−iΔt}.
-    """
-    if not layout.is_qubit(label):
-        raise ValidationError(f"{label} is not a qubit")
-    amps = np.asarray(amplitudes, dtype=complex)
-    if detuning != 0.0:
-        t = (np.arange(len(amps)) + 0.5) * dt
-        amps = amps * np.exp(-1j * detuning * t)
-    return (label, "qubit"), amps
-
-
-def cavity_drive(layout: SystemLayout, label: str, amplitudes):
-    """Cavity drive channel: a segment with amplitude u contributes u a† + u* a.
-
-    Phase convention (pinned by test): constant ε applied for time t realizes
-    the displacement D(−iεt).
-    """
-    if layout.is_qubit(label):
-        raise ValidationError(f"{label} is not a cavity")
-    return (label, "cavity"), np.asarray(amplitudes, dtype=complex)
 
 
 def drive_operator(layout: SystemLayout, channel) -> LinearOp:

@@ -114,12 +114,6 @@ class ExperimentResult:
             if not isinstance(s, Scalar):
                 raise ValidationError(f"summary entry {key!r} must be a Scalar")
 
-    def table_csv_rows(self, name: str):
-        t = self.tables[name]
-        yield tuple(t["columns"])
-        for row in t["rows"]:
-            yield tuple(row)
-
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,

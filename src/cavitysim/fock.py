@@ -102,11 +102,6 @@ class LinearOp:
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return np.max(np.abs(self.matrix - self.matrix.conj().T)) < tol
 
-    def assert_hermitian(self, tol: float = 1e-12) -> "LinearOp":
-        if not self.is_hermitian(tol):
-            raise ValidationError("operator is not hermitian within tolerance")
-        return self
-
     def assert_unitary(self, tol: float = 1e-8) -> "LinearOp":
         d = self.matrix.conj().T @ self.matrix - np.eye(self.space.dim)
         if np.max(np.abs(d)) >= tol:
@@ -309,12 +304,6 @@ def sigma_z() -> LinearOp:
     )
 
 
-def excited_projector() -> LinearOp:
-    return LinearOp(
-        CompositeSpace.single(ModeSpec.qubit()), np.diag([0.0, 1.0]).astype(complex)
-    )
-
-
 def recommended_dim(alpha_max: float) -> int:
     """Default truncation for peak coherent amplitude: keeps Poisson tail < 1e−8."""
     a = abs(alpha_max)
@@ -404,15 +393,17 @@ def expectation(state, op: LinearOp) -> complex:
 
 
 def partial_trace(rho, keep) -> DensityOp:
-    """Reduced density operator over the kept factor indices (order preserved).
+    """Reduced density operator over the kept factor indices, in the order given.
 
     For a Ket the reduced state is M M†, with M the amplitude tensor reshaped
     to (kept, traced) indices; the full outer product is never formed.
     """
-    keep = sorted(set(keep))
+    keep = list(keep)
     n = rho.space.n_factors
     if any(k < 0 or k >= n for k in keep):
         raise ValidationError("invalid factor indices in partial trace")
+    if len(set(keep)) != len(keep):
+        raise ValidationError(f"duplicate factor indices {keep} in partial trace")
     dims = rho.space.dims
     sub = CompositeSpace(tuple(rho.space.factors[k] for k in keep))
     if isinstance(rho, Ket):
@@ -424,4 +415,7 @@ def partial_trace(rho, keep) -> DensityOp:
     # trace highest-numbered factors first so lower axis numbers stay valid
     for i in sorted(traced, reverse=True):
         t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    # the kept axes are left in ascending factor order; put them in keep's
+    rank = [sorted(keep).index(k) for k in keep]
+    t = t.transpose(rank + [r + len(keep) for r in rank])
     return DensityOp(sub, t.reshape(sub.dim, sub.dim))

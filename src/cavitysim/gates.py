@@ -22,7 +22,7 @@ conditional 2*pi rotation imprints the spinor sign -1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,6 +200,7 @@ class GateSpec:
                 )
         return {"name": self.name, "steps": out}
 
+    # no src caller: the CLI tests read gate_spec.json back with it
     @staticmethod
     def from_json_dict(d: dict) -> "GateSpec":
         steps = []
@@ -232,22 +233,6 @@ class GateSpec:
             else:
                 raise ValidationError(f"unknown step type {kind!r}")
         return GateSpec(d["name"], tuple(steps))
-
-
-@dataclass(frozen=True)
-class GatePhaseReport:
-    """Geometric phase accounting for a two-pi-rotation gate."""
-
-    gamma: float
-    delta_phi: float
-    phase_table: dict = field(default_factory=dict)
-
-    @property
-    def solid_angle(self) -> float:
-        return 2.0 * self.gamma
-
-    def consistent(self, tol: float = 1e-9) -> bool:
-        return abs(wrap_angle(self.gamma - np.pi - self.delta_phi)) < tol
 
 
 # ---------------------------------------------------------------------------
@@ -536,17 +521,6 @@ def single_cavity_phase_gate(
             ConditionalRotation(qubit, 0.0, np.pi, epsilon, cond),
             ConditionalRotation(qubit, -delta_phi, np.pi, epsilon, cond),
         ),
-    )
-
-
-def phase_gate_report(spec: GateSpec, delta_phi: float, cavity: str, qubit: str) -> GatePhaseReport:
-    """Measure the acquired geometric phase of a two-rotation phase gate."""
-    l = component_logical_unitary(spec, [cavity], qubit)
-    gamma = wrap_angle(float(np.angle(l[1, 1]) - np.angle(l[0, 0])))
-    return GatePhaseReport(
-        gamma=gamma,
-        delta_phi=wrap_angle(delta_phi),
-        phase_table={0: float(np.angle(l[0, 0])), 1: float(np.angle(l[1, 1]))},
     )
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from cavitysim.errors import ValidationError
-from cavitysim.fock import DensityOp, Ket, partial_trace
 
 # Column deviations from unit sum below this are silently renormalized (they
 # arise from rounding, e.g. percent entries quoted to one decimal); larger
@@ -145,20 +144,6 @@ def default_assignment() -> AssignmentMatrix:
     return load_assignment_csv(text)
 
 
-def kron_assignment(single_qubit_matrices) -> AssignmentMatrix:
-    """Joint assignment matrix for independent per-qubit readout channels."""
-    mats = list(single_qubit_matrices)
-    if not mats:
-        raise ValidationError("need at least one per-qubit matrix")
-    joint = np.array([[1.0]])
-    for m in mats:
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise ValidationError("per-qubit assignment matrices must be 2x2")
-        joint = np.kron(joint, m)
-    return load_assignment(joint)
-
-
 def _check_probability_vector(p, dim: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (dim,):
@@ -206,29 +191,3 @@ def sample_assignment(p_true, R: AssignmentMatrix, shots: int, seed: int):
     assigned = assigned / assigned.sum()
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, assigned)
-
-
-def qubit_measurement_probs(state, layout, qubit_labels) -> np.ndarray:
-    """Computational-basis populations of the listed qubits (first label is
-    the most significant bit)."""
-    labels = list(qubit_labels)
-    if not labels:
-        raise ValidationError("need at least one qubit label")
-    for lab in labels:
-        if lab not in layout.index or not layout.is_qubit(lab):
-            raise ValidationError(f"{lab!r} is not a qubit in this layout")
-    if len(set(labels)) != len(labels):
-        raise ValidationError("duplicate qubit labels")
-    if isinstance(state, Ket):
-        state = state.density()
-    if not isinstance(state, DensityOp):
-        raise ValidationError("state must be a Ket or DensityOp")
-    factor_idx = [layout.index[lab] for lab in labels]
-    reduced = partial_trace(state, factor_idx)
-    # partial_trace keeps factors in ascending index order; permute the
-    # populations into the requested label order.
-    kept_sorted = sorted(factor_idx)
-    perm = [kept_sorted.index(i) for i in factor_idx]
-    n = len(labels)
-    pops = np.real(np.diag(reduced.matrix)).reshape((2,) * n)
-    return np.clip(pops.transpose(perm).reshape(-1), 0.0, None)

@@ -1,8 +1,8 @@
 """State and process characterization.
 
 Wigner and joint Wigner functions from displaced parities in closed form (one
-kernel, no matrix exponential), qubit state tomography with maximum-likelihood
-estimation, Pauli transfer matrices, and the associated fidelity measures.
+kernel, no matrix exponential), Pauli transfer matrices and the process
+fidelity.
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from cavitysim.errors import NumericalError, ValidationError
-from cavitysim.fock import CompositeSpace, DensityOp, Ket, ModeSpec, partial_trace
+from cavitysim.errors import ValidationError
+from cavitysim.fock import CompositeSpace, DensityOp, ModeSpec, partial_trace
 
 # ---------------------------------------------------------------------------
 # Wigner functions
@@ -121,143 +120,14 @@ def wigner_grid(state, factor_index: int, re_axis, im_axis) -> WignerGrid:
 
 
 # ---------------------------------------------------------------------------
-# Qubit tomography
-
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULIS_1Q = {"I": np.eye(2, dtype=complex), "X": _SX, "Y": _SY, "Z": _SZ}
-
-
-def _rot(axis: np.ndarray, angle: float) -> np.ndarray:
-    return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * axis
-
-
-#: Pre-rotations applied before a computational-basis measurement.
-PRE_ROTATIONS = {
-    "I": np.eye(2, dtype=complex),
-    "X90": _rot(_SX, np.pi / 2),
-    "Y90": _rot(_SY, np.pi / 2),
-    "X180": _rot(_SX, np.pi),
-}
-PRE_ROTATION_ORDER = ("I", "X90", "Y90", "X180")
-
-
-def _setting_unitaries(n_qubits: int, pre_rotations=None):
-    if pre_rotations is None:
-        pre_rotations = PRE_ROTATIONS
-    names = [k for k in PRE_ROTATION_ORDER if k in pre_rotations]
-    settings = []
-    for combo in itertools.product(names, repeat=n_qubits):
-        u = pre_rotations[combo[0]]
-        for name in combo[1:]:
-            u = np.kron(u, pre_rotations[name])
-        settings.append((combo, u))
-    return settings
-
-
-def tomo_probabilities(rho: DensityOp, pre_rotations=None) -> dict:
-    """Outcome probabilities for each pre-rotation combination.
-
-    Returns {rotation-name tuple: probability vector over computational
-    outcomes}.  Supports one or two qubits.
-    """
-    n = rho.space.n_factors
-    if n > 2 or any(f.kind != "qubit" for f in rho.space.factors):
-        raise ValidationError("tomography supports 1 or 2 qubit factors")
-    table = {}
-    for combo, u in _setting_unitaries(n, pre_rotations):
-        rotated = u @ rho.matrix @ u.conj().T
-        table[combo] = np.real(np.diag(rotated)).copy()
-    return table
-
-
-def _povm_elements(n_qubits: int, pre_rotations=None):
-    elements = []
-    for combo, u in _setting_unitaries(n_qubits, pre_rotations):
-        for outcome in range(2**n_qubits):
-            proj = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-            proj[outcome, outcome] = 1.0
-            elements.append((combo, outcome, u.conj().T @ proj @ u))
-    return elements
-
-
-def mle_density(
-    prob_table: dict,
-    shots: int = 10_000,
-    pre_rotations=None,
-    max_iters: int = 2000,
-) -> DensityOp:
-    """Maximum-likelihood density matrix from tomography probabilities.
-
-    Physicality is guaranteed by the Cholesky-style parametrization
-    ρ = T†T / Tr(T†T); the multinomial log-likelihood is maximized with
-    L-BFGS using the analytic gradient.
-    """
-    n_qubits = len(next(iter(prob_table)))
-    d = 2**n_qubits
-    counts, povms = [], []
-    for combo, outcome, e in _povm_elements(n_qubits, pre_rotations):
-        if combo not in prob_table:
-            raise ValidationError("probability table is not informationally complete")
-        counts.append(shots * float(prob_table[combo][outcome]))
-        povms.append(e)
-    counts = np.array(counts)
-    povms = np.array(povms)
-
-    tril = np.tril_indices(d)
-    n_params = d * d  # d(d+1)/2 real diag+lower-real plus d(d−1)/2 imag
-
-    def unpack(x):
-        t = np.zeros((d, d), dtype=complex)
-        n_re = d * (d + 1) // 2
-        t[tril] = x[:n_re]
-        off = np.tril_indices(d, k=-1)
-        t[off] += 1j * x[n_re:]
-        return t
-
-    def neg_ll_and_grad(x):
-        t = unpack(x)
-        tt = t.conj().T @ t
-        tau = np.real(np.trace(tt))
-        if tau <= 0:
-            return 1e30, np.zeros_like(x)
-        rho = tt / tau
-        p = np.real(np.einsum("kij,ji->k", povms, rho))
-        p = np.clip(p, 1e-12, None)
-        ll = float(np.sum(counts * np.log(p)))
-        a = np.einsum("k,kij->ij", counts / p, povms)
-        # d ll / d T* = T (A − Tr(Aρ) I) / τ
-        g = t @ (a - np.real(np.trace(a @ rho)) * np.eye(d)) / tau
-        n_re = d * (d + 1) // 2
-        grad = np.zeros(n_params)
-        grad[:n_re] = 2 * np.real(g[tril])
-        off = np.tril_indices(d, k=-1)
-        grad[n_re:] = 2 * np.imag(g[off])
-        return -ll, -grad
-
-    x0 = np.zeros(n_params)
-    x0[: d * (d + 1) // 2][np.cumsum([0] + list(range(2, d + 1)))] = 1.0  # T = I seed
-    res = minimize(
-        neg_ll_and_grad,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iters, "ftol": 1e-14, "gtol": 1e-10},
-    )
-    if not res.success and np.linalg.norm(res.jac) > 1e-3:
-        raise NumericalError(
-            f"MLE did not converge: {res.message}; |grad| = {np.linalg.norm(res.jac):.2e}"
-        )
-    t = unpack(res.x)
-    tt = t.conj().T @ t
-    rho = tt / np.real(np.trace(tt))
-    space = CompositeSpace(tuple(ModeSpec.qubit() for _ in range(n_qubits)))
-    return DensityOp(space, rho)
-
-
-# ---------------------------------------------------------------------------
 # Pauli transfer matrices
+
+_PAULIS_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 #: Input states used for process reconstruction: {|g⟩, |e⟩, (|g⟩+|e⟩)/√2,
 #: (|g⟩−i|e⟩)/√2} per qubit.
@@ -372,22 +242,3 @@ def process_fidelity(R: TransferMatrix, R_ideal: TransferMatrix) -> float:
         raise ValidationError("transfer matrices act on different spaces")
     d = 2**R.n_qubits
     return float((np.trace(R.R.T @ R_ideal.R) / d + 1.0) / (d + 1.0))
-
-
-def state_fidelity(rho: DensityOp, sigma: DensityOp) -> float:
-    """Uhlmann fidelity (Tr√(√ρ σ √ρ))²."""
-    if rho.space != sigma.space:
-        raise ValidationError("states live on different spaces")
-    w, v = np.linalg.eigh(rho.matrix)
-    w = np.clip(w, 0, None)
-    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
-    inner = sqrt_rho @ sigma.matrix @ sqrt_rho
-    ev = np.clip(np.linalg.eigvalsh(inner), 0, None)
-    return float(np.sum(np.sqrt(ev)) ** 2)
-
-
-def ket_fidelity(rho, psi: Ket) -> float:
-    """⟨ψ|ρ|ψ⟩ for a pure target (or |⟨ψ|φ⟩|² for two kets)."""
-    if isinstance(rho, Ket):
-        return abs(rho.overlap(psi)) ** 2
-    return float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))

@@ -8,7 +8,6 @@ from cavitysim.device import (
     cavity_static_diag,
     default_config_text,
     load_params,
-    qubit_drive,
     static_hamiltonian,
 )
 from cavitysim.errors import ValidationError
@@ -40,12 +39,6 @@ def test_default_config_table_values(params):
     assert params.T2["S1"] == 559 * US
     assert params.T1["Q2"] == 20 * US
     assert params.T2["Q2"] == 12 * US
-
-
-def test_echo_switch():
-    p = load_params(use_echo=True)
-    assert p.T2["Q1"] == 56.0 * US
-    assert p.T2["S1"] == 559 * US  # no echo value for cavities
 
 
 def test_t2_invariant_violation():
@@ -133,8 +126,7 @@ def test_qubit_drive_pi_pulse(params):
     eps = 0.02
     n_steps = 500
     dt = np.pi / eps / n_steps
-    ch, amps = qubit_drive(layout, "Q1", np.full(n_steps, eps))
-    pulse = PulseSequence(dt=dt, channels={ch: amps})
+    pulse = PulseSequence(dt=dt, channels={("Q1", "qubit"): np.full(n_steps, eps)})
     h0 = np.zeros(6)
     psi0 = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0)])
     out = evolve_pulse(psi0, h0, pulse, layout)
@@ -147,8 +139,9 @@ def test_qubit_drive_off_resonant_suppression(params):
     eps = 0.01
     delta = 20 * eps
     n_steps = 4000
-    ch, amps = qubit_drive(layout, "Q1", np.full(n_steps, eps), detuning=delta, dt=1.0)
-    pulse = PulseSequence(dt=1.0, channels={ch: amps})
+    ch = ("Q1", "qubit")
+    t = np.arange(n_steps) + 0.5
+    amps = np.full(n_steps, eps) * np.exp(-1j * delta * t)
     h0 = np.zeros(4)
     psi0 = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0)])
     # sample the excited population along the evolution and take the max
@@ -166,14 +159,12 @@ def test_qubit_drive_off_resonant_suppression(params):
 
 def test_cavity_drive_phase_convention(params):
     """Golden test: constant ε for time t realizes D(−iεt)."""
-    from cavitysim.device import cavity_drive
     from cavitysim.fock import displacement
 
     layout = SystemLayout.build([], ["S1"], {"S1": 30})
     eps = 0.01
     t = 100.0
-    ch, amps = cavity_drive(layout, "S1", np.full(100, eps))
-    pulse = PulseSequence(dt=1.0, channels={ch: amps})
+    pulse = PulseSequence(dt=1.0, channels={("S1", "cavity"): np.full(100, eps)})
     h0 = np.zeros(30)
     out = evolve_pulse(fock_ket(layout.mode("S1"), 0), h0, pulse, layout)
     target = displacement(-1j * eps * t, layout.mode("S1")) @ fock_ket(
@@ -184,14 +175,10 @@ def test_cavity_drive_phase_convention(params):
 
 
 def test_cavity_drive_inverse_composition(params):
-    from cavitysim.device import cavity_drive
-
     layout = SystemLayout.build([], ["S1"], {"S1": 25})
     rng = np.random.default_rng(3)
     amps = 0.01 * (rng.normal(size=60) + 1j * rng.normal(size=60))
-    ch, fwd = cavity_drive(layout, "S1", amps)
-    _, bwd = cavity_drive(layout, "S1", -amps[::-1])
-    pulse = PulseSequence(dt=1.0, channels={ch: np.concatenate([fwd, bwd])})
+    pulse = PulseSequence(dt=1.0, channels={("S1", "cavity"): np.concatenate([amps, -amps[::-1]])})
     h0 = np.zeros(25)
     psi0 = fock_ket(layout.mode("S1"), 0)
     out = evolve_pulse(psi0, h0, pulse, layout)

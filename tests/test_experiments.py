@@ -222,9 +222,9 @@ def test_snap_bell_provenance_and_tables():
     assert r.provenance["seed"] == 7
     assert r.provenance["mode"] == "ideal"
     assert len(r.provenance["config_hash"]) == 64
-    header, *rows = list(r.table_csv_rows("wigner_cuts"))
-    assert header == ("x", "w_cavity_1", "w_cavity_2")
-    assert len(rows) == 21
+    table = r.tables["wigner_cuts"]
+    assert tuple(table["columns"]) == ("x", "w_cavity_1", "w_cavity_2")
+    assert len(table["rows"]) == 21
 
 
 def test_unknown_modes_rejected():

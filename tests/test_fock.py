@@ -233,6 +233,18 @@ def test_partial_trace_of_density_tensor():
     assert np.max(np.abs(red.matrix - rho1.matrix)) < 1e-12
 
 
+@pytest.mark.parametrize("as_density", [False, True])
+def test_partial_trace_keeps_the_order_given(as_density):
+    kets = [coherent(0.4, ModeSpec.bosonic(3)), fock_ket(ModeSpec.bosonic(2), 1),
+            coherent(0.3j, ModeSpec.bosonic(4))]
+    joint = tensor(kets)
+    red = partial_trace(joint.density() if as_density else joint, keep=[2, 1])
+    assert red.space.dims == (4, 2)
+    assert np.max(np.abs(red.matrix - tensor([kets[2], kets[1]]).density().matrix)) < 1e-12
+    with pytest.raises(ValidationError):
+        partial_trace(joint.density() if as_density else joint, keep=[1, 1])
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.floats(-1.5, 1.5),

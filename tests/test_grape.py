@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cavitysim import grape
-from cavitysim.codes import binomial_encoding, logical_ket
 from cavitysim.device import SystemLayout, load_params, default_config_text, static_hamiltonian
 from cavitysim.errors import ValidationError
 from cavitysim.evolution import PulseSequence, evolve_pulse
@@ -11,7 +10,6 @@ from cavitysim.grape import (
     DEFAULT_AMPLITUDE_BOUND,
     OptimizerReport,
     TransferTask,
-    gaussian_pulse,
     optimize,
     transfer_fidelity,
     transfer_gradient,
@@ -242,80 +240,6 @@ def test_rediscretization_consistency():
     p1 = PulseSequence(channels={("Q1", "qubit"): np.full(10, u)})
     p2 = PulseSequence(channels={("Q1", "qubit"): np.full(20, 0.5 * u)})
     assert abs(transfer_fidelity(p1, task1) - transfer_fidelity(p2, task2)) < 1e-12
-
-
-def test_optimize_binomial_encode():
-    params = load_params(default_config_text())
-    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 8})
-    h0 = static_hamiltonian(params, layout)
-    enc = binomial_encoding(8)
-    b0, b1 = enc.orthonormal_basis()
-    g, e = qubit_ket(0), qubit_ket(1)
-    vac = fock_ket(layout.mode("S1"), 0)
-
-    def pair(c0, c1):
-        init = Ket(
-            layout.space,
-            c0 * tensor([g, vac]).amplitudes + c1 * tensor([e, vac]).amplitudes,
-        ).normalized()
-        cav = logical_ket(enc, c0, c1)
-        targ = tensor([g, Ket(vac.space, cav.amplitudes)])
-        return (init, targ)
-
-    task = TransferTask(
-        pairs=(
-            pair(1.0, 0.0),
-            pair(0.0, 1.0),
-            pair(1.0, 1.0),
-            pair(1.0, 1.0j),
-        ),
-        H0=LinearOp(layout.space, np.diag(h0)),
-        layout=layout,
-        channels=(("Q1", "qubit"), ("S1", "cavity")),
-        n_steps=500,
-    )
-    pulse, report = optimize(task, max_iters=400, target_fidelity=0.995, seed=4)
-    assert report.final_fidelity >= 0.99
-    # verify against the reference evolution path
-    init, targ = task.pairs[2]
-    out = evolve_pulse(init, h0, pulse, layout)
-    assert abs(targ.overlap(out)) ** 2 >= 0.98
-    assert b0.overlap(b1) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_gaussian_pulse_shape_and_area():
-    pulse = gaussian_pulse(sigma=5.0, total=20.0, amplitude=0.1)
-    env = pulse.channels[("Q1", "qubit")]
-    assert np.allclose(env.imag, 0.0)  # no derivative quadrature by default
-    assert pulse.n_steps == 20
-    # symmetric about the center, peak amplitude at the middle
-    assert np.allclose(env.real, env.real[::-1])
-    assert np.argmax(env.real) in (9, 10)
-
-    cal = gaussian_pulse(sigma=5.0, total=20.0, amplitude=1.0, area=np.pi)
-    assert abs(cal.channels[("Q1", "qubit")].real.sum() * cal.dt - np.pi) < 1e-12
-
-
-def test_gaussian_pi_pulse_flips_qubit():
-    task = _qubit_task(n_steps=20)
-    pulse = gaussian_pulse(sigma=5.0, total=20.0, amplitude=1.0, area=np.pi)
-    out = evolve_pulse(qubit_ket(0), np.diag(task.H0.matrix).real, pulse, task.layout)
-    assert abs(out.amplitudes[1]) ** 2 > 1.0 - 1e-9
-
-
-def test_gaussian_pulse_drag_quadrature():
-    pulse = gaussian_pulse(
-        sigma=5.0, total=20.0, amplitude=0.1, drag_coefficient=0.5
-    )
-    env = pulse.channels[("Q1", "qubit")]
-    assert np.max(np.abs(env.imag)) > 0
-    # derivative quadrature is antisymmetric about the pulse center
-    assert np.allclose(env.imag, -env.imag[::-1])
-
-
-def test_gaussian_pulse_validates_duration():
-    with pytest.raises(ValidationError):
-        gaussian_pulse(sigma=6.0, total=20.0, amplitude=0.1)
 
 
 def test_report_validates_fidelity_range():

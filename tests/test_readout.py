@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from cavitysim.device import SystemLayout
 from cavitysim.errors import ValidationError
-from cavitysim.fock import Ket, fock_ket, qubit_ket, tensor
 from cavitysim.readout import (
     AssignmentMatrix,
     correct_readout,
     default_assignment,
-    kron_assignment,
     load_assignment,
     load_assignment_csv,
     project_to_simplex,
-    qubit_measurement_probs,
     sample_assignment,
 )
 
@@ -181,54 +177,3 @@ def test_law_of_large_numbers():
     shots = 1_000_000
     counts = sample_assignment(p_true, am, shots=shots, seed=5)
     assert np.max(np.abs(counts / shots - am.R @ p_true)) < 5e-3
-
-
-def test_kron_assignment_matches_joint_channel():
-    r1 = np.array([[0.95, 0.03], [0.05, 0.97]])
-    r2 = np.array([[0.9, 0.08], [0.1, 0.92]])
-    am = kron_assignment([r1, r2])
-    assert am.n_qubits == 2
-    assert np.allclose(am.R, np.kron(r1, r2))
-    # column for |01> = e_0 ⊗ e_1 maps to r1[:,0] ⊗ r2[:,1]
-    assert np.allclose(am.R[:, 1], np.kron(r1[:, 0], r2[:, 1]))
-
-
-def test_qubit_measurement_probs_basis_state():
-    layout = SystemLayout.build(["Q1", "Q2", "Q3"], [], {})
-    state = tensor([qubit_ket(0), qubit_ket(0), qubit_ket(0)])
-    p = qubit_measurement_probs(state, layout, ["Q1", "Q2", "Q3"])
-    assert np.allclose(p, np.eye(8)[0])
-    state = tensor([qubit_ket(1), qubit_ket(0), qubit_ket(1)])
-    p = qubit_measurement_probs(state, layout, ["Q1", "Q2", "Q3"])
-    assert np.allclose(p, np.eye(8)[0b101])
-
-
-def test_qubit_measurement_probs_superposition_and_order():
-    layout = SystemLayout.build(["Q1", "Q2"], [], {})
-    plus = Ket(qubit_ket(0).space, np.array([1.0, 1.0]) / np.sqrt(2))
-    state = tensor([plus, qubit_ket(1)])
-    p = qubit_measurement_probs(state, layout, ["Q1", "Q2"])
-    assert np.allclose(p, [0.0, 0.5, 0.0, 0.5])
-    assert abs(p.sum() - 1.0) < 1e-10
-    # reversed label order swaps the bit significance
-    p_rev = qubit_measurement_probs(state, layout, ["Q2", "Q1"])
-    assert np.allclose(p_rev, [0.0, 0.0, 0.5, 0.5])
-
-
-def test_qubit_measurement_probs_traces_out_cavity():
-    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 3})
-    amp = np.zeros(6, dtype=complex)
-    amp[layout.space.joint_index((0, 1))] = 1.0 / np.sqrt(2)
-    amp[layout.space.joint_index((1, 2))] = 1.0 / np.sqrt(2)
-    state = Ket(layout.space, amp)
-    p = qubit_measurement_probs(state, layout, ["Q1"])
-    assert np.allclose(p, [0.5, 0.5])
-
-
-def test_qubit_measurement_probs_rejects_bad_labels():
-    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 3})
-    state = tensor([qubit_ket(0), fock_ket(layout.mode("S1"), 0)])
-    with pytest.raises(ValidationError):
-        qubit_measurement_probs(state, layout, ["S1"])
-    with pytest.raises(ValidationError):
-        qubit_measurement_probs(state, layout, ["Q1", "Q1"])

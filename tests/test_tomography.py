@@ -7,7 +7,6 @@ from cavitysim.codes import cat_encoding
 from cavitysim.errors import ValidationError
 from cavitysim.fock import (
     CompositeSpace,
-    DensityOp,
     Ket,
     ModeSpec,
     coherent,
@@ -21,14 +20,10 @@ from cavitysim.fock import (
 from cavitysim.tomography import (
     TransferMatrix,
     joint_wigner,
-    ket_fidelity,
-    mle_density,
     pauli_labels,
     pauli_matrix,
     pauli_transfer,
     process_fidelity,
-    state_fidelity,
-    tomo_probabilities,
     unitary_transfer,
     wigner,
     wigner_grid,
@@ -232,101 +227,25 @@ def test_joint_wigner_bell_state():
     assert abs(joint_wigner(bell, 0.0, 0.0) + 1.0) < 1e-12
 
 
-def _qubit_rho(vec):
-    space = CompositeSpace.single(ModeSpec.qubit())
-    v = np.asarray(vec, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return DensityOp(space, np.outer(v, v.conj()))
+@pytest.mark.parametrize("as_density", [False, True])
+def test_joint_wigner_follows_the_order_of_factors(as_density):
+    """beta1 belongs to factors[0]; the pair was once read in sorted order."""
+    s = ModeSpec.bosonic(10)
+    psi = tensor([fock_ket(s, 0), coherent(1.0, s)])
+    state = psi.density() if as_density else psi
+    assert abs(joint_wigner(state, 1.0, 0.0, factors=(1, 0)) - 1.0) < 1e-6
+    rng = np.random.default_rng(13)
+    b1 = 0.5 * (rng.normal(size=8) + 1j * rng.normal(size=8))
+    b2 = 0.5 * (rng.normal(size=8) + 1j * rng.normal(size=8))
+    swapped = joint_wigner(state, b1, b2, factors=(1, 0))
+    assert np.max(np.abs(swapped - joint_wigner(state, b2, b1, factors=(0, 1)))) < 1e-12
 
 
-def test_tomo_probabilities_ground_state():
-    table = tomo_probabilities(_qubit_rho([1, 0]))
-    assert abs(table[("I",)][0] - 1.0) < 1e-12
-    assert abs(table[("X90",)][0] - 0.5) < 1e-12
-    assert abs(table[("X90",)][1] - 0.5) < 1e-12
-    assert abs(table[("X180",)][1] - 1.0) < 1e-12
-
-
-def test_tomo_probabilities_two_qubit_completeness():
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    space = CompositeSpace((ModeSpec.qubit(), ModeSpec.qubit()))
-    rho = DensityOp(space, np.outer(v, v.conj()))
-    table = tomo_probabilities(rho)
-    assert len(table) == 16
-    for probs in table.values():
-        assert len(probs) == 4
-        assert abs(np.sum(probs) - 1.0) < 1e-12
-
-
-def test_tomo_probabilities_rejects_three_qubits():
-    space = CompositeSpace(tuple(ModeSpec.qubit() for _ in range(3)))
-    rho = DensityOp(space, np.eye(8) / 8)
+def test_joint_wigner_rejects_a_repeated_factor():
+    s = ModeSpec.bosonic(6)
+    psi = tensor([fock_ket(s, 0), fock_ket(s, 1)])
     with pytest.raises(ValidationError):
-        tomo_probabilities(rho)
-
-
-def test_mle_roundtrip_pure_states():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        rho = _qubit_rho(v)
-        est = mle_density(tomo_probabilities(rho))
-        est.validate(1e-8, 1e-8)
-        assert state_fidelity(est, rho) > 0.9999
-
-
-def test_mle_roundtrip_two_qubit():
-    rng = np.random.default_rng(3)
-    space = CompositeSpace((ModeSpec.qubit(), ModeSpec.qubit()))
-    for _ in range(5):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        rho = DensityOp(space, np.outer(v, v.conj()))
-        est = mle_density(tomo_probabilities(rho))
-        assert state_fidelity(est, rho) > 0.9999
-
-
-def test_mle_physical_from_noisy_counts():
-    rng = np.random.default_rng(5)
-    rho = _qubit_rho([1, 1])
-    table = tomo_probabilities(rho)
-    noisy = {k: np.abs(v + 0.03 * rng.normal(size=len(v))) for k, v in table.items()}
-    noisy = {k: v / np.sum(v) for k, v in noisy.items()}
-    est = mle_density(noisy)
-    assert abs(np.trace(est.matrix) - 1.0) < 1e-8
-    assert np.min(np.linalg.eigvalsh(est.matrix)) > -1e-10
-
-
-def test_mle_finite_shot_statistics():
-    """Median fidelity over random two-qubit states with 10^4 multinomial shots."""
-    rng = np.random.default_rng(42)
-    space = CompositeSpace((ModeSpec.qubit(), ModeSpec.qubit()))
-    fids = []
-    for _ in range(6):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        rho = DensityOp(space, np.outer(v, v.conj()))
-        table = tomo_probabilities(rho)
-        sampled = {
-            k: rng.multinomial(10_000, p / np.sum(p)) / 10_000
-            for k, p in table.items()
-        }
-        est = mle_density(sampled, shots=10_000)
-        fids.append(state_fidelity(est, rho))
-    assert np.median(fids) >= 0.99
-
-
-def test_mle_invariant_under_setting_reordering():
-    rng = np.random.default_rng(8)
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    rho = _qubit_rho(v)
-    table = tomo_probabilities(rho)
-    reordered = dict(reversed(list(table.items())))
-    f1 = state_fidelity(mle_density(table), rho)
-    f2 = state_fidelity(mle_density(reordered), rho)
-    assert abs(f1 - f2) < 1e-6
+        joint_wigner(psi, 0.0, 0.0, factors=(1, 1))
 
 
 def test_ptm_identity_process():
@@ -401,29 +320,3 @@ def test_process_fidelity_dimension_mismatch():
     r2 = unitary_transfer(np.eye(4, dtype=complex), 2)
     with pytest.raises(ValidationError):
         process_fidelity(r1, r2)
-
-
-def test_state_fidelity_properties():
-    space = CompositeSpace.single(ModeSpec.qubit())
-    rho_g = DensityOp(space, np.diag([1.0, 0.0]).astype(complex))
-    rho_e = DensityOp(space, np.diag([0.0, 1.0]).astype(complex))
-    assert abs(state_fidelity(rho_g, rho_g) - 1.0) < 1e-12
-    assert state_fidelity(rho_g, rho_e) < 1e-12
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        ra = a @ a.conj().T
-        rb = b @ b.conj().T
-        ra = DensityOp(space, ra / np.trace(ra))
-        rb = DensityOp(space, rb / np.trace(rb))
-        assert abs(state_fidelity(ra, rb) - state_fidelity(rb, ra)) < 1e-9
-
-
-def test_ket_fidelity_matches_state_fidelity():
-    space = CompositeSpace.single(ModeSpec.qubit())
-    psi = Ket(space, np.array([1.0, 1.0]) / np.sqrt(2))
-    rho = DensityOp(space, np.diag([0.5, 0.5]).astype(complex))
-    assert abs(ket_fidelity(rho, psi) - 0.5) < 1e-12
-    assert abs(ket_fidelity(psi, psi) - 1.0) < 1e-12
-    assert abs(ket_fidelity(rho, psi) - state_fidelity(rho, psi.density())) < 1e-9
