@@ -133,36 +133,15 @@ def _common_options(f):
             help="Directory receiving CSV/JSON outputs and manifest.json.",
         ),
         click.option("--seed", type=int, default=0, show_default=True),
-        click.option(
-            "--mode",
-            type=click.Choice(_MODES),
-            default="ideal",
-            show_default=True,
-        ),
-        click.option(
-            "--dim",
-            type=int,
-            default=None,
-            help="Fock truncation override (where the experiment supports it).",
-        ),
-        click.option(
-            "--shots",
-            type=int,
-            default=None,
-            help="Finite-shot sampling through the readout model (where supported).",
-        ),
     ]
     for opt in reversed(opts):
         f = opt(f)
     return f
 
 
-def _reject_unsupported(**flags) -> None:
-    for name, value in flags.items():
-        if value is not None:
-            raise ValidationError(
-                f"--{name} is not supported by this subcommand"
-            )
+# --mode and --dim, declared only by the commands that use them
+_mode_option = click.option("--mode", type=click.Choice(_MODES), default="ideal", show_default=True)
+_dim_option = click.option("--dim", type=int, default=None, help="Fock truncation override.")
 
 
 @click.group()
@@ -177,6 +156,7 @@ def cli():
 
 @cli.command("parity-sweep")
 @_common_options
+@_mode_option
 @click.option("--delta", type=float, default=0.0, show_default=True)
 @click.option(
     "--phis",
@@ -187,11 +167,8 @@ def cli():
 )
 @click.option("--alpha", type=float, default=None)
 @click.option("--epsilon", type=float, default=None)
-def cmd_parity_sweep(
-    config_path, output_dir, seed, mode, dim, shots, delta, phis_spec, alpha, epsilon
-):
+def cmd_parity_sweep(config_path, output_dir, seed, mode, delta, phis_spec, alpha, epsilon):
     """Cavity parity fringe versus phase-gate axis offset."""
-    _reject_unsupported(dim=dim, shots=shots)
     phis = None
     if phis_spec is not None:
         parts = phis_spec.split(":")
@@ -229,11 +206,11 @@ def cmd_parity_sweep(
 
 @cli.command("zgate-repeat")
 @_common_options
+@_mode_option
 @click.option("--m-max", type=int, default=4, show_default=True)
 @click.option("--alpha", type=float, default=2.0, show_default=True)
-def cmd_zgate_repeat(config_path, output_dir, seed, mode, dim, shots, m_max, alpha):
+def cmd_zgate_repeat(config_path, output_dir, seed, mode, m_max, alpha):
     """Process fidelity after m repeated phase gates, with a linear fit."""
-    _reject_unsupported(dim=dim, shots=shots)
     config_text = _read_config(config_path)
     result = run_zgate_repetition(
         m_max=m_max, mode=mode, alpha=alpha, config_text=config_text, seed=seed
@@ -249,6 +226,7 @@ def cmd_zgate_repeat(config_path, output_dir, seed, mode, dim, shots, m_max, alp
 
 @cli.command("qpt")
 @_common_options
+@_mode_option
 @click.option(
     "--gate",
     type=click.Choice(["z", "s", "t", "cz-coherent", "cz-binomial"]),
@@ -256,9 +234,8 @@ def cmd_zgate_repeat(config_path, output_dir, seed, mode, dim, shots, m_max, alp
     show_default=True,
 )
 @click.option("--alpha", type=float, default=float(np.sqrt(2.0)), show_default=True)
-def cmd_qpt(config_path, output_dir, seed, mode, dim, shots, gate, alpha):
+def cmd_qpt(config_path, output_dir, seed, mode, gate, alpha):
     """Process tomography of one logical gate."""
-    _reject_unsupported(dim=dim, shots=shots)
     config_text = _read_config(config_path)
     result = run_qpt(gate, mode=mode, alpha=alpha, config_text=config_text, seed=seed)
     _write_result(
@@ -270,6 +247,7 @@ def cmd_qpt(config_path, output_dir, seed, mode, dim, shots, gate, alpha):
 
 @cli.command("cz")
 @_common_options
+@_mode_option
 @click.option(
     "--encoding",
     type=click.Choice(["coherent", "binomial"]),
@@ -277,9 +255,8 @@ def cmd_qpt(config_path, output_dir, seed, mode, dim, shots, gate, alpha):
     show_default=True,
 )
 @click.option("--alpha", type=float, default=float(np.sqrt(2.0)), show_default=True)
-def cmd_cz(config_path, output_dir, seed, mode, dim, shots, encoding, alpha):
+def cmd_cz(config_path, output_dir, seed, mode, encoding, alpha):
     """Two-cavity controlled-phase gate: tomography plus the gate recipe."""
-    _reject_unsupported(dim=dim, shots=shots)
     config_text = _read_config(config_path)
     result = run_qpt(
         f"cz-{encoding}", mode=mode, alpha=alpha, config_text=config_text, seed=seed
@@ -297,6 +274,7 @@ def cmd_cz(config_path, output_dir, seed, mode, dim, shots, encoding, alpha):
 
 @cli.command("bell")
 @_common_options
+@_mode_option
 @click.option(
     "--encoding",
     type=click.Choice(["binomial", "cat"]),
@@ -304,9 +282,8 @@ def cmd_cz(config_path, output_dir, seed, mode, dim, shots, encoding, alpha):
     show_default=True,
 )
 @click.option("--alpha", type=float, default=1.2, show_default=True)
-def cmd_bell(config_path, output_dir, seed, mode, dim, shots, encoding, alpha):
+def cmd_bell(config_path, output_dir, seed, mode, encoding, alpha):
     """Logical Bell state from |++> and the controlled-phase gate."""
-    _reject_unsupported(dim=dim, shots=shots)
     config_text = _read_config(config_path)
     result = run_bell_generation(
         encoding, mode=mode, alpha=alpha, config_text=config_text, seed=seed
@@ -320,10 +297,11 @@ def cmd_bell(config_path, output_dir, seed, mode, dim, shots, encoding, alpha):
 
 @cli.command("snap-bell")
 @_common_options
+@_mode_option
+@_dim_option
 @click.option("--sign", type=click.Choice(["+1", "-1"]), default="+1", show_default=True)
-def cmd_snap_bell(config_path, output_dir, seed, mode, dim, shots, sign):
+def cmd_snap_bell(config_path, output_dir, seed, mode, dim, sign):
     """Single-photon two-cavity Bell state via a conditional 2-pi rotation."""
-    _reject_unsupported(shots=shots)
     config_text = _read_config(config_path)
     kwargs = {} if dim is None else {"dim": dim}
     result = run_snap_bell(
@@ -342,11 +320,8 @@ def cmd_snap_bell(config_path, output_dir, seed, mode, dim, shots, sign):
     "--gate", type=click.Choice(["z", "s", "t"]), default="z", show_default=True
 )
 @click.option("--alpha", type=float, default=float(np.sqrt(2.0)), show_default=True)
-def cmd_error_budget(config_path, output_dir, seed, mode, dim, shots, gate, alpha):
+def cmd_error_budget(config_path, output_dir, seed, gate, alpha):
     """Infidelity decomposition of a single-cavity phase gate by error source."""
-    _reject_unsupported(dim=dim, shots=shots)
-    if mode != "ideal":
-        raise ValidationError("error-budget always simulates all layers; omit --mode")
     config_text = _read_config(config_path)
     result = run_error_budget(gate, alpha=alpha, config_text=config_text, seed=seed)
     _write_result(
@@ -362,6 +337,7 @@ def cmd_error_budget(config_path, output_dir, seed, mode, dim, shots, gate, alph
 
 @cli.command("wigner")
 @_common_options
+@_dim_option
 @click.option(
     "--state",
     type=click.Choice(["cat", "binomial", "fock"]),
@@ -372,13 +348,8 @@ def cmd_error_budget(config_path, output_dir, seed, mode, dim, shots, gate, alph
 @click.option("--fock-n", type=int, default=1, show_default=True)
 @click.option("--extent", type=float, default=2.5, show_default=True)
 @click.option("--points", type=int, default=41, show_default=True)
-def cmd_wigner(
-    config_path, output_dir, seed, mode, dim, shots, state, alpha, fock_n, extent, points
-):
+def cmd_wigner(config_path, output_dir, seed, dim, state, alpha, fock_n, extent, points):
     """Wigner function of a reference cavity state on a phase-space grid."""
-    _reject_unsupported(shots=shots)
-    if mode != "ideal":
-        raise ValidationError("wigner renders ideal states; omit --mode")
     if not np.isfinite(extent):
         raise ValidationError("--extent must be finite")
     if points < 2:
@@ -420,6 +391,7 @@ def cmd_wigner(
 
 @cli.command("grape-optimize")
 @_common_options
+@_dim_option
 @click.option(
     "--task",
     "task_name",
@@ -436,18 +408,15 @@ def cmd_grape_optimize(
     config_path,
     output_dir,
     seed,
-    mode,
     dim,
-    shots,
     task_name,
     steps,
     max_iters,
     target_fidelity,
 ):
     """Optimize a piecewise-constant control pulse for a transfer task."""
-    _reject_unsupported(shots=shots)
-    if mode != "ideal":
-        raise ValidationError("grape-optimize works on the closed system; omit --mode")
+    if task_name == "pi-pulse" and dim is not None:
+        raise ValidationError("--dim does not apply to the pi-pulse task, which has no cavity")
     config_text = _read_config(config_path)
     params = load_params(config_text)
     if task_name == "pi-pulse":
@@ -518,6 +487,12 @@ def cmd_grape_optimize(
 @cli.command("readout-correct")
 @_common_options
 @click.option(
+    "--shots",
+    type=int,
+    default=None,
+    help="Finite-shot sampling through the readout model.",
+)
+@click.option(
     "--matrix",
     "matrix_path",
     type=click.Path(exists=True, dir_okay=False),
@@ -532,13 +507,8 @@ def cmd_grape_optimize(
     help="Measured probability vector (floats, comma or newline separated).",
 )
 @click.option("--project", is_flag=True, help="Project the result onto the simplex.")
-def cmd_readout_correct(
-    config_path, output_dir, seed, mode, dim, shots, matrix_path, probs_path, project
-):
+def cmd_readout_correct(config_path, output_dir, seed, shots, matrix_path, probs_path, project):
     """Invert the readout assignment matrix on a measured probability vector."""
-    _reject_unsupported(dim=dim)
-    if mode != "ideal":
-        raise ValidationError("readout correction is classical; omit --mode")
     if matrix_path is None:
         assignment = default_assignment()
     else:

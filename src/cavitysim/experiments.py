@@ -52,6 +52,7 @@ from cavitysim.gates import (
     component_logical_unitary,
     cz_binomial,
     cz_coherent,
+    gate_columns,
     realized_logical_map,
     single_cavity_phase_gate,
     snap_bell,
@@ -156,19 +157,31 @@ def _code_subspace_unitary(enc: Encoding, u2: np.ndarray) -> LinearOp:
     return LinearOp(CompositeSpace.single(enc.mode), m).assert_unitary(1e-8)
 
 
+def _backend(mode: str, params: DeviceParams, layout: SystemLayout, compensate: bool = True):
+    """The closed-system backend realizing `mode` on `layout`.  With
+    `compensate`, the pulse backend undoes each timed step's static cavity
+    phases."""
+    if mode == "ideal":
+        return IdealBackend(layout)
+    if mode == "pulse":
+        return PulseBackend(params, layout, compensate_static_cavity_phases=compensate)
+    raise ValidationError(f"unsupported mode {mode!r}")
+
+
 def _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, post, m, collapses=None):
-    """The qubit channel ρ_q ↦ Tr_cavity[D Gᵐ E (ρ_q ⊗ |0⟩⟨0|) E† D†] as a
+    """The qubit channel ρ_q ↦ Tr_cavity[D Gᵐ E (ρ_q ⊗ |0⟩⟨0|) E† Gᵐ† D†] as a
     function returning a 2×2 matrix: E is the ideal encoder `enc_u`, D = E†,
     and G is `spec` on `backend` followed by the diagonal unitary whose
-    (dim,) phase vector is `post`.
+    (dim,) phase vector is `post` (the identity if None).
 
-    With collapses, G acts on the density matrix through `apply_density`;
-    without, each eigenvector of ρ_q is propagated as a ket and the results
-    are mixed.
+    With collapses, G acts on the density matrix of each input through
+    `apply_density`.  Without, the channel is ρ_q ↦ Σ_ab ρ_ab Tr_cavity[y_a y_b†]
+    with y_a = D Gᵐ E |a, 0⟩: the two encoded basis columns are pushed
+    through the gate once, and every input is a contraction of the result.
     """
     vac = fock_ket(layout.mode(cavity), 0).amplitudes
+    e, d = enc_u.matrix, enc_u.dag().matrix
     if collapses is not None:
-        e, d = enc_u.matrix, enc_u.dag().matrix
 
         def process(rho_q: DensityOp) -> np.ndarray:
             full = np.kron(rho_q.matrix, np.outer(vac, vac.conj()))
@@ -181,18 +194,10 @@ def _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, post, m, collap
 
         return process
 
-    def process(rho_q: DensityOp) -> np.ndarray:
-        w, v = np.linalg.eigh(rho_q.matrix)
-        out = np.zeros((2, 2), dtype=complex)
-        for i in range(2):
-            if w[i] > 1e-12:
-                full = enc_u @ Ket(layout.space, np.kron(v[:, i], vac))
-                for _ in range(m):
-                    full = Ket(layout.space, post * backend.apply(full, spec).amplitudes)
-                out += w[i] * partial_trace(enc_u.dag() @ full, [0]).matrix
-        return out
-
-    return process
+    encoded = e @ np.kron(np.eye(2), vac[:, None])  # E|g,0⟩, E|e,0⟩
+    y = d @ gate_columns(backend, spec, encoded, m, post)
+    y = y.T.reshape(2, 2, -1)  # (input a, qubit, cavity level)
+    return lambda rho_q: np.einsum("ab,aqn,bpn->qp", rho_q.matrix, y, y.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +245,7 @@ def run_parity_sweep(
     # (−1)^n on the joint basis |q, n⟩ (qubit factor first)
     parity = np.tile((-1.0) ** np.arange(dim), 2)
 
-    if mode == "ideal":
-        backend = IdealBackend(layout)
-    elif mode == "pulse":
-        backend = PulseBackend(params, layout, compensate_static_cavity_phases=True)
-    else:
-        raise ValidationError(f"unsupported mode {mode!r} for the parity sweep")
-
+    backend = _backend(mode, params, layout)
     tolerance = 1e-6 if mode == "ideal" else 0.05
     rows = []
     worst = 0.0
@@ -323,14 +322,10 @@ def run_zgate_repetition(
     zmat = np.diag([1.0, -1.0]).astype(complex)
 
     decohere = mode == "pulse+decoherence"
-    if mode == "ideal":
-        backend = IdealBackend(layout)
-        comp = np.ones(layout.space.dim)
-    elif mode in ("pulse", "pulse+decoherence"):
-        backend = PulseBackend(params, layout, compensate_static_cavity_phases=True)
-        comp = stark_phase_compensation(spec, params, layout, cavity, qubit)
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
+    backend = _backend("pulse" if decohere else mode, params, layout)
+    comp = None if mode == "ideal" else stark_phase_compensation(
+        spec, params, layout, cavity, qubit
+    )
     collapses = standard_collapses(params, layout) if decohere else None
 
     ms = np.arange(m_max + 1)
@@ -377,15 +372,9 @@ def _single_cavity_qpt(gate: str, params, mode: str, alpha: float):
         k = component_logical_unitary(spec, ["S1"], "Q1")
     else:
         layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
-        backend = PulseBackend(params, layout, compensate_static_cavity_phases=True)
+        backend = _backend(mode, params, layout)
         comp = stark_phase_compensation(spec, params, layout, "S1", "Q1")
-        logical = list(enc.orthonormal_basis())
-        k = realized_logical_map(
-            lambda psi: Ket(psi.space, comp * backend.apply(psi, spec).amplitudes),
-            layout,
-            "Q1",
-            logical,
-        )
+        k = realized_logical_map(backend, spec, enc.orthonormal_basis(), post=comp)
     return k, ideal_u, 1, spec
 
 
@@ -396,27 +385,28 @@ def _cz_coherent_qpt(params, mode: str, alpha: float):
     else:
         dim = recommended_dim(2.0 * alpha)
         layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
-        backend = PulseBackend(params, layout, compensate_static_cavity_phases=True)
-        enc = cat_encoding(alpha, dim)
-        b0, b1 = enc.orthonormal_basis()
+        backend = _backend(mode, params, layout)
+        b0, b1 = cat_encoding(alpha, dim).orthonormal_basis()
         logical = [tensor([a, b]) for a in (b0, b1) for b in (b0, b1)]
-        k = realized_logical_map(
-            lambda psi: backend.apply(psi, spec), layout, "Q3", logical
-        )
+        k = realized_logical_map(backend, spec, logical)
     return k, _CZ, 2, spec
+
+
+def _binomial_cz(params, mode: str, layout):
+    """The backend realizing `mode` on `layout` and the binomial CZ for it:
+    exact conditional rotations when ideal, the calibrated pulse otherwise."""
+    backend = _backend(mode, params, layout, compensate=False)
+    if mode == "ideal":
+        return backend, cz_binomial(params, mode="ideal")
+    return backend, cz_binomial(params, mode="pulse", layout=layout)[0]
 
 
 def _cz_binomial_qpt(params, mode: str):
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
     enc = binomial_encoding(7)
     logical = [tensor([a, b]) for a in (enc.ket0, enc.ket1) for b in (enc.ket0, enc.ket1)]
-    if mode == "ideal":
-        spec = cz_binomial(params, mode="ideal")
-        backend = IdealBackend(layout)
-    else:
-        spec, _ = cz_binomial(params, mode="pulse", layout=layout)
-        backend = PulseBackend(params, layout)
-    k = realized_logical_map(lambda psi: backend.apply(psi, spec), layout, "Q3", logical)
+    backend, spec = _binomial_cz(params, mode, layout)
+    k = realized_logical_map(backend, spec, logical)
     return k, _CZ, 2, spec
 
 
@@ -433,8 +423,6 @@ def run_qpt(
     gate ∈ {"z", "s", "t", "cz-coherent", "cz-binomial"};
     mode ∈ {"ideal", "pulse"} (decoherent tomography is not simulated).
     """
-    if mode not in ("ideal", "pulse"):
-        raise ValidationError(f"unsupported mode {mode!r} for process tomography")
     params, cfg_hash = _resolve_params(params, config_text)
     gate = gate.lower()
     if gate in ("z", "s", "t"):
@@ -503,25 +491,13 @@ def run_bell_generation(
         dim = 7
         enc1 = enc2 = binomial_encoding(dim)
         layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
-        if mode == "ideal":
-            spec = cz_binomial(params, mode="ideal")
-            backend = IdealBackend(layout)
-        elif mode == "pulse":
-            spec, _ = cz_binomial(params, mode="pulse", layout=layout)
-            backend = PulseBackend(params, layout)
-        else:
-            raise ValidationError(f"unknown mode {mode!r}")
+        backend, spec = _binomial_cz(params, mode, layout)
     elif encoding == "cat":
         dim = recommended_dim(2.0 * alpha)
         enc1 = enc2 = cat_encoding(alpha, dim)
         layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
+        backend = _backend(mode, params, layout)
         spec = cz_coherent(alpha, params)
-        if mode == "ideal":
-            backend = IdealBackend(layout)
-        elif mode == "pulse":
-            backend = PulseBackend(params, layout, compensate_static_cavity_phases=True)
-        else:
-            raise ValidationError(f"unknown mode {mode!r}")
     else:
         raise ValidationError(f"unknown encoding {encoding!r}")
 
@@ -631,22 +607,15 @@ def run_error_budget(
 
     comp = stark_phase_compensation(spec, params, layout, "S1", "Q1")
 
-    def fidelity(backend, collapses=None):
-        post = comp if isinstance(backend, PulseBackend) else np.ones(layout.space.dim)
+    def fidelity(backend, post=None, collapses=None):
         channel = _encoded_qubit_channel(layout, "S1", enc_u, backend, spec, post, 1, collapses)
         return process_fidelity(pauli_transfer(channel, 1), ideal_ptm)
 
-    f_ideal = fidelity(IdealBackend(layout))
-    f_selectivity = fidelity(
-        PulseBackend(no_kerr, layout, compensate_static_cavity_phases=True)
-    )
-    f_pulse = fidelity(
-        PulseBackend(params, layout, compensate_static_cavity_phases=True)
-    )
-    collapses = standard_collapses(params, layout)
-    f_total = fidelity(
-        PulseBackend(params, layout, compensate_static_cavity_phases=True), collapses
-    )
+    pulse = _backend("pulse", params, layout)
+    f_ideal = fidelity(_backend("ideal", params, layout))
+    f_selectivity = fidelity(_backend("pulse", no_kerr, layout), comp)
+    f_pulse = fidelity(pulse, comp)
+    f_total = fidelity(pulse, comp, standard_collapses(params, layout))
 
     rows = (
         ("encode_decode", float(1.0 - f_ideal)),
@@ -695,12 +664,7 @@ def run_snap_bell(
     params, cfg_hash = _resolve_params(params, config_text)
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
     spec = snap_bell(sign)
-    if mode == "ideal":
-        backend = IdealBackend(layout)
-    elif mode == "pulse":
-        backend = PulseBackend(params, layout, compensate_static_cavity_phases=True)
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
+    backend = _backend(mode, params, layout)
     vac = tensor(
         [
             qubit_ket(0),

@@ -927,20 +927,35 @@ def snap_bell(
 # Logical-map extraction
 
 
-def realized_logical_map(apply_fn, layout: SystemLayout, qubit: str, logical_kets) -> np.ndarray:
-    """K_ab = <g; L_a| U |g; L_b> for a realized gate.
+def gate_columns(backend, spec: GateSpec, inputs: np.ndarray, m: int = 1, post=None) -> np.ndarray:
+    """Push each column of the (dim, k) array `inputs` through `spec` on
+    `backend` m times, multiplying by the (dim,) phase vector `post` (if
+    given) after each pass; returns the (dim, k) outputs."""
+    space = backend.layout.space
+    cols = []
+    for v in inputs.T:
+        psi = Ket(space, v)
+        for _ in range(m):
+            psi = backend.apply(psi, spec)
+            if post is not None:
+                psi = Ket(space, post * psi.amplitudes)
+        cols.append(psi.amplitudes)
+    return np.stack(cols, axis=1)
 
-    apply_fn maps a full-space Ket to a full-space Ket; logical_kets are
-    cavity-subspace kets (in layout cavity order) defining the logical basis.
-    The result is a single-Kraus description of the gate on the code space
-    (trace loss = leakage out of it).
+
+def realized_logical_map(backend, spec: GateSpec, logical_kets, post=None) -> np.ndarray:
+    """K_ab = <g; L_a| P U |g; L_b> for `spec` realized on `backend`, P the
+    diagonal unitary whose (dim,) phase vector is `post` (identity if None).
+
+    logical_kets are cavity-subspace kets (in layout cavity order) defining
+    the logical basis; the layout is the backend's, with its single qubit as
+    the first factor.  The result is a single-Kraus description of the gate
+    on the code space (trace loss = leakage out of it).
     """
-    if layout.index[qubit] != 0 or len(layout.qubit_labels()) != 1:
+    layout = backend.layout
+    qubits = layout.qubit_labels()
+    if len(qubits) != 1 or layout.index[qubits[0]] != 0:
         raise ValidationError("expected a single qubit as the first factor")
     g = np.array([1.0, 0.0], dtype=complex)
-    ins = [np.kron(g, lk.amplitudes) for lk in logical_kets]
-    cols = []
-    for v in ins:
-        out = apply_fn(Ket(layout.space, v))
-        cols.append([np.vdot(w, out.amplitudes) for w in ins])
-    return np.array(cols, dtype=complex).T
+    ins = np.stack([np.kron(g, lk.amplitudes) for lk in logical_kets], axis=1)
+    return ins.conj().T @ gate_columns(backend, spec, ins, post=post)

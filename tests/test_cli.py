@@ -146,6 +146,24 @@ def test_qpt_and_cz_reject_decoherence_mode(tmp_path, capsys):
         assert not (out / "result.json").exists()
 
 
+def test_error_budget_rejects_mode_flag(tmp_path, capsys):
+    """error-budget always simulates every layer, so it declares no --mode:
+    an ideal-mode request must not write a pulse+decoherence budget."""
+    out = tmp_path / "eb"
+    assert main(["error-budget", "--mode", "ideal", "-o", str(out)]) == 1
+    assert "--mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grape_pi_pulse_rejects_dim(tmp_path, capsys):
+    """The pi-pulse task has no cavity, so a --dim would be recorded in the
+    manifest without being used."""
+    out = tmp_path / "gp"
+    assert main(["grape-optimize", "--task", "pi-pulse", "--dim", "5", "-o", str(out)]) == 1
+    assert "--dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_error_exits_2(tmp_path, monkeypatch, capsys):
     def failing_budget(*args, **kwargs):
         raise NumericalError("Lindblad trace drift 1.00e+00 exceeds 1e-6")

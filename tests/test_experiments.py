@@ -1,10 +1,15 @@
+import collections
+
 import numpy as np
 import pytest
 
+from cavitysim.codes import cat_encoding, ideal_encoder
+from cavitysim.device import SystemLayout, load_params
 from cavitysim.errors import ValidationError
 from cavitysim.experiments import (
     ExperimentResult,
     Scalar,
+    _encoded_qubit_channel,
     run_bell_generation,
     run_error_budget,
     run_parity_sweep,
@@ -12,6 +17,14 @@ from cavitysim.experiments import (
     run_snap_bell,
     run_zgate_repetition,
 )
+from cavitysim.fock import Ket, partial_trace, recommended_dim
+from cavitysim.gates import (
+    IdealBackend,
+    PulseBackend,
+    single_cavity_phase_gate,
+    stark_phase_compensation,
+)
+from cavitysim.tomography import pauli_transfer
 
 
 def test_scalar_requires_tolerance_unless_reference():
@@ -129,6 +142,87 @@ def test_decoherent_z_gate_forms_one_run_propagator(monkeypatch, run):
     monkeypatch.setattr(evolution, "liouvillian_components", counted)
     run()
     assert len(built) == 1
+
+
+def _eigenvector_channel(layout, enc_u, backend, spec, post, m):
+    """Reference closed channel: encode each eigenvector of ρ_q with the
+    cavity in vacuum, push it m times through `apply` then `post`, decode,
+    trace out the cavity, and mix the results with the eigenvalues."""
+    vac = np.eye(layout.space.dims[1])[0]
+
+    def process(rho_q):
+        w, v = np.linalg.eigh(rho_q.matrix)
+        out = np.zeros((2, 2), dtype=complex)
+        for i in range(2):
+            if w[i] > 1e-12:
+                psi = enc_u @ Ket(layout.space, np.kron(v[:, i], vac))
+                for _ in range(m):
+                    x = backend.apply(psi, spec).amplitudes
+                    psi = Ket(layout.space, x if post is None else post * x)
+                out += w[i] * partial_trace(enc_u.dag() @ psi, [0]).matrix
+        return out
+
+    return process
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize("mode", ["ideal", "pulse"])
+def test_closed_encoded_channel_matches_eigenvector_propagation(mode, m):
+    """The closed channel contracts every input with the two propagated
+    encoded basis columns; by linearity that equals propagating the
+    eigenvectors of each PTM input."""
+    alpha = float(np.sqrt(2.0))
+    dim = recommended_dim(2.0 * alpha)
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
+    enc = cat_encoding(alpha, dim, variant="shifted")
+    enc_u = ideal_encoder(enc)
+    params = load_params()
+    spec = single_cavity_phase_gate(0.0, enc, params)
+    if mode == "ideal":
+        backend, post = IdealBackend(layout), None
+    else:
+        backend = PulseBackend(params, layout, compensate_static_cavity_phases=True)
+        post = stark_phase_compensation(spec, params, layout, "S1", "Q1")
+    channel = _encoded_qubit_channel(layout, "S1", enc_u, backend, spec, post, m)
+    reference = _eigenvector_channel(layout, enc_u, backend, spec, post, m)
+    gaps = []
+
+    def both(rho_q):
+        out = channel(rho_q)
+        gaps.append(np.max(np.abs(out - reference(rho_q))))
+        return out
+
+    pauli_transfer(both, 1)
+    assert len(gaps) == 4
+    assert max(gaps) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (lambda: run_zgate_repetition(mode="pulse"), {"PulseBackend": 20}),
+        (lambda: run_error_budget("z"), {"IdealBackend": 2, "PulseBackend": 4}),
+    ],
+    ids=["zgate-repetition", "error-budget"],
+)
+def test_closed_channel_pushes_two_columns_per_gate(monkeypatch, run, expected):
+    """The closed channel pushes E|g,0⟩ and E|e,0⟩ through the gate once per
+    repetition, not the eigenvectors of each PTM input: m = 0..4 costs
+    2·(0 + 1 + 2 + 3 + 4) = 20 applications, and each of the error budget's
+    three closed fidelities costs 2."""
+    import cavitysim.gates as gates
+
+    calls = collections.Counter()
+    for name in ("IdealBackend", "PulseBackend"):
+        cls = getattr(gates, name)
+
+        def counted(self, psi, spec, _name=name, _apply=cls.apply):
+            calls[_name] += 1
+            return _apply(self, psi, spec)
+
+        monkeypatch.setattr(cls, "apply", counted)
+    run()
+    assert dict(calls) == expected
 
 
 def test_qpt_ideal_truth_tables():

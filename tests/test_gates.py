@@ -422,9 +422,7 @@ def test_cz_coherent_pulse_process_fidelity(params):
 
     from cavitysim.gates import realized_logical_map
 
-    k = realized_logical_map(
-        lambda psi: backend.apply(psi, spec), layout, "Q3", logical
-    )
+    k = realized_logical_map(backend, spec, logical)
     ptm = pauli_transfer(lambda rho: k @ rho.matrix @ k.conj().T, 2)
     f = process_fidelity(ptm, unitary_transfer(CZ, 2))
     assert f >= 0.98
@@ -439,7 +437,7 @@ def test_cz_binomial_ideal_truth_table(params):
 
     from cavitysim.gates import realized_logical_map
 
-    k = realized_logical_map(lambda psi: backend.apply(psi, spec), layout, "Q3", logical)
+    k = realized_logical_map(backend, spec, logical)
     # global phase factored out
     overlap = abs(np.trace(k.conj().T @ CZ)) / 4.0
     assert overlap > 1 - 1e-8
@@ -494,7 +492,7 @@ def test_cz_binomial_pulse_calibrates_and_hits_fidelity(params, monkeypatch):
 
     from cavitysim.gates import realized_logical_map
 
-    k = realized_logical_map(lambda psi: backend.apply(psi, spec), layout, "Q3", logical)
+    k = realized_logical_map(backend, spec, logical)
     ptm = pauli_transfer(lambda rho: k @ rho.matrix @ k.conj().T, 2)
     f = process_fidelity(ptm, unitary_transfer(CZ, 2))
     assert f >= 0.95

@@ -1,10 +1,12 @@
-"""Every public module-level function and class of src/cavitysim is named
-somewhere in src/ outside its own definition.
+"""Every public module-level function and class of src/cavitysim, and every
+public method of those classes, is named somewhere in src/ outside its own
+definition.
 
 A public name that only tests reach is code that no recipe, command or
 benchmark runs: give it a caller or delete it together with its tests.  The
 `sim` commands, which click registers by decorator, and the names in ALLOWED
-are the exceptions.
+are the exceptions.  A method is listed as Class.method; any mention of its
+name outside its own body counts as a caller, so the check is by name only.
 """
 
 import ast
@@ -19,19 +21,28 @@ ALLOWED = {
     "kerr_corrected_decoder": "test_acceptance's encode-Kerr-decode round trip checks it",
     "transfer_gradient": "the gradient check of grape.optimize",
     "transfer_fidelity": "the fidelity that optimize's reported final_fidelity is held to",
+    "SystemLayout.cavity_labels": "test_gates' dense lifted oracle runs over the layout's cavities",
+    "Ket.density": "the tomography and acceptance tests form density-matrix inputs from kets",
+    "Ket.projector": "the device and gate tests build Fock-level projectors for their oracles",
+    "DensityOp.validate": "the fock tests check that it rejects an unphysical density operator",
+    "GateSpec.from_json_dict": "reads back the gate_spec.json that sim cz writes",
+    "WignerGrid.integral": "the normalisation that the Wigner grid tests hold to 1",
+    "TransferMatrix.check_physical": "the complete-positivity check the tomography tests apply",
+    "AssignmentMatrix.inverse": "perfbench/workloads.py reads it for the readout error bars",
 }
 
 
-def _referenced(node) -> set:
-    """Identifiers the node names: variables, attributes and imported names."""
-    out = set()
+def _referenced(node) -> collections.Counter:
+    """Identifiers the node names, with their counts: variables, attributes
+    and imported names."""
+    out = collections.Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            out[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out[n.attr] += 1
         elif isinstance(n, ast.alias):
-            out.add((n.asname or n.name).rsplit(".", 1)[-1])
+            out[(n.asname or n.name).rsplit(".", 1)[-1]] += 1
     return out
 
 
@@ -43,21 +54,27 @@ def _is_command(node) -> bool:
 
 
 def _uncalled() -> list:
-    """(module, name) of every public definition no other top-level statement names."""
+    """(module, name) of every public definition that src/ names only inside
+    it: a top-level one inside its own statement, a method inside its body."""
     statements = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             statements.append((path.stem, node, _referenced(node)))
-    mentions = collections.Counter(name for _, _, names in statements for name in names)
+    mentions = sum((names for _, _, names in statements), collections.Counter())
     out = []
     for module, node, names in statements:
-        if (
-            isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and not _is_command(node)
-            and mentions[node.name] - (node.name in names) == 0
-        ):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if not _is_command(node) and mentions[node.name] == names[node.name]:
             out.append((module, node.name))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (
+                    isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and mentions[item.name] == _referenced(item)[item.name]
+                ):
+                    out.append((module, f"{node.name}.{item.name}"))
     return out
 
 
