@@ -7,7 +7,6 @@ from cavitysim.fock import (
     Ket,
     DensityOp,
     annihilation,
-    creation,
     number_op,
     parity_op,
     displacement,
@@ -27,7 +26,6 @@ __all__ = [
     "Ket",
     "DensityOp",
     "annihilation",
-    "creation",
     "number_op",
     "parity_op",
     "displacement",

@@ -17,6 +17,7 @@ import os
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from cavitysim.codes import binomial_encoding, cat_encoding, logical_ket
 from cavitysim.device import (
@@ -101,6 +102,13 @@ def _manifest(experiment: str, result: ExperimentResult | None, **params) -> dic
     if result is not None:
         out["provenance"] = result.provenance
     return out
+
+
+def _reject_given(name: str, reason: str) -> None:
+    """Refuse the option `name` if it was given on the command line, where
+    it has no effect; `reason` completes "has no effect ..."."""
+    if click.get_current_context().get_parameter_source(name) is ParameterSource.COMMANDLINE:
+        raise ValidationError(f"--{name.replace('_', '-')} has no effect {reason}")
 
 
 def _read_config(config_path: str | None) -> str:
@@ -236,6 +244,8 @@ def cmd_zgate_repeat(config_path, output_dir, seed, mode, m_max, alpha):
 @click.option("--alpha", type=float, default=float(np.sqrt(2.0)), show_default=True)
 def cmd_qpt(config_path, output_dir, seed, mode, gate, alpha):
     """Process tomography of one logical gate."""
+    if gate == "cz-binomial":
+        _reject_given("alpha", "on the binomial CZ")
     config_text = _read_config(config_path)
     result = run_qpt(gate, mode=mode, alpha=alpha, config_text=config_text, seed=seed)
     _write_result(
@@ -257,6 +267,8 @@ def cmd_qpt(config_path, output_dir, seed, mode, gate, alpha):
 @click.option("--alpha", type=float, default=float(np.sqrt(2.0)), show_default=True)
 def cmd_cz(config_path, output_dir, seed, mode, encoding, alpha):
     """Two-cavity controlled-phase gate: tomography plus the gate recipe."""
+    if encoding == "binomial":
+        _reject_given("alpha", "on the binomial CZ")
     config_text = _read_config(config_path)
     result = run_qpt(
         f"cz-{encoding}", mode=mode, alpha=alpha, config_text=config_text, seed=seed
@@ -284,6 +296,8 @@ def cmd_cz(config_path, output_dir, seed, mode, encoding, alpha):
 @click.option("--alpha", type=float, default=1.2, show_default=True)
 def cmd_bell(config_path, output_dir, seed, mode, encoding, alpha):
     """Logical Bell state from |++> and the controlled-phase gate."""
+    if encoding == "binomial":
+        _reject_given("alpha", "on the binomial encoding")
     config_text = _read_config(config_path)
     result = run_bell_generation(
         encoding, mode=mode, alpha=alpha, config_text=config_text, seed=seed
@@ -354,6 +368,10 @@ def cmd_wigner(config_path, output_dir, seed, dim, state, alpha, fock_n, extent,
         raise ValidationError("--extent must be finite")
     if points < 2:
         raise ValidationError("--points must be at least 2")
+    if state != "cat":
+        _reject_given("alpha", f"on the {state} state")
+    if state != "fock":
+        _reject_given("fock_n", f"on the {state} state")
     # Wigner values are exact for the state as truncated: size the truncation to the state
     if state == "cat":
         dim = recommended_dim(2.0 * alpha) if dim is None else dim

@@ -56,7 +56,6 @@ from cavitysim.gates import (
     realized_logical_map,
     single_cavity_phase_gate,
     snap_bell,
-    stark_phase_compensation,
 )
 from cavitysim.tomography import (
     joint_wigner,
@@ -135,12 +134,12 @@ class ExperimentResult:
         }
 
 
-def _resolve_params(params: DeviceParams | None, config_text: str | None):
+def _load_params(config_text: str | None):
+    """The device parameters of `config_text` (the bundled values if None)
+    and the hash that provenance records for them."""
     if config_text is None:
         config_text = default_config_text()
-    if params is None:
-        params = load_params(config_text)
-    return params, hashlib.sha256(config_text.encode()).hexdigest()
+    return load_params(config_text), hashlib.sha256(config_text.encode()).hexdigest()
 
 
 def _provenance(config_hash: str, seed: int, mode: str) -> dict:
@@ -159,45 +158,58 @@ def _code_subspace_unitary(enc: Encoding, u2: np.ndarray) -> LinearOp:
 
 def _backend(mode: str, params: DeviceParams, layout: SystemLayout, compensate: bool = True):
     """The closed-system backend realizing `mode` on `layout`.  With
-    `compensate`, the pulse backend undoes each timed step's static cavity
-    phases."""
+    `compensate`, the pulse backend undoes the Kerr and AC-Stark phases that
+    decoding would undo."""
     if mode == "ideal":
         return IdealBackend(layout)
     if mode == "pulse":
-        return PulseBackend(params, layout, compensate_static_cavity_phases=compensate)
+        return PulseBackend(params, layout, compensate=compensate)
     raise ValidationError(f"unsupported mode {mode!r}")
 
 
-def _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, post, m, collapses=None):
-    """The qubit channel ρ_q ↦ Tr_cavity[D Gᵐ E (ρ_q ⊗ |0⟩⟨0|) E† Gᵐ† D†] as a
-    function returning a 2×2 matrix: E is the ideal encoder `enc_u`, D = E†,
-    and G is `spec` on `backend` followed by the diagonal unitary whose
-    (dim,) phase vector is `post` (the identity if None).
+def _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, collapses=None):
+    """The qubit channels ρ_q ↦ Tr_cavity[D Gᵐ E (ρ_q ⊗ |0⟩⟨0|) E† Gᵐ† D†] as
+    a function of m returning the channel, itself a function returning a 2×2
+    matrix: E is the ideal encoder `enc_u`, D = E†, and G is `spec` on
+    `backend`.
 
-    With collapses, G acts on the density matrix of each input through
+    The states after each number of gates are kept, so the channels for
+    m = 0..M push every input through the gate M times in all.  With
+    collapses, G acts on the density matrix of each input through
     `apply_density`.  Without, the channel is ρ_q ↦ Σ_ab ρ_ab Tr_cavity[y_a y_b†]
-    with y_a = D Gᵐ E |a, 0⟩: the two encoded basis columns are pushed
-    through the gate once, and every input is a contraction of the result.
+    with y_a = D Gᵐ E |a, 0⟩: only the two encoded basis columns are pushed
+    through the gate, and every input is a contraction of the result.
     """
     vac = fock_ket(layout.mode(cavity), 0).amplitudes
     e, d = enc_u.matrix, enc_u.dag().matrix
-    if collapses is not None:
+    if collapses is None:
+        pushed = [e @ np.kron(np.eye(2), vac[:, None])]  # Gᵐ E|g,0⟩, Gᵐ E|e,0⟩
 
+        def channel(m: int):
+            while len(pushed) <= m:
+                pushed.append(gate_columns(backend, spec, pushed[-1]))
+            y = (d @ pushed[m]).T.reshape(2, 2, -1)  # (input a, qubit, cavity level)
+            return lambda rho_q: np.einsum("ab,aqn,bpn->qp", rho_q.matrix, y, y.conj())
+
+        return channel
+
+    pushed = {}  # input bytes -> its encoded state after 0, 1, ... gates
+
+    def channel(m: int):
         def process(rho_q: DensityOp) -> np.ndarray:
-            full = np.kron(rho_q.matrix, np.outer(vac, vac.conj()))
-            rho = DensityOp(layout.space, e @ full @ e.conj().T)
-            for _ in range(m):
-                rho = backend.apply_density(rho, spec, collapses)
-                rho = DensityOp(rho.space, post[:, None] * rho.matrix * post.conj())
-            rho = DensityOp(layout.space, d @ rho.matrix @ d.conj().T)
+            key = rho_q.matrix.tobytes()
+            if key not in pushed:
+                full = np.kron(rho_q.matrix, np.outer(vac, vac.conj()))
+                pushed[key] = [DensityOp(layout.space, e @ full @ e.conj().T)]
+            states = pushed[key]
+            while len(states) <= m:
+                states.append(backend.apply_density(states[-1], spec, collapses))
+            rho = DensityOp(layout.space, d @ states[m].matrix @ d.conj().T)
             return partial_trace(rho, [0]).matrix
 
         return process
 
-    encoded = e @ np.kron(np.eye(2), vac[:, None])  # E|g,0⟩, E|e,0⟩
-    y = d @ gate_columns(backend, spec, encoded, m, post)
-    y = y.T.reshape(2, 2, -1)  # (input a, qubit, cavity level)
-    return lambda rho_q: np.einsum("ab,aqn,bpn->qp", rho_q.matrix, y, y.conj())
+    return channel
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +219,8 @@ def _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, post, m, collap
 def run_parity_sweep(
     delta: float = 0.0,
     phis=None,
-    params: DeviceParams | None = None,
     mode: str = "ideal",
     alpha: float | None = None,
-    cavity: str = "S1",
-    qubit: str = "Q1",
     epsilon: float | None = None,
     config_text: str | None = None,
     seed: int = 0,
@@ -225,7 +234,7 @@ def run_parity_sweep(
     """
     if not np.isfinite(delta):
         raise ValidationError("read-out phase delta must be finite")
-    params, cfg_hash = _resolve_params(params, config_text)
+    params, cfg_hash = _load_params(config_text)
     if phis is None:
         phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     phis = np.asarray(phis, dtype=float)
@@ -238,10 +247,10 @@ def run_parity_sweep(
     shift = alpha * np.exp(1j * delta)
     extent = max(2.0 * alpha, abs(2.0 * alpha - shift), abs(shift))
     dim = recommended_dim(extent)
-    layout = SystemLayout.build([qubit], [cavity], {cavity: dim})
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
     enc = cat_encoding(alpha, dim, variant="shifted")
     psi0 = tensor([qubit_ket(0), logical_ket(enc, 1.0, 1.0)])
-    read_out = displacement(-alpha * np.exp(1j * delta), layout.mode(cavity))
+    read_out = displacement(-alpha * np.exp(1j * delta), layout.mode("S1"))
     # (−1)^n on the joint basis |q, n⟩ (qubit factor first)
     parity = np.tile((-1.0) ** np.arange(dim), 2)
 
@@ -250,16 +259,9 @@ def run_parity_sweep(
     rows = []
     worst = 0.0
     for phi in phis:
-        spec = single_cavity_phase_gate(
-            float(phi), enc, params, cavity, qubit, epsilon
-        )
+        spec = single_cavity_phase_gate(float(phi), enc, params, epsilon=epsilon)
         out = backend.apply(psi0, spec)
-        if mode == "pulse":
-            # the drive-induced phases accrue in the undisplaced frame, so
-            # undo them before the read-out displacement
-            comp = stark_phase_compensation(spec, params, layout, cavity, qubit)
-            out = Ket(out.space, comp * out.amplitudes)
-        x = apply_on_factor(read_out, layout.index[cavity], layout.space, out.amplitudes)
+        x = apply_on_factor(read_out, layout.index["S1"], layout.space, out.amplitudes)
         p = float(np.real(np.vdot(x, parity * x)))
         law = float(np.cos(np.pi + phi))
         rows.append((float(phi), p, law))
@@ -276,8 +278,8 @@ def run_parity_sweep(
             "delta": float(delta),
             "alpha": float(alpha),
             "mode": mode,
-            "cavity": cavity,
-            "qubit": qubit,
+            "cavity": "S1",
+            "qubit": "Q1",
             "n_points": int(len(phis)),
         },
         tables={
@@ -297,11 +299,8 @@ def run_parity_sweep(
 
 def run_zgate_repetition(
     m_max: int = 4,
-    params: DeviceParams | None = None,
     mode: str = "ideal",
     alpha: float = 2.0,
-    cavity: str = "S1",
-    qubit: str = "Q1",
     config_text: str | None = None,
     seed: int = 0,
 ) -> ExperimentResult:
@@ -313,27 +312,24 @@ def run_zgate_repetition(
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1 for the linear fit")
-    params, cfg_hash = _resolve_params(params, config_text)
+    params, cfg_hash = _load_params(config_text)
     dim = recommended_dim(2.0 * alpha)
-    layout = SystemLayout.build([qubit], [cavity], {cavity: dim})
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
     enc = cat_encoding(alpha, dim, variant="shifted")
     enc_u = ideal_encoder(enc)
-    spec = single_cavity_phase_gate(0.0, enc, params, cavity, qubit)
+    spec = single_cavity_phase_gate(0.0, enc, params)
     zmat = np.diag([1.0, -1.0]).astype(complex)
 
     decohere = mode == "pulse+decoherence"
     backend = _backend("pulse" if decohere else mode, params, layout)
-    comp = None if mode == "ideal" else stark_phase_compensation(
-        spec, params, layout, cavity, qubit
-    )
     collapses = standard_collapses(params, layout) if decohere else None
+    channel = _encoded_qubit_channel(layout, "S1", enc_u, backend, spec, collapses)
 
     ms = np.arange(m_max + 1)
     fids = []
     for m in ms:
-        channel = _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, comp, int(m), collapses)
         ideal = unitary_transfer(np.linalg.matrix_power(zmat, int(m)), 1)
-        fids.append(process_fidelity(pauli_transfer(channel, 1), ideal))
+        fids.append(process_fidelity(pauli_transfer(channel(int(m)), 1), ideal))
     fids = np.array(fids)
     slope, intercept = np.polyfit(ms, fids, 1)
     consistency = (fids[0] - fids[1]) + slope  # slope estimate vs m∈{0,1} points
@@ -372,9 +368,7 @@ def _single_cavity_qpt(gate: str, params, mode: str, alpha: float):
         k = component_logical_unitary(spec, ["S1"], "Q1")
     else:
         layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
-        backend = _backend(mode, params, layout)
-        comp = stark_phase_compensation(spec, params, layout, "S1", "Q1")
-        k = realized_logical_map(backend, spec, enc.orthonormal_basis(), post=comp)
+        k = realized_logical_map(_backend(mode, params, layout), spec, enc.orthonormal_basis())
     return k, ideal_u, 1, spec
 
 
@@ -412,7 +406,6 @@ def _cz_binomial_qpt(params, mode: str):
 
 def run_qpt(
     gate: str = "cz-binomial",
-    params: DeviceParams | None = None,
     mode: str = "ideal",
     alpha: float = float(np.sqrt(2.0)),
     config_text: str | None = None,
@@ -423,7 +416,7 @@ def run_qpt(
     gate ∈ {"z", "s", "t", "cz-coherent", "cz-binomial"};
     mode ∈ {"ideal", "pulse"} (decoherent tomography is not simulated).
     """
-    params, cfg_hash = _resolve_params(params, config_text)
+    params, cfg_hash = _load_params(config_text)
     gate = gate.lower()
     if gate in ("z", "s", "t"):
         k, ideal_u, n, spec = _single_cavity_qpt(gate, params, mode, alpha)
@@ -473,7 +466,6 @@ def run_qpt(
 
 def run_bell_generation(
     encoding: str = "binomial",
-    params: DeviceParams | None = None,
     mode: str = "ideal",
     alpha: float = 1.2,
     config_text: str | None = None,
@@ -486,7 +478,7 @@ def run_bell_generation(
     backend.  Outputs the Bell fidelity, reduced-cavity purities, and joint
     Wigner cuts along the real axes.
     """
-    params, cfg_hash = _resolve_params(params, config_text)
+    params, cfg_hash = _load_params(config_text)
     if encoding == "binomial":
         dim = 7
         enc1 = enc2 = binomial_encoding(dim)
@@ -581,7 +573,6 @@ def run_bell_generation(
 
 def run_error_budget(
     gate: str = "z",
-    params: DeviceParams | None = None,
     alpha: float = float(np.sqrt(2.0)),
     config_text: str | None = None,
     seed: int = 0,
@@ -592,7 +583,7 @@ def run_error_budget(
     Each row is the infidelity added by enabling that source alone; the total
     row is the jointly simulated pipeline with everything enabled.
     """
-    params, cfg_hash = _resolve_params(params, config_text)
+    params, cfg_hash = _load_params(config_text)
     if gate not in CANONICAL_DELTA_PHI and gate.upper() not in CANONICAL_DELTA_PHI:
         raise ValidationError("error budget supports the single-cavity gates Z/S/T")
     delta_phi = CANONICAL_DELTA_PHI[gate.upper()]
@@ -605,17 +596,15 @@ def run_error_budget(
     ideal_ptm = unitary_transfer(ideal_u, 1)
     no_kerr = replace(params, kerr={k: 0.0 for k in params.kerr}, cross_kerr=0.0)
 
-    comp = stark_phase_compensation(spec, params, layout, "S1", "Q1")
-
-    def fidelity(backend, post=None, collapses=None):
-        channel = _encoded_qubit_channel(layout, "S1", enc_u, backend, spec, post, 1, collapses)
+    def fidelity(backend, collapses=None):
+        channel = _encoded_qubit_channel(layout, "S1", enc_u, backend, spec, collapses)(1)
         return process_fidelity(pauli_transfer(channel, 1), ideal_ptm)
 
     pulse = _backend("pulse", params, layout)
     f_ideal = fidelity(_backend("ideal", params, layout))
-    f_selectivity = fidelity(_backend("pulse", no_kerr, layout), comp)
-    f_pulse = fidelity(pulse, comp)
-    f_total = fidelity(pulse, comp, standard_collapses(params, layout))
+    f_selectivity = fidelity(_backend("pulse", no_kerr, layout))
+    f_pulse = fidelity(pulse)
+    f_total = fidelity(pulse, standard_collapses(params, layout))
 
     rows = (
         ("encode_decode", float(1.0 - f_ideal)),
@@ -653,7 +642,6 @@ def run_error_budget(
 
 def run_snap_bell(
     sign: int = +1,
-    params: DeviceParams | None = None,
     mode: str = "ideal",
     dim: int = 12,
     config_text: str | None = None,
@@ -661,7 +649,7 @@ def run_snap_bell(
 ) -> ExperimentResult:
     """Single-photon Bell state (|01⟩ + sign·|10⟩)/√2 from vacuum via
     displacements around a joint-vacuum-conditional 2π rotation."""
-    params, cfg_hash = _resolve_params(params, config_text)
+    params, cfg_hash = _load_params(config_text)
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
     spec = snap_bell(sign)
     backend = _backend(mode, params, layout)

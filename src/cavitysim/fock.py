@@ -219,10 +219,6 @@ def annihilation(spec: ModeSpec) -> LinearOp:
     return LinearOp(CompositeSpace.single(spec), m.astype(complex))
 
 
-def creation(spec: ModeSpec) -> LinearOp:
-    return annihilation(spec).dag()
-
-
 def number_op(spec: ModeSpec) -> LinearOp:
     _require_bosonic(spec)
     return LinearOp(

@@ -8,7 +8,10 @@ qubit rotations, waits, multitone pulses) and realized by one of two backends:
   exact SU(2) rotation on the g/e blocks selected by a Fock-level mask, and
 * a pulse backend that drives the static Hamiltonian, held as its energy
   vector, with shaped tones, exposing selectivity and dynamical-phase
-  errors; waits and phase compensations are phase vectors.
+  errors; waits and phase compensations are phase vectors.  Its
+  `PulseBackend._segments` is the one place where a gate becomes drive
+  samples and phase corrections: the backend plays it, and the binomial-CZ
+  block kernel and tone calibration read their samples from it.
 
 Both apply each displacement as a single-cavity matrix along that cavity's
 axis of the state (`fock.apply_on_factor`), never as a lifted operator.
@@ -22,7 +25,7 @@ conditional 2*pi rotation imprints the spinor sign -1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -137,6 +140,16 @@ class MultitonePulse:
         object.__setattr__(self, "tones", tuple(self.tones))
 
 
+#: the "type" of each gate step in the JSON form of a GateSpec
+_STEP_TYPES = {
+    "displacement": Displacement,
+    "conditional_rotation": ConditionalRotation,
+    "wait": Wait,
+    "multitone_pulse": MultitonePulse,
+}
+_STEP_NAMES = {cls: name for name, cls in _STEP_TYPES.items()}
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """Named, serializable sequence of primitive gate steps."""
@@ -147,7 +160,7 @@ class GateSpec:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         for s in self.steps:
-            if not isinstance(s, (Displacement, ConditionalRotation, Wait, MultitonePulse)):
+            if type(s) not in _STEP_NAMES:
                 raise ValidationError(f"unknown gate step {type(s).__name__}")
 
     @property
@@ -160,78 +173,34 @@ class GateSpec:
         return total
 
     def to_json_dict(self) -> dict:
-        out = []
-        for s in self.steps:
-            if isinstance(s, Displacement):
-                out.append(
-                    {
-                        "type": "displacement",
-                        "label": s.label,
-                        "alpha_re": float(np.real(s.alpha)),
-                        "alpha_im": float(np.imag(s.alpha)),
-                    }
-                )
-            elif isinstance(s, ConditionalRotation):
-                out.append(
-                    {
-                        "type": "conditional_rotation",
-                        "qubit": s.qubit,
-                        "phi_axis": s.phi_axis,
-                        "theta": s.theta,
-                        "epsilon": s.epsilon,
-                        "condition": [list(c) for c in s.condition],
-                        "detuning": s.detuning,
-                    }
-                )
-            elif isinstance(s, Wait):
-                out.append({"type": "wait", "duration": s.duration})
-            else:
-                out.append(
-                    {
-                        "type": "multitone_pulse",
-                        "qubit": s.qubit,
-                        "duration": s.duration,
-                        "rise_sigma": s.rise_sigma,
-                        "tones": [
-                            {"detuning": t.detuning, "epsilon": t.epsilon, "phi": t.phi}
-                            for t in s.tones
-                        ],
-                    }
-                )
-        return {"name": self.name, "steps": out}
+        """Each step as its fields plus its "type", with tuples as lists and
+        the complex alpha of a displacement split into alpha_re and alpha_im."""
+        steps = []
+        for step in self.steps:
+            d = {"type": _STEP_NAMES[type(step)], **asdict(step)}
+            if "alpha" in d:
+                alpha = d.pop("alpha")
+                d["alpha_re"], d["alpha_im"] = float(np.real(alpha)), float(np.imag(alpha))
+            for key, value in d.items():
+                if isinstance(value, tuple):
+                    d[key] = [list(v) if isinstance(v, tuple) else v for v in value]
+            steps.append(d)
+        return {"name": self.name, "steps": steps}
 
     # no src caller: the CLI tests read gate_spec.json back with it
     @staticmethod
     def from_json_dict(d: dict) -> "GateSpec":
         steps = []
         for s in d["steps"]:
-            kind = s["type"]
-            if kind == "displacement":
-                steps.append(Displacement(s["label"], s["alpha_re"] + 1j * s["alpha_im"]))
-            elif kind == "conditional_rotation":
-                steps.append(
-                    ConditionalRotation(
-                        s["qubit"],
-                        s["phi_axis"],
-                        s["theta"],
-                        s["epsilon"],
-                        tuple(tuple(c) for c in s["condition"]),
-                        s.get("detuning"),
-                    )
-                )
-            elif kind == "wait":
-                steps.append(Wait(s["duration"]))
-            elif kind == "multitone_pulse":
-                steps.append(
-                    MultitonePulse(
-                        s["qubit"],
-                        tuple(Tone(t["detuning"], t["epsilon"], t["phi"]) for t in s["tones"]),
-                        s["duration"],
-                        s.get("rise_sigma", 4.0),
-                    )
-                )
-            else:
+            fields = dict(s)
+            kind = fields.pop("type")
+            if kind not in _STEP_TYPES:
                 raise ValidationError(f"unknown step type {kind!r}")
+            if kind == "displacement":
+                fields["alpha"] = fields.pop("alpha_re") + 1j * fields.pop("alpha_im")
+            elif kind == "multitone_pulse":
+                fields["tones"] = tuple(Tone(**t) for t in fields["tones"])
+            steps.append(_STEP_TYPES[kind](**fields))
         return GateSpec(d["name"], tuple(steps))
 
 
@@ -355,22 +324,19 @@ class PulseBackend:
     rotations become finite-strength qubit tones at the dispersive shift of
     the conditioned state; displacements are applied as exact single-cavity
     unitaries (ideal fast cavity drives); waits evolve under h0, which for a
-    pure state is the phase vector e^{−i h0 T}.  With
-    compensate_static_cavity_phases, each timed step is followed by the phase
-    vector undoing its Kerr and cross-Kerr phases.  A global clock keeps
-    detuned tones phase-coherent across steps.
+    pure state is the phase vector e^{−i h0 T}.  With `compensate`, the
+    deterministic phases that decoding undoes are undone here: each timed
+    step is followed by the phase vector undoing its Kerr and cross-Kerr
+    phases, and the gate by the one undoing its AC-Stark phases
+    (`stark_phase_compensation`).  A global clock keeps detuned tones
+    phase-coherent across steps.
     """
 
-    def __init__(
-        self,
-        params: DeviceParams,
-        layout: SystemLayout,
-        compensate_static_cavity_phases: bool = False,
-    ):
+    def __init__(self, params: DeviceParams, layout: SystemLayout, compensate: bool = False):
         self.params = params
         self.layout = layout
         self.h0 = static_hamiltonian(params, layout)
-        self.compensate = compensate_static_cavity_phases
+        self.compensate = compensate
         self._cavity_diag = cavity_static_diag(params, layout)
         self._lindblad = None
 
@@ -398,6 +364,10 @@ class PulseBackend:
             if self.compensate:
                 yield "phase", np.exp(1j * self._cavity_diag * span)
             t += span
+        if self.compensate:
+            stark = stark_phase_compensation(spec, self.params, self.layout)
+            if stark is not None:
+                yield "phase", stark
 
     def apply(self, psi: Ket, spec: GateSpec) -> Ket:
         for kind, item in self._segments(spec):
@@ -560,27 +530,38 @@ def cz_coherent(
 
 
 def stark_phase_compensation(
-    spec: GateSpec, params: DeviceParams, layout: SystemLayout, cavity: str, qubit: str
-) -> np.ndarray:
+    spec: GateSpec, params: DeviceParams, layout: SystemLayout
+) -> np.ndarray | None:
     """Phase vector (dim,) of the diagonal unitary undoing the drive-induced
-    AC-Stark phases of a selective gate.
+    AC-Stark phases of a selective gate, or None if it has no rotation
+    conditioned on one cavity's vacuum.
 
-    A resonant vacuum-conditioned drive of Rabi frequency eps dresses every
-    occupied level |n >= 1>, whose qubit transition is detuned by n*chi, and
-    imprints the second-order phase -eps^2 T / (4 n chi) over its duration.
-    Like the Kerr phases this is deterministic, so decoding undoes it exactly
-    (to second order in eps/chi).
+    A resonant rotation of Rabi frequency eps, conditioned on the vacuum of
+    one cavity, dresses every occupied level |n >= 1> of that cavity, whose
+    qubit transition is detuned by n*chi, and imprints the second-order phase
+    -eps^2 T / (4 n chi) over its duration.  Like the Kerr phases this is
+    deterministic, so decoding undoes it exactly (to second order in
+    eps/chi).  Rotations conditioned on several cavities are left alone.
     """
-    chi = params.chi[(cavity, qubit)]
-    dim = layout.mode(cavity).dim
-    theta = np.zeros(dim)
-    levels = np.arange(1, dim)
+    dims = layout.space.dims
+    theta = {}  # cavity -> (levels,) phase
     for step in spec.steps:
-        if isinstance(step, ConditionalRotation) and step.condition:
-            theta[1:] += step.epsilon**2 * step.duration / (4.0 * levels * chi)
-    shape = [1] * layout.space.n_factors
-    shape[layout.index[cavity]] = dim
-    return np.broadcast_to(np.exp(1j * theta).reshape(shape), layout.space.dims).reshape(-1)
+        if isinstance(step, ConditionalRotation) and len(step.condition) == 1:
+            (cavity, level), = step.condition
+            if level != 0:
+                continue
+            chi = params.chi[(cavity, step.qubit)]
+            n = np.arange(1, layout.mode(cavity).dim)
+            phase = theta.setdefault(cavity, np.zeros(n.size + 1))
+            phase[1:] += step.epsilon**2 * step.duration / (4.0 * n * chi)
+    if not theta:
+        return None
+    out = np.ones(dims, dtype=complex)
+    for cavity, phase in theta.items():
+        shape = [1] * len(dims)
+        shape[layout.index[cavity]] = phase.size
+        out = out * np.exp(1j * phase).reshape(shape)
+    return out.reshape(-1)
 
 
 _BINOMIAL_JOINT_STATES = tuple((j, k) for j in (0, 2, 4) for k in (0, 2, 4))
@@ -613,22 +594,22 @@ _CZ_STOP_WINDOW = 40
 _CZ_CHAIN_CHUNK = 256
 
 
-def _gate_drive_amplitudes(spec: GateSpec, params: DeviceParams, qubit: str) -> np.ndarray:
-    """Concatenated qubit-drive samples of a displacement-free gate spec."""
+def _block_drive_samples(spec: GateSpec, backend: PulseBackend, qubit: str) -> np.ndarray:
+    """The qubit-drive samples that `backend` plays for `spec`, waits as zero
+    samples, concatenated: the input of the blockwise propagator, which
+    needs drives on `qubit` alone and no phase compensation."""
+    if backend.compensate:
+        raise ValidationError("blockwise evaluation requires a backend without phase compensation")
     parts = []
-    t = 0.0
-    for step in spec.steps:
-        if isinstance(step, Wait):
-            parts.append(np.zeros(int(round(step.duration / SAMPLE_DT)), dtype=complex))
-            t += step.duration
-        elif isinstance(step, (ConditionalRotation, MultitonePulse)):
-            if step.qubit != qubit:
-                raise ValidationError("all drives must address the declared qubit")
-            a = _drive_samples(step, params, t)
-            parts.append(a)
-            t += len(a) * SAMPLE_DT
+    for kind, item in backend._segments(spec):
+        if kind == "wait":
+            parts.append(np.zeros(int(round(item / SAMPLE_DT)), dtype=complex))
+        elif kind == "pulse" and (qubit, "qubit") in item.channels:
+            parts.append(item.channels[(qubit, "qubit")])
         else:
-            raise ValidationError("blockwise evaluation requires a displacement-free spec")
+            raise ValidationError(
+                "blockwise evaluation requires a displacement-free spec driving the declared qubit"
+            )
     return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
 
@@ -655,10 +636,11 @@ def joint_block_unitaries(spec: GateSpec, backend: PulseBackend, qubit: str = "Q
     propagator is block diagonal over joint Fock states.  Each block is
     e^{−i c T} [[a, −b̄], [b, ā]], with c the mean of its g and e energies in
     the backend's static Hamiltonian and (a, b) from
-    `evolution.block_rotations` over the gate's drive samples: exactly the
-    blocks of the full-space evolution, at the cost of nine.
+    `evolution.block_rotations` over the drive samples that `backend` plays
+    for the gate: exactly the blocks of its full-space evolution, at the
+    cost of nine.  The backend must not compensate phases.
     """
-    u = _gate_drive_amplitudes(spec, backend.params, qubit)
+    u = _block_drive_samples(spec, backend, qubit)
     e_g, e_e = _binomial_block_energies(backend, qubit)
     a, b = block_rotations(0.5 * (e_g - e_e), u, SAMPLE_DT)
     phase = np.exp(-0.5j * (e_g + e_e) * len(u) * SAMPLE_DT)
@@ -694,7 +676,7 @@ class _ToneCalibration:
         n_sel = int(round(_CZ_SELECTIVE_NS / SAMPLE_DT))
         self.envelope = gaussian_flattop(n_sel)
         self.eps_tone = np.pi / (float(np.sum(self.envelope)) * SAMPLE_DT)
-        # the selective samples' times on the clock of `_drive_samples`
+        # the selective samples' times on the clock of `PulseBackend._segments`
         self.times = _CZ_NONSELECTIVE_NS + (np.arange(n_sel) + 0.5) * SAMPLE_DT
         targets = binomial_cz_targets()
         self.goals = np.exp(1j * np.array([targets[jk] for jk in _BINOMIAL_JOINT_STATES]))
@@ -755,7 +737,7 @@ class _ToneCalibration:
         """
         phis, dets, scales = np.split(np.asarray(x), 3)
         n = len(phis)
-        u = _gate_drive_amplitudes(self.spec(x), self.backend.params, self.qubit)
+        u = _block_drive_samples(self.spec(x), self.backend, self.qubit)
         g_re, g_im = block_rotation_gradient(self.delta, u, SAMPLE_DT)
         first = len(u) - len(self.times)  # the selective pulse's first sample
         amp = self.eps_tone * np.exp(scales)
@@ -927,25 +909,15 @@ def snap_bell(
 # Logical-map extraction
 
 
-def gate_columns(backend, spec: GateSpec, inputs: np.ndarray, m: int = 1, post=None) -> np.ndarray:
+def gate_columns(backend, spec: GateSpec, inputs: np.ndarray) -> np.ndarray:
     """Push each column of the (dim, k) array `inputs` through `spec` on
-    `backend` m times, multiplying by the (dim,) phase vector `post` (if
-    given) after each pass; returns the (dim, k) outputs."""
+    `backend`; returns the (dim, k) outputs."""
     space = backend.layout.space
-    cols = []
-    for v in inputs.T:
-        psi = Ket(space, v)
-        for _ in range(m):
-            psi = backend.apply(psi, spec)
-            if post is not None:
-                psi = Ket(space, post * psi.amplitudes)
-        cols.append(psi.amplitudes)
-    return np.stack(cols, axis=1)
+    return np.stack([backend.apply(Ket(space, v), spec).amplitudes for v in inputs.T], axis=1)
 
 
-def realized_logical_map(backend, spec: GateSpec, logical_kets, post=None) -> np.ndarray:
-    """K_ab = <g; L_a| P U |g; L_b> for `spec` realized on `backend`, P the
-    diagonal unitary whose (dim,) phase vector is `post` (identity if None).
+def realized_logical_map(backend, spec: GateSpec, logical_kets) -> np.ndarray:
+    """K_ab = <g; L_a| U |g; L_b> for `spec` realized on `backend`.
 
     logical_kets are cavity-subspace kets (in layout cavity order) defining
     the logical basis; the layout is the backend's, with its single qubit as
@@ -958,4 +930,4 @@ def realized_logical_map(backend, spec: GateSpec, logical_kets, post=None) -> np
         raise ValidationError("expected a single qubit as the first factor")
     g = np.array([1.0, 0.0], dtype=complex)
     ins = np.stack([np.kron(g, lk.amplitudes) for lk in logical_kets], axis=1)
-    return ins.conj().T @ gate_columns(backend, spec, ins, post=post)
+    return ins.conj().T @ gate_columns(backend, spec, ins)

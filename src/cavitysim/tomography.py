@@ -174,13 +174,6 @@ class TransferMatrix:
             raise ValidationError("transfer matrix entries exceed [−1, 1]")
         return self
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "pauli_labels": pauli_labels(self.n_qubits),
-            "R": self.R.tolist(),
-        }
-
 
 def _input_state_combinations(n_qubits: int):
     for combo in itertools.product(range(4), repeat=n_qubits):

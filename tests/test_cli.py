@@ -155,6 +155,29 @@ def test_error_budget_rejects_mode_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["qpt", "--gate", "cz-binomial", "--alpha", "3"], "--alpha"),
+        (["cz", "--encoding", "binomial", "--alpha", "3"], "--alpha"),
+        (["bell", "--encoding", "binomial", "--alpha", "3"], "--alpha"),
+        (["wigner", "--state", "binomial", "--alpha", "3"], "--alpha"),
+        (["wigner", "--state", "fock", "--alpha", "3"], "--alpha"),
+        (["wigner", "--state", "cat", "--fock-n", "2"], "--fock-n"),
+        (["wigner", "--state", "binomial", "--fock-n", "2"], "--fock-n"),
+    ],
+    ids=["qpt", "cz", "bell", "wigner-binomial-alpha", "wigner-fock-alpha", "wigner-cat-fock-n", "wigner-binomial-fock-n"],
+)
+def test_flags_without_effect_are_rejected(tmp_path, capsys, args, flag):
+    """A flag given on the command line that the chosen gate, encoding or
+    state does not use is refused, not recorded in the manifest as if it had
+    been applied; its default stays silent."""
+    out = tmp_path / "run"
+    assert main(args + ["-o", str(out)]) == 1
+    assert f"{flag} has no effect" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grape_pi_pulse_rejects_dim(tmp_path, capsys):
     """The pi-pulse task has no cavity, so a --dim would be recorded in the
     manifest without being used."""

@@ -18,12 +18,7 @@ from cavitysim.experiments import (
     run_zgate_repetition,
 )
 from cavitysim.fock import Ket, partial_trace, recommended_dim
-from cavitysim.gates import (
-    IdealBackend,
-    PulseBackend,
-    single_cavity_phase_gate,
-    stark_phase_compensation,
-)
+from cavitysim.gates import IdealBackend, PulseBackend, single_cavity_phase_gate
 from cavitysim.tomography import pauli_transfer
 
 
@@ -144,9 +139,9 @@ def test_decoherent_z_gate_forms_one_run_propagator(monkeypatch, run):
     assert len(built) == 1
 
 
-def _eigenvector_channel(layout, enc_u, backend, spec, post, m):
+def _eigenvector_channel(layout, enc_u, backend, spec, m):
     """Reference closed channel: encode each eigenvector of ρ_q with the
-    cavity in vacuum, push it m times through `apply` then `post`, decode,
+    cavity in vacuum, push it m times through `apply`, decode,
     trace out the cavity, and mix the results with the eigenvalues."""
     vac = np.eye(layout.space.dims[1])[0]
 
@@ -157,8 +152,7 @@ def _eigenvector_channel(layout, enc_u, backend, spec, post, m):
             if w[i] > 1e-12:
                 psi = enc_u @ Ket(layout.space, np.kron(v[:, i], vac))
                 for _ in range(m):
-                    x = backend.apply(psi, spec).amplitudes
-                    psi = Ket(layout.space, x if post is None else post * x)
+                    psi = backend.apply(psi, spec)
                 out += w[i] * partial_trace(enc_u.dag() @ psi, [0]).matrix
         return out
 
@@ -179,12 +173,11 @@ def test_closed_encoded_channel_matches_eigenvector_propagation(mode, m):
     params = load_params()
     spec = single_cavity_phase_gate(0.0, enc, params)
     if mode == "ideal":
-        backend, post = IdealBackend(layout), None
+        backend = IdealBackend(layout)
     else:
-        backend = PulseBackend(params, layout, compensate_static_cavity_phases=True)
-        post = stark_phase_compensation(spec, params, layout, "S1", "Q1")
-    channel = _encoded_qubit_channel(layout, "S1", enc_u, backend, spec, post, m)
-    reference = _eigenvector_channel(layout, enc_u, backend, spec, post, m)
+        backend = PulseBackend(params, layout, compensate=True)
+    channel = _encoded_qubit_channel(layout, "S1", enc_u, backend, spec)(m)
+    reference = _eigenvector_channel(layout, enc_u, backend, spec, m)
     gaps = []
 
     def both(rho_q):
@@ -200,27 +193,39 @@ def test_closed_encoded_channel_matches_eigenvector_propagation(mode, m):
 @pytest.mark.parametrize(
     "run, expected",
     [
-        (lambda: run_zgate_repetition(mode="pulse"), {"PulseBackend": 20}),
-        (lambda: run_error_budget("z"), {"IdealBackend": 2, "PulseBackend": 4}),
+        (lambda: run_zgate_repetition(mode="pulse"), {"PulseBackend.apply": 8}),
+        (lambda: run_zgate_repetition(mode="ideal"), {"IdealBackend.apply": 8}),
+        (
+            lambda: run_zgate_repetition(mode="pulse+decoherence"),
+            {"PulseBackend.apply_density": 16},
+        ),
+        (
+            lambda: run_error_budget("z"),
+            {"IdealBackend.apply": 2, "PulseBackend.apply": 4, "PulseBackend.apply_density": 4},
+        ),
     ],
-    ids=["zgate-repetition", "error-budget"],
+    ids=["zgate-repetition", "zgate-repetition-ideal", "zgate-repetition-decoherent", "error-budget"],
 )
 def test_closed_channel_pushes_two_columns_per_gate(monkeypatch, run, expected):
-    """The closed channel pushes E|g,0⟩ and E|e,0⟩ through the gate once per
-    repetition, not the eigenvectors of each PTM input: m = 0..4 costs
-    2·(0 + 1 + 2 + 3 + 4) = 20 applications, and each of the error budget's
-    three closed fidelities costs 2."""
+    """The closed channel pushes E|g,0⟩ and E|e,0⟩ through the gate, not the
+    eigenvectors of each PTM input, and each repetition feeds the states of
+    the last one through one more gate: m = 0..4 costs 2·4 = 8 applications,
+    and the decoherent channel 4·4 = 16 for its four PTM inputs.  Each of the
+    error budget's three closed fidelities costs 2, its decoherent one 4."""
     import cavitysim.gates as gates
 
     calls = collections.Counter()
-    for name in ("IdealBackend", "PulseBackend"):
-        cls = getattr(gates, name)
+    for cls, method in (
+        (gates.IdealBackend, "apply"),
+        (gates.PulseBackend, "apply"),
+        (gates.PulseBackend, "apply_density"),
+    ):
 
-        def counted(self, psi, spec, _name=name, _apply=cls.apply):
+        def counted(self, *args, _name=f"{cls.__name__}.{method}", _call=getattr(cls, method)):
             calls[_name] += 1
-            return _apply(self, psi, spec)
+            return _call(self, *args)
 
-        monkeypatch.setattr(cls, "apply", counted)
+        monkeypatch.setattr(cls, method, counted)
     run()
     assert dict(calls) == expected
 

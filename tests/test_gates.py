@@ -18,6 +18,7 @@ from cavitysim.evolution import (
 )
 from cavitysim.errors import ValidationError
 from cavitysim.fock import (
+    CompositeSpace,
     DensityOp,
     Ket,
     LinearOp,
@@ -115,8 +116,36 @@ def test_gate_spec_serialization_roundtrip():
             MultitonePulse("Q1", (Tone(-0.01, 0.002, 1.2), Tone(0.0, 0.001, -0.4)), 500.0),
         ),
     )
-    spec2 = GateSpec.from_json_dict(spec.to_json_dict())
-    assert spec2 == spec
+    d = spec.to_json_dict()
+    assert d == {
+        "name": "demo",
+        "steps": [
+            {"type": "displacement", "label": "S1", "alpha_re": 0.5, "alpha_im": -0.25},
+            {
+                "type": "conditional_rotation",
+                "qubit": "Q1",
+                "phi_axis": 0.3,
+                "theta": np.pi,
+                "epsilon": 0.01,
+                "condition": [["S1", 0]],
+                "detuning": None,
+            },
+            {"type": "wait", "duration": 12.5},
+            {
+                "type": "multitone_pulse",
+                "qubit": "Q1",
+                "duration": 500.0,
+                "rise_sigma": 4.0,
+                "tones": [
+                    {"detuning": -0.01, "epsilon": 0.002, "phi": 1.2},
+                    {"detuning": 0.0, "epsilon": 0.001, "phi": -0.4},
+                ],
+            },
+        ],
+    }
+    assert GateSpec.from_json_dict(d) == spec
+    with pytest.raises(ValidationError, match="unknown step type"):
+        GateSpec.from_json_dict({"name": "x", "steps": [{"type": "snap"}]})
     assert abs(spec.duration - (np.pi / 0.01 + 12.5 + 500.0)) < 1e-12
 
 
@@ -414,7 +443,7 @@ def test_cz_coherent_pulse_process_fidelity(params):
     dim = 30
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
     spec = cz_coherent(alpha, params)
-    backend = PulseBackend(params, layout, compensate_static_cavity_phases=True)
+    backend = PulseBackend(params, layout, compensate=True)
 
     enc = cat_encoding(alpha, dim)
     b0, b1 = enc.orthonormal_basis()
@@ -594,6 +623,20 @@ def test_cz_binomial_rejects_cavities_without_the_binomial_states(params):
         cz_binomial(params, mode="pulse", layout=layout)
 
 
+def test_joint_block_unitaries_rejects_what_its_blocks_cannot_hold(params):
+    """The blockwise propagator plays the samples of a non-compensating pulse
+    backend: a compensating backend, a displacement and a drive on another
+    qubit are refused."""
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 5})
+    spec, _ = cz_binomial(params, mode="pulse", layout=layout, calibrate=False)
+    with pytest.raises(ValidationError, match="compensation"):
+        joint_block_unitaries(spec, PulseBackend(params, layout, compensate=True))
+    backend = PulseBackend(params, layout)
+    for step in (Displacement("S1", 0.1), ConditionalRotation("Q1", 0.0, np.pi, 0.05)):
+        with pytest.raises(ValidationError, match="displacement-free"):
+            joint_block_unitaries(GateSpec("x", (step,) + spec.steps), backend)
+
+
 def test_blockwise_propagator_matches_full_evolution(params):
     """Oracle: each joint-Fock 2x2 block equals the same block of the product
     of per-sample dense propagators exp(−i dt (H0 + u O + ū O†))."""
@@ -668,10 +711,12 @@ def dense_gate_unitary(layout, spec, params=None):
     """Oracle: the gate as one dense matrix built from lifted operators.
 
     Without params, the ideal backend: lifted displacements and the dense
-    conditional-drive propagator, waits idle.  With params, the pulse backend
-    with Kerr compensation: per-sample propagators exp(−i dt (H0 + u O + ū O†))
-    of the dense static Hamiltonian, each timed step followed by the dense
-    diagonal undoing its Kerr and cross-Kerr phases.
+    conditional-drive propagator, waits idle.  With params, the compensating
+    pulse backend: per-sample propagators exp(−i dt (H0 + u O + ū O†)) of the
+    dense static Hamiltonian, each timed step followed by the dense diagonal
+    undoing its Kerr and cross-Kerr phases, and the gate by the lifted
+    diag(e^{iε²T/(4nχ)}), n ≥ 1, undoing the AC-Stark phases of each rotation
+    conditioned on one cavity's vacuum.
     """
     space = layout.space
     u = np.eye(space.dim, dtype=complex)
@@ -700,6 +745,16 @@ def dense_gate_unitary(layout, spec, params=None):
             span = len(amps) * SAMPLE_DT
         u = np.diag(np.exp(1j * kerr * span)) @ u
         t += span
+    for step in spec.steps if params is not None else ():
+        if isinstance(step, ConditionalRotation) and len(step.condition) == 1:
+            (cavity, level), = step.condition
+            assert level == 0
+            mode = layout.mode(cavity)
+            n = np.arange(1, mode.dim)
+            chi = params.chi[(cavity, step.qubit)]
+            theta = np.concatenate([[0.0], step.epsilon**2 * step.duration / (4 * n * chi)])
+            stark = LinearOp(CompositeSpace.single(mode), np.diag(np.exp(1j * theta)))
+            u = layout.lift(stark, cavity).matrix @ u
     return u
 
 
@@ -710,10 +765,18 @@ def _backend_oracle_specs(params):
         "cz_coherent": cz,
         "snap_bell": snap_bell(+1, epsilon=0.05),
         "cz_coherent_wait": GateSpec("w", cz.steps[:1] + (Wait(37.0),) + cz.steps[1:]),
+        # a single-cavity phase gate: the only case with AC-Stark phases
+        "phase_gate": GateSpec(
+            "s",
+            tuple(
+                ConditionalRotation("Q3", phi, np.pi, 0.05, (("S1", 0),))
+                for phi in (0.0, -CANONICAL_DELTA_PHI["S"])
+            ),
+        ),
     }
 
 
-@pytest.mark.parametrize("name", ["cz_coherent", "snap_bell", "cz_coherent_wait"])
+@pytest.mark.parametrize("name", ["cz_coherent", "snap_bell", "cz_coherent_wait", "phase_gate"])
 def test_backends_match_dense_lifted_oracle(params, name):
     """IdealBackend.apply, PulseBackend.apply and PulseBackend.apply_density
     (closed system) equal the dense lifted-operator gate."""
@@ -728,7 +791,7 @@ def test_backends_match_dense_lifted_oracle(params, name):
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
 
     u = dense_gate_unitary(layout, spec, params)
-    backend = PulseBackend(params, layout, compensate_static_cavity_phases=True)
+    backend = PulseBackend(params, layout, compensate=True)
     out = backend.apply(psi, spec)
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
     rho = DensityOp(layout.space, 0.7 * psi.density().matrix + 0.3 * np.eye(layout.space.dim) / layout.space.dim)

@@ -5,8 +5,9 @@ definition.
 A public name that only tests reach is code that no recipe, command or
 benchmark runs: give it a caller or delete it together with its tests.  The
 `sim` commands, which click registers by decorator, and the names in ALLOWED
-are the exceptions.  A method is listed as Class.method; any mention of its
-name outside its own body counts as a caller, so the check is by name only.
+are the exceptions.  The re-exports of `__init__.py` are no callers.  A
+method is listed as Class.method; any mention of its name outside its own
+body counts as a caller, so the check is by name only.
 """
 
 import ast
@@ -22,6 +23,7 @@ ALLOWED = {
     "transfer_gradient": "the gradient check of grape.optimize",
     "transfer_fidelity": "the fidelity that optimize's reported final_fidelity is held to",
     "SystemLayout.cavity_labels": "test_gates' dense lifted oracle runs over the layout's cavities",
+    "parity_op": "the fock, codes, gates and tomography tests use it as their parity oracle",
     "Ket.density": "the tomography and acceptance tests form density-matrix inputs from kets",
     "Ket.projector": "the device and gate tests build Fock-level projectors for their oracles",
     "DensityOp.validate": "the fock tests check that it rejects an unphysical density operator",
@@ -57,7 +59,7 @@ def _uncalled() -> list:
     """(module, name) of every public definition that src/ names only inside
     it: a top-level one inside its own statement, a method inside its body."""
     statements = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             statements.append((path.stem, node, _referenced(node)))
     mentions = sum((names for _, _, names in statements), collections.Counter())
