@@ -2,9 +2,13 @@
 
 Each subcommand runs one experiment recipe and writes its tables as CSV
 (explicit headers, 17-significant-digit floats), the full structured result
-as JSON, and a ``manifest.json`` with the configuration hash, seed, and all
-parameters needed to re-run the experiment exactly.  Identical manifests
-produce byte-identical data files.
+as JSON, and a ``manifest.json``: the command name, every option click
+parsed except --config and --output (with the truncation or step count a
+command filled in itself), and for the recipes the provenance with the
+hash of the device configuration.  Identical manifests produce
+byte-identical data files.  Only grape-optimize (its start pulse) and
+readout-correct (its --shots sampling) draw random numbers, so only they
+take --seed.
 
 Exit codes: 0 on success, 1 on validation/usage errors, 2 on numerical
 failure.
@@ -22,13 +26,11 @@ from click.core import ParameterSource
 from cavitysim.codes import binomial_encoding, cat_encoding, logical_ket
 from cavitysim.device import (
     SystemLayout,
-    default_config_text,
     load_params,
     static_hamiltonian,
 )
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.experiments import (
-    ExperimentResult,
     run_bell_generation,
     run_error_budget,
     run_parity_sweep,
@@ -87,21 +89,26 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_result(output_dir: str, result: ExperimentResult, manifest: dict) -> None:
+def _write_outputs(
+    output_dir: str, tables: dict, result: dict, provenance=None, **resolved
+) -> None:
+    """Write each table as <name>.csv, `result` as result.json, and
+    manifest.json.
+
+    The manifest names the command and records the options click parsed,
+    with `resolved` overlaying the values the command filled in itself.
+    --output and the --config text stay out of it: the provenance's config
+    hash identifies the configuration."""
+    ctx = click.get_current_context()
+    params = {k: v for k, v in ctx.params.items() if k not in ("config_text", "output_dir")}
+    manifest = {"experiment": ctx.info_name, "parameters": {**params, **resolved}}
+    if provenance is not None:
+        manifest["provenance"] = provenance
     os.makedirs(output_dir, exist_ok=True)
-    for name, table in result.tables.items():
-        _write_csv(
-            os.path.join(output_dir, f"{name}.csv"), table["columns"], table["rows"]
-        )
-    _write_json(os.path.join(output_dir, "result.json"), result.to_json_dict())
+    for name, table in tables.items():
+        _write_csv(os.path.join(output_dir, f"{name}.csv"), table["columns"], table["rows"])
+    _write_json(os.path.join(output_dir, "result.json"), result)
     _write_json(os.path.join(output_dir, "manifest.json"), manifest)
-
-
-def _manifest(experiment: str, result: ExperimentResult | None, **params) -> dict:
-    out = {"experiment": experiment, "parameters": params}
-    if result is not None:
-        out["provenance"] = result.provenance
-    return out
 
 
 def _reject_given(name: str, reason: str) -> None:
@@ -111,10 +118,11 @@ def _reject_given(name: str, reason: str) -> None:
         raise ValidationError(f"--{name.replace('_', '-')} has no effect {reason}")
 
 
-def _read_config(config_path: str | None) -> str:
-    if config_path is None:
-        return default_config_text()
-    with open(config_path) as fh:
+def _config_text(ctx, param, path: str | None) -> str | None:
+    """The text of the --config file; None selects the bundled parameters."""
+    if path is None:
+        return None
+    with open(path) as fh:
         return fh.read()
 
 
@@ -126,9 +134,10 @@ def _common_options(f):
     opts = [
         click.option(
             "--config",
-            "config_path",
+            "config_text",
             type=click.Path(exists=True, dir_okay=False),
             default=None,
+            callback=_config_text,
             help="Device parameter file (defaults to the bundled values).",
         ),
         click.option(
@@ -140,16 +149,16 @@ def _common_options(f):
             show_default=True,
             help="Directory receiving CSV/JSON outputs and manifest.json.",
         ),
-        click.option("--seed", type=int, default=0, show_default=True),
     ]
     for opt in reversed(opts):
         f = opt(f)
     return f
 
 
-# --mode and --dim, declared only by the commands that use them
+# --mode, --dim and --seed, declared only by the commands that use them
 _mode_option = click.option("--mode", type=click.Choice(_MODES), default="ideal", show_default=True)
 _dim_option = click.option("--dim", type=int, default=None, help="Fock truncation override.")
+_seed_option = click.option("--seed", type=int, default=0, show_default=True)
 
 
 @click.group()
@@ -168,48 +177,34 @@ def cli():
 @click.option("--delta", type=float, default=0.0, show_default=True)
 @click.option(
     "--phis",
-    "phis_spec",
     type=str,
     default=None,
     help="Axis-offset sweep as start:stop:count (radians).",
 )
 @click.option("--alpha", type=float, default=None)
 @click.option("--epsilon", type=float, default=None)
-def cmd_parity_sweep(config_path, output_dir, seed, mode, delta, phis_spec, alpha, epsilon):
+def cmd_parity_sweep(config_text, output_dir, mode, delta, phis, alpha, epsilon):
     """Cavity parity fringe versus phase-gate axis offset."""
-    phis = None
-    if phis_spec is not None:
-        parts = phis_spec.split(":")
+    if mode == "ideal":
+        _reject_given("epsilon", "in ideal mode")
+    offsets = None
+    if phis is not None:
+        parts = phis.split(":")
         if len(parts) != 3:
             raise ValidationError("--phis expects start:stop:count")
         try:
-            phis = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+            offsets = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
         except ValueError as exc:  # unparsable numbers or a negative count
-            raise ValidationError(f"--phis {phis_spec!r}: {exc}") from None
-    config_text = _read_config(config_path)
+            raise ValidationError(f"--phis {phis!r}: {exc}") from None
     result = run_parity_sweep(
         delta=delta,
-        phis=phis,
+        phis=offsets,
         mode=mode,
         alpha=alpha,
         epsilon=epsilon,
         config_text=config_text,
-        seed=seed,
     )
-    _write_result(
-        output_dir,
-        result,
-        _manifest(
-            "parity-sweep",
-            result,
-            delta=delta,
-            phis=phis_spec,
-            alpha=alpha,
-            epsilon=epsilon,
-            mode=mode,
-            seed=seed,
-        ),
-    )
+    _write_outputs(output_dir, result.tables, result.to_json_dict(), result.provenance)
 
 
 @cli.command("zgate-repeat")
@@ -217,19 +212,12 @@ def cmd_parity_sweep(config_path, output_dir, seed, mode, delta, phis_spec, alph
 @_mode_option
 @click.option("--m-max", type=int, default=4, show_default=True)
 @click.option("--alpha", type=float, default=2.0, show_default=True)
-def cmd_zgate_repeat(config_path, output_dir, seed, mode, m_max, alpha):
+def cmd_zgate_repeat(config_text, output_dir, mode, m_max, alpha):
     """Process fidelity after m repeated phase gates, with a linear fit."""
-    config_text = _read_config(config_path)
     result = run_zgate_repetition(
-        m_max=m_max, mode=mode, alpha=alpha, config_text=config_text, seed=seed
+        m_max=m_max, mode=mode, alpha=alpha, config_text=config_text
     )
-    _write_result(
-        output_dir,
-        result,
-        _manifest(
-            "zgate-repeat", result, m_max=m_max, alpha=alpha, mode=mode, seed=seed
-        ),
-    )
+    _write_outputs(output_dir, result.tables, result.to_json_dict(), result.provenance)
 
 
 @cli.command("qpt")
@@ -242,17 +230,12 @@ def cmd_zgate_repeat(config_path, output_dir, seed, mode, m_max, alpha):
     show_default=True,
 )
 @click.option("--alpha", type=float, default=float(np.sqrt(2.0)), show_default=True)
-def cmd_qpt(config_path, output_dir, seed, mode, gate, alpha):
+def cmd_qpt(config_text, output_dir, mode, gate, alpha):
     """Process tomography of one logical gate."""
     if gate == "cz-binomial":
         _reject_given("alpha", "on the binomial CZ")
-    config_text = _read_config(config_path)
-    result = run_qpt(gate, mode=mode, alpha=alpha, config_text=config_text, seed=seed)
-    _write_result(
-        output_dir,
-        result,
-        _manifest("qpt", result, gate=gate, alpha=alpha, mode=mode, seed=seed),
-    )
+    result = run_qpt(gate, mode=mode, alpha=alpha, config_text=config_text)
+    _write_outputs(output_dir, result.tables, result.to_json_dict(), result.provenance)
 
 
 @cli.command("cz")
@@ -265,19 +248,14 @@ def cmd_qpt(config_path, output_dir, seed, mode, gate, alpha):
     show_default=True,
 )
 @click.option("--alpha", type=float, default=float(np.sqrt(2.0)), show_default=True)
-def cmd_cz(config_path, output_dir, seed, mode, encoding, alpha):
+def cmd_cz(config_text, output_dir, mode, encoding, alpha):
     """Two-cavity controlled-phase gate: tomography plus the gate recipe."""
     if encoding == "binomial":
         _reject_given("alpha", "on the binomial CZ")
-    config_text = _read_config(config_path)
     result = run_qpt(
-        f"cz-{encoding}", mode=mode, alpha=alpha, config_text=config_text, seed=seed
+        f"cz-{encoding}", mode=mode, alpha=alpha, config_text=config_text
     )
-    _write_result(
-        output_dir,
-        result,
-        _manifest("cz", result, encoding=encoding, alpha=alpha, mode=mode, seed=seed),
-    )
+    _write_outputs(output_dir, result.tables, result.to_json_dict(), result.provenance)
     # the spec that was simulated: in pulse mode, the calibrated multitone pulse
     _write_json(
         os.path.join(output_dir, "gate_spec.json"), result.gate_spec.to_json_dict()
@@ -294,38 +272,32 @@ def cmd_cz(config_path, output_dir, seed, mode, encoding, alpha):
     show_default=True,
 )
 @click.option("--alpha", type=float, default=1.2, show_default=True)
-def cmd_bell(config_path, output_dir, seed, mode, encoding, alpha):
+def cmd_bell(config_text, output_dir, mode, encoding, alpha):
     """Logical Bell state from |++> and the controlled-phase gate."""
     if encoding == "binomial":
         _reject_given("alpha", "on the binomial encoding")
-    config_text = _read_config(config_path)
     result = run_bell_generation(
-        encoding, mode=mode, alpha=alpha, config_text=config_text, seed=seed
+        encoding, mode=mode, alpha=alpha, config_text=config_text
     )
-    _write_result(
-        output_dir,
-        result,
-        _manifest("bell", result, encoding=encoding, alpha=alpha, mode=mode, seed=seed),
-    )
+    _write_outputs(output_dir, result.tables, result.to_json_dict(), result.provenance)
 
 
 @cli.command("snap-bell")
 @_common_options
 @_mode_option
 @_dim_option
-@click.option("--sign", type=click.Choice(["+1", "-1"]), default="+1", show_default=True)
-def cmd_snap_bell(config_path, output_dir, seed, mode, dim, sign):
+@click.option(
+    "--sign",
+    type=click.Choice(["+1", "-1"]),
+    default="+1",
+    show_default=True,
+    callback=lambda ctx, param, value: int(value),
+)
+def cmd_snap_bell(config_text, output_dir, mode, dim, sign):
     """Single-photon two-cavity Bell state via a conditional 2-pi rotation."""
-    config_text = _read_config(config_path)
     kwargs = {} if dim is None else {"dim": dim}
-    result = run_snap_bell(
-        int(sign), mode=mode, config_text=config_text, seed=seed, **kwargs
-    )
-    _write_result(
-        output_dir,
-        result,
-        _manifest("snap-bell", result, sign=int(sign), dim=dim, mode=mode, seed=seed),
-    )
+    result = run_snap_bell(sign, mode=mode, config_text=config_text, **kwargs)
+    _write_outputs(output_dir, result.tables, result.to_json_dict(), result.provenance)
 
 
 @cli.command("error-budget")
@@ -334,15 +306,10 @@ def cmd_snap_bell(config_path, output_dir, seed, mode, dim, sign):
     "--gate", type=click.Choice(["z", "s", "t"]), default="z", show_default=True
 )
 @click.option("--alpha", type=float, default=float(np.sqrt(2.0)), show_default=True)
-def cmd_error_budget(config_path, output_dir, seed, gate, alpha):
+def cmd_error_budget(config_text, output_dir, gate, alpha):
     """Infidelity decomposition of a single-cavity phase gate by error source."""
-    config_text = _read_config(config_path)
-    result = run_error_budget(gate, alpha=alpha, config_text=config_text, seed=seed)
-    _write_result(
-        output_dir,
-        result,
-        _manifest("error-budget", result, gate=gate, alpha=alpha, seed=seed),
-    )
+    result = run_error_budget(gate, alpha=alpha, config_text=config_text)
+    _write_outputs(output_dir, result.tables, result.to_json_dict(), result.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +329,7 @@ def cmd_error_budget(config_path, output_dir, seed, gate, alpha):
 @click.option("--fock-n", type=int, default=1, show_default=True)
 @click.option("--extent", type=float, default=2.5, show_default=True)
 @click.option("--points", type=int, default=41, show_default=True)
-def cmd_wigner(config_path, output_dir, seed, dim, state, alpha, fock_n, extent, points):
+def cmd_wigner(config_text, output_dir, dim, state, alpha, fock_n, extent, points):
     """Wigner function of a reference cavity state on a phase-space grid."""
     if not np.isfinite(extent):
         raise ValidationError("--extent must be finite")
@@ -384,35 +351,16 @@ def cmd_wigner(config_path, output_dir, seed, dim, state, alpha, fock_n, extent,
         ket = fock_ket(ModeSpec.bosonic(dim), fock_n)
     axis = np.linspace(-extent, extent, points)
     grid = wigner_grid(ket, 0, axis, axis)
-    os.makedirs(output_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(output_dir, "wigner.csv"),
-        ("re", "im", "w"),
-        grid.to_csv_rows(),
-    )
-    _write_json(os.path.join(output_dir, "result.json"), grid.to_json_dict())
-    _write_json(
-        os.path.join(output_dir, "manifest.json"),
-        _manifest(
-            "wigner",
-            None,
-            state=state,
-            alpha=alpha,
-            fock_n=fock_n,
-            extent=extent,
-            points=points,
-            dim=dim,
-            seed=seed,
-        ),
-    )
+    table = {"columns": ("re", "im", "w"), "rows": grid.to_csv_rows()}
+    _write_outputs(output_dir, {"wigner": table}, grid.to_json_dict(), dim=dim)
 
 
 @cli.command("grape-optimize")
 @_common_options
+@_seed_option
 @_dim_option
 @click.option(
     "--task",
-    "task_name",
     type=click.Choice(["pi-pulse", "binomial-encode"]),
     default="pi-pulse",
     show_default=True,
@@ -423,26 +371,25 @@ def cmd_wigner(config_path, output_dir, seed, dim, state, alpha, fock_n, extent,
     "--target-fidelity", type=float, default=0.995, show_default=True
 )
 def cmd_grape_optimize(
-    config_path,
+    config_text,
     output_dir,
     seed,
     dim,
-    task_name,
+    task,
     steps,
     max_iters,
     target_fidelity,
 ):
     """Optimize a piecewise-constant control pulse for a transfer task."""
-    if task_name == "pi-pulse" and dim is not None:
+    if task == "pi-pulse" and dim is not None:
         raise ValidationError("--dim does not apply to the pi-pulse task, which has no cavity")
-    config_text = _read_config(config_path)
     params = load_params(config_text)
-    if task_name == "pi-pulse":
+    if task == "pi-pulse":
         if steps is None:
             steps = 60
         layout = SystemLayout.build(["Q1"], [], {})
         h0 = LinearOp(layout.space, np.diag(static_hamiltonian(params, layout)))
-        task = TransferTask(
+        transfer = TransferTask(
             pairs=((qubit_ket(0), qubit_ket(1)),),
             H0=h0,
             layout=layout,
@@ -454,46 +401,30 @@ def cmd_grape_optimize(
             steps = 500
         if dim is None:
             dim = 8
-        task = binomial_encode_task(params, dim, steps)
+        transfer = binomial_encode_task(params, dim, steps)
     pulse, report = optimize(
-        task, max_iters=max_iters, target_fidelity=target_fidelity, seed=seed
+        transfer, max_iters=max_iters, target_fidelity=target_fidelity, seed=seed
     )
-    os.makedirs(output_dir, exist_ok=True)
     columns = ["step"]
-    for label, kind in task.channels:
+    for label, kind in transfer.channels:
         columns.extend([f"{label}_{kind}_re", f"{label}_{kind}_im"])
     rows = []
-    for k in range(task.n_steps):
+    for k in range(transfer.n_steps):
         row = [k]
-        for ch in task.channels:
+        for ch in transfer.channels:
             row.extend([pulse.channels[ch][k].real, pulse.channels[ch][k].imag])
         rows.append(row)
-    _write_csv(os.path.join(output_dir, "pulse.csv"), columns, rows)
     # wall time is excluded so identical runs produce identical files
-    _write_json(
-        os.path.join(output_dir, "result.json"),
-        {
-            "final_fidelity": report.final_fidelity,
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "message": report.message,
-            "fidelity_history": list(report.fidelity_history),
-            "gradient_norms": list(report.gradient_norms),
-        },
-    )
-    _write_json(
-        os.path.join(output_dir, "manifest.json"),
-        _manifest(
-            "grape-optimize",
-            None,
-            task=task_name,
-            steps=steps,
-            dim=dim,
-            max_iters=max_iters,
-            target_fidelity=target_fidelity,
-            seed=seed,
-        ),
-    )
+    result = {
+        "final_fidelity": report.final_fidelity,
+        "iterations": report.iterations,
+        "converged": report.converged,
+        "message": report.message,
+        "fidelity_history": list(report.fidelity_history),
+        "gradient_norms": list(report.gradient_norms),
+    }
+    table = {"columns": columns, "rows": rows}
+    _write_outputs(output_dir, {"pulse": table}, result, steps=steps, dim=dim)
     if not report.converged and report.final_fidelity < target_fidelity:
         click.echo(
             f"warning: stopped at fidelity {report.final_fidelity:.6f} "
@@ -504,6 +435,7 @@ def cmd_grape_optimize(
 
 @cli.command("readout-correct")
 @_common_options
+@_seed_option
 @click.option(
     "--shots",
     type=int,
@@ -512,27 +444,27 @@ def cmd_grape_optimize(
 )
 @click.option(
     "--matrix",
-    "matrix_path",
     type=click.Path(exists=True, dir_okay=False),
     default=None,
     help="Assignment-matrix CSV (defaults to the bundled three-qubit table).",
 )
 @click.option(
     "--probs",
-    "probs_path",
     type=click.Path(exists=True, dir_okay=False),
     required=True,
     help="Measured probability vector (floats, comma or newline separated).",
 )
 @click.option("--project", is_flag=True, help="Project the result onto the simplex.")
-def cmd_readout_correct(config_path, output_dir, seed, shots, matrix_path, probs_path, project):
+def cmd_readout_correct(config_text, output_dir, seed, shots, matrix, probs, project):
     """Invert the readout assignment matrix on a measured probability vector."""
-    if matrix_path is None:
+    if shots is None:
+        _reject_given("seed", "without --shots")
+    if matrix is None:
         assignment = default_assignment()
     else:
-        with open(matrix_path) as fh:
+        with open(matrix) as fh:
             assignment = load_assignment_csv(fh.read())
-    with open(probs_path) as fh:
+    with open(probs) as fh:
         tokens = fh.read().replace(",", " ").split()
     values = []
     for tok in tokens:
@@ -552,29 +484,10 @@ def cmd_readout_correct(config_path, output_dir, seed, shots, matrix_path, probs
         counts = sample_assignment(p, assignment, shots=shots, seed=seed)
         p = counts / counts.sum()
     corrected = correct_readout(p, assignment, project=project)
-    os.makedirs(output_dir, exist_ok=True)
     labels = assignment.outcome_labels()
-    _write_csv(
-        os.path.join(output_dir, "corrected.csv"),
-        ("outcome", "probability"),
-        list(zip(labels, corrected)),
-    )
-    _write_json(
-        os.path.join(output_dir, "result.json"),
-        {"outcomes": list(labels), "corrected": corrected.tolist()},
-    )
-    _write_json(
-        os.path.join(output_dir, "manifest.json"),
-        _manifest(
-            "readout-correct",
-            None,
-            matrix=matrix_path,
-            probs=probs_path,
-            project=project,
-            shots=shots,
-            seed=seed,
-        ),
-    )
+    table = {"columns": ("outcome", "probability"), "rows": list(zip(labels, corrected))}
+    result = {"outcomes": list(labels), "corrected": corrected.tolist()}
+    _write_outputs(output_dir, {"corrected": table}, result)
 
 
 # ---------------------------------------------------------------------------

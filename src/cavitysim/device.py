@@ -31,8 +31,9 @@ from cavitysim.fock import (
 MHZ = 2.0 * math.pi * 1e-3  # chi/2pi in MHz -> rad/ns
 US = 1e3  # us -> ns
 
-QUBIT_LABELS = ("Q1", "Q2", "Q3")
 CAVITY_LABELS = ("S1", "S2")
+# The dispersive pairs of device B: which qubit talks to which cavity.
+COUPLED_PAIRS = (("S1", "Q1"), ("S1", "Q3"), ("S2", "Q2"), ("S2", "Q3"))
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def load_params(config_text: str | None = None) -> DeviceParams:
         else:
             raise ValidationError(f"unrecognized chi entry {key}")
 
-    required = {("S1", "Q1"), ("S1", "Q3"), ("S2", "Q2"), ("S2", "Q3")}
+    required = set(COUPLED_PAIRS)
     if not required.issubset(chi):
         raise ValidationError(f"config missing chi entries: {required - set(chi)}")
 
@@ -173,10 +174,6 @@ class SystemLayout:
 
     def lift(self, op: LinearOp, label: str) -> LinearOp:
         return embed(op, self.index[label], self.space)
-
-
-# The dispersive pairs of device B: which qubit talks to which cavity.
-COUPLED_PAIRS = (("S1", "Q1"), ("S1", "Q3"), ("S2", "Q2"), ("S2", "Q3"))
 
 
 def _levels(layout: SystemLayout) -> dict:

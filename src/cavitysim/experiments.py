@@ -3,9 +3,9 @@ decay, Bell generation, and error budgets.
 
 Every recipe returns an ExperimentResult with CSV-ready tables, summary
 scalars annotated with the tolerance reported as their bound, and enough
-provenance (config hash, seed, mode) to re-run deterministically.  Measured
-literature fidelities are attached as reference-only scalars and never
-asserted.
+provenance (config hash, mode) to re-run deterministically; no recipe
+draws random numbers, so none takes a seed.  Measured literature fidelities
+are attached as reference-only scalars and never asserted.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class ExperimentResult:
     parameters: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)  # name -> {"columns", "rows"}
     summary: dict = field(default_factory=dict)  # name -> Scalar
-    provenance: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)  # config_hash, mode
     #: the GateSpec the experiment simulated (not part of result.json)
     gate_spec: GateSpec | None = None
 
@@ -142,8 +142,8 @@ def _load_params(config_text: str | None):
     return load_params(config_text), hashlib.sha256(config_text.encode()).hexdigest()
 
 
-def _provenance(config_hash: str, seed: int, mode: str) -> dict:
-    return {"config_hash": config_hash, "seed": seed, "mode": mode}
+def _provenance(config_hash: str, mode: str) -> dict:
+    return {"config_hash": config_hash, "mode": mode}
 
 
 def _code_subspace_unitary(enc: Encoding, u2: np.ndarray) -> LinearOp:
@@ -223,7 +223,6 @@ def run_parity_sweep(
     alpha: float | None = None,
     epsilon: float | None = None,
     config_text: str | None = None,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Cavity parity after a phase gate with axis offset φ and read-out
     displacement D(−α e^{iδ}).
@@ -289,7 +288,7 @@ def run_parity_sweep(
             }
         },
         summary=summary,
-        provenance=_provenance(cfg_hash, seed, mode),
+        provenance=_provenance(cfg_hash, mode),
     )
 
 
@@ -302,7 +301,6 @@ def run_zgate_repetition(
     mode: str = "ideal",
     alpha: float = 2.0,
     config_text: str | None = None,
-    seed: int = 0,
 ) -> ExperimentResult:
     """QPT fidelity after m = 0..m_max repeated Z gates on one encoded cavity.
 
@@ -350,7 +348,7 @@ def run_zgate_repetition(
             "per_gate_infidelity": Scalar(float(-slope), tol),
             "slope_consistency_m01": Scalar(float(consistency), 10 * tol),
         },
-        provenance=_provenance(cfg_hash, seed, mode),
+        provenance=_provenance(cfg_hash, mode),
     )
 
 
@@ -409,7 +407,6 @@ def run_qpt(
     mode: str = "ideal",
     alpha: float = float(np.sqrt(2.0)),
     config_text: str | None = None,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Process tomography of one gate: PTM and process fidelity.
 
@@ -455,7 +452,7 @@ def run_qpt(
         },
         tables={"ptm": {"columns": ("row", "column", "value"), "rows": rows}},
         summary=summary,
-        provenance=_provenance(cfg_hash, seed, mode),
+        provenance=_provenance(cfg_hash, mode),
         gate_spec=spec,
     )
 
@@ -469,7 +466,6 @@ def run_bell_generation(
     mode: str = "ideal",
     alpha: float = 1.2,
     config_text: str | None = None,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Prepare (|01⟩_L + |10⟩_L)/√2 from logical |++⟩ and the realized CZ.
 
@@ -563,7 +559,7 @@ def run_bell_generation(
         parameters={"encoding": encoding, "mode": mode, "alpha": float(alpha)},
         tables=tables,
         summary=summary,
-        provenance=_provenance(cfg_hash, seed, mode),
+        provenance=_provenance(cfg_hash, mode),
     )
 
 
@@ -575,7 +571,6 @@ def run_error_budget(
     gate: str = "z",
     alpha: float = float(np.sqrt(2.0)),
     config_text: str | None = None,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Infidelity decomposition of the single-cavity phase gate by toggling
     error sources: encode/decode, drive selectivity, Kerr, decoherence.
@@ -632,7 +627,7 @@ def run_error_budget(
             "decoherence_infidelity": Scalar(budget["decoherence"], 2.0 * estimate),
             "relaxation_estimate_T_over_2T1": Scalar(float(estimate), reference=True),
         },
-        provenance=_provenance(cfg_hash, seed, "pulse+decoherence"),
+        provenance=_provenance(cfg_hash, "pulse+decoherence"),
     )
 
 
@@ -645,7 +640,6 @@ def run_snap_bell(
     mode: str = "ideal",
     dim: int = 12,
     config_text: str | None = None,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Single-photon Bell state (|01⟩ + sign·|10⟩)/√2 from vacuum via
     displacements around a joint-vacuum-conditional 2π rotation."""
@@ -694,5 +688,5 @@ def run_snap_bell(
             "purity_cavity_1": Scalar(float(rho1.purity()), 0.1),
             "purity_cavity_2": Scalar(float(rho2.purity()), 0.1),
         },
-        provenance=_provenance(cfg_hash, seed, mode),
+        provenance=_provenance(cfg_hash, mode),
     )

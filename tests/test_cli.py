@@ -39,7 +39,7 @@ def test_parity_sweep_csv_matches_cos_law(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["experiment"] == "parity-sweep"
     assert len(manifest["provenance"]["config_hash"]) == 64
-    assert manifest["provenance"]["seed"] == 0
+    assert "seed" not in manifest["provenance"]  # the recipes draw no random numbers
 
 
 def test_qpt_ideal_writes_unit_fidelity(tmp_path):
@@ -165,8 +165,12 @@ def test_error_budget_rejects_mode_flag(tmp_path, capsys):
         (["wigner", "--state", "fock", "--alpha", "3"], "--alpha"),
         (["wigner", "--state", "cat", "--fock-n", "2"], "--fock-n"),
         (["wigner", "--state", "binomial", "--fock-n", "2"], "--fock-n"),
+        (["parity-sweep", "--mode", "ideal", "--epsilon", "0.001"], "--epsilon"),
     ],
-    ids=["qpt", "cz", "bell", "wigner-binomial-alpha", "wigner-fock-alpha", "wigner-cat-fock-n", "wigner-binomial-fock-n"],
+    ids=[
+        "qpt", "cz", "bell", "wigner-binomial-alpha", "wigner-fock-alpha", "wigner-cat-fock-n",
+        "wigner-binomial-fock-n", "parity-sweep-ideal-epsilon",
+    ],
 )
 def test_flags_without_effect_are_rejected(tmp_path, capsys, args, flag):
     """A flag given on the command line that the chosen gate, encoding or
@@ -175,6 +179,27 @@ def test_flags_without_effect_are_rejected(tmp_path, capsys, args, flag):
     out = tmp_path / "run"
     assert main(args + ["-o", str(out)]) == 1
     assert f"{flag} has no effect" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["parity-sweep", "zgate-repeat", "qpt", "cz", "bell", "snap-bell", "error-budget", "wigner"],
+)
+def test_seed_is_refused_where_nothing_is_random(tmp_path, capsys, command):
+    """Only grape-optimize and readout-correct draw random numbers."""
+    out = tmp_path / "run"
+    assert main([command, "--seed", "1", "-o", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readout_correct_rejects_seed_without_shots(tmp_path, capsys):
+    p_path = tmp_path / "p.csv"
+    p_path.write_text("\n".join(["0.5", "0.5"] + ["0.0"] * 6))
+    out = tmp_path / "run"
+    assert main(["readout-correct", "--probs", str(p_path), "--seed", "3", "-o", str(out)]) == 1
+    assert "--seed has no effect without --shots" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -350,7 +375,6 @@ def test_cz_binomial_pulse_writes_simulated_spec(tmp_path, monkeypatch):
     """gate_spec.json holds the multitone pulse run_qpt simulated, not the
     ideal rotations (the calibration is skipped to keep the test fast)."""
     import cavitysim.experiments as experiments
-    from cavitysim.gates import GateSpec
 
     simulated = []
 
@@ -365,7 +389,7 @@ def test_cz_binomial_pulse_writes_simulated_spec(tmp_path, monkeypatch):
     assert main(["cz", "--encoding", "binomial", "--mode", "pulse", "-o", str(out)]) == 0
     spec = json.loads((out / "gate_spec.json").read_text())
     assert "multitone_pulse" in {s["type"] for s in spec["steps"]}
-    assert simulated and GateSpec.from_json_dict(spec) == simulated[-1]
+    assert simulated and spec == simulated[-1].to_json_dict()
 
 
 def test_config_flag_round_trip(tmp_path):
@@ -391,3 +415,69 @@ def test_config_flag_round_trip(tmp_path):
     assert main(["parity-sweep", "--phis", "0:6.283:4", "-o", str(default_out)]) == 0
     manifest2 = json.loads((default_out / "manifest.json").read_text())
     assert manifest["provenance"]["config_hash"] == manifest2["provenance"]["config_hash"]
+    # the hash names the configuration; its text stays out of the manifest
+    assert manifest["parameters"] == manifest2["parameters"]
+
+
+#: cheap arguments of every command, and manifest parameters pinned by value
+_MANIFEST_CASES = [
+    (["parity-sweep", "--phis", "0:1:2"], {"phis": "0:1:2", "epsilon": None}),
+    (["zgate-repeat", "--m-max", "1"], {"m_max": 1}),
+    (["qpt", "--gate", "z"], {"gate": "z"}),
+    (["cz", "--encoding", "coherent"], {"encoding": "coherent"}),
+    (["bell", "--encoding", "binomial"], {"encoding": "binomial", "alpha": 1.2}),
+    (["snap-bell", "--sign", "-1"], {"sign": -1, "dim": None}),
+    (["error-budget", "--gate", "z"], {"gate": "z"}),
+    (["wigner", "--state", "fock", "--fock-n", "2", "--points", "5"], {"dim": 6}),
+    (["grape-optimize", "--task", "pi-pulse", "--max-iters", "0"], {"steps": 60, "dim": None}),
+    (["readout-correct", "--probs", "p.csv"], {"probs": "p.csv", "matrix": None, "seed": 0}),
+]
+
+
+@pytest.mark.parametrize("args, pinned", _MANIFEST_CASES, ids=[a[0] for a, _ in _MANIFEST_CASES])
+def test_manifest_records_the_parsed_options(tmp_path, monkeypatch, args, pinned):
+    """A manifest names its command and holds one parameter per option of
+    that command, --config and --output aside, with the value the command
+    ran with: a truncation or step count it filled in itself, --sign as an
+    int, a path as given."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.csv").write_text("\n".join(["0.5", "0.5"] + ["0.0"] * 6))
+    assert main(args + ["-o", "run"]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["experiment"] == args[0]
+    options = {
+        max(p.opts, key=len)[2:].replace("-", "_") for p in cli.cli.commands[args[0]].params
+    }
+    assert set(manifest["parameters"]) == options - {"config", "output"}
+    for key, value in pinned.items():
+        assert manifest["parameters"][key] == value
+        assert type(manifest["parameters"][key]) is type(value)
+
+
+@pytest.mark.parametrize(
+    "args, manifest",
+    [
+        (
+            ["grape-optimize", "--task", "pi-pulse", "--max-iters", "0"],
+            '{\n  "experiment": "grape-optimize",\n  "parameters": {\n    "dim": null,\n'
+            '    "max_iters": 0,\n    "seed": 0,\n    "steps": 60,\n'
+            '    "target_fidelity": 0.995,\n    "task": "pi-pulse"\n  }\n}\n',
+        ),
+        (
+            [
+                "readout-correct", "--matrix", "m.csv", "--probs", "p.csv",
+                "--shots", "100", "--seed", "3", "--project",
+            ],
+            '{\n  "experiment": "readout-correct",\n  "parameters": {\n'
+            '    "matrix": "m.csv",\n    "probs": "p.csv",\n    "project": true,\n'
+            '    "seed": 3,\n    "shots": 100\n  }\n}\n',
+        ),
+    ],
+    ids=["grape-optimize", "readout-correct"],
+)
+def test_manifest_bytes_are_pinned(tmp_path, monkeypatch, args, manifest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.csv").write_text("x,g,e\n0,0.95,0.1\n1,0.05,0.9\n")
+    (tmp_path / "p.csv").write_text("0.6,0.4\n")
+    assert main(args + ["-o", "run"]) == 0
+    assert (tmp_path / "run" / "manifest.json").read_text() == manifest

@@ -1,6 +1,6 @@
-"""Every public module-level function and class of src/cavitysim, and every
-public method of those classes, is named somewhere in src/ outside its own
-definition.
+"""Every public module-level function, class and constant of src/cavitysim,
+and every public method of those classes, is named somewhere in src/ outside
+its own definition.
 
 A public name that only tests reach is code that no recipe, command or
 benchmark runs: give it a caller or delete it together with its tests.  The
@@ -27,7 +27,6 @@ ALLOWED = {
     "Ket.density": "the tomography and acceptance tests form density-matrix inputs from kets",
     "Ket.projector": "the device and gate tests build Fock-level projectors for their oracles",
     "DensityOp.validate": "the fock tests check that it rejects an unphysical density operator",
-    "GateSpec.from_json_dict": "reads back the gate_spec.json that sim cz writes",
     "WignerGrid.integral": "the normalisation that the Wigner grid tests hold to 1",
     "TransferMatrix.check_physical": "the complete-positivity check the tomography tests apply",
     "AssignmentMatrix.inverse": "perfbench/workloads.py reads it for the readout error bars",
@@ -55,6 +54,17 @@ def _is_command(node) -> bool:
     )
 
 
+def _constants(node) -> list:
+    """Public names that a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("_")]
+
+
 def _uncalled() -> list:
     """(module, name) of every public definition that src/ names only inside
     it: a top-level one inside its own statement, a method inside its body."""
@@ -65,6 +75,9 @@ def _uncalled() -> list:
     mentions = sum((names for _, _, names in statements), collections.Counter())
     out = []
     for module, node, names in statements:
+        for name in _constants(node):
+            if mentions[name] == names[name]:
+                out.append((module, name))
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
         if not _is_command(node) and mentions[node.name] == names[node.name]:
