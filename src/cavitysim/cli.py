@@ -6,9 +6,11 @@ as JSON, and a ``manifest.json``: the command name, every option click
 parsed except --config and --output (with the truncation or step count a
 command filled in itself), and for the recipes the provenance with the
 hash of the device configuration.  Identical manifests produce
-byte-identical data files.  Only grape-optimize (its start pulse) and
-readout-correct (its --shots sampling) draw random numbers, so only they
-take --seed.
+byte-identical data files.  Only the seven recipe commands and
+grape-optimize read device parameters, so only they take --config; the
+pi-pulse task of grape-optimize refuses it.  Only grape-optimize (its start
+pulse) and readout-correct (its --shots sampling) draw random numbers, so
+only they take --seed.
 
 Exit codes: 0 on success, 1 on validation/usage errors, 2 on numerical
 failure.
@@ -24,11 +26,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from cavitysim.codes import binomial_encoding, cat_encoding, logical_ket
-from cavitysim.device import (
-    SystemLayout,
-    load_params,
-    static_hamiltonian,
-)
+from cavitysim.device import SystemLayout, load_params
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.experiments import (
     run_bell_generation,
@@ -112,10 +110,13 @@ def _write_outputs(
 
 
 def _reject_given(name: str, reason: str) -> None:
-    """Refuse the option `name` if it was given on the command line, where
-    it has no effect; `reason` completes "has no effect ..."."""
-    if click.get_current_context().get_parameter_source(name) is ParameterSource.COMMANDLINE:
-        raise ValidationError(f"--{name.replace('_', '-')} has no effect {reason}")
+    """Refuse the option whose destination is `name` if it was given on the
+    command line, where it has no effect; `reason` completes "has no effect
+    ..."."""
+    ctx = click.get_current_context()
+    if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
+        flag = next(p.opts[0] for p in ctx.command.params if p.name == name)
+        raise ValidationError(f"{flag} has no effect {reason}")
 
 
 def _config_text(ctx, param, path: str | None) -> str | None:
@@ -127,35 +128,26 @@ def _config_text(ctx, param, path: str | None) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Common flags
+# Flags
 
-
-def _common_options(f):
-    opts = [
-        click.option(
-            "--config",
-            "config_text",
-            type=click.Path(exists=True, dir_okay=False),
-            default=None,
-            callback=_config_text,
-            help="Device parameter file (defaults to the bundled values).",
-        ),
-        click.option(
-            "--output",
-            "-o",
-            "output_dir",
-            type=click.Path(file_okay=False),
-            default="out",
-            show_default=True,
-            help="Directory receiving CSV/JSON outputs and manifest.json.",
-        ),
-    ]
-    for opt in reversed(opts):
-        f = opt(f)
-    return f
-
-
-# --mode, --dim and --seed, declared only by the commands that use them
+_output_option = click.option(
+    "--output",
+    "-o",
+    "output_dir",
+    type=click.Path(file_okay=False),
+    default="out",
+    show_default=True,
+    help="Directory receiving CSV/JSON outputs and manifest.json.",
+)
+# --config, --mode, --dim and --seed, declared only by the commands that use them
+_config_option = click.option(
+    "--config",
+    "config_text",
+    type=click.Path(exists=True, dir_okay=False),
+    default=None,
+    callback=_config_text,
+    help="Device parameter file (defaults to the bundled values).",
+)
 _mode_option = click.option("--mode", type=click.Choice(_MODES), default="ideal", show_default=True)
 _dim_option = click.option("--dim", type=int, default=None, help="Fock truncation override.")
 _seed_option = click.option("--seed", type=int, default=0, show_default=True)
@@ -172,7 +164,8 @@ def cli():
 
 
 @cli.command("parity-sweep")
-@_common_options
+@_config_option
+@_output_option
 @_mode_option
 @click.option("--delta", type=float, default=0.0, show_default=True)
 @click.option(
@@ -208,7 +201,8 @@ def cmd_parity_sweep(config_text, output_dir, mode, delta, phis, alpha, epsilon)
 
 
 @cli.command("zgate-repeat")
-@_common_options
+@_config_option
+@_output_option
 @_mode_option
 @click.option("--m-max", type=int, default=4, show_default=True)
 @click.option("--alpha", type=float, default=2.0, show_default=True)
@@ -221,7 +215,8 @@ def cmd_zgate_repeat(config_text, output_dir, mode, m_max, alpha):
 
 
 @cli.command("qpt")
-@_common_options
+@_config_option
+@_output_option
 @_mode_option
 @click.option(
     "--gate",
@@ -239,7 +234,8 @@ def cmd_qpt(config_text, output_dir, mode, gate, alpha):
 
 
 @cli.command("cz")
-@_common_options
+@_config_option
+@_output_option
 @_mode_option
 @click.option(
     "--encoding",
@@ -263,7 +259,8 @@ def cmd_cz(config_text, output_dir, mode, encoding, alpha):
 
 
 @cli.command("bell")
-@_common_options
+@_config_option
+@_output_option
 @_mode_option
 @click.option(
     "--encoding",
@@ -283,7 +280,8 @@ def cmd_bell(config_text, output_dir, mode, encoding, alpha):
 
 
 @cli.command("snap-bell")
-@_common_options
+@_config_option
+@_output_option
 @_mode_option
 @_dim_option
 @click.option(
@@ -301,7 +299,8 @@ def cmd_snap_bell(config_text, output_dir, mode, dim, sign):
 
 
 @cli.command("error-budget")
-@_common_options
+@_config_option
+@_output_option
 @click.option(
     "--gate", type=click.Choice(["z", "s", "t"]), default="z", show_default=True
 )
@@ -317,7 +316,7 @@ def cmd_error_budget(config_text, output_dir, gate, alpha):
 
 
 @cli.command("wigner")
-@_common_options
+@_output_option
 @_dim_option
 @click.option(
     "--state",
@@ -329,7 +328,7 @@ def cmd_error_budget(config_text, output_dir, gate, alpha):
 @click.option("--fock-n", type=int, default=1, show_default=True)
 @click.option("--extent", type=float, default=2.5, show_default=True)
 @click.option("--points", type=int, default=41, show_default=True)
-def cmd_wigner(config_text, output_dir, dim, state, alpha, fock_n, extent, points):
+def cmd_wigner(output_dir, dim, state, alpha, fock_n, extent, points):
     """Wigner function of a reference cavity state on a phase-space grid."""
     if not np.isfinite(extent):
         raise ValidationError("--extent must be finite")
@@ -356,7 +355,8 @@ def cmd_wigner(config_text, output_dir, dim, state, alpha, fock_n, extent, point
 
 
 @cli.command("grape-optimize")
-@_common_options
+@_config_option
+@_output_option
 @_seed_option
 @_dim_option
 @click.option(
@@ -381,14 +381,15 @@ def cmd_grape_optimize(
     target_fidelity,
 ):
     """Optimize a piecewise-constant control pulse for a transfer task."""
-    if task == "pi-pulse" and dim is not None:
-        raise ValidationError("--dim does not apply to the pi-pulse task, which has no cavity")
-    params = load_params(config_text)
     if task == "pi-pulse":
+        _reject_given("dim", "on the pi-pulse task, which has no cavity")
+        # a lone qubit's static Hamiltonian is zero in the rotating frame,
+        # whatever the device parameters
+        _reject_given("config_text", "on the pi-pulse task, which reads no device parameters")
         if steps is None:
             steps = 60
         layout = SystemLayout.build(["Q1"], [], {})
-        h0 = LinearOp(layout.space, np.diag(static_hamiltonian(params, layout)))
+        h0 = LinearOp(layout.space, np.zeros((2, 2)))
         transfer = TransferTask(
             pairs=((qubit_ket(0), qubit_ket(1)),),
             H0=h0,
@@ -401,7 +402,7 @@ def cmd_grape_optimize(
             steps = 500
         if dim is None:
             dim = 8
-        transfer = binomial_encode_task(params, dim, steps)
+        transfer = binomial_encode_task(load_params(config_text), dim, steps)
     pulse, report = optimize(
         transfer, max_iters=max_iters, target_fidelity=target_fidelity, seed=seed
     )
@@ -434,7 +435,7 @@ def cmd_grape_optimize(
 
 
 @cli.command("readout-correct")
-@_common_options
+@_output_option
 @_seed_option
 @click.option(
     "--shots",
@@ -455,7 +456,7 @@ def cmd_grape_optimize(
     help="Measured probability vector (floats, comma or newline separated).",
 )
 @click.option("--project", is_flag=True, help="Project the result onto the simplex.")
-def cmd_readout_correct(config_text, output_dir, seed, shots, matrix, probs, project):
+def cmd_readout_correct(output_dir, seed, shots, matrix, probs, project):
     """Invert the readout assignment matrix on a measured probability vector."""
     if shots is None:
         _reject_given("seed", "without --shots")

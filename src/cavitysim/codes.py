@@ -22,7 +22,6 @@ from cavitysim.fock import (
     coherent,
     fock_ket,
     recommended_dim,
-    tensor,
 )
 
 
@@ -148,29 +147,3 @@ def ideal_encoder(enc: Encoding) -> LinearOp:
                 cols[:, col] = e
                 break
     return LinearOp(space, cols).assert_unitary(1e-9)
-
-
-# no recipe caller: kerr_corrected_decoder's Kerr phase, checked with it by the acceptance tests
-def kerr_phase_op(enc: Encoding, K: float, T: float) -> LinearOp:
-    """Free self-Kerr evolution e^{+i (K/2) n(n−1) T} on the cavity.
-
-    This is the phase accumulated under the static Hamiltonian term
-    −(K/2) a†a†aa over time T.
-    """
-    n = np.arange(enc.mode.dim)
-    return LinearOp(
-        CompositeSpace.single(enc.mode),
-        np.diag(np.exp(0.5j * K * n * (n - 1) * T)),
-    )
-
-
-# no recipe caller: the acceptance tests' encode-Kerr-decode round trip checks it
-def kerr_corrected_decoder(enc: Encoding, K: float, T: float) -> LinearOp:
-    """Unitary undoing the encoder after a free Kerr evolution of duration T.
-
-    Maps |g⟩ ⊗ e^{+i(K/2)n(n−1)T}(c0|0⟩_L + c1|1⟩_L) back to (c0|g⟩+c1|e⟩)|0⟩.
-    """
-    enc_u = ideal_encoder(enc)
-    kerr_inv = kerr_phase_op(enc, -K, T)  # inverse of the free evolution
-    qubit_id = LinearOp.identity(CompositeSpace.single(ModeSpec.qubit()))
-    return enc_u.dag() @ tensor([qubit_id, kerr_inv])

@@ -51,6 +51,7 @@ from cavitysim.gates import (
     PulseBackend,
     component_logical_unitary,
     cz_binomial,
+    cz_binomial_ideal,
     cz_coherent,
     gate_columns,
     realized_logical_map,
@@ -167,11 +168,11 @@ def _backend(mode: str, params: DeviceParams, layout: SystemLayout, compensate: 
     raise ValidationError(f"unsupported mode {mode!r}")
 
 
-def _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, collapses=None):
+def _encoded_qubit_channel(backend, enc_u, spec, collapses=None):
     """The qubit channels ρ_q ↦ Tr_cavity[D Gᵐ E (ρ_q ⊗ |0⟩⟨0|) E† Gᵐ† D†] as
     a function of m returning the channel, itself a function returning a 2×2
     matrix: E is the ideal encoder `enc_u`, D = E†, and G is `spec` on
-    `backend`.
+    `backend`, whose layout is the qubit and one cavity.
 
     The states after each number of gates are kept, so the channels for
     m = 0..M push every input through the gate M times in all.  With
@@ -180,6 +181,8 @@ def _encoded_qubit_channel(layout, cavity, enc_u, backend, spec, collapses=None)
     with y_a = D Gᵐ E |a, 0⟩: only the two encoded basis columns are pushed
     through the gate, and every input is a contraction of the result.
     """
+    layout = backend.layout
+    (cavity,) = layout.cavity_labels()
     vac = fock_ket(layout.mode(cavity), 0).amplitudes
     e, d = enc_u.matrix, enc_u.dag().matrix
     if collapses is None:
@@ -321,7 +324,7 @@ def run_zgate_repetition(
     decohere = mode == "pulse+decoherence"
     backend = _backend("pulse" if decohere else mode, params, layout)
     collapses = standard_collapses(params, layout) if decohere else None
-    channel = _encoded_qubit_channel(layout, "S1", enc_u, backend, spec, collapses)
+    channel = _encoded_qubit_channel(backend, enc_u, spec, collapses)
 
     ms = np.arange(m_max + 1)
     fids = []
@@ -386,11 +389,12 @@ def _cz_coherent_qpt(params, mode: str, alpha: float):
 
 def _binomial_cz(params, mode: str, layout):
     """The backend realizing `mode` on `layout` and the binomial CZ for it:
-    exact conditional rotations when ideal, the calibrated pulse otherwise."""
+    exact conditional rotations when ideal, the pulse calibrated on the
+    backend otherwise."""
     backend = _backend(mode, params, layout, compensate=False)
     if mode == "ideal":
-        return backend, cz_binomial(params, mode="ideal")
-    return backend, cz_binomial(params, mode="pulse", layout=layout)[0]
+        return backend, cz_binomial_ideal()
+    return backend, cz_binomial(backend)[0]
 
 
 def _cz_binomial_qpt(params, mode: str):
@@ -592,7 +596,7 @@ def run_error_budget(
     no_kerr = replace(params, kerr={k: 0.0 for k in params.kerr}, cross_kerr=0.0)
 
     def fidelity(backend, collapses=None):
-        channel = _encoded_qubit_channel(layout, "S1", enc_u, backend, spec, collapses)(1)
+        channel = _encoded_qubit_channel(backend, enc_u, spec, collapses)(1)
         return process_fidelity(pauli_transfer(channel, 1), ideal_ptm)
 
     pulse = _backend("pulse", params, layout)

@@ -1,14 +1,14 @@
 """Geometric-phase gate constructions.
 
 Gates are declared as sequences of primitive steps (displacements, conditional
-qubit rotations, waits, multitone pulses) and realized by one of two backends:
+qubit rotations, multitone pulses) and realized by one of two backends:
 
 * an ideal backend with no static Hamiltonian (no dispersive dynamics, no
   Kerr), isolating the geometric-phase logic: a conditional rotation is an
   exact SU(2) rotation on the g/e blocks selected by a Fock-level mask, and
 * a pulse backend that drives the static Hamiltonian, held as its energy
   vector, with shaped tones, exposing selectivity and dynamical-phase
-  errors; waits and phase compensations are phase vectors.  Its
+  errors; phase compensations are phase vectors.  Its
   `PulseBackend._segments` is the one place where a gate becomes drive
   samples and phase corrections: the backend plays it, and the binomial-CZ
   block kernel and tone calibration read their samples from it.
@@ -110,15 +110,6 @@ class ConditionalRotation:
 
 
 @dataclass(frozen=True)
-class Wait:
-    duration: float
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValidationError("wait duration must be positive")
-
-
-@dataclass(frozen=True)
 class Tone:
     detuning: float
     epsilon: float
@@ -144,7 +135,6 @@ class MultitonePulse:
 _STEP_NAMES = {
     Displacement: "displacement",
     ConditionalRotation: "conditional_rotation",
-    Wait: "wait",
     MultitonePulse: "multitone_pulse",
 }
 
@@ -165,11 +155,7 @@ class GateSpec:
     @property
     def duration(self) -> float:
         """Total timed duration (displacements count as instantaneous)."""
-        total = 0.0
-        for s in self.steps:
-            if isinstance(s, (ConditionalRotation, Wait, MultitonePulse)):
-                total += s.duration
-        return total
+        return sum(s.duration for s in self.steps if not isinstance(s, Displacement))
 
     def to_json_dict(self) -> dict:
         """Each step as its fields plus its "type", with tuples as lists and
@@ -241,7 +227,7 @@ class IdealBackend:
                 a = np.where(mask, np.cos(half), 1.0)
                 b = np.where(mask, -1j * np.sin(half) * np.exp(1j * step.phi_axis), 0.0)
                 x = apply_block_rotations(x, layout, step.qubit, a, b)
-            elif not isinstance(step, Wait):
+            else:
                 raise ValidationError(
                     "multitone pulses have no ideal realization; use the explicit "
                     "conditional-rotation variant of the gate"
@@ -306,8 +292,7 @@ class PulseBackend:
     h0 is the static Hamiltonian as its (dim,) energy vector.  Conditional
     rotations become finite-strength qubit tones at the dispersive shift of
     the conditioned state; displacements are applied as exact single-cavity
-    unitaries (ideal fast cavity drives); waits evolve under h0, which for a
-    pure state is the phase vector e^{−i h0 T}.  With `compensate`, the
+    unitaries (ideal fast cavity drives).  With `compensate`, the
     deterministic phases that decoding undoes are undone here: each timed
     step is followed by the phase vector undoing its Kerr and cross-Kerr
     phases, and the gate by the one undoing its AC-Stark phases
@@ -324,23 +309,17 @@ class PulseBackend:
         self._lindblad = None
 
     def _segments(self, spec: GateSpec):
-        """Yield, in order, ("displace", step), ("wait", T), ("pulse",
-        PulseSequence) and ("phase", v) items, v a diagonal unitary as its
-        (dim,) vector; the clock starts at 0."""
+        """Yield, in order, ("displace", step), ("pulse", PulseSequence) and
+        ("phase", v) items, v a diagonal unitary as its (dim,) vector; the
+        clock starts at 0."""
         t = 0.0
         for step in spec.steps:
             if isinstance(step, Displacement):
                 yield "displace", step
                 continue
-            if isinstance(step, Wait):
-                yield "wait", step.duration
-                span = step.duration
-            else:
-                amps = _drive_samples(step, self.params, t)
-                yield "pulse", PulseSequence(
-                    dt=SAMPLE_DT, channels={(step.qubit, "qubit"): amps}
-                )
-                span = len(amps) * SAMPLE_DT
+            amps = _drive_samples(step, self.params, t)
+            yield "pulse", PulseSequence(dt=SAMPLE_DT, channels={(step.qubit, "qubit"): amps})
+            span = len(amps) * SAMPLE_DT
             # the cavity-only diagonal commutes with both the dispersive
             # term and the qubit drive, so undoing it right after the
             # segment (in the same displacement frame) is exact
@@ -356,15 +335,10 @@ class PulseBackend:
         for kind, item in self._segments(spec):
             if kind == "pulse":
                 psi = evolve_pulse(psi, self.h0, item, self.layout)
-                continue
-            x = psi.amplitudes
-            if kind == "displace":
-                x = _displace(x, self.layout, item)
-            elif kind == "wait":
-                x = np.exp(-1j * self.h0 * item) * x
+            elif kind == "displace":
+                psi = Ket(psi.space, _displace(psi.amplitudes, self.layout, item))
             else:
-                x = item * x
-            psi = Ket(psi.space, x)
+                psi = Ket(psi.space, item * psi.amplitudes)
         return psi
 
     def apply_density(self, rho: DensityOp, spec: GateSpec, collapses: CollapseSet) -> DensityOp:
@@ -379,9 +353,6 @@ class PulseBackend:
         for kind, item in self._segments(spec):
             if kind == "pulse":
                 rho = lindblad_evolve(rho, (self.h0, item), self._lindblad, layout=self.layout)
-            elif kind == "wait":
-                h = LinearOp(self.layout.space, np.diag(self.h0))
-                rho = lindblad_evolve(rho, h, self._lindblad, T=item)
             elif kind == "displace":
                 # D ρ D† = (D (D ρ)†)†
                 m = _displace(rho.matrix, self.layout, item)
@@ -442,37 +413,36 @@ def single_cavity_phase_gate(
     delta_phi: float,
     enc,
     params: DeviceParams | None = None,
-    cavity: str = "S1",
-    qubit: str = "Q1",
     epsilon: float | None = None,
 ) -> GateSpec:
-    """Logical diag(1, e^{i(pi + delta_phi)}) on a shifted-cat encoding.
+    """Logical diag(1, e^{i(pi + delta_phi)}) on a shifted-cat encoding in S1.
 
-    Two successive vacuum-conditioned pi rotations about axes 0 and delta_phi.
+    Two successive pi rotations of Q1, conditioned on the vacuum of S1, about
+    axes 0 and delta_phi.
     """
     if enc.name != "shifted-cat":
         raise ValidationError("single-cavity phase gates require a shifted-cat encoding")
     nbar = float(np.real(expectation(enc.ket0, number_op(enc.mode))))
     if epsilon is None:
         if params is not None:
-            epsilon = nbar * params.chi[(cavity, qubit)] / 20.0
+            epsilon = nbar * params.chi[("S1", "Q1")] / 20.0
         else:
             epsilon = 0.01
     if params is not None:
-        gap = nbar * params.chi[(cavity, qubit)]
+        gap = nbar * params.chi[("S1", "Q1")]
         if epsilon > gap / 3.0:
             raise ValidationError("drive strength not selective on the code splitting")
         if epsilon > gap / 10.0:
             warnings.warn("drive strength above a tenth of the code splitting", stacklevel=2)
-    cond = ((cavity, 0),)
+    cond = (("S1", 0),)
     # with the drive convention (eps/2) e^{i phi} |e><g| + h.c., advancing the
     # second axis by -delta_phi yields gamma = pi + delta_phi on the
     # conditioned component
     return GateSpec(
         "phase-gate",
         (
-            ConditionalRotation(qubit, 0.0, np.pi, epsilon, cond),
-            ConditionalRotation(qubit, -delta_phi, np.pi, epsilon, cond),
+            ConditionalRotation("Q1", 0.0, np.pi, epsilon, cond),
+            ConditionalRotation("Q1", -delta_phi, np.pi, epsilon, cond),
         ),
     )
 
@@ -480,34 +450,31 @@ def single_cavity_phase_gate(
 def cz_coherent(
     alpha: complex,
     params: DeviceParams | None = None,
-    cavities=("S1", "S2"),
-    qubit: str = "Q3",
     epsilon: float | None = None,
 ) -> GateSpec:
-    """CZ between two symmetric-cat qubits of amplitude alpha.
+    """CZ between two symmetric-cat qubits of amplitude alpha in S1 and S2.
 
     D(alpha) on both cavities parks the |-alpha> components at the vacuum; a
-    2*pi rotation conditional on the joint vacuum imprints -1 on exactly the
-    |1>_L|1>_L component; the displacements are then undone.
+    2*pi rotation of Q3 conditional on the joint vacuum imprints -1 on
+    exactly the |1>_L|1>_L component; the displacements are then undone.
     """
     if alpha == 0:
         raise ValidationError("cat amplitude must be nonzero")
     nbar = 4.0 * abs(alpha) ** 2  # photon number of the displaced far component
     if epsilon is None:
         if params is not None:
-            chi_min = min(params.chi[(c, qubit)] for c in cavities)
+            chi_min = min(params.chi[(c, "Q3")] for c in ("S1", "S2"))
             epsilon = nbar * chi_min / 20.0
         else:
             epsilon = 0.01
-    cond = tuple((c, 0) for c in cavities)
     return GateSpec(
         "cz-coherent",
         (
-            Displacement(cavities[0], alpha),
-            Displacement(cavities[1], alpha),
-            ConditionalRotation(qubit, 0.0, 2 * np.pi, epsilon, cond),
-            Displacement(cavities[0], -alpha),
-            Displacement(cavities[1], -alpha),
+            Displacement("S1", alpha),
+            Displacement("S2", alpha),
+            ConditionalRotation("Q3", 0.0, 2 * np.pi, epsilon, (("S1", 0), ("S2", 0))),
+            Displacement("S1", -alpha),
+            Displacement("S2", -alpha),
         ),
     )
 
@@ -577,22 +544,31 @@ _CZ_STOP_WINDOW = 40
 _CZ_CHAIN_CHUNK = 256
 
 
+def _binomial_labels(layout: SystemLayout):
+    """The qubit and the two cavities of a binomial-CZ layout."""
+    qubits, cavities = layout.qubit_labels(), layout.cavity_labels()
+    if len(qubits) != 1 or len(cavities) != 2 or min(layout.mode(c).dim for c in cavities) < 5:
+        sizes = {label: layout.mode(label).dim for label in layout.index}
+        raise ValidationError(
+            "the binomial CZ drives one qubit on the nine joint Fock states |j,k>, j,k in "
+            f"{{0,2,4}}, of two cavities of at least 5 levels; got {sizes}"
+        )
+    return qubits[0], cavities
+
+
 def _block_drive_samples(spec: GateSpec, backend: PulseBackend, qubit: str) -> np.ndarray:
-    """The qubit-drive samples that `backend` plays for `spec`, waits as zero
-    samples, concatenated: the input of the blockwise propagator, which
-    needs drives on `qubit` alone and no phase compensation."""
+    """The qubit-drive samples that `backend` plays for `spec`, concatenated:
+    the input of the blockwise propagator, which needs drives on `qubit`
+    alone and no phase compensation."""
     if backend.compensate:
         raise ValidationError("blockwise evaluation requires a backend without phase compensation")
     parts = []
     for kind, item in backend._segments(spec):
-        if kind == "wait":
-            parts.append(np.zeros(int(round(item / SAMPLE_DT)), dtype=complex))
-        elif kind == "pulse" and (qubit, "qubit") in item.channels:
-            parts.append(item.channels[(qubit, "qubit")])
-        else:
+        if kind != "pulse" or (qubit, "qubit") not in item.channels:
             raise ValidationError(
                 "blockwise evaluation requires a displacement-free spec driving the declared qubit"
             )
+        parts.append(item.channels[(qubit, "qubit")])
     return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
 
@@ -603,16 +579,11 @@ def _binomial_block_energies(backend: PulseBackend, qubit: str):
     layout = backend.layout
     others = list(layout.space.dims)
     del others[layout.index[qubit]]
-    if len(others) != 2 or min(others) < 5:
-        raise ValidationError(
-            "the binomial CZ acts on the nine joint Fock states |j,k>, j,k in "
-            f"{{0,2,4}}: it needs two cavities of at least 5 levels, got {others}"
-        )
     blocks = np.ravel_multi_index(np.array(_BINOMIAL_JOINT_STATES).T, others)
     return qubit_blocks(backend.h0, layout, qubit)[:, blocks]
 
 
-def joint_block_unitaries(spec: GateSpec, backend: PulseBackend, qubit: str = "Q3") -> dict:
+def joint_block_unitaries(spec: GateSpec, backend: PulseBackend) -> dict:
     """Exact 2x2 qubit propagator for each binomial joint cavity Fock state.
 
     Qubit-only drives conserve the cavity photon numbers, so the full
@@ -621,8 +592,10 @@ def joint_block_unitaries(spec: GateSpec, backend: PulseBackend, qubit: str = "Q
     the backend's static Hamiltonian and (a, b) from
     `evolution.block_rotations` over the drive samples that `backend` plays
     for the gate: exactly the blocks of its full-space evolution, at the
-    cost of nine.  The backend must not compensate phases.
+    cost of nine.  The backend's layout holds one qubit and two cavities;
+    the backend must not compensate phases.
     """
+    qubit, _ = _binomial_labels(backend.layout)
     u = _block_drive_samples(spec, backend, qubit)
     e_g, e_e = _binomial_block_energies(backend, qubit)
     a, b = block_rotations(0.5 * (e_g - e_e), u, SAMPLE_DT)
@@ -646,12 +619,15 @@ class _ToneCalibration:
     _BINOMIAL_JOINT_STATES order; tone i drives at the dispersive shift of
     its joint state plus d_i, with amplitude ε e^{s_i}.  The residual is
     Re and Im of ⟨g|U|g⟩ − e^{iγ} for every joint state, then a weak
-    regularization of d and s.
+    regularization of d and s.  The qubit and the two cavities are those of
+    the backend's layout.
     """
 
-    def __init__(self, backend: PulseBackend, cavities, qubit: str):
-        chi1 = backend.params.chi[(cavities[0], qubit)]
-        chi2 = backend.params.chi[(cavities[1], qubit)]
+    def __init__(self, backend: PulseBackend):
+        qubit, cavities = _binomial_labels(backend.layout)
+        if any((c, qubit) not in backend.params.chi for c in cavities):
+            raise ValidationError(f"the binomial CZ needs {qubit} coupled to both {cavities}")
+        chi1, chi2 = (backend.params.chi[(c, qubit)] for c in cavities)
         self.backend = backend
         self.qubit = qubit
         self.center = -(2 * chi1 + 2 * chi2)
@@ -695,7 +671,7 @@ class _ToneCalibration:
         )
 
     def residual(self, x) -> np.ndarray:
-        blocks = joint_block_unitaries(self.spec(x), self.backend, self.qubit)
+        blocks = joint_block_unitaries(self.spec(x), self.backend)
         r = np.array([blocks[jk][0, 0] for jk in _BINOMIAL_JOINT_STATES]) - self.goals
         _, dets, scales = np.split(np.asarray(x), 3)
         # weak regularization keeps the underdetermined detuning/amplitude
@@ -779,15 +755,25 @@ def _stopping_residual(problem: _ToneCalibration):
     return residual
 
 
-def cz_binomial(
-    params: DeviceParams,
-    mode: str = "pulse",
-    layout: SystemLayout | None = None,
-    cavities=("S1", "S2"),
-    qubit: str = "Q3",
-    calibrate: bool = True,
-):
-    """CZ between two binomial qubits sharing the readout qubit.
+def cz_binomial_ideal() -> GateSpec:
+    """The binomial CZ of S1 and S2 with exact rotations of Q3 in place of
+    the tones of `cz_binomial`: the nonselective pi pulse, then one pi
+    rotation conditioned on each joint Fock state |j,k>, about the axis at
+    its target phase."""
+    targets = binomial_cz_targets()
+    steps = [ConditionalRotation("Q3", 0.0, np.pi, np.pi / _CZ_NONSELECTIVE_NS, ())]
+    for j, k in _BINOMIAL_JOINT_STATES:
+        steps.append(
+            ConditionalRotation(
+                "Q3", targets[(j, k)], np.pi, _CZ_EPSILON_IDEAL, (("S1", j), ("S2", k))
+            )
+        )
+    return GateSpec("cz-binomial-ideal", tuple(steps))
+
+
+def cz_binomial(backend: PulseBackend, calibrate: bool = True):
+    """CZ between two binomial qubits sharing the readout qubit, calibrated
+    on `backend`.
 
     A fast nonselective pi pulse excites the qubit for every cavity state; a
     long nine-tone pulse then returns it with one tone per joint Fock state
@@ -795,37 +781,17 @@ def cz_binomial(
     so the net phase on |2,2> differs from all others by pi, which is CZ on
     the logical basis.
 
-    mode="ideal" replaces the tones by exact conditional rotations.
-    mode="pulse" builds and (by default) calibrates the real multitone pulse;
-    returns (GateSpec, residual phase errors dict).  The calibration fits the
-    tone phases, detunings and amplitudes by Levenberg-Marquardt with the
-    exact Jacobian (`evolution.block_rotation_gradient` and the chain rule
-    through the tone parameters), and stops when its best maximum phase
-    error improves by less than _CZ_STOP_RAD over _CZ_STOP_WINDOW
-    evaluations, or after _CZ_MAX_NFEV.
+    The qubit, the two cavities and the static Hamiltonian are those of
+    `backend`, which must not compensate phases: the pulse is calibrated on
+    the backend that will play it.  Returns (GateSpec, residual phase errors
+    dict).  With `calibrate`, the tone phases, detunings and amplitudes are
+    fitted by Levenberg-Marquardt with the exact Jacobian
+    (`evolution.block_rotation_gradient` and the chain rule through the tone
+    parameters), which stops when its best maximum phase error improves by
+    less than _CZ_STOP_RAD over _CZ_STOP_WINDOW evaluations, or after
+    _CZ_MAX_NFEV.
     """
-    targets = binomial_cz_targets()
-
-    if mode == "ideal":
-        steps = [ConditionalRotation(qubit, 0.0, np.pi, np.pi / _CZ_NONSELECTIVE_NS, ())]
-        for j, k in _BINOMIAL_JOINT_STATES:
-            steps.append(
-                ConditionalRotation(
-                    qubit,
-                    targets[(j, k)],
-                    np.pi,
-                    _CZ_EPSILON_IDEAL,
-                    ((cavities[0], j), (cavities[1], k)),
-                )
-            )
-        return GateSpec("cz-binomial-ideal", tuple(steps))
-    if mode != "pulse":
-        raise ValidationError(f"unknown mode {mode!r}")
-
-    if layout is None:
-        layout = SystemLayout.build([qubit], list(cavities), {c: 7 for c in cavities})
-    backend = PulseBackend(params, layout)
-    problem = _ToneCalibration(backend, cavities, qubit)
+    problem = _ToneCalibration(backend)
     x = problem.x0
     if calibrate:
         # imported here, not at module level: the benchmark caps the
@@ -850,7 +816,8 @@ def cz_binomial(
                 "tone calibration failed; residuals " + ", ".join(f"{v:.3e}" for v in fun)
             )
     spec = problem.spec(x)
-    blocks = joint_block_unitaries(spec, backend, qubit)
+    blocks = joint_block_unitaries(spec, backend)
+    targets = binomial_cz_targets()
     final_errs = {
         jk: wrap_angle(float(np.angle(blocks[jk][0, 0])) - targets[jk])
         for jk in _BINOMIAL_JOINT_STATES
@@ -858,16 +825,11 @@ def cz_binomial(
     return spec, final_errs
 
 
-def snap_bell(
-    sign: int,
-    cavities=("S1", "S2"),
-    qubit: str = "Q3",
-    epsilon: float = 2e-4,
-) -> GateSpec:
-    """Two-cavity Bell-state preparation from vacuum.
+def snap_bell(sign: int, epsilon: float = 2e-4) -> GateSpec:
+    """Bell-state preparation in S1 and S2 from vacuum.
 
-    Displacements straddling a joint-vacuum-conditional 2*pi rotation produce
-    (|01> + sign |10>)/sqrt(2) in the joint Fock basis.
+    Displacements straddling a 2*pi rotation of Q3 conditional on the joint
+    vacuum produce (|01> + sign |10>)/sqrt(2) in the joint Fock basis.
     """
     if sign not in (+1, -1):
         raise ValidationError("sign must be +1 or -1")
@@ -875,15 +837,14 @@ def snap_bell(
     a2 = -0.8082
     a3 = sign * 0.4103
     a4 = 0.4103
-    cond = tuple((c, 0) for c in cavities)
     return GateSpec(
         f"snap-bell{'+' if sign > 0 else '-'}",
         (
-            Displacement(cavities[0], a1),
-            Displacement(cavities[1], a2),
-            ConditionalRotation(qubit, 0.0, 2 * np.pi, epsilon, cond),
-            Displacement(cavities[0], a3),
-            Displacement(cavities[1], a4),
+            Displacement("S1", a1),
+            Displacement("S2", a2),
+            ConditionalRotation("Q3", 0.0, 2 * np.pi, epsilon, (("S1", 0), ("S2", 0))),
+            Displacement("S1", a3),
+            Displacement("S2", a4),
         ),
     )
 

@@ -121,8 +121,8 @@ def test_cz_calibration_reaches_the_patched_least_squares(monkeypatch):
     import scipy.optimize
 
     import cavitysim.gates as gates
-    from cavitysim.device import load_params
-    from cavitysim.gates import cz_binomial
+    from cavitysim.device import SystemLayout, load_params
+    from cavitysim.gates import PulseBackend, cz_binomial
 
     budget = _WORKLOADS_MODULE.CZ_LM_BUDGET
     original = scipy.optimize.least_squares
@@ -142,7 +142,8 @@ def test_cz_calibration_reaches_the_patched_least_squares(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "least_squares", capped)
     monkeypatch.setattr(gates, "joint_block_unitaries", counted)
-    cz_binomial(load_params(), mode="pulse")
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
+    cz_binomial(PulseBackend(load_params(), layout))
     assert len(calls) == 1
     assert "max_nfev" in calls[0]
     assert callable(calls[0].get("jac"))

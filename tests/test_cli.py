@@ -212,6 +212,40 @@ def test_grape_pi_pulse_rejects_dim(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["wigner", "--points", "5"],
+        ["readout-correct", "--probs", "p.csv"],
+        ["grape-optimize", "--task", "pi-pulse", "--max-iters", "0"],
+    ],
+    ids=["wigner", "readout-correct", "grape-pi-pulse"],
+)
+def test_config_is_refused_where_no_device_parameter_is_read(tmp_path, monkeypatch, capsys, args):
+    """wigner and readout-correct never read device parameters, and the
+    pi-pulse task's lone qubit has a zero static Hamiltonian whatever the
+    file says: a --config there would be accepted without effect."""
+    from cavitysim.device import default_config_text
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.csv").write_text("\n".join(["0.5", "0.5"] + ["0.0"] * 6))
+    (tmp_path / "device.cfg").write_text(default_config_text())
+    assert main(args + ["--config", "device.cfg", "-o", "run"]) == 1
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_grape_binomial_encode_reads_config(tmp_path):
+    from cavitysim.device import default_config_text
+
+    cfg = tmp_path / "device.cfg"
+    cfg.write_text(default_config_text())
+    args = ["grape-optimize", "--task", "binomial-encode", "--steps", "40", "--max-iters", "0"]
+    assert main(args + ["--config", str(cfg), "-o", str(tmp_path / "a")]) == 0
+    assert main(args + ["-o", str(tmp_path / "b")]) == 0
+    assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
+
+
 def test_numerical_error_exits_2(tmp_path, monkeypatch, capsys):
     def failing_budget(*args, **kwargs):
         raise NumericalError("Lindblad trace drift 1.00e+00 exceeds 1e-6")

@@ -176,7 +176,7 @@ def test_closed_encoded_channel_matches_eigenvector_propagation(mode, m):
         backend = IdealBackend(layout)
     else:
         backend = PulseBackend(params, layout, compensate=True)
-    channel = _encoded_qubit_channel(layout, "S1", enc_u, backend, spec)(m)
+    channel = _encoded_qubit_channel(backend, enc_u, spec)(m)
     reference = _eigenvector_channel(layout, enc_u, backend, spec, m)
     gaps = []
 

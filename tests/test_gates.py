@@ -14,7 +14,6 @@ from cavitysim.evolution import (
     block_rotation_gradient,
     block_rotations,
     segment_propagator,
-    standard_collapses,
 )
 from cavitysim.errors import ValidationError
 from cavitysim.fock import (
@@ -41,9 +40,9 @@ from cavitysim.gates import (
     MultitonePulse,
     PulseBackend,
     Tone,
-    Wait,
     component_logical_unitary,
     cz_binomial,
+    cz_binomial_ideal,
     cz_coherent,
     gaussian_flattop,
     joint_block_unitaries,
@@ -112,7 +111,6 @@ def test_gate_spec_serialization_roundtrip():
         (
             Displacement("S1", 0.5 - 0.25j),
             ConditionalRotation("Q1", 0.3, np.pi, 0.01, (("S1", 0),)),
-            Wait(12.5),
             MultitonePulse("Q1", (Tone(-0.01, 0.002, 1.2), Tone(0.0, 0.001, -0.4)), 500.0),
         ),
     )
@@ -130,7 +128,6 @@ def test_gate_spec_serialization_roundtrip():
                 "condition": [["S1", 0]],
                 "detuning": None,
             },
-            {"type": "wait", "duration": 12.5},
             {
                 "type": "multitone_pulse",
                 "qubit": "Q1",
@@ -143,7 +140,7 @@ def test_gate_spec_serialization_roundtrip():
             },
         ],
     }
-    assert abs(spec.duration - (np.pi / 0.01 + 12.5 + 500.0)) < 1e-12
+    assert abs(spec.duration - (np.pi / 0.01 + 500.0)) < 1e-12
 
 
 def test_gate_step_validation():
@@ -151,8 +148,6 @@ def test_gate_step_validation():
         ConditionalRotation("Q1", 0.0, -1.0, 0.01)
     with pytest.raises(ValidationError):
         ConditionalRotation("Q1", 0.0, np.pi, 0.0)
-    with pytest.raises(ValidationError):
-        Wait(0.0)
     with pytest.raises(ValidationError):
         GateSpec("bad", ("not-a-step",))
 
@@ -454,9 +449,9 @@ def test_cz_coherent_pulse_process_fidelity(params):
     assert f >= 0.98
 
 
-def test_cz_binomial_ideal_truth_table(params):
+def test_cz_binomial_ideal_truth_table():
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
-    spec = cz_binomial(params, mode="ideal")
+    spec = cz_binomial_ideal()
     backend = IdealBackend(layout)
     enc = binomial_encoding(7)
     logical = [tensor([a, b]) for a in (enc.ket0, enc.ket1) for b in (enc.ket0, enc.ket1)]
@@ -474,9 +469,9 @@ def test_cz_binomial_ideal_truth_table(params):
     assert np.max(np.abs(swap @ k @ swap - k)) < 1e-8
 
 
-def test_cz_binomial_ideal_entangles(params):
+def test_cz_binomial_ideal_entangles():
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
-    spec = cz_binomial(params, mode="ideal")
+    spec = cz_binomial_ideal()
     backend = IdealBackend(layout)
     enc = binomial_encoding(7)
     plus = Ket(
@@ -501,14 +496,14 @@ def test_cz_binomial_pulse_calibrates_and_hits_fidelity(params, monkeypatch):
 
     monkeypatch.setattr(gates, "joint_block_unitaries", counted)
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
-    spec, residuals = cz_binomial(params, mode="pulse", layout=layout)
+    backend = PulseBackend(params, layout)
+    spec, residuals = cz_binomial(backend)
     assert max(abs(r) for r in residuals.values()) < 1e-3
     # the calibration ends on its phase stopping rule, long before
     # _CZ_MAX_NFEV, with every phase within 2.5e-4 rad of its target
     assert max(abs(r) for r in residuals.values()) <= 2.5e-4
     assert len(evaluations) < _CZ_MAX_NFEV // 10
 
-    backend = PulseBackend(params, layout)
     blocks = joint_block_unitaries(spec, backend)
     # return amplitude close to 1 for every joint state
     assert min(abs(b[0, 0]) for b in blocks.values()) > 0.9
@@ -565,7 +560,7 @@ def test_tone_calibration_jacobian_matches_central_differences(params):
     carry a step² error there: it must shrink about 100× from step 1e-6 to
     1e-7, and the exact column must be the limit."""
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
-    problem = _ToneCalibration(PulseBackend(params, layout), ("S1", "S2"), "Q3")
+    problem = _ToneCalibration(PulseBackend(params, layout))
     n = 9
     phases_and_scales = list(range(n)) + list(range(2 * n, 3 * n))
     detunings = list(range(n, 2 * n))
@@ -617,7 +612,58 @@ def test_cz_binomial_rejects_cavities_without_the_binomial_states(params):
     with a ValidationError, not a numpy indexing error."""
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 4, "S2": 4})
     with pytest.raises(ValidationError, match=r"\|j,k>"):
-        cz_binomial(params, mode="pulse", layout=layout)
+        cz_binomial(PulseBackend(params, layout))
+
+
+@pytest.mark.parametrize(
+    "qubits, dims, compensate, reason",
+    [
+        (["Q3"], {"S1": 7, "S2": 7}, True, "compensation"),
+        (["Q1", "Q3"], {"S1": 7, "S2": 7}, False, "one qubit"),
+        (["Q3"], {"S1": 7}, False, "two cavities"),
+        (["Q1"], {"S1": 7, "S2": 7}, False, "coupled"),
+    ],
+    ids=["compensating", "two-qubits", "one-cavity", "uncoupled-cavity"],
+)
+def test_cz_binomial_rejects_backends_it_cannot_calibrate_on(
+    params, qubits, dims, compensate, reason
+):
+    """The calibration plays the drive samples of the backend it is given on
+    its qubit and two cavities: a compensating backend, a second qubit, a
+    missing cavity and a cavity the qubit does not couple to (S2 and Q1) are
+    refused with a ValidationError."""
+    layout = SystemLayout.build(qubits, list(dims), dims)
+    with pytest.raises(ValidationError, match=reason):
+        cz_binomial(PulseBackend(params, layout, compensate=compensate))
+
+
+def test_cz_binomial_ideal_is_pinned():
+    """The conditional-rotation variant of the binomial CZ, as serialised:
+    the nonselective pi pulse, then a pi rotation conditioned on each joint
+    Fock state, about the axis pi for |2,2> and 0 for the rest."""
+
+    def rotation(phi, epsilon, condition):
+        return {
+            "type": "conditional_rotation", "qubit": "Q3", "phi_axis": phi,
+            "theta": 3.141592653589793, "epsilon": epsilon, "condition": condition,
+            "detuning": None,
+        }
+
+    assert cz_binomial_ideal().to_json_dict() == {
+        "name": "cz-binomial-ideal",
+        "steps": [
+            rotation(0.0, 0.15707963267948966, []),
+            rotation(0.0, 0.001, [["S1", 0], ["S2", 0]]),
+            rotation(0.0, 0.001, [["S1", 0], ["S2", 2]]),
+            rotation(0.0, 0.001, [["S1", 0], ["S2", 4]]),
+            rotation(0.0, 0.001, [["S1", 2], ["S2", 0]]),
+            rotation(3.141592653589793, 0.001, [["S1", 2], ["S2", 2]]),
+            rotation(0.0, 0.001, [["S1", 2], ["S2", 4]]),
+            rotation(0.0, 0.001, [["S1", 4], ["S2", 0]]),
+            rotation(0.0, 0.001, [["S1", 4], ["S2", 2]]),
+            rotation(0.0, 0.001, [["S1", 4], ["S2", 4]]),
+        ],
+    }
 
 
 def test_joint_block_unitaries_rejects_what_its_blocks_cannot_hold(params):
@@ -625,10 +671,10 @@ def test_joint_block_unitaries_rejects_what_its_blocks_cannot_hold(params):
     backend: a compensating backend, a displacement and a drive on another
     qubit are refused."""
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 5})
-    spec, _ = cz_binomial(params, mode="pulse", layout=layout, calibrate=False)
+    backend = PulseBackend(params, layout)
+    spec, _ = cz_binomial(backend, calibrate=False)
     with pytest.raises(ValidationError, match="compensation"):
         joint_block_unitaries(spec, PulseBackend(params, layout, compensate=True))
-    backend = PulseBackend(params, layout)
     for step in (Displacement("S1", 0.1), ConditionalRotation("Q1", 0.0, np.pi, 0.05)):
         with pytest.raises(ValidationError, match="displacement-free"):
             joint_block_unitaries(GateSpec("x", (step,) + spec.steps), backend)
@@ -638,8 +684,8 @@ def test_blockwise_propagator_matches_full_evolution(params):
     """Oracle: each joint-Fock 2x2 block equals the same block of the product
     of per-sample dense propagators exp(−i dt (H0 + u O + ū O†))."""
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 5})
-    spec, _ = cz_binomial(params, mode="pulse", layout=layout, calibrate=False)
     backend = PulseBackend(params, layout)
+    spec, _ = cz_binomial(backend, calibrate=False)
     blocks = joint_block_unitaries(spec, backend)
     op = drive_operator(layout, ("Q3", "qubit")).matrix
     cols = [
@@ -708,7 +754,7 @@ def dense_gate_unitary(layout, spec, params=None):
     """Oracle: the gate as one dense matrix built from lifted operators.
 
     Without params, the ideal backend: lifted displacements and the dense
-    conditional-drive propagator, waits idle.  With params, the compensating
+    conditional-drive propagator.  With params, the compensating
     pulse backend: per-sample propagators exp(−i dt (H0 + u O + ū O†)) of the
     dense static Hamiltonian, each timed step followed by the dense diagonal
     undoing its Kerr and cross-Kerr phases, and the gate by the lifted
@@ -730,16 +776,12 @@ def dense_gate_unitary(layout, spec, params=None):
             if isinstance(step, ConditionalRotation):
                 u = dense_conditional_rotation(layout, step).matrix @ u
             continue
-        if isinstance(step, Wait):
-            u = segment_propagator(LinearOp(space, h0), step.duration).matrix @ u
-            span = step.duration
-        else:
-            op = drive_operator(layout, (step.qubit, "qubit")).matrix
-            amps = _drive_samples(step, params, t)
-            for a in amps:
-                h = LinearOp(space, h0 + a * op + np.conj(a) * op.conj().T)
-                u = segment_propagator(h, SAMPLE_DT).matrix @ u
-            span = len(amps) * SAMPLE_DT
+        op = drive_operator(layout, (step.qubit, "qubit")).matrix
+        amps = _drive_samples(step, params, t)
+        for a in amps:
+            h = LinearOp(space, h0 + a * op + np.conj(a) * op.conj().T)
+            u = segment_propagator(h, SAMPLE_DT).matrix @ u
+        span = len(amps) * SAMPLE_DT
         u = np.diag(np.exp(1j * kerr * span)) @ u
         t += span
     for step in spec.steps if params is not None else ():
@@ -761,7 +803,6 @@ def _backend_oracle_specs(params):
     return {
         "cz_coherent": cz,
         "snap_bell": snap_bell(+1, epsilon=0.05),
-        "cz_coherent_wait": GateSpec("w", cz.steps[:1] + (Wait(37.0),) + cz.steps[1:]),
         # a single-cavity phase gate: the only case with AC-Stark phases
         "phase_gate": GateSpec(
             "s",
@@ -773,7 +814,7 @@ def _backend_oracle_specs(params):
     }
 
 
-@pytest.mark.parametrize("name", ["cz_coherent", "snap_bell", "cz_coherent_wait", "phase_gate"])
+@pytest.mark.parametrize("name", ["cz_coherent", "snap_bell", "phase_gate"])
 def test_backends_match_dense_lifted_oracle(params, name):
     """IdealBackend.apply, PulseBackend.apply and PulseBackend.apply_density
     (closed system) equal the dense lifted-operator gate."""
@@ -795,14 +836,3 @@ def test_backends_match_dense_lifted_oracle(params, name):
     out = backend.apply_density(rho, spec, CollapseSet(()))
     assert np.max(np.abs(out.matrix - u @ rho.matrix @ u.conj().T)) < 1e-12
 
-
-def test_pulse_density_wait_relaxes_qubit(params):
-    """Regression: a wait in the decoherent path decays |e> at 1/T1."""
-    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 4})
-    psi = tensor([qubit_ket(True), fock_ket(layout.mode("S1"), 0)])
-    spec = GateSpec("idle", (Wait(2000.0),))
-    rho = PulseBackend(params, layout).apply_density(
-        psi.density(), spec, standard_collapses(params, layout)
-    )
-    pe = sum(np.real(rho.matrix[i, i]) for i in range(4, 8))
-    assert abs(pe - np.exp(-2000.0 / params.T1["Q1"])) < 1e-9

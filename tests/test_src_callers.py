@@ -7,7 +7,10 @@ benchmark runs: give it a caller or delete it together with its tests.  The
 `sim` commands, which click registers by decorator, and the names in ALLOWED
 are the exceptions.  The re-exports of `__init__.py` are no callers.  A
 method is listed as Class.method; any mention of its name outside its own
-body counts as a caller, so the check is by name only.
+body counts as a caller, so the check is by name only.  A class counts as
+used only where src/ instantiates, raises or subclasses it, its own factory
+methods included: an isinstance check, an annotation or a lookup table
+builds nothing.
 """
 
 import ast
@@ -19,10 +22,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cavitysim"
 #: public names kept without a caller in src/, each with the reason
 ALLOWED = {
     "segment_propagator": "perfbench/tracer.py observes it for its dim_max probe",
-    "kerr_corrected_decoder": "test_acceptance's encode-Kerr-decode round trip checks it",
     "transfer_gradient": "the gradient check of grape.optimize",
     "transfer_fidelity": "the fidelity that optimize's reported final_fidelity is held to",
-    "SystemLayout.cavity_labels": "test_gates' dense lifted oracle runs over the layout's cavities",
     "parity_op": "the fock, codes, gates and tomography tests use it as their parity oracle",
     "Ket.density": "the tomography and acceptance tests form density-matrix inputs from kets",
     "Ket.projector": "the device and gate tests build Fock-level projectors for their oracles",
@@ -47,6 +48,23 @@ def _referenced(node) -> collections.Counter:
     return out
 
 
+def _built(node) -> collections.Counter:
+    """Names the node calls, raises or subclasses, with their counts."""
+    targets = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call):
+            targets.append(n.func)
+        elif isinstance(n, ast.Raise) and n.exc is not None:
+            targets.append(n.exc)
+        elif isinstance(n, ast.ClassDef):
+            targets.extend(n.bases)
+    return collections.Counter(
+        t.id if isinstance(t, ast.Name) else t.attr
+        for t in targets
+        if isinstance(t, (ast.Name, ast.Attribute))
+    )
+
+
 def _is_command(node) -> bool:
     return any(
         isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
@@ -67,12 +85,15 @@ def _constants(node) -> list:
 
 def _uncalled() -> list:
     """(module, name) of every public definition that src/ names only inside
-    it: a top-level one inside its own statement, a method inside its body."""
+    it: a top-level one inside its own statement, a method inside its body;
+    and of every public class that src/ never instantiates, raises or
+    subclasses."""
     statements = []
     for path in sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             statements.append((path.stem, node, _referenced(node)))
     mentions = sum((names for _, _, names in statements), collections.Counter())
+    built = sum((_built(node) for _, node, _ in statements), collections.Counter())
     out = []
     for module, node, names in statements:
         for name in _constants(node):
@@ -80,7 +101,11 @@ def _uncalled() -> list:
                 out.append((module, name))
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
-        if not _is_command(node) and mentions[node.name] == names[node.name]:
+        if isinstance(node, ast.ClassDef):
+            unused = not built[node.name]
+        else:
+            unused = not _is_command(node) and mentions[node.name] == names[node.name]
+        if unused:
             out.append((module, node.name))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
