@@ -1,6 +1,6 @@
 """Time evolution: exact piecewise-constant propagators and Lindblad integration.
 
-Pure states evolve by exact per-segment matrix exponentials.  Mixed states
+Pure states evolve by exact closed-form 2×2 rotations (below).  Mixed states
 evolve by the exactly exponentiated Lindblad generator, formed sector by
 sector on the vectorized density matrix, one propagator per distinct run of
 identical piecewise-constant drive samples.
@@ -12,15 +12,15 @@ level of the other factors, since the drive changes no photon number.  Each
 block is a global phase times an SU(2) matrix [[a, −b̄], [b, ā]], so a whole
 pulse reduces to one Cayley–Klein pair (a, b) per block.
 `block_rotations` computes those pairs for all blocks at once and
-`apply_block_rotations` applies them on the qubit axis; the pulse path of
-`evolve_pulse`, the ideal conditional rotations (and through them the
+`apply_block_rotations` applies them on the qubit axis; `evolve_pulse`,
+the ideal conditional rotations (and through them the
 component-level logical map `gates.component_logical_unitary`) and the
 binomial-CZ block calibration all run through these two functions.
 `block_rotation_gradient` differentiates each block's a with respect to
 every drive sample, from one forward prefix scan of the same per-sample
 pairs; the binomial-CZ tone calibration takes its exact Jacobian from it.
-The dense per-segment `eigh` path stays for cavity drives and serves as
-their oracle.
+Every gate drives one qubit between instantaneous cavity displacements, so
+`evolve_pulse` plays only such drives and refuses any other pulse.
 
 The Lindblad generator is a sparse superoperator, as in QuTiP's ``mesolve``
 (Johansson, Nation & Nori, Comput. Phys. Commun. 183, 1760 (2012)): a
@@ -83,15 +83,18 @@ class PulseSequence:
     channels: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
+        # `not x > 0` also rejects NaN
+        if not (self.dt > 0 and np.isfinite(self.dt)):
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         lengths = {len(a) for a in self.channels.values()}
         if len(lengths) > 1:
             raise ValidationError("all channels must have the same length")
         frozen = {
             k: np.asarray(v, dtype=complex) for k, v in self.channels.items()
         }
-        for v in frozen.values():
+        for k, v in frozen.items():
+            if not np.all(np.isfinite(v)):
+                raise ValidationError(f"channel {k} has non-finite samples")
             v.setflags(write=False)
         object.__setattr__(self, "channels", frozen)
 
@@ -125,7 +128,8 @@ class CollapseSet:
         return iter(self.items)
 
 
-# no src caller: perfbench/tracer.py observes it for its dim_max probe
+# no src caller: perfbench/tracer.py observes it for its dim_max probe, and
+# the tests' dense per-sample oracle is a product of it
 def segment_propagator(H: LinearOp, dt: float) -> LinearOp:
     """U = exp(−i H dt) for hermitian H, via eigendecomposition."""
     if not H.is_hermitian(1e-10):
@@ -202,11 +206,10 @@ def _check_pulse(space, H0, pulse: PulseSequence, layout: SystemLayout) -> np.nd
 
 
 def _segment_runs(H0: np.ndarray, pulse: PulseSequence, layout: SystemLayout):
-    """Runs of consecutive identical drive samples, as (key, h, n_steps).
+    """Runs of consecutive identical drive samples, as (h, n_steps).
 
-    key holds the run's samples (sorted by channel, rounded to 14 digits) and
-    h is the dense Hamiltonian diag(H0) + Σ (u O + ū O†) of the run, built
-    once.
+    Samples are compared rounded to 14 digits; h is the dense Hamiltonian
+    diag(H0) + Σ (u O + ū O†) of the run, built once.
     """
     if pulse.n_steps == 0:
         return
@@ -224,16 +227,7 @@ def _segment_runs(H0: np.ndarray, pulse: PulseSequence, layout: SystemLayout):
             u = amps[start]
             if u != 0:
                 h += u * ops[ch][0] + np.conjugate(u) * ops[ch][1]
-        yield tuple(samples[start].tolist()), h, stop - start
-
-
-def _single_qubit_fast_path(pulse: PulseSequence) -> str | None:
-    """Label of the single driven qubit, if the blockwise 2x2 path applies."""
-    labels = {label for (label, kind) in pulse.channels if kind == "qubit"}
-    kinds = {kind for (_, kind) in pulse.channels}
-    if kinds == {"qubit"} and len(labels) == 1:
-        return labels.pop()
-    return None
+        yield h, stop - start
 
 
 #: Target element count of the (blocks × samples) temporaries in
@@ -412,35 +406,26 @@ def apply_block_rotations(
 def evolve_pulse(
     state: Ket, H0: np.ndarray, pulse: PulseSequence, layout: SystemLayout
 ) -> Ket:
-    """Apply the exact piecewise-constant propagator of diag(H0) + drive terms.
+    """Apply the exact piecewise-constant propagator of diag(H0) + the drive
+    of one qubit.
 
-    H0 is the static Hamiltonian as its real (dim,) energy vector.
+    H0 is the static Hamiltonian as its real (dim,) energy vector.  The
+    Hamiltonian is c_j I + [[δ_j, ū/2], [u/2, −δ_j]] in each g/e block j of
+    the driven qubit, so the pulse is played by `block_rotations`.  A
+    non-empty pulse on anything but exactly one qubit is a ValidationError.
     """
     H0 = _check_pulse(state.space, H0, pulse, layout)
     if pulse.n_steps == 0:
         return state
-
-    fast_label = _single_qubit_fast_path(pulse)
-    if fast_label is not None:
-        # only one qubit is driven: the Hamiltonian is
-        # c_j I + [[δ_j, ū/2], [u/2, −δ_j]] in each g/e block j
-        eg, ee = qubit_blocks(H0, layout, fast_label)
-        a, b = block_rotations(0.5 * (eg - ee), pulse.channels[(fast_label, "qubit")], pulse.dt)
-        phase = np.exp(-0.5j * (eg + ee) * pulse.duration)
-        out = apply_block_rotations(state.amplitudes, layout, fast_label, a, b, phase)
-        return Ket(state.space, out)
-
-    # dense path: no recipe reaches it; the GRAPE and block-kernel tests use it as their reference
-    psi = np.array(state.amplitudes)
-    cache = {}
-    for key, h, n in _segment_runs(H0, pulse, layout):
-        u = cache.get(key)
-        if u is None:
-            w, v = np.linalg.eigh(h)
-            u = cache[key] = (v * np.exp(-1j * w * pulse.dt)) @ v.conj().T
-        for _ in range(n):
-            psi = u @ psi
-    return Ket(state.space, psi)
+    if len(pulse.channels) != 1 or next(iter(pulse.channels))[1] != "qubit":
+        raise ValidationError(
+            f"evolve_pulse plays a drive on one qubit, got channels {sorted(pulse.channels)}"
+        )
+    (label, _), = pulse.channels
+    eg, ee = qubit_blocks(H0, layout, label)
+    a, b = block_rotations(0.5 * (eg - ee), pulse.channels[(label, "qubit")], pulse.dt)
+    phase = np.exp(-0.5j * (eg + ee) * pulse.duration)
+    return Ket(state.space, apply_block_rotations(state.amplitudes, layout, label, a, b, phase))
 
 
 # ---------------------------------------------------------------------------
@@ -539,19 +524,17 @@ class LindbladPropagators:
 
 def lindblad_evolve(
     rho: DensityOp,
-    H,
-    collapses,
-    T: float | None = None,
-    layout: SystemLayout | None = None,
+    H0: np.ndarray,
+    pulse: PulseSequence,
+    propagators: LindbladPropagators,
+    layout: SystemLayout,
 ) -> DensityOp:
     """Evolve ρ under dρ/dt = −i[H,ρ] + Σ (L ρ L† − ½{L†L, ρ}).
 
-    H may be a static LinearOp (with duration T ≥ 0) or a (H0, PulseSequence)
-    pair, with H0 the real (dim,) energy vector of the static Hamiltonian, in
-    which case `layout` is required and the drive is honored as piecewise
-    constant at segment boundaries.  `collapses` is a CollapseSet, or the
-    `LindbladPropagators` of one, which keeps the dissipator and each run's
-    propagator for later calls.
+    H is diag(H0) + the drive of `pulse`, piecewise constant at segment
+    boundaries, with H0 the real (dim,) energy vector of the static
+    Hamiltonian.  `propagators` holds the dissipator of the collapse set and
+    keeps each run's propagator for later calls.
 
     ρ is first made Hermitian, (ρ + ρ†)/2, since the map commutes with
     ρ ↦ ρ† and the result is Hermitian anyway.  Each run of identical
@@ -561,35 +544,19 @@ def lindblad_evolve(
     `LindbladPropagators`): Σ|C|³ work per distinct run, one component of
     dim² elements under a cavity drive.
 
-    Raises ValidationError for a negative or non-finite T, or when H, a
-    collapse operator or the layout is on another space than ρ, and
-    NumericalError if the result is not finite or its trace drifts from 1 by
-    more than 1e-6 (the map is trace-preserving).
+    Raises ValidationError when H0, the propagators or the layout are on
+    another space than ρ, and NumericalError if the result is not finite or
+    its trace drifts from 1 by more than 1e-6 (the map is trace-preserving).
     """
-    if isinstance(H, LinearOp):
-        if T is None:
-            raise ValidationError("static Hamiltonian requires a duration T")
-        if not np.isfinite(T) or T < 0:
-            raise ValidationError(f"duration T must be finite and >= 0, got {T}")
-        if H.space != rho.space:
-            raise ValidationError("Hamiltonian and state spaces must agree")
-        runs = [(H.matrix, T)]
-    else:
-        H0, pulse = H
-        H0 = _check_pulse(rho.space, H0, pulse, layout)
-        runs = ((h, n * pulse.dt) for _, h, n in _segment_runs(H0, pulse, layout))
-    if isinstance(collapses, LindbladPropagators):
-        if collapses.space != rho.space:
-            raise ValidationError("collapse operators and state must share one space")
-        propagators = collapses
-    else:
-        propagators = LindbladPropagators(collapses, rho.space)
+    H0 = _check_pulse(rho.space, H0, pulse, layout)
+    if propagators.space != rho.space:
+        raise ValidationError("collapse operators and state must share one space")
 
     dim = rho.space.dim
     m = rho.matrix
     y = (0.5 * (m + m.conj().T)).reshape(-1)
-    for h, span in runs:
-        y = propagators.apply(y, h, span)
+    for h, n in _segment_runs(H0, pulse, layout):
+        y = propagators.apply(y, h, n * pulse.dt)
 
     m = y.reshape(dim, dim)
     m = 0.5 * (m + m.conj().T)

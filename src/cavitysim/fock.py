@@ -186,12 +186,14 @@ class DensityOp:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def validate(self, trace_tol: float = 1e-9, eig_tol: float = 1e-9) -> "DensityOp":
+    def validate(self) -> "DensityOp":
+        """Raise ValidationError unless ρ is Hermitian, of unit trace and
+        positive semidefinite, each to 1e-9."""
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-9:
             raise ValidationError("density matrix is not hermitian")
-        if abs(np.trace(self.matrix) - 1.0) > trace_tol:
+        if abs(np.trace(self.matrix) - 1.0) > 1e-9:
             raise ValidationError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(self.matrix)) < -eig_tol:
+        if np.min(np.linalg.eigvalsh(self.matrix)) < -1e-9:
             raise ValidationError("density matrix has a significantly negative eigenvalue")
         return self
 

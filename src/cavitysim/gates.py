@@ -102,6 +102,9 @@ class ConditionalRotation:
         # `not x > 0` also rejects NaN
         if not (self.epsilon > 0 and self.theta > 0):
             raise ValidationError("rotation angle and Rabi frequency must be positive")
+        detuning = 0.0 if self.detuning is None else self.detuning
+        if not np.all(np.isfinite([self.phi_axis, self.theta, self.epsilon, detuning])):
+            raise ValidationError("rotation axis, angle, Rabi frequency and detuning must be finite")
         object.__setattr__(self, "condition", tuple(tuple(c) for c in self.condition))
 
     @property
@@ -352,7 +355,7 @@ class PulseBackend:
             self._lindblad = LindbladPropagators(collapses, self.layout.space)
         for kind, item in self._segments(spec):
             if kind == "pulse":
-                rho = lindblad_evolve(rho, (self.h0, item), self._lindblad, layout=self.layout)
+                rho = lindblad_evolve(rho, self.h0, item, self._lindblad, self.layout)
             elif kind == "displace":
                 # D ρ D† = (D (D ρ)†)†
                 m = _displace(rho.matrix, self.layout, item)
@@ -412,28 +415,25 @@ def component_logical_unitary(spec: GateSpec, cavities, qubit: str) -> np.ndarra
 def single_cavity_phase_gate(
     delta_phi: float,
     enc,
-    params: DeviceParams | None = None,
+    params: DeviceParams,
     epsilon: float | None = None,
 ) -> GateSpec:
     """Logical diag(1, e^{i(pi + delta_phi)}) on a shifted-cat encoding in S1.
 
     Two successive pi rotations of Q1, conditioned on the vacuum of S1, about
-    axes 0 and delta_phi.
+    axes 0 and delta_phi, at the Rabi frequency epsilon (default: a twentieth
+    of the code splitting n̄χ).
     """
     if enc.name != "shifted-cat":
         raise ValidationError("single-cavity phase gates require a shifted-cat encoding")
     nbar = float(np.real(expectation(enc.ket0, number_op(enc.mode))))
+    gap = nbar * params.chi[("S1", "Q1")]
     if epsilon is None:
-        if params is not None:
-            epsilon = nbar * params.chi[("S1", "Q1")] / 20.0
-        else:
-            epsilon = 0.01
-    if params is not None:
-        gap = nbar * params.chi[("S1", "Q1")]
-        if epsilon > gap / 3.0:
-            raise ValidationError("drive strength not selective on the code splitting")
-        if epsilon > gap / 10.0:
-            warnings.warn("drive strength above a tenth of the code splitting", stacklevel=2)
+        epsilon = gap / 20.0
+    if epsilon > gap / 3.0:
+        raise ValidationError("drive strength not selective on the code splitting")
+    if epsilon > gap / 10.0:
+        warnings.warn("drive strength above a tenth of the code splitting", stacklevel=2)
     cond = (("S1", 0),)
     # with the drive convention (eps/2) e^{i phi} |e><g| + h.c., advancing the
     # second axis by -delta_phi yields gamma = pi + delta_phi on the
@@ -447,26 +447,20 @@ def single_cavity_phase_gate(
     )
 
 
-def cz_coherent(
-    alpha: complex,
-    params: DeviceParams | None = None,
-    epsilon: float | None = None,
-) -> GateSpec:
+def cz_coherent(alpha: complex, params: DeviceParams) -> GateSpec:
     """CZ between two symmetric-cat qubits of amplitude alpha in S1 and S2.
 
     D(alpha) on both cavities parks the |-alpha> components at the vacuum; a
     2*pi rotation of Q3 conditional on the joint vacuum imprints -1 on
     exactly the |1>_L|1>_L component; the displacements are then undone.
+    The Rabi frequency is a twentieth of the smaller splitting n̄χ of the
+    far component.
     """
     if alpha == 0:
         raise ValidationError("cat amplitude must be nonzero")
     nbar = 4.0 * abs(alpha) ** 2  # photon number of the displaced far component
-    if epsilon is None:
-        if params is not None:
-            chi_min = min(params.chi[(c, "Q3")] for c in ("S1", "S2"))
-            epsilon = nbar * chi_min / 20.0
-        else:
-            epsilon = 0.01
+    chi_min = min(params.chi[(c, "Q3")] for c in ("S1", "S2"))
+    epsilon = nbar * chi_min / 20.0
     return GateSpec(
         "cz-coherent",
         (
@@ -771,7 +765,7 @@ def cz_binomial_ideal() -> GateSpec:
     return GateSpec("cz-binomial-ideal", tuple(steps))
 
 
-def cz_binomial(backend: PulseBackend, calibrate: bool = True):
+def cz_binomial(backend: PulseBackend):
     """CZ between two binomial qubits sharing the readout qubit, calibrated
     on `backend`.
 
@@ -784,37 +778,35 @@ def cz_binomial(backend: PulseBackend, calibrate: bool = True):
     The qubit, the two cavities and the static Hamiltonian are those of
     `backend`, which must not compensate phases: the pulse is calibrated on
     the backend that will play it.  Returns (GateSpec, residual phase errors
-    dict).  With `calibrate`, the tone phases, detunings and amplitudes are
-    fitted by Levenberg-Marquardt with the exact Jacobian
+    dict).  The tone phases, detunings and amplitudes are fitted by
+    Levenberg-Marquardt with the exact Jacobian
     (`evolution.block_rotation_gradient` and the chain rule through the tone
     parameters), which stops when its best maximum phase error improves by
     less than _CZ_STOP_RAD over _CZ_STOP_WINDOW evaluations, or after
     _CZ_MAX_NFEV.
     """
-    problem = _ToneCalibration(backend)
-    x = problem.x0
-    if calibrate:
-        # imported here, not at module level: the benchmark caps the
-        # calibration by replacing scipy.optimize.least_squares
-        from scipy.optimize import least_squares
+    # imported here, not at module level: the benchmark caps the
+    # calibration by replacing scipy.optimize.least_squares
+    from scipy.optimize import least_squares
 
-        try:
-            sol = least_squares(
-                _stopping_residual(problem),
-                x,
-                jac=problem.jacobian,
-                method="lm",
-                xtol=1e-14,
-                ftol=1e-14,
-                max_nfev=_CZ_MAX_NFEV,
-            )
-            x, fun = sol.x, sol.fun
-        except _Stalled as stop:
-            x, fun = stop.x, stop.fun
-        if np.max(np.abs(fun)) > _CZ_RESIDUAL_TOL:
-            raise NumericalError(
-                "tone calibration failed; residuals " + ", ".join(f"{v:.3e}" for v in fun)
-            )
+    problem = _ToneCalibration(backend)
+    try:
+        sol = least_squares(
+            _stopping_residual(problem),
+            problem.x0,
+            jac=problem.jacobian,
+            method="lm",
+            xtol=1e-14,
+            ftol=1e-14,
+            max_nfev=_CZ_MAX_NFEV,
+        )
+        x, fun = sol.x, sol.fun
+    except _Stalled as stop:
+        x, fun = stop.x, stop.fun
+    if np.max(np.abs(fun)) > _CZ_RESIDUAL_TOL:
+        raise NumericalError(
+            "tone calibration failed; residuals " + ", ".join(f"{v:.3e}" for v in fun)
+        )
     spec = problem.spec(x)
     blocks = joint_block_unitaries(spec, backend)
     targets = binomial_cz_targets()
@@ -825,11 +817,12 @@ def cz_binomial(backend: PulseBackend, calibrate: bool = True):
     return spec, final_errs
 
 
-def snap_bell(sign: int, epsilon: float = 2e-4) -> GateSpec:
+def snap_bell(sign: int) -> GateSpec:
     """Bell-state preparation in S1 and S2 from vacuum.
 
-    Displacements straddling a 2*pi rotation of Q3 conditional on the joint
-    vacuum produce (|01> + sign |10>)/sqrt(2) in the joint Fock basis.
+    Displacements straddling a 2*pi rotation of Q3 (Rabi frequency 2e-4
+    rad/ns) conditional on the joint vacuum produce (|01> + sign |10>)/sqrt(2)
+    in the joint Fock basis.
     """
     if sign not in (+1, -1):
         raise ValidationError("sign must be +1 or -1")
@@ -842,7 +835,7 @@ def snap_bell(sign: int, epsilon: float = 2e-4) -> GateSpec:
         (
             Displacement("S1", a1),
             Displacement("S2", a2),
-            ConditionalRotation("Q3", 0.0, 2 * np.pi, epsilon, (("S1", 0), ("S2", 0))),
+            ConditionalRotation("Q3", 0.0, 2 * np.pi, 2e-4, (("S1", 0), ("S2", 0))),
             Displacement("S1", a3),
             Displacement("S2", a4),
         ),

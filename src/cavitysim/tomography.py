@@ -165,12 +165,14 @@ class TransferMatrix:
         r.setflags(write=False)
         object.__setattr__(self, "R", r)
 
-    def check_physical(self, tol: float = 1e-9):
+    def check_physical(self):
+        """Raise ValidationError unless the first row is (1, 0, ..., 0) and
+        every entry lies in [−1, 1], each to 1e-9."""
         first = np.zeros(4**self.n_qubits)
         first[0] = 1.0
-        if np.max(np.abs(self.R[0] - first)) > tol:
+        if np.max(np.abs(self.R[0] - first)) > 1e-9:
             raise ValidationError("first row is not (1, 0, ..., 0)")
-        if np.max(np.abs(self.R)) > 1.0 + tol:
+        if np.max(np.abs(self.R)) > 1.0 + 1e-9:
             raise ValidationError("transfer matrix entries exceed [−1, 1]")
         return self
 

@@ -287,6 +287,14 @@ def test_bad_phis_spec_rejected(tmp_path):
         ["wigner", "--points", "1"],
         ["parity-sweep", "--phis", "0:1:-3"],
         ["parity-sweep", "--phis", "0:1:0"],
+        # a non-finite offset exited 0 with NaN rows (and, for 0:inf:3, a
+        # cos-law deviation of 0.0: max(worst, nan) keeps worst); linspace
+        # forms 0·inf on its way to the NaN
+        pytest.param(
+            ["parity-sweep", "--phis", "0:inf:3"],
+            marks=pytest.mark.filterwarnings("ignore:invalid value encountered in multiply"),
+        ),
+        ["parity-sweep", "--phis", "nan:1:3"],
         ["parity-sweep", "--delta", "nan"],
         ["zgate-repeat", "--m-max", "-1"],
         ["zgate-repeat", "--m-max", "0"],
@@ -409,15 +417,15 @@ def test_cz_binomial_pulse_writes_simulated_spec(tmp_path, monkeypatch):
     """gate_spec.json holds the multitone pulse run_qpt simulated, not the
     ideal rotations (the calibration is skipped to keep the test fast)."""
     import cavitysim.experiments as experiments
+    from cavitysim.gates import _ToneCalibration
 
     simulated = []
 
-    def uncalibrated(*args, **kwargs):
-        out = original(*args, **{**kwargs, "calibrate": False})
-        simulated.append(out[0])
-        return out
+    def uncalibrated(backend):
+        problem = _ToneCalibration(backend)
+        simulated.append(problem.spec(problem.x0))
+        return simulated[-1], {}
 
-    original = experiments.cz_binomial
     monkeypatch.setattr(experiments, "cz_binomial", uncalibrated)
     out = tmp_path / "run"
     assert main(["cz", "--encoding", "binomial", "--mode", "pulse", "-o", str(out)]) == 0

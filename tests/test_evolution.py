@@ -49,6 +49,19 @@ def params():
     return load_params()
 
 
+def _idle(layout, t):
+    """A one-sample zero-amplitude pulse of length t on the layout's first
+    mode: free evolution under the static Hamiltonian for time t."""
+    label = next(iter(layout.index))
+    kind = "qubit" if layout.is_qubit(label) else "cavity"
+    return PulseSequence(dt=t, channels={(label, kind): [0.0]})
+
+
+def _lindblad(rho, h0, pulse, cs, layout):
+    """`lindblad_evolve` with fresh propagators of the collapse set `cs`."""
+    return lindblad_evolve(rho, h0, pulse, LindbladPropagators(cs, layout.space), layout)
+
+
 def test_segment_propagator_zero_dt():
     h = LinearOp(CompositeSpace.single(ModeSpec.bosonic(4)), np.diag([0.0, 1, 2, 3]))
     u = segment_propagator(h, 0.0)
@@ -101,10 +114,12 @@ def test_evolve_pulse_rejects_h0_not_an_energy_vector(h0):
     with pytest.raises(ValidationError):
         evolve_pulse(psi, h0, pulse, layout)
     with pytest.raises(ValidationError):
-        lindblad_evolve(psi.density(), (h0, pulse), CollapseSet(()), layout=layout)
+        _lindblad(psi.density(), h0, pulse, CollapseSet(()), layout)
 
 
-def test_pulse_displacement_matches_operator():
+def test_pulse_displacement_matches_operator(dense_evolve):
+    """The cavity-drive convention of `drive_operator`, played by the dense
+    oracle: a constant drive ε for time t is D(−iεt)."""
     layout = SystemLayout.build([], ["S1"], {"S1": 30})
     spec = layout.mode("S1")
     # constant drive engineered for D(sqrt(2)): D(−iεt) = D(√2) at ε t = i√2
@@ -112,7 +127,7 @@ def test_pulse_displacement_matches_operator():
     eps = 1j * np.sqrt(2) / t
     pulse = PulseSequence(dt=t / n, channels={("S1", "cavity"): np.full(n, eps)})
     h0 = np.zeros(30)
-    out = evolve_pulse(fock_ket(spec, 0), h0, pulse, layout)
+    out = Ket(layout.space, dense_evolve(fock_ket(spec, 0).amplitudes, h0, pulse, layout))
     target = displacement(np.sqrt(2), spec) @ fock_ket(spec, 0)
     assert abs(out.overlap(target)) ** 2 > 0.9999
 
@@ -120,13 +135,44 @@ def test_pulse_displacement_matches_operator():
 def test_pulse_norm_preserved():
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 10})
     rng = np.random.default_rng(5)
-    aq = 0.01 * rng.normal(size=300)
-    ac = 0.01 * rng.normal(size=300)
-    pulse = PulseSequence(dt=1.0, channels={("Q1", "qubit"): aq, ("S1", "cavity"): ac})
+    aq = 0.01 * (rng.normal(size=300) + 1j * rng.normal(size=300))
+    pulse = PulseSequence(dt=1.0, channels={("Q1", "qubit"): aq})
     h0 = rng.normal(size=20) * 0.01
     psi = Ket(layout.space, rng.normal(size=20) + 1j * rng.normal(size=20)).normalized()
     out = evolve_pulse(psi, h0, pulse, layout)
     assert abs(out.norm - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "channels",
+    [(("S1", "cavity"),), (("Q1", "qubit"), ("S1", "cavity")), (("Q1", "qubit"), ("Q2", "qubit"))],
+    ids=["cavity", "qubit-and-cavity", "two-qubits"],
+)
+def test_evolve_pulse_refuses_all_but_a_one_qubit_drive(channels):
+    """`evolve_pulse` plays the drive of exactly one qubit; a cavity drive or
+    a second driven mode is a ValidationError, not a silent dense solve."""
+    layout = SystemLayout.build(["Q1", "Q2"], ["S1"], {"S1": 3})
+    psi = Ket(layout.space, np.eye(layout.space.dim)[0])
+    pulse = PulseSequence(dt=1.0, channels={ch: np.full(5, 0.01) for ch in channels})
+    with pytest.raises(ValidationError, match="one qubit"):
+        evolve_pulse(psi, np.zeros(layout.space.dim), pulse, layout)
+
+
+@pytest.mark.parametrize("dt", [0.0, -5.0, np.nan, np.inf, -np.inf])
+def test_pulse_sequence_rejects_bad_dt(dt):
+    """A sample period must be finite and positive: `dt <= 0` alone lets NaN
+    through, and a NaN or infinite period made `evolve_pulse` return NaN
+    amplitudes.  The duration of a free Lindblad evolution is this dt."""
+    with pytest.raises(ValidationError, match="dt"):
+        PulseSequence(dt=dt, channels={("Q1", "qubit"): np.full(3, 0.01)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(-np.inf, 0.0)])
+def test_pulse_sequence_rejects_non_finite_samples(bad):
+    amps = np.full(4, 0.01, dtype=complex)
+    amps[2] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        PulseSequence(dt=1.0, channels={("Q1", "qubit"): amps})
 
 
 def test_dephasing_rate_values():
@@ -163,15 +209,19 @@ def test_standard_collapses_infinite_times():
     assert len(standard_collapses(p, layout)) == 0
 
 
-def test_lindblad_empty_collapses_matches_unitary():
+def test_lindblad_empty_collapses_matches_unitary(dense_evolve):
+    """Without collapses, one 50 ns sample driving both modes is the dense
+    oracle's unitary."""
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 6})
     rng = np.random.default_rng(2)
-    m = rng.normal(size=(12, 12)) * 0.01
-    h = LinearOp(layout.space, m + m.T)
+    h0 = rng.normal(size=12) * 0.01
+    pulse = PulseSequence(
+        dt=50.0, channels={("Q1", "qubit"): [0.013 - 0.004j], ("S1", "cavity"): [0.006j]}
+    )
     psi = Ket(layout.space, rng.normal(size=12) + 1j * rng.normal(size=12)).normalized()
-    rho = lindblad_evolve(psi.density(), h, CollapseSet(()), T=50.0)
-    target = segment_propagator(h, 50.0) @ psi
-    fid = np.real(np.vdot(target.amplitudes, rho.matrix @ target.amplitudes))
+    rho = _lindblad(psi.density(), h0, pulse, CollapseSet(()), layout)
+    target = dense_evolve(psi.amplitudes, h0, pulse, layout)
+    fid = np.real(np.vdot(target, rho.matrix @ target))
     assert fid > 1 - 1e-8
 
 
@@ -181,11 +231,10 @@ def test_lindblad_cavity_amplitude_damping():
     t1 = 2000.0
     a = annihilation(spec)
     cs = CollapseSet(((LinearOp(layout.space, a.matrix), 1.0 / t1),))
-    h = LinearOp(layout.space, np.zeros((12, 12)))
     psi = coherent(1.5, spec)
     n0 = expectation(psi, number_op(spec)).real
     for t in (500.0, 1500.0):
-        rho = lindblad_evolve(psi.density(), h, cs, T=t)
+        rho = _lindblad(psi.density(), np.zeros(12), _idle(layout, t), cs, layout)
         n = np.real(np.trace(rho.matrix @ number_op(spec).matrix))
         assert abs(n - n0 * np.exp(-t / t1)) < 1e-6
 
@@ -198,10 +247,9 @@ def test_lindblad_qubit_coherence_decay(params):
     cs = standard_collapses(params, layout)
     ops = [(op, r) for op, r in cs]
     assert len(ops) == 2
-    h = LinearOp(layout.space, np.zeros((2, 2)))
     plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
     for t in (3e3, 12e3):
-        rho = lindblad_evolve(plus.density(), h, CollapseSet(tuple(ops)), T=t)
+        rho = _lindblad(plus.density(), np.zeros(2), _idle(layout, t), CollapseSet(tuple(ops)), layout)
         coh = abs(rho.matrix[0, 1])
         assert abs(coh - 0.5 * np.exp(-t / t2)) < 1e-6
         # population relaxes toward ground at 1/T1
@@ -216,8 +264,8 @@ def test_lindblad_trace_and_hermiticity_preserved(params):
     m = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
     rho0 = m @ m.conj().T
     rho0 = DensityOp(layout.space, rho0 / np.trace(rho0))
-    h = LinearOp(layout.space, np.diag(rng.normal(size=10) * 0.01))
-    rho = lindblad_evolve(rho0, h, cs, T=2e3)
+    h0 = rng.normal(size=10) * 0.01
+    rho = _lindblad(rho0, h0, _idle(layout, 2e3), cs, layout)
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-7
     assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
     assert np.min(np.linalg.eigvalsh(rho.matrix)) > -1e-7
@@ -229,22 +277,13 @@ def test_lindblad_step_halving_convergence(params):
     layout = SystemLayout.build(["Q1"], [], {})
     cs = standard_collapses(params, layout)
     plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
-    h = LinearOp(layout.space, np.diag([0.0, 0.01]))
+    h0 = np.array([0.0, 0.01])
     t = 5e3
-    r1 = lindblad_evolve(plus.density(), h, cs, T=t)
+    r1 = _lindblad(plus.density(), h0, _idle(layout, t), cs, layout)
     for first in (0.5 * t, 0.3 * t):
-        part = lindblad_evolve(plus.density(), h, cs, T=first)
-        r2 = lindblad_evolve(part, h, cs, T=t - first)
+        part = _lindblad(plus.density(), h0, _idle(layout, first), cs, layout)
+        r2 = _lindblad(part, h0, _idle(layout, t - first), cs, layout)
         assert np.max(np.abs(r1.matrix - r2.matrix)) < 1e-8
-
-
-@pytest.mark.parametrize("t", [-5.0, np.nan, np.inf])
-def test_lindblad_rejects_bad_duration(t):
-    layout = SystemLayout.build(["Q1"], [], {})
-    h = LinearOp(layout.space, np.diag([0.0, 0.01]))
-    plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
-    with pytest.raises(ValidationError):
-        lindblad_evolve(plus.density(), h, CollapseSet(()), T=t)
 
 
 @pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
@@ -263,15 +302,13 @@ def test_unitary_and_lindblad_paths_agree_on_pulse(params):
     v[layout.space.joint_index((0, 1))] = 1.0
     psi0 = Ket(layout.space, v)
     pure = evolve_pulse(psi0, h0, pulse, layout)
-    rho = lindblad_evolve(
-        psi0.density(), (h0, pulse), CollapseSet(()), layout=layout
-    )
+    rho = _lindblad(psi0.density(), h0, pulse, CollapseSet(()), layout)
     fid = np.real(np.vdot(pure.amplitudes, rho.matrix @ pure.amplitudes))
     assert fid > 1 - 1e-7
 
 
-def test_blockwise_fast_path_matches_dense_segment_product(params):
-    """Oracle: the single-qubit fast path of evolve_pulse equals the product of
+def test_blockwise_fast_path_matches_dense_segment_product(params, dense_evolve):
+    """Oracle: evolve_pulse's blockwise kernel equals the product of
     per-sample dense propagators exp(−i dt (H0 + u O + ū O†))."""
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 4, "S2": 3})
     h0 = static_hamiltonian(params, layout)
@@ -287,11 +324,7 @@ def test_blockwise_fast_path_matches_dense_segment_product(params):
     v = rng.normal(size=layout.space.dim) + 1j * rng.normal(size=layout.space.dim)
     psi = Ket(layout.space, v).normalized()
 
-    op = drive_operator(layout, ("Q3", "qubit")).matrix
-    ref = psi.amplitudes
-    for u in amps:
-        h = LinearOp(layout.space, np.diag(h0) + u * op + np.conj(u) * op.conj().T)
-        ref = segment_propagator(h, pulse.dt).matrix @ ref
+    ref = dense_evolve(psi.amplitudes, h0, pulse, layout)
     out = evolve_pulse(psi, h0, pulse, layout)
     assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
@@ -361,7 +394,7 @@ def test_lindblad_pulse_matches_dense_oracle(params):
     rng = np.random.default_rng(4)
     rho0 = _random_density(rng, 12)
 
-    out = lindblad_evolve(DensityOp(layout.space, rho0), (h0, pulse), cs, layout=layout)
+    out = _lindblad(DensityOp(layout.space, rho0), h0, pulse, cs, layout)
 
     # exact oracle: expm of the dense generator, built column by column from
     # the dense right-hand side, once per run
@@ -396,7 +429,7 @@ def test_lindblad_matches_rk45_on_selective_drive(params):
     pulse = PulseSequence(dt=1.0, channels={ch: np.concatenate([np.full(n, u) for u, n in runs])})
     rho0 = _random_density(np.random.default_rng(8), 12)
 
-    out = lindblad_evolve(DensityOp(layout.space, rho0), (h0, pulse), cs, layout=layout)
+    out = _lindblad(DensityOp(layout.space, rho0), h0, pulse, cs, layout)
 
     op = drive_operator(layout, ch).matrix
     y, t = rho0.reshape(-1), 0.0
@@ -427,7 +460,7 @@ def _expm_multiply_oracle(rho0, h0, pulse, layout, cs):
     vec(ρ) as given, then the output made Hermitian."""
     dissipator = lindblad_dissipator(cs, layout.space.dim)
     y = rho0.reshape(-1)
-    for _, h, n in evolution._segment_runs(h0, pulse, layout):
+    for h, n in evolution._segment_runs(h0, pulse, layout):
         y = expm_multiply(liouvillian(h, dissipator) * (n * pulse.dt), y)
     m = y.reshape(rho0.shape)
     return 0.5 * (m + m.conj().T)
@@ -445,7 +478,7 @@ def test_block_propagator_matches_full_liouvillian_action(params, hermitian):
     if not hermitian:
         skew = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         rho0 = rho0 + 0.05 * (skew - np.trace(skew) / 12 * np.eye(12))
-    out = lindblad_evolve(DensityOp(layout.space, rho0), (h0, pulse), cs, layout=layout)
+    out = _lindblad(DensityOp(layout.space, rho0), h0, pulse, cs, layout)
     ref = _expm_multiply_oracle(rho0, h0, pulse, layout, cs)
     assert np.max(np.abs(out.matrix - ref)) < 1e-12
 
@@ -457,7 +490,7 @@ def test_qubit_drive_splits_liouvillian_by_coherence_order(params, levels):
     the transposed elements of its twin."""
     layout, h0, pulse = _qubit_driven_runs(params, levels)
     dim = layout.space.dim
-    h = next(evolution._segment_runs(h0, pulse, layout))[1]
+    h = next(evolution._segment_runs(h0, pulse, layout))[0]
     gen = liouvillian(h, lindblad_dissipator(_all_channel_kinds(layout), dim))
     comps = liouvillian_components(gen)
     assert len(comps) == levels
@@ -479,7 +512,7 @@ def _shifted(layout):
 
 @pytest.mark.parametrize("case", ["hamiltonian", "collapse", "layout", "propagators"])
 def test_lindblad_rejects_mismatched_spaces(params, case):
-    """H, a collapse operator, the pulse layout or a propagator cache on
+    """H0, a collapse operator, the pulse layout or a propagator cache on
     another space than ρ is a ValidationError, as in `evolve_pulse`."""
     layout, h0, pulse = _qubit_driven_runs(params, 4)
     other = _shifted(layout)
@@ -487,15 +520,14 @@ def test_lindblad_rejects_mismatched_spaces(params, case):
     cs = _all_channel_kinds(layout)
     with pytest.raises(ValidationError):
         if case == "hamiltonian":
-            h = LinearOp(other.space, np.diag(static_hamiltonian(params, other)))
-            lindblad_evolve(rho, h, cs, T=10.0)
+            _lindblad(rho, static_hamiltonian(params, other), pulse, cs, layout)
         elif case == "collapse":
-            lindblad_evolve(rho, (h0, pulse), _all_channel_kinds(other), layout=layout)
+            _lindblad(rho, h0, pulse, _all_channel_kinds(other), layout)
         elif case == "layout":
-            lindblad_evolve(rho, (static_hamiltonian(params, other), pulse), cs, layout=other)
+            _lindblad(rho, static_hamiltonian(params, other), pulse, cs, other)
         else:
             cache = LindbladPropagators(_all_channel_kinds(other), other.space)
-            lindblad_evolve(rho, (h0, pulse), cache, layout=layout)
+            lindblad_evolve(rho, h0, pulse, cache, layout)
 
 
 def test_lindblad_propagators_reuse_each_run(params):
@@ -505,11 +537,11 @@ def test_lindblad_propagators_reuse_each_run(params):
     cs = _all_channel_kinds(layout)
     cache = LindbladPropagators(cs, layout.space)
     rho = DensityOp(layout.space, _random_density(np.random.default_rng(6), 8))
-    first = lindblad_evolve(rho, (h0, pulse), cache, layout=layout)
+    first = lindblad_evolve(rho, h0, pulse, cache, layout)
     assert len(cache._runs) == 3
-    again = lindblad_evolve(first, (h0, pulse), cache, layout=layout)
+    again = lindblad_evolve(first, h0, pulse, cache, layout)
     assert len(cache._runs) == 3
-    fresh = lindblad_evolve(first, (h0, pulse), cs, layout=layout)
+    fresh = _lindblad(first, h0, pulse, cs, layout)
     assert np.max(np.abs(again.matrix - fresh.matrix)) < 1e-15
 
 
@@ -520,10 +552,9 @@ def test_lindblad_rejects_trace_drift_and_nonfinite(monkeypatch, scale):
 
     monkeypatch.setattr(evolution, "expm", drifting_expm)
     layout = SystemLayout.build(["Q1"], [], {})
-    h = LinearOp(layout.space, np.diag([0.0, 0.01]))
     plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
     with pytest.raises(NumericalError):
-        lindblad_evolve(plus.density(), h, CollapseSet(()), T=10.0)
+        _lindblad(plus.density(), np.array([0.0, 0.01]), _idle(layout, 10.0), CollapseSet(()), layout)
 
 
 def test_error_budget_z_pinned():

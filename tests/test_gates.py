@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,12 @@ from cavitysim.codes import binomial_encoding, cat_encoding
 from cavitysim.device import (
     SystemLayout,
     cavity_static_diag,
-    drive_operator,
     load_params,
     static_hamiltonian,
 )
 from cavitysim.evolution import (
     CollapseSet,
+    PulseSequence,
     block_rotation_gradient,
     block_rotations,
     segment_propagator,
@@ -150,6 +152,19 @@ def test_gate_step_validation():
         ConditionalRotation("Q1", 0.0, np.pi, 0.0)
     with pytest.raises(ValidationError):
         GateSpec("bad", ("not-a-step",))
+    # a non-finite axis made the parity sweep write NaN rows, an infinite
+    # angle made NaN states, and an infinite Rabi frequency a 0 ns rotation
+    # that the pulse backend played as one full-angle sample
+    for phi, theta, eps, detuning in (
+        (np.nan, np.pi, 0.01, None),
+        (np.inf, np.pi, 0.01, None),
+        (0.0, np.inf, 0.01, None),
+        (0.0, np.pi, np.inf, None),
+        (0.0, np.pi, 0.01, np.nan),
+        (0.0, np.pi, 0.01, -np.inf),
+    ):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ConditionalRotation("Q1", phi, theta, eps, (("S1", 0),), detuning=detuning)
 
 
 def test_conditional_rotation_selectivity_guards(params):
@@ -186,21 +201,21 @@ def test_ideal_conditional_pi_flip_and_2pi_sign():
     assert abs(backend.apply(psi_two, two_pi).overlap(psi_two) - 1.0) < 1e-12
 
 
-def test_geometric_phase_law_sweep():
+def test_geometric_phase_law_sweep(params):
     """gamma = pi + dphi, measured by integrating the conditional dynamics."""
     enc = cat_encoding(0.9, 20, variant="shifted")
     for dphi in np.linspace(-np.pi, np.pi, 9, endpoint=False):
-        spec = single_cavity_phase_gate(dphi, enc)
+        spec = single_cavity_phase_gate(dphi, enc, params)
         l = component_logical_unitary(spec, ["S1"], "Q1")
         gamma = wrap_angle(float(np.angle(l[1, 1]) - np.angle(l[0, 0])))
         assert abs(wrap_angle(gamma - (np.pi + dphi))) < 1e-9
 
 
-def test_canonical_phase_gates():
+def test_canonical_phase_gates(params):
     enc = cat_encoding(0.9, 20, variant="shifted")
     expected_gamma = {"Z": np.pi, "S": np.pi / 2, "T": np.pi / 4}
     for name, dphi in CANONICAL_DELTA_PHI.items():
-        spec = single_cavity_phase_gate(dphi, enc)
+        spec = single_cavity_phase_gate(dphi, enc, params)
         l = component_logical_unitary(spec, ["S1"], "Q1")
         phase = wrap_angle(float(np.angle(l[1, 1]) - np.angle(l[0, 0])))
         assert abs(wrap_angle(phase - expected_gamma[name])) < 1e-9
@@ -208,19 +223,19 @@ def test_canonical_phase_gates():
         assert abs(abs(l[1, 1]) - 1.0) < 1e-10
 
 
-def test_phase_gate_requires_shifted_cat():
+def test_phase_gate_requires_shifted_cat(params):
     enc = cat_encoding(1.0, 20, variant="symmetric")
     with pytest.raises(ValidationError):
-        single_cavity_phase_gate(0.0, enc)
+        single_cavity_phase_gate(0.0, enc, params)
 
 
-def test_phase_gate_parity_reversal_fock_level():
+def test_phase_gate_parity_reversal_fock_level(params):
     """Z gate turns the even shifted cat into an odd cat after recombination."""
     alpha = 1.2
     enc = cat_encoding(alpha, 30, variant="shifted")
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 30})
     backend = IdealBackend(layout)
-    spec = single_cavity_phase_gate(0.0, enc)
+    spec = single_cavity_phase_gate(0.0, enc, params)
     raw = enc.ket0.amplitudes + enc.ket1.amplitudes
     psi_cav = Ket(enc.ket0.space, raw).normalized()
     psi = tensor([qubit_ket(False), psi_cav])
@@ -240,7 +255,7 @@ def test_phase_gate_parity_reversal_fock_level():
     assert p_after < -0.8
 
 
-def test_phase_gate_parity_law_sweep():
+def test_phase_gate_parity_law_sweep(params):
     alpha = 1.2
     enc = cat_encoding(alpha, 30, variant="shifted")
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 30})
@@ -251,13 +266,13 @@ def test_phase_gate_parity_law_sweep():
 
     recombine = layout.lift(displacement(-alpha, layout.mode("S1")), "S1")
     for dphi in np.linspace(0, 2 * np.pi, 8, endpoint=False):
-        out = recombine @ backend.apply(psi, single_cavity_phase_gate(dphi, enc))
+        out = recombine @ backend.apply(psi, single_cavity_phase_gate(dphi, enc, params))
         p = np.real(expectation(partial_trace(out, [1]), parity_op(layout.mode("S1"))))
         assert abs(p - np.cos(np.pi + dphi)) < 0.2
 
 
-def test_cz_coherent_component_truth_table():
-    spec = cz_coherent(np.sqrt(2))
+def test_cz_coherent_component_truth_table(params):
+    spec = cz_coherent(np.sqrt(2), params)
     l = component_logical_unitary(spec, ["S1", "S2"], "Q3")
     assert np.max(np.abs(l - CZ)) < 1e-9
     # symmetric under control/target exchange
@@ -291,13 +306,13 @@ def kron_eigh_component_unitary(spec, cavities, qubit):
     return u[: dim // 2, : dim // 2]
 
 
-def _component_oracle_specs():
+def _component_oracle_specs(params):
     enc = cat_encoding(np.sqrt(2), 30, variant="shifted")
     specs = {
-        name: (single_cavity_phase_gate(dphi, enc), ["S1"], "Q1")
+        name: (single_cavity_phase_gate(dphi, enc, params), ["S1"], "Q1")
         for name, dphi in CANONICAL_DELTA_PHI.items()
     }
-    specs["cz_coherent"] = (cz_coherent(np.sqrt(2)), ["S1", "S2"], "Q3")
+    specs["cz_coherent"] = (cz_coherent(np.sqrt(2), params), ["S1", "S2"], "Q3")
     # snap_bell's displacements do not cancel, so only its joint-vacuum
     # conditional 2π rotation has a component-level map
     for sign in (+1, -1):
@@ -307,8 +322,8 @@ def _component_oracle_specs():
 
 
 @pytest.mark.parametrize("name", ["Z", "S", "T", "cz_coherent", "snap_bell+1", "snap_bell-1"])
-def test_component_map_matches_kron_eigh_integration(name):
-    spec, cavities, qubit = _component_oracle_specs()[name]
+def test_component_map_matches_kron_eigh_integration(params, name):
+    spec, cavities, qubit = _component_oracle_specs(params)[name]
     expected = kron_eigh_component_unitary(spec, cavities, qubit)
     got = component_logical_unitary(spec, cavities, qubit)
     assert np.max(np.abs(got - expected)) < 1e-12
@@ -321,12 +336,12 @@ def test_component_map_rejects_condition_outside_cavities():
         component_logical_unitary(spec, ["S1"], "Q1")
 
 
-def test_cz_coherent_conditional_parity_flip():
+def test_cz_coherent_conditional_parity_flip(params):
     """Control in |1>_L flips the parity of the target cat; |0>_L does not."""
     alpha = np.sqrt(2)
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 30, "S2": 30})
     backend = IdealBackend(layout)
-    spec = cz_coherent(alpha)
+    spec = cz_coherent(alpha, params)
     enc = cat_encoding(alpha, 30)
     even = Ket(
         enc.ket0.space, enc.ket0.amplitudes + enc.ket1.amplitudes
@@ -341,13 +356,13 @@ def test_cz_coherent_conditional_parity_flip():
         assert abs(p - expected) < 0.1
 
 
-def test_gate_norm_preserved():
+def test_gate_norm_preserved(params):
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 25, "S2": 25})
     backend = IdealBackend(layout)
     rng = np.random.default_rng(4)
     v = rng.normal(size=layout.space.dim) + 1j * rng.normal(size=layout.space.dim)
     psi = Ket(layout.space, v).normalized()
-    out = backend.apply(psi, cz_coherent(1.0))
+    out = backend.apply(psi, cz_coherent(1.0, params))
     assert abs(out.norm - 1.0) < 1e-8
 
 
@@ -672,7 +687,8 @@ def test_joint_block_unitaries_rejects_what_its_blocks_cannot_hold(params):
     qubit are refused."""
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 5})
     backend = PulseBackend(params, layout)
-    spec, _ = cz_binomial(backend, calibrate=False)
+    problem = _ToneCalibration(backend)
+    spec = problem.spec(problem.x0)
     with pytest.raises(ValidationError, match="compensation"):
         joint_block_unitaries(spec, PulseBackend(params, layout, compensate=True))
     for step in (Displacement("S1", 0.1), ConditionalRotation("Q1", 0.0, np.pi, 0.05)):
@@ -680,23 +696,22 @@ def test_joint_block_unitaries_rejects_what_its_blocks_cannot_hold(params):
             joint_block_unitaries(GateSpec("x", (step,) + spec.steps), backend)
 
 
-def test_blockwise_propagator_matches_full_evolution(params):
+def test_blockwise_propagator_matches_full_evolution(params, dense_evolve):
     """Oracle: each joint-Fock 2x2 block equals the same block of the product
-    of per-sample dense propagators exp(−i dt (H0 + u O + ū O†))."""
+    of per-sample dense propagators exp(−i dt (H0 + u O + ū O†)), for the
+    uncalibrated binomial-CZ pulse."""
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 5})
     backend = PulseBackend(params, layout)
-    spec, _ = cz_binomial(backend, calibrate=False)
+    problem = _ToneCalibration(backend)
+    spec = problem.spec(problem.x0)
     blocks = joint_block_unitaries(spec, backend)
-    op = drive_operator(layout, ("Q3", "qubit")).matrix
     cols = [
         layout.space.joint_index((q, j, k)) for j, k in blocks for q in (0, 1)
     ]
     u = np.eye(layout.space.dim, dtype=complex)[:, cols]
     for kind, pulse in backend._segments(spec):
         assert kind == "pulse"
-        for amp in pulse.channels[("Q3", "qubit")]:
-            h = LinearOp(layout.space, np.diag(backend.h0) + amp * op + np.conj(amp) * op.conj().T)
-            u = segment_propagator(h, pulse.dt).matrix @ u
+        u = dense_evolve(u, backend.h0, pulse, layout)
     for i, jk in enumerate(blocks):
         full = u[cols[2 * i : 2 * i + 2], 2 * i : 2 * i + 2]
         assert np.max(np.abs(blocks[jk] - full)) < 1e-10
@@ -750,7 +765,7 @@ def test_accumulated_phase_table_diagonal_gate():
 # Backends against dense lifted operators
 
 
-def dense_gate_unitary(layout, spec, params=None):
+def dense_gate_unitary(dense_evolve, layout, spec, params=None):
     """Oracle: the gate as one dense matrix built from lifted operators.
 
     Without params, the ideal backend: lifted displacements and the dense
@@ -764,7 +779,7 @@ def dense_gate_unitary(layout, spec, params=None):
     space = layout.space
     u = np.eye(space.dim, dtype=complex)
     if params is not None:
-        h0 = np.diag(static_hamiltonian(params, layout)).astype(complex)
+        h0 = static_hamiltonian(params, layout)
         kerr = cavity_static_diag(params, layout)
     t = 0.0
     for step in spec.steps:
@@ -776,11 +791,8 @@ def dense_gate_unitary(layout, spec, params=None):
             if isinstance(step, ConditionalRotation):
                 u = dense_conditional_rotation(layout, step).matrix @ u
             continue
-        op = drive_operator(layout, (step.qubit, "qubit")).matrix
         amps = _drive_samples(step, params, t)
-        for a in amps:
-            h = LinearOp(space, h0 + a * op + np.conj(a) * op.conj().T)
-            u = segment_propagator(h, SAMPLE_DT).matrix @ u
+        u = dense_evolve(u, h0, PulseSequence(dt=SAMPLE_DT, channels={(step.qubit, "qubit"): amps}), layout)
         span = len(amps) * SAMPLE_DT
         u = np.diag(np.exp(1j * kerr * span)) @ u
         t += span
@@ -797,12 +809,20 @@ def dense_gate_unitary(layout, spec, params=None):
     return u
 
 
+def _fast(spec):
+    """The spec with its conditional rotations at ε = 0.05, so that the
+    dense oracle plays few samples."""
+    steps = (
+        replace(s, epsilon=0.05) if isinstance(s, ConditionalRotation) else s for s in spec.steps
+    )
+    return GateSpec(spec.name, tuple(steps))
+
+
 def _backend_oracle_specs(params):
-    # a complex amplitude, so that D is not a real matrix
-    cz = cz_coherent(0.5 * np.exp(0.4j), params, epsilon=0.05)
     return {
-        "cz_coherent": cz,
-        "snap_bell": snap_bell(+1, epsilon=0.05),
+        # a complex amplitude, so that D is not a real matrix
+        "cz_coherent": _fast(cz_coherent(0.5 * np.exp(0.4j), params)),
+        "snap_bell": _fast(snap_bell(+1)),
         # a single-cavity phase gate: the only case with AC-Stark phases
         "phase_gate": GateSpec(
             "s",
@@ -815,7 +835,7 @@ def _backend_oracle_specs(params):
 
 
 @pytest.mark.parametrize("name", ["cz_coherent", "snap_bell", "phase_gate"])
-def test_backends_match_dense_lifted_oracle(params, name):
+def test_backends_match_dense_lifted_oracle(params, dense_evolve, name):
     """IdealBackend.apply, PulseBackend.apply and PulseBackend.apply_density
     (closed system) equal the dense lifted-operator gate."""
     spec = _backend_oracle_specs(params)[name]
@@ -824,11 +844,11 @@ def test_backends_match_dense_lifted_oracle(params, name):
     v = rng.normal(size=layout.space.dim) + 1j * rng.normal(size=layout.space.dim)
     psi = Ket(layout.space, v).normalized()
 
-    u = dense_gate_unitary(layout, spec)
+    u = dense_gate_unitary(dense_evolve, layout, spec)
     out = IdealBackend(layout).apply(psi, spec)
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
 
-    u = dense_gate_unitary(layout, spec, params)
+    u = dense_gate_unitary(dense_evolve, layout, spec, params)
     backend = PulseBackend(params, layout, compensate=True)
     out = backend.apply(psi, spec)
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12

@@ -4,15 +4,13 @@ import pytest
 from cavitysim import grape
 from cavitysim.device import SystemLayout, load_params, default_config_text, static_hamiltonian
 from cavitysim.errors import ValidationError
-from cavitysim.evolution import PulseSequence, evolve_pulse
+from cavitysim.evolution import PulseSequence
 from cavitysim.fock import CompositeSpace, Ket, LinearOp, fock_ket, qubit_ket, tensor
 from cavitysim.grape import (
     DEFAULT_AMPLITUDE_BOUND,
     OptimizerReport,
     TransferTask,
     optimize,
-    transfer_fidelity,
-    transfer_gradient,
 )
 
 
@@ -45,14 +43,33 @@ def _dispersive_task(n_steps=10, dim=4):
     )
 
 
-def _random_pulse(task, seed, scale=0.05):
+def _random_pulse(task, seed):
     rng = np.random.default_rng(seed)
     channels = {
-        ch: scale
+        ch: 0.05
         * (rng.standard_normal(task.n_steps) + 1j * rng.standard_normal(task.n_steps))
         for ch in task.channels
     }
     return PulseSequence(dt=task.dt, channels=channels)
+
+
+def _objective(pulse, task):
+    """GRAPE's fidelity and gradient, an (n_channels, n_steps) array, at the
+    pulse."""
+    amps = np.array([pulse.channels[ch] for ch in task.channels], dtype=complex)
+    return grape._fidelity_and_gradient(amps.reshape(len(task.channels), task.n_steps), task)
+
+
+def _fidelity(pulse, task):
+    return _objective(pulse, task)[0]
+
+
+def _dense_fidelity(dense_evolve, pulse, task):
+    """Reference: |(1/K) Σ_k ⟨target_k|U|init_k⟩|², U by the dense oracle."""
+    ins = np.stack([p[0].amplitudes for p in task.pairs], axis=1)
+    targets = np.stack([p[1].amplitudes for p in task.pairs], axis=1)
+    out = dense_evolve(ins, np.diag(task.H0.matrix).real, pulse, task.layout)
+    return float(abs(np.mean(np.sum(targets.conj() * out, axis=0))) ** 2)
 
 
 def test_exact_pi_pulse_has_unit_fidelity():
@@ -60,20 +77,28 @@ def test_exact_pi_pulse_has_unit_fidelity():
     # constant Rabi rate ε over 50 ns with ε·T = π
     eps = np.pi / 50.0
     pulse = PulseSequence(channels={("Q1", "qubit"): np.full(50, -1j * eps)})
-    f = transfer_fidelity(pulse, task)
+    f = _fidelity(pulse, task)
     assert f > 1.0 - 1e-12
 
 
 def test_zero_pulse_orthogonal_states_zero_fidelity():
     task = _qubit_task(n_steps=10)
     pulse = PulseSequence(channels={("Q1", "qubit"): np.zeros(10)})
-    assert transfer_fidelity(pulse, task) < 1e-12
+    assert _fidelity(pulse, task) < 1e-12
+
+
+@pytest.mark.parametrize("dt", [0.0, np.nan, np.inf])
+def test_transfer_task_rejects_bad_dt(dt):
+    """`dt <= 0` alone let a NaN or infinite step through."""
+    task = _qubit_task(n_steps=4)
+    with pytest.raises(ValidationError, match="dt"):
+        TransferTask(task.pairs, task.H0, task.layout, task.channels, task.n_steps, dt=dt)
 
 
 def test_fidelity_invariant_under_global_target_phase():
     task = _dispersive_task()
     pulse = _random_pulse(task, 3)
-    f1 = transfer_fidelity(pulse, task)
+    f1 = _fidelity(pulse, task)
     phase = np.exp(0.7j)
     rotated = TransferTask(
         pairs=tuple(
@@ -84,33 +109,23 @@ def test_fidelity_invariant_under_global_target_phase():
         channels=task.channels,
         n_steps=task.n_steps,
     )
-    assert abs(transfer_fidelity(pulse, rotated) - f1) < 1e-12
+    assert abs(_fidelity(pulse, rotated) - f1) < 1e-12
 
 
-def test_fidelity_matches_full_pulse_evolution():
+def test_fidelity_matches_full_pulse_evolution(dense_evolve):
     task = _dispersive_task(n_steps=8)
     pulse = _random_pulse(task, 11)
-    overlaps = []
-    for init, targ in task.pairs:
-        out = evolve_pulse(init, np.diag(task.H0.matrix).real, pulse, task.layout)
-        overlaps.append(targ.overlap(out))
-    f_direct = abs(np.mean(overlaps)) ** 2
-    assert abs(transfer_fidelity(pulse, task) - f_direct) < 1e-12
+    assert abs(_fidelity(pulse, task) - _dense_fidelity(dense_evolve, pulse, task)) < 1e-12
 
 
-def test_length_mismatch_rejected():
-    task = _qubit_task(n_steps=10)
-    pulse = PulseSequence(channels={("Q1", "qubit"): np.zeros(9)})
-    with pytest.raises(ValidationError):
-        transfer_fidelity(pulse, task)
-
-
-def test_gradient_matches_finite_differences():
+def test_gradient_matches_finite_differences(dense_evolve):
+    """GRAPE's analytic gradient against central differences of the dense
+    oracle's fidelity."""
     task = _dispersive_task(n_steps=6)
     pulse = _random_pulse(task, 7)
-    grad = transfer_gradient(pulse, task)
+    _, grad = _objective(pulse, task)
     h = 1e-6
-    for ch in task.channels:
+    for i, ch in enumerate(task.channels):
         base = pulse.channels[ch]
         for step in range(0, task.n_steps, 2):
             for direction in (1.0, 1.0j):
@@ -118,12 +133,12 @@ def test_gradient_matches_finite_differences():
                 def shifted_fidelity(delta):
                     chans = {k: np.array(v) for k, v in pulse.channels.items()}
                     chans[ch][step] = base[step] + delta
-                    return transfer_fidelity(PulseSequence(channels=chans), task)
+                    return _dense_fidelity(dense_evolve, PulseSequence(channels=chans), task)
 
                 fp = shifted_fidelity(h * direction)
                 fm = shifted_fidelity(-h * direction)
                 fd = (fp - fm) / (2 * h)
-                g = grad[ch][step]
+                g = grad[i, step]
                 analytic = g.real if direction == 1.0 else g.imag
                 assert abs(analytic - fd) < 1e-5 * max(1.0, abs(fd))
 
@@ -132,11 +147,8 @@ def test_gradient_vanishes_at_unit_fidelity():
     task = _qubit_task(n_steps=50)
     eps = np.pi / 50.0
     pulse = PulseSequence(channels={("Q1", "qubit"): np.full(50, -1j * eps)})
-    grad = transfer_gradient(pulse, task)
-    norm = np.linalg.norm(
-        np.concatenate([np.abs(grad[ch]) for ch in task.channels])
-    )
-    assert norm < 1e-6
+    _, grad = _objective(pulse, task)
+    assert np.linalg.norm(grad) < 1e-6
 
 
 def test_no_channels_means_no_gradient():
@@ -149,27 +161,37 @@ def test_no_channels_means_no_gradient():
         channels=(),
         n_steps=5,
     )
-    pulse = PulseSequence(channels={})
-    assert transfer_gradient(pulse, task) == {}
-    assert transfer_fidelity(pulse, task) == pytest.approx(1.0)
+    f, grad = _objective(PulseSequence(channels={}), task)
+    assert grad.shape == (0, 5)
+    assert f == pytest.approx(1.0)
 
 
-def test_optimize_qubit_pi_pulse():
+def test_optimize_qubit_pi_pulse(dense_evolve):
     task = _qubit_task(n_steps=50)
     pulse, report = optimize(task, max_iters=300, target_fidelity=0.9999, seed=1)
     assert report.final_fidelity >= 0.9999
     assert report.converged
     # the optimized pulse reproduces the reported fidelity
-    assert abs(transfer_fidelity(pulse, task) - report.final_fidelity) < 1e-12
-    assert np.all(np.abs(pulse.channels[("Q1", "qubit")].real) <= DEFAULT_AMPLITUDE_BOUND + 1e-12)
+    assert abs(_dense_fidelity(dense_evolve, pulse, task) - report.final_fidelity) < 1e-12
+    amps = pulse.channels[("Q1", "qubit")]
+    assert np.all(np.abs(amps.real) <= DEFAULT_AMPLITUDE_BOUND + 1e-12)
+    assert np.all(np.abs(amps.imag) <= DEFAULT_AMPLITUDE_BOUND + 1e-12)
 
 
-def test_optimize_target_zero_returns_initial_pulse():
+def _no_optimizer(*args, **kwargs):
+    raise AssertionError("the optimizer must not run")
+
+
+def test_optimize_target_zero_returns_initial_pulse(monkeypatch):
+    """A target that the seeded start already meets returns that start
+    without optimizing: the pulse that max_iters = 0 returns."""
+    monkeypatch.setattr(grape, "minimize", _no_optimizer)
     task = _qubit_task(n_steps=20)
-    init = _random_pulse(task, 5)
-    pulse, report = optimize(task, target_fidelity=0.0, initial_pulse=init)
-    assert report.iterations == 0
-    assert np.allclose(pulse.channels[("Q1", "qubit")], init.channels[("Q1", "qubit")])
+    start, _ = optimize(task, max_iters=0, target_fidelity=1.1, seed=5)
+    pulse, report = optimize(task, target_fidelity=0.0, seed=5)
+    assert report.iterations == 0 and report.converged
+    assert report.message == "initial pulse already meets the target"
+    assert np.array_equal(pulse.channels[("Q1", "qubit")], start.channels[("Q1", "qubit")])
 
 
 def test_optimize_monotone_fidelity_history():
@@ -212,9 +234,7 @@ def test_fidelity_invariant_under_commuting_rotation():
         channels=(("Q1", "qubit"),),
         n_steps=task.n_steps,
     )
-    assert abs(
-        transfer_fidelity(pulse, rotated) - transfer_fidelity(pulse, base)
-    ) < 1e-12
+    assert abs(_fidelity(pulse, rotated) - _fidelity(pulse, base)) < 1e-12
     assert v.assert_unitary(1e-9)
 
 
@@ -239,7 +259,7 @@ def test_rediscretization_consistency():
     )
     p1 = PulseSequence(channels={("Q1", "qubit"): np.full(10, u)})
     p2 = PulseSequence(channels={("Q1", "qubit"): np.full(20, 0.5 * u)})
-    assert abs(transfer_fidelity(p1, task1) - transfer_fidelity(p2, task2)) < 1e-12
+    assert abs(_fidelity(p1, task1) - _fidelity(p2, task2)) < 1e-12
 
 
 def test_report_validates_fidelity_range():
@@ -310,10 +330,9 @@ def test_batched_gradient_matches_per_step_loop():
     assert np.any(np.abs(np.diff(np.linalg.eigvalsh(task.H0.matrix))) < 1e-12)
     pulse = PulseSequence(channels=dict(zip(task.channels, amps)))
     f_ref, g_ref = _per_step_fidelity_and_gradient(amps, task)
-    assert abs(transfer_fidelity(pulse, task) - f_ref) < 1e-12
-    grad = transfer_gradient(pulse, task)
-    for i, ch in enumerate(task.channels):
-        assert np.max(np.abs(grad[ch] - g_ref[i])) < 1e-12
+    f, grad = _objective(pulse, task)
+    assert abs(f - f_ref) < 1e-12
+    assert np.max(np.abs(grad - g_ref)) < 1e-12
 
 
 def test_optimize_evaluates_each_point_once(monkeypatch):
@@ -333,23 +352,31 @@ def test_optimize_evaluates_each_point_once(monkeypatch):
     assert len(report.fidelity_history) == report.iterations + 2
 
 
-def test_optimize_zero_iterations_returns_clipped_start(monkeypatch):
-    def no_optimizer(*args, **kwargs):
-        raise AssertionError("the optimizer must not run")
+def test_optimize_zero_iterations_returns_clipped_start(monkeypatch, dense_evolve):
+    """The start is clipped to ±DEFAULT_AMPLITUDE_BOUND: drawn 100× wider
+    than optimize draws it, it comes back clipped, and that is the pulse
+    returned at max_iters = 0."""
+    draw = np.random.default_rng
 
-    monkeypatch.setattr(grape, "minimize", no_optimizer)
+    class Wide:
+        def __init__(self, seed):
+            self.rng = draw(seed)
+
+        def standard_normal(self, shape):
+            return 100.0 * self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(grape, "minimize", _no_optimizer)
+    monkeypatch.setattr(np.random, "default_rng", Wide)
     task = _qubit_task(n_steps=20)
-    init = _random_pulse(task, 5, scale=1.0)
-    bound = 0.3
-    pulse, report = optimize(
-        task, max_iters=0, target_fidelity=1.1, amplitude_bound=bound, initial_pulse=init
-    )
-    start = init.channels[("Q1", "qubit")]
+    pulse, report = optimize(task, max_iters=0, target_fidelity=1.1, seed=5)
+    bound = DEFAULT_AMPLITUDE_BOUND
+    rng = Wide(5)
+    start = 0.1 * bound * (rng.standard_normal((1, 20)) + 1j * rng.standard_normal((1, 20)))[0]
     clipped = np.clip(start.real, -bound, bound) + 1j * np.clip(start.imag, -bound, bound)
     assert np.any(clipped != start)
     assert np.array_equal(pulse.channels[("Q1", "qubit")], clipped)
     assert report.iterations == 0
-    assert report.fidelity_history == (pytest.approx(transfer_fidelity(pulse, task)),)
+    assert report.fidelity_history == (pytest.approx(_dense_fidelity(dense_evolve, pulse, task)),)
 
 
 def test_optimize_rejects_negative_max_iters():

@@ -5,7 +5,10 @@ its own definition.
 A public name that only tests reach is code that no recipe, command or
 benchmark runs: give it a caller or delete it together with its tests.  The
 `sim` commands, which click registers by decorator, and the names in ALLOWED
-are the exceptions.  The re-exports of `__init__.py` are no callers.  A
+are the exceptions.  Likewise every defaulted parameter of a public
+function or method (a public class's `__init__` included, called by the
+class name) is passed by some src call, by position or by keyword: a default
+that src never overrides is an option only tests reach.  The re-exports of `__init__.py` are no callers.  A
 method is listed as Class.method; any mention of its name outside its own
 body counts as a caller, so the check is by name only.  A class counts as
 used only where src/ instantiates, raises or subclasses it, its own factory
@@ -21,9 +24,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cavitysim"
 
 #: public names kept without a caller in src/, each with the reason
 ALLOWED = {
-    "segment_propagator": "perfbench/tracer.py observes it for its dim_max probe",
-    "transfer_gradient": "the gradient check of grape.optimize",
-    "transfer_fidelity": "the fidelity that optimize's reported final_fidelity is held to",
+    "segment_propagator": (
+        "perfbench/tracer.py observes it for its dim_max probe, and the tests' dense "
+        "per-sample oracle is a product of it"
+    ),
     "parity_op": "the fock, codes, gates and tomography tests use it as their parity oracle",
     "Ket.density": "the tomography and acceptance tests form density-matrix inputs from kets",
     "Ket.projector": "the device and gate tests build Fock-level projectors for their oracles",
@@ -83,15 +87,22 @@ def _constants(node) -> list:
     return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("_")]
 
 
+def _modules() -> list:
+    """(module name, parsed module) of every src module but `__init__.py`."""
+    return [
+        (path.stem, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"})
+    ]
+
+
 def _uncalled() -> list:
     """(module, name) of every public definition that src/ names only inside
     it: a top-level one inside its own statement, a method inside its body;
     and of every public class that src/ never instantiates, raises or
     subclasses."""
-    statements = []
-    for path in sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            statements.append((path.stem, node, _referenced(node)))
+    statements = [
+        (module, node, _referenced(node)) for module, tree in _modules() for node in tree.body
+    ]
     mentions = sum((names for _, _, names in statements), collections.Counter())
     built = sum((_built(node) for _, node, _ in statements), collections.Counter())
     out = []
@@ -124,3 +135,74 @@ def test_every_public_name_has_a_caller_in_src():
     assert not unexpected, f"public names with no caller in src/: {unexpected}"
     # an allowed name that gained a caller or was deleted leaves the list
     assert sorted(ALLOWED) == sorted(n for _, n in uncalled)
+
+
+#: defaulted parameters kept although no src call passes them, each with the reason
+ALLOWED_DEFAULTS = {
+    "main(argv)": (
+        "the console script calls main() without argv, while perfbench and the "
+        "tests pass their argument lists"
+    ),
+}
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call passes the parameter `name`, the `position`-th of the
+    callee's positional parameters (None for keyword-only ones)."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: **kwargs
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _defaulted(func: ast.FunctionDef, method: bool):
+    """(name, position) of each defaulted parameter; position indexes the
+    positional parameters a caller passes, so a method's self is not one."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    if method:
+        positional = positional[1:]
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _unpassed_defaults() -> list:
+    """The label `function(param)` or `Class.method(param)` of every
+    defaulted parameter of a public function or method that no src call
+    passes; calls match by the callee's name, as in `_uncalled`."""
+    trees = [tree for _, tree in _modules()]
+    calls = collections.defaultdict(list)
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                calls[n.func.id if isinstance(n.func, ast.Name) else n.func.attr].append(n)
+    targets = []  # (label, called name, def, is a method)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if not _is_command(node):
+                    targets.append((node.name, node.name, node, False))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if item.name == "__init__":
+                        targets.append((node.name, node.name, item, True))
+                    elif not item.name.startswith("_"):
+                        targets.append((f"{node.name}.{item.name}", item.name, item, True))
+    return [
+        f"{label}({name})"
+        for label, called, func, method in targets
+        for name, position in _defaulted(func, method)
+        if not any(_passes(c, name, position) for c in calls[called])
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_by_src():
+    unpassed = _unpassed_defaults()
+    unexpected = [p for p in unpassed if p not in ALLOWED_DEFAULTS]
+    assert not unexpected, f"defaulted parameters that no src call passes: {unexpected}"
+    # an allowed parameter that gained a caller or was deleted leaves the list
+    assert sorted(ALLOWED_DEFAULTS) == sorted(unpassed)
