@@ -186,8 +186,12 @@ def cmd_parity_sweep(config_text, output_dir, mode, delta, phis, alpha, epsilon)
         if len(parts) != 3:
             raise ValidationError("--phis expects start:stop:count")
         try:
-            offsets = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
-        except ValueError as exc:  # unparsable numbers or a negative count
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            # checked here: linspace would warn on its way to NaN offsets
+            if not np.isfinite([start, stop]).all():
+                raise ValueError("start and stop must be finite")
+            offsets = np.linspace(start, stop, count)
+        except ValueError as exc:  # unparsable or non-finite numbers, or a negative count
             raise ValidationError(f"--phis {phis!r}: {exc}") from None
     result = run_parity_sweep(
         delta=delta,
@@ -403,7 +407,7 @@ def cmd_grape_optimize(
         if dim is None:
             dim = 8
         transfer = binomial_encode_task(load_params(config_text), dim, steps)
-    pulse, report = optimize(
+    amps, report = optimize(
         transfer, max_iters=max_iters, target_fidelity=target_fidelity, seed=seed
     )
     columns = ["step"]
@@ -412,8 +416,8 @@ def cmd_grape_optimize(
     rows = []
     for k in range(transfer.n_steps):
         row = [k]
-        for ch in transfer.channels:
-            row.extend([pulse.channels[ch][k].real, pulse.channels[ch][k].imag])
+        for u in amps[:, k]:
+            row.extend([u.real, u.imag])
         rows.append(row)
     # wall time is excluded so identical runs produce identical files
     result = {

@@ -41,6 +41,7 @@ from cavitysim.evolution import (
     LindbladPropagators,
     PulseSequence,
     apply_block_rotations,
+    block_detuning_phase,
     block_rotation_gradient,
     block_rotations,
     evolve_pulse,
@@ -118,19 +119,24 @@ class Tone:
     epsilon: float
     phi: float
 
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.detuning, self.epsilon, self.phi])):
+            raise ValidationError("tone detuning, amplitude and phase must be finite")
+
 
 @dataclass(frozen=True)
 class MultitonePulse:
-    """Sum of detuned qubit tones under a shared Gaussian-flattop envelope."""
+    """Sum of detuned qubit tones under a shared Gaussian-flattop envelope
+    (`gaussian_flattop`)."""
 
     qubit: str
     tones: tuple
     duration: float
-    rise_sigma: float = 4.0  # in samples
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValidationError("pulse duration must be positive")
+        # `not x > 0` also rejects NaN
+        if not (self.duration > 0 and np.isfinite(self.duration)):
+            raise ValidationError(f"pulse duration must be finite and positive, got {self.duration}")
         object.__setattr__(self, "tones", tuple(self.tones))
 
 
@@ -247,18 +253,22 @@ class IdealBackend:
         return Ket(psi.space, self._propagate(psi.amplitudes, spec))
 
 
-def gaussian_flattop(n_steps: int, rise_sigma: float = 4.0) -> np.ndarray:
-    """Unit-height flattop envelope with Gaussian rise/fall of the given sigma
-    (in samples); the ramps span 4 sigma on each side."""
+#: Gaussian sigma, in samples, of the rise and fall of every multitone envelope
+_RISE_SIGMA = 4.0
+
+
+def gaussian_flattop(n_steps: int) -> np.ndarray:
+    """Unit-height flattop envelope with Gaussian rise/fall of sigma
+    _RISE_SIGMA samples; the ramps span 4 sigma on each side."""
     t = np.arange(n_steps) + 0.5
-    ramp = 4.0 * rise_sigma
+    ramp = 4.0 * _RISE_SIGMA
     env = np.ones(n_steps)
     if 2 * ramp >= n_steps:
         raise ValidationError("pulse too short for the envelope ramps")
     rise = t < ramp
-    env[rise] = np.exp(-0.5 * ((t[rise] - ramp) / rise_sigma) ** 2)
+    env[rise] = np.exp(-0.5 * ((t[rise] - ramp) / _RISE_SIGMA) ** 2)
     fall = t > n_steps - ramp
-    env[fall] = np.exp(-0.5 * ((t[fall] - (n_steps - ramp)) / rise_sigma) ** 2)
+    env[fall] = np.exp(-0.5 * ((t[fall] - (n_steps - ramp)) / _RISE_SIGMA) ** 2)
     return env
 
 
@@ -281,7 +291,7 @@ def _drive_samples(step, params: DeviceParams, t0: float) -> np.ndarray:
         t = t0 + (np.arange(n) + 0.5) * dt
         return eps * np.exp(1j * (step.phi_axis - delta * t))
     n = int(round(step.duration / dt))
-    env = gaussian_flattop(n, step.rise_sigma)
+    env = gaussian_flattop(n)
     t = t0 + (np.arange(n) + 0.5) * dt
     amps = np.zeros(n, dtype=complex)
     for tone in step.tones:
@@ -313,15 +323,15 @@ class PulseBackend:
 
     def _segments(self, spec: GateSpec):
         """Yield, in order, ("displace", step), ("pulse", PulseSequence) and
-        ("phase", v) items, v a diagonal unitary as its (dim,) vector; the
-        clock starts at 0."""
+        ("phase", v) items, v a diagonal unitary as its (dim,) vector; each
+        pulse drives the step's qubit, and the clock starts at 0."""
         t = 0.0
         for step in spec.steps:
             if isinstance(step, Displacement):
                 yield "displace", step
                 continue
             amps = _drive_samples(step, self.params, t)
-            yield "pulse", PulseSequence(dt=SAMPLE_DT, channels={(step.qubit, "qubit"): amps})
+            yield "pulse", PulseSequence(step.qubit, amps, SAMPLE_DT)
             span = len(amps) * SAMPLE_DT
             # the cavity-only diagonal commutes with both the dispersive
             # term and the qubit drive, so undoing it right after the
@@ -538,8 +548,9 @@ _CZ_STOP_WINDOW = 40
 _CZ_CHAIN_CHUNK = 256
 
 
-def _binomial_labels(layout: SystemLayout):
-    """The qubit and the two cavities of a binomial-CZ layout."""
+def _binomial_layout(layout: SystemLayout):
+    """The qubit and the two cavities of a binomial-CZ layout, and the
+    `qubit_blocks` indices of the _BINOMIAL_JOINT_STATES."""
     qubits, cavities = layout.qubit_labels(), layout.cavity_labels()
     if len(qubits) != 1 or len(cavities) != 2 or min(layout.mode(c).dim for c in cavities) < 5:
         sizes = {label: layout.mode(label).dim for label in layout.index}
@@ -547,7 +558,10 @@ def _binomial_labels(layout: SystemLayout):
             "the binomial CZ drives one qubit on the nine joint Fock states |j,k>, j,k in "
             f"{{0,2,4}}, of two cavities of at least 5 levels; got {sizes}"
         )
-    return qubits[0], cavities
+    others = list(layout.space.dims)
+    del others[layout.index[qubits[0]]]
+    blocks = np.ravel_multi_index(np.array(_BINOMIAL_JOINT_STATES).T, others)
+    return qubits[0], cavities, blocks
 
 
 def _block_drive_samples(spec: GateSpec, backend: PulseBackend, qubit: str) -> np.ndarray:
@@ -558,23 +572,12 @@ def _block_drive_samples(spec: GateSpec, backend: PulseBackend, qubit: str) -> n
         raise ValidationError("blockwise evaluation requires a backend without phase compensation")
     parts = []
     for kind, item in backend._segments(spec):
-        if kind != "pulse" or (qubit, "qubit") not in item.channels:
+        if kind != "pulse" or item.qubit != qubit:
             raise ValidationError(
                 "blockwise evaluation requires a displacement-free spec driving the declared qubit"
             )
-        parts.append(item.channels[(qubit, "qubit")])
+        parts.append(item.samples)
     return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
-
-
-def _binomial_block_energies(backend: PulseBackend, qubit: str):
-    """g and e energies, from the backend's h0, of the nine binomial joint
-    Fock states |j, k> of the layout's two cavities, in _BINOMIAL_JOINT_STATES
-    order."""
-    layout = backend.layout
-    others = list(layout.space.dims)
-    del others[layout.index[qubit]]
-    blocks = np.ravel_multi_index(np.array(_BINOMIAL_JOINT_STATES).T, others)
-    return qubit_blocks(backend.h0, layout, qubit)[:, blocks]
 
 
 def joint_block_unitaries(spec: GateSpec, backend: PulseBackend) -> dict:
@@ -582,18 +585,18 @@ def joint_block_unitaries(spec: GateSpec, backend: PulseBackend) -> dict:
 
     Qubit-only drives conserve the cavity photon numbers, so the full
     propagator is block diagonal over joint Fock states.  Each block is
-    e^{−i c T} [[a, −b̄], [b, ā]], with c the mean of its g and e energies in
-    the backend's static Hamiltonian and (a, b) from
-    `evolution.block_rotations` over the drive samples that `backend` plays
-    for the gate: exactly the blocks of its full-space evolution, at the
-    cost of nine.  The backend's layout holds one qubit and two cavities;
-    the backend must not compensate phases.
+    e^{−i c T} [[a, −b̄], [b, ā]], with δ and the phase e^{−i c T} from
+    `evolution.block_detuning_phase` of the backend's static Hamiltonian and
+    (a, b) from `evolution.block_rotations` over the drive samples that
+    `backend` plays for the gate: exactly the blocks of its full-space
+    evolution, at the cost of nine.  The backend's layout holds one qubit
+    and two cavities; the backend must not compensate phases.
     """
-    qubit, _ = _binomial_labels(backend.layout)
+    layout = backend.layout
+    qubit, _, blocks = _binomial_layout(layout)
     u = _block_drive_samples(spec, backend, qubit)
-    e_g, e_e = _binomial_block_energies(backend, qubit)
-    a, b = block_rotations(0.5 * (e_g - e_e), u, SAMPLE_DT)
-    phase = np.exp(-0.5j * (e_g + e_e) * len(u) * SAMPLE_DT)
+    delta, phase = block_detuning_phase(backend.h0, layout, qubit, len(u) * SAMPLE_DT, blocks)
+    a, b = block_rotations(delta, u, SAMPLE_DT)
     total = phase[:, None, None] * np.stack(
         [np.stack([a, -np.conj(b)], -1), np.stack([b, np.conj(a)], -1)], -2
     )
@@ -618,7 +621,7 @@ class _ToneCalibration:
     """
 
     def __init__(self, backend: PulseBackend):
-        qubit, cavities = _binomial_labels(backend.layout)
+        qubit, cavities, blocks = _binomial_layout(backend.layout)
         if any((c, qubit) not in backend.params.chi for c in cavities):
             raise ValidationError(f"the binomial CZ needs {qubit} coupled to both {cavities}")
         chi1, chi2 = (backend.params.chi[(c, qubit)] for c in cavities)
@@ -633,14 +636,16 @@ class _ToneCalibration:
         self.times = _CZ_NONSELECTIVE_NS + (np.arange(n_sel) + 0.5) * SAMPLE_DT
         targets = binomial_cz_targets()
         self.goals = np.exp(1j * np.array([targets[jk] for jk in _BINOMIAL_JOINT_STATES]))
-        e_g, e_e = _binomial_block_energies(backend, qubit)
-        self.delta = 0.5 * (e_g - e_e)
-        self.mean_energy = 0.5 * (e_g + e_e)
+        # δ and e^{−icT} of the joint states over the whole gate, which ends
+        # with the last selective sample
+        span = self.times[-1] + 0.5 * SAMPLE_DT
+        self.delta, self.phase = block_detuning_phase(backend.h0, backend.layout, qubit, span, blocks)
 
         # dynamical-phase seed: time spent in |e> is the nonselective pulse
         # plus roughly half the selective pulse; the tone phase enters the
         # accumulated phase with slope -1 (see the single-cavity gate
         # construction)
+        e_g, e_e = qubit_blocks(backend.h0, backend.layout, qubit)[:, blocks]
         t_e = _CZ_NONSELECTIVE_NS + 0.5 * _CZ_SELECTIVE_NS
         dyn = (-e_e * t_e) - (-e_g * t_e)
         phis0 = [
@@ -710,8 +715,7 @@ class _ToneCalibration:
             terms *= t
             pt += a_w @ terms
             qt += b_w @ terms.conj()
-        phase = np.exp(-1j * self.mean_energy * len(u) * SAMPLE_DT)  # as in joint_block_unitaries
-        d = phase[:, None] * np.concatenate([1j * (p - q), -1j * (pt - qt), p + q], axis=1)
+        d = self.phase[:, None] * np.concatenate([1j * (p - q), -1j * (pt - qt), p + q], axis=1)
         jac = np.zeros((4 * n, 3 * n))
         jac[:n], jac[n : 2 * n] = d.real, d.imag
         jac[2 * n : 3 * n, n : 2 * n] = np.eye(n) * (0.03 / self.eps_tone)

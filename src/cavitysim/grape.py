@@ -33,10 +33,12 @@ from scipy.optimize import minimize
 from cavitysim.codes import binomial_encoding, logical_ket
 from cavitysim.device import DeviceParams, SystemLayout, drive_operator, static_hamiltonian
 from cavitysim.errors import ValidationError
-from cavitysim.evolution import PulseSequence
 from cavitysim.fock import Ket, LinearOp, fock_ket, qubit_ket, tensor
 
 DEFAULT_AMPLITUDE_BOUND = 2.0 * np.pi * 50e-3  # |amplitude| cap: 50 MHz in rad/ns
+
+#: Duration (ns) of each piecewise-constant step of an optimized pulse
+_DT = 1.0
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,8 @@ class TransferTask:
 
     channels lists the drive channels available to the optimizer; each channel
     key (label, kind) resolves to a raising-type operator O, and a complex
-    amplitude u contributes u·O + u*·O† to the Hamiltonian of its segment.
+    amplitude u contributes u·O + u*·O† to the Hamiltonian of its step of
+    _DT ns.
     """
 
     pairs: tuple
@@ -53,7 +56,6 @@ class TransferTask:
     layout: SystemLayout
     channels: tuple
     n_steps: int
-    dt: float = 1.0
 
     def __post_init__(self):
         if not self.pairs:
@@ -68,9 +70,6 @@ class TransferTask:
             raise ValidationError("layout and H0 spaces must agree")
         if self.n_steps < 1:
             raise ValidationError("n_steps must be >= 1")
-        # `not x > 0` also rejects NaN
-        if not (self.dt > 0 and np.isfinite(self.dt)):
-            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "pairs", tuple(self.pairs))
         object.__setattr__(self, "channels", tuple(self.channels))
 
@@ -160,7 +159,7 @@ def _forward(amps: np.ndarray, task: TransferTask):
     for s, e in _chunks(n, d):
         drive = np.tensordot(amps[:, s:e].T, ops, axes=1)  # Σ_c u_c O_c per step
         w[s:e], v[s:e] = np.linalg.eigh(h0 + drive + drive.conj().transpose(0, 2, 1))
-        u = _propagators(w[s:e], v[s:e], task.dt)
+        u = _propagators(w[s:e], v[s:e], _DT)
         for j in range(s, e):
             fwd[j + 1] = u[j - s] @ fwd[j]
     a_mean = np.sum(np.conjugate(targ) * fwd[n], axis=0).mean()
@@ -185,7 +184,7 @@ def _loewner(w: np.ndarray, dt: float) -> np.ndarray:
 def _fidelity_and_gradient(amps: np.ndarray, task: TransferTask):
     a_mean, w, v, fwd, targ, ops = _forward(amps, task)
     n, d, k = task.n_steps, w.shape[1], targ.shape[1]
-    dt = task.dt
+    dt = _DT
     # tr(B O) = Σ_ab B_ab O_ba and tr(B O†) = Σ_ab B_ab conj(O_ab): one
     # contraction of the flattened B with these rows gives both per channel
     probes = np.concatenate([ops.transpose(0, 2, 1), ops.conj()]).reshape(-1, d * d)
@@ -232,13 +231,14 @@ def optimize(
     max_iters: int = 500,
     target_fidelity: float = 0.9999,
     seed: int = 0,
-) -> tuple[PulseSequence, OptimizerReport]:
+) -> tuple[np.ndarray, OptimizerReport]:
     """Limited-memory quasi-Newton ascent on the transfer fidelity, from a
     seeded random start.
 
-    Amplitude components are box-clipped to ±DEFAULT_AMPLITUDE_BOUND, the
-    start included.  Non-convergence is reported in the OptimizerReport,
-    never raised.
+    Returns the best amplitudes found, a complex (n_channels, n_steps) array
+    in task.channels order, and the report.  Amplitude components are
+    box-clipped to ±DEFAULT_AMPLITUDE_BOUND, the start included.
+    Non-convergence is reported in the OptimizerReport, never raised.
     """
     if max_iters < 0:
         raise ValidationError("max_iters must be >= 0")
@@ -249,11 +249,6 @@ def optimize(
     rng = np.random.default_rng(seed)
     amps0 = 0.1 * bound * (rng.standard_normal((nc, ns)) + 1j * rng.standard_normal((nc, ns)))
     amps0 = np.clip(amps0.real, -bound, bound) + 1j * np.clip(amps0.imag, -bound, bound)
-
-    def to_pulse(amps):
-        return PulseSequence(
-            dt=task.dt, channels={ch: amps[i] for i, ch in enumerate(task.channels)}
-        )
 
     start = time.perf_counter()
     grad_norms: list[float] = []
@@ -281,7 +276,7 @@ def optimize(
             message = "initial pulse already meets the target"
         else:
             message = "no control channels" if nc == 0 else "max_iters is 0"
-        return to_pulse(amps0), OptimizerReport(
+        return amps0, OptimizerReport(
             final_fidelity=min(f0, 1.0),
             iterations=0,
             gradient_norms=tuple(grad_norms),
@@ -321,7 +316,7 @@ def optimize(
 
     record(best["f"], best["g"])
     converged = best["f"] >= target_fidelity or grad_norms[-1] < 1e-8
-    return to_pulse(_unpack(best["x"], nc, ns)), OptimizerReport(
+    return _unpack(best["x"], nc, ns), OptimizerReport(
         final_fidelity=min(best["f"], 1.0),
         iterations=iterations,
         gradient_norms=tuple(grad_norms),

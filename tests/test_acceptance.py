@@ -154,15 +154,17 @@ def test_ptm_matches_brute_force_pauli_conjugation():
 
 
 def test_cavity_photon_number_decays_at_T1():
+    """|g⟩|2⟩ under every standard channel: the qubit stays in |g⟩, and the
+    photon number decays at the cavity's 1/T1."""
     t1 = PARAMS.T1["S1"]
-    layout = SystemLayout.build([], ["S1"], {"S1": 4})
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 4})
     h0 = static_hamiltonian(PARAMS, layout)
     propagators = LindbladPropagators(standard_collapses(PARAMS, layout), layout.space)
-    rho = fock_ket(layout.mode("S1"), 2).density()
-    n_op = LinearOp(layout.space, number_op(layout.mode("S1")).matrix)
+    rho = tensor([qubit_ket(0), fock_ket(layout.mode("S1"), 2)]).density()
+    n_op = layout.lift(number_op(layout.mode("S1")), "S1")
     for t in (0.5 * t1, 1.5 * t1, 3.0 * t1):
         # free evolution: one undriven sample of length t
-        idle = PulseSequence(dt=t, channels={("S1", "cavity"): [0.0]})
+        idle = PulseSequence("Q1", [0.0], t)
         out = lindblad_evolve(rho, h0, idle, propagators, layout)
         n_t = float(np.real(np.trace(out.matrix @ n_op.matrix)))
         expected = 2.0 * np.exp(-t / t1)
@@ -176,7 +178,7 @@ def test_qubit_coherence_decays_at_T2():
     plus = Ket(layout.space, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
     rho = plus.density()
     for t in (0.5 * t2, 1.5 * t2, 3.0 * t2):
-        idle = PulseSequence(dt=t, channels={("Q1", "qubit"): [0.0]})
+        idle = PulseSequence("Q1", [0.0], t)
         out = lindblad_evolve(rho, np.zeros(2), idle, propagators, layout)
         coherence = abs(out.matrix[0, 1])
         expected = 0.5 * np.exp(-t / t2)
@@ -258,8 +260,7 @@ def test_gradient_matches_finite_differences_on_random_pulses(dense_evolve):
             channels = {
                 ch: amps[ch] + scale * direction[ch] for ch in task.channels
             }
-            pulse = PulseSequence(dt=task.dt, channels=channels)
-            out = dense_evolve(init.amplitudes, h0, pulse, task.layout)
+            out = dense_evolve(init.amplitudes, h0, channels, grape._DT, task.layout)
             return abs(np.vdot(targ.amplitudes, out)) ** 2
 
         fd = (fidelity_at(h) - fidelity_at(-h)) / (2.0 * h)
@@ -281,7 +282,8 @@ def test_optimizer_reaches_encode_fidelity(dense_evolve):
     # reported fidelity reproduced by the dense reference evolution
     ins = np.stack([p[0].amplitudes for p in task.pairs], axis=1)
     targets = np.stack([p[1].amplitudes for p in task.pairs], axis=1)
-    out = dense_evolve(ins, static_hamiltonian(PARAMS, task.layout), pulse, task.layout)
+    channels = dict(zip(task.channels, pulse))
+    out = dense_evolve(ins, static_hamiltonian(PARAMS, task.layout), channels, grape._DT, task.layout)
     overlaps = np.sum(targets.conj() * out, axis=0)
     assert abs(abs(np.mean(overlaps)) ** 2 - report.final_fidelity) < 1e-10
     assert abs(overlaps[2]) ** 2 >= 0.98

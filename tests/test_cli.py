@@ -288,12 +288,9 @@ def test_bad_phis_spec_rejected(tmp_path):
         ["parity-sweep", "--phis", "0:1:-3"],
         ["parity-sweep", "--phis", "0:1:0"],
         # a non-finite offset exited 0 with NaN rows (and, for 0:inf:3, a
-        # cos-law deviation of 0.0: max(worst, nan) keeps worst); linspace
-        # forms 0·inf on its way to the NaN
-        pytest.param(
-            ["parity-sweep", "--phis", "0:inf:3"],
-            marks=pytest.mark.filterwarnings("ignore:invalid value encountered in multiply"),
-        ),
+        # cos-law deviation of 0.0: max(worst, nan) keeps worst), and later
+        # exited 1 only after linspace warned on forming 0·inf
+        ["parity-sweep", "--phis", "0:inf:3"],
         ["parity-sweep", "--phis", "nan:1:3"],
         ["parity-sweep", "--delta", "nan"],
         ["zgate-repeat", "--m-max", "-1"],
@@ -301,9 +298,11 @@ def test_bad_phis_spec_rejected(tmp_path):
     ],
     ids=lambda args: " ".join(args),
 )
+@pytest.mark.filterwarnings("error")
 def test_bad_numeric_input_exits_1(tmp_path, capsys, args):
     """NaN, empty or negative numeric inputs are usage errors (exit 1), not
-    Python exceptions, numerical failures or silent NaN/empty output."""
+    Python exceptions, numerical failures, warnings or silent NaN/empty
+    output."""
     out = tmp_path / "x"
     assert main(args + ["-o", str(out)]) == 1
     assert "error:" in capsys.readouterr().err

@@ -127,7 +127,7 @@ def test_qubit_drive_pi_pulse(params):
     eps = 0.02
     n_steps = 500
     dt = np.pi / eps / n_steps
-    pulse = PulseSequence(dt=dt, channels={("Q1", "qubit"): np.full(n_steps, eps)})
+    pulse = PulseSequence("Q1", np.full(n_steps, eps), dt)
     h0 = np.zeros(6)
     psi0 = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0)])
     out = evolve_pulse(psi0, h0, pulse, layout)
@@ -140,7 +140,6 @@ def test_qubit_drive_off_resonant_suppression(params):
     eps = 0.01
     delta = 20 * eps
     n_steps = 4000
-    ch = ("Q1", "qubit")
     t = np.arange(n_steps) + 0.5
     amps = np.full(n_steps, eps) * np.exp(-1j * delta * t)
     h0 = np.zeros(4)
@@ -149,7 +148,7 @@ def test_qubit_drive_off_resonant_suppression(params):
     max_pe = 0.0
     psi = psi0
     for chunk in range(40):
-        seg = PulseSequence(dt=1.0, channels={ch: amps[chunk * 100 : (chunk + 1) * 100]})
+        seg = PulseSequence("Q1", amps[chunk * 100 : (chunk + 1) * 100], 1.0)
         psi = evolve_pulse(psi, h0, seg, layout)
         pe = sum(
             abs(psi.amplitudes[layout.space.joint_index((1, n))]) ** 2 for n in range(2)
@@ -166,10 +165,10 @@ def test_cavity_drive_phase_convention(params, dense_evolve):
     layout = SystemLayout.build([], ["S1"], {"S1": 30})
     eps = 0.01
     t = 100.0
-    pulse = PulseSequence(dt=1.0, channels={("S1", "cavity"): np.full(100, eps)})
+    drive = {("S1", "cavity"): np.full(100, eps)}
     h0 = np.zeros(30)
     vac = fock_ket(layout.mode("S1"), 0)
-    out = Ket(layout.space, dense_evolve(vac.amplitudes, h0, pulse, layout))
+    out = Ket(layout.space, dense_evolve(vac.amplitudes, h0, drive, 1.0, layout))
     target = displacement(-1j * eps * t, layout.mode("S1")) @ fock_ket(
         layout.mode("S1"), 0
     )
@@ -181,10 +180,10 @@ def test_cavity_drive_inverse_composition(params, dense_evolve):
     layout = SystemLayout.build([], ["S1"], {"S1": 25})
     rng = np.random.default_rng(3)
     amps = 0.01 * (rng.normal(size=60) + 1j * rng.normal(size=60))
-    pulse = PulseSequence(dt=1.0, channels={("S1", "cavity"): np.concatenate([amps, -amps[::-1]])})
+    drive = {("S1", "cavity"): np.concatenate([amps, -amps[::-1]])}
     h0 = np.zeros(25)
     psi0 = fock_ket(layout.mode("S1"), 0)
-    out = Ket(layout.space, dense_evolve(psi0.amplitudes, h0, pulse, layout))
+    out = Ket(layout.space, dense_evolve(psi0.amplitudes, h0, drive, 1.0, layout))
     assert abs(abs(out.overlap(psi0)) - 1.0) < 1e-8
 
 

@@ -39,8 +39,10 @@ from cavitysim.fock import (
     expectation,
     fock_ket,
     number_op,
+    qubit_ket,
     sigma_minus,
     sigma_z,
+    tensor,
 )
 
 
@@ -51,10 +53,8 @@ def params():
 
 def _idle(layout, t):
     """A one-sample zero-amplitude pulse of length t on the layout's first
-    mode: free evolution under the static Hamiltonian for time t."""
-    label = next(iter(layout.index))
-    kind = "qubit" if layout.is_qubit(label) else "cavity"
-    return PulseSequence(dt=t, channels={(label, kind): [0.0]})
+    qubit: free evolution under the static Hamiltonian for time t."""
+    return PulseSequence(layout.qubit_labels()[0], [0.0], t)
 
 
 def _lindblad(rho, h0, pulse, cs, layout):
@@ -92,14 +92,6 @@ def test_segment_propagator_rejects_nonhermitian():
         segment_propagator(h, 1.0)
 
 
-def test_empty_pulse_is_identity():
-    layout = SystemLayout.build([], ["S1"], {"S1": 5})
-    h0 = np.zeros(5)
-    psi = coherent(0.5, layout.mode("S1"))
-    out = evolve_pulse(psi, h0, PulseSequence(), layout)
-    assert np.allclose(out.amplitudes, psi.amplitudes)
-
-
 @pytest.mark.parametrize(
     "h0",
     [np.zeros((10, 10)), np.zeros(11), np.zeros(10, dtype=complex), LinearOp.identity(
@@ -110,7 +102,7 @@ def test_empty_pulse_is_identity():
 def test_evolve_pulse_rejects_h0_not_an_energy_vector(h0):
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 5})
     psi = Ket(layout.space, np.eye(10)[0])
-    pulse = PulseSequence(dt=1.0, channels={("Q1", "qubit"): np.full(4, 0.01)})
+    pulse = PulseSequence("Q1", np.full(4, 0.01), 1.0)
     with pytest.raises(ValidationError):
         evolve_pulse(psi, h0, pulse, layout)
     with pytest.raises(ValidationError):
@@ -125,9 +117,9 @@ def test_pulse_displacement_matches_operator(dense_evolve):
     # constant drive engineered for D(sqrt(2)): D(−iεt) = D(√2) at ε t = i√2
     t, n = 200.0, 200
     eps = 1j * np.sqrt(2) / t
-    pulse = PulseSequence(dt=t / n, channels={("S1", "cavity"): np.full(n, eps)})
+    drive = {("S1", "cavity"): np.full(n, eps)}
     h0 = np.zeros(30)
-    out = Ket(layout.space, dense_evolve(fock_ket(spec, 0).amplitudes, h0, pulse, layout))
+    out = Ket(layout.space, dense_evolve(fock_ket(spec, 0).amplitudes, h0, drive, t / n, layout))
     target = displacement(np.sqrt(2), spec) @ fock_ket(spec, 0)
     assert abs(out.overlap(target)) ** 2 > 0.9999
 
@@ -136,26 +128,25 @@ def test_pulse_norm_preserved():
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 10})
     rng = np.random.default_rng(5)
     aq = 0.01 * (rng.normal(size=300) + 1j * rng.normal(size=300))
-    pulse = PulseSequence(dt=1.0, channels={("Q1", "qubit"): aq})
+    pulse = PulseSequence("Q1", aq, 1.0)
     h0 = rng.normal(size=20) * 0.01
     psi = Ket(layout.space, rng.normal(size=20) + 1j * rng.normal(size=20)).normalized()
     out = evolve_pulse(psi, h0, pulse, layout)
     assert abs(out.norm - 1.0) < 1e-8
 
 
-@pytest.mark.parametrize(
-    "channels",
-    [(("S1", "cavity"),), (("Q1", "qubit"), ("S1", "cavity")), (("Q1", "qubit"), ("Q2", "qubit"))],
-    ids=["cavity", "qubit-and-cavity", "two-qubits"],
-)
-def test_evolve_pulse_refuses_all_but_a_one_qubit_drive(channels):
-    """`evolve_pulse` plays the drive of exactly one qubit; a cavity drive or
-    a second driven mode is a ValidationError, not a silent dense solve."""
+@pytest.mark.parametrize("label", ["S1", "Q9"], ids=["cavity", "absent"])
+def test_evolve_pulse_refuses_all_but_a_one_qubit_drive(label):
+    """A pulse drives one qubit of the layout: one on a cavity or on a label
+    the layout lacks is a ValidationError in both evolutions."""
     layout = SystemLayout.build(["Q1", "Q2"], ["S1"], {"S1": 3})
     psi = Ket(layout.space, np.eye(layout.space.dim)[0])
-    pulse = PulseSequence(dt=1.0, channels={ch: np.full(5, 0.01) for ch in channels})
-    with pytest.raises(ValidationError, match="one qubit"):
-        evolve_pulse(psi, np.zeros(layout.space.dim), pulse, layout)
+    pulse = PulseSequence(label, np.full(5, 0.01), 1.0)
+    h0 = np.zeros(layout.space.dim)
+    with pytest.raises(ValidationError, match="not a qubit"):
+        evolve_pulse(psi, h0, pulse, layout)
+    with pytest.raises(ValidationError, match="not a qubit"):
+        _lindblad(psi.density(), h0, pulse, CollapseSet(()), layout)
 
 
 @pytest.mark.parametrize("dt", [0.0, -5.0, np.nan, np.inf, -np.inf])
@@ -164,7 +155,7 @@ def test_pulse_sequence_rejects_bad_dt(dt):
     through, and a NaN or infinite period made `evolve_pulse` return NaN
     amplitudes.  The duration of a free Lindblad evolution is this dt."""
     with pytest.raises(ValidationError, match="dt"):
-        PulseSequence(dt=dt, channels={("Q1", "qubit"): np.full(3, 0.01)})
+        PulseSequence("Q1", np.full(3, 0.01), dt)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(-np.inf, 0.0)])
@@ -172,7 +163,24 @@ def test_pulse_sequence_rejects_non_finite_samples(bad):
     amps = np.full(4, 0.01, dtype=complex)
     amps[2] = bad
     with pytest.raises(ValidationError, match="non-finite"):
-        PulseSequence(dt=1.0, channels={("Q1", "qubit"): amps})
+        PulseSequence("Q1", amps, 1.0)
+
+
+@pytest.mark.parametrize("samples", [[], np.zeros((2, 5))], ids=["empty", "two-rows"])
+def test_pulse_sequence_holds_one_qubits_samples(samples):
+    """A pulse is one qubit's 1-D, non-empty samples: an empty pulse or one
+    row of samples per channel is a ValidationError."""
+    with pytest.raises(ValidationError, match="1-D, non-empty"):
+        PulseSequence("Q1", samples, 1.0)
+
+
+def test_pulse_sequence_keeps_a_frozen_copy():
+    amps = np.full(3, 0.01, dtype=complex)
+    pulse = PulseSequence("Q1", amps, 1.0)
+    amps[0] = 1.0
+    assert pulse.samples[0] == 0.01
+    with pytest.raises(ValueError):
+        pulse.samples[0] = 1.0
 
 
 def test_dephasing_rate_values():
@@ -209,33 +217,33 @@ def test_standard_collapses_infinite_times():
     assert len(standard_collapses(p, layout)) == 0
 
 
-def test_lindblad_empty_collapses_matches_unitary(dense_evolve):
-    """Without collapses, one 50 ns sample driving both modes is the dense
+def test_lindblad_empty_collapses_matches_unitary(dense_play):
+    """Without collapses, one 50 ns sample driving the qubit is the dense
     oracle's unitary."""
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 6})
     rng = np.random.default_rng(2)
     h0 = rng.normal(size=12) * 0.01
-    pulse = PulseSequence(
-        dt=50.0, channels={("Q1", "qubit"): [0.013 - 0.004j], ("S1", "cavity"): [0.006j]}
-    )
+    pulse = PulseSequence("Q1", [0.013 - 0.004j], 50.0)
     psi = Ket(layout.space, rng.normal(size=12) + 1j * rng.normal(size=12)).normalized()
     rho = _lindblad(psi.density(), h0, pulse, CollapseSet(()), layout)
-    target = dense_evolve(psi.amplitudes, h0, pulse, layout)
+    target = dense_play(psi.amplitudes, h0, pulse, layout)
     fid = np.real(np.vdot(target, rho.matrix @ target))
     assert fid > 1 - 1e-8
 
 
 def test_lindblad_cavity_amplitude_damping():
-    spec = ModeSpec.bosonic(12)
-    layout = SystemLayout.build([], ["S1"], {"S1": 12})
+    """A coherent state in S1 next to an undriven qubit in |g⟩ loses its
+    photons at 1/T1."""
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 12})
+    spec = layout.mode("S1")
     t1 = 2000.0
-    a = annihilation(spec)
-    cs = CollapseSet(((LinearOp(layout.space, a.matrix), 1.0 / t1),))
-    psi = coherent(1.5, spec)
-    n0 = expectation(psi, number_op(spec)).real
+    cs = CollapseSet(((layout.lift(annihilation(spec), "S1"), 1.0 / t1),))
+    psi = tensor([qubit_ket(0), coherent(1.5, spec)])
+    n0 = expectation(coherent(1.5, spec), number_op(spec)).real
+    n_op = layout.lift(number_op(spec), "S1").matrix
     for t in (500.0, 1500.0):
-        rho = _lindblad(psi.density(), np.zeros(12), _idle(layout, t), cs, layout)
-        n = np.real(np.trace(rho.matrix @ number_op(spec).matrix))
+        rho = _lindblad(psi.density(), np.zeros(24), _idle(layout, t), cs, layout)
+        n = np.real(np.trace(rho.matrix @ n_op))
         assert abs(n - n0 * np.exp(-t / t1)) < 1e-6
 
 
@@ -296,7 +304,7 @@ def test_collapse_set_rejects_non_finite_or_negative_rate(rate):
 def test_unitary_and_lindblad_paths_agree_on_pulse(params):
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 4})
     h0 = static_hamiltonian(params, layout)
-    pulse = PulseSequence(dt=1.0, channels={("Q1", "qubit"): np.full(400, 0.004)})
+    pulse = PulseSequence("Q1", np.full(400, 0.004), 1.0)
     psi0 = Ket(layout.space, np.zeros(8))
     v = np.zeros(8, dtype=complex)
     v[layout.space.joint_index((0, 1))] = 1.0
@@ -307,7 +315,7 @@ def test_unitary_and_lindblad_paths_agree_on_pulse(params):
     assert fid > 1 - 1e-7
 
 
-def test_blockwise_fast_path_matches_dense_segment_product(params, dense_evolve):
+def test_blockwise_fast_path_matches_dense_segment_product(params, dense_play):
     """Oracle: evolve_pulse's blockwise kernel equals the product of
     per-sample dense propagators exp(−i dt (H0 + u O + ū O†))."""
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 4, "S2": 3})
@@ -320,11 +328,11 @@ def test_blockwise_fast_path_matches_dense_segment_product(params, dense_evolve)
     rng = np.random.default_rng(11)
     amps = 0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n))
     amps[rng.random(n) < 0.2] = 0.0  # zero samples take the ω = 0 branch
-    pulse = PulseSequence(dt=0.7, channels={("Q3", "qubit"): amps})
+    pulse = PulseSequence("Q3", amps, 0.7)
     v = rng.normal(size=layout.space.dim) + 1j * rng.normal(size=layout.space.dim)
     psi = Ket(layout.space, v).normalized()
 
-    ref = dense_evolve(psi.amplitudes, h0, pulse, layout)
+    ref = dense_play(psi.amplitudes, h0, pulse, layout)
     out = evolve_pulse(psi, h0, pulse, layout)
     assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
@@ -386,11 +394,9 @@ def test_lindblad_pulse_matches_dense_oracle(params):
     cs = _all_channel_kinds(layout)
     h0 = static_hamiltonian(params, layout)
     # runs of identical steps, each run one merged solver segment
-    runs = [(0.02, 0.0, 3), (0.01j, 0.003, 2), (0.0, 0.0, 4), (-0.015, 0.002j, 3)]
-    q = np.concatenate([np.full(n, u) for u, _, n in runs])
-    c = np.concatenate([np.full(n, v) for _, v, n in runs])
-    chq, chc = ("Q1", "qubit"), ("S1", "cavity")
-    pulse = PulseSequence(dt=10.0, channels={chq: q, chc: c})
+    runs = [(0.02, 3), (0.01j, 2), (0.0, 4), (-0.015, 3)]
+    ch = ("Q1", "qubit")
+    pulse = PulseSequence("Q1", np.concatenate([np.full(n, u) for u, n in runs]), 10.0)
     rng = np.random.default_rng(4)
     rho0 = _random_density(rng, 12)
 
@@ -398,22 +404,16 @@ def test_lindblad_pulse_matches_dense_oracle(params):
 
     # exact oracle: expm of the dense generator, built column by column from
     # the dense right-hand side, once per run
-    opq = drive_operator(layout, chq).matrix
-    opc = drive_operator(layout, chc).matrix
+    op = drive_operator(layout, ch).matrix
     y = rho0.reshape(-1)
-    for u, v, n in runs:
-        h = np.diag(h0) + u * opq + v * opc
-        h = h + (u * opq + v * opc).conj().T
+    for u, n in runs:
+        h = np.diag(h0) + u * op + np.conj(u) * op.conj().T
         rhs = _dense_rhs(h, cs)
         gen = np.stack([rhs(0.0, e) for e in np.eye(144, dtype=complex)], axis=1)
         y = expm(gen * n * pulse.dt) @ y
     ref = y.reshape(12, 12)
     ref = 0.5 * (ref + ref.conj().T)
     assert np.max(np.abs(out.matrix - ref)) < 1e-12
-    # a cavity drive changes photon number: 𝓛 is one component of all 144
-    # elements, its own mirror
-    (idx, mirror), = liouvillian_components(liouvillian(h, lindblad_dissipator(cs, 12)))
-    assert len(idx) == 144 and mirror is None
 
 
 def test_lindblad_matches_rk45_on_selective_drive(params):
@@ -426,7 +426,7 @@ def test_lindblad_matches_rk45_on_selective_drive(params):
     # 40 ns idle, a 500 ns π pulse resonant with the qubit at zero photons, 40 ns idle
     runs = [(0.0, 40), (np.pi / 500.0, 500), (0.0, 40)]
     ch = ("Q1", "qubit")
-    pulse = PulseSequence(dt=1.0, channels={ch: np.concatenate([np.full(n, u) for u, n in runs])})
+    pulse = PulseSequence("Q1", np.concatenate([np.full(n, u) for u, n in runs]), 1.0)
     rho0 = _random_density(np.random.default_rng(8), 12)
 
     out = _lindblad(DensityOp(layout.space, rho0), h0, pulse, cs, layout)
@@ -452,7 +452,7 @@ def _qubit_driven_runs(params, levels):
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": levels})
     h0 = static_hamiltonian(params, layout)
     q = np.concatenate([np.full(3, 0.02), np.zeros(4), np.full(2, 0.01j - 0.005)])
-    return layout, h0, PulseSequence(dt=10.0, channels={("Q1", "qubit"): q})
+    return layout, h0, PulseSequence("Q1", q, 10.0)
 
 
 def _expm_multiply_oracle(rho0, h0, pulse, layout, cs):

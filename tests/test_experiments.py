@@ -1,4 +1,5 @@
 import collections
+import contextlib
 
 import numpy as np
 import pytest
@@ -45,6 +46,38 @@ def test_parity_sweep_ideal_matches_cos_law():
     by_phi = {round(p, 9): v for p, v, _ in rows}
     assert abs(by_phi[0.0] + 1.0) < 1e-6
     assert abs(by_phi[round(np.pi, 9)] - 1.0) < 1e-6
+
+
+def test_parity_sweep_is_symmetric_in_alpha():
+    """Parity is symmetric under α → −α: the truncation holds |2α| either
+    way (a signed 2α gave dim 14 for −1.2, and a deviation of 6.78e-3
+    against 6.30e-3 at +1.2)."""
+    phis = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+    with pytest.warns(UserWarning, match="logical basis overlap"):
+        dev = [
+            run_parity_sweep(mode="ideal", phis=phis, alpha=a).summary["max_abs_deviation_from_cos_law"]
+            for a in (1.2, -1.2)
+        ]
+    assert abs(dev[0].value - dev[1].value) < 1e-9
+    assert dev[0].tolerance == dev[1].tolerance
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.2, 1.6, 1.9, 2.2, 2.8])
+def test_parity_sweep_ideal_tolerance_bounds_the_component_overlap(alpha):
+    """The ideal deviation is the overlap 2e^{−4α²} of the code components
+    above a ~5e-10 floor; the reported tolerance bounds it at every α and is
+    1e-6 at the default α = 2.8 (it read 1e-6 next to 6.3e-3 at α = 1.2)."""
+    phis = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+    # up to |α| = 1.2 the components overlap by e^{−2α²} > 0.05, which
+    # cat_encoding warns about
+    with pytest.warns(UserWarning, match="logical basis overlap") if alpha <= 1.2 else contextlib.nullcontext():
+        r = run_parity_sweep(mode="ideal", phis=phis, alpha=alpha)
+    s = r.summary["max_abs_deviation_from_cos_law"]
+    overlap = 2.0 * np.exp(-4.0 * alpha**2)
+    assert s.value < s.tolerance
+    assert s.tolerance == max(1e-6, 2.0 * overlap)
+    if overlap > 1e-6:
+        assert abs(s.value - overlap) < 1e-3 * overlap
 
 
 def test_parity_sweep_pulse_within_tolerance():

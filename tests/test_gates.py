@@ -134,7 +134,6 @@ def test_gate_spec_serialization_roundtrip():
                 "type": "multitone_pulse",
                 "qubit": "Q1",
                 "duration": 500.0,
-                "rise_sigma": 4.0,
                 "tones": [
                     {"detuning": -0.01, "epsilon": 0.002, "phi": 1.2},
                     {"detuning": 0.0, "epsilon": 0.001, "phi": -0.4},
@@ -165,6 +164,23 @@ def test_gate_step_validation():
     ):
         with pytest.raises(ValidationError, match="must be finite"):
             ConditionalRotation("Q1", phi, theta, eps, (("S1", 0),), detuning=detuning)
+
+
+@pytest.mark.parametrize("duration", [0.0, -300.0, np.nan, np.inf])
+def test_multitone_pulse_rejects_bad_duration(duration):
+    """`duration <= 0` alone let NaN and ∞ through, to a bare ValueError
+    (NaN) or OverflowError (∞) when the pulse backend formed its samples."""
+    with pytest.raises(ValidationError, match="duration"):
+        MultitonePulse("Q1", (Tone(0.0, 0.001, 0.0),), duration)
+
+
+@pytest.mark.parametrize(
+    "fields", [(np.nan, 0.001, 0.0), (0.0, np.inf, 0.0), (0.0, 0.001, -np.inf)],
+    ids=["detuning", "epsilon", "phi"],
+)
+def test_tone_rejects_non_finite_fields(fields):
+    with pytest.raises(ValidationError, match="must be finite"):
+        Tone(*fields)
 
 
 def test_conditional_rotation_selectivity_guards(params):
@@ -404,13 +420,13 @@ def test_ideal_backend_rejects_invalid_condition(driven, condition):
 
 
 def test_gaussian_flattop_envelope():
-    env = gaussian_flattop(400, 4.0)
+    env = gaussian_flattop(400)
     assert np.max(env) <= 1.0
     assert abs(env[200] - 1.0) < 1e-12
     assert np.allclose(env, env[::-1])
     assert env[0] < 0.01
     with pytest.raises(ValidationError):
-        gaussian_flattop(20, 4.0)
+        gaussian_flattop(20)
 
 
 def test_pulse_conditional_rotation_leakage_bound(params):
@@ -696,7 +712,7 @@ def test_joint_block_unitaries_rejects_what_its_blocks_cannot_hold(params):
             joint_block_unitaries(GateSpec("x", (step,) + spec.steps), backend)
 
 
-def test_blockwise_propagator_matches_full_evolution(params, dense_evolve):
+def test_blockwise_propagator_matches_full_evolution(params, dense_play):
     """Oracle: each joint-Fock 2x2 block equals the same block of the product
     of per-sample dense propagators exp(−i dt (H0 + u O + ū O†)), for the
     uncalibrated binomial-CZ pulse."""
@@ -711,7 +727,7 @@ def test_blockwise_propagator_matches_full_evolution(params, dense_evolve):
     u = np.eye(layout.space.dim, dtype=complex)[:, cols]
     for kind, pulse in backend._segments(spec):
         assert kind == "pulse"
-        u = dense_evolve(u, backend.h0, pulse, layout)
+        u = dense_play(u, backend.h0, pulse, layout)
     for i, jk in enumerate(blocks):
         full = u[cols[2 * i : 2 * i + 2], 2 * i : 2 * i + 2]
         assert np.max(np.abs(blocks[jk] - full)) < 1e-10
@@ -765,7 +781,7 @@ def test_accumulated_phase_table_diagonal_gate():
 # Backends against dense lifted operators
 
 
-def dense_gate_unitary(dense_evolve, layout, spec, params=None):
+def dense_gate_unitary(dense_play, layout, spec, params=None):
     """Oracle: the gate as one dense matrix built from lifted operators.
 
     Without params, the ideal backend: lifted displacements and the dense
@@ -792,7 +808,7 @@ def dense_gate_unitary(dense_evolve, layout, spec, params=None):
                 u = dense_conditional_rotation(layout, step).matrix @ u
             continue
         amps = _drive_samples(step, params, t)
-        u = dense_evolve(u, h0, PulseSequence(dt=SAMPLE_DT, channels={(step.qubit, "qubit"): amps}), layout)
+        u = dense_play(u, h0, PulseSequence(step.qubit, amps, SAMPLE_DT), layout)
         span = len(amps) * SAMPLE_DT
         u = np.diag(np.exp(1j * kerr * span)) @ u
         t += span
@@ -835,7 +851,7 @@ def _backend_oracle_specs(params):
 
 
 @pytest.mark.parametrize("name", ["cz_coherent", "snap_bell", "phase_gate"])
-def test_backends_match_dense_lifted_oracle(params, dense_evolve, name):
+def test_backends_match_dense_lifted_oracle(params, dense_play, name):
     """IdealBackend.apply, PulseBackend.apply and PulseBackend.apply_density
     (closed system) equal the dense lifted-operator gate."""
     spec = _backend_oracle_specs(params)[name]
@@ -844,11 +860,11 @@ def test_backends_match_dense_lifted_oracle(params, dense_evolve, name):
     v = rng.normal(size=layout.space.dim) + 1j * rng.normal(size=layout.space.dim)
     psi = Ket(layout.space, v).normalized()
 
-    u = dense_gate_unitary(dense_evolve, layout, spec)
+    u = dense_gate_unitary(dense_play, layout, spec)
     out = IdealBackend(layout).apply(psi, spec)
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
 
-    u = dense_gate_unitary(dense_evolve, layout, spec, params)
+    u = dense_gate_unitary(dense_play, layout, spec, params)
     backend = PulseBackend(params, layout, compensate=True)
     out = backend.apply(psi, spec)
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12

@@ -7,8 +7,10 @@ benchmark runs: give it a caller or delete it together with its tests.  The
 `sim` commands, which click registers by decorator, and the names in ALLOWED
 are the exceptions.  Likewise every defaulted parameter of a public
 function or method (a public class's `__init__` included, called by the
-class name) is passed by some src call, by position or by keyword: a default
-that src never overrides is an option only tests reach.  The re-exports of `__init__.py` are no callers.  A
+class name, and a public dataclass's fields with defaults, which are the
+parameters of its generated `__init__`) is passed by some src call, by
+position or by keyword: a default that src never overrides is an option only
+tests reach.  The re-exports of `__init__.py` are no callers.  A
 method is listed as Class.method; any mention of its name outside its own
 body counts as a caller, so the check is by name only.  A class counts as
 used only where src/ instantiates, raises or subclasses it, its own factory
@@ -168,6 +170,33 @@ def _defaulted(func: ast.FunctionDef, method: bool):
     return out
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether the class is decorated with `dataclass` or `dataclass(...)`."""
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _defaulted_fields(node: ast.ClassDef):
+    """(name, position) of each field with a default of a dataclass: the
+    annotated class attributes are the parameters of its `__init__`, in
+    order, and `field(init=False)` leaves one out."""
+    fields = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) == "field"
+            and any(k.arg == "init" and getattr(k.value, "value", True) is False for k in value.keywords)
+        ):
+            continue
+        fields.append((item.target.id, value is not None))
+    return [(name, i) for i, (name, defaulted) in enumerate(fields) if defaulted]
+
+
 def _unpassed_defaults() -> list:
     """The label `function(param)` or `Class.method(param)` of every
     defaulted parameter of a public function or method that no src call
@@ -178,24 +207,26 @@ def _unpassed_defaults() -> list:
         for n in ast.walk(tree):
             if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
                 calls[n.func.id if isinstance(n.func, ast.Name) else n.func.attr].append(n)
-    targets = []  # (label, called name, def, is a method)
+    targets = []  # (label, called name, defaulted (name, position) pairs)
     for tree in trees:
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 if not _is_command(node):
-                    targets.append((node.name, node.name, node, False))
+                    targets.append((node.name, node.name, _defaulted(node, False)))
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if _is_dataclass(node):
+                    targets.append((node.name, node.name, _defaulted_fields(node)))
                 for item in node.body:
                     if not isinstance(item, ast.FunctionDef):
                         continue
                     if item.name == "__init__":
-                        targets.append((node.name, node.name, item, True))
+                        targets.append((node.name, node.name, _defaulted(item, True)))
                     elif not item.name.startswith("_"):
-                        targets.append((f"{node.name}.{item.name}", item.name, item, True))
+                        targets.append((f"{node.name}.{item.name}", item.name, _defaulted(item, True)))
     return [
         f"{label}({name})"
-        for label, called, func, method in targets
-        for name, position in _defaulted(func, method)
+        for label, called, params in targets
+        for name, position in params
         if not any(_passes(c, name, position) for c in calls[called])
     ]
 
