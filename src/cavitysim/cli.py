@@ -36,7 +36,7 @@ from cavitysim.experiments import (
     run_snap_bell,
     run_zgate_repetition,
 )
-from cavitysim.fock import LinearOp, ModeSpec, fock_ket, qubit_ket, recommended_dim
+from cavitysim.fock import ModeSpec, fock_ket, qubit_ket, recommended_dim
 from cavitysim.grape import TransferTask, binomial_encode_task, optimize
 from cavitysim.readout import (
     correct_readout,
@@ -393,12 +393,11 @@ def cmd_grape_optimize(
         if steps is None:
             steps = 60
         layout = SystemLayout.build(["Q1"], [], {})
-        h0 = LinearOp(layout.space, np.zeros((2, 2)))
         transfer = TransferTask(
             pairs=((qubit_ket(0), qubit_ket(1)),),
-            H0=h0,
+            H0=np.zeros(2),
             layout=layout,
-            channels=(("Q1", "qubit"),),
+            channels=("Q1",),
             n_steps=steps,
         )
     else:
@@ -411,7 +410,8 @@ def cmd_grape_optimize(
         transfer, max_iters=max_iters, target_fidelity=target_fidelity, seed=seed
     )
     columns = ["step"]
-    for label, kind in transfer.channels:
+    for label in transfer.channels:
+        kind = "qubit" if transfer.layout.is_qubit(label) else "cavity"
         columns.extend([f"{label}_{kind}_re", f"{label}_{kind}_im"])
     rows = []
     for k in range(transfer.n_steps):

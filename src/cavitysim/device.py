@@ -3,7 +3,7 @@
 Everything is expressed in the rotating frame of each mode's bare frequency,
 so only dispersive shifts and Kerr nonlinearities survive in the static
 Hamiltonian.  Units: angular frequencies in rad/ns, times in ns.  Config files
-carry lab units (GHz, chi/2pi in MHz, us) and are converted on load.
+carry lab units (chi/2pi in MHz, us) and are converted on load.
 
 Readout resonators are never quantum factors here; their effect enters only
 through the classical assignment-matrix model in the readout module.
@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cavitysim.errors import ValidationError
-from cavitysim.fock import (
-    CompositeSpace,
-    LinearOp,
-    ModeSpec,
-    annihilation,
-    embed,
-    sigma_plus,
-)
+from cavitysim.fock import CompositeSpace, LinearOp, ModeSpec, embed
 
 MHZ = 2.0 * math.pi * 1e-3  # chi/2pi in MHz -> rad/ns
 US = 1e3  # us -> ns
@@ -38,17 +31,17 @@ COUPLED_PAIRS = (("S1", "Q1"), ("S1", "Q3"), ("S2", "Q2"), ("S2", "Q3"))
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Measured device parameters: frequencies, couplings, coherence times.
+    """Measured device parameters: couplings, nonlinearities, coherence times.
 
     chi maps coupled (cavity, qubit) pairs to dispersive shifts in rad/ns;
-    kerr maps cavity labels to self-Kerr K in rad/ns; T1/T2 are in ns.
+    kerr maps cavity labels to self-Kerr K in rad/ns; T1/T2 are in ns.  The
+    model works in the rotating frame and reads out through an assignment
+    matrix, so neither bare frequencies nor readout shifts are parameters.
     """
 
-    freq_GHz: dict
     chi: dict  # (cavity, qubit) -> rad/ns
     kerr: dict  # cavity -> rad/ns
     cross_kerr: float  # S1-S2, rad/ns
-    chi_readout: dict  # qubit -> rad/ns (unused by the Hamiltonian)
     T1: dict  # label -> ns
     T2: dict  # label -> ns, Ramsey T2*
 
@@ -76,14 +69,15 @@ class DeviceParams:
 def load_params(config_text: str | None = None) -> DeviceParams:
     """Parse a device config.  With no argument, loads the bundled default.
 
-    T2 is the Ramsey T2* of the [T2_us] table; a [T2echo_us] table is not read.
+    T2 is the Ramsey T2* of the [T2_us] table.  The [frequencies_GHz] and
+    [T2echo_us] tables and the readout entries R*_Q* of [chi_MHz] are not
+    read.
     """
     if config_text is None:
         config_text = default_config_text()
     cp = configparser.ConfigParser()
     cp.read_string(config_text)
     try:
-        freq = {k.upper(): float(v) for k, v in cp["frequencies_GHz"].items()}
         chi_raw = {k.upper(): float(v) for k, v in cp["chi_MHz"].items()}
         kerr = {k.upper(): float(v) * MHZ for k, v in cp["kerr_MHz"].items()}
         t1 = {k.upper(): float(v) * US for k, v in cp["T1_us"].items()}
@@ -92,14 +86,13 @@ def load_params(config_text: str | None = None) -> DeviceParams:
         raise ValidationError(f"config is missing section {exc}") from exc
 
     chi = {}
-    chi_readout = {}
     cross_kerr = 0.0
     for key, val in chi_raw.items():
         a, _, b = key.partition("_")
         if a.startswith("S") and b.startswith("Q"):
             chi[(a, b)] = val * MHZ
         elif a.startswith("R") and b.startswith("Q"):
-            chi_readout[b] = val * MHZ
+            continue
         elif a.startswith("S") and b.startswith("S"):
             cross_kerr = val * MHZ
         else:
@@ -110,11 +103,9 @@ def load_params(config_text: str | None = None) -> DeviceParams:
         raise ValidationError(f"config missing chi entries: {required - set(chi)}")
 
     return DeviceParams(
-        freq_GHz=freq,
         chi=chi,
         kerr=kerr,
         cross_kerr=cross_kerr,
-        chi_readout=chi_readout,
         T1=t1,
         T2=t2,
     )
@@ -201,8 +192,7 @@ def static_hamiltonian(params: DeviceParams, layout: SystemLayout) -> np.ndarray
     H = − Σ χ_{si,qj} |e_j⟩⟨e_j| n_i − Σ (K_i/2) a†a†aa − χ_12 n_1 n_2,
     restricted to the labels present in the layout.  Every term is diagonal
     in the joint Fock basis, so H is held as its diagonal, broadcast from the
-    per-factor level numbers; wrap it as LinearOp(space, np.diag(H)) where a
-    dense operator is needed.
+    per-factor level numbers.
     """
     n = _levels(layout)
     diag = np.zeros(layout.space.dims)
@@ -220,13 +210,3 @@ def cavity_static_diag(params: DeviceParams, layout: SystemLayout) -> np.ndarray
     """
     return _minus_cavity_terms(np.zeros(layout.space.dims), params, _levels(layout))
 
-
-def drive_operator(layout: SystemLayout, channel) -> LinearOp:
-    """Raising-type operator O for a channel; a segment amplitude u contributes
-    u·O + u*·O†."""
-    label, kind = channel
-    if kind == "qubit":
-        return 0.5 * layout.lift(sigma_plus(), label)
-    if kind == "cavity":
-        return layout.lift(annihilation(layout.mode(label)).dag(), label)
-    raise ValidationError(f"unknown drive kind {kind!r}")

@@ -232,7 +232,9 @@ def run_parity_sweep(
 
     For δ = 0 the ideal-mode curve follows P = cos(π + φ) up to the overlap
     2e^{−4α²} of the code components |0⟩ and |2α⟩, which sets the reported
-    ideal-mode tolerance; at the default amplitude it is below 1e−13.
+    ideal-mode tolerance; at the default amplitude it is below 1e−13.  An
+    ideal sweep at |α| ≤ √(ln 2)/2, where that tolerance reaches 2 and so
+    cannot fail, is a ValidationError.
     """
     if not np.isfinite(delta):
         raise ValidationError("read-out phase delta must be finite")
@@ -244,6 +246,15 @@ def run_parity_sweep(
         raise ValidationError("the sweep needs at least one axis offset")
     if alpha is None:
         alpha = 2.8 if mode == "ideal" else float(np.sqrt(2.0))
+    # the ideal deviation is the overlap 2e^{−4α²} (to 1e-5 relative for |α|
+    # in [1, 1.8]) above a floor below 6e-10: twice it, and at least 1e-6
+    tolerance = max(1e-6, 4.0 * np.exp(-4.0 * alpha**2)) if mode == "ideal" else 0.05
+    if tolerance >= 2.0:
+        # 2 is the largest deviation a parity can have
+        raise ValidationError(
+            f"an ideal parity sweep needs |alpha| > sqrt(ln 2)/2 = {np.sqrt(np.log(2.0)) / 2:.3f}, "
+            f"got {alpha}: up to it the tolerance 4e^(-4 alpha^2) = {tolerance:.3g} cannot fail"
+        )
     # the truncation must hold both code components and their read-out
     # displaced positions (up to 3|alpha| for delta = pi)
     shift = alpha * np.exp(1j * delta)
@@ -257,9 +268,6 @@ def run_parity_sweep(
     parity = np.tile((-1.0) ** np.arange(dim), 2)
 
     backend = _backend(mode, params, layout)
-    # the ideal deviation is the overlap 2e^{−4α²} (to 1e-5 relative for |α|
-    # in [1, 1.8]) above a floor below 6e-10: twice it, and at least 1e-6
-    tolerance = max(1e-6, 4.0 * np.exp(-4.0 * alpha**2)) if mode == "ideal" else 0.05
     rows = []
     worst = 0.0
     for phi in phis:

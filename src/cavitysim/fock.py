@@ -108,19 +108,6 @@ class LinearOp:
             raise ValidationError("operator is not unitary within tolerance")
         return self
 
-    def __add__(self, other: "LinearOp") -> "LinearOp":
-        _check_same_space(self, other)
-        return LinearOp(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "LinearOp") -> "LinearOp":
-        _check_same_space(self, other)
-        return LinearOp(self.space, self.matrix - other.matrix)
-
-    def __mul__(self, scalar) -> "LinearOp":
-        return LinearOp(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
         if isinstance(other, LinearOp):
             _check_same_space(self, other)
@@ -196,10 +183,6 @@ class DensityOp:
         if np.min(np.linalg.eigvalsh(self.matrix)) < -1e-9:
             raise ValidationError("density matrix has a significantly negative eigenvalue")
         return self
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -314,31 +297,15 @@ def recommended_dim(alpha_max: float) -> int:
 # Composite-space plumbing
 
 
-def tensor(items):
-    """Kronecker product of operators or kets, in the declared factor order."""
-    items = list(items)
-    if not items:
+def tensor(kets) -> Ket:
+    """Kronecker product of kets, in the declared factor order."""
+    kets = list(kets)
+    if not kets:
         raise ValidationError("tensor of an empty list")
-    kinds = {type(x) for x in items}
-    if kinds == {LinearOp}:
-        space = CompositeSpace(
-            tuple(f for x in items for f in x.space.factors)
-        )
-        m = reduce(np.kron, (x.matrix for x in items))
-        return LinearOp(space, m)
-    if kinds == {Ket}:
-        space = CompositeSpace(
-            tuple(f for x in items for f in x.space.factors)
-        )
-        v = reduce(np.kron, (x.amplitudes for x in items))
-        return Ket(space, v)
-    if kinds == {DensityOp}:
-        space = CompositeSpace(
-            tuple(f for x in items for f in x.space.factors)
-        )
-        m = reduce(np.kron, (x.matrix for x in items))
-        return DensityOp(space, m)
-    raise ValidationError("tensor requires a homogeneous list of operators or kets")
+    if not all(isinstance(k, Ket) for k in kets):
+        raise ValidationError("tensor takes kets only")
+    space = CompositeSpace(tuple(f for k in kets for f in k.space.factors))
+    return Ket(space, reduce(np.kron, (k.amplitudes for k in kets)))
 
 
 def embed(op: LinearOp, factor_index: int, space: CompositeSpace) -> LinearOp:
@@ -380,14 +347,12 @@ def apply_on_factor(
     return np.moveaxis(out, 0, factor_index).reshape(x.shape)
 
 
-def expectation(state, op: LinearOp) -> complex:
-    """⟨ψ|A|ψ⟩ for kets, Tr(ρA) for density operators."""
+def expectation(state: Ket, op: LinearOp) -> complex:
+    """⟨ψ|A|ψ⟩ of a ket."""
+    if not isinstance(state, Ket):
+        raise ValidationError("state must be a Ket")
     _check_same_space(state, op)
-    if isinstance(state, Ket):
-        return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    if isinstance(state, DensityOp):
-        return complex(np.trace(state.matrix @ op.matrix))
-    raise ValidationError("state must be a Ket or DensityOp")
+    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
 
 
 def partial_trace(rho, keep) -> DensityOp:

@@ -6,8 +6,11 @@ The phase-coherent average makes the objective sensitive to relative phases
 between ensemble members, so K training pairs pin down an isometry on the
 subspace they span.
 
+The static Hamiltonian H0 is diagonal in the rotating frame and is held as
+its energy vector, as in `evolution`; each drive channel is a layout label,
+whose control O_c is ½σ⁺ on a qubit or a† on a cavity (`control_operator`).
 The pulse is evaluated in chunks of consecutive steps.  Each chunk's
-Hamiltonians h_j = H0 + Σ_c (u_cj O_c + ū_cj O_c†) are built in one
+Hamiltonians h_j = diag(H0) + Σ_c (u_cj O_c + ū_cj O_c†) are built in one
 broadcast and diagonalised by one stacked eigh, h_j = V_j diag(w_j) V_j†, and
 the chunk's propagators come from one batched product; only the forward
 states and the backward adjoints are stepped one small matmul at a time.
@@ -31,9 +34,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from cavitysim.codes import binomial_encoding, logical_ket
-from cavitysim.device import DeviceParams, SystemLayout, drive_operator, static_hamiltonian
+from cavitysim.device import DeviceParams, SystemLayout, static_hamiltonian
 from cavitysim.errors import ValidationError
-from cavitysim.fock import Ket, LinearOp, fock_ket, qubit_ket, tensor
+from cavitysim.fock import Ket, annihilation, fock_ket, qubit_ket, sigma_plus, tensor
 
 DEFAULT_AMPLITUDE_BOUND = 2.0 * np.pi * 50e-3  # |amplitude| cap: 50 MHz in rad/ns
 
@@ -41,40 +44,62 @@ DEFAULT_AMPLITUDE_BOUND = 2.0 * np.pi * 50e-3  # |amplitude| cap: 50 MHz in rad/
 _DT = 1.0
 
 
+def control_operator(layout: SystemLayout, label: str) -> np.ndarray:
+    """Dense raising-type control O of a drive on `label`: ½σ⁺ for a qubit,
+    a† for a cavity.  A step amplitude u contributes u·O + ū·O† to the
+    Hamiltonian."""
+    if layout.is_qubit(label):
+        return 0.5 * layout.lift(sigma_plus(), label).matrix
+    return layout.lift(annihilation(layout.mode(label)).dag(), label).matrix
+
+
 @dataclass(frozen=True)
 class TransferTask:
     """Ensemble of state-transfer pairs plus the controlled system.
 
-    channels lists the drive channels available to the optimizer; each channel
-    key (label, kind) resolves to a raising-type operator O, and a complex
-    amplitude u contributes u·O + u*·O† to the Hamiltonian of its step of
-    _DT ns.
+    H0 is the static Hamiltonian as its real (dim,) energy vector.  channels
+    lists the layout labels the optimizer drives; each label's control is
+    its `control_operator` O, and a complex amplitude u contributes
+    u·O + ū·O† to the Hamiltonian of its step of _DT ns.
     """
 
     pairs: tuple
-    H0: LinearOp
+    H0: np.ndarray
     layout: SystemLayout
     channels: tuple
     n_steps: int
 
     def __post_init__(self):
+        space, dim = self.layout.space, self.layout.space.dim
+        h0 = np.asarray(self.H0)
+        if h0.shape != (dim,) or np.iscomplexobj(h0):
+            raise ValidationError(
+                f"H0 must be the real energy vector of shape ({dim},), "
+                f"got {h0.dtype} of shape {h0.shape}"
+            )
+        if not self.channels:
+            raise ValidationError("transfer task needs at least one drive channel")
+        for label in self.channels:
+            if label not in self.layout.index:
+                raise ValidationError(f"drive channel {label!r} is not a label of the layout")
         if not self.pairs:
             raise ValidationError("transfer task needs at least one state pair")
         for init, target in self.pairs:
             for k in (init, target):
-                if not isinstance(k, Ket) or k.space != self.H0.space:
-                    raise ValidationError("all states must be kets on H0's space")
+                if not isinstance(k, Ket) or k.space != space:
+                    raise ValidationError("all states must be kets on the layout's space")
                 if abs(k.norm - 1.0) > 1e-9:
                     raise ValidationError("all states must be normalized")
-        if self.layout.space != self.H0.space:
-            raise ValidationError("layout and H0 spaces must agree")
         if self.n_steps < 1:
             raise ValidationError("n_steps must be >= 1")
+        h0 = np.array(h0, dtype=float)
+        h0.setflags(write=False)
+        object.__setattr__(self, "H0", h0)
         object.__setattr__(self, "pairs", tuple(self.pairs))
         object.__setattr__(self, "channels", tuple(self.channels))
 
     def control_operators(self) -> list[np.ndarray]:
-        return [drive_operator(self.layout, ch).matrix for ch in self.channels]
+        return [control_operator(self.layout, label) for label in self.channels]
 
 
 def binomial_encode_task(params: DeviceParams, dim: int = 8, n_steps: int = 500) -> TransferTask:
@@ -99,9 +124,9 @@ def binomial_encode_task(params: DeviceParams, dim: int = 8, n_steps: int = 500)
 
     return TransferTask(
         pairs=(pair(1.0, 0.0), pair(0.0, 1.0), pair(1.0, 1.0), pair(1.0, 1.0j)),
-        H0=LinearOp(layout.space, np.diag(static_hamiltonian(params, layout))),
+        H0=static_hamiltonian(params, layout),
         layout=layout,
-        channels=(("Q1", "qubit"), ("S1", "cavity")),
+        channels=("Q1", "S1"),
         n_steps=n_steps,
     )
 
@@ -148,9 +173,9 @@ def _forward(amps: np.ndarray, task: TransferTask):
     with fwd[j] the ensemble before step j, the targets (d, K) and the
     stacked control operators (n_channels, d, d).
     """
-    h0 = task.H0.matrix
+    h0 = np.diag(task.H0)
     n, d = task.n_steps, h0.shape[0]
-    ops = np.array(task.control_operators(), dtype=complex).reshape(-1, d, d)
+    ops = np.array(task.control_operators())
     targ = np.stack([p[1].amplitudes for p in task.pairs], axis=1)
     w = np.empty((n, d))
     v = np.empty((n, d, d), dtype=complex)
@@ -271,20 +296,6 @@ def optimize(
 
     f0, g0 = evaluate(_pack(amps0))
     record(f0, g0)
-    if f0 >= target_fidelity or nc == 0 or max_iters == 0:
-        if f0 >= target_fidelity:
-            message = "initial pulse already meets the target"
-        else:
-            message = "no control channels" if nc == 0 else "max_iters is 0"
-        return amps0, OptimizerReport(
-            final_fidelity=min(f0, 1.0),
-            iterations=0,
-            gradient_norms=tuple(grad_norms),
-            fidelity_history=tuple(fids),
-            wall_time=time.perf_counter() - start,
-            converged=f0 >= target_fidelity,
-            message=message,
-        )
 
     def objective(x):
         f, g = evaluate(x)
@@ -295,33 +306,35 @@ def optimize(
     def callback(x):
         record(*evaluate(x))
 
-    bounds = [(-bound, bound)] * (2 * nc * ns)
-    message = ""
     iterations = 0
-    try:
-        res = minimize(
-            objective,
-            _pack(amps0),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            callback=callback,
-            options={"maxiter": max_iters, "gtol": 1e-8, "ftol": 1e-14},
-        )
-        message = str(res.message)
-        iterations = int(res.nit)
-    except _TargetReached:
-        message = "target fidelity reached"
-        iterations = len(fids)
+    if f0 >= target_fidelity:
+        message = "initial pulse already meets the target"
+    elif max_iters == 0:
+        message = "max_iters is 0"
+    else:
+        try:
+            res = minimize(
+                objective,
+                _pack(amps0),
+                jac=True,
+                method="L-BFGS-B",
+                bounds=[(-bound, bound)] * (2 * nc * ns),
+                callback=callback,
+                options={"maxiter": max_iters, "gtol": 1e-8, "ftol": 1e-14},
+            )
+            message = str(res.message)
+            iterations = int(res.nit)
+        except _TargetReached:
+            message = "target fidelity reached"
+            iterations = len(fids)
+        record(best["f"], best["g"])
 
-    record(best["f"], best["g"])
-    converged = best["f"] >= target_fidelity or grad_norms[-1] < 1e-8
     return _unpack(best["x"], nc, ns), OptimizerReport(
         final_fidelity=min(best["f"], 1.0),
         iterations=iterations,
         gradient_norms=tuple(grad_norms),
         fidelity_history=tuple(fids),
         wall_time=time.perf_counter() - start,
-        converged=converged,
+        converged=best["f"] >= target_fidelity or grad_norms[-1] < 1e-8,
         message=message,
     )

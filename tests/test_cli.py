@@ -309,6 +309,30 @@ def test_bad_numeric_input_exits_1(tmp_path, capsys, args):
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("alpha", ["0.3", "-0.3", "0.416"])
+def test_parity_sweep_refuses_an_alpha_whose_bound_cannot_fail(tmp_path, capsys, alpha):
+    """The ideal tolerance max(1e-6, 4e^{-4α²}) reaches 2, the largest
+    deviation a parity can have, at |α| ≤ √(ln 2)/2 ≈ 0.416: such a sweep is
+    a usage error that writes nothing (α = 0.3 reported a deviation of 1.395
+    against a tolerance of 2.79 and exited 0)."""
+    out = tmp_path / "x"
+    assert main(["parity-sweep", "--alpha", alpha, "--phis", "0:3.14:3", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "0.416" in err
+    assert not out.exists()
+
+
+def test_parity_sweep_runs_just_above_the_alpha_limit(tmp_path):
+    """At α = 0.45 the ideal tolerance is 4e^{-0.81} = 1.78 < 2, so the sweep
+    runs and reports it (the cat components overlap, and say so)."""
+    out = tmp_path / "x"
+    with pytest.warns(UserWarning, match="logical basis overlap"):
+        assert main(["parity-sweep", "--alpha", "0.45", "--phis", "0:3.14:3", "-o", str(out)]) == 0
+    scalar = json.loads((out / "result.json").read_text())["summary"]["max_abs_deviation_from_cos_law"]
+    assert scalar["tolerance"] == pytest.approx(4.0 * np.exp(-4.0 * 0.45**2))
+    assert scalar["tolerance"] < 2.0
+
+
 def test_wigner_grid_output(tmp_path):
     out = tmp_path / "run"
     code = main(

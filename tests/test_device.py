@@ -42,6 +42,27 @@ def test_default_config_table_values(params):
     assert params.T2["Q2"] == 12 * US
 
 
+def test_config_without_frequencies_loads_the_same_parameters(params):
+    """Bare frequencies are no parameter of the rotating-frame model: a
+    config without the [frequencies_GHz] table loads to the same device."""
+    text = default_config_text()
+    start = text.index("[frequencies_GHz]")
+    stripped = text[:start] + text[text.index("[chi_MHz]"):]
+    assert "GHz]" not in stripped
+    assert load_params(stripped) == params
+
+
+def test_chi_entries_readout_skipped_unknown_rejected(params):
+    """Readout shifts R*_Q* are recognised and skipped; any other unknown
+    chi entry is a ValidationError."""
+    text = default_config_text()
+    assert "R1_Q1 = 2.0" in text
+    assert load_params(text.replace("R1_Q1 = 2.0", "R1_Q1 = 7.5")) == params
+    assert load_params(text.replace("R1_Q1 = 2.0\n", "")) == params
+    with pytest.raises(ValidationError, match="unrecognized chi entry"):
+        load_params(text.replace("R1_Q1 = 2.0", "Q1_S1 = 2.0"))
+
+
 def test_t2_invariant_violation():
     bad = default_config_text().replace("Q1 = 25", "Q1 = 105", 1)
     with pytest.raises(ValidationError):
@@ -158,14 +179,14 @@ def test_qubit_drive_off_resonant_suppression(params):
 
 
 def test_cavity_drive_phase_convention(params, dense_evolve):
-    """Golden test: constant ε for time t realizes D(−iεt) under the drive
-    operator's convention, played by the dense oracle."""
+    """Golden test: constant ε for time t realizes D(−iεt) under the
+    convention of `grape.control_operator`, played by the dense oracle."""
     from cavitysim.fock import displacement
 
     layout = SystemLayout.build([], ["S1"], {"S1": 30})
     eps = 0.01
     t = 100.0
-    drive = {("S1", "cavity"): np.full(100, eps)}
+    drive = {"S1": np.full(100, eps)}
     h0 = np.zeros(30)
     vac = fock_ket(layout.mode("S1"), 0)
     out = Ket(layout.space, dense_evolve(vac.amplitudes, h0, drive, 1.0, layout))
@@ -180,7 +201,7 @@ def test_cavity_drive_inverse_composition(params, dense_evolve):
     layout = SystemLayout.build([], ["S1"], {"S1": 25})
     rng = np.random.default_rng(3)
     amps = 0.01 * (rng.normal(size=60) + 1j * rng.normal(size=60))
-    drive = {("S1", "cavity"): np.concatenate([amps, -amps[::-1]])}
+    drive = {"S1": np.concatenate([amps, -amps[::-1]])}
     h0 = np.zeros(25)
     psi0 = fock_ket(layout.mode("S1"), 0)
     out = Ket(layout.space, dense_evolve(psi0.amplitudes, h0, drive, 1.0, layout))
@@ -193,12 +214,13 @@ def _rotation(qubit, phi, theta, eps, condition):
 
 
 def _dense_conditional_drive(layout, qubit, epsilon, phi, condition):
-    """Oracle: (ε/2) e^{iφ} |e⟩⟨g| ⊗ P_cond + h.c. from lifted dense operators."""
+    """Oracle: (ε/2) e^{iφ} |e⟩⟨g| ⊗ P_cond + h.c. from lifted dense
+    operators, as a matrix."""
     proj = LinearOp.identity(layout.space)
     for label, n in condition:
         proj = proj @ layout.lift(fock_ket(layout.mode(label), n).projector(), label)
-    term = (0.5 * epsilon * np.exp(1j * phi)) * (layout.lift(sigma_plus(), qubit) @ proj)
-    return term + term.dag()
+    term = (0.5 * epsilon * np.exp(1j * phi)) * (layout.lift(sigma_plus(), qubit) @ proj).matrix
+    return term + term.conj().T
 
 
 def test_effective_conditional_drive_vacuum_flip(params):
@@ -238,10 +260,10 @@ def test_effective_conditional_drive_unconditional(params):
 
 def test_conditional_drive_commutes_with_static_on_condition(params):
     layout = two_cavity_layout(3)
-    h0 = LinearOp(layout.space, np.diag(static_hamiltonian(params, layout)))
+    h0 = np.diag(static_hamiltonian(params, layout))
     hd = _dense_conditional_drive(layout, "Q3", 0.01, 0.0, (("S1", 0), ("S2", 0)))
     comm = h0 @ hd - hd @ h0
-    assert np.max(np.abs(comm.matrix)) < 1e-15
+    assert np.max(np.abs(comm)) < 1e-15
 
 
 def test_cavity_static_diag_matches_full_without_chi(params):

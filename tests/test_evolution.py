@@ -6,12 +6,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import cavitysim.evolution as evolution
-from cavitysim.device import (
-    SystemLayout,
-    drive_operator,
-    load_params,
-    static_hamiltonian,
-)
+from cavitysim.device import SystemLayout, load_params, static_hamiltonian
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.evolution import (
     CollapseSet,
@@ -44,6 +39,7 @@ from cavitysim.fock import (
     sigma_z,
     tensor,
 )
+from cavitysim.grape import control_operator
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +106,14 @@ def test_evolve_pulse_rejects_h0_not_an_energy_vector(h0):
 
 
 def test_pulse_displacement_matches_operator(dense_evolve):
-    """The cavity-drive convention of `drive_operator`, played by the dense
-    oracle: a constant drive ε for time t is D(−iεt)."""
+    """The cavity-drive convention of `grape.control_operator`, played by the
+    dense oracle: a constant drive ε for time t is D(−iεt)."""
     layout = SystemLayout.build([], ["S1"], {"S1": 30})
     spec = layout.mode("S1")
     # constant drive engineered for D(sqrt(2)): D(−iεt) = D(√2) at ε t = i√2
     t, n = 200.0, 200
     eps = 1j * np.sqrt(2) / t
-    drive = {("S1", "cavity"): np.full(n, eps)}
+    drive = {"S1": np.full(n, eps)}
     h0 = np.zeros(30)
     out = Ket(layout.space, dense_evolve(fock_ket(spec, 0).amplitudes, h0, drive, t / n, layout))
     target = displacement(np.sqrt(2), spec) @ fock_ket(spec, 0)
@@ -395,7 +391,6 @@ def test_lindblad_pulse_matches_dense_oracle(params):
     h0 = static_hamiltonian(params, layout)
     # runs of identical steps, each run one merged solver segment
     runs = [(0.02, 3), (0.01j, 2), (0.0, 4), (-0.015, 3)]
-    ch = ("Q1", "qubit")
     pulse = PulseSequence("Q1", np.concatenate([np.full(n, u) for u, n in runs]), 10.0)
     rng = np.random.default_rng(4)
     rho0 = _random_density(rng, 12)
@@ -404,7 +399,7 @@ def test_lindblad_pulse_matches_dense_oracle(params):
 
     # exact oracle: expm of the dense generator, built column by column from
     # the dense right-hand side, once per run
-    op = drive_operator(layout, ch).matrix
+    op = control_operator(layout, "Q1")
     y = rho0.reshape(-1)
     for u, n in runs:
         h = np.diag(h0) + u * op + np.conj(u) * op.conj().T
@@ -425,13 +420,12 @@ def test_lindblad_matches_rk45_on_selective_drive(params):
     h0 = static_hamiltonian(params, layout)
     # 40 ns idle, a 500 ns π pulse resonant with the qubit at zero photons, 40 ns idle
     runs = [(0.0, 40), (np.pi / 500.0, 500), (0.0, 40)]
-    ch = ("Q1", "qubit")
     pulse = PulseSequence("Q1", np.concatenate([np.full(n, u) for u, n in runs]), 1.0)
     rho0 = _random_density(np.random.default_rng(8), 12)
 
     out = _lindblad(DensityOp(layout.space, rho0), h0, pulse, cs, layout)
 
-    op = drive_operator(layout, ch).matrix
+    op = control_operator(layout, "Q1")
     y, t = rho0.reshape(-1), 0.0
     for u, n in runs:
         h = np.diag(h0) + u * op + np.conj(u) * op.conj().T

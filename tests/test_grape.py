@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cavitysim import grape
 from cavitysim.device import SystemLayout, load_params, default_config_text, static_hamiltonian
 from cavitysim.errors import ValidationError
-from cavitysim.fock import CompositeSpace, Ket, LinearOp, fock_ket, qubit_ket, tensor
+from cavitysim.fock import CompositeSpace, Ket, LinearOp, ModeSpec, fock_ket, qubit_ket, tensor
 from cavitysim.grape import (
     DEFAULT_AMPLITUDE_BOUND,
     OptimizerReport,
@@ -15,12 +17,11 @@ from cavitysim.grape import (
 
 def _qubit_task(n_steps=50):
     layout = SystemLayout.build(["Q1"], [], {})
-    h0 = LinearOp(layout.space, np.zeros((2, 2), dtype=complex))
     return TransferTask(
         pairs=((qubit_ket(0), qubit_ket(1)),),
-        H0=h0,
+        H0=np.zeros(2),
         layout=layout,
-        channels=(("Q1", "qubit"),),
+        channels=("Q1",),
         n_steps=n_steps,
     )
 
@@ -28,16 +29,15 @@ def _qubit_task(n_steps=50):
 def _dispersive_task(n_steps=10, dim=4):
     params = load_params(default_config_text())
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
-    h0 = LinearOp(layout.space, np.diag(static_hamiltonian(params, layout)))
     init = tensor([qubit_ket(0), fock_ket(layout.mode("S1"), 0)])
     targ = tensor([qubit_ket(1), fock_ket(layout.mode("S1"), 0)])
     init2 = tensor([qubit_ket(1), fock_ket(layout.mode("S1"), 1)])
     targ2 = tensor([qubit_ket(0), fock_ket(layout.mode("S1"), 1)])
     return TransferTask(
         pairs=((init, targ), (init2, targ2)),
-        H0=h0,
+        H0=static_hamiltonian(params, layout),
         layout=layout,
-        channels=(("Q1", "qubit"), ("S1", "cavity")),
+        channels=("Q1", "S1"),
         n_steps=n_steps,
     )
 
@@ -68,7 +68,7 @@ def _dense_fidelity(dense_evolve, amps, task):
     ins = np.stack([p[0].amplitudes for p in task.pairs], axis=1)
     targets = np.stack([p[1].amplitudes for p in task.pairs], axis=1)
     channels = dict(zip(task.channels, amps))
-    out = dense_evolve(ins, np.diag(task.H0.matrix).real, channels, grape._DT, task.layout)
+    out = dense_evolve(ins, task.H0, channels, grape._DT, task.layout)
     return float(abs(np.mean(np.sum(targets.conj() * out, axis=0))) ** 2)
 
 
@@ -139,19 +139,23 @@ def test_gradient_vanishes_at_unit_fidelity():
     assert np.linalg.norm(grad) < 1e-6
 
 
-def test_no_channels_means_no_gradient():
-    layout = SystemLayout.build(["Q1"], [], {})
-    h0 = LinearOp(layout.space, np.zeros((2, 2), dtype=complex))
-    task = TransferTask(
-        pairs=((qubit_ket(0), qubit_ket(0)),),
-        H0=h0,
-        layout=layout,
-        channels=(),
-        n_steps=5,
-    )
-    f, grad = _objective(np.zeros((0, 5)), task)
-    assert grad.shape == (0, 5)
-    assert f == pytest.approx(1.0)
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("H0", np.zeros(2, dtype=complex), "energy vector"),
+        ("H0", np.zeros(3), "energy vector"),
+        ("H0", np.zeros((2, 2)), "energy vector"),
+        ("H0", LinearOp(CompositeSpace.single(ModeSpec.qubit()), np.zeros((2, 2))), "energy vector"),
+        ("channels", (), "at least one drive channel"),
+        ("channels", ("S1",), "not a label of the layout"),
+    ],
+    ids=["complex-h0", "h0-length", "h0-matrix", "h0-linear-op", "no-channels", "absent-label"],
+)
+def test_transfer_task_refuses_what_it_cannot_drive(field, value, message):
+    """H0 is the layout's real energy vector, and every channel a label of
+    the layout: a task with no channel has nothing to optimize."""
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(_qubit_task(n_steps=5), **{field: value})
 
 
 def test_optimize_qubit_pi_pulse(dense_evolve):
@@ -210,14 +214,14 @@ def test_fidelity_invariant_under_commuting_rotation():
         ),
         H0=task.H0,
         layout=task.layout,
-        channels=(("Q1", "qubit"),),
+        channels=("Q1",),
         n_steps=task.n_steps,
     )
     base = TransferTask(
         pairs=task.pairs,
         H0=task.H0,
         layout=task.layout,
-        channels=(("Q1", "qubit"),),
+        channels=("Q1",),
         n_steps=task.n_steps,
     )
     assert abs(_fidelity(pulse, rotated) - _fidelity(pulse, base)) < 1e-12
@@ -227,20 +231,20 @@ def test_fidelity_invariant_under_commuting_rotation():
 def test_rediscretization_consistency():
     # with H0 = 0, doubling steps at half amplitude leaves the propagator fixed
     layout = SystemLayout.build(["Q1"], [], {})
-    h0 = LinearOp(layout.space, np.zeros((2, 2), dtype=complex))
+    h0 = np.zeros(2)
     u = 0.11 - 0.07j
     task1 = TransferTask(
         pairs=((qubit_ket(0), qubit_ket(1)),),
         H0=h0,
         layout=layout,
-        channels=(("Q1", "qubit"),),
+        channels=("Q1",),
         n_steps=10,
     )
     task2 = TransferTask(
         pairs=((qubit_ket(0), qubit_ket(1)),),
         H0=h0,
         layout=layout,
-        channels=(("Q1", "qubit"),),
+        channels=("Q1",),
         n_steps=20,
     )
     p1 = np.full((1, 10), u)
@@ -276,7 +280,7 @@ def _per_step_fidelity_and_gradient(amps, task):
     targ = np.stack([p[1].amplitudes for p in task.pairs], axis=1)
     fwd, eigs = [psi], []
     for j in range(task.n_steps):
-        h = np.array(task.H0.matrix)
+        h = np.diag(task.H0).astype(complex)
         for c, op in enumerate(ops):
             u = amps[c, j]
             if u != 0:
@@ -313,7 +317,7 @@ def test_batched_gradient_matches_per_step_loop():
     # drive-free steps see only the degenerate H0 spectrum (the limit branch
     # of the Loewner matrix)
     amps[:, [0, 40, 63, 64, 65, 149]] = 0.0
-    assert np.any(np.abs(np.diff(np.linalg.eigvalsh(task.H0.matrix))) < 1e-12)
+    assert np.any(np.abs(np.diff(np.sort(task.H0))) < 1e-12)
     f_ref, g_ref = _per_step_fidelity_and_gradient(amps, task)
     f, grad = _objective(amps, task)
     assert abs(f - f_ref) < 1e-12

@@ -15,7 +15,8 @@ method is listed as Class.method; any mention of its name outside its own
 body counts as a caller, so the check is by name only.  A class counts as
 used only where src/ instantiates, raises or subclasses it, its own factory
 methods included: an isinstance check, an annotation or a lookup table
-builds nothing.
+builds nothing.  An attribute reached through an imported module, such as
+`np.trace` or `np.linalg.norm`, names nothing of src.
 """
 
 import ast
@@ -40,15 +41,37 @@ ALLOWED = {
 }
 
 
-def _referenced(node) -> collections.Counter:
+def _imported_modules(tree) -> set:
+    """Names that the module's `import` statements bind: `np` for
+    `import numpy as np`, `importlib` for `import importlib.resources`.
+    src imports its own modules with `from`, so these are all outside it."""
+    return {
+        a.asname or a.name.split(".", 1)[0]
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Import)
+        for a in n.names
+    }
+
+
+def _root(node):
+    """The innermost value of an attribute chain: `np` of `np.linalg.norm`."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
+def _referenced(node, modules) -> collections.Counter:
     """Identifiers the node names, with their counts: variables, attributes
-    and imported names."""
+    and imported names.  Attributes reached through one of the `modules`
+    name nothing of src and are left out."""
     out = collections.Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             out[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out[n.attr] += 1
+            root = _root(n)
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                out[n.attr] += 1
         elif isinstance(n, ast.alias):
             out[(n.asname or n.name).rsplit(".", 1)[-1]] += 1
     return out
@@ -102,13 +125,14 @@ def _uncalled() -> list:
     it: a top-level one inside its own statement, a method inside its body;
     and of every public class that src/ never instantiates, raises or
     subclasses."""
-    statements = [
-        (module, node, _referenced(node)) for module, tree in _modules() for node in tree.body
-    ]
-    mentions = sum((names for _, _, names in statements), collections.Counter())
-    built = sum((_built(node) for _, node, _ in statements), collections.Counter())
+    statements = []
+    for module, tree in _modules():
+        modules = _imported_modules(tree)
+        statements += [(module, node, modules, _referenced(node, modules)) for node in tree.body]
+    mentions = sum((names for *_, names in statements), collections.Counter())
+    built = sum((_built(node) for _, node, *_ in statements), collections.Counter())
     out = []
-    for module, node, names in statements:
+    for module, node, modules, names in statements:
         for name in _constants(node):
             if mentions[name] == names[name]:
                 out.append((module, name))
@@ -125,7 +149,7 @@ def _uncalled() -> list:
                 if (
                     isinstance(item, ast.FunctionDef)
                     and not item.name.startswith("_")
-                    and mentions[item.name] == _referenced(item)[item.name]
+                    and mentions[item.name] == _referenced(item, modules)[item.name]
                 ):
                     out.append((module, f"{node.name}.{item.name}"))
     return out
