@@ -115,7 +115,9 @@ def ideal_encoder(enc: Encoding) -> LinearOp:
 
     Only the two-dimensional input subspace is contractually constrained; the
     rest is completed by Gram–Schmidt over the standard basis in lexicographic
-    order.
+    order.  That completion is arbitrary, yet its adjoint decodes whatever a
+    gate leaks out of the code space, so the encoded-qubit channels of the
+    zgate and error-budget recipes depend on it.
     """
     space = qubit_cavity_space(enc)
     dim = space.dim

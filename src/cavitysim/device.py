@@ -46,14 +46,12 @@ class DeviceParams:
     T2: dict  # label -> ns, Ramsey T2*
 
     def __post_init__(self):
-        for chi in self.chi.values():
-            if chi < 0:
-                raise ValidationError("dispersive shifts must be entered >= 0")
-        for k in self.kerr.values():
-            if k < 0:
-                raise ValidationError("Kerr coefficients must be entered >= 0")
-        if self.cross_kerr < 0:
-            raise ValidationError("cross-Kerr must be entered >= 0")
+        couplings = [(f"{c}_{q} dispersive shift", v) for (c, q), v in self.chi.items()]
+        couplings += [(f"{c} Kerr coefficient", v) for c, v in self.kerr.items()]
+        couplings.append(("S1_S2 cross-Kerr", self.cross_kerr))
+        for name, value in couplings:
+            if not (np.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value} rad/ns")
         for name, times in (("T1", self.T1), ("T2", self.T2)):
             for label, t in times.items():
                 if not t > 0:  # also rejects NaN; inf means no decay

@@ -11,7 +11,9 @@ are attached as reference-only scalars and never asserted.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -168,6 +170,40 @@ def _backend(mode: str, params: DeviceParams, layout: SystemLayout, compensate: 
     raise ValidationError(f"unsupported mode {mode!r}")
 
 
+def _phase_gate(gate: str, params: DeviceParams, alpha: float):
+    """The Q1+S1 layout, the shifted-cat encoding of amplitude alpha in S1,
+    the single-cavity phase gate `gate` ∈ {z, s, t} on it and the ideal
+    logical unitary diag(1, e^{i(π + δφ)})."""
+    if gate.upper() not in CANONICAL_DELTA_PHI:
+        raise ValidationError(f"{gate!r} is not one of the single-cavity gates Z/S/T")
+    delta_phi = CANONICAL_DELTA_PHI[gate.upper()]
+    dim = recommended_dim(2.0 * alpha)
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
+    enc = cat_encoding(alpha, dim, variant="shifted")
+    spec = single_cavity_phase_gate(delta_phi, enc, params)
+    return layout, enc, spec, np.diag([1.0, np.exp(1j * (np.pi + delta_phi))])
+
+
+def _cz(code: str, params: DeviceParams, mode: str, alpha: float):
+    """The backend realizing `mode` on the Q3+S1+S2 layout, the CZ of the
+    `code` ∈ {cat, binomial} qubits in S1 and S2 for it, and a function
+    returning their encoding, which a caller that reads none never builds.
+
+    The cat CZ is `cz_coherent` of amplitude alpha on a compensating backend.
+    The binomial CZ is exact conditional rotations when ideal and otherwise
+    the pulse calibrated on its backend, which must not compensate.
+    """
+    if code not in ("cat", "binomial"):
+        raise ValidationError(f"unknown encoding {code!r}")
+    dim = recommended_dim(2.0 * alpha) if code == "cat" else 7
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
+    backend = _backend(mode, params, layout, compensate=code == "cat")
+    if code == "binomial":
+        spec = cz_binomial_ideal() if mode == "ideal" else cz_binomial(backend)[0]
+        return backend, spec, partial(binomial_encoding, dim)
+    return backend, cz_coherent(alpha, params), partial(cat_encoding, alpha, dim)
+
+
 def _encoded_qubit_channel(backend, enc_u, spec, collapses=None):
     """The qubit channels ρ_q ↦ Tr_cavity[D Gᵐ E (ρ_q ⊗ |0⟩⟨0|) E† Gᵐ† D†] as
     a function of m returning the channel, itself a function returning a 2×2
@@ -180,6 +216,11 @@ def _encoded_qubit_channel(backend, enc_u, spec, collapses=None):
     `apply_density`.  Without, the channel is ρ_q ↦ Σ_ab ρ_ab Tr_cavity[y_a y_b†]
     with y_a = D Gᵐ E |a, 0⟩: only the two encoded basis columns are pushed
     through the gate, and every input is a contraction of the result.
+
+    Amplitude that leaks out of the code space is decoded too: D maps it
+    through the free columns of `enc_u`, which `ideal_encoder` fills by an
+    arbitrary lexicographic Gram–Schmidt completion, so the zgate and
+    error-budget numbers depend on that choice.
     """
     layout = backend.layout
     (cavity,) = layout.cavity_labels()
@@ -324,12 +365,8 @@ def run_zgate_repetition(
     if m_max < 1:
         raise ValidationError("m_max must be at least 1 for the linear fit")
     params, cfg_hash = _load_params(config_text)
-    dim = recommended_dim(2.0 * alpha)
-    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
-    enc = cat_encoding(alpha, dim, variant="shifted")
+    layout, enc, spec, zmat = _phase_gate("z", params, alpha)
     enc_u = ideal_encoder(enc)
-    spec = single_cavity_phase_gate(0.0, enc, params)
-    zmat = np.diag([1.0, -1.0]).astype(complex)
 
     decohere = mode == "pulse+decoherence"
     backend = _backend("pulse" if decohere else mode, params, layout)
@@ -369,53 +406,6 @@ def run_zgate_repetition(
 # Quantum process tomography of the gate set
 
 
-def _single_cavity_qpt(gate: str, params, mode: str, alpha: float):
-    delta_phi = CANONICAL_DELTA_PHI[gate.upper()]
-    dim = recommended_dim(2.0 * alpha)
-    enc = cat_encoding(alpha, dim, variant="shifted")
-    spec = single_cavity_phase_gate(delta_phi, enc, params)
-    ideal_u = np.diag([1.0, np.exp(1j * (np.pi + delta_phi))])
-    if mode == "ideal":
-        k = component_logical_unitary(spec, ["S1"], "Q1")
-    else:
-        layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
-        k = realized_logical_map(_backend(mode, params, layout), spec, enc.orthonormal_basis())
-    return k, ideal_u, 1, spec
-
-
-def _cz_coherent_qpt(params, mode: str, alpha: float):
-    spec = cz_coherent(alpha, params)
-    if mode == "ideal":
-        k = component_logical_unitary(spec, ["S1", "S2"], "Q3")
-    else:
-        dim = recommended_dim(2.0 * alpha)
-        layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
-        backend = _backend(mode, params, layout)
-        b0, b1 = cat_encoding(alpha, dim).orthonormal_basis()
-        logical = [tensor([a, b]) for a in (b0, b1) for b in (b0, b1)]
-        k = realized_logical_map(backend, spec, logical)
-    return k, _CZ, 2, spec
-
-
-def _binomial_cz(params, mode: str, layout):
-    """The backend realizing `mode` on `layout` and the binomial CZ for it:
-    exact conditional rotations when ideal, the pulse calibrated on the
-    backend otherwise."""
-    backend = _backend(mode, params, layout, compensate=False)
-    if mode == "ideal":
-        return backend, cz_binomial_ideal()
-    return backend, cz_binomial(backend)[0]
-
-
-def _cz_binomial_qpt(params, mode: str):
-    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
-    enc = binomial_encoding(7)
-    logical = [tensor([a, b]) for a in (enc.ket0, enc.ket1) for b in (enc.ket0, enc.ket1)]
-    backend, spec = _binomial_cz(params, mode, layout)
-    k = realized_logical_map(backend, spec, logical)
-    return k, _CZ, 2, spec
-
-
 def run_qpt(
     gate: str = "cz-binomial",
     mode: str = "ideal",
@@ -426,21 +416,31 @@ def run_qpt(
 
     gate ∈ {"z", "s", "t", "cz-coherent", "cz-binomial"};
     mode ∈ {"ideal", "pulse"} (decoherent tomography is not simulated).
+    The `process_fidelity` scalar is the average gate fidelity
+    (d·F_pro + 1)/(d + 1) of `tomography.process_fidelity`, not the
+    entanglement fidelity F_pro; its infidelity is d/(d + 1) times F_pro's.
     """
     params, cfg_hash = _load_params(config_text)
     gate = gate.lower()
+    family = "binomial" if gate == "cz-binomial" else "coherent"
+    # an ideal coherent gate is reduced to its code components: no encoding read
+    reduced = mode == "ideal" and family == "coherent"
     if gate in ("z", "s", "t"):
-        k, ideal_u, n, spec = _single_cavity_qpt(gate, params, mode, alpha)
-        family = "coherent"
-    elif gate == "cz-coherent":
-        k, ideal_u, n, spec = _cz_coherent_qpt(params, mode, alpha)
-        family = "coherent"
-    elif gate == "cz-binomial":
-        k, ideal_u, n, spec = _cz_binomial_qpt(params, mode)
-        family = "binomial"
+        layout, enc, spec, ideal_u = _phase_gate(gate, params, alpha)
+        backend, cavities, qubit = _backend(mode, params, layout), ["S1"], "Q1"
+    elif gate in ("cz-coherent", "cz-binomial"):
+        backend, spec, encoding = _cz("cat" if family == "coherent" else family, params, mode, alpha)
+        enc = None if reduced else encoding()
+        ideal_u, cavities, qubit = _CZ, ["S1", "S2"], "Q3"
     else:
         raise ValidationError(f"unknown gate {gate!r}")
 
+    n = len(cavities)
+    if reduced:
+        k = component_logical_unitary(spec, cavities, qubit)
+    else:
+        logical = [tensor(c) for c in itertools.product(enc.orthonormal_basis(), repeat=n)]
+        k = realized_logical_map(backend, spec, logical)
     ptm = pauli_transfer(lambda rho: k @ rho.matrix @ k.conj().T, n)
     f = process_fidelity(ptm, unitary_transfer(ideal_u, n))
     tol = 1e-8 if mode == "ideal" else (0.02 if gate == "cz-coherent" else 0.05)
@@ -489,38 +489,20 @@ def run_bell_generation(
     Wigner cuts along the real axes.
     """
     params, cfg_hash = _load_params(config_text)
-    if encoding == "binomial":
-        dim = 7
-        enc1 = enc2 = binomial_encoding(dim)
-        layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
-        backend, spec = _binomial_cz(params, mode, layout)
-    elif encoding == "cat":
-        dim = recommended_dim(2.0 * alpha)
-        enc1 = enc2 = cat_encoding(alpha, dim)
-        layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
-        backend = _backend(mode, params, layout)
-        spec = cz_coherent(alpha, params)
-    else:
-        raise ValidationError(f"unknown encoding {encoding!r}")
-
-    plus1 = logical_ket(enc1, 1.0, 1.0)
-    plus2 = logical_ket(enc2, 1.0, 1.0)
-    psi = tensor([qubit_ket(0), plus1, plus2])
-    psi = backend.apply(psi, spec)
+    backend, spec, make_encoding = _cz(encoding, params, mode, alpha)
+    layout, enc = backend.layout, make_encoding()
+    plus = logical_ket(enc, 1.0, 1.0)
+    psi = backend.apply(tensor([qubit_ket(0), plus, plus]), spec)
     # rotate CZ|++⟩ into (|01⟩_L + |10⟩_L)/√2: Hadamard on cavity 2, X on 1
     x = psi.amplitudes
-    for label, enc, u2 in (("S2", enc2, _HADAMARD), ("S1", enc1, _X)):
+    for label, u2 in (("S2", _HADAMARD), ("S1", _X)):
         x = apply_on_factor(_code_subspace_unitary(enc, u2), layout.index[label], layout.space, x)
     psi = Ket(psi.space, x)
 
-    b0_1, b1_1 = enc1.orthonormal_basis()
-    b0_2, b1_2 = enc2.orthonormal_basis()
+    b0, b1 = enc.orthonormal_basis()
     bell = Ket(
         psi.space,
-        (
-            tensor([qubit_ket(0), b0_1, b1_2]).amplitudes
-            + tensor([qubit_ket(0), b1_1, b0_2]).amplitudes
-        )
+        (tensor([qubit_ket(0), b0, b1]).amplitudes + tensor([qubit_ket(0), b1, b0]).amplitudes)
         / np.sqrt(2.0),
     )
     fid = abs(psi.overlap(bell)) ** 2
@@ -593,15 +575,8 @@ def run_error_budget(
     row is the jointly simulated pipeline with everything enabled.
     """
     params, cfg_hash = _load_params(config_text)
-    if gate not in CANONICAL_DELTA_PHI and gate.upper() not in CANONICAL_DELTA_PHI:
-        raise ValidationError("error budget supports the single-cavity gates Z/S/T")
-    delta_phi = CANONICAL_DELTA_PHI[gate.upper()]
-    dim = recommended_dim(2.0 * alpha)
-    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
-    enc = cat_encoding(alpha, dim, variant="shifted")
+    layout, enc, spec, ideal_u = _phase_gate(gate, params, alpha)
     enc_u = ideal_encoder(enc)
-    spec = single_cavity_phase_gate(delta_phi, enc, params)
-    ideal_u = np.diag([1.0, np.exp(1j * (np.pi + delta_phi))])
     ideal_ptm = unitary_transfer(ideal_u, 1)
     no_kerr = replace(params, kerr={k: 0.0 for k in params.kerr}, cross_kerr=0.0)
 

@@ -51,7 +51,6 @@ from cavitysim.evolution import (
 from cavitysim.fock import (
     DensityOp,
     Ket,
-    LinearOp,
     apply_on_factor,
     displacement,
     expectation,
@@ -243,10 +242,6 @@ class IdealBackend:
                 )
         return x
 
-    def unitary(self, spec: GateSpec) -> LinearOp:
-        eye = np.eye(self.layout.space.dim, dtype=complex)
-        return LinearOp(self.layout.space, self._propagate(eye, spec))
-
     def apply(self, psi: Ket, spec: GateSpec) -> Ket:
         if psi.space != self.layout.space:
             raise ValidationError("state and layout spaces must agree")
@@ -386,9 +381,9 @@ def component_logical_unitary(spec: GateSpec, cavities, qubit: str) -> np.ndarra
     the sequence; the qubit must return to the ground state.  Returns the
     2^m x 2^m unitary on the cavity components.
 
-    The rotations run on `IdealBackend` with every cavity truncated to two
-    levels: level 0 is component 1 and level 1 is component 0, so the index
-    order of the g-block is reversed on return.
+    The rotations push the identity through `IdealBackend` with every cavity
+    truncated to two levels: level 0 is component 1 and level 1 is component
+    0, so the index order of the g-block is reversed on return.
     """
     cavities = list(cavities)
     frame = {c: 0.0 + 0.0j for c in cavities}
@@ -411,7 +406,8 @@ def component_logical_unitary(spec: GateSpec, cavities, qubit: str) -> np.ndarra
     if any(abs(a) > 1e-12 for a in frame.values()):
         raise ValidationError("displacements do not return to the original frame")
     layout = SystemLayout.build([qubit], cavities, {c: 2 for c in cavities})
-    u = IdealBackend(layout).unitary(GateSpec(spec.name, rotations)).matrix
+    eye = np.eye(layout.space.dim, dtype=complex)
+    u = gate_columns(IdealBackend(layout), GateSpec(spec.name, rotations), eye)
     half = u.shape[0] // 2
     if np.max(np.abs(u[half:, :half])) > 1e-9:
         raise NumericalError("qubit does not return to the ground state")

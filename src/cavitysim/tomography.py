@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -177,53 +178,25 @@ class TransferMatrix:
         return self
 
 
-def _input_state_combinations(n_qubits: int):
-    for combo in itertools.product(range(4), repeat=n_qubits):
-        ket = _INPUT_KETS[combo[0]]
-        for i in combo[1:]:
-            ket = np.kron(ket, _INPUT_KETS[i])
-        yield combo, np.outer(ket, ket.conj())
-
-
-def _expansion_coefficients(n_qubits: int) -> np.ndarray:
-    """coeffs[j, s]: expansion of Pauli P_j over the product input states."""
-    s_single = np.stack([np.outer(k, k.conj()).reshape(-1) for k in _INPUT_KETS]).T
-    s_inv = np.linalg.inv(s_single)  # 4x4, maps vec(op) -> state coefficients
-    coeffs = np.zeros((4**n_qubits, 4**n_qubits), dtype=complex)
-    for j, label in enumerate(pauli_labels(n_qubits)):
-        per_qubit = [s_inv @ _PAULIS_1Q[c].reshape(-1) for c in label]
-        c = per_qubit[0]
-        for cq in per_qubit[1:]:
-            c = np.kron(c, cq)
-        coeffs[j] = c
-    return coeffs
-
-
 def pauli_transfer(process, n_qubits: int) -> TransferMatrix:
     """Pauli transfer matrix R_ij = Tr(P_i · Λ(P_j)) / 2ⁿ.
 
-    `process` maps an input density matrix (2ⁿ×2ⁿ ndarray or DensityOp) to an
-    output of the same kind.  Λ(P_j) is assembled by linearity from the
-    process outputs on the standard product input-state set.
+    `process` maps an input DensityOp to its output (a 2ⁿ×2ⁿ ndarray or a
+    DensityOp).  It runs on the 4ⁿ product inputs of `_INPUT_KETS`, and R is
+    the solution of R·T_in = T_out, where column s of T_in and of T_out holds
+    the Pauli expectations Tr(P_i ρ) of input s and of its output: by
+    linearity, Tr(P_i Λ(ρ)) = Σ_j R_ij Tr(P_j ρ).
     """
-    d = 2**n_qubits
     space = CompositeSpace(tuple(ModeSpec.qubit() for _ in range(n_qubits)))
-
-    outputs = []
-    for _, rho_in in _input_state_combinations(n_qubits):
-        out = process(DensityOp(space, rho_in))
-        out_m = out.matrix if isinstance(out, DensityOp) else np.asarray(out)
-        outputs.append(out_m)
-    outputs = np.array(outputs)  # (4^n, d, d)
-
-    coeffs = _expansion_coefficients(n_qubits)
+    inputs, outputs = [], []
+    for kets in itertools.product(_INPUT_KETS, repeat=n_qubits):
+        ket = reduce(np.kron, kets)
+        inputs.append(np.outer(ket, ket.conj()))
+        out = process(DensityOp(space, inputs[-1]))
+        outputs.append(out.matrix if isinstance(out, DensityOp) else np.asarray(out))
     paulis = np.array([pauli_matrix(l) for l in pauli_labels(n_qubits)])
-    r = np.zeros((4**n_qubits, 4**n_qubits))
-    for j in range(4**n_qubits):
-        lam_pj = np.tensordot(coeffs[j], outputs, axes=(0, 0))
-        for i in range(4**n_qubits):
-            r[i, j] = np.real(np.trace(paulis[i] @ lam_pj)) / d
-    return TransferMatrix(n_qubits, r)
+    t_in, t_out = (np.einsum("iab,sba->is", paulis, np.array(m)).real for m in (inputs, outputs))
+    return TransferMatrix(n_qubits, np.linalg.solve(t_in.T, t_out.T).T)
 
 
 def unitary_transfer(u: np.ndarray, n_qubits: int) -> TransferMatrix:
@@ -232,7 +205,12 @@ def unitary_transfer(u: np.ndarray, n_qubits: int) -> TransferMatrix:
 
 
 def process_fidelity(R: TransferMatrix, R_ideal: TransferMatrix) -> float:
-    """F = (Tr(R† R_ideal)/d + 1)/(d + 1) with d = 2ⁿ."""
+    """Average gate fidelity F_avg = (Tr(Rᵀ R_ideal)/d + 1)/(d + 1), d = 2ⁿ.
+
+    Tr(Rᵀ R_ideal)/d² is the process (entanglement) fidelity F_pro, and
+    F_avg = (d·F_pro + 1)/(d + 1) (Nielsen, Phys. Lett. A 303, 249 (2002)):
+    the fully depolarizing channel has F_avg = 1/d and F_pro = 1/d².
+    """
     if R.n_qubits != R_ideal.n_qubits:
         raise ValidationError("transfer matrices act on different spaces")
     d = 2**R.n_qubits

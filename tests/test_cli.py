@@ -270,6 +270,31 @@ def test_zero_coherence_time_in_config_exits_1(tmp_path, capsys):
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize(
+    "entry, value, args, named",
+    [
+        ("S1_Q1 = 1.599", "nan", ["qpt", "--gate", "z", "--mode", "pulse"], "S1_Q1 dispersive shift"),
+        ("S1 = 0.005", "nan", ["qpt", "--gate", "z", "--mode", "pulse"], "S1 Kerr coefficient"),
+        ("S1_S2 = 0.004", "nan", ["snap-bell", "--mode", "pulse"], "S1_S2 cross-Kerr"),
+        ("S1_S2 = 0.004", "inf", ["bell", "--encoding", "cat", "--mode", "pulse"], "S1_S2 cross-Kerr"),
+    ],
+    ids=["chi-qpt", "kerr-qpt", "cross-kerr-snap-bell", "cross-kerr-bell"],
+)
+def test_non_finite_coupling_in_config_exits_1(tmp_path, capsys, entry, value, args, named):
+    """A non-finite coupling used to load, and these runs exited 0 with NaN
+    fidelities and purities."""
+    from cavitysim.device import default_config_text
+
+    text = default_config_text()
+    assert text.count(entry) == 1
+    cfg = tmp_path / "device.cfg"
+    cfg.write_text(text.replace(entry, entry.split("=")[0] + "= " + value))
+    out = tmp_path / "run"
+    assert main(args + ["--config", str(cfg), "-o", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_phis_spec_rejected(tmp_path):
     assert main(["parity-sweep", "--phis", "0:1", "-o", str(tmp_path / "x")]) == 1
 

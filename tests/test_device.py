@@ -69,6 +69,28 @@ def test_t2_invariant_violation():
         load_params(bad)
 
 
+@pytest.mark.parametrize(
+    "entry, value, named",
+    [
+        ("S1_Q1 = 1.599", "nan", "S1_Q1 dispersive shift"),
+        ("S1_Q1 = 1.599", "inf", "S1_Q1 dispersive shift"),
+        ("S2_Q3 = 1.494", "-inf", "S2_Q3 dispersive shift"),
+        ("S1 = 0.005", "nan", "S1 Kerr coefficient"),
+        ("S1_S2 = 0.004", "nan", "S1_S2 cross-Kerr"),
+        ("S1_S2 = 0.004", "inf", "S1_S2 cross-Kerr"),
+    ],
+    ids=["chi-nan", "chi-inf", "chi-minus-inf", "kerr-nan", "cross-kerr-nan", "cross-kerr-inf"],
+)
+def test_non_finite_coupling_is_rejected_by_name(entry, value, named):
+    """A NaN passes a `< 0` test, so every coupling is checked for being
+    finite as well as non-negative, and the message names the entry."""
+    text = default_config_text()
+    assert text.count(entry) == 1
+    bad = text.replace(entry, entry.split("=")[0] + "= " + value)
+    with pytest.raises(ValidationError, match=named):
+        load_params(bad)
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "nan"])
 @pytest.mark.parametrize("section", ["T1_us", "T2_us"])
 def test_coherence_times_must_be_positive(section, value):

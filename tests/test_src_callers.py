@@ -16,7 +16,9 @@ body counts as a caller, so the check is by name only.  A class counts as
 used only where src/ instantiates, raises or subclasses it, its own factory
 methods included: an isinstance check, an annotation or a lookup table
 builds nothing.  An attribute reached through an imported module, such as
-`np.trace` or `np.linalg.norm`, names nothing of src.
+`np.trace` or `np.linalg.norm`, names nothing of src.  A private
+module-level function, class or constant (one leading underscore) must be
+named somewhere in src/ outside its own statement too.
 """
 
 import ast
@@ -101,15 +103,20 @@ def _is_command(node) -> bool:
     )
 
 
-def _constants(node) -> list:
-    """Public names that a module-level assignment binds."""
+def _bound(node) -> list:
+    """Names that a module-level assignment binds."""
     if isinstance(node, ast.Assign):
         targets = node.targets
     elif isinstance(node, ast.AnnAssign):
         targets = [node.target]
     else:
         return []
-    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("_")]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _constants(node) -> list:
+    """Public names that a module-level assignment binds."""
+    return [name for name in _bound(node) if not name.startswith("_")]
 
 
 def _modules() -> list:
@@ -120,15 +127,22 @@ def _modules() -> list:
     ]
 
 
+def _statements() -> list:
+    """(module, top-level statement, its imported module names, the names it
+    references) of every src module but `__init__.py`."""
+    out = []
+    for module, tree in _modules():
+        modules = _imported_modules(tree)
+        out += [(module, node, modules, _referenced(node, modules)) for node in tree.body]
+    return out
+
+
 def _uncalled() -> list:
     """(module, name) of every public definition that src/ names only inside
     it: a top-level one inside its own statement, a method inside its body;
     and of every public class that src/ never instantiates, raises or
     subclasses."""
-    statements = []
-    for module, tree in _modules():
-        modules = _imported_modules(tree)
-        statements += [(module, node, modules, _referenced(node, modules)) for node in tree.body]
+    statements = _statements()
     mentions = sum((names for *_, names in statements), collections.Counter())
     built = sum((_built(node) for _, node, *_ in statements), collections.Counter())
     out = []
@@ -161,6 +175,33 @@ def test_every_public_name_has_a_caller_in_src():
     assert not unexpected, f"public names with no caller in src/: {unexpected}"
     # an allowed name that gained a caller or was deleted leaves the list
     assert sorted(ALLOWED) == sorted(n for _, n in uncalled)
+
+
+def _unreferenced_private() -> tuple:
+    """The module-level functions, classes and constants whose names start
+    with one underscore, and those of them that src/ names only inside their
+    own statement, each as `module.name`."""
+    statements = _statements()
+    mentions = sum((names for *_, names in statements), collections.Counter())
+    private, unused = [], []
+    for module, node, _, names in statements:
+        defined = _bound(node)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        for name in defined:
+            if name.startswith("_") and not name.startswith("__"):
+                private.append(f"{module}.{name}")
+                if mentions[name] == names[name]:
+                    unused.append(f"{module}.{name}")
+    return private, unused
+
+
+def test_every_private_module_level_name_is_used():
+    """A private helper, class or constant that nothing in src/ names is
+    dead code: tests may import it, but no recipe runs it."""
+    private, unused = _unreferenced_private()
+    assert private, "the guard found no private names to check"
+    assert not unused, f"private names with no reference in src/: {unused}"
 
 
 #: defaulted parameters kept although no src call passes them, each with the reason

@@ -291,19 +291,42 @@ def test_ptm_composition():
         assert np.max(np.abs(rab.R - unitary_transfer(ua, 1).R @ unitary_transfer(ub, 1).R)) < 1e-8
 
 
+def _kraus_ptm(kraus, n_qubits):
+    """Oracle: R_ij = Σ_k Tr(P_i K_k P_j K_k†) / 2ⁿ, straight from the definition."""
+    paulis = [pauli_matrix(l) for l in pauli_labels(n_qubits)]
+    return np.array(
+        [
+            [sum(np.trace(pi @ k @ pj @ k.conj().T) for k in kraus).real / 2**n_qubits for pj in paulis]
+            for pi in paulis
+        ]
+    )
+
+
+def _kraus_process(kraus):
+    return lambda rho: sum(k @ rho.matrix @ k.conj().T for k in kraus)
+
+
 def test_ptm_nonunital_process():
     """Amplitude damping: affine Z component appears in the first column."""
-
-    def damp(rho):
-        p = 0.3
-        k0 = np.array([[1, 0], [0, np.sqrt(1 - p)]])
-        k1 = np.array([[0, np.sqrt(p)], [0, 0]])
-        return k0 @ rho.matrix @ k0.T + k1 @ rho.matrix @ k1.T
-
-    r = pauli_transfer(damp, 1).check_physical()
+    p = 0.3
+    kraus = [np.array([[1, 0], [0, np.sqrt(1 - p)]]), np.array([[0, np.sqrt(p)], [0, 0]])]
+    r = pauli_transfer(_kraus_process(kraus), 1).check_physical()
+    assert np.max(np.abs(r.R - _kraus_ptm(kraus, 1))) < 1e-10
     assert abs(r.R[3, 0] - 0.3) < 1e-10
     assert abs(r.R[3, 3] - 0.7) < 1e-10
     assert abs(r.R[1, 1] - np.sqrt(0.7)) < 1e-10
+
+
+def test_ptm_matches_definition_on_a_random_two_qubit_channel():
+    """Three Kraus operators cut from a random 12×4 isometry: a generic
+    non-unital two-qubit channel, against the PTM definition."""
+    rng = np.random.default_rng(21)
+    v, _ = np.linalg.qr(rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4)))
+    kraus = [v[4 * k : 4 * k + 4] for k in range(3)]
+    expected = _kraus_ptm(kraus, 2)
+    assert np.max(np.abs(expected[1:, 0])) > 0.05  # non-unital
+    r = pauli_transfer(_kraus_process(kraus), 2).check_physical()
+    assert np.max(np.abs(r.R - expected)) < 1e-12
 
 
 def test_process_fidelity_values():
