@@ -1,9 +1,10 @@
 """Time evolution: exact piecewise-constant propagators and Lindblad integration.
 
-Pure states evolve by exact closed-form 2×2 rotations (below).  Mixed states
-evolve by the exactly exponentiated Lindblad generator, formed sector by
-sector on the vectorized density matrix, one propagator per distinct run of
-identical piecewise-constant drive samples.
+A pulse is played as its runs of consecutive equal samples (`_runs`), over
+each of which the Hamiltonian is constant.  Pure states evolve by exact
+closed-form 2×2 rotations, one per run (below).  Mixed states evolve by the
+exactly exponentiated Lindblad generator, formed sector by sector on the
+vectorized density matrix, one propagator per distinct run.
 
 The static Hamiltonian is diagonal in the joint Fock basis and is passed as
 its real (dim,) energy vector.  When a single qubit is the only driven mode,
@@ -12,14 +13,14 @@ level of the other factors, since the drive changes no photon number.  Each
 block is a global phase times an SU(2) matrix [[a, −b̄], [b, ā]], so a whole
 pulse reduces to one Cayley–Klein pair (a, b) per block.
 `block_detuning_phase` reads each block's detuning and phase from the
-energy vector, `block_rotations` computes the pairs for all blocks at once
-and `apply_block_rotations` applies them on the qubit axis; `evolve_pulse`,
-the ideal conditional rotations (and through them the
-component-level logical map `gates.component_logical_unitary`) and the
-binomial-CZ block calibration all run through these functions.
+energy vector, `block_rotations` computes the pairs for all blocks at once,
+one rotation per block and run, and `apply_block_rotations` applies them on
+the qubit axis; `evolve_pulse`, the ideal conditional rotations (and through
+them the component-level logical map `gates.component_logical_unitary`) and
+the binomial-CZ block calibration all run through these functions.
 `block_rotation_gradient` differentiates each block's a with respect to
-every drive sample, from one forward prefix scan of the same per-sample
-pairs; the binomial-CZ tone calibration takes its exact Jacobian from it.
+every drive sample, from one forward prefix scan of the per-sample pairs;
+the binomial-CZ tone calibration takes its exact Jacobian from it.
 Every gate drives one qubit between instantaneous cavity displacements, so
 a `PulseSequence` is one qubit's drive samples, and that is all that
 `evolve_pulse` and `lindblad_evolve` play.
@@ -44,9 +45,10 @@ components come in mirror pairs under ρ ↔ ρ†; only one of each pair is
 formed, and the other half of a Hermitian ρ follows by conjugation.  At
 dim 60 (one qubit, one cavity of 30 levels, a qubit drive) the 3 600
 elements fall into 59 components of at most 120.
-`LindbladPropagators` keeps the dissipator of one collapse set and the
-propagator of every distinct run, so a caller that evolves many inputs
-through the same gate builds each once.
+`LindbladPropagators` holds the static energies, the layout and the
+dissipator of one collapse set, and keeps the propagator of every distinct
+run, keyed by its qubit, sample and length, so a caller that evolves many
+inputs through the same gate builds each once.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from scipy.linalg import expm
 from cavitysim.device import DeviceParams, SystemLayout
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.fock import (
-    CompositeSpace,
     DensityOp,
     Ket,
     LinearOp,
@@ -176,13 +177,16 @@ def standard_collapses(params: DeviceParams, layout: SystemLayout) -> CollapseSe
 # Pure-state pulse evolution
 
 
-def _check_pulse(space, H0, pulse: PulseSequence, layout: SystemLayout) -> np.ndarray:
-    """Validate a pulse-driven evolution of a state on `space`; returns H0 as
-    the energy vector."""
+def _check_drive(space, pulse: PulseSequence, layout: SystemLayout) -> None:
+    """Validate a drive of a state on `space` by `pulse` in `layout`."""
     if space != layout.space:
         raise ValidationError("state and layout spaces must agree")
     if pulse.qubit not in layout.index or not layout.is_qubit(pulse.qubit):
         raise ValidationError(f"the pulse drives {pulse.qubit!r}, which is not a qubit of the layout")
+
+
+def _energy_vector(H0, layout: SystemLayout) -> np.ndarray:
+    """H0 as the layout's real (dim,) energy vector, or a ValidationError."""
     e = np.asarray(H0)
     if e.shape != (layout.space.dim,) or np.iscomplexobj(e):
         raise ValidationError(
@@ -192,38 +196,31 @@ def _check_pulse(space, H0, pulse: PulseSequence, layout: SystemLayout) -> np.nd
     return e
 
 
-def _segment_runs(H0: np.ndarray, pulse: PulseSequence, layout: SystemLayout):
-    """Runs of consecutive identical drive samples, as (h, n_steps).
-
-    Samples are compared rounded to 14 digits; h is the dense Hamiltonian
-    diag(H0) + (u/2)|e⟩⟨g| + (ū/2)|g⟩⟨e| of the run on the driven qubit's
-    g/e block indices, built once.
-    """
-    g, e = qubit_blocks(np.arange(len(H0)), layout, pulse.qubit)
-    samples = np.round(pulse.samples, 14)
-    starts = np.flatnonzero(samples[1:] != samples[:-1]) + 1
-    bounds = [0, *starts.tolist(), pulse.n_steps]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        h = np.diag(H0).astype(complex)
-        u = pulse.samples[start]
-        h[e, g] = 0.5 * u
-        h[g, e] = 0.5 * np.conj(u)
-        yield h, stop - start
+def _runs(samples: np.ndarray):
+    """Runs of consecutive equal drive samples, compared exactly: the
+    sample of each run and its length, as arrays (values, lengths)."""
+    first = np.ones(len(samples), dtype=bool)
+    first[1:] = samples[1:] != samples[:-1]
+    starts = np.flatnonzero(first)
+    return samples[starts], np.diff(starts, append=len(samples))
 
 
-#: Target element count of the (blocks × samples) temporaries in
+#: Target element count of the (blocks × runs) temporaries in
 #: `block_rotations`: large enough to amortize numpy's per-call overhead,
-#: small enough to stay in cache (4 k and 256 k elements were both slower at
-#: 676 blocks).
+#: small enough to stay in cache.  It bounds those of the binomial CZ, the
+#: one gate pulse of many runs (2 020): unchunked, the peak RSS of
+#: `sim cz --encoding binomial --mode pulse` rose from 85.8 to 91.1 MB.
 _CHUNK_ELEMENTS = 16384
 
 
-def _sample_rotations(delta: np.ndarray, half: np.ndarray, dt: float):
-    """Per-sample Cayley–Klein pairs (a, b) of exp(−i dt [[δ, h̄], [h, −δ]]),
-    with ω = √(δ² + |h|²) and sinc = sin(ωdt)/ω (dt at ω = 0)."""
+def _sample_rotations(delta: np.ndarray, half: np.ndarray, dt):
+    """Per-column Cayley–Klein pairs (a, b) of exp(−i dt [[δ, h̄], [h, −δ]]),
+    with ω = √(δ² + |h|²) and sinc = sin(ωdt)/ω (dt at ω = 0); dt is one
+    duration for every column or an array of one per column."""
     omega = np.sqrt(delta**2 + np.abs(half) ** 2)
-    sinc = np.where(omega > 0, np.sin(omega * dt) / np.where(omega > 0, omega, 1.0), dt)
-    a = np.cos(omega * dt) - 1j * sinc * delta
+    wdt, moving = omega * dt, omega > 0
+    sinc = np.where(moving, np.sin(wdt) / np.where(moving, omega, 1.0), dt)
+    a = np.cos(wdt) - 1j * sinc * delta
     b = -1j * sinc * half
     return a, b, omega, sinc
 
@@ -237,24 +234,26 @@ def block_rotations(delta: np.ndarray, amps: np.ndarray, dt: float):
     """Cayley–Klein pair (a, b) of the time-ordered product of Rabi rotations.
 
     Block j evolves under H_j(t) = [[δ_j, ū_t/2], [u_t/2, −δ_j]] with the
-    piecewise-constant drive u_t (one sample per dt).  Each sample's
-    propagator exp(−i dt H_j) is the SU(2) matrix [[a, −b̄], [b, ā]] with
-    a = cos ωdt − i δ sin(ωdt)/ω and b = −i (u/2) sin(ωdt)/ω,
+    piecewise-constant drive u_t (one sample per dt).  Over a run of n equal
+    samples (`_runs`) H_j is constant, so the run's propagator
+    exp(−i n dt H_j) is one SU(2) matrix [[a, −b̄], [b, ā]] with
+    a = cos ωτ − i δ sin(ωτ)/ω and b = −i (u/2) sin(ωτ)/ω, τ = n dt,
     ω = √(δ² + |u/2|²).  Returns arrays a, b of shape (n_blocks,) for the
-    product over all samples, in time order.
+    product over all runs, in time order.
 
-    The samples are processed in chunks whose length is set by the block
+    The runs are processed in chunks whose length is set by the block
     count; within a chunk the product is a pairwise tree
     (a, b) = (a₂a₁ − b̄₂b₁, b₂a₁ + ā₂b₁), and the chunks are composed in order.
     """
     delta = np.asarray(delta, dtype=float)[:, None]
-    amps = np.asarray(amps, dtype=complex)
+    u, lengths = _runs(np.asarray(amps, dtype=complex))
     a_tot = np.ones(len(delta), dtype=complex)
     b_tot = np.zeros(len(delta), dtype=complex)
     chunk = max(1, _CHUNK_ELEMENTS // max(1, len(delta)))
-    for start in range(0, len(amps), chunk):
-        # (blocks, samples) arrays: samples on the last axis, the axis reduced
-        a, b, _, _ = _sample_rotations(delta, 0.5 * amps[start : start + chunk], dt)
+    for start in range(0, len(u), chunk):
+        # (blocks, runs) arrays: runs on the last axis, the axis reduced
+        t = slice(start, start + chunk)
+        a, b, _, _ = _sample_rotations(delta, 0.5 * u[t], dt * lengths[t])
         while a.shape[1] > 1:
             na, nb = _compose(a[:, 1::2], b[:, 1::2], a[:, 0:-1:2], b[:, 0:-1:2])
             if a.shape[1] % 2:
@@ -408,7 +407,8 @@ def evolve_pulse(
     `block_rotations`.  A pulse on anything but a qubit of the layout is a
     ValidationError.
     """
-    H0 = _check_pulse(state.space, H0, pulse, layout)
+    _check_drive(state.space, pulse, layout)
+    H0 = _energy_vector(H0, layout)
     delta, phase = block_detuning_phase(H0, layout, pulse.qubit, pulse.duration)
     a, b = block_rotations(delta, pulse.samples, pulse.dt)
     return Ket(state.space, apply_block_rotations(state.amplitudes, layout, pulse.qubit, a, b, phase))
@@ -470,32 +470,39 @@ def liouvillian_components(gen: sp.csr_matrix):
 
 
 class LindbladPropagators:
-    """The dissipator of one collapse set on one space, and the exact
-    propagator exp(𝓛 τ) of every distinct run evolved with it.
+    """The static energies H0 (the layout's real (dim,) energy vector), the
+    layout and the dissipator of one open system, and the exact propagator
+    exp(𝓛 τ) of every distinct drive run evolved in it.
 
     A run's propagator is one dense `expm` per kept component of
-    `liouvillian_components`, formed on first use and kept, keyed by the
-    run's Hamiltonian matrix and length (not by its drive samples, so runs
-    on different static Hamiltonians never share an entry); the cache lives
-    as long as this object.
+    `liouvillian_components`, formed on first use and kept for the life of
+    this object, keyed by the driven qubit, the run's sample and its length;
+    the run's Hamiltonian diag(H0) + (u/2)|e⟩⟨g| + (ū/2)|g⟩⟨e| is built only
+    then.
     """
 
-    def __init__(self, collapses: CollapseSet, space: CompositeSpace):
+    def __init__(self, H0: np.ndarray, collapses: CollapseSet, layout: SystemLayout):
+        self.h0 = _energy_vector(H0, layout)
         for op, _ in collapses:
-            if op.space != space:
-                raise ValidationError("collapse operators and state must share one space")
+            if op.space != layout.space:
+                raise ValidationError("collapse operators and layout must share one space")
         self.collapses = collapses
-        self.space = space
-        self.dissipator = lindblad_dissipator(collapses, space.dim)
-        self._runs = {}
+        self.layout = layout
+        self.dissipator = lindblad_dissipator(collapses, layout.space.dim)
+        self._cache = {}
 
-    def apply(self, y: np.ndarray, h: np.ndarray, span: float) -> np.ndarray:
-        """exp(𝓛 span) vec(ρ) for the vectorization y of a Hermitian ρ."""
-        key = (h.tobytes(), span)
-        blocks = self._runs.get(key)
+    def apply(self, y: np.ndarray, qubit: str, u: complex, span: float) -> np.ndarray:
+        """exp(𝓛 span) vec(ρ) for the vectorization y of a Hermitian ρ, with
+        `qubit` driven by the constant sample u."""
+        key = (qubit, u, span)
+        blocks = self._cache.get(key)
         if blocks is None:
+            g, e = qubit_blocks(np.arange(len(self.h0)), self.layout, qubit)
+            h = np.diag(self.h0).astype(complex)
+            h[e, g] = 0.5 * u
+            h[g, e] = 0.5 * np.conj(u)
             gen = liouvillian(h, self.dissipator)
-            blocks = self._runs[key] = [
+            blocks = self._cache[key] = [
                 (idx, mirror, expm(gen[idx][:, idx].toarray() * span))
                 for idx, mirror in liouvillian_components(gen)
             ]
@@ -509,42 +516,34 @@ class LindbladPropagators:
 
 
 def lindblad_evolve(
-    rho: DensityOp,
-    H0: np.ndarray,
-    pulse: PulseSequence,
-    propagators: LindbladPropagators,
-    layout: SystemLayout,
+    rho: DensityOp, pulse: PulseSequence, propagators: LindbladPropagators
 ) -> DensityOp:
     """Evolve ρ under dρ/dt = −i[H,ρ] + Σ (L ρ L† − ½{L†L, ρ}).
 
-    H is diag(H0) + the qubit drive of `pulse`, piecewise constant at segment
-    boundaries, with H0 the real (dim,) energy vector of the static
-    Hamiltonian.  `propagators` holds the dissipator of the collapse set and
-    keeps each run's propagator for later calls.
+    H is diag(H0) + the qubit drive of `pulse`, piecewise constant at sample
+    boundaries; `propagators` holds H0, the layout and the dissipator of the
+    collapse set, and keeps each run's propagator for later calls.
 
     ρ is first made Hermitian, (ρ + ρ†)/2, since the map commutes with
-    ρ ↦ ρ† and the result is Hermitian anyway.  Each run of identical
-    segments, of length τ, is then one exact step
+    ρ ↦ ρ† and the result is Hermitian anyway.  Each run of equal samples
+    (`_runs`), of length τ, is then one exact step
     vec(ρ) ← exp(𝓛 τ) vec(ρ), with 𝓛 = `liouvillian(h, D)` in the row-major
     convention of the module docstring, formed per component of 𝓛 (see
     `LindbladPropagators`): Σ|C|³ work per distinct run.
 
-    Raises ValidationError when H0, the propagators or the layout are on
-    another space than ρ or the pulse drives no qubit of the layout, and
-    NumericalError if the result is not finite or its trace drifts from 1 by
-    more than 1e-6 (the map is trace-preserving).
+    Raises ValidationError when ρ is on another space than the propagators'
+    layout or the pulse drives no qubit of it, and NumericalError if the
+    result is not finite or its trace drifts from 1 by more than 1e-6 (the
+    map is trace-preserving).
     """
-    H0 = _check_pulse(rho.space, H0, pulse, layout)
-    if propagators.space != rho.space:
-        raise ValidationError("collapse operators and state must share one space")
+    _check_drive(rho.space, pulse, propagators.layout)
 
-    dim = rho.space.dim
     m = rho.matrix
     y = (0.5 * (m + m.conj().T)).reshape(-1)
-    for h, n in _segment_runs(H0, pulse, layout):
-        y = propagators.apply(y, h, n * pulse.dt)
+    for u, n in zip(*_runs(pulse.samples)):
+        y = propagators.apply(y, pulse.qubit, u, n * pulse.dt)
 
-    m = y.reshape(dim, dim)
+    m = y.reshape(rho.matrix.shape)
     m = 0.5 * (m + m.conj().T)
     if not np.all(np.isfinite(m)):
         raise NumericalError("Lindblad evolution produced a non-finite state")

@@ -357,10 +357,10 @@ class PulseBackend:
         pushed through the same gate reuses them.
         """
         if self._lindblad is None or self._lindblad.collapses is not collapses:
-            self._lindblad = LindbladPropagators(collapses, self.layout.space)
+            self._lindblad = LindbladPropagators(self.h0, collapses, self.layout)
         for kind, item in self._segments(spec):
             if kind == "pulse":
-                rho = lindblad_evolve(rho, self.h0, item, self._lindblad, self.layout)
+                rho = lindblad_evolve(rho, item, self._lindblad)
             elif kind == "displace":
                 # D ρ D† = (D (D ρ)†)†
                 m = _displace(rho.matrix, self.layout, item)

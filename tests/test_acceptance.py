@@ -158,13 +158,13 @@ def test_cavity_photon_number_decays_at_T1():
     t1 = PARAMS.T1["S1"]
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 4})
     h0 = static_hamiltonian(PARAMS, layout)
-    propagators = LindbladPropagators(standard_collapses(PARAMS, layout), layout.space)
+    propagators = LindbladPropagators(h0, standard_collapses(PARAMS, layout), layout)
     rho = tensor([qubit_ket(0), fock_ket(layout.mode("S1"), 2)]).density()
     n_op = layout.lift(number_op(layout.mode("S1")), "S1")
     for t in (0.5 * t1, 1.5 * t1, 3.0 * t1):
         # free evolution: one undriven sample of length t
         idle = PulseSequence("Q1", [0.0], t)
-        out = lindblad_evolve(rho, h0, idle, propagators, layout)
+        out = lindblad_evolve(rho, idle, propagators)
         n_t = float(np.real(np.trace(out.matrix @ n_op.matrix)))
         expected = 2.0 * np.exp(-t / t1)
         assert abs(n_t - expected) / expected < 1e-6
@@ -173,12 +173,12 @@ def test_cavity_photon_number_decays_at_T1():
 def test_qubit_coherence_decays_at_T2():
     t2 = PARAMS.T2["Q1"]
     layout = SystemLayout.build(["Q1"], [], {})
-    propagators = LindbladPropagators(standard_collapses(PARAMS, layout), layout.space)
+    propagators = LindbladPropagators(np.zeros(2), standard_collapses(PARAMS, layout), layout)
     plus = Ket(layout.space, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
     rho = plus.density()
     for t in (0.5 * t2, 1.5 * t2, 3.0 * t2):
         idle = PulseSequence("Q1", [0.0], t)
-        out = lindblad_evolve(rho, np.zeros(2), idle, propagators, layout)
+        out = lindblad_evolve(rho, idle, propagators)
         coherence = abs(out.matrix[0, 1])
         expected = 0.5 * np.exp(-t / t2)
         assert abs(coherence - expected) / expected < 1e-6

@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -54,8 +56,17 @@ def _idle(layout, t):
 
 
 def _lindblad(rho, h0, pulse, cs, layout):
-    """`lindblad_evolve` with fresh propagators of the collapse set `cs`."""
-    return lindblad_evolve(rho, h0, pulse, LindbladPropagators(cs, layout.space), layout)
+    """`lindblad_evolve` with fresh propagators of h0 and the collapse set `cs`."""
+    return lindblad_evolve(rho, pulse, LindbladPropagators(h0, cs, layout))
+
+
+def _run_hamiltonians(h0, pulse, layout):
+    """Each run of equal samples u of `pulse`, as (h, n): its dense
+    Hamiltonian diag(h0) + u O + ū O†, O the qubit's `control_operator`,
+    and its length n."""
+    op = control_operator(layout, pulse.qubit)
+    for u, run in groupby(pulse.samples):
+        yield np.diag(h0) + u * op + np.conj(u) * op.conj().T, len(list(run))
 
 
 def test_segment_propagator_zero_dt():
@@ -313,23 +324,52 @@ def test_unitary_and_lindblad_paths_agree_on_pulse(params):
 
 def test_blockwise_fast_path_matches_dense_segment_product(params, dense_play):
     """Oracle: evolve_pulse's blockwise kernel equals the product of
-    per-sample dense propagators exp(−i dt (H0 + u O + ū O†))."""
+    per-sample dense propagators exp(−i dt (H0 + u O + ū O†)), for runs of
+    equal samples as for distinct ones."""
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 4, "S2": 3})
     h0 = static_hamiltonian(params, layout)
     assert params.chi[("S1", "Q3")] and params.chi[("S2", "Q3")]
     assert params.kerr["S1"] and params.kerr["S2"] and params.cross_kerr
-    # an odd sample count spanning more than two chunks of the kernel
+    # an odd run count spanning more than two chunks of the kernel
     chunk = evolution._CHUNK_ELEMENTS // (layout.space.dim // 2)
-    n = 2 * chunk + 3
+    n_runs = 2 * chunk + 3
     rng = np.random.default_rng(11)
-    amps = 0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    amps[rng.random(n) < 0.2] = 0.0  # zero samples take the ω = 0 branch
-    pulse = PulseSequence("Q3", amps, 0.7)
+    values = 0.01 * (rng.normal(size=n_runs) + 1j * rng.normal(size=n_runs))
+    values[5::5] = 0.0  # zero samples take the ω = 0 branch; no two adjacent
+    lengths = np.ones(n_runs, dtype=int)
+    lengths[:4] = [1, 3, 200, 1]
+    pulse = PulseSequence("Q3", np.repeat(values, lengths), 0.7)
+    assert len(list(groupby(pulse.samples))) == n_runs
     v = rng.normal(size=layout.space.dim) + 1j * rng.normal(size=layout.space.dim)
     psi = Ket(layout.space, v).normalized()
 
     ref = dense_play(psi.amplitudes, h0, pulse, layout)
     out = evolve_pulse(psi, h0, pulse, layout)
+    assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
+
+
+def test_constant_pulse_forms_one_rotation_per_block(params, monkeypatch):
+    """A constant pulse is one run: `evolve_pulse` forms one closed-form
+    rotation per g/e block for its 782 samples, not one per sample, and it
+    equals the exponential of the whole pulse's Hamiltonian."""
+    formed = []
+    sample_rotations = evolution._sample_rotations
+
+    def counted(delta, half, dt):
+        out = sample_rotations(delta, half, dt)
+        formed.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(evolution, "_sample_rotations", counted)
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 30})
+    h0 = static_hamiltonian(params, layout)
+    pulse = PulseSequence("Q1", np.full(782, np.pi / 782), 1.0)
+    psi = Ket(layout.space, np.ones(layout.space.dim) / np.sqrt(layout.space.dim))
+    out = evolve_pulse(psi, h0, pulse, layout)
+    assert sum(formed) == layout.space.dim // 2
+
+    h, n = next(_run_hamiltonians(h0, pulse, layout))
+    ref = expm(-1j * h * n * pulse.dt) @ psi.amplitudes
     assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
 
@@ -454,7 +494,7 @@ def _expm_multiply_oracle(rho0, h0, pulse, layout, cs):
     vec(ρ) as given, then the output made Hermitian."""
     dissipator = lindblad_dissipator(cs, layout.space.dim)
     y = rho0.reshape(-1)
-    for h, n in evolution._segment_runs(h0, pulse, layout):
+    for h, n in _run_hamiltonians(h0, pulse, layout):
         y = expm_multiply(liouvillian(h, dissipator) * (n * pulse.dt), y)
     m = y.reshape(rho0.shape)
     return 0.5 * (m + m.conj().T)
@@ -484,7 +524,7 @@ def test_qubit_drive_splits_liouvillian_by_coherence_order(params, levels):
     the transposed elements of its twin."""
     layout, h0, pulse = _qubit_driven_runs(params, levels)
     dim = layout.space.dim
-    h = next(evolution._segment_runs(h0, pulse, layout))[0]
+    h = next(_run_hamiltonians(h0, pulse, layout))[0]
     gen = liouvillian(h, lindblad_dissipator(_all_channel_kinds(layout), dim))
     comps = liouvillian_components(gen)
     assert len(comps) == levels
@@ -504,39 +544,58 @@ def _shifted(layout):
     return SystemLayout.build(["Q1"], ["S1"], {"S1": layout.mode("S1").dim + 1})
 
 
-@pytest.mark.parametrize("case", ["hamiltonian", "collapse", "layout", "propagators"])
+@pytest.mark.parametrize(
+    "case", ["hamiltonian", "complex-hamiltonian", "collapse", "layout", "propagators", "qubit"]
+)
 def test_lindblad_rejects_mismatched_spaces(params, case):
-    """H0, a collapse operator, the pulse layout or a propagator cache on
-    another space than ρ is a ValidationError, as in `evolve_pulse`."""
+    """`LindbladPropagators` refuses an H0 that is not its layout's real
+    energy vector and collapse operators on another space; `lindblad_evolve`
+    refuses a ρ on another space than the propagators' layout and a pulse
+    on a non-qubit, as `evolve_pulse` does."""
     layout, h0, pulse = _qubit_driven_runs(params, 4)
     other = _shifted(layout)
     rho = DensityOp(layout.space, _random_density(np.random.default_rng(5), layout.space.dim))
     cs = _all_channel_kinds(layout)
     with pytest.raises(ValidationError):
         if case == "hamiltonian":
-            _lindblad(rho, static_hamiltonian(params, other), pulse, cs, layout)
+            LindbladPropagators(static_hamiltonian(params, other), cs, layout)
+        elif case == "complex-hamiltonian":
+            LindbladPropagators(h0.astype(complex), cs, layout)
         elif case == "collapse":
-            _lindblad(rho, h0, pulse, _all_channel_kinds(other), layout)
+            LindbladPropagators(h0, _all_channel_kinds(other), layout)
         elif case == "layout":
-            _lindblad(rho, static_hamiltonian(params, other), pulse, cs, other)
+            rho_other = DensityOp(other.space, np.eye(other.space.dim) / other.space.dim)
+            lindblad_evolve(rho_other, pulse, LindbladPropagators(h0, cs, layout))
+        elif case == "propagators":
+            cache = LindbladPropagators(static_hamiltonian(params, other), _all_channel_kinds(other), other)
+            lindblad_evolve(rho, pulse, cache)
         else:
-            cache = LindbladPropagators(_all_channel_kinds(other), other.space)
-            lindblad_evolve(rho, h0, pulse, cache, layout)
+            cavity = PulseSequence("S1", pulse.samples, pulse.dt)
+            lindblad_evolve(rho, cavity, LindbladPropagators(h0, cs, layout))
 
 
 def test_lindblad_propagators_reuse_each_run(params):
     """A kept `LindbladPropagators` forms each distinct run's component
-    exponentials once, and reuse gives the same state as a fresh solve."""
+    exponentials once, also for a run that recurs within one pulse, and
+    reuse gives the same state as a fresh solve."""
     layout, h0, pulse = _qubit_driven_runs(params, 4)
     cs = _all_channel_kinds(layout)
-    cache = LindbladPropagators(cs, layout.space)
+    cache = LindbladPropagators(h0, cs, layout)
     rho = DensityOp(layout.space, _random_density(np.random.default_rng(6), 8))
-    first = lindblad_evolve(rho, h0, pulse, cache, layout)
-    assert len(cache._runs) == 3
-    again = lindblad_evolve(first, h0, pulse, cache, layout)
-    assert len(cache._runs) == 3
+    first = lindblad_evolve(rho, pulse, cache)
+    assert len(cache._cache) == 3
+    again = lindblad_evolve(first, pulse, cache)
+    assert len(cache._cache) == 3
     fresh = _lindblad(first, h0, pulse, cs, layout)
     assert np.max(np.abs(again.matrix - fresh.matrix)) < 1e-15
+
+    # runs u, 0, u: the first and last share one propagator
+    recurring = PulseSequence("Q1", np.concatenate([np.full(3, 0.02), np.zeros(4), np.full(3, 0.02)]), 10.0)
+    cache = LindbladPropagators(h0, cs, layout)
+    out = lindblad_evolve(rho, recurring, cache)
+    assert len(cache._cache) == 2
+    ref = _expm_multiply_oracle(rho.matrix, h0, recurring, layout, cs)
+    assert np.max(np.abs(out.matrix - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("scale", [2.0, np.nan])
