@@ -165,10 +165,11 @@ class SystemLayout:
         return embed(op, self.index[label], self.space)
 
 
-def _levels(layout: SystemLayout) -> dict:
-    """Level index of each label on the joint basis: the factor's np.arange(d),
-    shaped to broadcast along its own axis.  For a qubit it is the |e⟩
-    population, for a cavity the photon number."""
+def levels(layout: SystemLayout) -> dict:
+    """Level number n of each label on the joint basis: the factor's
+    np.arange(d), shaped to broadcast along its own axis.  For a qubit it is
+    the |e⟩ population, for a cavity the photon number.  The static energies
+    and `evolution.lindblad_dissipator` are functions of these grids."""
     grids = np.indices(layout.space.dims, sparse=True)
     return {label: grids[i] for label, i in layout.index.items()}
 
@@ -192,7 +193,7 @@ def static_hamiltonian(params: DeviceParams, layout: SystemLayout) -> np.ndarray
     in the joint Fock basis, so H is held as its diagonal, broadcast from the
     per-factor level numbers.
     """
-    n = _levels(layout)
+    n = levels(layout)
     diag = np.zeros(layout.space.dims)
     for (cav, qub), chi in params.chi.items():
         if cav in n and qub in n:
@@ -206,5 +207,5 @@ def cavity_static_diag(params: DeviceParams, layout: SystemLayout) -> np.ndarray
     These phases are deterministic and qubit-independent; the decoding step
     compensates them exactly.
     """
-    return _minus_cavity_terms(np.zeros(layout.space.dims), params, _levels(layout))
+    return _minus_cavity_terms(np.zeros(layout.space.dims), params, levels(layout))
 

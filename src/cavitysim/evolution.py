@@ -34,6 +34,12 @@ vec(ρ) = ρ.reshape(-1), for which vec(AρB) = (A ⊗ Bᵀ) vec(ρ).  So
     L ρ L†          →  L ⊗ L̄
     −½{L†L, ρ}      →  −½ (L†L ⊗ I + I ⊗ (L†L)ᵀ)
 
+A collapse channel is a mode, a kind and a rate (`Collapse`).  With n the
+mode's level number (`device.levels`), a `loss` channel at κ is
+L = √κ Σ √n |n−1⟩⟨n| and a `dephasing` channel at γ damps ρ_ij at
+γ (n_i − n_j)²; every L†L is diagonal, so `lindblad_dissipator` builds the
+dissipative part from the level vectors alone.
+
 A run of length τ maps vec(ρ) to exp(𝓛 τ) vec(ρ).  𝓛 seldom couples all
 dim² elements: a qubit-only drive with the standard collapse set conserves
 each cavity's coherence order n − m, a weak U(1) symmetry that splits 𝓛 into
@@ -60,17 +66,9 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/tracer.py patches this name
 from scipy.linalg import expm
 
-from cavitysim.device import DeviceParams, SystemLayout
+from cavitysim.device import DeviceParams, SystemLayout, levels
 from cavitysim.errors import NumericalError, ValidationError
-from cavitysim.fock import (
-    DensityOp,
-    Ket,
-    LinearOp,
-    annihilation,
-    number_op,
-    sigma_minus,
-    sigma_z,
-)
+from cavitysim.fock import DensityOp, Ket, LinearOp
 
 
 @dataclass(frozen=True)
@@ -107,22 +105,22 @@ class PulseSequence:
 
 
 @dataclass(frozen=True)
-class CollapseSet:
-    """Collapse channels as (operator, rate) pairs; L_k = sqrt(rate_k) · op_k."""
+class Collapse:
+    """One collapse channel of the mode `label`: kind `loss` or `dephasing`
+    (see the module docstring) at a finite rate >= 0, in 1/ns.  A collapse
+    set is a tuple of channels."""
 
-    items: tuple
+    label: str
+    kind: str
+    rate: float
 
     def __post_init__(self):
-        for _, rate in self.items:
-            if not (np.isfinite(rate) and rate >= 0):
-                raise ValidationError("collapse rates must be finite and >= 0")
-        object.__setattr__(self, "items", tuple(self.items))
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
+        if self.kind not in ("loss", "dephasing"):
+            raise ValidationError(f"a collapse channel is loss or dephasing, got {self.kind!r}")
+        if not (np.isfinite(self.rate) and self.rate >= 0):
+            raise ValidationError(
+                f"the {self.kind} rate of {self.label} must be finite and >= 0, got {self.rate}"
+            )
 
 
 # no src caller: perfbench/tracer.py observes it for its dim_max probe, and
@@ -145,32 +143,23 @@ def dephasing_rate(T1: float, T2: float) -> float:
     return max(g2 - g1, 0.0)
 
 
-def standard_collapses(params: DeviceParams, layout: SystemLayout) -> CollapseSet:
-    """Relaxation and dephasing channels for every mode in the layout.
-
-    Qubits: sqrt(1/T1) σ⁻ and sqrt(Γ_φ/2) σ_z, giving coherence decay at
-    1/T2 = 1/(2T1) + Γ_φ.  Cavities: sqrt(1/T1) a and sqrt(2 Γ_φ) a†a.
+def standard_collapses(params: DeviceParams, layout: SystemLayout) -> tuple:
+    """Loss at 1/T1 and dephasing at Γ_φ (`dephasing_rate`) for every mode of
+    the layout, in layout order, each left out where its rate is 0.  On a
+    qubit these are σ⁻ at 1/T1 and σ_z at Γ_φ/2, on a cavity a at 1/T1 and
+    a†a at 2Γ_φ.  A finite T1 without a T2 entry is a ValidationError.
     """
-    items = []
+    out = []
     for label in layout.index:
         t1 = params.T1.get(label, np.inf)
-        t2 = params.T2.get(label, np.inf)
-        gphi = dephasing_rate(t1, t2)
-        if layout.is_qubit(label):
-            if np.isfinite(t1):
-                items.append((layout.lift(sigma_minus(), label), 1.0 / t1))
-            if gphi > 0:
-                items.append((layout.lift(sigma_z(), label), gphi / 2.0))
-        else:
-            if np.isfinite(t1):
-                items.append(
-                    (layout.lift(annihilation(layout.mode(label)), label), 1.0 / t1)
-                )
-            if gphi > 0:
-                items.append(
-                    (layout.lift(number_op(layout.mode(label)), label), 2.0 * gphi)
-                )
-    return CollapseSet(tuple(items))
+        if np.isfinite(t1) and label not in params.T2:
+            raise ValidationError(f"{label} has a T1 but no T2: the [T2_us] table has no {label} entry")
+        gphi = dephasing_rate(t1, params.T2.get(label, np.inf))
+        if np.isfinite(t1):
+            out.append(Collapse(label, "loss", 1.0 / t1))
+        if gphi > 0:
+            out.append(Collapse(label, "dephasing", gphi))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +407,35 @@ def evolve_pulse(
 # Lindblad integration
 
 
-def lindblad_dissipator(collapses: CollapseSet, dim: int) -> sp.csr_matrix:
-    """Σ_k (L_k ⊗ L̄_k − ½ (L_k†L_k ⊗ I + I ⊗ (L_k†L_k)ᵀ)), L_k = √rate_k · op_k.
-
-    The dissipative part of the row-major Lindblad superoperator (see the
-    module docstring); a dim²×dim² CSR matrix.
+def lindblad_dissipator(collapses, layout: SystemLayout) -> sp.csr_matrix:
+    """Σ_k (L_k ⊗ L̄_k − ½ (L_k†L_k ⊗ I + I ⊗ (L_k†L_k)ᵀ)) of the `Collapse`
+    channels, as a real dim²×dim² CSR matrix without stored zeros (see the
+    module docstring).  From each mode's levels n and joint-index stride s: a
+    loss channel at κ maps ρ_ij to ρ_{i−s, j−s} with weight κ √(n_i n_j) and
+    adds −½κ (n_i + n_j) to the diagonal, a dephasing channel at γ adds
+    −γ (n_i − n_j)².  A channel on a label outside the layout is a
+    ValidationError.
     """
-    eye = sp.identity(dim, dtype=complex, format="csr")
-    out = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
-    for op, rate in collapses:
-        l = sp.csr_matrix(np.sqrt(rate) * op.matrix)
-        ll = (l.conj().T @ l).tocsr()
-        out = out + sp.kron(l, l.conj()) - 0.5 * (sp.kron(ll, eye) + sp.kron(eye, ll.T))
-    return out.tocsr()
+    dims, dim = layout.space.dims, layout.space.dim
+    grids = levels(layout)
+    diag = np.zeros((dim, dim))
+    terms = []  # (rows, columns, values) of the jump terms
+    for ch in collapses:
+        if ch.label not in layout.index:
+            raise ValidationError(f"a collapse channel acts on {ch.label!r}, not a mode of the layout")
+        n = np.broadcast_to(grids[ch.label], dims).reshape(-1)
+        if ch.kind == "dephasing":
+            diag -= ch.rate * np.subtract.outer(n, n) ** 2
+            continue
+        diag -= 0.5 * ch.rate * np.add.outer(n, n)
+        i = np.flatnonzero(n)
+        s = int(np.prod(dims[layout.index[ch.label] + 1 :]))
+        amp = np.sqrt(ch.rate) * np.sqrt(n[i])
+        terms.append((np.add.outer((i - s) * dim, i - s), np.add.outer(i * dim, i), np.outer(amp, amp)))
+    d = np.flatnonzero(diag)
+    terms.append((d, d, diag.reshape(-1)[d]))
+    rows, cols, vals = (np.concatenate([t.reshape(-1) for t in part]) for part in zip(*terms))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
 
 
 def liouvillian(h: np.ndarray, dissipator: sp.csr_matrix) -> sp.csr_matrix:
@@ -472,7 +477,8 @@ def liouvillian_components(gen: sp.csr_matrix):
 class LindbladPropagators:
     """The static energies H0 (the layout's real (dim,) energy vector), the
     layout and the dissipator of one open system, and the exact propagator
-    exp(𝓛 τ) of every distinct drive run evolved in it.
+    exp(𝓛 τ) of every distinct drive run evolved in it.  `collapses` is a
+    tuple of `Collapse` channels on modes of the layout.
 
     A run's propagator is one dense `expm` per kept component of
     `liouvillian_components`, formed on first use and kept for the life of
@@ -481,14 +487,11 @@ class LindbladPropagators:
     then.
     """
 
-    def __init__(self, H0: np.ndarray, collapses: CollapseSet, layout: SystemLayout):
+    def __init__(self, H0: np.ndarray, collapses: tuple, layout: SystemLayout):
         self.h0 = _energy_vector(H0, layout)
-        for op, _ in collapses:
-            if op.space != layout.space:
-                raise ValidationError("collapse operators and layout must share one space")
         self.collapses = collapses
         self.layout = layout
-        self.dissipator = lindblad_dissipator(collapses, layout.space.dim)
+        self.dissipator = lindblad_dissipator(collapses, layout)
         self._cache = {}
 
     def apply(self, y: np.ndarray, qubit: str, u: complex, span: float) -> np.ndarray:

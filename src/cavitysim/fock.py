@@ -268,21 +268,11 @@ def qubit_ket(excited: bool = False) -> Ket:
     return Ket(CompositeSpace.single(ModeSpec.qubit()), v)
 
 
-def sigma_minus() -> LinearOp:
-    """|g⟩⟨e| on a two-level mode (ground state is index 0)."""
-    m = np.zeros((2, 2), dtype=complex)
-    m[0, 1] = 1.0
-    return LinearOp(CompositeSpace.single(ModeSpec.qubit()), m)
-
-
 def sigma_plus() -> LinearOp:
-    return sigma_minus().dag()
-
-
-def sigma_z() -> LinearOp:
-    return LinearOp(
-        CompositeSpace.single(ModeSpec.qubit()), np.diag([1.0, -1.0]).astype(complex)
-    )
+    """|e⟩⟨g| on a two-level mode (ground state is index 0)."""
+    m = np.zeros((2, 2), dtype=complex)
+    m[1, 0] = 1.0
+    return LinearOp(CompositeSpace.single(ModeSpec.qubit()), m)
 
 
 def recommended_dim(alpha_max: float) -> int:

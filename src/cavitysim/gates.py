@@ -37,7 +37,6 @@ from cavitysim.device import (
 )
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.evolution import (
-    CollapseSet,
     LindbladPropagators,
     PulseSequence,
     apply_block_rotations,
@@ -349,10 +348,11 @@ class PulseBackend:
                 psi = Ket(psi.space, item * psi.amplitudes)
         return psi
 
-    def apply_density(self, rho: DensityOp, spec: GateSpec, collapses: CollapseSet) -> DensityOp:
+    def apply_density(self, rho: DensityOp, spec: GateSpec, collapses: tuple) -> DensityOp:
         """Apply `spec` to ρ with the collapse channels acting throughout.
 
-        The dissipator and each distinct run's propagator are built once per
+        `collapses` is a tuple of `evolution.Collapse` channels.  The
+        dissipator and each distinct run's propagator are built once per
         collapse set and kept on the backend, so every input and repetition
         pushed through the same gate reuses them.
         """

@@ -270,6 +270,27 @@ def test_zero_coherence_time_in_config_exits_1(tmp_path, capsys):
     assert not (out / "result.json").exists()
 
 
+def test_missing_t2_entry_is_named_where_decoherence_is_simulated(tmp_path, capsys):
+    """S1 keeps its T1 but has no [T2_us] entry.  The decoherent runs exit 1
+    naming S1 and its missing T2 (they used to report a T2 exceeding 2*T1,
+    a T2 the config never gave, and named no mode); a closed-system run,
+    which reads no coherence time, still runs on the same config."""
+    from cavitysim.device import default_config_text
+
+    text = default_config_text()
+    entry = "[T2_us]\nS1 = 559\n"
+    assert text.count(entry) == 1
+    cfg = tmp_path / "device.cfg"
+    cfg.write_text(text.replace(entry, "[T2_us]\n"))
+    for args in (["error-budget", "--gate", "z"], ["zgate-repeat", "--mode", "pulse+decoherence"]):
+        out = tmp_path / args[0]
+        assert main(args + ["--config", str(cfg), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "S1" in err and "T2" in err
+        assert not out.exists()
+    assert main(["qpt", "--gate", "z", "--mode", "pulse", "--config", str(cfg), "-o", str(tmp_path / "qpt")]) == 0
+
+
 @pytest.mark.parametrize(
     "entry, value, args, named",
     [

@@ -2,16 +2,18 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import cavitysim.evolution as evolution
+import cavitysim.fock as fock
 from cavitysim.device import SystemLayout, load_params, static_hamiltonian
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.evolution import (
-    CollapseSet,
+    Collapse,
     LindbladPropagators,
     PulseSequence,
     dephasing_rate,
@@ -37,8 +39,6 @@ from cavitysim.fock import (
     fock_ket,
     number_op,
     qubit_ket,
-    sigma_minus,
-    sigma_z,
     tensor,
 )
 from cavitysim.grape import control_operator
@@ -113,7 +113,7 @@ def test_evolve_pulse_rejects_h0_not_an_energy_vector(h0):
     with pytest.raises(ValidationError):
         evolve_pulse(psi, h0, pulse, layout)
     with pytest.raises(ValidationError):
-        _lindblad(psi.density(), h0, pulse, CollapseSet(()), layout)
+        _lindblad(psi.density(), h0, pulse, (), layout)
 
 
 def test_pulse_displacement_matches_operator(dense_evolve):
@@ -153,7 +153,7 @@ def test_evolve_pulse_refuses_all_but_a_one_qubit_drive(label):
     with pytest.raises(ValidationError, match="not a qubit"):
         evolve_pulse(psi, h0, pulse, layout)
     with pytest.raises(ValidationError, match="not a qubit"):
-        _lindblad(psi.density(), h0, pulse, CollapseSet(()), layout)
+        _lindblad(psi.density(), h0, pulse, (), layout)
 
 
 @pytest.mark.parametrize("dt", [0.0, -5.0, np.nan, np.inf, -np.inf])
@@ -201,14 +201,17 @@ def test_dephasing_rate_values():
 
 
 def test_standard_collapses_count_and_rates(params):
+    """Every mode of device B has a loss channel at 1/T1 and a dephasing
+    channel at Γ_φ = 1/T2 − 1/(2T1), in layout order (T1 and T2 in us from
+    the bundled config)."""
     layout = SystemLayout.build(["Q1", "Q2", "Q3"], ["S1", "S2"], {"S1": 4, "S2": 4})
+    times = {"Q1": (35, 25), "Q2": (20, 12), "Q3": (25, 25), "S1": (480, 559), "S2": (692, 312)}
+    expected = []
+    for label, (t1, t2) in times.items():
+        t1, t2 = t1 * 1e3, t2 * 1e3
+        expected += [(label, "loss", 1.0 / t1), (label, "dephasing", 1.0 / t2 - 1.0 / (2.0 * t1))]
     cs = standard_collapses(params, layout)
-    assert len(cs) == 10
-    # cavity S1 photon-loss rate
-    rates = {}
-    for op, rate in cs:
-        rates.setdefault(round(rate, 12), 0)
-    assert any(abs(rate - 1 / 480e3) < 1e-12 for _, rate in cs)
+    assert [(c.label, c.kind, c.rate) for c in cs] == expected
 
 
 def test_standard_collapses_infinite_times():
@@ -232,7 +235,7 @@ def test_lindblad_empty_collapses_matches_unitary(dense_play):
     h0 = rng.normal(size=12) * 0.01
     pulse = PulseSequence("Q1", [0.013 - 0.004j], 50.0)
     psi = Ket(layout.space, rng.normal(size=12) + 1j * rng.normal(size=12)).normalized()
-    rho = _lindblad(psi.density(), h0, pulse, CollapseSet(()), layout)
+    rho = _lindblad(psi.density(), h0, pulse, (), layout)
     target = dense_play(psi.amplitudes, h0, pulse, layout)
     fid = np.real(np.vdot(target, rho.matrix @ target))
     assert fid > 1 - 1e-8
@@ -244,7 +247,7 @@ def test_lindblad_cavity_amplitude_damping():
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 12})
     spec = layout.mode("S1")
     t1 = 2000.0
-    cs = CollapseSet(((layout.lift(annihilation(spec), "S1"), 1.0 / t1),))
+    cs = (Collapse("S1", "loss", 1.0 / t1),)
     psi = tensor([qubit_ket(0), coherent(1.5, spec)])
     n0 = expectation(coherent(1.5, spec), number_op(spec)).real
     n_op = layout.lift(number_op(spec), "S1").matrix
@@ -260,11 +263,10 @@ def test_lindblad_qubit_coherence_decay(params):
     t1 = params.T1["Q2"]
     t2 = params.T2["Q2"]
     cs = standard_collapses(params, layout)
-    ops = [(op, r) for op, r in cs]
-    assert len(ops) == 2
+    assert [c.kind for c in cs] == ["loss", "dephasing"]
     plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
     for t in (3e3, 12e3):
-        rho = _lindblad(plus.density(), np.zeros(2), _idle(layout, t), CollapseSet(tuple(ops)), layout)
+        rho = _lindblad(plus.density(), np.zeros(2), _idle(layout, t), cs, layout)
         coh = abs(rho.matrix[0, 1])
         assert abs(coh - 0.5 * np.exp(-t / t2)) < 1e-6
         # population relaxes toward ground at 1/T1
@@ -301,11 +303,15 @@ def test_lindblad_step_halving_convergence(params):
         assert np.max(np.abs(r1.matrix - r2.matrix)) < 1e-8
 
 
-@pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
-def test_collapse_set_rejects_non_finite_or_negative_rate(rate):
-    layout = SystemLayout.build(["Q1"], [], {})
+@pytest.mark.parametrize(
+    "kind, rate",
+    [("loss", np.nan), ("loss", np.inf), ("dephasing", -1.0), ("decay", 1e-3)],
+    ids=["nan", "inf", "-1.0", "kind"],
+)
+def test_collapse_set_rejects_non_finite_or_negative_rate(kind, rate):
+    """A channel is loss or dephasing, at a finite rate >= 0."""
     with pytest.raises(ValidationError):
-        CollapseSet(((layout.lift(sigma_minus(), "Q1"), rate),))
+        Collapse("Q1", kind, rate)
 
 
 def test_unitary_and_lindblad_paths_agree_on_pulse(params):
@@ -317,7 +323,7 @@ def test_unitary_and_lindblad_paths_agree_on_pulse(params):
     v[layout.space.joint_index((0, 1))] = 1.0
     psi0 = Ket(layout.space, v)
     pure = evolve_pulse(psi0, h0, pulse, layout)
-    rho = _lindblad(psi0.density(), h0, pulse, CollapseSet(()), layout)
+    rho = _lindblad(psi0.density(), h0, pulse, (), layout)
     fid = np.real(np.vdot(pure.amplitudes, rho.matrix @ pure.amplitudes))
     assert fid > 1 - 1e-7
 
@@ -377,9 +383,45 @@ def test_constant_pulse_forms_one_rotation_per_block(params, monkeypatch):
 # Sparse Liouvillian against the dense right-hand side it replaced
 
 
-def _dense_rhs(h, collapses):
+_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+_SIGMA_Z = np.diag([1.0, -1.0])
+
+
+def _textbook_jumps(collapses, layout):
+    """The textbook jump operator L_k of each channel, sparse on the joint
+    space: √κ σ⁻ and √(γ/2) σ_z on a qubit, √κ a and √(2γ) a†a on a cavity,
+    for loss at κ and dephasing at γ."""
+    out = []
+    for c in collapses:
+        spec = layout.mode(c.label)
+        if layout.is_qubit(c.label):
+            local, rate = (_SIGMA_MINUS, c.rate) if c.kind == "loss" else (_SIGMA_Z, c.rate / 2.0)
+        elif c.kind == "loss":
+            local, rate = annihilation(spec).matrix, c.rate
+        else:
+            local, rate = number_op(spec).matrix, 2.0 * c.rate
+        l = sp.identity(1, format="csr")
+        for i, factor in enumerate(layout.space.factors):
+            l = sp.kron(l, local if i == layout.index[c.label] else sp.identity(factor.dim), format="csr")
+        out.append(np.sqrt(rate) * l)
+    return out
+
+
+def _textbook_dissipator(collapses, layout):
+    """Σ_k L_k ⊗ L̄_k − ½ (L_k†L_k ⊗ I + I ⊗ (L_k†L_k)ᵀ) of `_textbook_jumps`,
+    by sparse Kronecker products."""
+    dim = layout.space.dim
+    eye = sp.identity(dim, format="csr")
+    out = sp.csr_matrix((dim * dim, dim * dim))
+    for l in _textbook_jumps(collapses, layout):
+        ll = (l.conj().T @ l).tocsr()
+        out = out + sp.kron(l, l.conj()) - 0.5 * (sp.kron(ll, eye) + sp.kron(eye, ll.T))
+    return out.tocsr()
+
+
+def _dense_rhs(h, collapses, layout):
     """Reference dρ/dt = −i[H,ρ] + Σ (LρL† − ½{L†L, ρ}) by dense matmuls."""
-    ls = [np.sqrt(rate) * op.matrix for op, rate in collapses]
+    ls = [l.toarray() for l in _textbook_jumps(collapses, layout)]
     lls = [l.conj().T @ l for l in ls]
     dim = h.shape[0]
 
@@ -394,15 +436,12 @@ def _dense_rhs(h, collapses):
 
 
 def _all_channel_kinds(layout):
-    """σ⁻ and σ_z on Q1, a and a†a on S1, at distinct rates."""
-    spec = layout.mode("S1")
-    return CollapseSet(
-        (
-            (layout.lift(sigma_minus(), "Q1"), 1.0 / 20e3),
-            (layout.lift(sigma_z(), "Q1"), 1.0 / 50e3),
-            (layout.lift(annihilation(spec), "S1"), 1.0 / 480e3),
-            (layout.lift(number_op(spec), "S1"), 1.0 / 900e3),
-        )
+    """Loss and dephasing on Q1 and on S1, at distinct rates."""
+    return (
+        Collapse("Q1", "loss", 1.0 / 20e3),
+        Collapse("Q1", "dephasing", 1.0 / 25e3),
+        Collapse("S1", "loss", 1.0 / 480e3),
+        Collapse("S1", "dephasing", 1.0 / 1800e3),
     )
 
 
@@ -418,11 +457,47 @@ def test_liouvillian_matches_dense_rhs():
     rng = np.random.default_rng(11)
     m = 0.01 * (rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
     h = m + m.conj().T
-    gen = liouvillian(h, lindblad_dissipator(cs, 12))
-    oracle = _dense_rhs(h, cs)
+    gen = liouvillian(h, lindblad_dissipator(cs, layout))
+    oracle = _dense_rhs(h, cs, layout)
     for _ in range(5):
         y = _random_density(rng, 12).reshape(-1)
         assert np.max(np.abs(gen @ y - oracle(0.0, y))) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "qubits, cavities",
+    [(["Q1"], {"S1": 30}), (["Q3"], {"S1": 7, "S2": 7}), (["Q1", "Q2", "Q3"], {"S1": 4, "S2": 4})],
+    ids=["dim60", "dim98", "dim128"],
+)
+def test_dissipator_matches_textbook_sum(params, qubits, cavities):
+    """Oracle: the dissipator built from level vectors has the sparsity
+    pattern and, to 1e-15 of its largest entry, the values of the textbook
+    sum over the standard channels' lifted jump operators."""
+    layout = SystemLayout.build(qubits, list(cavities), cavities)
+    cs = standard_collapses(params, layout)
+    out = lindblad_dissipator(cs, layout)
+    ref = _textbook_dissipator(cs, layout)
+    ref.sort_indices()
+    assert out.has_sorted_indices
+    assert np.array_equal(out.indptr, ref.indptr) and np.array_equal(out.indices, ref.indices)
+    scale = np.max(np.abs(ref.data))
+    assert np.max(np.abs(out.data - ref.data)) <= 1e-15 * scale
+
+
+def test_collapses_and_propagators_lift_no_operator(params, monkeypatch):
+    """The channels and the dissipator come from level vectors: building
+    them, and evolving through them, lifts no operator to the joint space."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator was lifted")
+
+    monkeypatch.setattr(SystemLayout, "lift", refuse)
+    monkeypatch.setattr(fock, "embed", refuse)
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 30})
+    h0 = static_hamiltonian(params, layout)
+    propagators = LindbladPropagators(h0, standard_collapses(params, layout), layout)
+    rho = DensityOp(layout.space, np.eye(layout.space.dim) / layout.space.dim)
+    lindblad_evolve(rho, _idle(layout, 100.0), propagators)
 
 
 def test_lindblad_pulse_matches_dense_oracle(params):
@@ -443,7 +518,7 @@ def test_lindblad_pulse_matches_dense_oracle(params):
     y = rho0.reshape(-1)
     for u, n in runs:
         h = np.diag(h0) + u * op + np.conj(u) * op.conj().T
-        rhs = _dense_rhs(h, cs)
+        rhs = _dense_rhs(h, cs, layout)
         gen = np.stack([rhs(0.0, e) for e in np.eye(144, dtype=complex)], axis=1)
         y = expm(gen * n * pulse.dt) @ y
     ref = y.reshape(12, 12)
@@ -470,7 +545,7 @@ def test_lindblad_matches_rk45_on_selective_drive(params):
     for u, n in runs:
         h = np.diag(h0) + u * op + np.conj(u) * op.conj().T
         sol = solve_ivp(
-            _dense_rhs(h, cs), (t, t + n), y, method="RK45", rtol=1e-10, atol=1e-12
+            _dense_rhs(h, cs, layout), (t, t + n), y, method="RK45", rtol=1e-10, atol=1e-12
         )
         y, t = sol.y[:, -1], t + n
     ref = y.reshape(12, 12)
@@ -492,7 +567,7 @@ def _qubit_driven_runs(params, levels):
 def _expm_multiply_oracle(rho0, h0, pulse, layout, cs):
     """The full-Liouvillian action: one `expm_multiply` of 𝓛 τ per run on
     vec(ρ) as given, then the output made Hermitian."""
-    dissipator = lindblad_dissipator(cs, layout.space.dim)
+    dissipator = _textbook_dissipator(cs, layout)
     y = rho0.reshape(-1)
     for h, n in _run_hamiltonians(h0, pulse, layout):
         y = expm_multiply(liouvillian(h, dissipator) * (n * pulse.dt), y)
@@ -525,7 +600,7 @@ def test_qubit_drive_splits_liouvillian_by_coherence_order(params, levels):
     layout, h0, pulse = _qubit_driven_runs(params, levels)
     dim = layout.space.dim
     h = next(_run_hamiltonians(h0, pulse, layout))[0]
-    gen = liouvillian(h, lindblad_dissipator(_all_channel_kinds(layout), dim))
+    gen = liouvillian(h, lindblad_dissipator(_all_channel_kinds(layout), layout))
     comps = liouvillian_components(gen)
     assert len(comps) == levels
     assert sum(1 if mirror is None else 2 for _, mirror in comps) == 2 * levels - 1
@@ -549,7 +624,7 @@ def _shifted(layout):
 )
 def test_lindblad_rejects_mismatched_spaces(params, case):
     """`LindbladPropagators` refuses an H0 that is not its layout's real
-    energy vector and collapse operators on another space; `lindblad_evolve`
+    energy vector and a collapse channel on a mode the layout lacks; `lindblad_evolve`
     refuses a ρ on another space than the propagators' layout and a pulse
     on a non-qubit, as `evolve_pulse` does."""
     layout, h0, pulse = _qubit_driven_runs(params, 4)
@@ -562,7 +637,7 @@ def test_lindblad_rejects_mismatched_spaces(params, case):
         elif case == "complex-hamiltonian":
             LindbladPropagators(h0.astype(complex), cs, layout)
         elif case == "collapse":
-            LindbladPropagators(h0, _all_channel_kinds(other), layout)
+            LindbladPropagators(h0, cs + (Collapse("S2", "loss", 1.0 / 692e3),), layout)
         elif case == "layout":
             rho_other = DensityOp(other.space, np.eye(other.space.dim) / other.space.dim)
             lindblad_evolve(rho_other, pulse, LindbladPropagators(h0, cs, layout))
@@ -607,7 +682,7 @@ def test_lindblad_rejects_trace_drift_and_nonfinite(monkeypatch, scale):
     layout = SystemLayout.build(["Q1"], [], {})
     plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
     with pytest.raises(NumericalError):
-        _lindblad(plus.density(), np.array([0.0, 0.01]), _idle(layout, 10.0), CollapseSet(()), layout)
+        _lindblad(plus.density(), np.array([0.0, 0.01]), _idle(layout, 10.0), (), layout)
 
 
 def test_error_budget_z_pinned():

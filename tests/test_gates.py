@@ -11,7 +11,6 @@ from cavitysim.device import (
     static_hamiltonian,
 )
 from cavitysim.evolution import (
-    CollapseSet,
     PulseSequence,
     block_rotation_gradient,
     block_rotations,
@@ -876,6 +875,6 @@ def test_backends_match_dense_lifted_oracle(params, dense_play, name):
     out = backend.apply(psi, spec)
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
     rho = DensityOp(layout.space, 0.7 * psi.density().matrix + 0.3 * np.eye(layout.space.dim) / layout.space.dim)
-    out = backend.apply_density(rho, spec, CollapseSet(()))
+    out = backend.apply_density(rho, spec, ())
     assert np.max(np.abs(out.matrix - u @ rho.matrix @ u.conj().T)) < 1e-12
 
