@@ -168,8 +168,9 @@ class SystemLayout:
 def levels(layout: SystemLayout) -> dict:
     """Level number n of each label on the joint basis: the factor's
     np.arange(d), shaped to broadcast along its own axis.  For a qubit it is
-    the |e⟩ population, for a cavity the photon number.  The static energies
-    and `evolution.lindblad_dissipator` are functions of these grids."""
+    the |e⟩ population, for a cavity the photon number.  The static energies,
+    the Lindblad generator's dissipative part and its coherence-order
+    sectors (`evolution`) are functions of these grids."""
     grids = np.indices(layout.space.dims, sparse=True)
     return {label: grids[i] for label, i in layout.index.items()}
 

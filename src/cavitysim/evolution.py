@@ -25,9 +25,7 @@ Every gate drives one qubit between instantaneous cavity displacements, so
 a `PulseSequence` is one qubit's drive samples, and that is all that
 `evolve_pulse` and `lindblad_evolve` play.
 
-The Lindblad generator is a sparse superoperator, as in QuTiP's ``mesolve``
-(Johansson, Nation & Nori, Comput. Phys. Commun. 183, 1760 (2012)): a
-dim²×dim² CSR matrix 𝓛 acting on the row-major vectorization
+The Lindblad generator 𝓛 acts on the row-major vectorization
 vec(ρ) = ρ.reshape(-1), for which vec(AρB) = (A ⊗ Bᵀ) vec(ρ).  So
 
     −i[H, ρ]        →  −i (H ⊗ I − I ⊗ Hᵀ)
@@ -37,24 +35,23 @@ vec(ρ) = ρ.reshape(-1), for which vec(AρB) = (A ⊗ Bᵀ) vec(ρ).  So
 A collapse channel is a mode, a kind and a rate (`Collapse`).  With n the
 mode's level number (`device.levels`), a `loss` channel at κ is
 L = √κ Σ √n |n−1⟩⟨n| and a `dephasing` channel at γ damps ρ_ij at
-γ (n_i − n_j)²; every L†L is diagonal, so `lindblad_dissipator` builds the
-dissipative part from the level vectors alone.
+γ (n_i − n_j)²; every L†L is diagonal, so the dissipative part follows
+from the level numbers alone.
 
-A run of length τ maps vec(ρ) to exp(𝓛 τ) vec(ρ).  𝓛 seldom couples all
-dim² elements: a qubit-only drive with the standard collapse set conserves
-each cavity's coherence order n − m, a weak U(1) symmetry that splits 𝓛 into
-independent sectors (Buča & Prosen, New J. Phys. 14, 073007 (2012)).  The
-sectors are read off 𝓛's sparsity graph as its weakly connected components
-C, not assumed, and exp(𝓛 τ) is formed exactly as one dense `expm` per
-component, at a cost of Σ|C|³ per distinct run.  𝓛 maps ρ† to (𝓛ρ)†, so the
-components come in mirror pairs under ρ ↔ ρ†; only one of each pair is
-formed, and the other half of a Hermitian ρ follows by conjugation.  At
-dim 60 (one qubit, one cavity of 30 levels, a qubit drive) the 3 600
-elements fall into 59 components of at most 120.
-`LindbladPropagators` holds the static energies, the layout and the
-dissipator of one collapse set, and keeps the propagator of every distinct
-run, keyed by its qubit, sample and length, so a caller that evolves many
-inputs through the same gate builds each once.
+A run of length τ maps vec(ρ) to exp(𝓛 τ) vec(ρ).  A drive of one qubit, a
+diagonal H0 and these channels conserve the coherence order n_i − n_j of
+every other mode, a weak U(1) symmetry that splits 𝓛 into independent
+sectors (Buča & Prosen, New J. Phys. 14, 073007 (2012)), one per key of
+level differences (`_coherence_sectors`).  So 𝓛 is never formed whole:
+`_sector_generators` builds each sector's dense block from the energies,
+the run's sample and the level numbers, and exp(𝓛 τ) is one dense `expm` per
+sector, at a cost of Σ|C|³ per distinct run.  𝓛 maps ρ† to (𝓛ρ)†, so the
+sectors come in mirror pairs under ρ ↔ ρ† (keys k and −k); only one of each
+pair is formed, and the other half of a Hermitian ρ follows by conjugation.
+At dim 60 (one qubit, one cavity of 30 levels) the 3 600 elements fall into
+59 sectors of at most 120.  `LindbladPropagators` keeps the propagator of
+every distinct run, so a caller that evolves many inputs through the same
+gate builds each once.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/tracer.py patches this name
 from scipy.linalg import expm
 
@@ -407,91 +403,93 @@ def evolve_pulse(
 # Lindblad integration
 
 
-def lindblad_dissipator(collapses, layout: SystemLayout) -> sp.csr_matrix:
-    """Σ_k (L_k ⊗ L̄_k − ½ (L_k†L_k ⊗ I + I ⊗ (L_k†L_k)ᵀ)) of the `Collapse`
-    channels, as a real dim²×dim² CSR matrix without stored zeros (see the
-    module docstring).  From each mode's levels n and joint-index stride s: a
-    loss channel at κ maps ρ_ij to ρ_{i−s, j−s} with weight κ √(n_i n_j) and
-    adds −½κ (n_i + n_j) to the diagonal, a dephasing channel at γ adds
-    −γ (n_i − n_j)².  A channel on a label outside the layout is a
-    ValidationError.
+def _coherence_sectors(layout: SystemLayout, qubit: str):
+    """The sectors of vec(ρ) under a drive of `qubit`, one of each mirror
+    pair: ρ_ij lies in the sector keyed by the level differences n_i − n_j
+    of every mode but `qubit`.
+
+    Returns (idx, mirror) pairs: idx holds the sector's indices into vec(ρ),
+    ascending, and mirror those of the transposed elements, which form the
+    sector of the opposite key (None for key 0, its own mirror).  Of each
+    pair, the sector holding the lower index is kept; the other would do
+    as well, but moves the decoherent outputs in their last digits.
     """
     dims, dim = layout.space.dims, layout.space.dim
-    grids = levels(layout)
-    diag = np.zeros((dim, dim))
-    terms = []  # (rows, columns, values) of the jump terms
-    for ch in collapses:
-        if ch.label not in layout.index:
-            raise ValidationError(f"a collapse channel acts on {ch.label!r}, not a mode of the layout")
-        n = np.broadcast_to(grids[ch.label], dims).reshape(-1)
-        if ch.kind == "dephasing":
-            diag -= ch.rate * np.subtract.outer(n, n) ** 2
-            continue
-        diag -= 0.5 * ch.rate * np.add.outer(n, n)
-        i = np.flatnonzero(n)
-        s = int(np.prod(dims[layout.index[ch.label] + 1 :]))
-        amp = np.sqrt(ch.rate) * np.sqrt(n[i])
-        terms.append((np.add.outer((i - s) * dim, i - s), np.add.outer(i * dim, i), np.outer(amp, amp)))
-    d = np.flatnonzero(diag)
-    terms.append((d, d, diag.reshape(-1)[d]))
-    rows, cols, vals = (np.concatenate([t.reshape(-1) for t in part]) for part in zip(*terms))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
-
-
-def liouvillian(h: np.ndarray, dissipator: sp.csr_matrix) -> sp.csr_matrix:
-    """−i (H ⊗ I − I ⊗ Hᵀ) + dissipator: the full row-major Lindblad generator."""
-    hs = sp.csr_matrix(h)
-    eye = sp.identity(hs.shape[0], dtype=complex, format="csr")
-    gen = (-1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T)) + dissipator).tocsr()
-    gen.eliminate_zeros()  # cancelled entries would join components
-    return gen
-
-
-def liouvillian_components(gen: sp.csr_matrix):
-    """The weakly connected components of the sparsity graph of 𝓛, one of
-    each mirror pair under ρ ↔ ρ†.
-
-    Returns (idx, mirror) pairs: idx holds the component's indices into
-    vec(ρ), ascending, and mirror the indices of the transposed elements,
-    which form the mirror component; mirror is None for a component that is
-    its own mirror.
-    """
-    # at call time, so runs without a Lindblad solve do not import it
-    from scipy.sparse.csgraph import connected_components
-
-    graph = sp.csr_matrix((np.ones(gen.nnz), gen.indices, gen.indptr), shape=gen.shape)
-    n, labels = connected_components(graph, directed=True, connection="weak")
-    dim = int(round(np.sqrt(gen.shape[0])))
+    key = np.zeros((dim, dim), dtype=int)
+    for label, n in levels(layout).items():
+        if label != qubit:
+            d, n = dims[layout.index[label]], np.broadcast_to(n, dims).reshape(-1)
+            key = key * (2 * d - 1) + np.subtract.outer(n, n) + (d - 1)
+    order = np.argsort(key.reshape(-1), kind="stable")
     flip = np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)  # ρ_ij -> ρ_ji
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(n + 1))
     out = []
-    for c in range(n):
-        idx = order[bounds[c] : bounds[c + 1]]
-        twin = labels[flip[idx[0]]]
-        if twin >= c:
-            out.append((idx, None if twin == c else flip[idx]))
-    return out
+    for idx in np.split(order, np.flatnonzero(np.diff(key.reshape(-1)[order])) + 1):
+        mirror = flip[idx]
+        if idx[0] <= mirror.min():
+            out.append((idx, None if idx[0] == mirror.min() else mirror))
+    # largest first, so that its `expm` temporaries come before the kept
+    # propagators add up: at dim 60, a traced peak of 2.8 MB, not 4.7 MB
+    return sorted(out, key=lambda sector: -len(sector[0]))
+
+
+def _sector_generators(h0, collapses, layout: SystemLayout, qubit: str, u: complex):
+    """Yield (idx, mirror, block) for each sector of `_coherence_sectors`:
+    the dense block of 𝓛 on it for the energies h0 with `qubit` driven by
+    the sample u, H = diag(h0) + (u/2)|e⟩⟨g| + (ū/2)|g⟩⟨e|.
+
+    dρ_ij/dt = −i Σ H_ii′ ρ_i′j + i Σ ρ_ij′ H_j′j, where i′ and j′ run over
+    i, j and their partners with the qubit's level flipped.  With each
+    mode's levels n and joint-index stride s, a loss channel at κ adds
+    κ √(n_i n_j) from ρ_ij to ρ_{i−s, j−s} and −½κ (n_i + n_j) on the
+    diagonal, and a dephasing channel at γ adds −γ (n_i − n_j)² there.
+    """
+    dims, dim = layout.space.dims, layout.space.dim
+    grids = {
+        label: (np.broadcast_to(n, dims).reshape(-1), int(np.prod(dims[layout.index[label] + 1 :])))
+        for label, n in levels(layout).items()
+    }
+    q, sq = grids[qubit]
+    for idx, mirror in _coherence_sectors(layout, qubit):
+        i, j = np.divmod(idx, dim)
+        step_i, step_j = sq * (1 - 2 * q[i]), sq * (1 - 2 * q[j])  # index steps to the partners
+        rows = np.arange(len(idx))
+        gen = np.zeros((len(idx), len(idx)), dtype=complex)
+        gen[rows, rows] = -1j * (h0[i] - h0[j])
+        gen[rows, np.searchsorted(idx, idx + step_i * dim)] = -1j * np.where(q[i], 0.5 * u, 0.5 * np.conj(u))
+        gen[rows, np.searchsorted(idx, idx + step_j)] = 1j * np.where(q[j], 0.5 * np.conj(u), 0.5 * u)
+        diss = np.zeros(gen.shape)
+        for ch in collapses:
+            n, s = grids[ch.label]
+            ni, nj = n[i], n[j]
+            if ch.kind == "dephasing":
+                diss[rows, rows] -= ch.rate * (ni - nj) ** 2
+                continue
+            diss[rows, rows] -= 0.5 * ch.rate * (ni + nj)
+            src = np.flatnonzero(ni * nj)
+            amp = np.sqrt(ch.rate) * np.sqrt(ni[src]) * (np.sqrt(ch.rate) * np.sqrt(nj[src]))
+            diss[np.searchsorted(idx, idx[src] - s * (dim + 1)), src] += amp
+        yield idx, mirror, gen + diss
 
 
 class LindbladPropagators:
     """The static energies H0 (the layout's real (dim,) energy vector), the
-    layout and the dissipator of one open system, and the exact propagator
+    layout and the collapse set of one open system, and the exact propagator
     exp(𝓛 τ) of every distinct drive run evolved in it.  `collapses` is a
     tuple of `Collapse` channels on modes of the layout.
 
-    A run's propagator is one dense `expm` per kept component of
-    `liouvillian_components`, formed on first use and kept for the life of
-    this object, keyed by the driven qubit, the run's sample and its length;
-    the run's Hamiltonian diag(H0) + (u/2)|e⟩⟨g| + (ū/2)|g⟩⟨e| is built only
-    then.
+    A run's propagator is one dense `expm` per block of `_sector_generators`
+    for the run's Hamiltonian diag(H0) + (u/2)|e⟩⟨g| + (ū/2)|g⟩⟨e|; it is
+    formed on first use and kept for the life of this object, keyed by the
+    driven qubit, the run's sample and its length.
     """
 
     def __init__(self, H0: np.ndarray, collapses: tuple, layout: SystemLayout):
         self.h0 = _energy_vector(H0, layout)
+        for ch in collapses:
+            if ch.label not in layout.index:
+                raise ValidationError(f"a collapse channel acts on {ch.label!r}, not a mode of the layout")
         self.collapses = collapses
         self.layout = layout
-        self.dissipator = lindblad_dissipator(collapses, layout)
         self._cache = {}
 
     def apply(self, y: np.ndarray, qubit: str, u: complex, span: float) -> np.ndarray:
@@ -500,14 +498,9 @@ class LindbladPropagators:
         key = (qubit, u, span)
         blocks = self._cache.get(key)
         if blocks is None:
-            g, e = qubit_blocks(np.arange(len(self.h0)), self.layout, qubit)
-            h = np.diag(self.h0).astype(complex)
-            h[e, g] = 0.5 * u
-            h[g, e] = 0.5 * np.conj(u)
-            gen = liouvillian(h, self.dissipator)
             blocks = self._cache[key] = [
-                (idx, mirror, expm(gen[idx][:, idx].toarray() * span))
-                for idx, mirror in liouvillian_components(gen)
+                (idx, mirror, expm(block * span))
+                for idx, mirror, block in _sector_generators(self.h0, self.collapses, self.layout, qubit, u)
             ]
         out = np.empty_like(y)
         for idx, mirror, e in blocks:
@@ -524,14 +517,14 @@ def lindblad_evolve(
     """Evolve ρ under dρ/dt = −i[H,ρ] + Σ (L ρ L† − ½{L†L, ρ}).
 
     H is diag(H0) + the qubit drive of `pulse`, piecewise constant at sample
-    boundaries; `propagators` holds H0, the layout and the dissipator of the
-    collapse set, and keeps each run's propagator for later calls.
+    boundaries; `propagators` holds H0, the layout and the collapse set, and
+    keeps each run's propagator for later calls.
 
     ρ is first made Hermitian, (ρ + ρ†)/2, since the map commutes with
     ρ ↦ ρ† and the result is Hermitian anyway.  Each run of equal samples
     (`_runs`), of length τ, is then one exact step
-    vec(ρ) ← exp(𝓛 τ) vec(ρ), with 𝓛 = `liouvillian(h, D)` in the row-major
-    convention of the module docstring, formed per component of 𝓛 (see
+    vec(ρ) ← exp(𝓛 τ) vec(ρ), with 𝓛 in the row-major convention of the
+    module docstring, formed per coherence-order sector C (see
     `LindbladPropagators`): Σ|C|³ work per distinct run.
 
     Raises ValidationError when ρ is on another space than the propagators'

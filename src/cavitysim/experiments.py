@@ -167,7 +167,8 @@ def _backend(mode: str, params: DeviceParams, layout: SystemLayout, compensate: 
         return IdealBackend(layout)
     if mode == "pulse":
         return PulseBackend(params, layout, compensate=compensate)
-    raise ValidationError(f"unsupported mode {mode!r}")
+    why = "this command does not simulate decoherence; error-budget and zgate-repeat --mode pulse+decoherence do"
+    raise ValidationError(f"unsupported mode {mode!r}" + (f": {why}" if mode == "pulse+decoherence" else ""))
 
 
 def _phase_gate(gate: str, params: DeviceParams, alpha: float):
@@ -195,7 +196,8 @@ def _cz(code: str, params: DeviceParams, mode: str, alpha: float):
     """
     if code not in ("cat", "binomial"):
         raise ValidationError(f"unknown encoding {code!r}")
-    dim = recommended_dim(2.0 * alpha) if code == "cat" else 7
+    # the binomial code uses Fock 0, 2 and 4, and neither its drive nor loss raises n
+    dim = recommended_dim(2.0 * alpha) if code == "cat" else 5
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
     backend = _backend(mode, params, layout, compensate=code == "cat")
     if code == "binomial":

@@ -351,10 +351,10 @@ class PulseBackend:
     def apply_density(self, rho: DensityOp, spec: GateSpec, collapses: tuple) -> DensityOp:
         """Apply `spec` to ρ with the collapse channels acting throughout.
 
-        `collapses` is a tuple of `evolution.Collapse` channels.  The
-        dissipator and each distinct run's propagator are built once per
-        collapse set and kept on the backend, so every input and repetition
-        pushed through the same gate reuses them.
+        `collapses` is a tuple of `evolution.Collapse` channels.  Each
+        distinct run's propagator is built once per collapse set and kept on
+        the backend, so every input and repetition pushed through the same
+        gate reuses it.
         """
         if self._lindblad is None or self._lindblad.collapses is not collapses:
             self._lindblad = LindbladPropagators(self.h0, collapses, self.layout)

@@ -139,11 +139,21 @@ def test_unsupported_override_rejected(tmp_path, capsys):
 
 
 def test_qpt_and_cz_reject_decoherence_mode(tmp_path, capsys):
-    for args in (["qpt", "--gate", "z"], ["cz", "--encoding", "coherent"]):
+    """The commands that do not simulate decoherence refuse it, say so and
+    name the two that do, and write no output directory."""
+    for args in (
+        ["qpt", "--gate", "z"],
+        ["cz", "--encoding", "coherent"],
+        ["bell", "--encoding", "binomial"],
+        ["parity-sweep"],
+        ["snap-bell"],
+    ):
         out = tmp_path / args[0]
         assert main(args + ["--mode", "pulse+decoherence", "-o", str(out)]) == 1
-        assert "unsupported mode" in capsys.readouterr().err
-        assert not (out / "result.json").exists()
+        err = capsys.readouterr().err
+        assert "unsupported mode" in err and "does not simulate decoherence" in err, args
+        assert "error-budget" in err and "zgate-repeat --mode pulse+decoherence" in err, args
+        assert not out.exists()
 
 
 def test_error_budget_rejects_mode_flag(tmp_path, capsys):

@@ -6,11 +6,12 @@ import scipy.sparse as sp
 
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 import cavitysim.evolution as evolution
 import cavitysim.fock as fock
-from cavitysim.device import SystemLayout, load_params, static_hamiltonian
+from cavitysim.device import SystemLayout, default_config_text, load_params, static_hamiltonian
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.evolution import (
     Collapse,
@@ -18,10 +19,7 @@ from cavitysim.evolution import (
     PulseSequence,
     dephasing_rate,
     evolve_pulse,
-    lindblad_dissipator,
     lindblad_evolve,
-    liouvillian,
-    liouvillian_components,
     segment_propagator,
     standard_collapses,
 )
@@ -61,12 +59,12 @@ def _lindblad(rho, h0, pulse, cs, layout):
 
 
 def _run_hamiltonians(h0, pulse, layout):
-    """Each run of equal samples u of `pulse`, as (h, n): its dense
-    Hamiltonian diag(h0) + u O + ū O†, O the qubit's `control_operator`,
-    and its length n."""
+    """Each run of equal samples u of `pulse`, as (u, h, n): the sample, the
+    run's dense Hamiltonian diag(h0) + u O + ū O†, O the qubit's
+    `control_operator`, and its length n."""
     op = control_operator(layout, pulse.qubit)
     for u, run in groupby(pulse.samples):
-        yield np.diag(h0) + u * op + np.conj(u) * op.conj().T, len(list(run))
+        yield u, np.diag(h0) + u * op + np.conj(u) * op.conj().T, len(list(run))
 
 
 def test_segment_propagator_zero_dt():
@@ -374,7 +372,7 @@ def test_constant_pulse_forms_one_rotation_per_block(params, monkeypatch):
     out = evolve_pulse(psi, h0, pulse, layout)
     assert sum(formed) == layout.space.dim // 2
 
-    h, n = next(_run_hamiltonians(h0, pulse, layout))
+    _, h, n = next(_run_hamiltonians(h0, pulse, layout))
     ref = expm(-1j * h * n * pulse.dt) @ psi.amplitudes
     assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
@@ -419,6 +417,40 @@ def _textbook_dissipator(collapses, layout):
     return out.tocsr()
 
 
+def _textbook_liouvillian(h, collapses, layout):
+    """−i (H ⊗ I − I ⊗ Hᵀ) + `_textbook_dissipator`, the full row-major
+    generator of the dense Hamiltonian h, by sparse Kronecker products."""
+    hs = sp.csr_matrix(h)
+    eye = sp.identity(h.shape[0], format="csr")
+    gen = (-1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T)) + _textbook_dissipator(collapses, layout)).tocsr()
+    gen.eliminate_zeros()
+    return gen
+
+
+def _check_sectors(gen, h0, u, collapses, layout, qubit):
+    """Oracle on `gen`, the textbook generator of the energies h0 with
+    `qubit` driven by the sample u: the kept sectors and their mirrors cover
+    vec(ρ) once, no entry of gen couples two of them, and each kept sector's
+    block (its mirror's: the conjugate) equals gen's to 1e-15 of gen's
+    largest entry.  Returns the (idx, mirror, block) triples."""
+    sectors = list(evolution._sector_generators(h0, collapses, layout, qubit, u))
+    label = np.zeros(gen.shape[0], dtype=int)
+    for k, (idx, mirror, _) in enumerate(sectors, start=1):
+        for part, tag in ((idx, k), (mirror, -k)):
+            if part is not None:
+                assert not np.any(label[part])
+                label[part] = tag
+    assert np.all(label)
+    coo = gen.tocoo()
+    assert np.array_equal(label[coo.row], label[coo.col])
+    bound = 1e-15 * np.max(np.abs(gen.data))
+    for idx, mirror, block in sectors:
+        assert np.max(np.abs(block - gen[idx][:, idx].toarray())) <= bound
+        if mirror is not None:
+            assert np.max(np.abs(block.conj() - gen[mirror][:, mirror].toarray())) <= bound
+    return sectors
+
+
 def _dense_rhs(h, collapses, layout):
     """Reference dρ/dt = −i[H,ρ] + Σ (LρL† − ½{L†L, ρ}) by dense matmuls."""
     ls = [l.toarray() for l in _textbook_jumps(collapses, layout)]
@@ -451,13 +483,20 @@ def _random_density(rng, dim):
     return rho / np.trace(rho)
 
 
-def test_liouvillian_matches_dense_rhs():
+def test_liouvillian_matches_dense_rhs(params):
+    """Oracle: 𝓛 assembled from the sector blocks of a driven run, each
+    mirror block the conjugate of its twin, is the dense right-hand side."""
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 6})
     cs = _all_channel_kinds(layout)
     rng = np.random.default_rng(11)
-    m = 0.01 * (rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
-    h = m + m.conj().T
-    gen = liouvillian(h, lindblad_dissipator(cs, layout))
+    pulse = PulseSequence("Q1", [0.02 - 0.01j], 10.0)
+    h0 = static_hamiltonian(params, layout)
+    u, h, _ = next(_run_hamiltonians(h0, pulse, layout))
+    gen = np.zeros((144, 144), dtype=complex)
+    for idx, mirror, block in _check_sectors(_textbook_liouvillian(h, cs, layout), h0, u, cs, layout, "Q1"):
+        gen[np.ix_(idx, idx)] = block
+        if mirror is not None:
+            gen[np.ix_(mirror, mirror)] = block.conj()
     oracle = _dense_rhs(h, cs, layout)
     for _ in range(5):
         y = _random_density(rng, 12).reshape(-1)
@@ -470,18 +509,15 @@ def test_liouvillian_matches_dense_rhs():
     ids=["dim60", "dim98", "dim128"],
 )
 def test_dissipator_matches_textbook_sum(params, qubits, cavities):
-    """Oracle: the dissipator built from level vectors has the sparsity
-    pattern and, to 1e-15 of its largest entry, the values of the textbook
-    sum over the standard channels' lifted jump operators."""
+    """Oracle: with no Hamiltonian, each sector block built from level
+    numbers equals, to 1e-15 of its largest entry, the textbook sum over the
+    standard channels' lifted jump operators, which couples no two sectors."""
     layout = SystemLayout.build(qubits, list(cavities), cavities)
     cs = standard_collapses(params, layout)
-    out = lindblad_dissipator(cs, layout)
+    dim = layout.space.dim
     ref = _textbook_dissipator(cs, layout)
-    ref.sort_indices()
-    assert out.has_sorted_indices
-    assert np.array_equal(out.indptr, ref.indptr) and np.array_equal(out.indices, ref.indices)
-    scale = np.max(np.abs(ref.data))
-    assert np.max(np.abs(out.data - ref.data)) <= 1e-15 * scale
+    ref.eliminate_zeros()
+    _check_sectors(ref, np.zeros(dim), 0.0, cs, layout, qubits[0])
 
 
 def test_collapses_and_propagators_lift_no_operator(params, monkeypatch):
@@ -565,12 +601,14 @@ def _qubit_driven_runs(params, levels):
 
 
 def _expm_multiply_oracle(rho0, h0, pulse, layout, cs):
-    """The full-Liouvillian action: one `expm_multiply` of 𝓛 τ per run on
-    vec(ρ) as given, then the output made Hermitian."""
-    dissipator = _textbook_dissipator(cs, layout)
+    """The full-Liouvillian action: one `expm_multiply` of the textbook 𝓛 τ
+    per run on vec(ρ) as given, then the output made Hermitian.  Each run's
+    𝓛 passes `_check_sectors`."""
     y = rho0.reshape(-1)
-    for h, n in _run_hamiltonians(h0, pulse, layout):
-        y = expm_multiply(liouvillian(h, dissipator) * (n * pulse.dt), y)
+    for u, h, n in _run_hamiltonians(h0, pulse, layout):
+        gen = _textbook_liouvillian(h, cs, layout)
+        _check_sectors(gen, h0, u, cs, layout, pulse.qubit)
+        y = expm_multiply(gen * (n * pulse.dt), y)
     m = y.reshape(rho0.shape)
     return 0.5 * (m + m.conj().T)
 
@@ -595,13 +633,16 @@ def test_block_propagator_matches_full_liouvillian_action(params, hermitian):
 @pytest.mark.parametrize("levels", [3, 6, 30])
 def test_qubit_drive_splits_liouvillian_by_coherence_order(params, levels):
     """A qubit drive conserves the cavity coherence order n − m: 2d − 1
-    components for d cavity levels, kept one per mirror pair, each mirror
-    the transposed elements of its twin."""
+    sectors for d cavity levels, kept one per mirror pair, each mirror the
+    transposed elements of its twin.  With loss and a drive, the sectors are
+    the textbook generator's weakly connected components."""
     layout, h0, pulse = _qubit_driven_runs(params, levels)
     dim = layout.space.dim
-    h = next(_run_hamiltonians(h0, pulse, layout))[0]
-    gen = liouvillian(h, lindblad_dissipator(_all_channel_kinds(layout), layout))
-    comps = liouvillian_components(gen)
+    u, h, _ = next(_run_hamiltonians(h0, pulse, layout))
+    cs = _all_channel_kinds(layout)
+    gen = _textbook_liouvillian(h, cs, layout)
+    comps = [(idx, mirror) for idx, mirror, _ in _check_sectors(gen, h0, u, cs, layout, "Q1")]
+    assert connected_components(abs(gen), connection="weak")[0] == 2 * levels - 1
     assert len(comps) == levels
     assert sum(1 if mirror is None else 2 for _, mirror in comps) == 2 * levels - 1
     covered = np.concatenate([i for c in comps for i in c if i is not None])
@@ -613,6 +654,39 @@ def test_qubit_drive_splits_liouvillian_by_coherence_order(params, levels):
         else:
             assert np.array_equal(mirror, col * dim + row)
     assert max(len(idx) for idx, _ in comps) == 4 * levels
+
+
+@pytest.mark.parametrize("case", ["undriven", "no-collapses", "no-loss"])
+def test_coarse_sectors_match_dense_expm(params, case):
+    """The sectors are coarser than the textbook generator's weakly connected
+    components for a run with u = 0, for no collapse channels, and for a
+    config whose S1 has no [T1_us] entry (no loss on S1).  The sectors still
+    pass `_check_sectors`, and the evolved state equals `expm` of the dense
+    generator, run by run, to 1e-12."""
+    layout, h0, pulse = _qubit_driven_runs(params, 4)
+    cs = _all_channel_kinds(layout)
+    if case == "undriven":
+        pulse = PulseSequence("Q1", np.zeros(5), 10.0)
+    elif case == "no-collapses":
+        cs = ()
+    else:
+        text = default_config_text()
+        entry = "[T1_us]\nS1 = 480\n"
+        assert text.count(entry) == 1
+        cs = standard_collapses(load_params(text.replace(entry, "[T1_us]\n")), layout)
+        assert [(c.label, c.kind) for c in cs] == [("Q1", "loss"), ("Q1", "dephasing"), ("S1", "dephasing")]
+    rho0 = _random_density(np.random.default_rng(17), layout.space.dim)
+
+    out = _lindblad(DensityOp(layout.space, rho0), h0, pulse, cs, layout)
+
+    y = rho0.reshape(-1)
+    for u, h, n in _run_hamiltonians(h0, pulse, layout):
+        gen = _textbook_liouvillian(h, cs, layout)
+        sectors = _check_sectors(gen, h0, u, cs, layout, "Q1")
+        assert connected_components(abs(gen), connection="weak")[0] > sum(2 - (m is None) for _, m, _ in sectors)
+        y = expm(gen.toarray() * (n * pulse.dt)) @ y
+    ref = y.reshape(rho0.shape)
+    assert np.max(np.abs(out.matrix - 0.5 * (ref + ref.conj().T))) < 1e-12
 
 
 def _shifted(layout):
@@ -686,7 +760,7 @@ def test_lindblad_rejects_trace_drift_and_nonfinite(monkeypatch, scale):
 
 
 def test_error_budget_z_pinned():
-    """The sparse generator reproduces the dense right-hand side's budget."""
+    """The sector generators reproduce the dense right-hand side's budget."""
     budget = dict(run_error_budget("z").tables["budget"]["rows"])
     assert abs(budget["decoherence"] - 0.04396158706586106) < 1e-12
     assert abs(budget["total"] - 0.044916267086326456) < 1e-12

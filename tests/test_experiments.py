@@ -1,15 +1,17 @@
 import collections
 import contextlib
+import itertools
 
 import numpy as np
 import pytest
 
-from cavitysim.codes import cat_encoding, ideal_encoder
+from cavitysim.codes import binomial_encoding, cat_encoding, ideal_encoder
 from cavitysim.device import SystemLayout, load_params
 from cavitysim.errors import ValidationError
 from cavitysim.experiments import (
     ExperimentResult,
     Scalar,
+    _cz,
     _encoded_qubit_channel,
     run_bell_generation,
     run_error_budget,
@@ -18,8 +20,14 @@ from cavitysim.experiments import (
     run_snap_bell,
     run_zgate_repetition,
 )
-from cavitysim.fock import Ket, partial_trace, recommended_dim
-from cavitysim.gates import IdealBackend, PulseBackend, single_cavity_phase_gate
+from cavitysim.fock import Ket, partial_trace, recommended_dim, tensor
+from cavitysim.gates import (
+    IdealBackend,
+    PulseBackend,
+    cz_binomial,
+    realized_logical_map,
+    single_cavity_phase_gate,
+)
 from cavitysim.tomography import pauli_transfer
 
 
@@ -156,20 +164,26 @@ def test_zgate_repetition_decoherent_pinned():
 )
 def test_decoherent_z_gate_forms_one_run_propagator(monkeypatch, run):
     """The Z gate's two half-loops are one drive run: its propagator is formed
-    once and reused across both half-loops, the four PTM inputs and every
-    repetition."""
+    once, one `expm` per coherence-order sector, and reused across both
+    half-loops, the four PTM inputs and every repetition."""
     import cavitysim.evolution as evolution
 
-    built = []
-    components = evolution.liouvillian_components
+    built, exponentials = [], []
+    sectors, expm = evolution._coherence_sectors, evolution.expm
 
-    def counted(gen):
-        built.append(gen.shape)
-        return components(gen)
+    def counted_sectors(layout, qubit):
+        built.append(sectors(layout, qubit))
+        return built[-1]
 
-    monkeypatch.setattr(evolution, "liouvillian_components", counted)
+    def counted_expm(a):
+        exponentials.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(evolution, "_coherence_sectors", counted_sectors)
+    monkeypatch.setattr(evolution, "expm", counted_expm)
     run()
     assert len(built) == 1
+    assert len(exponentials) == len(built[0])
 
 
 def _eigenvector_channel(layout, enc_u, backend, spec, m):
@@ -269,6 +283,25 @@ def test_qpt_ideal_truth_tables():
         s = r.summary["process_fidelity"]
         assert s.value >= 1.0 - 1e-8
         assert s.tolerance == 1e-8
+
+
+def test_binomial_cz_pulse_ptm_is_exact_at_five_levels():
+    """The binomial code uses Fock 0, 2 and 4; the CZ drive conserves photon
+    number, so the 5-level pulse PTM of `run_qpt` agrees with one computed
+    on 7 levels per cavity to 1e-14, from the same calibrated pulse."""
+    params = load_params()
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
+    backend = PulseBackend(params, layout, compensate=False)
+    spec, _ = cz_binomial(backend)
+    logical = [tensor(c) for c in itertools.product(binomial_encoding(7).orthonormal_basis(), repeat=2)]
+    k = realized_logical_map(backend, spec, logical)
+    ref = pauli_transfer(lambda rho: k @ rho.matrix @ k.conj().T, 2).R
+
+    r = run_qpt("cz-binomial", mode="pulse")
+    assert r.gate_spec.to_json_dict() == spec.to_json_dict()
+    out = np.array([v for _, _, v in r.tables["ptm"]["rows"]]).reshape(ref.shape)
+    assert np.max(np.abs(out - ref)) < 1e-14
+    assert _cz("binomial", params, "ideal", 0.0)[0].layout.space.dims == (2, 5, 5)
 
 
 def test_qpt_reference_rows_are_reference_only():
