@@ -150,7 +150,7 @@ _config_option = click.option(
 )
 _mode_option = click.option("--mode", type=click.Choice(_MODES), default="ideal", show_default=True)
 _dim_option = click.option("--dim", type=int, default=None, help="Fock truncation override.")
-_seed_option = click.option("--seed", type=int, default=0, show_default=True)
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 
 
 @click.group()

@@ -121,31 +121,20 @@ def ideal_encoder(enc: Encoding) -> LinearOp:
     """
     space = qubit_cavity_space(enc)
     dim = space.dim
-    b0, b1 = enc.orthonormal_basis()
+    # |g⟩ ⊗ the two orthonormalized basis states, then the standard basis
+    # vectors in order, each kept if it is independent of those before
+    fixed = [np.concatenate([b.amplitudes, np.zeros(enc.mode.dim, complex)]) for b in enc.orthonormal_basis()]
+    for e in np.eye(dim, dtype=complex):
+        if len(fixed) == dim:
+            break
+        for _ in range(2):  # reorthogonalize for numerical stability
+            for f in fixed:
+                e -= np.vdot(f, e) * f
+        n = np.linalg.norm(e)
+        if n > 1e-7:
+            fixed.append(e / n)
     cols = np.zeros((dim, dim), dtype=complex)
-    idx_g0 = space.joint_index((0, 0))
-    idx_e0 = space.joint_index((1, 0))
-    targ0 = np.zeros(dim, dtype=complex)
-    targ0[: enc.mode.dim] = b0.amplitudes  # |g⟩ ⊗ basis0
-    targ1 = np.zeros(dim, dtype=complex)
-    targ1[: enc.mode.dim] = b1.amplitudes
-    cols[:, idx_g0] = targ0
-    cols[:, idx_e0] = targ1
-
-    fixed = [targ0, targ1]
-    free_cols = [i for i in range(dim) if i not in (idx_g0, idx_e0)]
-    basis_iter = iter(range(dim))
-    for col in free_cols:
-        while True:
-            e = np.zeros(dim, dtype=complex)
-            e[next(basis_iter)] = 1.0
-            for _ in range(2):  # reorthogonalize for numerical stability
-                for f in fixed:
-                    e -= np.vdot(f, e) * f
-            n = np.linalg.norm(e)
-            if n > 1e-7:
-                e /= n
-                fixed.append(e)
-                cols[:, col] = e
-                break
+    code = [space.joint_index((0, 0)), space.joint_index((1, 0))]
+    cols[:, code] = np.stack(fixed[:2], axis=1)
+    cols[:, [i for i in range(dim) if i not in code]] = np.stack(fixed[2:], axis=1)
     return LinearOp(space, cols).assert_unitary(1e-9)

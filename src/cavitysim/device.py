@@ -74,12 +74,15 @@ def load_params(config_text: str | None = None) -> DeviceParams:
     if config_text is None:
         config_text = default_config_text()
     cp = configparser.ConfigParser()
-    cp.read_string(config_text)
+    units = {"chi_MHz": 1.0, "kerr_MHz": MHZ, "T1_us": US, "T2_us": US}
     try:
-        chi_raw = {k.upper(): float(v) for k, v in cp["chi_MHz"].items()}
-        kerr = {k.upper(): float(v) * MHZ for k, v in cp["kerr_MHz"].items()}
-        t1 = {k.upper(): float(v) * US for k, v in cp["T1_us"].items()}
-        t2 = {k.upper(): float(v) * US for k, v in cp["T2_us"].items()}
+        cp.read_string(config_text)
+        chi_raw, kerr, t1, t2 = (
+            {k.upper(): _number(section, k.upper(), v) * unit for k, v in cp[section].items()}
+            for section, unit in units.items()
+        )
+    except configparser.Error as exc:
+        raise ValidationError(f"config cannot be parsed: {exc}") from None
     except KeyError as exc:
         raise ValidationError(f"config is missing section {exc}") from exc
 
@@ -107,6 +110,13 @@ def load_params(config_text: str | None = None) -> DeviceParams:
         T1=t1,
         T2=t2,
     )
+
+
+def _number(section: str, key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"config entry [{section}] {key} = {text!r} is not a number") from None
 
 
 def default_config_text() -> str:

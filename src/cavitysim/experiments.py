@@ -34,7 +34,6 @@ from cavitysim.errors import ValidationError
 from cavitysim.evolution import standard_collapses
 from cavitysim.fock import (
     CompositeSpace,
-    DensityOp,
     Ket,
     LinearOp,
     apply_on_factor,
@@ -55,7 +54,6 @@ from cavitysim.gates import (
     cz_binomial,
     cz_binomial_ideal,
     cz_coherent,
-    gate_columns,
     realized_logical_map,
     single_cavity_phase_gate,
     snap_bell,
@@ -206,56 +204,21 @@ def _cz(code: str, params: DeviceParams, mode: str, alpha: float):
     return backend, cz_coherent(alpha, params), partial(cat_encoding, alpha, dim)
 
 
-def _encoded_qubit_channel(backend, enc_u, spec, collapses=None):
-    """The qubit channels ρ_q ↦ Tr_cavity[D Gᵐ E (ρ_q ⊗ |0⟩⟨0|) E† Gᵐ† D†] as
-    a function of m returning the channel, itself a function returning a 2×2
-    matrix: E is the ideal encoder `enc_u`, D = E†, and G is `spec` on
-    `backend`, whose layout is the qubit and one cavity.
+def _code_basis(enc: Encoding, n: int) -> np.ndarray:
+    """The (dim, 2ⁿ) product basis of `enc`'s orthonormal code words in n
+    cavities, with the qubit, the first factor, in |g⟩."""
+    g = np.array([1.0, 0.0], dtype=complex)
+    words = itertools.product(enc.orthonormal_basis(), repeat=n)
+    return np.stack([np.kron(g, tensor(w).amplitudes) for w in words], axis=1)
 
-    The states after each number of gates are kept, so the channels for
-    m = 0..M push every input through the gate M times in all.  With
-    collapses, G acts on the density matrix of each input through
-    `apply_density`.  Without, the channel is ρ_q ↦ Σ_ab ρ_ab Tr_cavity[y_a y_b†]
-    with y_a = D Gᵐ E |a, 0⟩: only the two encoded basis columns are pushed
-    through the gate, and every input is a contraction of the result.
 
-    Amplitude that leaks out of the code space is decoded too: D maps it
-    through the free columns of `enc_u`, which `ideal_encoder` fills by an
-    arbitrary lexicographic Gram–Schmidt completion, so the zgate and
-    error-budget numbers depend on that choice.
-    """
-    layout = backend.layout
-    (cavity,) = layout.cavity_labels()
-    vac = fock_ket(layout.mode(cavity), 0).amplitudes
-    e, d = enc_u.matrix, enc_u.dag().matrix
-    if collapses is None:
-        pushed = [e @ np.kron(np.eye(2), vac[:, None])]  # Gᵐ E|g,0⟩, Gᵐ E|e,0⟩
-
-        def channel(m: int):
-            while len(pushed) <= m:
-                pushed.append(gate_columns(backend, spec, pushed[-1]))
-            y = (d @ pushed[m]).T.reshape(2, 2, -1)  # (input a, qubit, cavity level)
-            return lambda rho_q: np.einsum("ab,aqn,bpn->qp", rho_q.matrix, y, y.conj())
-
-        return channel
-
-    pushed = {}  # input bytes -> its encoded state after 0, 1, ... gates
-
-    def channel(m: int):
-        def process(rho_q: DensityOp) -> np.ndarray:
-            key = rho_q.matrix.tobytes()
-            if key not in pushed:
-                full = np.kron(rho_q.matrix, np.outer(vac, vac.conj()))
-                pushed[key] = [DensityOp(layout.space, e @ full @ e.conj().T)]
-            states = pushed[key]
-            while len(states) <= m:
-                states.append(backend.apply_density(states[-1], spec, collapses))
-            rho = DensityOp(layout.space, d @ states[m].matrix @ d.conj().T)
-            return partial_trace(rho, [0]).matrix
-
-        return process
-
-    return channel
+def _encoder_columns(enc: Encoding) -> np.ndarray:
+    """The columns |g,n⟩, |e,n⟩ of `ideal_encoder(enc)` = E grouped by cavity
+    level n, shape (cavity dim, dim, 2): they decode as E†, then a trace over
+    the cavity.  What leaks out of the code space is decoded by the arbitrary
+    Gram–Schmidt completion of E, on which the zgate and budget numbers rest."""
+    e = ideal_encoder(enc).matrix
+    return e.reshape(len(e), 2, enc.mode.dim).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +331,11 @@ def run_zgate_repetition(
         raise ValidationError("m_max must be at least 1 for the linear fit")
     params, cfg_hash = _load_params(config_text)
     layout, enc, spec, zmat = _phase_gate("z", params, alpha)
-    enc_u = ideal_encoder(enc)
 
     decohere = mode == "pulse+decoherence"
     backend = _backend("pulse" if decohere else mode, params, layout)
     collapses = standard_collapses(params, layout) if decohere else None
-    channel = _encoded_qubit_channel(backend, enc_u, spec, collapses)
+    channel = realized_logical_map(backend, spec, _code_basis(enc, 1), _encoder_columns(enc), collapses)
 
     ms = np.arange(m_max + 1)
     fids = []
@@ -440,10 +402,10 @@ def run_qpt(
     n = len(cavities)
     if reduced:
         k = component_logical_unitary(spec, cavities, qubit)
+        ptm = pauli_transfer(lambda rho: k @ rho.matrix @ k.conj().T, n)
     else:
-        logical = [tensor(c) for c in itertools.product(enc.orthonormal_basis(), repeat=n)]
-        k = realized_logical_map(backend, spec, logical)
-    ptm = pauli_transfer(lambda rho: k @ rho.matrix @ k.conj().T, n)
+        code = _code_basis(enc, n)
+        ptm = pauli_transfer(realized_logical_map(backend, spec, code, code[None])(1), n)
     f = process_fidelity(ptm, unitary_transfer(ideal_u, n))
     tol = 1e-8 if mode == "ideal" else (0.02 if gate == "cz-coherent" else 0.05)
 
@@ -578,12 +540,12 @@ def run_error_budget(
     """
     params, cfg_hash = _load_params(config_text)
     layout, enc, spec, ideal_u = _phase_gate(gate, params, alpha)
-    enc_u = ideal_encoder(enc)
+    code, decode = _code_basis(enc, 1), _encoder_columns(enc)
     ideal_ptm = unitary_transfer(ideal_u, 1)
     no_kerr = replace(params, kerr={k: 0.0 for k in params.kerr}, cross_kerr=0.0)
 
     def fidelity(backend, collapses=None):
-        channel = _encoded_qubit_channel(backend, enc_u, spec, collapses)(1)
+        channel = realized_logical_map(backend, spec, code, decode, collapses)(1)
         return process_fidelity(pauli_transfer(channel, 1), ideal_ptm)
 
     pulse = _backend("pulse", params, layout)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -853,18 +854,43 @@ def gate_columns(backend, spec: GateSpec, inputs: np.ndarray) -> np.ndarray:
     return np.stack([backend.apply(Ket(space, v), spec).amplitudes for v in inputs.T], axis=1)
 
 
-def realized_logical_map(backend, spec: GateSpec, logical_kets) -> np.ndarray:
-    """K_ab = <g; L_a| U |g; L_b> for `spec` realized on `backend`.
+def realized_logical_map(backend, spec: GateSpec, code: np.ndarray, decode: np.ndarray, collapses=None):
+    """The channels ρ ↦ Σ_n W_n† Gᵐ(code ρ code†) W_n of `spec` = G on
+    `backend`, as a function of m returning the channel, a function of a
+    2ⁿ×2ⁿ DensityOp returning a 2ⁿ×2ⁿ matrix.
 
-    logical_kets are cavity-subspace kets (in layout cavity order) defining
-    the logical basis; the layout is the backend's, with its single qubit as
-    the first factor.  The result is a single-Kraus description of the gate
-    on the code space (trace loss = leakage out of it).
+    `code` is the (dim, 2ⁿ) encoded basis with the qubit in |g⟩ and `decode`
+    a (groups, dim, 2ⁿ) stack of decoding columns W_n; `code[None]` projects
+    on the code space and loses as trace what leaks out of it.  Closed, the
+    Kraus operators are K_n = W_n† Gᵐ code; with collapses, code ρ code† of
+    each input goes through `apply_density`.  Each repetition's columns or
+    states are kept, so m = 0..M costs M gates per column or input.  The
+    groups are summed from the first, so one group is returned bit for bit.
     """
-    layout = backend.layout
-    qubits = layout.qubit_labels()
-    if len(qubits) != 1 or layout.index[qubits[0]] != 0:
-        raise ValidationError("expected a single qubit as the first factor")
-    g = np.array([1.0, 0.0], dtype=complex)
-    ins = np.stack([np.kron(g, lk.amplitudes) for lk in logical_kets], axis=1)
-    return ins.conj().T @ gate_columns(backend, spec, ins)
+    adjoint = decode.conj().transpose(0, 2, 1)
+    if collapses is None:
+        pushed = [code]
+
+        def channel(m: int):
+            while len(pushed) <= m:
+                pushed.append(gate_columns(backend, spec, pushed[-1]))
+            kraus = adjoint @ pushed[m]
+            return lambda rho: reduce(np.add, kraus @ rho.matrix @ kraus.conj().transpose(0, 2, 1))
+
+        return channel
+
+    states = {}  # input bytes -> its state after 0, 1, ... gates
+
+    def channel(m: int):
+        def process(rho: DensityOp) -> np.ndarray:
+            key = rho.matrix.tobytes()
+            if key not in states:
+                states[key] = [DensityOp(backend.layout.space, code @ rho.matrix @ code.conj().T)]
+            pushed = states[key]
+            while len(pushed) <= m:
+                pushed.append(backend.apply_density(pushed[-1], spec, collapses))
+            return reduce(np.add, adjoint @ pushed[m].matrix @ decode)
+
+        return process
+
+    return channel

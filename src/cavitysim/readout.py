@@ -126,9 +126,15 @@ def load_assignment_csv(text: str) -> AssignmentMatrix:
     labels = [row[0].strip() for row in rows[1:]]
     if labels != expected_rows:
         raise ValidationError(f"assignment CSV rows must be {expected_rows}")
-    r = np.array([[float(v) for v in row[1:]] for row in rows[1:]], dtype=float)
-    if r.shape != (2**n, 2**n):
-        raise ValidationError("assignment CSV is not square")
+    r = np.zeros((2**n, 2**n))
+    for i, (label, row) in enumerate(zip(labels, rows[1:])):
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            values = []
+        if len(values) != 2**n:
+            raise ValidationError(f"assignment CSV row {label} needs {2**n} numbers, got {row[1:]}")
+        r[i] = values
     if np.all(np.abs(r.sum(axis=0) - 100.0) < 100.0 * _MAX_COLUMN_DEVIATION):
         r = r / 100.0
     return load_assignment(r)

@@ -326,6 +326,69 @@ def test_non_finite_coupling_in_config_exits_1(tmp_path, capsys, entry, value, a
     assert not out.exists()
 
 
+def _config_with(old, new):
+    from cavitysim.device import default_config_text
+
+    text = default_config_text()
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+_PROBS = "0.6,0.4\n"
+
+
+@pytest.mark.parametrize(
+    "args, files, named",
+    [
+        (["grape-optimize", "--seed", "-1"], {}, "--seed"),
+        (
+            ["readout-correct", "--probs", "p.csv", "--shots", "10", "--seed", "-1"],
+            {"p.csv": "0.5,0.5,0,0,0,0,0,0\n"},
+            "--seed",
+        ),
+        (
+            ["qpt", "--gate", "z", "--config", "d.cfg"],
+            {"d.cfg": lambda: _config_with("S1_Q1 = 1.599", "S1_Q1 = abc")},
+            "S1_Q1",
+        ),
+        (
+            ["qpt", "--gate", "z", "--config", "d.cfg"],
+            {"d.cfg": lambda: "S1_Q1 = 1.599\n" + _config_with("", "")},
+            "no section headers",
+        ),
+        (
+            ["qpt", "--gate", "z", "--config", "d.cfg"],
+            {"d.cfg": lambda: _config_with("", "") + "\n[chi_MHz]\nS1_Q1 = 1.599\n"},
+            "chi_MHz",
+        ),
+        (
+            ["readout-correct", "--probs", "p.csv", "--matrix", "m.csv"],
+            {"p.csv": _PROBS, "m.csv": "x,g,e\n0,0.95,0.1\n1,0.05,abc\n"},
+            "row 1",
+        ),
+        (
+            ["readout-correct", "--probs", "p.csv", "--matrix", "m.csv"],
+            {"p.csv": _PROBS, "m.csv": "x,g,e\n0,0.95,0.1\n1,0.05\n"},
+            "row 1",
+        ),
+    ],
+    ids=[
+        "grape-negative-seed", "readout-negative-seed", "config-non-numeric",
+        "config-no-section-header", "config-duplicate-section", "matrix-non-numeric", "matrix-short-row",
+    ],
+)
+def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, args, files, named):
+    """A negative --seed, a malformed --config and a malformed --matrix each
+    exit 1 with a message naming the flag or entry; they used to raise a
+    ValueError or a configparser error out of `main`."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text() if callable(text) else text)
+    assert main(args + ["-o", "run"]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_bad_phis_spec_rejected(tmp_path):
     assert main(["parity-sweep", "--phis", "0:1", "-o", str(tmp_path / "x")]) == 1
 

@@ -11,8 +11,10 @@ from cavitysim.errors import ValidationError
 from cavitysim.experiments import (
     ExperimentResult,
     Scalar,
+    _code_basis,
     _cz,
-    _encoded_qubit_channel,
+    _encoder_columns,
+    _phase_gate,
     run_bell_generation,
     run_error_budget,
     run_parity_sweep,
@@ -20,7 +22,8 @@ from cavitysim.experiments import (
     run_snap_bell,
     run_zgate_repetition,
 )
-from cavitysim.fock import Ket, partial_trace, recommended_dim, tensor
+from cavitysim.evolution import standard_collapses
+from cavitysim.fock import DensityOp, Ket, partial_trace, recommended_dim, tensor
 from cavitysim.gates import (
     IdealBackend,
     PulseBackend,
@@ -223,7 +226,7 @@ def test_closed_encoded_channel_matches_eigenvector_propagation(mode, m):
         backend = IdealBackend(layout)
     else:
         backend = PulseBackend(params, layout, compensate=True)
-    channel = _encoded_qubit_channel(backend, enc_u, spec)(m)
+    channel = realized_logical_map(backend, spec, _code_basis(enc, 1), _encoder_columns(enc))(m)
     reference = _eigenvector_channel(layout, enc_u, backend, spec, m)
     gaps = []
 
@@ -235,6 +238,78 @@ def test_closed_encoded_channel_matches_eigenvector_propagation(mode, m):
     pauli_transfer(both, 1)
     assert len(gaps) == 4
     assert max(gaps) < 1e-12
+
+
+def _encoder_trace_oracle(layout, enc_u, backend, spec, m, collapses=None):
+    """Reference logical channel: encode ρ_q ⊗ |0⟩⟨0| with the full encoder
+    E, conjugate m times by the gate unitary (the identity pushed through
+    `apply`) or evolve once through `apply_density`, decode with E†, and
+    trace out the cavity."""
+    dim = layout.space.dim
+    vac = np.outer(np.eye(dim // 2)[0], np.eye(dim // 2)[0])
+    e = enc_u.matrix
+    u = np.stack([backend.apply(Ket(layout.space, v), spec).amplitudes for v in np.eye(dim)], axis=1)
+
+    def process(rho_q):
+        rho = e @ np.kron(rho_q.matrix, vac) @ e.conj().T
+        if collapses is None:
+            for _ in range(m):
+                rho = u @ rho @ u.conj().T
+        else:
+            rho = backend.apply_density(DensityOp(layout.space, rho), spec, collapses).matrix
+        return partial_trace(DensityOp(layout.space, e.conj().T @ rho @ e), [0]).matrix
+
+    return process
+
+
+@pytest.mark.parametrize("gate", ["z", "s", "t"])
+@pytest.mark.parametrize(
+    "mode, m", [("ideal", 0), ("ideal", 1), ("ideal", 3), ("pulse", 0), ("pulse", 1), ("pulse", 3), ("pulse+decoherence", 1)]
+)
+def test_grouped_decode_matches_encoder_then_partial_trace(gate, mode, m):
+    """Decoding with the encoder's columns grouped by cavity level, group n
+    holding |g,n⟩ and |e,n⟩, is E† followed by a trace over the cavity, for
+    the closed channels after m gates and for the decoherent one."""
+    params = load_params()
+    layout, enc, spec, _ = _phase_gate(gate, params, float(np.sqrt(2.0)))
+    decohere = mode == "pulse+decoherence"
+    backend = IdealBackend(layout) if mode == "ideal" else PulseBackend(params, layout, compensate=True)
+    collapses = standard_collapses(params, layout) if decohere else None
+    code, decode = _code_basis(enc, 1), _encoder_columns(enc)
+    assert decode.shape == (enc.mode.dim, layout.space.dim, 2)
+    assert np.array_equal(code, ideal_encoder(enc).matrix[:, [0, enc.mode.dim]])
+    channel = realized_logical_map(backend, spec, code, decode, collapses)(m)
+    oracle = _encoder_trace_oracle(layout, ideal_encoder(enc), backend, spec, m, collapses)
+    gaps = []
+
+    def both(rho_q):
+        out = channel(rho_q)
+        gaps.append(np.max(np.abs(out - oracle(rho_q))))
+        return out
+
+    pauli_transfer(both, 1)
+    assert len(gaps) == 4
+    assert max(gaps) < 1e-13
+
+
+@pytest.mark.parametrize("gate", ["z", "cz-coherent"])
+def test_code_projection_reproduces_qpt_pulse_ptm(gate):
+    """One decoding group, the code basis itself, is the projection V†GV
+    that `run_qpt` reports: its pulse PTM rows come out exactly."""
+    params = load_params()
+    alpha = float(np.sqrt(2.0))
+    if gate == "z":
+        layout, enc, spec, _ = _phase_gate("z", params, alpha)
+        backend, n = PulseBackend(params, layout, compensate=True), 1
+    else:
+        backend, spec, encoding = _cz("cat", params, "pulse", alpha)
+        enc, n = encoding(), 2
+    g = np.array([1.0, 0.0], dtype=complex)
+    words = itertools.product(enc.orthonormal_basis(), repeat=n)
+    code = np.stack([np.kron(g, tensor(w).amplitudes) for w in words], axis=1)
+    ptm = pauli_transfer(realized_logical_map(backend, spec, code, code[None])(1), n).R
+    rows = run_qpt(gate, mode="pulse").tables["ptm"]["rows"]
+    assert [v for _, _, v in rows] == ptm.ravel().tolist()
 
 
 @pytest.mark.parametrize(
@@ -293,9 +368,8 @@ def test_binomial_cz_pulse_ptm_is_exact_at_five_levels():
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
     backend = PulseBackend(params, layout, compensate=False)
     spec, _ = cz_binomial(backend)
-    logical = [tensor(c) for c in itertools.product(binomial_encoding(7).orthonormal_basis(), repeat=2)]
-    k = realized_logical_map(backend, spec, logical)
-    ref = pauli_transfer(lambda rho: k @ rho.matrix @ k.conj().T, 2).R
+    code = _code_basis(binomial_encoding(7), 2)
+    ref = pauli_transfer(realized_logical_map(backend, spec, code, code[None])(1), 2).R
 
     r = run_qpt("cz-binomial", mode="pulse")
     assert r.gate_spec.to_json_dict() == spec.to_json_dict()
