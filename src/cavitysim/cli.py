@@ -119,6 +119,14 @@ def _reject_given(name: str, reason: str) -> None:
         raise ValidationError(f"{flag} has no effect {reason}")
 
 
+def _number(token: str) -> float | None:
+    """The token as a float; None if it is not a number."""
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
 def _config_text(ctx, param, path: str | None) -> str | None:
     """The text of the --config file; None selects the bundled parameters."""
     if path is None:
@@ -329,7 +337,7 @@ def cmd_error_budget(config_text, output_dir, gate, alpha):
     show_default=True,
 )
 @click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--fock-n", type=int, default=1, show_default=True)
+@click.option("--fock-n", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--extent", type=float, default=2.5, show_default=True)
 @click.option("--points", type=int, default=41, show_default=True)
 def cmd_wigner(output_dir, dim, state, alpha, fock_n, extent, points):
@@ -457,7 +465,7 @@ def cmd_grape_optimize(
     "--probs",
     type=click.Path(exists=True, dir_okay=False),
     required=True,
-    help="Measured probability vector (floats, comma or newline separated).",
+    help="Measured probability vector (floats, comma or newline separated; a leading line of labels is skipped).",
 )
 @click.option("--project", is_flag=True, help="Project the result onto the simplex.")
 def cmd_readout_correct(output_dir, seed, shots, matrix, probs, project):
@@ -470,13 +478,13 @@ def cmd_readout_correct(output_dir, seed, shots, matrix, probs, project):
         with open(matrix) as fh:
             assignment = load_assignment_csv(fh.read())
     with open(probs) as fh:
-        tokens = fh.read().replace(",", " ").split()
-    values = []
-    for tok in tokens:
-        try:
-            values.append(float(tok))
-        except ValueError:
-            continue  # skip header labels
+        rows = [row for row in (line.replace(",", " ").split() for line in fh) if row]
+    if rows and all(_number(tok) is None for tok in rows[0]):
+        rows = rows[1:]  # a leading line of labels is a header
+    tokens = [tok for row in rows for tok in row]
+    values = [_number(tok) for tok in tokens]
+    if None in values:
+        raise ValidationError(f"--probs entry {tokens[values.index(None)]!r} is not a number")
     p = np.asarray(values, dtype=float)
     if p.size != assignment.dim:
         raise ValidationError(

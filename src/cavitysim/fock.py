@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import expm
 
 from cavitysim.errors import ValidationError
 
@@ -220,9 +219,23 @@ def parity_op(spec: ModeSpec) -> LinearOp:
     )
 
 
-def displacement(alpha: complex, spec: ModeSpec) -> LinearOp:
-    """D(α) = exp(α a† − α* a) via exact exponential of the truncated generator.
+@lru_cache(maxsize=None)
+def _displacement_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) with i(a† − a) = V diag(w) V† on the truncation `dim`, read-only."""
+    root = np.sqrt(np.arange(1, dim, dtype=float))
+    w, v = np.linalg.eigh(np.diag(-1j * root, k=1) + np.diag(1j * root, k=-1))
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
 
+
+def displacement(alpha: complex, spec: ModeSpec) -> LinearOp:
+    """D(α) = exp(α a† − α* a), the exact exponential of the truncated generator.
+
+    With α = |α|e^{iθ} and R(θ) = diag(e^{iθn}), the generator is
+    R(θ) |α|(a† − a) R(θ)†, so D(α) = R(θ) V e^{−i|α|w} V† R(θ)† for the
+    eigenpairs (w, V) of the Hermitian i(a† − a), which depend only on the
+    truncation (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).
     Self-consistent with the truncation: D(α)D(−α) deviates from identity only
     through truncation error.
     """
@@ -233,9 +246,9 @@ def displacement(alpha: complex, spec: ModeSpec) -> LinearOp:
             f"truncation dim {spec.dim}; expect truncation artifacts",
             stacklevel=2,
         )
-    a = annihilation(spec).matrix
-    gen = alpha * a.conj().T - np.conjugate(alpha) * a
-    return LinearOp(CompositeSpace.single(spec), expm(gen))
+    w, v = _displacement_eigenbasis(spec.dim)
+    rv = np.exp(1j * np.angle(alpha) * np.arange(spec.dim))[:, None] * v
+    return LinearOp(CompositeSpace.single(spec), (rv * np.exp(-1j * abs(alpha) * w)) @ rv.conj().T)
 
 
 def coherent(alpha: complex, spec: ModeSpec) -> Ket:

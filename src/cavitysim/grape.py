@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from cavitysim.codes import binomial_encoding, logical_ket
 from cavitysim.device import DeviceParams, SystemLayout, static_hamiltonian
@@ -265,6 +264,9 @@ def optimize(
     box-clipped to ±DEFAULT_AMPLITUDE_BOUND, the start included.
     Non-convergence is reported in the OptimizerReport, never raised.
     """
+    # imported here, not at module level, so that no other command pays for scipy.optimize
+    from scipy.optimize import minimize
+
     if max_iters < 0:
         raise ValidationError("max_iters must be >= 0")
     if not np.isfinite(target_fidelity):

@@ -80,6 +80,39 @@ def test_readout_correct_rejects_unnormalisable_probs(tmp_path, capsys, probs):
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize(
+    "probs, bad",
+    [
+        ("0.5,0.5O,0,0,0,0,0,0,0.5", "0.5O"),
+        ("p\n0.5\n0.5\nx\n0\n0\n0\n0\n0\n", "x"),
+        ("p,0.5,0.5,0,0,0,0,0,0\n", "p"),
+    ],
+    ids=["typo", "label-after-header", "label-in-leading-data-line"],
+)
+def test_readout_correct_refuses_non_numeric_probs(tmp_path, capsys, probs, bad):
+    """A token that is not a number exits 1 and is named, unless it belongs
+    to a leading line in which no token is a number; the typo used to be
+    dropped, and the other 8 values corrected."""
+    p_path = tmp_path / "p.csv"
+    p_path.write_text(probs)
+    out = tmp_path / "run"
+    assert main(["readout-correct", "--probs", str(p_path), "-o", str(out)]) == 1
+    assert repr(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readout_correct_skips_a_leading_header_line(tmp_path):
+    values = "0.3,0.1,0.1,0.1,0.1,0.1,0.1,0.1\n"
+    outputs = []
+    for name, text in [("plain", values), ("header", "p000,p001,p010,p011,p100,p101,p110,p111\n" + values)]:
+        p_path = tmp_path / f"{name}.csv"
+        p_path.write_text(text)
+        out = tmp_path / name
+        assert main(["readout-correct", "--probs", str(p_path), "-o", str(out)]) == 0
+        outputs.append((out / "corrected.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_readout_correct_sampled_is_seeded(tmp_path):
     p_path = tmp_path / "p.csv"
     p_path.write_text("\n".join(["0.5", "0.5"] + ["0.0"] * 6))
@@ -490,6 +523,16 @@ def test_wigner_fock_state_fits_its_own_truncation(tmp_path, dim_args):
     assert len(rows) == 41 * 41
     at_origin = [float(w) for re, im, w in rows if float(re) == 0 and float(im) == 0]
     assert at_origin[0] == pytest.approx(-2.0 / np.pi, abs=1e-12)
+
+
+def test_wigner_refuses_a_negative_fock_level(tmp_path, capsys):
+    """--fock-n -1 is refused at the option, naming it; it used to fail
+    later with "mode dim must be >= 2"."""
+    out = tmp_path / "run"
+    assert main(["wigner", "--state", "fock", "--fock-n", "-1", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--fock-n" in err and "-1" in err
+    assert not out.exists()
 
 
 def test_grape_optimize_pi_pulse(tmp_path):

@@ -2,6 +2,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from scipy.integrate import solve_ivp
@@ -752,7 +753,7 @@ def test_lindblad_rejects_trace_drift_and_nonfinite(monkeypatch, scale):
     def drifting_expm(*args, **kwargs):
         return expm(*args, **kwargs) * scale
 
-    monkeypatch.setattr(evolution, "expm", drifting_expm)
+    monkeypatch.setattr(scipy.linalg, "expm", drifting_expm)
     layout = SystemLayout.build(["Q1"], [], {})
     plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
     with pytest.raises(NumericalError):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+import cavitysim.fock as fock
 from cavitysim.errors import ValidationError
 from cavitysim.fock import (
     CompositeSpace,
@@ -55,6 +57,27 @@ def test_displacement_zero_is_identity():
     spec = ModeSpec.bosonic(12)
     d = displacement(0.0, spec)
     assert np.allclose(d.matrix, np.eye(12))
+
+
+@pytest.mark.parametrize(
+    "dim, alpha",
+    [(12, 0.7), (21, 1.0), (30, 2.0 * np.sqrt(2.0)), (60, 3.0 + 2.0j)],
+    ids=["12", "21", "30", "60"],
+)
+@pytest.mark.filterwarnings("ignore:displacement amplitude")
+def test_displacement_matches_expm_of_truncated_generator(dim, alpha):
+    """The closed form R(θ) V e^{−i|α|w} V† R(θ)† is the exponential of the
+    truncated generator α a† − ᾱ a, computed here by `expm`."""
+    spec = ModeSpec.bosonic(dim)
+    a = annihilation(spec).matrix
+    ref = expm(alpha * a.conj().T - np.conj(alpha) * a)
+    d = displacement(alpha, spec).matrix
+    assert np.max(np.abs(d - ref)) < 1e-13
+    assert np.array_equal(displacement(alpha, spec).matrix, d)
+    w, v = fock._displacement_eigenbasis(dim)
+    assert not w.flags.writeable and not v.flags.writeable
+    with pytest.raises(ValueError):
+        v[0, 0] = 0.0
 
 
 def test_displacement_vacuum_overlap():

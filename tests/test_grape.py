@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from cavitysim import grape
 from cavitysim.device import SystemLayout, load_params, default_config_text, static_hamiltonian
@@ -178,7 +179,7 @@ def _no_optimizer(*args, **kwargs):
 def test_optimize_target_zero_returns_initial_pulse(monkeypatch):
     """A target that the seeded start already meets returns that start
     without optimizing: the pulse that max_iters = 0 returns."""
-    monkeypatch.setattr(grape, "minimize", _no_optimizer)
+    monkeypatch.setattr(scipy.optimize, "minimize", _no_optimizer)
     task = _qubit_task(n_steps=20)
     start, _ = optimize(task, max_iters=0, target_fidelity=1.1, seed=5)
     pulse, report = optimize(task, target_fidelity=0.0, seed=5)
@@ -354,7 +355,7 @@ def test_optimize_zero_iterations_returns_clipped_start(monkeypatch, dense_evolv
         def standard_normal(self, shape):
             return 100.0 * self.rng.standard_normal(shape)
 
-    monkeypatch.setattr(grape, "minimize", _no_optimizer)
+    monkeypatch.setattr(scipy.optimize, "minimize", _no_optimizer)
     monkeypatch.setattr(np.random, "default_rng", Wide)
     task = _qubit_task(n_steps=20)
     pulse, report = optimize(task, max_iters=0, target_fidelity=1.1, seed=5)
