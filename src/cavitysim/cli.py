@@ -3,10 +3,12 @@
 Each subcommand runs one experiment recipe and writes its tables as CSV
 (explicit headers, 17-significant-digit floats), the full structured result
 as JSON, and a ``manifest.json``: the command name, every option click
-parsed except --config and --output (with the truncation or step count a
-command filled in itself), and for the recipes the provenance with the
-hash of the device configuration.  Identical manifests produce
-byte-identical data files.  Only the seven recipe commands and
+parsed except the path options --config, --matrix, --probs and --output
+(with the truncation or step count a command filled in itself), and the
+provenance, which records each input file by the sha256 of its text: the
+device configuration of the recipes and of grape-optimize's binomial-encode
+task, and readout-correct's --matrix and --probs.  Identical manifests
+produce byte-identical data files.  Only the seven recipe commands and
 grape-optimize read device parameters, so only they take --config; the
 pi-pulse task of grape-optimize refuses it.  Only grape-optimize (its start
 pulse) and readout-correct (its --shots sampling) draw random numbers, so
@@ -18,6 +20,7 @@ failure.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -26,9 +29,10 @@ import numpy as np
 from click.core import ParameterSource
 
 from cavitysim.codes import binomial_encoding, cat_encoding, logical_ket
-from cavitysim.device import SystemLayout, load_params
+from cavitysim.device import SystemLayout
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.experiments import (
+    load_config,
     run_bell_generation,
     run_error_budget,
     run_parity_sweep,
@@ -95,10 +99,11 @@ def _write_outputs(
 
     The manifest names the command and records the options click parsed,
     with `resolved` overlaying the values the command filled in itself.
-    --output and the --config text stay out of it: the provenance's config
-    hash identifies the configuration."""
+    The path options stay out of it, so it does not depend on where the
+    files sit: the provenance's hashes identify the input files."""
     ctx = click.get_current_context()
-    params = {k: v for k, v in ctx.params.items() if k not in ("config_text", "output_dir")}
+    paths = {p.name for p in ctx.command.params if isinstance(p.type, click.Path)}
+    params = {k: v for k, v in ctx.params.items() if k not in paths}
     manifest = {"experiment": ctx.info_name, "parameters": {**params, **resolved}}
     if provenance is not None:
         manifest["provenance"] = provenance
@@ -127,12 +132,16 @@ def _number(token: str) -> float | None:
         return None
 
 
-def _config_text(ctx, param, path: str | None) -> str | None:
-    """The text of the --config file; None selects the bundled parameters."""
+def _file_text(ctx, param, path: str | None) -> str | None:
+    """The text of a file option's file; None if the option was not given."""
     if path is None:
         return None
     with open(path) as fh:
         return fh.read()
+
+
+def _sha256(text: str | None) -> str | None:
+    return None if text is None else hashlib.sha256(text.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +162,7 @@ _config_option = click.option(
     "config_text",
     type=click.Path(exists=True, dir_okay=False),
     default=None,
-    callback=_config_text,
+    callback=_file_text,
     help="Device parameter file (defaults to the bundled values).",
 )
 _mode_option = click.option("--mode", type=click.Choice(_MODES), default="ideal", show_default=True)
@@ -239,10 +248,7 @@ def cmd_zgate_repeat(config_text, output_dir, mode, m_max, alpha):
 @click.option("--alpha", type=float, default=float(np.sqrt(2.0)), show_default=True)
 def cmd_qpt(config_text, output_dir, mode, gate, alpha):
     """Process tomography of one logical gate."""
-    if gate == "cz-binomial":
-        _reject_given("alpha", "on the binomial CZ")
-    result = run_qpt(gate, mode=mode, alpha=alpha, config_text=config_text)
-    _write_outputs(output_dir, result.tables, result.to_json_dict(), result.provenance)
+    _qpt(config_text, output_dir, mode, gate, alpha)
 
 
 @cli.command("cz")
@@ -257,12 +263,15 @@ def cmd_qpt(config_text, output_dir, mode, gate, alpha):
 )
 @click.option("--alpha", type=float, default=float(np.sqrt(2.0)), show_default=True)
 def cmd_cz(config_text, output_dir, mode, encoding, alpha):
-    """Two-cavity controlled-phase gate: tomography plus the gate recipe."""
-    if encoding == "binomial":
+    """Two-cavity controlled-phase gate: the same as qpt --gate cz-ENCODING."""
+    _qpt(config_text, output_dir, mode, f"cz-{encoding}", alpha)
+
+
+def _qpt(config_text, output_dir, mode, gate, alpha):
+    """The body of qpt and cz: tomography of `gate`, and gate_spec.json."""
+    if gate == "cz-binomial":
         _reject_given("alpha", "on the binomial CZ")
-    result = run_qpt(
-        f"cz-{encoding}", mode=mode, alpha=alpha, config_text=config_text
-    )
+    result = run_qpt(gate, mode=mode, alpha=alpha, config_text=config_text)
     _write_outputs(output_dir, result.tables, result.to_json_dict(), result.provenance)
     # the spec that was simulated: in pulse mode, the calibrated multitone pulse
     _write_json(
@@ -400,6 +409,7 @@ def cmd_grape_optimize(
         _reject_given("config_text", "on the pi-pulse task, which reads no device parameters")
         if steps is None:
             steps = 60
+        provenance = None
         layout = SystemLayout.build(["Q1"], [], {})
         transfer = TransferTask(
             pairs=((qubit_ket(0), qubit_ket(1)),),
@@ -413,7 +423,9 @@ def cmd_grape_optimize(
             steps = 500
         if dim is None:
             dim = 8
-        transfer = binomial_encode_task(load_params(config_text), dim, steps)
+        params, config_hash = load_config(config_text)
+        provenance = {"config_hash": config_hash}
+        transfer = binomial_encode_task(params, dim, steps)
     amps, report = optimize(
         transfer, max_iters=max_iters, target_fidelity=target_fidelity, seed=seed
     )
@@ -437,7 +449,7 @@ def cmd_grape_optimize(
         "gradient_norms": list(report.gradient_norms),
     }
     table = {"columns": columns, "rows": rows}
-    _write_outputs(output_dir, {"pulse": table}, result, steps=steps, dim=dim)
+    _write_outputs(output_dir, {"pulse": table}, result, provenance, steps=steps, dim=dim)
     if not report.converged and report.final_fidelity < target_fidelity:
         click.echo(
             f"warning: stopped at fidelity {report.final_fidelity:.6f} "
@@ -457,28 +469,28 @@ def cmd_grape_optimize(
 )
 @click.option(
     "--matrix",
+    "matrix_text",
     type=click.Path(exists=True, dir_okay=False),
     default=None,
+    callback=_file_text,
     help="Assignment-matrix CSV (defaults to the bundled three-qubit table).",
 )
 @click.option(
     "--probs",
+    "probs_text",
     type=click.Path(exists=True, dir_okay=False),
     required=True,
+    callback=_file_text,
     help="Measured probability vector (floats, comma or newline separated; a leading line of labels is skipped).",
 )
 @click.option("--project", is_flag=True, help="Project the result onto the simplex.")
-def cmd_readout_correct(output_dir, seed, shots, matrix, probs, project):
+def cmd_readout_correct(output_dir, seed, shots, matrix_text, probs_text, project):
     """Invert the readout assignment matrix on a measured probability vector."""
     if shots is None:
         _reject_given("seed", "without --shots")
-    if matrix is None:
-        assignment = default_assignment()
-    else:
-        with open(matrix) as fh:
-            assignment = load_assignment_csv(fh.read())
-    with open(probs) as fh:
-        rows = [row for row in (line.replace(",", " ").split() for line in fh) if row]
+    assignment = default_assignment() if matrix_text is None else load_assignment_csv(matrix_text)
+    lines = (line.replace(",", " ").split() for line in probs_text.splitlines())
+    rows = [row for row in lines if row]
     if rows and all(_number(tok) is None for tok in rows[0]):
         rows = rows[1:]  # a leading line of labels is a header
     tokens = [tok for row in rows for tok in row]
@@ -500,7 +512,8 @@ def cmd_readout_correct(output_dir, seed, shots, matrix, probs, project):
     labels = assignment.outcome_labels()
     table = {"columns": ("outcome", "probability"), "rows": list(zip(labels, corrected))}
     result = {"outcomes": list(labels), "corrected": corrected.tolist()}
-    _write_outputs(output_dir, {"corrected": table}, result)
+    provenance = {"matrix_hash": _sha256(matrix_text), "probs_hash": _sha256(probs_text)}
+    _write_outputs(output_dir, {"corrected": table}, result, provenance)
 
 
 # ---------------------------------------------------------------------------

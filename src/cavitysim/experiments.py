@@ -135,7 +135,7 @@ class ExperimentResult:
         }
 
 
-def _load_params(config_text: str | None):
+def load_config(config_text: str | None):
     """The device parameters of `config_text` (the bundled values if None)
     and the hash that provenance records for them."""
     if config_text is None:
@@ -244,7 +244,7 @@ def run_parity_sweep(
     """
     if not np.isfinite(delta):
         raise ValidationError("read-out phase delta must be finite")
-    params, cfg_hash = _load_params(config_text)
+    params, cfg_hash = load_config(config_text)
     if phis is None:
         phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     phis = np.asarray(phis, dtype=float)
@@ -329,7 +329,7 @@ def run_zgate_repetition(
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1 for the linear fit")
-    params, cfg_hash = _load_params(config_text)
+    params, cfg_hash = load_config(config_text)
     layout, enc, spec, zmat = _phase_gate("z", params, alpha)
 
     decohere = mode == "pulse+decoherence"
@@ -384,7 +384,7 @@ def run_qpt(
     (d·F_pro + 1)/(d + 1) of `tomography.process_fidelity`, not the
     entanglement fidelity F_pro; its infidelity is d/(d + 1) times F_pro's.
     """
-    params, cfg_hash = _load_params(config_text)
+    params, cfg_hash = load_config(config_text)
     gate = gate.lower()
     family = "binomial" if gate == "cz-binomial" else "coherent"
     # an ideal coherent gate is reduced to its code components: no encoding read
@@ -401,8 +401,7 @@ def run_qpt(
 
     n = len(cavities)
     if reduced:
-        k = component_logical_unitary(spec, cavities, qubit)
-        ptm = pauli_transfer(lambda rho: k @ rho.matrix @ k.conj().T, n)
+        ptm = unitary_transfer(component_logical_unitary(spec, cavities, qubit), n)
     else:
         code = _code_basis(enc, n)
         ptm = pauli_transfer(realized_logical_map(backend, spec, code, code[None])(1), n)
@@ -452,7 +451,7 @@ def run_bell_generation(
     backend.  Outputs the Bell fidelity, reduced-cavity purities, and joint
     Wigner cuts along the real axes.
     """
-    params, cfg_hash = _load_params(config_text)
+    params, cfg_hash = load_config(config_text)
     backend, spec, make_encoding = _cz(encoding, params, mode, alpha)
     layout, enc = backend.layout, make_encoding()
     plus = logical_ket(enc, 1.0, 1.0)
@@ -538,7 +537,7 @@ def run_error_budget(
     Each row is the infidelity added by enabling that source alone; the total
     row is the jointly simulated pipeline with everything enabled.
     """
-    params, cfg_hash = _load_params(config_text)
+    params, cfg_hash = load_config(config_text)
     layout, enc, spec, ideal_u = _phase_gate(gate, params, alpha)
     code, decode = _code_basis(enc, 1), _encoder_columns(enc)
     ideal_ptm = unitary_transfer(ideal_u, 1)
@@ -596,7 +595,7 @@ def run_snap_bell(
 ) -> ExperimentResult:
     """Single-photon Bell state (|01⟩ + sign·|10⟩)/√2 from vacuum via
     displacements around a joint-vacuum-conditional 2π rotation."""
-    params, cfg_hash = _load_params(config_text)
+    params, cfg_hash = load_config(config_text)
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
     spec = snap_bell(sign)
     backend = _backend(mode, params, layout)

@@ -151,12 +151,6 @@ class Ket:
         _check_same_space(self, other)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def density(self) -> "DensityOp":
-        return DensityOp(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def projector(self) -> LinearOp:
-        return LinearOp(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 @dataclass(frozen=True)
 class DensityOp:
@@ -171,17 +165,6 @@ class DensityOp:
             raise ValidationError("density matrix shape does not match space dim")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def validate(self) -> "DensityOp":
-        """Raise ValidationError unless ρ is Hermitian, of unit trace and
-        positive semidefinite, each to 1e-9."""
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-9:
-            raise ValidationError("density matrix is not hermitian")
-        if abs(np.trace(self.matrix) - 1.0) > 1e-9:
-            raise ValidationError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(self.matrix)) < -1e-9:
-            raise ValidationError("density matrix has a significantly negative eigenvalue")
-        return self
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -207,15 +190,6 @@ def number_op(spec: ModeSpec) -> LinearOp:
     _require_bosonic(spec)
     return LinearOp(
         CompositeSpace.single(spec), np.diag(np.arange(spec.dim)).astype(complex)
-    )
-
-
-def parity_op(spec: ModeSpec) -> LinearOp:
-    """Photon-number parity: diagonal (−1)^n."""
-    _require_bosonic(spec)
-    return LinearOp(
-        CompositeSpace.single(spec),
-        np.diag((-1.0) ** np.arange(spec.dim)).astype(complex),
     )
 
 

@@ -101,7 +101,7 @@ class TransferTask:
         return [control_operator(self.layout, label) for label in self.channels]
 
 
-def binomial_encode_task(params: DeviceParams, dim: int = 8, n_steps: int = 500) -> TransferTask:
+def binomial_encode_task(params: DeviceParams, dim: int, n_steps: int) -> TransferTask:
     """Map (c0|g⟩ + c1|e⟩)|0⟩ to |g⟩(c0|0⟩_L + c1|1⟩_L) of the binomial code on S1,
     driving Q1 and S1.
 
@@ -252,9 +252,9 @@ class _TargetReached(Exception):
 
 def optimize(
     task: TransferTask,
-    max_iters: int = 500,
-    target_fidelity: float = 0.9999,
-    seed: int = 0,
+    max_iters: int,
+    target_fidelity: float,
+    seed: int,
 ) -> tuple[np.ndarray, OptimizerReport]:
     """Limited-memory quasi-Newton ascent on the transfer fidelity, from a
     seeded random start.

@@ -91,12 +91,6 @@ class WignerGrid:
     im_axis: np.ndarray
     values: np.ndarray  # shape (len(im_axis), len(re_axis))
 
-    def integral(self) -> float:
-        if len(self.re_axis) < 2 or len(self.im_axis) < 2:
-            raise ValidationError("the integral needs at least two points per axis")
-        cell = (self.re_axis[1] - self.re_axis[0]) * (self.im_axis[1] - self.im_axis[0])
-        return float(np.sum(self.values) * cell)
-
     def to_csv_rows(self):
         rows = []
         for i, im in enumerate(self.im_axis):
@@ -166,23 +160,11 @@ class TransferMatrix:
         r.setflags(write=False)
         object.__setattr__(self, "R", r)
 
-    def check_physical(self):
-        """Raise ValidationError unless the first row is (1, 0, ..., 0) and
-        every entry lies in [−1, 1], each to 1e-9."""
-        first = np.zeros(4**self.n_qubits)
-        first[0] = 1.0
-        if np.max(np.abs(self.R[0] - first)) > 1e-9:
-            raise ValidationError("first row is not (1, 0, ..., 0)")
-        if np.max(np.abs(self.R)) > 1.0 + 1e-9:
-            raise ValidationError("transfer matrix entries exceed [−1, 1]")
-        return self
-
 
 def pauli_transfer(process, n_qubits: int) -> TransferMatrix:
     """Pauli transfer matrix R_ij = Tr(P_i · Λ(P_j)) / 2ⁿ.
 
-    `process` maps an input DensityOp to its output (a 2ⁿ×2ⁿ ndarray or a
-    DensityOp).  It runs on the 4ⁿ product inputs of `_INPUT_KETS`, and R is
+    `process` maps an input DensityOp to its output, a 2ⁿ×2ⁿ ndarray.  It runs on the 4ⁿ product inputs of `_INPUT_KETS`, and R is
     the solution of R·T_in = T_out, where column s of T_in and of T_out holds
     the Pauli expectations Tr(P_i ρ) of input s and of its output: by
     linearity, Tr(P_i Λ(ρ)) = Σ_j R_ij Tr(P_j ρ).
@@ -192,8 +174,7 @@ def pauli_transfer(process, n_qubits: int) -> TransferMatrix:
     for kets in itertools.product(_INPUT_KETS, repeat=n_qubits):
         ket = reduce(np.kron, kets)
         inputs.append(np.outer(ket, ket.conj()))
-        out = process(DensityOp(space, inputs[-1]))
-        outputs.append(out.matrix if isinstance(out, DensityOp) else np.asarray(out))
+        outputs.append(process(DensityOp(space, inputs[-1])))
     paulis = np.array([pauli_matrix(l) for l in pauli_labels(n_qubits)])
     t_in, t_out = (np.einsum("iab,sba->is", paulis, np.array(m)).real for m in (inputs, outputs))
     return TransferMatrix(n_qubits, np.linalg.solve(t_in.T, t_out.T).T)

@@ -1,0 +1,57 @@
+"""Reference objects that only the tests use, written from their definitions:
+the parity operator, density matrices and projectors of kets, and the
+physicality checks of a density matrix, a Wigner grid and a transfer matrix."""
+
+import numpy as np
+
+from cavitysim.errors import ValidationError
+from cavitysim.fock import BOSONIC, CompositeSpace, DensityOp, LinearOp
+
+
+def parity_op(spec) -> LinearOp:
+    """Photon-number parity of a bosonic mode: diagonal (−1)^n."""
+    if spec.kind != BOSONIC:
+        raise ValidationError("operation requires a bosonic mode")
+    return LinearOp(CompositeSpace.single(spec), np.diag((-1.0) ** np.arange(spec.dim)))
+
+
+def density(ket) -> DensityOp:
+    """|ψ⟩⟨ψ| of a ket, as a DensityOp."""
+    return DensityOp(ket.space, np.outer(ket.amplitudes, ket.amplitudes.conj()))
+
+
+def projector(ket) -> LinearOp:
+    """|ψ⟩⟨ψ| of a ket, as a LinearOp."""
+    return LinearOp(ket.space, np.outer(ket.amplitudes, ket.amplitudes.conj()))
+
+
+def validate_density(rho):
+    """Raise ValidationError unless ρ is Hermitian, of unit trace and
+    positive semidefinite, each to 1e-9; return ρ."""
+    if np.max(np.abs(rho.matrix - rho.matrix.conj().T)) > 1e-9:
+        raise ValidationError("density matrix is not hermitian")
+    if abs(np.trace(rho.matrix) - 1.0) > 1e-9:
+        raise ValidationError("density matrix trace differs from 1")
+    if np.min(np.linalg.eigvalsh(rho.matrix)) < -1e-9:
+        raise ValidationError("density matrix has a significantly negative eigenvalue")
+    return rho
+
+
+def wigner_integral(grid) -> float:
+    """The rectangle-rule integral of a WignerGrid's values over its cells."""
+    if len(grid.re_axis) < 2 or len(grid.im_axis) < 2:
+        raise ValidationError("the integral needs at least two points per axis")
+    cell = (grid.re_axis[1] - grid.re_axis[0]) * (grid.im_axis[1] - grid.im_axis[0])
+    return float(np.sum(grid.values) * cell)
+
+
+def check_physical(ptm):
+    """Raise ValidationError unless the transfer matrix's first row is
+    (1, 0, ..., 0) and every entry lies in [−1, 1], each to 1e-9; return it."""
+    first = np.zeros(4**ptm.n_qubits)
+    first[0] = 1.0
+    if np.max(np.abs(ptm.R[0] - first)) > 1e-9:
+        raise ValidationError("first row is not (1, 0, ..., 0)")
+    if np.max(np.abs(ptm.R)) > 1.0 + 1e-9:
+        raise ValidationError("transfer matrix entries exceed [−1, 1]")
+    return ptm

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import os
 
+import click
 import numpy as np
 import pytest
 
@@ -287,6 +289,58 @@ def test_grape_binomial_encode_reads_config(tmp_path):
     assert main(args + ["--config", str(cfg), "-o", str(tmp_path / "a")]) == 0
     assert main(args + ["-o", str(tmp_path / "b")]) == 0
     assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
+
+
+def test_grape_binomial_encode_manifest_records_the_config_hash(tmp_path):
+    """A config that changes the pulse changes the manifest: its provenance
+    holds the sha256 of the config text, the hash the recipes record, and
+    the bundled parameters hash as their text."""
+    from cavitysim.device import default_config_text
+
+    text = default_config_text()
+    cfg = tmp_path / "device.cfg"
+    cfg.write_text(text.replace("S1_Q1 = 1.599", "S1_Q1 = 1.2"))
+    args = ["grape-optimize", "--task", "binomial-encode", "--steps", "40", "--max-iters", "0"]
+    assert main(args + ["--config", str(cfg), "-o", str(tmp_path / "a")]) == 0
+    assert main(args + ["-o", str(tmp_path / "b")]) == 0
+    assert main(["qpt", "--gate", "z", "-o", str(tmp_path / "qpt")]) == 0
+    a, b, qpt = (
+        json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("a", "b", "qpt")
+    )
+    # at --max-iters 0 the pulse is the seeded start; its fidelity differs
+    assert (tmp_path / "a" / "result.json").read_bytes() != (tmp_path / "b" / "result.json").read_bytes()
+    assert a["provenance"] == {"config_hash": hashlib.sha256(cfg.read_text().encode()).hexdigest()}
+    assert b["provenance"] == {"config_hash": hashlib.sha256(text.encode()).hexdigest()}
+    assert b["provenance"]["config_hash"] == qpt["provenance"]["config_hash"]
+    assert a["parameters"] == b["parameters"]
+
+
+_MATRIX_CSV = "x,g,e\n0,0.95,0.1\n1,0.05,0.9\n"
+
+
+def test_readout_manifest_records_input_files_by_content(tmp_path):
+    """--matrix and --probs are recorded by the sha256 of their text, not by
+    path: the same files in two directories give byte-identical manifests,
+    and a changed file at the same path gives a different one."""
+    runs = [
+        ("a", _MATRIX_CSV, "0.6,0.4\n"),
+        ("elsewhere/deeper", _MATRIX_CSV, "0.6,0.4\n"),
+        ("elsewhere/deeper", _MATRIX_CSV, "0.7,0.3\n"),
+        ("elsewhere/deeper", _MATRIX_CSV.replace("0.95", "0.96").replace("0.05", "0.04"), "0.7,0.3\n"),
+    ]
+    manifests = []
+    for i, (where, matrix, probs) in enumerate(runs):
+        d = tmp_path / where
+        d.mkdir(parents=True, exist_ok=True)
+        (d / "m.csv").write_text(matrix)
+        (d / "p.csv").write_text(probs)
+        out = tmp_path / f"run{i}"
+        args = ["readout-correct", "--matrix", str(d / "m.csv"), "--probs", str(d / "p.csv")]
+        assert main(args + ["-o", str(out)]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert len(set(manifests[1:])) == 3
+    assert str(tmp_path).encode() not in manifests[0]
 
 
 def test_numerical_error_exits_2(tmp_path, monkeypatch, capsys):
@@ -598,6 +652,33 @@ def test_cz_writes_gate_spec(tmp_path):
     assert "conditional_rotation" in kinds
 
 
+@pytest.mark.parametrize("gate", ["z", "s", "t", "cz-coherent", "cz-binomial"])
+def test_qpt_writes_the_simulated_gate_spec(tmp_path, gate):
+    from cavitysim.experiments import run_qpt
+
+    out = tmp_path / "run"
+    assert main(["qpt", "--gate", gate, "-o", str(out)]) == 0
+    expected = json.dumps(run_qpt(gate).gate_spec.to_json_dict(), default=cli._json_default)
+    assert json.loads((out / "gate_spec.json").read_text()) == json.loads(expected)
+
+
+@pytest.mark.parametrize("encoding", ["coherent", "binomial"])
+def test_cz_writes_what_qpt_writes(tmp_path, encoding):
+    """cz --encoding X runs the body of qpt --gate cz-X: the same files byte
+    for byte, but a manifest that names cz and its --encoding."""
+    assert main(["cz", "--encoding", encoding, "-o", str(tmp_path / "cz")]) == 0
+    assert main(["qpt", "--gate", f"cz-{encoding}", "-o", str(tmp_path / "qpt")]) == 0
+    cz, qpt = _dir_bytes(tmp_path / "cz"), _dir_bytes(tmp_path / "qpt")
+    cz_manifest, qpt_manifest = (json.loads(d.pop("manifest.json")) for d in (cz, qpt))
+    assert cz == qpt
+    assert set(cz) == {"ptm.csv", "result.json", "gate_spec.json"}
+    assert (cz_manifest["experiment"], qpt_manifest["experiment"]) == ("cz", "qpt")
+    assert cz_manifest["parameters"].pop("encoding") == encoding
+    assert qpt_manifest["parameters"].pop("gate") == f"cz-{encoding}"
+    assert cz_manifest["parameters"] == qpt_manifest["parameters"]
+    assert cz_manifest["provenance"] == qpt_manifest["provenance"]
+
+
 def test_cz_binomial_pulse_writes_simulated_spec(tmp_path, monkeypatch):
     """gate_spec.json holds the multitone pulse run_qpt simulated, not the
     ideal rotations (the calibration is skipped to keep the test fast)."""
@@ -657,25 +738,27 @@ _MANIFEST_CASES = [
     (["error-budget", "--gate", "z"], {"gate": "z"}),
     (["wigner", "--state", "fock", "--fock-n", "2", "--points", "5"], {"dim": 6}),
     (["grape-optimize", "--task", "pi-pulse", "--max-iters", "0"], {"steps": 60, "dim": None}),
-    (["readout-correct", "--probs", "p.csv"], {"probs": "p.csv", "matrix": None, "seed": 0}),
+    (["readout-correct", "--probs", "p.csv"], {"seed": 0}),
 ]
 
 
 @pytest.mark.parametrize("args, pinned", _MANIFEST_CASES, ids=[a[0] for a, _ in _MANIFEST_CASES])
 def test_manifest_records_the_parsed_options(tmp_path, monkeypatch, args, pinned):
     """A manifest names its command and holds one parameter per option of
-    that command, --config and --output aside, with the value the command
-    ran with: a truncation or step count it filled in itself, --sign as an
-    int, a path as given."""
+    that command, the path options (--config, --matrix, --probs, --output)
+    aside, with the value the command ran with: a truncation or step count
+    it filled in itself, --sign as an int."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.csv").write_text("\n".join(["0.5", "0.5"] + ["0.0"] * 6))
     assert main(args + ["-o", "run"]) == 0
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["experiment"] == args[0]
     options = {
-        max(p.opts, key=len)[2:].replace("-", "_") for p in cli.cli.commands[args[0]].params
+        max(p.opts, key=len)[2:].replace("-", "_")
+        for p in cli.cli.commands[args[0]].params
+        if not isinstance(p.type, click.Path)
     }
-    assert set(manifest["parameters"]) == options - {"config", "output"}
+    assert set(manifest["parameters"]) == options
     for key, value in pinned.items():
         assert manifest["parameters"][key] == value
         assert type(manifest["parameters"][key]) is type(value)
@@ -696,8 +779,11 @@ def test_manifest_records_the_parsed_options(tmp_path, monkeypatch, args, pinned
                 "--shots", "100", "--seed", "3", "--project",
             ],
             '{\n  "experiment": "readout-correct",\n  "parameters": {\n'
-            '    "matrix": "m.csv",\n    "probs": "p.csv",\n    "project": true,\n'
-            '    "seed": 3,\n    "shots": 100\n  }\n}\n',
+            '    "project": true,\n    "seed": 3,\n    "shots": 100\n  },\n'
+            '  "provenance": {\n'
+            '    "matrix_hash": "562b5cf25d706d5309a9a7db661f664fe4484f9f509d8d16e95a0ad4e2db357c",\n'
+            '    "probs_hash": "d5b3dfd7104f19c80c21170371259fe374539524a5a39b447cc4694dc3d9041f"\n'
+            '  }\n}\n',
         ),
     ],
     ids=["grape-optimize", "readout-correct"],

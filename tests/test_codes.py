@@ -17,11 +17,12 @@ from cavitysim.fock import (
     annihilation,
     expectation,
     number_op,
-    parity_op,
     tensor,
     qubit_ket,
     fock_ket,
 )
+
+from oracles import parity_op
 
 
 def test_shifted_cat_basis():

@@ -22,6 +22,8 @@ from cavitysim.fock import (
 )
 from cavitysim.gates import ConditionalRotation, GateSpec, IdealBackend
 
+from oracles import projector
+
 
 @pytest.fixture(scope="module")
 def params():
@@ -240,7 +242,7 @@ def _dense_conditional_drive(layout, qubit, epsilon, phi, condition):
     operators, as a matrix."""
     proj = LinearOp.identity(layout.space)
     for label, n in condition:
-        proj = proj @ layout.lift(fock_ket(layout.mode(label), n).projector(), label)
+        proj = proj @ layout.lift(projector(fock_ket(layout.mode(label), n)), label)
     term = (0.5 * epsilon * np.exp(1j * phi)) * (layout.lift(sigma_plus(), qubit) @ proj).matrix
     return term + term.conj().T
 

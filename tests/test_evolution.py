@@ -42,6 +42,8 @@ from cavitysim.fock import (
 )
 from cavitysim.grape import control_operator
 
+from oracles import density
+
 
 @pytest.fixture(scope="module")
 def params():
@@ -112,7 +114,7 @@ def test_evolve_pulse_rejects_h0_not_an_energy_vector(h0):
     with pytest.raises(ValidationError):
         evolve_pulse(psi, h0, pulse, layout)
     with pytest.raises(ValidationError):
-        _lindblad(psi.density(), h0, pulse, (), layout)
+        _lindblad(density(psi), h0, pulse, (), layout)
 
 
 def test_pulse_displacement_matches_operator(dense_evolve):
@@ -152,7 +154,7 @@ def test_evolve_pulse_refuses_all_but_a_one_qubit_drive(label):
     with pytest.raises(ValidationError, match="not a qubit"):
         evolve_pulse(psi, h0, pulse, layout)
     with pytest.raises(ValidationError, match="not a qubit"):
-        _lindblad(psi.density(), h0, pulse, (), layout)
+        _lindblad(density(psi), h0, pulse, (), layout)
 
 
 @pytest.mark.parametrize("dt", [0.0, -5.0, np.nan, np.inf, -np.inf])
@@ -234,7 +236,7 @@ def test_lindblad_empty_collapses_matches_unitary(dense_play):
     h0 = rng.normal(size=12) * 0.01
     pulse = PulseSequence("Q1", [0.013 - 0.004j], 50.0)
     psi = Ket(layout.space, rng.normal(size=12) + 1j * rng.normal(size=12)).normalized()
-    rho = _lindblad(psi.density(), h0, pulse, (), layout)
+    rho = _lindblad(density(psi), h0, pulse, (), layout)
     target = dense_play(psi.amplitudes, h0, pulse, layout)
     fid = np.real(np.vdot(target, rho.matrix @ target))
     assert fid > 1 - 1e-8
@@ -251,7 +253,7 @@ def test_lindblad_cavity_amplitude_damping():
     n0 = expectation(coherent(1.5, spec), number_op(spec)).real
     n_op = layout.lift(number_op(spec), "S1").matrix
     for t in (500.0, 1500.0):
-        rho = _lindblad(psi.density(), np.zeros(24), _idle(layout, t), cs, layout)
+        rho = _lindblad(density(psi), np.zeros(24), _idle(layout, t), cs, layout)
         n = np.real(np.trace(rho.matrix @ n_op))
         assert abs(n - n0 * np.exp(-t / t1)) < 1e-6
 
@@ -265,7 +267,7 @@ def test_lindblad_qubit_coherence_decay(params):
     assert [c.kind for c in cs] == ["loss", "dephasing"]
     plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
     for t in (3e3, 12e3):
-        rho = _lindblad(plus.density(), np.zeros(2), _idle(layout, t), cs, layout)
+        rho = _lindblad(density(plus), np.zeros(2), _idle(layout, t), cs, layout)
         coh = abs(rho.matrix[0, 1])
         assert abs(coh - 0.5 * np.exp(-t / t2)) < 1e-6
         # population relaxes toward ground at 1/T1
@@ -295,9 +297,9 @@ def test_lindblad_step_halving_convergence(params):
     plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
     h0 = np.array([0.0, 0.01])
     t = 5e3
-    r1 = _lindblad(plus.density(), h0, _idle(layout, t), cs, layout)
+    r1 = _lindblad(density(plus), h0, _idle(layout, t), cs, layout)
     for first in (0.5 * t, 0.3 * t):
-        part = _lindblad(plus.density(), h0, _idle(layout, first), cs, layout)
+        part = _lindblad(density(plus), h0, _idle(layout, first), cs, layout)
         r2 = _lindblad(part, h0, _idle(layout, t - first), cs, layout)
         assert np.max(np.abs(r1.matrix - r2.matrix)) < 1e-8
 
@@ -322,7 +324,7 @@ def test_unitary_and_lindblad_paths_agree_on_pulse(params):
     v[layout.space.joint_index((0, 1))] = 1.0
     psi0 = Ket(layout.space, v)
     pure = evolve_pulse(psi0, h0, pulse, layout)
-    rho = _lindblad(psi0.density(), h0, pulse, (), layout)
+    rho = _lindblad(density(psi0), h0, pulse, (), layout)
     fid = np.real(np.vdot(pure.amplitudes, rho.matrix @ pure.amplitudes))
     assert fid > 1 - 1e-7
 
@@ -757,7 +759,7 @@ def test_lindblad_rejects_trace_drift_and_nonfinite(monkeypatch, scale):
     layout = SystemLayout.build(["Q1"], [], {})
     plus = Ket(layout.space, np.array([1.0, 1.0]) / np.sqrt(2))
     with pytest.raises(NumericalError):
-        _lindblad(plus.density(), np.array([0.0, 0.01]), _idle(layout, 10.0), (), layout)
+        _lindblad(density(plus), np.array([0.0, 0.01]), _idle(layout, 10.0), (), layout)
 
 
 def test_error_budget_z_pinned():

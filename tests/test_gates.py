@@ -26,7 +26,6 @@ from cavitysim.fock import (
     expectation,
     fock_ket,
     number_op,
-    parity_op,
     partial_trace,
     qubit_ket,
     sigma_plus,
@@ -69,6 +68,8 @@ from cavitysim.tomography import (
     unitary_transfer,
 )
 
+from oracles import density, parity_op, projector
+
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
@@ -87,7 +88,7 @@ def dense_conditional_rotation(layout, step):
     H = (ε/2) e^{iφ} |e⟩⟨g| ⊗ P_cond + h.c., by eigendecomposition."""
     proj = LinearOp.identity(layout.space)
     for label, n in step.condition:
-        proj = proj @ layout.lift(fock_ket(layout.mode(label), n).projector(), label)
+        proj = proj @ layout.lift(projector(fock_ket(layout.mode(label), n)), label)
     term = (0.5 * step.epsilon * np.exp(1j * step.phi_axis)) * (
         layout.lift(sigma_plus(), step.qubit) @ proj
     ).matrix
@@ -876,7 +877,7 @@ def test_backends_match_dense_lifted_oracle(params, dense_play, name):
     backend = PulseBackend(params, layout, compensate=True)
     out = backend.apply(psi, spec)
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
-    rho = DensityOp(layout.space, 0.7 * psi.density().matrix + 0.3 * np.eye(layout.space.dim) / layout.space.dim)
+    rho = DensityOp(layout.space, 0.7 * density(psi).matrix + 0.3 * np.eye(layout.space.dim) / layout.space.dim)
     out = backend.apply_density(rho, spec, ())
     assert np.max(np.abs(out.matrix - u @ rho.matrix @ u.conj().T)) < 1e-12
 

@@ -3,9 +3,10 @@ and every public method of those classes, is named somewhere in src/ outside
 its own definition.
 
 A public name that only tests reach is code that no recipe, command or
-benchmark runs: give it a caller or delete it together with its tests.  The
-`sim` commands, which click registers by decorator, and the names in ALLOWED
-are the exceptions.  Likewise every defaulted parameter of a public
+benchmark runs: give it a caller, move it to tests/oracles.py if it is a
+test's reference, or delete it together with its tests.  The `sim`
+commands, which click registers by decorator, and the names in ALLOWED,
+which the benchmark harness reads, are the exceptions.  Likewise every defaulted parameter of a public
 function or method (a public class's `__init__` included, called by the
 class name, and a public dataclass's fields with defaults, which are the
 parameters of its generated `__init__`) is passed by some src call, by
@@ -23,22 +24,21 @@ named somewhere in src/ outside its own statement too.
 
 import ast
 import collections
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cavitysim"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cavitysim"
+PERFBENCH = ROOT / "perfbench"
 
-#: public names kept without a caller in src/, each with the reason
+#: public names kept without a caller in src/, each with the reason; the
+#: benchmark harness is the only reader outside src and the tests that may
+#: keep one
 ALLOWED = {
     "segment_propagator": (
         "perfbench/tracer.py observes it for its dim_max probe, and the tests' dense "
         "per-sample oracle is a product of it"
     ),
-    "parity_op": "the fock, codes, gates and tomography tests use it as their parity oracle",
-    "Ket.density": "the tomography and acceptance tests form density-matrix inputs from kets",
-    "Ket.projector": "the device and gate tests build Fock-level projectors for their oracles",
-    "DensityOp.validate": "the fock tests check that it rejects an unphysical density operator",
-    "WignerGrid.integral": "the normalisation that the Wigner grid tests hold to 1",
-    "TransferMatrix.check_physical": "the complete-positivity check the tomography tests apply",
     "AssignmentMatrix.inverse": "perfbench/workloads.py reads it for the readout error bars",
 }
 
@@ -175,6 +175,15 @@ def test_every_public_name_has_a_caller_in_src():
     assert not unexpected, f"public names with no caller in src/: {unexpected}"
     # an allowed name that gained a caller or was deleted leaves the list
     assert sorted(ALLOWED) == sorted(n for _, n in uncalled)
+
+
+def test_every_allowed_name_is_read_by_perfbench():
+    """An oracle that only tests call lives in tests/oracles.py, so ALLOWED
+    holds only what the benchmark harness reads by name."""
+    text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py")))
+    for name in ALLOWED:
+        attr = name.rsplit(".", 1)[-1]
+        assert re.search(rf"\b{attr}\b", text), f"{name} is named nowhere in perfbench/*.py"
 
 
 def _unreferenced_private() -> tuple:
