@@ -122,19 +122,23 @@ def ideal_encoder(enc: Encoding) -> LinearOp:
     space = qubit_cavity_space(enc)
     dim = space.dim
     # |g⟩ ⊗ the two orthonormalized basis states, then the standard basis
-    # vectors in order, each kept if it is independent of those before
-    fixed = [np.concatenate([b.amplitudes, np.zeros(enc.mode.dim, complex)]) for b in enc.orthonormal_basis()]
+    # vectors in order, each kept if it is independent of the k columns
+    # accepted before it
+    q = np.zeros((dim, dim), dtype=complex)
+    for i, b in enumerate(enc.orthonormal_basis()):
+        q[: enc.mode.dim, i] = b.amplitudes
+    k = 2
     for e in np.eye(dim, dtype=complex):
-        if len(fixed) == dim:
+        if k == dim:
             break
         for _ in range(2):  # reorthogonalize for numerical stability
-            for f in fixed:
-                e -= np.vdot(f, e) * f
+            e -= q[:, :k] @ (q[:, :k].conj().T @ e)
         n = np.linalg.norm(e)
         if n > 1e-7:
-            fixed.append(e / n)
+            q[:, k] = e / n
+            k += 1
     cols = np.zeros((dim, dim), dtype=complex)
     code = [space.joint_index((0, 0)), space.joint_index((1, 0))]
-    cols[:, code] = np.stack(fixed[:2], axis=1)
-    cols[:, [i for i in range(dim) if i not in code]] = np.stack(fixed[2:], axis=1)
+    cols[:, code] = q[:, :2]
+    cols[:, [i for i in range(dim) if i not in code]] = q[:, 2:]
     return LinearOp(space, cols).assert_unitary(1e-9)

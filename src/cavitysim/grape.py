@@ -9,11 +9,17 @@ subspace they span.
 The static Hamiltonian H0 is diagonal in the rotating frame and is held as
 its energy vector, as in `evolution`; each drive channel is a layout label,
 whose control O_c is ½σ⁺ on a qubit or a† on a cavity (`control_operator`).
-The pulse is evaluated in chunks of consecutive steps.  Each chunk's
-Hamiltonians h_j = diag(H0) + Σ_c (u_cj O_c + ū_cj O_c†) are built in one
-broadcast and diagonalised by one stacked eigh, h_j = V_j diag(w_j) V_j†, and
-the chunk's propagators come from one batched product; only the forward
-states and the backward adjoints are stepped one small matmul at a time.
+Every O_c is real and raises only its own mode's level n_c, by one, so a
+step's drive phases are a diagonal gauge: with θ_j = Σ_c n_c arg u_cj and
+D_j = diag(e^{iθ_j}),
+h_j = diag(H0) + Σ_c (u_cj O_c + ū_cj O_c†) = D_j r_j D_j†,
+r_j = diag(H0) + Σ_c |u_cj| (O_c + O_cᵀ),
+with r_j real symmetric.  The pulse is evaluated in chunks of consecutive
+steps.  Each chunk's r_j are built in one broadcast and diagonalised by one
+real stacked eigh, r_j = R_j diag(w_j) R_jᵀ, so h_j = V_j diag(w_j) V_j† with
+V_j = D_j R_j, and the chunk's propagators come from one batched product;
+only the forward states and the backward adjoints are stepped one small
+matmul at a time.
 The gradient uses the exact divided-difference derivative of each step
 (de Fouquières et al., J. Magn. Reson. 212, 412 (2011)) in trace form: with
 x = V†λ and y = V†ψ the eigenbasis adjoints and states of the K pairs,
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cavitysim.codes import binomial_encoding, logical_ket
-from cavitysim.device import DeviceParams, SystemLayout, static_hamiltonian
+from cavitysim.device import DeviceParams, SystemLayout, levels, static_hamiltonian
 from cavitysim.errors import ValidationError
 from cavitysim.fock import Ket, annihilation, fock_ket, qubit_ket, sigma_plus, tensor
 
@@ -81,6 +87,8 @@ class TransferTask:
         for label in self.channels:
             if label not in self.layout.index:
                 raise ValidationError(f"drive channel {label!r} is not a label of the layout")
+            if self.channels.count(label) > 1:
+                raise ValidationError(f"drive channel {label!r} is listed more than once")
         if not self.pairs:
             raise ValidationError("transfer task needs at least one state pair")
         for init, target in self.pairs:
@@ -175,14 +183,18 @@ def _forward(amps: np.ndarray, task: TransferTask):
     h0 = np.diag(task.H0)
     n, d = task.n_steps, h0.shape[0]
     ops = np.array(task.control_operators())
+    grids, dims = levels(task.layout), task.layout.space.dims
+    n_c = np.array([np.broadcast_to(grids[c], dims).ravel() for c in task.channels])  # (channels, d)
     targ = np.stack([p[1].amplitudes for p in task.pairs], axis=1)
     w = np.empty((n, d))
     v = np.empty((n, d, d), dtype=complex)
     fwd = np.empty((n + 1, d, len(task.pairs)), dtype=complex)
     fwd[0] = np.stack([p[0].amplitudes for p in task.pairs], axis=1)
     for s, e in _chunks(n, d):
-        drive = np.tensordot(amps[:, s:e].T, ops, axes=1)  # Σ_c u_c O_c per step
-        w[s:e], v[s:e] = np.linalg.eigh(h0 + drive + drive.conj().transpose(0, 2, 1))
+        drive = np.tensordot(np.abs(amps[:, s:e]).T, ops.real, axes=1)  # Σ_c |u_c| O_c per step
+        w[s:e], r = np.linalg.eigh(h0 + drive + drive.transpose(0, 2, 1))
+        theta = np.angle(amps[:, s:e]).T @ n_c  # the gauge phases θ_j (steps, d)
+        v[s:e] = np.exp(1j * theta)[:, :, None] * r
         u = _propagators(w[s:e], v[s:e], _DT)
         for j in range(s, e):
             fwd[j + 1] = u[j - s] @ fwd[j]

@@ -1,11 +1,12 @@
 """Reference objects that only the tests use, written from their definitions:
-the parity operator, density matrices and projectors of kets, and the
-physicality checks of a density matrix, a Wigner grid and a transfer matrix."""
+the parity operator, density matrices and projectors of kets, the physicality
+checks of a density matrix, a Wigner grid and a transfer matrix, and the
+encoder completed one vector at a time."""
 
 import numpy as np
 
 from cavitysim.errors import ValidationError
-from cavitysim.fock import BOSONIC, CompositeSpace, DensityOp, LinearOp
+from cavitysim.fock import BOSONIC, CompositeSpace, DensityOp, LinearOp, ModeSpec
 
 
 def parity_op(spec) -> LinearOp:
@@ -55,3 +56,30 @@ def check_physical(ptm):
     if np.max(np.abs(ptm.R)) > 1.0 + 1e-9:
         raise ValidationError("transfer matrix entries exceed [−1, 1]")
     return ptm
+
+
+def gram_schmidt_encoder(enc) -> np.ndarray:
+    """The matrix of `codes.ideal_encoder(enc)` by modified Gram–Schmidt, one
+    vector at a time: |g⟩ ⊗ the two orthonormalized basis states, then the
+    standard basis vectors in order, each projected twice against every
+    accepted column and kept if its norm exceeds 1e-7."""
+    space = CompositeSpace((ModeSpec.qubit(), enc.mode))
+    dim = space.dim
+    fixed = [
+        np.concatenate([b.amplitudes, np.zeros(enc.mode.dim, complex)])
+        for b in enc.orthonormal_basis()
+    ]
+    for e in np.eye(dim, dtype=complex):
+        if len(fixed) == dim:
+            break
+        for _ in range(2):
+            for f in fixed:
+                e -= np.vdot(f, e) * f
+        n = np.linalg.norm(e)
+        if n > 1e-7:
+            fixed.append(e / n)
+    cols = np.zeros((dim, dim), dtype=complex)
+    code = [space.joint_index((0, 0)), space.joint_index((1, 0))]
+    cols[:, code] = np.stack(fixed[:2], axis=1)
+    cols[:, [i for i in range(dim) if i not in code]] = np.stack(fixed[2:], axis=1)
+    return cols

@@ -22,7 +22,7 @@ from cavitysim.fock import (
     fock_ket,
 )
 
-from oracles import parity_op
+from oracles import gram_schmidt_encoder, parity_op
 
 
 def test_shifted_cat_basis():
@@ -115,6 +115,16 @@ def test_ideal_encoder_contract(enc_factory):
         out = u @ psi_in
         target = tensor([qubit_ket(False), logical_ket(enc, c[0], c[1])])
         assert abs(abs(out.overlap(target)) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("alpha, dim", [(np.sqrt(2.0), 30), (2.0, 45)], ids=["dim30", "dim45"])
+def test_ideal_encoder_matches_one_vector_at_a_time_completion(alpha, dim):
+    """The stacked projection completes the encoder with the same columns,
+    in the same order, as projecting against one accepted column at a time:
+    the shifted-cat encoders of `error-budget` (cavity dim 30) and
+    `zgate-repeat` (cavity dim 45)."""
+    enc = cat_encoding(alpha, dim, variant="shifted")
+    assert np.max(np.abs(ideal_encoder(enc).matrix - gram_schmidt_encoder(enc))) < 1e-14
 
 
 def test_encoder_g0_maps_to_logical_zero():

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from cavitysim import grape
-from cavitysim.device import SystemLayout, load_params, default_config_text, static_hamiltonian
+from cavitysim.device import SystemLayout, levels, load_params, default_config_text, static_hamiltonian
 from cavitysim.errors import ValidationError
 from cavitysim.fock import CompositeSpace, Ket, LinearOp, ModeSpec, fock_ket, qubit_ket, tensor
 from cavitysim.grape import (
@@ -149,12 +149,17 @@ def test_gradient_vanishes_at_unit_fidelity():
         ("H0", LinearOp(CompositeSpace.single(ModeSpec.qubit()), np.zeros((2, 2))), "energy vector"),
         ("channels", (), "at least one drive channel"),
         ("channels", ("S1",), "not a label of the layout"),
+        ("channels", ("Q1", "Q1"), "'Q1' is listed more than once"),
     ],
-    ids=["complex-h0", "h0-length", "h0-matrix", "h0-linear-op", "no-channels", "absent-label"],
+    ids=[
+        "complex-h0", "h0-length", "h0-matrix", "h0-linear-op", "no-channels", "absent-label",
+        "repeated-label",
+    ],
 )
 def test_transfer_task_refuses_what_it_cannot_drive(field, value, message):
     """H0 is the layout's real energy vector, and every channel a label of
-    the layout: a task with no channel has nothing to optimize."""
+    the layout, listed once: a task with no channel has nothing to optimize,
+    and a repeated label would write two column pairs of the same name."""
     with pytest.raises(ValidationError, match=message):
         dataclasses.replace(_qubit_task(n_steps=5), **{field: value})
 
@@ -323,6 +328,74 @@ def test_batched_gradient_matches_per_step_loop():
     f, grad = _objective(amps, task)
     assert abs(f - f_ref) < 1e-12
     assert np.max(np.abs(grad - g_ref)) < 1e-12
+
+
+def _three_mode_task(n_steps=12):
+    """A Q3 + S1 + S2 task driven in an order that is not the layout's, with
+    two pairs of random kets."""
+    params = load_params(default_config_text())
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 3, "S2": 4})
+    rng = np.random.default_rng(5)
+
+    def ket():
+        amps = rng.standard_normal(layout.space.dim) + 1j * rng.standard_normal(layout.space.dim)
+        return Ket(layout.space, amps).normalized()
+
+    return TransferTask(
+        pairs=((ket(), ket()), (ket(), ket())),
+        H0=static_hamiltonian(params, layout),
+        layout=layout,
+        channels=("S2", "Q3", "S1"),
+        n_steps=n_steps,
+    )
+
+
+def test_gauge_holds_on_three_modes_out_of_layout_order():
+    """Each step's drive phases are a diagonal gauge of its Hamiltonian on
+    any layout and channel order: steps with no drive, with one channel
+    off and with a negative real amplitude agree with the per-step loop."""
+    task = _three_mode_task()
+    amps = _random_pulse(task, 21)
+    amps[:, [0, 7]] = 0.0
+    amps[1, 3] = 0.0  # only Q3 off
+    amps[0, 5] = -0.04  # S2 at a negative real amplitude
+    f_ref, g_ref = _per_step_fidelity_and_gradient(amps, task)
+    f, grad = _objective(amps, task)
+    assert f_ref > 1e-3
+    assert abs(f - f_ref) < 1e-12
+    assert np.max(np.abs(grad - g_ref)) < 1e-12
+
+
+def test_grape_diagonalises_only_real_stacks(monkeypatch):
+    """The stacked eigh sees real symmetric Hamiltonians, whatever the
+    amplitudes' phases."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append((a.dtype, a.ndim))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    task = _dispersive_task(n_steps=150)
+    _objective(_random_pulse(task, 3), task)
+    assert seen and all(s == (np.dtype(np.float64), 3) for s in seen)
+
+
+def test_control_operators_raise_only_their_own_level():
+    """The gauge's precondition: each label's control is real and couples
+    only basis states where that label's level rises by exactly one and
+    every other label's level is unchanged."""
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 3, "S2": 4})
+    n = {label: np.broadcast_to(g, layout.space.dims).ravel() for label, g in levels(layout).items()}
+    for label in layout.index:
+        op = grape.control_operator(layout, label)
+        assert np.all(op.imag == 0)
+        rows, cols = np.nonzero(op)
+        assert len(rows) > 0
+        for other, lv in n.items():
+            rise = 1 if other == label else 0
+            assert np.all(lv[rows] - lv[cols] == rise), (label, other)
 
 
 def test_optimize_evaluates_each_point_once(monkeypatch):
