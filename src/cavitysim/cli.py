@@ -370,9 +370,10 @@ def cmd_wigner(output_dir, dim, state, alpha, fock_n, extent, points):
         dim = 2 * fock_n + 2 if dim is None else dim
         ket = fock_ket(ModeSpec.bosonic(dim), fock_n)
     axis = np.linspace(-extent, extent, points)
-    grid = wigner_grid(ket, 0, axis, axis)
-    table = {"columns": ("re", "im", "w"), "rows": grid.to_csv_rows()}
-    _write_outputs(output_dir, {"wigner": table}, grid.to_json_dict(), dim=dim)
+    values = wigner_grid(ket, 0, axis, axis)
+    rows = [(float(re), float(im), float(w)) for im, row in zip(axis, values) for re, w in zip(axis, row)]
+    grid = {"re_axis": axis.tolist(), "im_axis": axis.tolist(), "values": values.tolist()}
+    _write_outputs(output_dir, {"wigner": {"columns": ("re", "im", "w"), "rows": rows}}, grid, dim=dim)
 
 
 @cli.command("grape-optimize")

@@ -278,8 +278,8 @@ def run_parity_sweep(
     worst = 0.0
     for phi in phis:
         spec = single_cavity_phase_gate(float(phi), enc, params, epsilon=epsilon)
-        out = backend.apply(psi0, spec)
-        x = apply_on_factor(read_out, layout.index["S1"], layout.space, out.amplitudes)
+        out = backend.apply(psi0.amplitudes, spec)
+        x = apply_on_factor(read_out, layout.index["S1"], layout.space, out)
         p = float(np.real(np.vdot(x, parity * x)))
         law = float(np.cos(np.pi + phi))
         rows.append((float(phi), p, law))
@@ -410,7 +410,7 @@ def run_qpt(
 
     labels = pauli_labels(n)
     rows = tuple(
-        (labels[i], labels[j], float(ptm.R[i, j]))
+        (labels[i], labels[j], float(ptm[i, j]))
         for i in range(len(labels))
         for j in range(len(labels))
     )
@@ -455,12 +455,11 @@ def run_bell_generation(
     backend, spec, make_encoding = _cz(encoding, params, mode, alpha)
     layout, enc = backend.layout, make_encoding()
     plus = logical_ket(enc, 1.0, 1.0)
-    psi = backend.apply(tensor([qubit_ket(0), plus, plus]), spec)
+    x = backend.apply(tensor([qubit_ket(0), plus, plus]).amplitudes, spec)
     # rotate CZ|++⟩ into (|01⟩_L + |10⟩_L)/√2: Hadamard on cavity 2, X on 1
-    x = psi.amplitudes
     for label, u2 in (("S2", _HADAMARD), ("S1", _X)):
         x = apply_on_factor(_code_subspace_unitary(enc, u2), layout.index[label], layout.space, x)
-    psi = Ket(psi.space, x)
+    psi = Ket(layout.space, x)
 
     b0, b1 = enc.orthonormal_basis()
     bell = Ket(
@@ -500,7 +499,7 @@ def run_bell_generation(
             CompositeSpace.single(layout.mode("S1")), comp["p"] + comp["m"]
         ).normalized()
         psi_raw = tensor([qubit_ket(0), raw_plus, raw_plus])
-        psi_raw = backend.apply(psi_raw, spec)
+        psi_raw = Ket(layout.space, backend.apply(psi_raw.amplitudes, spec))
         four = (
             np.kron(comp["p"], comp["p"])
             + np.kron(comp["p"], comp["m"])
@@ -606,7 +605,7 @@ def run_snap_bell(
             fock_ket(layout.mode("S2"), 0),
         ]
     )
-    out = backend.apply(vac, spec)
+    out = Ket(layout.space, backend.apply(vac.amplitudes, spec))
 
     def bell_ket(s):
         v01 = tensor(

@@ -309,7 +309,9 @@ def apply_on_factor(
     """embed(op, factor_index, space).matrix @ x, without forming the lift.
 
     x is a state vector of shape (dim,) or a stack of them, (dim, k); op acts
-    on the factor's axis of x reshaped to the factor dims.
+    on the factor's axis of x reshaped to the factor dims, one product per
+    state, so a stack's columns equal its states pushed one at a time, bit
+    for bit.
     """
     if not 0 <= factor_index < space.n_factors:
         raise ValidationError("factor index out of range")
@@ -318,10 +320,9 @@ def apply_on_factor(
         raise ValidationError(
             f"operator dim {op.space.dim} does not match factor dim {dims[factor_index]}"
         )
-    rest = x.shape[1:]
-    v = np.moveaxis(x.reshape(dims + rest), factor_index, 0)
-    out = (op.matrix @ v.reshape(dims[factor_index], -1)).reshape(v.shape)
-    return np.moveaxis(out, 0, factor_index).reshape(x.shape)
+    v = np.moveaxis(x.reshape(dims + (-1,)), (-1, factor_index), (0, 1))
+    out = op.matrix @ v.reshape(len(v), dims[factor_index], -1)
+    return np.moveaxis(out.reshape(v.shape), (0, 1), (-1, factor_index)).reshape(x.shape)
 
 
 def expectation(state: Ket, op: LinearOp) -> complex:

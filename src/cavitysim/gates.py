@@ -185,6 +185,17 @@ class GateSpec:
 # Backends
 
 
+def _states(x, layout: SystemLayout) -> np.ndarray:
+    """x as an array: a (dim,) state vector or a (dim, k) stack of them on
+    `layout`'s space, else a ValidationError (a Ket becomes a 0-d array)."""
+    x = np.asarray(x)
+    if x.ndim not in (1, 2) or x.shape[0] != layout.space.dim:
+        raise ValidationError(
+            f"expected a ({layout.space.dim},) state or a ({layout.space.dim}, k) stack, got shape {x.shape}"
+        )
+    return x
+
+
 def _displace(x: np.ndarray, layout: SystemLayout, step: Displacement) -> np.ndarray:
     """Apply D(step.alpha) along the step's cavity axis of a state vector or
     of a (dim, k) stack of them."""
@@ -223,9 +234,10 @@ class IdealBackend:
             mask &= (np.arange(dims[axis]) == int(n)).reshape(shape)
         return qubit_blocks(mask.reshape(-1), layout, step.qubit)[0]
 
-    def _propagate(self, x: np.ndarray, spec: GateSpec) -> np.ndarray:
-        """Apply the gate to a state vector or to the columns of a matrix."""
+    def apply(self, x: np.ndarray, spec: GateSpec) -> np.ndarray:
+        """Apply the gate to a (dim,) state vector or a (dim, k) stack of them."""
         layout = self.layout
+        x = _states(x, layout)
         for step in spec.steps:
             if isinstance(step, Displacement):
                 x = _displace(x, layout, step)
@@ -241,11 +253,6 @@ class IdealBackend:
                     "conditional-rotation variant of the gate"
                 )
         return x
-
-    def apply(self, psi: Ket, spec: GateSpec) -> Ket:
-        if psi.space != self.layout.space:
-            raise ValidationError("state and layout spaces must agree")
-        return Ket(psi.space, self._propagate(psi.amplitudes, spec))
 
 
 #: Gaussian sigma, in samples, of the rise and fall of every multitone envelope
@@ -339,18 +346,24 @@ class PulseBackend:
             if stark is not None:
                 yield "phase", stark
 
-    def apply(self, psi: Ket, spec: GateSpec) -> Ket:
+    def apply(self, x: np.ndarray, spec: GateSpec) -> np.ndarray:
+        """Apply the gate to a (dim,) state vector or a (dim, k) stack of them."""
+        x = _states(x, self.layout)
+        stack = x.reshape(len(x), -1)
         for kind, item in self._segments(spec):
             if kind == "pulse":
-                psi = evolve_pulse(psi, self.h0, item, self.layout)
+                # one column at a time: perfbench/tracer.py reads state.space (ROADMAP item 1)
+                kets = (Ket(self.layout.space, v) for v in stack.T)
+                stack = np.stack([evolve_pulse(k, self.h0, item, self.layout).amplitudes for k in kets], axis=1)
             elif kind == "displace":
-                psi = Ket(psi.space, _displace(psi.amplitudes, self.layout, item))
+                stack = _displace(stack, self.layout, item)
             else:
-                psi = Ket(psi.space, item * psi.amplitudes)
-        return psi
+                stack = item[:, None] * stack
+        return stack.reshape(x.shape)
 
-    def apply_density(self, rho: DensityOp, spec: GateSpec, collapses: tuple) -> DensityOp:
-        """Apply `spec` to ρ with the collapse channels acting throughout.
+    def apply_density(self, m: np.ndarray, spec: GateSpec, collapses: tuple) -> np.ndarray:
+        """Apply `spec` to the (dim, dim) density matrix m with the collapse
+        channels acting throughout.
 
         `collapses` is a tuple of `evolution.Collapse` channels.  Each
         distinct run's propagator is built once per collapse set and kept on
@@ -361,15 +374,14 @@ class PulseBackend:
             self._lindblad = LindbladPropagators(self.h0, collapses, self.layout)
         for kind, item in self._segments(spec):
             if kind == "pulse":
-                rho = lindblad_evolve(rho, item, self._lindblad)
+                m = lindblad_evolve(DensityOp(self.layout.space, m), item, self._lindblad).matrix
             elif kind == "displace":
                 # D ρ D† = (D (D ρ)†)†
-                m = _displace(rho.matrix, self.layout, item)
+                m = _displace(m, self.layout, item)
                 m = _displace(m.conj().T, self.layout, item).conj().T
-                rho = DensityOp(rho.space, m)
             else:
-                rho = DensityOp(rho.space, item[:, None] * rho.matrix * item.conj())
-        return rho
+                m = item[:, None] * m * item.conj()
+        return m
 
 
 def component_logical_unitary(spec: GateSpec, cavities, qubit: str) -> np.ndarray:
@@ -408,7 +420,7 @@ def component_logical_unitary(spec: GateSpec, cavities, qubit: str) -> np.ndarra
         raise ValidationError("displacements do not return to the original frame")
     layout = SystemLayout.build([qubit], cavities, {c: 2 for c in cavities})
     eye = np.eye(layout.space.dim, dtype=complex)
-    u = gate_columns(IdealBackend(layout), GateSpec(spec.name, rotations), eye)
+    u = IdealBackend(layout).apply(eye, GateSpec(spec.name, rotations))
     half = u.shape[0] // 2
     if np.max(np.abs(u[half:, :half])) > 1e-9:
         raise NumericalError("qubit does not return to the ground state")
@@ -847,25 +859,19 @@ def snap_bell(sign: int) -> GateSpec:
 # Logical-map extraction
 
 
-def gate_columns(backend, spec: GateSpec, inputs: np.ndarray) -> np.ndarray:
-    """Push each column of the (dim, k) array `inputs` through `spec` on
-    `backend`; returns the (dim, k) outputs."""
-    space = backend.layout.space
-    return np.stack([backend.apply(Ket(space, v), spec).amplitudes for v in inputs.T], axis=1)
-
-
 def realized_logical_map(backend, spec: GateSpec, code: np.ndarray, decode: np.ndarray, collapses=None):
     """The channels ρ ↦ Σ_n W_n† Gᵐ(code ρ code†) W_n of `spec` = G on
     `backend`, as a function of m returning the channel, a function of a
-    2ⁿ×2ⁿ DensityOp returning a 2ⁿ×2ⁿ matrix.
+    (s, 2ⁿ, 2ⁿ) stack of input density matrices returning their outputs.
 
     `code` is the (dim, 2ⁿ) encoded basis with the qubit in |g⟩ and `decode`
     a (groups, dim, 2ⁿ) stack of decoding columns W_n; `code[None]` projects
     on the code space and loses as trace what leaks out of it.  Closed, the
-    Kraus operators are K_n = W_n† Gᵐ code; with collapses, code ρ code† of
-    each input goes through `apply_density`.  Each repetition's columns or
-    states are kept, so m = 0..M costs M gates per column or input.  The
-    groups are summed from the first, so one group is returned bit for bit.
+    Kraus operators are K_n = W_n† Gᵐ code, and the gate pushes the whole
+    code basis at once; with collapses, code ρ code† of each input goes
+    through `apply_density`.  Each repetition's columns or states are kept,
+    so m = 0..M costs M gates.  The groups are summed from the first, so one
+    group is returned bit for bit.
     """
     adjoint = decode.conj().transpose(0, 2, 1)
     if collapses is None:
@@ -873,23 +879,21 @@ def realized_logical_map(backend, spec: GateSpec, code: np.ndarray, decode: np.n
 
         def channel(m: int):
             while len(pushed) <= m:
-                pushed.append(gate_columns(backend, spec, pushed[-1]))
-            kraus = adjoint @ pushed[m]
-            return lambda rho: reduce(np.add, kraus @ rho.matrix @ kraus.conj().transpose(0, 2, 1))
+                pushed.append(backend.apply(pushed[-1], spec))
+            kraus = (adjoint @ pushed[m])[:, None]
+            return lambda rhos: reduce(np.add, kraus @ rhos @ kraus.conj().swapaxes(-1, -2))
 
         return channel
 
-    states = {}  # input bytes -> its state after 0, 1, ... gates
+    states = {}  # input stack bytes -> its states after 0, 1, ... gates
 
     def channel(m: int):
-        def process(rho: DensityOp) -> np.ndarray:
-            key = rho.matrix.tobytes()
-            if key not in states:
-                states[key] = [DensityOp(backend.layout.space, code @ rho.matrix @ code.conj().T)]
-            pushed = states[key]
+        def process(rhos: np.ndarray) -> np.ndarray:
+            pushed = states.setdefault(rhos.tobytes(), [code @ rhos @ code.conj().T])
             while len(pushed) <= m:
-                pushed.append(backend.apply_density(pushed[-1], spec, collapses))
-            return reduce(np.add, adjoint @ pushed[m].matrix @ decode)
+                # one input at a time: perfbench/tracer.py reads rho.space in lindblad_evolve (ROADMAP item 1)
+                pushed.append(np.stack([backend.apply_density(r, spec, collapses) for r in pushed[-1]]))
+            return reduce(np.add, adjoint[:, None] @ pushed[m] @ decode[:, None])
 
         return process
 

@@ -8,13 +8,13 @@ fidelity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from functools import reduce
 
 import numpy as np
 
 from cavitysim.errors import ValidationError
-from cavitysim.fock import CompositeSpace, DensityOp, ModeSpec, partial_trace
+from cavitysim.fock import DensityOp, ModeSpec, partial_trace
 
 # ---------------------------------------------------------------------------
 # Wigner functions
@@ -83,35 +83,12 @@ def joint_wigner(state, beta1, beta2, factors=(0, 1)):
     return float(vals[0]) if b1.ndim == 0 else vals.reshape(b1.shape)
 
 
-@dataclass(frozen=True)
-class WignerGrid:
-    """Single-mode Wigner function sampled on a rectangular phase-space grid."""
-
-    re_axis: np.ndarray
-    im_axis: np.ndarray
-    values: np.ndarray  # shape (len(im_axis), len(re_axis))
-
-    def to_csv_rows(self):
-        rows = []
-        for i, im in enumerate(self.im_axis):
-            for j, re in enumerate(self.re_axis):
-                rows.append((float(re), float(im), float(self.values[i, j])))
-        return rows
-
-    def to_json_dict(self) -> dict:
-        return {
-            "re_axis": self.re_axis.tolist(),
-            "im_axis": self.im_axis.tolist(),
-            "values": self.values.tolist(),
-        }
-
-
-def wigner_grid(state, factor_index: int, re_axis, im_axis) -> WignerGrid:
-    """W on the grid re_axis × im_axis, one im_axis row per kernel call."""
+def wigner_grid(state, factor_index: int, re_axis, im_axis) -> np.ndarray:
+    """W on the grid re_axis × im_axis, shape (len(im_axis), len(re_axis)),
+    one im_axis row per kernel call."""
     rho = partial_trace(state, keep=[factor_index])
     re_axis, im_axis = np.asarray(re_axis, dtype=float), np.asarray(im_axis, dtype=float)
-    vals = np.array([_wigner_values(rho, re_axis + 1j * b_im) for b_im in im_axis])
-    return WignerGrid(re_axis, im_axis, vals)
+    return np.array([_wigner_values(rho, re_axis + 1j * b_im) for b_im in im_axis])
 
 
 # ---------------------------------------------------------------------------
@@ -145,54 +122,41 @@ def pauli_matrix(label: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Pauli transfer representation R of an n-qubit process."""
+def pauli_transfer(process, n_qubits: int) -> np.ndarray:
+    """Pauli transfer matrix R_ij = Tr(P_i · Λ(P_j)) / 2ⁿ, a (4ⁿ, 4ⁿ) array.
 
-    n_qubits: int
-    R: np.ndarray
-
-    def __post_init__(self):
-        d4 = 4**self.n_qubits
-        r = np.asarray(self.R, dtype=float)
-        if r.shape != (d4, d4):
-            raise ValidationError("transfer matrix has wrong shape")
-        r.setflags(write=False)
-        object.__setattr__(self, "R", r)
-
-
-def pauli_transfer(process, n_qubits: int) -> TransferMatrix:
-    """Pauli transfer matrix R_ij = Tr(P_i · Λ(P_j)) / 2ⁿ.
-
-    `process` maps an input DensityOp to its output, a 2ⁿ×2ⁿ ndarray.  It runs on the 4ⁿ product inputs of `_INPUT_KETS`, and R is
-    the solution of R·T_in = T_out, where column s of T_in and of T_out holds
-    the Pauli expectations Tr(P_i ρ) of input s and of its output: by
-    linearity, Tr(P_i Λ(ρ)) = Σ_j R_ij Tr(P_j ρ).
+    `process` maps the (4ⁿ, 2ⁿ, 2ⁿ) stack of input density matrices, the
+    product states of `_INPUT_KETS`, to the stack of their outputs, and is
+    called once.  R is the solution of R·T_in = T_out, where column s of T_in
+    and of T_out holds the Pauli expectations Tr(P_i ρ) of input s and of its
+    output: by linearity, Tr(P_i Λ(ρ)) = Σ_j R_ij Tr(P_j ρ).
     """
-    space = CompositeSpace(tuple(ModeSpec.qubit() for _ in range(n_qubits)))
-    inputs, outputs = [], []
-    for kets in itertools.product(_INPUT_KETS, repeat=n_qubits):
-        ket = reduce(np.kron, kets)
-        inputs.append(np.outer(ket, ket.conj()))
-        outputs.append(process(DensityOp(space, inputs[-1])))
+    kets = np.array([reduce(np.kron, k) for k in itertools.product(_INPUT_KETS, repeat=n_qubits)])
+    inputs = kets[:, :, None] * kets[:, None, :].conj()
+    outputs = process(inputs)
     paulis = np.array([pauli_matrix(l) for l in pauli_labels(n_qubits)])
-    t_in, t_out = (np.einsum("iab,sba->is", paulis, np.array(m)).real for m in (inputs, outputs))
-    return TransferMatrix(n_qubits, np.linalg.solve(t_in.T, t_out.T).T)
+    t_in, t_out = (np.einsum("iab,sba->is", paulis, m).real for m in (inputs, outputs))
+    return np.linalg.solve(t_in.T, t_out.T).T
 
 
-def unitary_transfer(u: np.ndarray, n_qubits: int) -> TransferMatrix:
+def unitary_transfer(u: np.ndarray, n_qubits: int) -> np.ndarray:
     """PTM of conjugation by a unitary (convenience for ideal gates)."""
-    return pauli_transfer(lambda rho: u @ rho.matrix @ u.conj().T, n_qubits)
+    return pauli_transfer(lambda rhos: u @ rhos @ u.conj().T, n_qubits)
 
 
-def process_fidelity(R: TransferMatrix, R_ideal: TransferMatrix) -> float:
-    """Average gate fidelity F_avg = (Tr(Rᵀ R_ideal)/d + 1)/(d + 1), d = 2ⁿ.
+def process_fidelity(R: np.ndarray, R_ideal: np.ndarray) -> float:
+    """Average gate fidelity F_avg = (Tr(Rᵀ R_ideal)/d + 1)/(d + 1), d = 2ⁿ,
+    of two (4ⁿ, 4ⁿ) transfer matrices.
 
     Tr(Rᵀ R_ideal)/d² is the process (entanglement) fidelity F_pro, and
     F_avg = (d·F_pro + 1)/(d + 1) (Nielsen, Phys. Lett. A 303, 249 (2002)):
     the fully depolarizing channel has F_avg = 1/d and F_pro = 1/d².
     """
-    if R.n_qubits != R_ideal.n_qubits:
-        raise ValidationError("transfer matrices act on different spaces")
-    d = 2**R.n_qubits
-    return float((np.trace(R.R.T @ R_ideal.R) / d + 1.0) / (d + 1.0))
+    R, R_ideal = np.asarray(R, dtype=float), np.asarray(R_ideal, dtype=float)
+    if R.shape != R_ideal.shape:
+        raise ValidationError(f"transfer matrices of shapes {R.shape} and {R_ideal.shape} act on different spaces")
+    side = R.shape[0] if R.ndim == 2 else 0
+    d = math.isqrt(side)
+    if R.shape != (side, side) or side < 4 or d * d != side or d & (d - 1):
+        raise ValidationError(f"a transfer matrix is 4ⁿ × 4ⁿ, n ≥ 1; got shape {R.shape}")
+    return float((np.trace(R.T @ R_ideal) / d + 1.0) / (d + 1.0))

@@ -38,22 +38,23 @@ def validate_density(rho):
     return rho
 
 
-def wigner_integral(grid) -> float:
-    """The rectangle-rule integral of a WignerGrid's values over its cells."""
-    if len(grid.re_axis) < 2 or len(grid.im_axis) < 2:
+def wigner_integral(re_axis, im_axis, values) -> float:
+    """The rectangle-rule integral over its cells of a Wigner grid, `values`
+    of shape (len(im_axis), len(re_axis))."""
+    if len(re_axis) < 2 or len(im_axis) < 2:
         raise ValidationError("the integral needs at least two points per axis")
-    cell = (grid.re_axis[1] - grid.re_axis[0]) * (grid.im_axis[1] - grid.im_axis[0])
-    return float(np.sum(grid.values) * cell)
+    cell = (re_axis[1] - re_axis[0]) * (im_axis[1] - im_axis[0])
+    return float(np.sum(values) * cell)
 
 
 def check_physical(ptm):
-    """Raise ValidationError unless the transfer matrix's first row is
-    (1, 0, ..., 0) and every entry lies in [−1, 1], each to 1e-9; return it."""
-    first = np.zeros(4**ptm.n_qubits)
+    """Raise ValidationError unless the (4ⁿ, 4ⁿ) transfer matrix's first row
+    is (1, 0, ..., 0) and every entry lies in [−1, 1], each to 1e-9; return it."""
+    first = np.zeros(len(ptm))
     first[0] = 1.0
-    if np.max(np.abs(ptm.R[0] - first)) > 1e-9:
+    if np.max(np.abs(ptm[0] - first)) > 1e-9:
         raise ValidationError("first row is not (1, 0, ..., 0)")
-    if np.max(np.abs(ptm.R)) > 1.0 + 1e-9:
+    if np.max(np.abs(ptm)) > 1.0 + 1e-9:
         raise ValidationError("transfer matrix entries exceed [−1, 1]")
     return ptm
 

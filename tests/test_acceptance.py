@@ -146,8 +146,8 @@ def test_ptm_matches_brute_force_pauli_conjugation():
     for n_qubits in (1, 2):
         for _ in range(10):
             u = _random_clifford(n_qubits, rng)
-            R = pauli_transfer(lambda rho: u @ rho.matrix @ u.conj().T, n_qubits)
-            assert np.abs(R.R - _brute_force_ptm(u, n_qubits)).max() < 1e-8
+            R = pauli_transfer(lambda rhos: u @ rhos @ u.conj().T, n_qubits)
+            assert np.abs(R - _brute_force_ptm(u, n_qubits)).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------

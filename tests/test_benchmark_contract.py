@@ -191,3 +191,34 @@ def test_error_budget_reaches_the_open_system_spans(monkeypatch):
     assert seen["apply_density"] > 0
     assert seen["lindblad_evolve"]
     assert all(isinstance(rho, DensityOp) for rho in seen["lindblad_evolve"])
+
+
+def test_pulse_recipes_hand_evolve_pulse_a_ket(monkeypatch):
+    """The tracer reads `state.space.dim` from `evolution.evolve_pulse`, on
+    `gate-recipes`, `open-system` and `cz-calibration`.  The pulse backend
+    pushes a stack of states but must still hand `evolve_pulse` one Ket at a
+    time, on its layout's space, or every traced run fails with an
+    AttributeError where this test would have."""
+    import cavitysim.evolution as evolution
+    from cavitysim.experiments import run_qpt, run_zgate_repetition
+    from cavitysim.fock import Ket
+
+    evolve = evolution.evolve_pulse
+    signature = inspect.signature(evolve)
+    seen = []
+
+    def observed_evolve(*args, **kwargs):
+        a = signature.bind(*args, **kwargs).arguments
+        seen.append((a["state"], a["layout"]))
+        return evolve(*args, **kwargs)
+
+    # installed under every name bound to it, as the tracer installs its wrappers
+    for modname, module in list(sys.modules.items()):
+        if modname == "cavitysim" or modname.startswith("cavitysim."):
+            for name, obj in list(vars(module).items()):
+                if obj is evolve:
+                    monkeypatch.setattr(module, name, observed_evolve)
+    run_qpt("z", mode="pulse")
+    run_zgate_repetition(mode="pulse")
+    assert seen
+    assert all(isinstance(state, Ket) and state.space == layout.space for state, layout in seen)

@@ -1,4 +1,6 @@
 
+import json
+
 import numpy as np
 import pytest
 from numpy.polynomial import laguerre
@@ -17,7 +19,6 @@ from cavitysim.fock import (
     tensor,
 )
 from cavitysim.tomography import (
-    TransferMatrix,
     joint_wigner,
     pauli_labels,
     pauli_matrix,
@@ -52,7 +53,7 @@ def test_wigner_grid_integral_is_one():
     psi = coherent(0.5, spec)
     ax = np.arange(-3.5, 3.5 + 1e-9, 0.14)
     grid = wigner_grid(psi, 0, ax + 0.5, ax)
-    assert abs(wigner_integral(grid) - 1.0) < 0.01
+    assert abs(wigner_integral(ax + 0.5, ax, grid) - 1.0) < 0.01
 
 
 # the `sim wigner` default grid: extent 2.5, 41 points per axis
@@ -60,7 +61,7 @@ CLI_AXIS = np.linspace(-2.5, 2.5, 41)
 
 
 def _grid_betas(axis):
-    return axis[None, :] + 1j * axis[:, None]  # rows follow im_axis, as in WignerGrid
+    return axis[None, :] + 1j * axis[:, None]  # rows follow im_axis, as in wigner_grid
 
 
 def _fock_w(n, beta):
@@ -73,7 +74,7 @@ def _fock_w(n, beta):
 def test_wigner_grid_fock_states_analytic(n):
     # the CLI's default truncation for a Fock state, 2n + 2 levels
     grid = wigner_grid(fock_ket(ModeSpec.bosonic(2 * n + 2), n), 0, CLI_AXIS, CLI_AXIS)
-    assert np.max(np.abs(grid.values - _fock_w(n, _grid_betas(CLI_AXIS)))) < 1e-12
+    assert np.max(np.abs(grid - _fock_w(n, _grid_betas(CLI_AXIS)))) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -86,7 +87,7 @@ def test_wigner_grid_coherent_state_analytic(alpha, dim, axis):
     e^{−576}, so the closed form must keep it as a logarithm."""
     grid = wigner_grid(coherent(alpha, ModeSpec.bosonic(dim)), 0, axis, axis)
     expected = TWO_PI * np.exp(-2 * np.abs(_grid_betas(axis) - alpha) ** 2)
-    assert np.max(np.abs(grid.values - expected)) < 1e-12
+    assert np.max(np.abs(grid - expected)) < 1e-12
 
 
 def _mixed_cavity_state(dim):
@@ -157,9 +158,10 @@ def test_array_calls_match_scalar_calls():
     assert joint.shape == betas.shape
     scalar = np.array([[joint_wigner(psi, b1, b2) for b1, b2 in zip(row, beta2)] for row in betas])
     assert np.max(np.abs(joint - scalar)) < 1e-14
-    grid = wigner_grid(psi, 1, betas[0].real, betas[:, 1].imag)
-    scalar = [[wigner(psi, x + 1j * y, factor_index=1) for x in grid.re_axis] for y in grid.im_axis]
-    assert np.max(np.abs(grid.values - np.array(scalar))) < 1e-14
+    re_axis, im_axis = betas[0].real, betas[:, 1].imag
+    grid = wigner_grid(psi, 1, re_axis, im_axis)
+    scalar = [[wigner(psi, x + 1j * y, factor_index=1) for x in re_axis] for y in im_axis]
+    assert np.max(np.abs(grid - np.array(scalar))) < 1e-14
 
 
 def test_wigner_of_a_qubit_factor_is_rejected():
@@ -179,18 +181,27 @@ def test_wigner_grid_integral_needs_two_points_per_axis(re_axis, im_axis):
     """A one-point axis has no step (it raised IndexError)."""
     grid = wigner_grid(fock_ket(ModeSpec.bosonic(4), 0), 0, re_axis, im_axis)
     with pytest.raises(ValidationError, match="two points"):
-        wigner_integral(grid)
+        wigner_integral(re_axis, im_axis, grid)
 
 
-def test_wigner_grid_serialization_roundtrip():
-    spec = ModeSpec.bosonic(6)
+def test_wigner_grid_serialization_roundtrip(tmp_path):
+    """`sim wigner` writes the grid as (re, im, w) rows, one im_axis row of
+    the grid after another, and as its axes and values in result.json; both
+    read back to the grid bit for bit."""
+    from cavitysim.cli import main
+
     ax = np.linspace(-1, 1, 5)
-    grid = wigner_grid(fock_ket(spec, 0), 0, ax, ax)
-    rows = grid.to_csv_rows()
-    assert len(rows) == 25
-    d = grid.to_json_dict()
-    assert np.allclose(d["values"], grid.values)
-    assert max(abs(v) for *_coords, v in rows) <= TWO_PI + 1e-9
+    grid = wigner_grid(fock_ket(ModeSpec.bosonic(6), 1), 0, ax, ax)
+    assert main(["wigner", "--state", "fock", "--dim", "6", "--extent", "1", "--points", "5", "-o", str(tmp_path)]) == 0
+    lines = (tmp_path / "wigner.csv").read_text().splitlines()
+    assert lines[0] == "re,im,w"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(rows[:, 0], np.tile(ax, 5))
+    assert np.array_equal(rows[:, 1], np.repeat(ax, 5))
+    assert np.array_equal(rows[:, 2], grid.ravel())
+    d = json.loads((tmp_path / "result.json").read_text())
+    assert d["re_axis"] == d["im_axis"] == ax.tolist()
+    assert np.array_equal(d["values"], grid)
 
 
 def test_wigner_reduced_state_of_composite():
@@ -251,13 +262,13 @@ def test_joint_wigner_rejects_a_repeated_factor():
 
 def test_ptm_identity_process():
     r = unitary_transfer(np.eye(2, dtype=complex), 1)
-    assert np.max(np.abs(r.R - np.eye(4))) < 1e-10
+    assert np.max(np.abs(r - np.eye(4))) < 1e-10
     check_physical(r)
 
 
 def test_ptm_z_gate():
     r = unitary_transfer(np.diag([1.0, -1.0]).astype(complex), 1)
-    assert np.max(np.abs(r.R - np.diag([1.0, -1.0, -1.0, 1.0]))) < 1e-10
+    assert np.max(np.abs(r - np.diag([1.0, -1.0, -1.0, 1.0]))) < 1e-10
 
 
 def test_ptm_cz_against_pauli_conjugation_oracle():
@@ -269,7 +280,7 @@ def test_ptm_cz_against_pauli_conjugation_oracle():
         out = cz @ pauli_matrix(lj) @ cz.conj().T
         for i, li in enumerate(labels):
             ref[i, j] = np.real(np.trace(pauli_matrix(li) @ out)) / 4
-    assert np.max(np.abs(r.R - ref)) < 1e-9
+    assert np.max(np.abs(r - ref)) < 1e-9
 
 
 def test_ptm_unitary_block_is_orthogonal():
@@ -277,7 +288,7 @@ def test_ptm_unitary_block_is_orthogonal():
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, _ = np.linalg.qr(m)
     r = check_physical(unitary_transfer(q, 2))
-    block = r.R[1:, 1:]
+    block = r[1:, 1:]
     assert np.max(np.abs(block.T @ block - np.eye(15))) < 1e-8
 
 
@@ -289,7 +300,7 @@ def test_ptm_composition():
         ua, _ = np.linalg.qr(ma)
         ub, _ = np.linalg.qr(mb)
         rab = unitary_transfer(ua @ ub, 1)
-        assert np.max(np.abs(rab.R - unitary_transfer(ua, 1).R @ unitary_transfer(ub, 1).R)) < 1e-8
+        assert np.max(np.abs(rab - unitary_transfer(ua, 1) @ unitary_transfer(ub, 1))) < 1e-8
 
 
 def _kraus_ptm(kraus, n_qubits):
@@ -304,7 +315,7 @@ def _kraus_ptm(kraus, n_qubits):
 
 
 def _kraus_process(kraus):
-    return lambda rho: sum(k @ rho.matrix @ k.conj().T for k in kraus)
+    return lambda rhos: sum(k @ rhos @ k.conj().T for k in kraus)
 
 
 def test_ptm_nonunital_process():
@@ -312,10 +323,10 @@ def test_ptm_nonunital_process():
     p = 0.3
     kraus = [np.array([[1, 0], [0, np.sqrt(1 - p)]]), np.array([[0, np.sqrt(p)], [0, 0]])]
     r = check_physical(pauli_transfer(_kraus_process(kraus), 1))
-    assert np.max(np.abs(r.R - _kraus_ptm(kraus, 1))) < 1e-10
-    assert abs(r.R[3, 0] - 0.3) < 1e-10
-    assert abs(r.R[3, 3] - 0.7) < 1e-10
-    assert abs(r.R[1, 1] - np.sqrt(0.7)) < 1e-10
+    assert np.max(np.abs(r - _kraus_ptm(kraus, 1))) < 1e-10
+    assert abs(r[3, 0] - 0.3) < 1e-10
+    assert abs(r[3, 3] - 0.7) < 1e-10
+    assert abs(r[1, 1] - np.sqrt(0.7)) < 1e-10
 
 
 def test_ptm_matches_definition_on_a_random_two_qubit_channel():
@@ -327,13 +338,13 @@ def test_ptm_matches_definition_on_a_random_two_qubit_channel():
     expected = _kraus_ptm(kraus, 2)
     assert np.max(np.abs(expected[1:, 0])) > 0.05  # non-unital
     r = check_physical(pauli_transfer(_kraus_process(kraus), 2))
-    assert np.max(np.abs(r.R - expected)) < 1e-12
+    assert np.max(np.abs(r - expected)) < 1e-12
 
 
 def test_process_fidelity_values():
     ideal = unitary_transfer(np.eye(2, dtype=complex), 1)
     assert abs(process_fidelity(ideal, ideal) - 1.0) < 1e-12
-    depol = TransferMatrix(1, np.diag([1.0, 0.0, 0.0, 0.0]))
+    depol = np.diag([1.0, 0.0, 0.0, 0.0])
     assert abs(process_fidelity(depol, ideal) - 0.5) < 1e-12
     cz = unitary_transfer(np.diag([1.0, 1, 1, -1]).astype(complex), 2)
     assert abs(process_fidelity(cz, cz) - 1.0) < 1e-12
@@ -344,3 +355,33 @@ def test_process_fidelity_dimension_mismatch():
     r2 = unitary_transfer(np.eye(4, dtype=complex), 2)
     with pytest.raises(ValidationError):
         process_fidelity(r1, r2)
+
+
+@pytest.mark.parametrize(
+    "shape", [(4, 16), (16,), (4, 4, 4), (1, 1), (2, 2), (8, 8), (9, 9)],
+    ids=["non-square", "vector", "stack", "side-1", "side-2", "side-8", "side-9"],
+)
+def test_process_fidelity_refuses_what_is_not_a_transfer_matrix(shape):
+    """Both arrays of one shape, but not 4ⁿ × 4ⁿ with n ≥ 1."""
+    r = np.zeros(shape)
+    with pytest.raises(ValidationError):
+        process_fidelity(r, r)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_pauli_transfer_calls_its_process_once_on_the_input_stack(n_qubits):
+    """`process` gets all 4ⁿ product inputs as one (4ⁿ, 2ⁿ, 2ⁿ) stack of
+    density matrices, and the PTM is a (4ⁿ, 4ⁿ) array."""
+    seen = []
+
+    def process(rhos):
+        seen.append(rhos)
+        return rhos
+
+    r = pauli_transfer(process, n_qubits)
+    d = 2**n_qubits
+    assert len(seen) == 1
+    assert seen[0].shape == (d * d, d, d)
+    assert np.max(np.abs(np.trace(seen[0], axis1=1, axis2=2) - 1.0)) < 1e-15
+    assert r.shape == (d * d, d * d)
+    assert np.max(np.abs(r - np.eye(d * d))) < 1e-12
