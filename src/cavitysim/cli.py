@@ -86,9 +86,9 @@ def _write_csv(path: str, columns, rows) -> None:
 
 
 def _write_json(path: str, obj) -> None:
+    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_outputs(
@@ -351,8 +351,8 @@ def cmd_error_budget(config_text, output_dir, gate, alpha):
 @click.option("--points", type=int, default=41, show_default=True)
 def cmd_wigner(output_dir, dim, state, alpha, fock_n, extent, points):
     """Wigner function of a reference cavity state on a phase-space grid."""
-    if not np.isfinite(extent):
-        raise ValidationError("--extent must be finite")
+    if not (np.isfinite(extent) and extent > 0):
+        raise ValidationError("--extent must be finite and > 0")
     if points < 2:
         raise ValidationError("--points must be at least 2")
     if state != "cat":

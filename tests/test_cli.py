@@ -515,6 +515,34 @@ def test_bad_numeric_input_exits_1(tmp_path, capsys, args):
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("extent", ["0", "-2.5"])
+def test_wigner_refuses_an_extent_that_is_not_positive(tmp_path, capsys, extent):
+    """--extent 0 wrote a grid whose every point was the origin, and a
+    negative extent reversed both axes; both exit 1 and write nothing."""
+    out = tmp_path / "x"
+    assert main(["wigner", "--extent", extent, "--points", "3", "-o", str(out)]) == 1
+    assert "--extent" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_write_json_writes_the_bytes_of_json_dump(tmp_path):
+    """The one-call writer matches `json.dump` streamed to the file plus a
+    newline, on nested tables, numpy scalars and arrays."""
+    obj = {
+        "summary": {"f": {"value": np.float64(0.1), "tolerance": 1e-8}, "n": np.int64(3)},
+        "tables": {"cuts": {"columns": ("x", "w"), "rows": [(0.5, -1.0), (np.float32(2.5), 1e-300)]}},
+        "grid": np.arange(6.0).reshape(2, 3) / 7,
+        "empty": [],
+        "text": "β ≤ 1",
+        "flag": None,
+    }
+    cli._write_json(str(tmp_path / "a.json"), obj)
+    with open(tmp_path / "b.json", "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2, default=cli._json_default)
+        fh.write("\n")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 @pytest.mark.parametrize("alpha", ["0.3", "-0.3", "0.416"])
 def test_parity_sweep_refuses_an_alpha_whose_bound_cannot_fail(tmp_path, capsys, alpha):
     """The ideal tolerance max(1e-6, 4e^{-4α²}) reaches 2, the largest

@@ -1,5 +1,6 @@
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,64 @@ def test_joint_wigner_rejects_a_repeated_factor():
     psi = tensor([fock_ket(s, 0), fock_ket(s, 1)])
     with pytest.raises(ValidationError):
         joint_wigner(psi, 0.0, 0.0, factors=(1, 1))
+
+
+def _three_factor_state():
+    """A qubit and two cavities of unequal dims, entangled across all three."""
+    rng = np.random.default_rng(29)
+    space = CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(7), ModeSpec.bosonic(9)))
+    amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    return Ket(space, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("factors", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("shape", ["scalar", "matrix"])
+def test_joint_wigner_of_a_ket_matches_its_density_matrix(factors, shape):
+    """The amplitude-tensor path of a Ket equals the reduced-ρ path of |ψ⟩⟨ψ|."""
+    psi = _three_factor_state()
+    rng = np.random.default_rng(5)
+    if shape == "scalar":
+        b1, b2 = 0.4 - 0.3j, -1.1 + 0.2j
+    else:
+        b1 = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        b2 = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    ket = joint_wigner(psi, b1, b2, factors=factors)
+    ref = joint_wigner(density(psi), b1, b2, factors=factors)
+    assert np.shape(ket) == np.shape(ref) == np.shape(b1)
+    assert isinstance(ket, float) == (shape == "scalar")
+    assert np.max(np.abs(np.asarray(ket) - ref)) < 1e-12
+
+
+def test_joint_wigner_of_a_ket_never_forms_the_reduced_density_matrix():
+    """One call on the Bell recipe's cat state (a qubit and two 26-level
+    cavities, its 21-point cut) allocates less than the (d1d2)² × 16 B =
+    7.3 MB a reduced ρ of the two cavities would take; the ρ path peaked at
+    15.3 MB."""
+    bell = _bell_cat(26)
+    psi = tensor([Ket(CompositeSpace((ModeSpec.qubit(),)), [0.6, 0.8j]), bell])
+    xs = np.linspace(-2.5, 2.5, 21)
+    joint_wigner(psi, xs, xs, factors=(1, 2))  # warm up
+    tracemalloc.start()
+    try:
+        joint_wigner(psi, xs, -xs, factors=(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (26 * 26) ** 2 * 16
+
+
+@pytest.mark.parametrize("factors", [(1, 1), (0, 3), (-1, 2), (0, 1)], ids=["repeated", "too-large", "negative", "qubit"])
+def test_joint_wigner_of_a_ket_refuses_what_it_cannot_reduce(factors):
+    psi = _three_factor_state()
+    with pytest.raises(ValidationError):
+        joint_wigner(psi, 0.1, 0.2, factors=factors)
+
+
+def test_wigner_grid_keeps_its_shape_on_an_empty_im_axis():
+    """An empty im_axis gives the documented (0, len(re_axis)) grid; it gave
+    shape (0,)."""
+    grid = wigner_grid(fock_ket(ModeSpec.bosonic(4), 0), 0, [0.0, 0.5], [])
+    assert grid.shape == (0, 2)
 
 
 def test_ptm_identity_process():
