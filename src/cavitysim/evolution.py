@@ -18,9 +18,9 @@ one rotation per block and run, and `apply_block_rotations` applies them on
 the qubit axis; `evolve_pulse`, the ideal conditional rotations (and through
 them the component-level logical map `gates.component_logical_unitary`) and
 the binomial-CZ block calibration all run through these functions.
-`block_rotation_gradient` differentiates each block's a with respect to
-every drive sample, from one forward prefix scan of the per-sample pairs;
-the binomial-CZ tone calibration takes its exact Jacobian from it.
+`BlockScan` plays a drive sample by sample, keeping every prefix product:
+the binomial-CZ tone calibration reads its residual from the last and its
+exact Jacobian from `BlockScan.gradient`, one pass per point.
 Every gate drives one qubit between instantaneous cavity displacements, so
 a `PulseSequence` is one qubit's drive samples, and that is all that
 `evolve_pulse` and `lindblad_evolve` play.
@@ -257,86 +257,75 @@ def block_rotations(delta: np.ndarray, amps: np.ndarray, dt: float):
     return a_tot, b_tot
 
 
-#: Chunk lengths, in samples, of `block_rotation_gradient`: its prefix scan
-#: runs sequentially within all chunks of _SCAN_CHUNK at once, then over the
-#: chunks (64 + n/64 vectorised steps for n samples), and its per-sample
-#: terms are formed _GRADIENT_CHUNK samples at a time, which keeps its
-#: temporaries near those of a residual evaluation.
+#: Chunk length, in samples, of `_prefix_products`: its scan runs within all chunks
+#: at once, then over the chunks (64 + n/64 vectorised steps for n samples).
 _SCAN_CHUNK = 64
-_GRADIENT_CHUNK = 128
 
 
-def _prefix_products(delta: np.ndarray, half: np.ndarray, dt: float):
-    """Cayley–Klein pairs of the prefix products P_t = M_{t−1} ⋯ M_0,
-    t = 0 … n, of the sample propagators M_t of `_sample_rotations`;
-    arrays of shape (n_blocks, n + 1), P_0 = I and P_n the total."""
-    n = len(half)
+def _prefix_products(a: np.ndarray, b: np.ndarray):
+    """Pairs of the prefix products P_t = M_{t−1} ⋯ M_0, t = 0 … n, of the sample
+    pairs (a, b) of shape (n_blocks, n): arrays (n_blocks, n + 1), P_0 = I, P_n the total."""
+    n_blocks, n = a.shape
     n_chunks = -(-(n + 1) // _SCAN_CHUNK)
-    # the sequence I, M_0, …, M_{n−1}, padded with identities
-    pa = np.ones((len(delta), n_chunks * _SCAN_CHUNK), dtype=complex)
+    # the sequence I, M_0, …, M_{n−1}, padded with identities, in chunks
+    pa = np.ones((n_blocks, n_chunks, _SCAN_CHUNK), dtype=complex)
     pb = np.zeros_like(pa)
-    for start in range(0, n, _GRADIENT_CHUNK):
-        t = slice(start + 1, min(start + _GRADIENT_CHUNK, n) + 1)
-        pa[:, t], pb[:, t] = _sample_rotations(delta, half[start : start + _GRADIENT_CHUNK], dt)[:2]
-    pa = pa.reshape(len(delta), n_chunks, _SCAN_CHUNK)
-    pb = pb.reshape(pa.shape)
+    flat_a, flat_b = pa.reshape(n_blocks, -1), pb.reshape(n_blocks, -1)  # views
+    flat_a[:, 1 : n + 1], flat_b[:, 1 : n + 1] = a, b
     for k in range(1, _SCAN_CHUNK):  # inclusive scan within every chunk
         pa[..., k], pb[..., k] = _compose(pa[..., k], pb[..., k], pa[..., k - 1], pb[..., k - 1])
     for c in range(1, n_chunks):  # then onto the last prefix of the chunk before
         pa[:, c], pb[:, c] = _compose(pa[:, c], pb[:, c], pa[:, c - 1, -1:], pb[:, c - 1, -1:])
-    return (
-        pa.reshape(len(delta), -1)[:, : n + 1],
-        pb.reshape(len(delta), -1)[:, : n + 1],
-    )
+    return flat_a[:, : n + 1], flat_b[:, : n + 1]
 
 
-def block_rotation_gradient(delta: np.ndarray, amps: np.ndarray, dt: float):
-    """Derivatives of the total a of `block_rotations` with respect to every
-    drive sample: arrays g_re, g_im of shape (n_blocks, n_samples) with
-    g_re[j, t] = ∂a_j/∂Re u_t and g_im[j, t] = ∂a_j/∂Im u_t.
+class BlockScan:
+    """The drive of `block_rotations` played sample by sample, with one `_sample_rotations`
+    call: the prefix pairs `pa`, `pb` (`_prefix_products`), whose last column is the
+    total (a, b) up to rounding, and each sample's cos ωdt, ω and sin(ωdt)/ω."""
 
-    With M_t the sample propagators, P_t = M_{t−1} ⋯ M_0 and U = P_n,
-    a = e₀ᵀ U e₀ and ∂a/∂u_t = (e₀ᵀ U P_{t+1}†) ∂M_t (P_t e₀): every factor
-    is in SU(2), so the costate row needs no suffix products, and one
-    forward prefix scan (`_prefix_products`) serves all samples.  The sample
-    derivatives follow from a = cos ωdt − i δ S and b = −i h S, h = u/2,
-    S = sin(ωdt)/ω, through ∂ω/∂h_r = h_r/ω and
-    F = S′/ω = (dt cos ωdt − S)/ω², whose limit at ω → 0 is −dt³/3 (F is
-    taken from its series for ωdt < 0.01, as `block_rotations` takes
-    S → dt).  This is the adjoint gradient of GRAPE (Khaneja et al.,
-    J. Magn. Reson. 172, 296 (2005)) for the 2×2 blocks.
-    """
-    delta = np.asarray(delta, dtype=float)[:, None]
-    half = 0.5 * np.asarray(amps, dtype=complex)
-    pa, pb = _prefix_products(delta, half, dt)
-    g_re = np.empty(pa[:, 1:].shape, dtype=complex)
-    g_im = np.empty_like(g_re)
-    ua, ub = pa[:, -1:], pb[:, -1:]
-    for start in range(0, len(half), _GRADIENT_CHUNK):
-        t = slice(start, min(start + _GRADIENT_CHUNK, len(half)))
-        h = half[t]
-        a, _, omega, sinc = _sample_rotations(delta, h, dt)
-        # state (x, y) = P_t e₀ and costate row (r0, r1) = e₀ᵀ U P_{t+1}†
-        x, y = pa[:, t], pb[:, t]
-        qa, qb = pa[:, t.start + 1 : t.stop + 1], pb[:, t.start + 1 : t.stop + 1]
-        r0 = ua * np.conj(qa) + np.conj(ub) * qb
-        r1 = ua * np.conj(qb) - np.conj(ub) * qa
+    def __init__(self, delta: np.ndarray, amps: np.ndarray, dt: float):
+        self.delta = np.asarray(delta, dtype=float)[:, None]
+        self.half = 0.5 * np.asarray(amps, dtype=complex)
+        self.dt = dt
+        a, b, self.omega, self.sinc = _sample_rotations(self.delta, self.half, dt)
+        self.cos = a.real
+        self.pa, self.pb = _prefix_products(a, b)
+
+    def gradient(self, t: slice):
+        """Wirtinger derivatives A = ∂a/∂u_t and B = ∂a/∂ū_t of the total a,
+        arrays (n_blocks, len(t)) for the samples of the bounded slice t.
+
+        With P_t = M_{t−1} ⋯ M_0 and U = P_n, a = e₀ᵀ U e₀ and
+        ∂a/∂u_t = (e₀ᵀ U P_{t+1}†) ∂M_t (P_t e₀): in SU(2) the costate row
+        needs no suffix products, so the scan's prefixes serve all samples:
+        the adjoint gradient of GRAPE (Khaneja et al., J. Magn. Reson. 172,
+        296 (2005)) for 2×2 blocks.  With a_t = cos ωdt − i δ S, b_t = −i h S,
+        h = u/2 and S = sin(ωdt)/ω, ∂ω/∂h = h̄/(2ω) and F = S′/ω =
+        (dt cos ωdt − S)/ω², whose limit at ω → 0 is −dt³/3 (F is taken from
+        its series for ωdt < 0.01, as `block_rotations` takes S → dt).
+        """
+        dt, delta, h = self.dt, self.delta, self.half[t]
+        omega, sinc = self.omega[:, t], self.sinc[:, t]
         wdt = omega * dt
         small = wdt < 0.01
         f = np.where(
             small,
             dt**3 * (-1.0 / 3.0 + wdt**2 / 30.0 - wdt**4 / 840.0),
-            (dt * a.real - sinc) / np.where(small, 1.0, omega**2),  # a.real = cos ωdt
+            (dt * self.cos[:, t] - sinc) / np.where(small, 1.0, omega**2),
         )
-        # ∂a_t/∂h_r = h_r G, G = −dt S − i δ F, and ∂b_t/∂h_r = −i S − i h h_r F
-        # (∂/∂h_i: h_i G and S − i h h_i F); contracted with state and costate,
-        # ∂a/∂p = ∂a_t r0 x + conj(∂a_t) r1 y + ∂b_t r1 x − conj(∂b_t) r0 y
+        # state (x, y) = P_t e₀ and costate row (r0, r1) = e₀ᵀ U P_{t+1}†
+        x, y = self.pa[:, t], self.pb[:, t]
+        qa, qb = self.pa[:, t.start + 1 : t.stop + 1], self.pb[:, t.start + 1 : t.stop + 1]
+        ua, ub = self.pa[:, -1:], self.pb[:, -1:]
+        r0 = ua * np.conj(qa) + np.conj(ub) * qb
+        r1 = ua * np.conj(qb) - np.conj(ub) * qa
+        # ∂a_t/∂h = ½h̄ G, ∂a_t/∂h̄ = ½h G with G = −dt S − i δ F, ∂b_t/∂h = −i S − ½i|h|² F,
+        # ∂b_t/∂h̄ = −½i h² F; then ∂a = ∂a_t r0 x + ∂ā_t r1 y + ∂b_t r1 x − ∂b̄_t r0 y, ∂/∂u = ½ ∂/∂h
         g = -dt * sinc - 1j * delta * f
         c3, c4 = r1 * x, r0 * y
         k = g * (r0 * x) + np.conj(g) * (r1 * y) - 1j * f * (h * c3 + np.conj(h) * c4)
-        g_re[:, t] = 0.5 * (h.real * k - 1j * sinc * (c3 + c4))
-        g_im[:, t] = 0.5 * (h.imag * k + sinc * (c3 - c4))
-    return g_re, g_im
+        return 0.25 * (np.conj(h) * k - 2j * sinc * c3), 0.25 * (h * k - 2j * sinc * c4)
 
 
 def qubit_blocks(x: np.ndarray, layout: SystemLayout, label: str) -> np.ndarray:

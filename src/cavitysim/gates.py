@@ -38,11 +38,11 @@ from cavitysim.device import (
 )
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.evolution import (
+    BlockScan,
     LindbladPropagators,
     PulseSequence,
     apply_block_rotations,
     block_detuning_phase,
-    block_rotation_gradient,
     block_rotations,
     evolve_pulse,
     lindblad_evolve,
@@ -552,9 +552,9 @@ _CZ_RESIDUAL_TOL = 0.05
 _CZ_STOP_RAD = 1e-5
 _CZ_STOP_WINDOW = 40
 
-# Selective samples per step of the Jacobian's chain rule: keeps its
-# (samples × tones) temporaries small.
-_CZ_CHAIN_CHUNK = 256
+# Selective samples per step of the Jacobian: its per-sample terms and its
+# (samples × tones) chain-rule temporaries are formed this many at a time.
+_CZ_CHUNK = 256
 
 
 def _binomial_layout(layout: SystemLayout):
@@ -627,6 +627,9 @@ class _ToneCalibration:
     Re and Im of ⟨g|U|g⟩ − e^{iγ} for every joint state, then a weak
     regularization of d and s.  The qubit and the two cavities are those of
     the backend's layout.
+
+    Levenberg–Marquardt takes the Jacobian where it has just taken the residual, so
+    both read one `evolution.BlockScan`, kept for a copy of the last x (not its buffer).
     """
 
     def __init__(self, backend: PulseBackend):
@@ -663,6 +666,7 @@ class _ToneCalibration:
         ]
         n = len(_BINOMIAL_JOINT_STATES)
         self.x0 = np.concatenate([phis0, np.zeros(n), np.zeros(n)])
+        self._last = (None, None)  # the last point and its scan
 
     def spec(self, x) -> GateSpec:
         phis, dets, scales = np.split(np.asarray(x), 3)
@@ -678,9 +682,15 @@ class _ToneCalibration:
             ),
         )
 
+    def _scan(self, x) -> BlockScan:
+        if not np.array_equal(x, self._last[0]):
+            self._last = (None, None)  # free the old scan before forming the new
+            u = _block_drive_samples(self.spec(x), self.backend, self.qubit)
+            self._last = (np.array(x), BlockScan(self.delta, u, SAMPLE_DT))
+        return self._last[1]
+
     def residual(self, x) -> np.ndarray:
-        blocks = joint_block_unitaries(self.spec(x), self.backend)
-        r = np.array([blocks[jk][0, 0] for jk in _BINOMIAL_JOINT_STATES]) - self.goals
+        r = self.phase * self._scan(x).pa[:, -1] - self.goals  # ⟨g|U|g⟩ = e^{−icT} a
         _, dets, scales = np.split(np.asarray(x), 3)
         # weak regularization keeps the underdetermined detuning/amplitude
         # corrections small and the problem square for Levenberg-Marquardt
@@ -693,32 +703,26 @@ class _ToneCalibration:
         return float(np.max(np.abs(np.angle(a / self.goals))))
 
     def jacobian(self, x) -> np.ndarray:
-        """Exact ∂residual/∂x, without a residual evaluation.
+        """Exact ∂residual/∂x, from the scan of the residual at x.
 
-        `block_rotation_gradient` gives ∂a/∂Re u_t and ∂a/∂Im u_t over all
-        drive samples; ∂a/∂p = A ∂u/∂p + B conj(∂u/∂p) with
-        A, B = (∂a/∂Re u ∓ i ∂a/∂Im u)/2, through the selective samples
+        `BlockScan.gradient` gives A = ∂a/∂u_t and B = ∂a/∂ū_t, so
+        ∂a/∂p = A ∂u/∂p + B conj(∂u/∂p) through the selective samples
         u_t = env_t Σ_i ε e^{s_i} e^{i(φ_i − ω_i t)}, ω_i the tone's
         detuning: ∂u_t/∂φ_i = i u_ti, ∂u_t/∂s_i = u_ti and
         ∂u_t/∂d_i = −i t u_ti.
         """
         phis, dets, scales = np.split(np.asarray(x), 3)
         n = len(phis)
-        u = _block_drive_samples(self.spec(x), self.backend, self.qubit)
-        g_re, g_im = block_rotation_gradient(self.delta, u, SAMPLE_DT)
-        first = len(u) - len(self.times)  # the selective pulse's first sample
+        scan = self._scan(x)
+        first = len(scan.half) - len(self.times)  # the selective pulse's first sample
         amp = self.eps_tone * np.exp(scales)
         freq = self.shifts + dets
         # A·u, B·ū, A·(t u) and B·conj(t u), summed over the samples
         p, q, pt, qt = np.zeros((4, n, n), dtype=complex)
-        for start in range(0, len(self.times), _CZ_CHAIN_CHUNK):
-            t = self.times[start : start + _CZ_CHAIN_CHUNK, None]
-            s = slice(first + start, first + start + len(t))
-            a_w = 0.5 * (g_re[:, s] - 1j * g_im[:, s])
-            b_w = 0.5 * (g_re[:, s] + 1j * g_im[:, s])
-            terms = (self.envelope[start : start + len(t), None] * amp) * np.exp(
-                1j * (phis - freq * t)
-            )
+        for start in range(0, len(self.times), _CZ_CHUNK):
+            t = self.times[start : start + _CZ_CHUNK, None]
+            a_w, b_w = scan.gradient(slice(first + start, first + start + len(t)))
+            terms = self.envelope[start : start + len(t), None] * amp * np.exp(1j * (phis - freq * t))
             p += a_w @ terms
             q += b_w @ terms.conj()
             terms *= t
@@ -793,7 +797,7 @@ def cz_binomial(backend: PulseBackend):
     the backend that will play it.  Returns (GateSpec, residual phase errors
     dict).  The tone phases, detunings and amplitudes are fitted by
     Levenberg-Marquardt with the exact Jacobian
-    (`evolution.block_rotation_gradient` and the chain rule through the tone
+    (`evolution.BlockScan.gradient` and the chain rule through the tone
     parameters), which stops when its best maximum phase error improves by
     less than _CZ_STOP_RAD over _CZ_STOP_WINDOW evaluations, or after
     _CZ_MAX_NFEV.
@@ -821,6 +825,7 @@ def cz_binomial(backend: PulseBackend):
             "tone calibration failed; residuals " + ", ".join(f"{v:.3e}" for v in fun)
         )
     spec = problem.spec(x)
+    del problem  # its last scan would sit on top of the final blocks' temporaries
     blocks = joint_block_unitaries(spec, backend)
     targets = binomial_cz_targets()
     final_errs = {

@@ -65,10 +65,16 @@ def _wigner_values(rho: DensityOp, betas: np.ndarray) -> np.ndarray:
     return _TWO_OVER_PI * np.einsum("ij,pji->p", rho.matrix, ops).real
 
 
+def _reduced(state, factor_index: int, caller: str) -> DensityOp:
+    if factor_index not in range(n := state.space.n_factors):
+        raise ValidationError(f"{caller} needs a factor index in [0, {n}); got {factor_index}")
+    return partial_trace(state, keep=[factor_index])
+
+
 def wigner(state, beta, factor_index: int = 0):
     """W(β) = (2/π) ⟨D(β) Π D†(β)⟩ of one cavity factor, for a scalar β or an array of β."""
     b = np.asarray(beta)
-    vals = _wigner_values(partial_trace(state, keep=[factor_index]), b.ravel())
+    vals = _wigner_values(_reduced(state, factor_index, "wigner"), b.ravel())
     return float(vals[0]) if b.ndim == 0 else vals.reshape(b.shape)
 
 
@@ -103,7 +109,7 @@ def joint_wigner(state, beta1, beta2, factors=(0, 1)):
 def wigner_grid(state, factor_index: int, re_axis, im_axis) -> np.ndarray:
     """W on the grid re_axis × im_axis, shape (len(im_axis), len(re_axis)),
     one im_axis row per kernel call."""
-    rho = partial_trace(state, keep=[factor_index])
+    rho = _reduced(state, factor_index, "wigner_grid")
     re_axis, im_axis = np.asarray(re_axis, dtype=float), np.asarray(im_axis, dtype=float)
     rows = [_wigner_values(rho, re_axis + 1j * b_im) for b_im in im_axis]
     return np.array(rows).reshape(len(im_axis), len(re_axis))

@@ -114,10 +114,12 @@ def test_cz_calibration_reaches_the_patched_least_squares(monkeypatch):
     only works while `cz_binomial` looks the name up at call time and passes
     `max_nfev` by keyword; an uncapped calibration overruns the run limit.
 
-    The calibration also passes its exact Jacobian: a return to finite
-    differences would still calibrate, but at 27 extra block evaluations per
-    Jacobian, so the capped run may evaluate the blocks only once per LM
-    evaluation plus once for the final phases."""
+    The calibration also passes its exact Jacobian, read with its residual
+    from one scan per point, so the blocks of `joint_block_unitaries` are
+    evaluated only for the final phases: a return to finite differences over
+    them would still calibrate, at 27 extra evaluations per Jacobian.  The
+    traced workload requires a span of `joint_block_unitaries`, so that one
+    evaluation must stay."""
     import scipy.optimize
 
     import cavitysim.gates as gates
@@ -148,7 +150,8 @@ def test_cz_calibration_reaches_the_patched_least_squares(monkeypatch):
     assert "max_nfev" in calls[0]
     assert callable(calls[0].get("jac"))
     assert "diff_step" not in calls[0]
-    assert len(block_evaluations) <= solutions[0].nfev + 1
+    assert 1 <= len(block_evaluations) <= solutions[0].nfev + 1
+    assert "gates.joint_block_unitaries" in WORKLOADS["cz-calibration"].required
 
 
 def test_error_budget_reaches_the_open_system_spans(monkeypatch):

@@ -11,8 +11,8 @@ from cavitysim.device import (
     static_hamiltonian,
 )
 from cavitysim.evolution import (
+    BlockScan,
     PulseSequence,
-    block_rotation_gradient,
     block_rotations,
     segment_propagator,
 )
@@ -529,14 +529,15 @@ def test_cz_binomial_ideal_entangles():
 def test_cz_binomial_pulse_calibrates_and_hits_fidelity(params, monkeypatch):
     import cavitysim.gates as gates
 
+    # every evaluated point plays the pulse's drive samples once
     evaluations = []
-    original = gates.joint_block_unitaries
+    original = gates._block_drive_samples
 
     def counted(*args, **kwargs):
         evaluations.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(gates, "joint_block_unitaries", counted)
+    monkeypatch.setattr(gates, "_block_drive_samples", counted)
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
     backend = PulseBackend(params, layout)
     spec, residuals = cz_binomial(backend)
@@ -621,30 +622,123 @@ def test_tone_calibration_jacobian_matches_central_differences(params):
         assert errs[1] < 1e-8 * np.max(np.abs(jac[:, detunings]))
 
 
+def _kicked_tone_point(problem):
+    """The seed point of the tone calibration plus a seeded random kick."""
+    n = 9
+    rng = np.random.default_rng(3)
+    kick = np.concatenate(
+        [rng.normal(0, 0.1, n), rng.normal(0, 1e-4, n), rng.normal(0, 0.05, n)]
+    )
+    return problem.x0 + kick
+
+
+def test_tone_calibration_residual_is_the_blocks_return_amplitude(params):
+    """The residual reads ⟨g|U|g⟩ from the last prefix of its sample-by-sample
+    scan; it agrees with the run-wise product of `joint_block_unitaries` to
+    1e-14, at the seed point and at a kicked one."""
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 7, "S2": 7})
+    backend = PulseBackend(params, layout)
+    problem = _ToneCalibration(backend)
+    n = 9
+    for x in (problem.x0, _kicked_tone_point(problem)):
+        r = problem.residual(x)
+        blocks = joint_block_unitaries(problem.spec(x), backend)
+        exact = np.array([blocks[jk][0, 0] for jk in blocks])
+        assert np.max(np.abs(r[:n] + 1j * r[n : 2 * n] + problem.goals - exact)) < 1e-14
+
+
+def test_tone_calibration_jacobian_never_serves_a_stale_point(params):
+    """The residual's scan is kept for the Jacobian at the same point, keyed
+    by a copy of x: a Jacobian at another point, or at the same buffer
+    overwritten in place, equals a fresh problem's bit for bit, and so does
+    one at the point just evaluated."""
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 5})
+    backend = PulseBackend(params, layout)
+    problem = _ToneCalibration(backend)
+    x1, x2 = problem.x0, _kicked_tone_point(problem)
+    fresh = _ToneCalibration(backend).jacobian(x2.copy())
+
+    problem.residual(x1)
+    assert np.array_equal(problem.jacobian(x2), fresh)
+
+    buffer = x1.copy()
+    problem.residual(buffer)
+    buffer[:] = x2
+    assert np.array_equal(problem.jacobian(buffer), fresh)
+
+    problem.residual(x2)
+    assert np.array_equal(problem.jacobian(x2), fresh)
+
+
+def test_tone_calibration_plays_each_point_once(params, monkeypatch):
+    """Levenberg–Marquardt asks for the Jacobian at the point whose residual
+    it has just computed, so a capped calibration builds the spec and plays
+    its drive samples once per evaluated point, plus once for the final
+    phases: at most nfev + 1 times, not nfev + njev + 1."""
+    import scipy.optimize
+
+    import cavitysim.gates as gates
+
+    solutions, specs, plays = [], [], []
+    least_squares = scipy.optimize.least_squares
+
+    def capped(*args, **kwargs):
+        kwargs["max_nfev"] = 12
+        solutions.append(least_squares(*args, **kwargs))
+        return solutions[-1]
+
+    spec, drive_samples = _ToneCalibration.spec, gates._block_drive_samples
+
+    def counted_spec(self, x):
+        specs.append(1)
+        return spec(self, x)
+
+    def counted_samples(*args):
+        plays.append(1)
+        return drive_samples(*args)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", capped)
+    monkeypatch.setattr(_ToneCalibration, "spec", counted_spec)
+    monkeypatch.setattr(gates, "_block_drive_samples", counted_samples)
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 5})
+    cz_binomial(PulseBackend(params, layout))
+    (sol,) = solutions
+    assert sol.njev > 0
+    assert 0 < len(specs) <= sol.nfev + 1
+    assert 0 < len(plays) <= sol.nfev + 1
+
+
 def test_block_rotation_gradient_at_zero_detuning_and_zero_drive():
     """Block 0 has δ = 0 and samples 0, 17 and 299 have u = 0, so there
     ω = 0, where sin(ωdt)/ω and its derivative take their limits; sample 40
     has |u| = 2.5e-6, the smallest drive of the calibrated CZ.  The
-    derivatives are finite and match central differences of
-    `block_rotations` across several chunks of the scan and the sweep."""
+    Wirtinger pair A = ∂a/∂u, B = ∂a/∂ū of `BlockScan.gradient` is finite,
+    the same whether taken over all samples or in slices, and matches
+    central differences of `block_rotations` (∂a/∂Re u = A + B,
+    ∂a/∂Im u = i(A − B)) across several chunks of the scan."""
     delta = np.array([0.0, 0.013, -0.2])
     rng = np.random.default_rng(5)
     amps = 0.05 * (rng.normal(size=300) + 1j * rng.normal(size=300))
     amps[[0, 17, 299]] = 0.0
     amps[40] = 2.5e-6
-    g_re, g_im = block_rotation_gradient(delta, amps, SAMPLE_DT)
-    assert g_re.shape == g_im.shape == (3, 300)
-    assert np.all(np.isfinite(g_re)) and np.all(np.isfinite(g_im))
+    scan = BlockScan(delta, amps, SAMPLE_DT)
+    assert np.max(np.abs(scan.pa[:, -1] - block_rotations(delta, amps, SAMPLE_DT)[0])) < 1e-14
+    A, B = scan.gradient(slice(0, 300))
+    assert A.shape == B.shape == (3, 300)
+    assert np.all(np.isfinite(A)) and np.all(np.isfinite(B))
+    pieces = [scan.gradient(slice(i, j)) for i, j in ((0, 41), (41, 128), (128, 300))]
+    assert np.array_equal(np.concatenate([a for a, _ in pieces], axis=1), A)
+    assert np.array_equal(np.concatenate([b for _, b in pieces], axis=1), B)
     step = 1e-6
-    for t in (0, 17, 40, 123, 299):
-        for grad, direction in ((g_re, 1.0), (g_im, 1.0j)):
+    for t in (0, 17, 40, 63, 64, 123, 299):
+        for grad, direction in ((A[:, t] + B[:, t], 1.0), (1j * (A[:, t] - B[:, t]), 1.0j)):
             up, down = amps.copy(), amps.copy()
             up[t] += step * direction
             down[t] -= step * direction
             fd = (
                 block_rotations(delta, up, SAMPLE_DT)[0] - block_rotations(delta, down, SAMPLE_DT)[0]
             ) / (2 * step)
-            assert np.max(np.abs(grad[:, t] - fd)) < 1e-8
+            assert np.max(np.abs(grad - fd)) < 1e-8
 
 
 def test_cz_binomial_rejects_cavities_without_the_binomial_states(params):

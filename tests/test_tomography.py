@@ -261,6 +261,24 @@ def test_joint_wigner_rejects_a_repeated_factor():
         joint_wigner(psi, 0.0, 0.0, factors=(1, 1))
 
 
+@pytest.mark.parametrize("factor_index", [2, -1])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("wigner", lambda psi, k: wigner(psi, 0.1, factor_index=k)),
+        ("wigner_grid", lambda psi, k: wigner_grid(psi, k, [0.0, 0.5], [0.0])),
+    ],
+    ids=["wigner", "wigner_grid"],
+)
+def test_single_mode_wigner_names_a_bad_factor_index(name, call, factor_index):
+    """A factor index outside the state's factors is refused with an error
+    that names the function and the index, not the partial trace's."""
+    s = ModeSpec.bosonic(4)
+    psi = tensor([fock_ket(s, 0), fock_ket(s, 1)])
+    with pytest.raises(ValidationError, match=rf"^{name} needs a factor index in \[0, 2\); got {factor_index}$"):
+        call(psi, factor_index)
+
+
 def _three_factor_state():
     """A qubit and two cavities of unequal dims, entangled across all three."""
     rng = np.random.default_rng(29)
