@@ -8,11 +8,14 @@ parsed except the path options --config, --matrix, --probs and --output
 provenance, which records each input file by the sha256 of its text: the
 device configuration of the recipes and of grape-optimize's binomial-encode
 task, and readout-correct's --matrix and --probs.  Identical manifests
-produce byte-identical data files.  Only the seven recipe commands and
-grape-optimize read device parameters, so only they take --config; the
-pi-pulse task of grape-optimize refuses it.  Only grape-optimize (its start
-pulse) and readout-correct (its --shots sampling) draw random numbers, so
-only they take --seed.
+produce byte-identical data files at a fixed BLAS library and thread count,
+which the manifest does not record.  The decoherent commands are the ones
+seen to differ: zgate-repeat --mode pulse+decoherence writes different last
+digits under one and under two OpenBLAS threads.  Only the seven recipe
+commands and grape-optimize read device parameters, so only they take
+--config; the pi-pulse task of grape-optimize refuses it.  Only
+grape-optimize (its start pulse) and readout-correct (its --shots sampling)
+draw random numbers, so only they take --seed.
 
 Exit codes: 0 on success, 1 on validation/usage errors, 2 on numerical
 failure.
@@ -40,7 +43,7 @@ from cavitysim.experiments import (
     run_snap_bell,
     run_zgate_repetition,
 )
-from cavitysim.fock import ModeSpec, fock_ket, qubit_ket, recommended_dim
+from cavitysim.fock import CompositeSpace, ModeSpec, fock_ket, qubit_ket, recommended_dim
 from cavitysim.grape import TransferTask, binomial_encode_task, optimize
 from cavitysim.readout import (
     correct_readout,
@@ -370,7 +373,7 @@ def cmd_wigner(output_dir, dim, state, alpha, fock_n, extent, points):
         dim = 2 * fock_n + 2 if dim is None else dim
         ket = fock_ket(ModeSpec.bosonic(dim), fock_n)
     axis = np.linspace(-extent, extent, points)
-    values = wigner_grid(ket, 0, axis, axis)
+    values = wigner_grid(ket, CompositeSpace((ModeSpec.bosonic(dim),)), 0, axis, axis)
     rows = [(float(re), float(im), float(w)) for im, row in zip(axis, values) for re, w in zip(axis, row)]
     grid = {"re_axis": axis.tolist(), "im_axis": axis.tolist(), "values": values.tolist()}
     _write_outputs(output_dir, {"wigner": {"columns": ("re", "im", "w"), "rows": rows}}, grid, dim=dim)

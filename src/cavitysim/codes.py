@@ -9,36 +9,36 @@ orthonormalized (Löwdin) basis so that encoding is a genuine isometry.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from cavitysim.errors import ValidationError
-from cavitysim.fock import (
-    CompositeSpace,
-    Ket,
-    LinearOp,
-    ModeSpec,
-    coherent,
-    fock_ket,
-    recommended_dim,
-)
+from cavitysim.fock import ModeSpec, coherent, fock_ket, recommended_dim
 
 
 @dataclass(frozen=True)
 class Encoding:
-    """A pair of logical basis kets in one cavity mode."""
+    """A pair of logical code words in one cavity mode, as amplitude vectors.
+
+    `basis` is their Löwdin symmetric orthonormalization, a (dim, 2) array
+    whose columns are the orthonormal |0⟩_L and |1⟩_L: it treats both words
+    democratically and is the identity map when their overlap vanishes.
+    """
 
     name: str
     mode: ModeSpec
-    ket0: Ket
-    ket1: Ket
+    ket0: np.ndarray
+    ket1: np.ndarray
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for k in (self.ket0, self.ket1):
-            if abs(k.norm - 1.0) > 1e-10:
+            if np.shape(k) != (self.mode.dim,):
+                raise ValidationError(f"logical code words must have shape ({self.mode.dim},), got {np.shape(k)}")
+            if abs(np.linalg.norm(k) - 1.0) > 1e-10:
                 raise ValidationError("logical basis kets must be normalized")
-        s = abs(self.overlap)
+        s = abs(np.vdot(self.ket0, self.ket1))
         if s >= 1.0 - 1e-12:
             raise ValidationError("logical basis states are degenerate")
         if s >= 0.05:
@@ -47,23 +47,10 @@ class Encoding:
                 "assume quasiorthogonal basis states",
                 stacklevel=2,
             )
-
-    @property
-    def overlap(self) -> complex:
-        return self.ket0.overlap(self.ket1)
-
-    def orthonormal_basis(self) -> tuple[Ket, Ket]:
-        """Löwdin symmetric orthonormalization of (|0⟩_L, |1⟩_L).
-
-        Treats both basis states democratically and reduces to the identity
-        when the overlap vanishes.
-        """
-        v = np.stack([self.ket0.amplitudes, self.ket1.amplitudes])
-        gram = v.conj() @ v.T
-        w, u = np.linalg.eigh(gram)
+        v = np.stack([self.ket0, self.ket1])
+        w, u = np.linalg.eigh(v.conj() @ v.T)
         inv_sqrt = (u * (1.0 / np.sqrt(w))) @ u.conj().T
-        vt = inv_sqrt @ v
-        return (Ket(self.ket0.space, vt[0]), Ket(self.ket1.space, vt[1]))
+        object.__setattr__(self, "basis", (inv_sqrt @ v).T)
 
 
 def cat_encoding(alpha: complex, dim: int, variant: str = "symmetric") -> Encoding:
@@ -90,27 +77,19 @@ def binomial_encoding(dim: int) -> Encoding:
     if dim < 5:
         raise ValidationError("binomial encoding needs dim >= 5")
     spec = ModeSpec.bosonic(dim)
-    k0 = Ket(
-        CompositeSpace.single(spec),
-        (fock_ket(spec, 0).amplitudes + fock_ket(spec, 4).amplitudes) / np.sqrt(2.0),
-    )
+    k0 = (fock_ket(spec, 0) + fock_ket(spec, 4)) / np.sqrt(2.0)
     return Encoding("binomial", spec, k0, fock_ket(spec, 2))
 
 
-def logical_ket(enc: Encoding, c0: complex, c1: complex) -> Ket:
+def logical_ket(enc: Encoding, c0: complex, c1: complex) -> np.ndarray:
     """Normalized logical state c0|0⟩_L + c1|1⟩_L in the orthonormalized basis."""
     if c0 == 0 and c1 == 0:
         raise ValidationError("logical amplitudes may not both vanish")
-    b0, b1 = enc.orthonormal_basis()
-    v = c0 * b0.amplitudes + c1 * b1.amplitudes
-    return Ket(b0.space, v).normalized()
+    v = c0 * enc.basis[:, 0] + c1 * enc.basis[:, 1]
+    return v / float(np.linalg.norm(v))
 
 
-def qubit_cavity_space(enc: Encoding) -> CompositeSpace:
-    return CompositeSpace((ModeSpec.qubit(), enc.mode))
-
-
-def ideal_encoder(enc: Encoding) -> LinearOp:
+def ideal_encoder(enc: Encoding) -> np.ndarray:
     """Unitary on qubit⊗cavity mapping (c0|g⟩+c1|e⟩)|0⟩ → |g⟩(c0|0⟩_L+c1|1⟩_L).
 
     Only the two-dimensional input subspace is contractually constrained; the
@@ -119,14 +98,13 @@ def ideal_encoder(enc: Encoding) -> LinearOp:
     gate leaks out of the code space, so the encoded-qubit channels of the
     zgate and error-budget recipes depend on it.
     """
-    space = qubit_cavity_space(enc)
-    dim = space.dim
+    d = enc.mode.dim
+    dim = 2 * d
     # |g⟩ ⊗ the two orthonormalized basis states, then the standard basis
     # vectors in order, each kept if it is independent of the k columns
     # accepted before it
     q = np.zeros((dim, dim), dtype=complex)
-    for i, b in enumerate(enc.orthonormal_basis()):
-        q[: enc.mode.dim, i] = b.amplitudes
+    q[:d, :2] = enc.basis
     k = 2
     for e in np.eye(dim, dtype=complex):
         if k == dim:
@@ -138,7 +116,9 @@ def ideal_encoder(enc: Encoding) -> LinearOp:
             q[:, k] = e / n
             k += 1
     cols = np.zeros((dim, dim), dtype=complex)
-    code = [space.joint_index((0, 0)), space.joint_index((1, 0))]
+    code = [0, d]  # the joint indices of |g, 0⟩ and |e, 0⟩
     cols[:, code] = q[:, :2]
     cols[:, [i for i in range(dim) if i not in code]] = q[:, 2:]
-    return LinearOp(space, cols).assert_unitary(1e-9)
+    if np.max(np.abs(cols.conj().T @ cols - np.eye(dim))) >= 1e-9:
+        raise ValidationError("encoder is not unitary within tolerance")
+    return cols

@@ -67,7 +67,7 @@ from cavitysim.fock import DensityOp, Ket, LinearOp
 
 def __getattr__(name):
     # PEP 562: perfbench/tracer.py wraps `evolution.solve_ivp`, so bind it only on
-    # that request; it goes with the tracer change of ROADMAP item 7
+    # that request; it goes with the tracer change of ROADMAP item 1
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
 

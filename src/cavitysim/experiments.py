@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -33,9 +33,6 @@ from cavitysim.device import (
 from cavitysim.errors import ValidationError
 from cavitysim.evolution import standard_collapses
 from cavitysim.fock import (
-    CompositeSpace,
-    Ket,
-    LinearOp,
     apply_on_factor,
     coherent,
     displacement,
@@ -43,7 +40,6 @@ from cavitysim.fock import (
     partial_trace,
     qubit_ket,
     recommended_dim,
-    tensor,
 )
 from cavitysim.gates import (
     CANONICAL_DELTA_PHI,
@@ -147,14 +143,21 @@ def _provenance(config_hash: str, mode: str) -> dict:
     return {"config_hash": config_hash, "mode": mode}
 
 
-def _code_subspace_unitary(enc: Encoding, u2: np.ndarray) -> LinearOp:
+def _code_subspace_unitary(enc: Encoding, u2: np.ndarray) -> np.ndarray:
     """Cavity unitary acting as u2 on the orthonormal code basis, identity on
     the complement."""
-    b0, b1 = enc.orthonormal_basis()
-    basis = np.stack([b0.amplitudes, b1.amplitudes], axis=1)  # dim x 2
+    basis = enc.basis
     p = basis @ basis.conj().T
     m = basis @ u2 @ basis.conj().T + (np.eye(enc.mode.dim) - p)
-    return LinearOp(CompositeSpace.single(enc.mode), m).assert_unitary(1e-8)
+    if np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) >= 1e-8:
+        raise ValidationError("code-subspace operator is not unitary within tolerance")
+    return m
+
+
+def _purities(psi: np.ndarray, layout: SystemLayout) -> list:
+    """Tr ρ² of the reduced states of the two cavities, factors 1 and 2."""
+    rhos = (partial_trace(psi, layout.space.dims, [i]) for i in (1, 2))
+    return [float(np.real(np.trace(r @ r))) for r in rhos]
 
 
 def _backend(mode: str, params: DeviceParams, layout: SystemLayout, compensate: bool = True):
@@ -208,8 +211,8 @@ def _code_basis(enc: Encoding, n: int) -> np.ndarray:
     """The (dim, 2ⁿ) product basis of `enc`'s orthonormal code words in n
     cavities, with the qubit, the first factor, in |g⟩."""
     g = np.array([1.0, 0.0], dtype=complex)
-    words = itertools.product(enc.orthonormal_basis(), repeat=n)
-    return np.stack([np.kron(g, tensor(w).amplitudes) for w in words], axis=1)
+    words = itertools.product(enc.basis.T, repeat=n)
+    return np.stack([np.kron(g, reduce(np.kron, w)) for w in words], axis=1)
 
 
 def _encoder_columns(enc: Encoding) -> np.ndarray:
@@ -217,7 +220,7 @@ def _encoder_columns(enc: Encoding) -> np.ndarray:
     level n, shape (cavity dim, dim, 2): they decode as E†, then a trace over
     the cavity.  What leaks out of the code space is decoded by the arbitrary
     Gram–Schmidt completion of E, on which the zgate and budget numbers rest."""
-    e = ideal_encoder(enc).matrix
+    e = ideal_encoder(enc)
     return e.reshape(len(e), 2, enc.mode.dim).transpose(2, 0, 1)
 
 
@@ -268,7 +271,7 @@ def run_parity_sweep(
     dim = recommended_dim(extent)
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": dim})
     enc = cat_encoding(alpha, dim, variant="shifted")
-    psi0 = tensor([qubit_ket(0), logical_ket(enc, 1.0, 1.0)])
+    psi0 = np.kron(qubit_ket(0), logical_ket(enc, 1.0, 1.0))
     read_out = displacement(-alpha * np.exp(1j * delta), layout.mode("S1"))
     # (−1)^n on the joint basis |q, n⟩ (qubit factor first)
     parity = np.tile((-1.0) ** np.arange(dim), 2)
@@ -278,7 +281,7 @@ def run_parity_sweep(
     worst = 0.0
     for phi in phis:
         spec = single_cavity_phase_gate(float(phi), enc, params, epsilon=epsilon)
-        out = backend.apply(psi0.amplitudes, spec)
+        out = backend.apply(psi0, spec)
         x = apply_on_factor(read_out, layout.index["S1"], layout.space, out)
         p = float(np.real(np.vdot(x, parity * x)))
         law = float(np.cos(np.pi + phi))
@@ -454,31 +457,27 @@ def run_bell_generation(
     params, cfg_hash = load_config(config_text)
     backend, spec, make_encoding = _cz(encoding, params, mode, alpha)
     layout, enc = backend.layout, make_encoding()
-    plus = logical_ket(enc, 1.0, 1.0)
-    x = backend.apply(tensor([qubit_ket(0), plus, plus]).amplitudes, spec)
+    g, plus = qubit_ket(0), logical_ket(enc, 1.0, 1.0)
+    psi = backend.apply(reduce(np.kron, (g, plus, plus)), spec)
     # rotate CZ|++⟩ into (|01⟩_L + |10⟩_L)/√2: Hadamard on cavity 2, X on 1
     for label, u2 in (("S2", _HADAMARD), ("S1", _X)):
-        x = apply_on_factor(_code_subspace_unitary(enc, u2), layout.index[label], layout.space, x)
-    psi = Ket(layout.space, x)
+        psi = apply_on_factor(_code_subspace_unitary(enc, u2), layout.index[label], layout.space, psi)
 
-    b0, b1 = enc.orthonormal_basis()
-    bell = Ket(
-        psi.space,
-        (tensor([qubit_ket(0), b0, b1]).amplitudes + tensor([qubit_ket(0), b1, b0]).amplitudes)
-        / np.sqrt(2.0),
-    )
-    fid = abs(psi.overlap(bell)) ** 2
-    rho1 = partial_trace(psi, [1])
-    rho2 = partial_trace(psi, [2])
+    b0, b1 = enc.basis.T
+    bell = (reduce(np.kron, (g, b0, b1)) + reduce(np.kron, (g, b1, b0))) / np.sqrt(2.0)
+    fid = abs(np.vdot(psi, bell)) ** 2
+    purity1, purity2 = _purities(psi, layout)
 
     xs = np.linspace(-2.5, 2.5, 21)
-    w_diag, w_antidiag = (joint_wigner(psi, xs, s * xs, factors=(1, 2)).tolist() for s in (1, -1))
+    w_diag, w_antidiag = (
+        joint_wigner(psi, layout.space, xs, s * xs, factors=(1, 2)).tolist() for s in (1, -1)
+    )
     cut_rows = tuple(zip(xs.tolist(), w_diag, w_antidiag))
     tol = 1e-8 if mode == "ideal" and encoding == "binomial" else 0.05
     summary = {
         "bell_fidelity": Scalar(float(fid), tol),
-        "purity_cavity_1": Scalar(float(rho1.purity()), 0.05),
-        "purity_cavity_2": Scalar(float(rho2.purity()), 0.05),
+        "purity_cavity_1": Scalar(purity1, 0.05),
+        "purity_cavity_2": Scalar(purity2, 0.05),
         "measured_bell_fidelity_reference": Scalar(
             REFERENCE_FIDELITIES["bell_binomial"], reference=True
         ),
@@ -491,26 +490,14 @@ def run_bell_generation(
     }
     if encoding == "cat":
         # entangled four-component structure after CZ on plain |++⟩_c
-        comp = {
-            s: coherent(s1 * alpha, layout.mode("S1")).amplitudes
-            for s, s1 in (("p", 1.0), ("m", -1.0))
-        }
-        raw_plus = Ket(
-            CompositeSpace.single(layout.mode("S1")), comp["p"] + comp["m"]
-        ).normalized()
-        psi_raw = tensor([qubit_ket(0), raw_plus, raw_plus])
-        psi_raw = Ket(layout.space, backend.apply(psi_raw.amplitudes, spec))
-        four = (
-            np.kron(comp["p"], comp["p"])
-            + np.kron(comp["p"], comp["m"])
-            + np.kron(comp["m"], comp["p"])
-            - np.kron(comp["m"], comp["m"])
-        )
-        target = Ket(
-            psi.space, np.kron(np.array([1.0, 0.0]), four)
-        ).normalized()
+        p, m = (coherent(s * alpha, layout.mode("S1")) for s in (1.0, -1.0))
+        raw_plus = (p + m) / float(np.linalg.norm(p + m))
+        psi_raw = backend.apply(reduce(np.kron, (g, raw_plus, raw_plus)), spec)
+        four = np.kron(p, p) + np.kron(p, m) + np.kron(m, p) - np.kron(m, m)
+        target = np.kron(np.array([1.0, 0.0]), four)
+        target = target / float(np.linalg.norm(target))
         summary["four_component_overlap"] = Scalar(
-            float(abs(psi_raw.overlap(target)) ** 2), 0.05
+            float(abs(np.vdot(psi_raw, target)) ** 2), 0.05
         )
     return ExperimentResult(
         name="bell-generation",
@@ -533,8 +520,12 @@ def run_error_budget(
     """Infidelity decomposition of the single-cavity phase gate by toggling
     error sources: encode/decode, drive selectivity, Kerr, decoherence.
 
-    Each row is the infidelity added by enabling that source alone; the total
-    row is the jointly simulated pipeline with everything enabled.
+    Each row is the infidelity its source adds to the pipeline of the rows
+    above it: `selectivity` is f_ideal − f_selectivity, the Kerr-free pulse;
+    `kerr` is f_selectivity − f_pulse, Kerr on top of selectivity; and
+    `decoherence` is f_pulse − f_total, the collapses on top of the whole
+    closed pulse.  Those three rows are clamped at 0.  The total row is the
+    jointly simulated pipeline with everything enabled.
     """
     params, cfg_hash = load_config(config_text)
     layout, enc, spec, ideal_u = _phase_gate(gate, params, alpha)
@@ -598,31 +589,23 @@ def run_snap_bell(
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": dim, "S2": dim})
     spec = snap_bell(sign)
     backend = _backend(mode, params, layout)
-    vac = tensor(
-        [
-            qubit_ket(0),
-            fock_ket(layout.mode("S1"), 0),
-            fock_ket(layout.mode("S2"), 0),
-        ]
-    )
-    out = Ket(layout.space, backend.apply(vac.amplitudes, spec))
+
+    def basis_state(n1, n2):
+        """|g; n1, n2⟩."""
+        s1, s2 = (fock_ket(layout.mode(c), n) for c, n in (("S1", n1), ("S2", n2)))
+        return reduce(np.kron, (qubit_ket(0), s1, s2))
+
+    out = backend.apply(basis_state(0, 0), spec)
 
     def bell_ket(s):
-        v01 = tensor(
-            [qubit_ket(0), fock_ket(layout.mode("S1"), 0), fock_ket(layout.mode("S2"), 1)]
-        )
-        v10 = tensor(
-            [qubit_ket(0), fock_ket(layout.mode("S1"), 1), fock_ket(layout.mode("S2"), 0)]
-        )
-        return Ket(vac.space, (v01.amplitudes + s * v10.amplitudes) / np.sqrt(2.0))
+        return (basis_state(0, 1) + s * basis_state(1, 0)) / np.sqrt(2.0)
 
-    fid = abs(out.overlap(bell_ket(sign))) ** 2
-    cross = abs(out.overlap(bell_ket(-sign))) ** 2
-    rho1 = partial_trace(out, [1])
-    rho2 = partial_trace(out, [2])
+    fid = abs(np.vdot(out, bell_ket(sign))) ** 2
+    cross = abs(np.vdot(out, bell_ket(-sign))) ** 2
+    purity1, purity2 = _purities(out, layout)
 
     xs = np.linspace(-1.7, 1.7, 21)
-    w1, w2 = (wigner(out, xs, factor_index=i).tolist() for i in (1, 2))
+    w1, w2 = (wigner(out, layout.space, xs, factor_index=i).tolist() for i in (1, 2))
     wigner_rows = tuple(zip(xs.tolist(), w1, w2))
     return ExperimentResult(
         name="snap-bell",
@@ -636,8 +619,8 @@ def run_snap_bell(
         summary={
             "bell_fidelity": Scalar(float(fid), 0.05),
             "cross_fidelity": Scalar(float(cross), 0.05),
-            "purity_cavity_1": Scalar(float(rho1.purity()), 0.1),
-            "purity_cavity_2": Scalar(float(rho2.purity()), 0.1),
+            "purity_cavity_1": Scalar(purity1, 0.1),
+            "purity_cavity_2": Scalar(purity2, 0.1),
         },
         provenance=_provenance(cfg_hash, mode),
     )

@@ -1,8 +1,12 @@
 """Complex linear algebra over truncated bosonic modes and two-level systems.
 
-All objects are dense and immutable after construction.  A composite Hilbert
-space is an ordered tensor product of factors; the convention throughout the
-package is qubits first, then cavities, so joint indices read |qubit...; n1, n2⟩.
+A state is a complex ndarray over the joint basis: a (dim,) amplitude vector
+or a (dim, dim) density matrix, and an operator is a dense complex matrix.
+A composite Hilbert space is an ordered tensor product of factors; the
+convention throughout the package is qubits first, then cavities, so joint
+indices read |qubit...; n1, n2⟩.  `Ket`, `DensityOp` and `LinearOp` are
+validated (space, array) records, handed only to the evolution kernels and
+the lift that perfbench/tracer.py observes.
 """
 
 from __future__ import annotations
@@ -65,14 +69,6 @@ class CompositeSpace:
     def n_factors(self) -> int:
         return len(self.factors)
 
-    def joint_index(self, indices) -> int:
-        """Flat index of the basis state with the given per-factor indices."""
-        return int(np.ravel_multi_index(tuple(indices), self.dims))
-
-    @staticmethod
-    def single(spec: ModeSpec) -> "CompositeSpace":
-        return CompositeSpace((spec,))
-
 
 def _check_same_space(a, b):
     if a.space != b.space:
@@ -95,17 +91,8 @@ class LinearOp:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def dag(self) -> "LinearOp":
-        return LinearOp(self.space, self.matrix.conj().T)
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return np.max(np.abs(self.matrix - self.matrix.conj().T)) < tol
-
-    def assert_unitary(self, tol: float = 1e-8) -> "LinearOp":
-        d = self.matrix.conj().T @ self.matrix - np.eye(self.space.dim)
-        if np.max(np.abs(d)) >= tol:
-            raise ValidationError("operator is not unitary within tolerance")
-        return self
 
     def __matmul__(self, other):
         if isinstance(other, LinearOp):
@@ -137,20 +124,6 @@ class Ket:
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "Ket":
-        n = self.norm
-        if n == 0:
-            raise ValidationError("cannot normalize the zero vector")
-        return Ket(self.space, self.amplitudes / n)
-
-    def overlap(self, other: "Ket") -> complex:
-        _check_same_space(self, other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityOp:
@@ -166,9 +139,6 @@ class DensityOp:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 # ---------------------------------------------------------------------------
 # Mode operators
@@ -177,20 +147,6 @@ class DensityOp:
 def _require_bosonic(spec: ModeSpec):
     if spec.kind != BOSONIC:
         raise ValidationError("operation requires a bosonic mode")
-
-
-def annihilation(spec: ModeSpec) -> LinearOp:
-    """Ladder operator a with ⟨n−1|a|n⟩ = √n on the truncated space."""
-    _require_bosonic(spec)
-    m = np.diag(np.sqrt(np.arange(1, spec.dim, dtype=float)), k=1)
-    return LinearOp(CompositeSpace.single(spec), m.astype(complex))
-
-
-def number_op(spec: ModeSpec) -> LinearOp:
-    _require_bosonic(spec)
-    return LinearOp(
-        CompositeSpace.single(spec), np.diag(np.arange(spec.dim)).astype(complex)
-    )
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +159,7 @@ def _displacement_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def displacement(alpha: complex, spec: ModeSpec) -> LinearOp:
+def displacement(alpha: complex, spec: ModeSpec) -> np.ndarray:
     """D(α) = exp(α a† − α* a), the exact exponential of the truncated generator.
 
     With α = |α|e^{iθ} and R(θ) = diag(e^{iθn}), the generator is
@@ -222,10 +178,10 @@ def displacement(alpha: complex, spec: ModeSpec) -> LinearOp:
         )
     w, v = _displacement_eigenbasis(spec.dim)
     rv = np.exp(1j * np.angle(alpha) * np.arange(spec.dim))[:, None] * v
-    return LinearOp(CompositeSpace.single(spec), (rv * np.exp(-1j * abs(alpha) * w)) @ rv.conj().T)
+    return (rv * np.exp(-1j * abs(alpha) * w)) @ rv.conj().T
 
 
-def coherent(alpha: complex, spec: ModeSpec) -> Ket:
+def coherent(alpha: complex, spec: ModeSpec) -> np.ndarray:
     """Coherent state |α⟩, renormalized after truncation."""
     _require_bosonic(spec)
     n = np.arange(spec.dim)
@@ -239,27 +195,22 @@ def coherent(alpha: complex, spec: ModeSpec) -> Ket:
             + n * np.log(complex(alpha))
             - 0.5 * log_fact
         )
-    return Ket(CompositeSpace.single(spec), amps).normalized()
+    norm = float(np.linalg.norm(amps))
+    if norm == 0:  # every amplitude underflows: |α| is far outside the truncation
+        raise ValidationError(f"coherent state of |alpha| = {abs(alpha):.3g} vanishes on truncation dim {spec.dim}")
+    return amps / norm
 
 
-def fock_ket(spec: ModeSpec, n: int) -> Ket:
+def fock_ket(spec: ModeSpec, n: int) -> np.ndarray:
     if not 0 <= n < spec.dim:
         raise ValidationError(f"Fock level {n} outside truncation 0..{spec.dim - 1}")
     v = np.zeros(spec.dim, dtype=complex)
     v[n] = 1.0
-    return Ket(CompositeSpace.single(spec), v)
+    return v
 
 
-def qubit_ket(excited: bool = False) -> Ket:
-    v = np.array([0.0, 1.0] if excited else [1.0, 0.0], dtype=complex)
-    return Ket(CompositeSpace.single(ModeSpec.qubit()), v)
-
-
-def sigma_plus() -> LinearOp:
-    """|e⟩⟨g| on a two-level mode (ground state is index 0)."""
-    m = np.zeros((2, 2), dtype=complex)
-    m[1, 0] = 1.0
-    return LinearOp(CompositeSpace.single(ModeSpec.qubit()), m)
+def qubit_ket(excited: bool = False) -> np.ndarray:
+    return np.array([0.0, 1.0] if excited else [1.0, 0.0], dtype=complex)
 
 
 def recommended_dim(alpha_max: float) -> int:
@@ -274,17 +225,6 @@ def recommended_dim(alpha_max: float) -> int:
 # Composite-space plumbing
 
 
-def tensor(kets) -> Ket:
-    """Kronecker product of kets, in the declared factor order."""
-    kets = list(kets)
-    if not kets:
-        raise ValidationError("tensor of an empty list")
-    if not all(isinstance(k, Ket) for k in kets):
-        raise ValidationError("tensor takes kets only")
-    space = CompositeSpace(tuple(f for k in kets for f in k.space.factors))
-    return Ket(space, reduce(np.kron, (k.amplitudes for k in kets)))
-
-
 def embed(op: LinearOp, factor_index: int, space: CompositeSpace) -> LinearOp:
     """Lift a single-factor operator to the composite space (identity elsewhere)."""
     if not 0 <= factor_index < space.n_factors:
@@ -296,7 +236,7 @@ def embed(op: LinearOp, factor_index: int, space: CompositeSpace) -> LinearOp:
         )
     parts = [
         op if i == factor_index
-        else LinearOp.identity(CompositeSpace.single(f))
+        else LinearOp.identity(CompositeSpace((f,)))
         for i, f in enumerate(space.factors)
     ]
     m = reduce(np.kron, (p.matrix for p in parts))
@@ -304,11 +244,12 @@ def embed(op: LinearOp, factor_index: int, space: CompositeSpace) -> LinearOp:
 
 
 def apply_on_factor(
-    op: LinearOp, factor_index: int, space: CompositeSpace, x: np.ndarray
+    m: np.ndarray, factor_index: int, space: CompositeSpace, x: np.ndarray
 ) -> np.ndarray:
-    """embed(op, factor_index, space).matrix @ x, without forming the lift.
+    """The single-factor matrix m, lifted to `space`, applied to x, without
+    forming the lift.
 
-    x is a state vector of shape (dim,) or a stack of them, (dim, k); op acts
+    x is a state vector of shape (dim,) or a stack of them, (dim, k); m acts
     on the factor's axis of x reshaped to the factor dims, one product per
     state, so a stack's columns equal its states pushed one at a time, bit
     for bit.
@@ -316,47 +257,29 @@ def apply_on_factor(
     if not 0 <= factor_index < space.n_factors:
         raise ValidationError("factor index out of range")
     dims = space.dims
-    if op.space.dim != dims[factor_index]:
+    if m.shape != (dims[factor_index],) * 2:
         raise ValidationError(
-            f"operator dim {op.space.dim} does not match factor dim {dims[factor_index]}"
+            f"operator shape {m.shape} does not match factor dim {dims[factor_index]}"
         )
     v = np.moveaxis(x.reshape(dims + (-1,)), (-1, factor_index), (0, 1))
-    out = op.matrix @ v.reshape(len(v), dims[factor_index], -1)
+    out = m @ v.reshape(len(v), dims[factor_index], -1)
     return np.moveaxis(out.reshape(v.shape), (0, 1), (-1, factor_index)).reshape(x.shape)
 
 
-def expectation(state: Ket, op: LinearOp) -> complex:
-    """⟨ψ|A|ψ⟩ of a ket."""
-    if not isinstance(state, Ket):
-        raise ValidationError("state must be a Ket")
-    _check_same_space(state, op)
-    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+def partial_trace(psi: np.ndarray, dims, keep) -> np.ndarray:
+    """Reduced density matrix over the kept factor indices, in the order
+    given, of the pure state psi on factors of dims `dims`.
 
-
-def partial_trace(rho, keep) -> DensityOp:
-    """Reduced density operator over the kept factor indices, in the order given.
-
-    For a Ket the reduced state is M M†, with M the amplitude tensor reshaped
-    to (kept, traced) indices; the full outer product is never formed.
+    It is M M†, with M the amplitude tensor reshaped to (kept, traced)
+    indices; the full outer product is never formed.
     """
-    keep = list(keep)
-    n = rho.space.n_factors
-    if any(k < 0 or k >= n for k in keep):
+    keep, dims = list(keep), tuple(dims)
+    if any(k < 0 or k >= len(dims) for k in keep):
         raise ValidationError("invalid factor indices in partial trace")
     if len(set(keep)) != len(keep):
         raise ValidationError(f"duplicate factor indices {keep} in partial trace")
-    dims = rho.space.dims
-    sub = CompositeSpace(tuple(rho.space.factors[k] for k in keep))
-    if isinstance(rho, Ket):
-        m = np.moveaxis(rho.amplitudes.reshape(dims), keep, range(len(keep)))
-        m = m.reshape(sub.dim, -1)
-        return DensityOp(sub, m @ m.conj().T)
-    t = rho.matrix.reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    # trace highest-numbered factors first so lower axis numbers stay valid
-    for i in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
-    # the kept axes are left in ascending factor order; put them in keep's
-    rank = [sorted(keep).index(k) for k in keep]
-    t = t.transpose(rank + [r + len(keep) for r in rank])
-    return DensityOp(sub, t.reshape(sub.dim, sub.dim))
+    if np.shape(psi) != (math.prod(dims),):
+        raise ValidationError(f"a state on factors of dims {dims} has shape ({math.prod(dims)},), got {np.shape(psi)}")
+    m = np.moveaxis(psi.reshape(dims), keep, range(len(keep)))
+    m = m.reshape(math.prod(dims[k] for k in keep), -1)
+    return m @ m.conj().T

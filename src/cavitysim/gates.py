@@ -48,14 +48,7 @@ from cavitysim.evolution import (
     lindblad_evolve,
     qubit_blocks,
 )
-from cavitysim.fock import (
-    DensityOp,
-    Ket,
-    apply_on_factor,
-    displacement,
-    expectation,
-    number_op,
-)
+from cavitysim.fock import DensityOp, Ket, apply_on_factor, displacement
 
 #: Axis-angle offsets realizing the standard single-cavity phase gates via
 #: gamma = pi + dphi.
@@ -445,7 +438,8 @@ def single_cavity_phase_gate(
     """
     if enc.name != "shifted-cat":
         raise ValidationError("single-cavity phase gates require a shifted-cat encoding")
-    nbar = float(np.real(expectation(enc.ket0, number_op(enc.mode))))
+    # n̄ = Σ n|c_n|² of the displaced component |2α⟩
+    nbar = float(np.real(np.vdot(enc.ket0, np.arange(enc.mode.dim) * enc.ket0)))
     gap = nbar * params.chi[("S1", "Q1")]
     if epsilon is None:
         epsilon = gap / 20.0

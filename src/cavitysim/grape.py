@@ -41,7 +41,7 @@ import numpy as np
 from cavitysim.codes import binomial_encoding, logical_ket
 from cavitysim.device import DeviceParams, SystemLayout, levels, static_hamiltonian
 from cavitysim.errors import ValidationError
-from cavitysim.fock import Ket, annihilation, fock_ket, qubit_ket, sigma_plus, tensor
+from cavitysim.fock import fock_ket, qubit_ket
 
 DEFAULT_AMPLITUDE_BOUND = 2.0 * np.pi * 50e-3  # |amplitude| cap: 50 MHz in rad/ns
 
@@ -52,20 +52,30 @@ _DT = 1.0
 def control_operator(layout: SystemLayout, label: str) -> np.ndarray:
     """Dense raising-type control O of a drive on `label`: ½σ⁺ for a qubit,
     a† for a cavity.  A step amplitude u contributes u·O + ū·O† to the
-    Hamiltonian."""
-    if layout.is_qubit(label):
-        return 0.5 * layout.lift(sigma_plus(), label).matrix
-    return layout.lift(annihilation(layout.mode(label)).dag(), label).matrix
+    Hamiltonian.
+
+    Built from the level numbers, as the Lindblad dissipator is: O maps the
+    joint basis state j, at level n of `label`, to the state j + stride at
+    level n + 1, with amplitude ½ on a qubit and √(n + 1) on a cavity, and
+    the top level to 0.  It is complex, as the lifted ½σ⁺ and a† were, so
+    every product it enters rounds as theirs did.
+    """
+    dims, axis = layout.space.dims, layout.index[label]
+    n = np.broadcast_to(levels(layout)[label], dims).ravel()
+    stride = int(np.prod(dims[axis + 1 :]))
+    amp = np.where(n < dims[axis] - 1, 0.5 if layout.is_qubit(label) else np.sqrt(n + 1.0), 0.0)
+    return np.diag(amp[:-stride], k=-stride).astype(complex)
 
 
 @dataclass(frozen=True)
 class TransferTask:
     """Ensemble of state-transfer pairs plus the controlled system.
 
-    H0 is the static Hamiltonian as its real (dim,) energy vector.  channels
-    lists the layout labels the optimizer drives; each label's control is
-    its `control_operator` O, and a complex amplitude u contributes
-    u·O + ū·O† to the Hamiltonian of its step of _DT ns.
+    Each pair is (init, target), two normalized amplitude vectors on the
+    layout's space.  H0 is the static Hamiltonian as its real (dim,) energy
+    vector.  channels lists the layout labels the optimizer drives; each
+    label's control is its `control_operator` O, and a complex amplitude u
+    contributes u·O + ū·O† to the Hamiltonian of its step of _DT ns.
     """
 
     pairs: tuple
@@ -75,7 +85,7 @@ class TransferTask:
     n_steps: int
 
     def __post_init__(self):
-        space, dim = self.layout.space, self.layout.space.dim
+        dim = self.layout.space.dim
         h0 = np.asarray(self.H0)
         if h0.shape != (dim,) or np.iscomplexobj(h0):
             raise ValidationError(
@@ -93,9 +103,9 @@ class TransferTask:
             raise ValidationError("transfer task needs at least one state pair")
         for init, target in self.pairs:
             for k in (init, target):
-                if not isinstance(k, Ket) or k.space != space:
-                    raise ValidationError("all states must be kets on the layout's space")
-                if abs(k.norm - 1.0) > 1e-9:
+                if np.shape(k) != (dim,):
+                    raise ValidationError(f"all states must be amplitude vectors of shape ({dim},), got {np.shape(k)}")
+                if abs(np.linalg.norm(k) - 1.0) > 1e-9:
                     raise ValidationError("all states must be normalized")
         if self.n_steps < 1:
             raise ValidationError("n_steps must be >= 1")
@@ -122,12 +132,8 @@ def binomial_encode_task(params: DeviceParams, dim: int, n_steps: int) -> Transf
     vac = fock_ket(layout.mode("S1"), 0)
 
     def pair(c0, c1):
-        init = Ket(
-            layout.space,
-            c0 * tensor([g, vac]).amplitudes + c1 * tensor([e, vac]).amplitudes,
-        ).normalized()
-        cav = logical_ket(enc, c0, c1)
-        return (init, tensor([g, Ket(vac.space, cav.amplitudes)]))
+        init = c0 * np.kron(g, vac) + c1 * np.kron(e, vac)
+        return (init / float(np.linalg.norm(init)), np.kron(g, logical_ket(enc, c0, c1)))
 
     return TransferTask(
         pairs=(pair(1.0, 0.0), pair(0.0, 1.0), pair(1.0, 1.0), pair(1.0, 1.0j)),
@@ -185,11 +191,11 @@ def _forward(amps: np.ndarray, task: TransferTask):
     ops = np.array(task.control_operators())
     grids, dims = levels(task.layout), task.layout.space.dims
     n_c = np.array([np.broadcast_to(grids[c], dims).ravel() for c in task.channels])  # (channels, d)
-    targ = np.stack([p[1].amplitudes for p in task.pairs], axis=1)
+    targ = np.stack([p[1] for p in task.pairs], axis=1)
     w = np.empty((n, d))
     v = np.empty((n, d, d), dtype=complex)
     fwd = np.empty((n + 1, d, len(task.pairs)), dtype=complex)
-    fwd[0] = np.stack([p[0].amplitudes for p in task.pairs], axis=1)
+    fwd[0] = np.stack([p[0] for p in task.pairs], axis=1)
     for s, e in _chunks(n, d):
         drive = np.tensordot(np.abs(amps[:, s:e]).T, ops.real, axes=1)  # Σ_c |u_c| O_c per step
         w[s:e], r = np.linalg.eigh(h0 + drive + drive.transpose(0, 2, 1))

@@ -525,6 +525,21 @@ def test_wigner_refuses_an_extent_that_is_not_positive(tmp_path, capsys, extent)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("state", ["cat", "fock"])
+def test_wigner_is_zero_far_out_in_phase_space(tmp_path, state):
+    """At --extent 1e20 every point off the origin lies where each element of
+    D(2β)Π carries e^{−2|β|²}: it writes 0, the correctly rounded value (it
+    wrote nan), and the origin keeps its value."""
+    out = tmp_path / "w"
+    assert main(["wigner", "--state", state, "--extent", "1e20", "--points", "3", "-o", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    values = np.array(result["values"])
+    assert np.all(np.isfinite(values))
+    assert np.count_nonzero(values) == 1 and values[1, 1] != 0
+    rows = list(csv.reader((out / "wigner.csv").read_text().splitlines()))[1:]
+    assert [float(w) for *_, w in rows] == values.ravel().tolist()
+
+
 def test_write_json_writes_the_bytes_of_json_dump(tmp_path):
     """The one-call writer matches `json.dump` streamed to the file plus a
     newline, on nested tables, numpy scalars and arrays."""

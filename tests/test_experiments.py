@@ -23,7 +23,7 @@ from cavitysim.experiments import (
     run_zgate_repetition,
 )
 from cavitysim.evolution import standard_collapses
-from cavitysim.fock import DensityOp, Ket, partial_trace, recommended_dim, tensor
+from cavitysim.fock import partial_trace, recommended_dim
 from cavitysim.gates import (
     IdealBackend,
     PulseBackend,
@@ -32,6 +32,8 @@ from cavitysim.gates import (
     single_cavity_phase_gate,
 )
 from cavitysim.tomography import pauli_transfer
+
+from oracles import partial_trace_density, tensor
 
 
 def test_scalar_requires_tolerance_unless_reference():
@@ -203,10 +205,10 @@ def _eigenvector_channel(layout, enc_u, backend, spec, m):
             w, v = np.linalg.eigh(rho_q)
             for i in range(2):
                 if w[i] > 1e-12:
-                    x = enc_u.matrix @ np.kron(v[:, i], vac)
+                    x = enc_u @ np.kron(v[:, i], vac)
                     for _ in range(m):
                         x = backend.apply(x, spec)
-                    out += w[i] * partial_trace(Ket(layout.space, enc_u.matrix.conj().T @ x), [0]).matrix
+                    out += w[i] * partial_trace(enc_u.conj().T @ x, layout.space.dims, [0])
         return outs
 
     return process
@@ -250,7 +252,7 @@ def _encoder_trace_oracle(layout, enc_u, backend, spec, m, collapses=None):
     with E†, and trace out the cavity."""
     dim = layout.space.dim
     vac = np.outer(np.eye(dim // 2)[0], np.eye(dim // 2)[0])
-    e = enc_u.matrix
+    e = enc_u
     u = backend.apply(np.eye(dim, dtype=complex), spec)
 
     def one(rho_q):
@@ -260,7 +262,7 @@ def _encoder_trace_oracle(layout, enc_u, backend, spec, m, collapses=None):
                 rho = u @ rho @ u.conj().T
         else:
             rho = backend.apply_density(rho, spec, collapses)
-        return partial_trace(DensityOp(layout.space, e.conj().T @ rho @ e), [0]).matrix
+        return partial_trace_density(e.conj().T @ rho @ e, layout.space.dims, [0])
 
     return lambda rhos: np.array([one(rho_q) for rho_q in rhos])
 
@@ -280,7 +282,7 @@ def test_grouped_decode_matches_encoder_then_partial_trace(gate, mode, m):
     collapses = standard_collapses(params, layout) if decohere else None
     code, decode = _code_basis(enc, 1), _encoder_columns(enc)
     assert decode.shape == (enc.mode.dim, layout.space.dim, 2)
-    assert np.array_equal(code, ideal_encoder(enc).matrix[:, [0, enc.mode.dim]])
+    assert np.array_equal(code, ideal_encoder(enc)[:, [0, enc.mode.dim]])
     channel = realized_logical_map(backend, spec, code, decode, collapses)(m)
     oracle = _encoder_trace_oracle(layout, ideal_encoder(enc), backend, spec, m, collapses)
     gaps = []
@@ -308,8 +310,8 @@ def test_code_projection_reproduces_qpt_pulse_ptm(gate):
         backend, spec, encoding = _cz("cat", params, "pulse", alpha)
         enc, n = encoding(), 2
     g = np.array([1.0, 0.0], dtype=complex)
-    words = itertools.product(enc.orthonormal_basis(), repeat=n)
-    code = np.stack([np.kron(g, tensor(w).amplitudes) for w in words], axis=1)
+    words = itertools.product(enc.basis.T, repeat=n)
+    code = np.stack([np.kron(g, tensor(w)) for w in words], axis=1)
     ptm = pauli_transfer(realized_logical_map(backend, spec, code, code[None])(1), n)
     rows = run_qpt(gate, mode="pulse").tables["ptm"]["rows"]
     assert [v for _, _, v in rows] == ptm.ravel().tolist()

@@ -17,20 +17,7 @@ from cavitysim.evolution import (
     segment_propagator,
 )
 from cavitysim.errors import ValidationError
-from cavitysim.fock import (
-    CompositeSpace,
-    DensityOp,
-    Ket,
-    LinearOp,
-    displacement,
-    expectation,
-    fock_ket,
-    number_op,
-    partial_trace,
-    qubit_ket,
-    sigma_plus,
-    tensor,
-)
+from cavitysim.fock import Ket, LinearOp, displacement, fock_ket, partial_trace, qubit_ket
 from cavitysim.gates import (
     CANONICAL_DELTA_PHI,
     ConditionalRotation,
@@ -67,7 +54,17 @@ from cavitysim.tomography import (
     unitary_transfer,
 )
 
-from oracles import density, parity_op, projector
+from oracles import (
+    density,
+    expectation,
+    joint_index,
+    lift,
+    normalized,
+    number_op,
+    parity_op,
+    sigma_plus,
+    tensor,
+)
 
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
@@ -85,26 +82,30 @@ def _rotation(qubit, phi, theta, eps, condition):
 def dense_conditional_rotation(layout, step):
     """Oracle: exp(−i T H) of the lifted dense conditional drive
     H = (ε/2) e^{iφ} |e⟩⟨g| ⊗ P_cond + h.c., by eigendecomposition."""
-    proj = LinearOp.identity(layout.space)
+    proj = np.eye(layout.space.dim)
     for label, n in step.condition:
-        proj = proj @ layout.lift(projector(fock_ket(layout.mode(label), n)), label)
+        proj = proj @ lift(density(fock_ket(layout.mode(label), n)), layout.index[label], layout.space)
     term = (0.5 * step.epsilon * np.exp(1j * step.phi_axis)) * (
-        layout.lift(sigma_plus(), step.qubit) @ proj
-    ).matrix
-    return segment_propagator(LinearOp(layout.space, term + term.conj().T), step.duration)
+        lift(sigma_plus(), layout.index[step.qubit], layout.space) @ proj
+    )
+    return segment_propagator(LinearOp(layout.space, term + term.conj().T), step.duration).matrix
 
 
 def ideal_unitary(layout, spec):
-    """The gate on the ideal backend as a LinearOp: the identity pushed
+    """The gate on the ideal backend as a matrix: the identity pushed
     through `IdealBackend.apply`."""
     eye = np.eye(layout.space.dim, dtype=complex)
-    return LinearOp(layout.space, IdealBackend(layout).apply(eye, spec))
+    return IdealBackend(layout).apply(eye, spec)
+
+
+def _assert_unitary(u, tol=1e-9):
+    assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) < tol
 
 
 def code_columns(logical_kets):
     """The (dim, 4) code basis: each cavity ket with the qubit, the first
     factor, in |g⟩."""
-    return np.stack([np.kron([1.0, 0.0], lk.amplitudes) for lk in logical_kets], axis=1)
+    return np.stack([np.kron([1.0, 0.0], lk) for lk in logical_kets], axis=1)
 
 
 def accumulated_phase_table(u, layout):
@@ -114,8 +115,8 @@ def accumulated_phase_table(u, layout):
     for idx in np.ndindex(*layout.space.dims):
         if any(idx[layout.index[q]] != 0 for q in layout.qubit_labels()):
             continue
-        flat = layout.space.joint_index(idx)
-        amp = u.matrix[flat, flat]
+        flat = joint_index(layout.space, idx)
+        amp = u[flat, flat]
         key = tuple(idx[layout.index[c]] for c in cavs)
         table[key] = float(np.angle(amp)) if abs(amp) > 1e-12 else 0.0
     return table
@@ -213,21 +214,32 @@ def test_conditional_rotation_selectivity_guards(params):
         warnings.simplefilter("error")
         spec = single_cavity_phase_gate(0.0, enc, params, epsilon=gap / 15.0)
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 32})
-    ideal_unitary(layout, spec).assert_unitary(1e-9)
+    _assert_unitary(ideal_unitary(layout, spec))
     for step in spec.steps:
         assert abs(step.duration - np.pi / (gap / 15.0)) < 1e-12
+
+
+def test_phase_gate_reads_nbar_from_the_level_numbers(params):
+    """The default drive is a twentieth of the code splitting n̄χ, with n̄ =
+    Σ n|c_n|² of the displaced component: the same bits as ⟨2α|a†a|2α⟩ by
+    the dense number operator."""
+    enc = cat_encoding(np.sqrt(2.0), 30, variant="shifted")
+    nbar = float(np.real(expectation(enc.ket0, number_op(enc.mode))))
+    assert abs(nbar - 8.0) < 1e-6
+    spec = single_cavity_phase_gate(0.0, enc, params)
+    assert all(step.epsilon == nbar * params.chi[("S1", "Q1")] / 20.0 for step in spec.steps)
 
 
 def test_ideal_conditional_pi_flip_and_2pi_sign():
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 4})
     backend = IdealBackend(layout)
     pi = _rotation("Q1", 0.0, np.pi, 0.01, (("S1", 0),))
-    vac = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0)]).amplitudes
+    vac = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0)])
     out = backend.apply(vac, pi)
-    assert abs(abs(out[layout.space.joint_index((1, 0))]) - 1.0) < 1e-10
+    assert abs(abs(out[joint_index(layout.space, (1, 0))]) - 1.0) < 1e-10
     two_pi = _rotation("Q1", 0.7, 2 * np.pi, 0.01, (("S1", 0),))
     assert abs(np.vdot(backend.apply(vac, two_pi), vac) + 1.0) < 1e-10
-    two = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 2)]).amplitudes
+    two = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 2)])
     assert abs(np.vdot(backend.apply(two, two_pi), two) - 1.0) < 1e-12
 
 
@@ -261,8 +273,8 @@ def test_phase_gate_requires_shifted_cat(params):
 
 def _reduced_parity(psi, layout, label):
     """Photon-number parity of cavity `label`: Tr(ρ P) of its reduced state."""
-    rho = partial_trace(psi, [layout.index[label]]).matrix
-    return float(np.real(np.trace(rho @ parity_op(layout.mode(label)).matrix)))
+    rho = partial_trace(psi, layout.space.dims, [layout.index[label]])
+    return float(np.real(np.trace(rho @ parity_op(layout.mode(label)))))
 
 
 def test_phase_gate_parity_reversal_fock_level(params):
@@ -272,16 +284,12 @@ def test_phase_gate_parity_reversal_fock_level(params):
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 30})
     backend = IdealBackend(layout)
     spec = single_cavity_phase_gate(0.0, enc, params)
-    raw = enc.ket0.amplitudes + enc.ket1.amplitudes
-    psi_cav = Ket(enc.ket0.space, raw).normalized()
-    psi = tensor([qubit_ket(False), psi_cav])
-    from cavitysim.fock import displacement
-
-    recombine = layout.lift(displacement(-alpha, layout.mode("S1")), "S1")
+    psi = tensor([qubit_ket(False), normalized(enc.ket0 + enc.ket1)])
+    recombine = lift(displacement(-alpha, layout.mode("S1")), layout.index["S1"], layout.space)
 
     before = recombine @ psi
     p_before = _reduced_parity(before, layout, "S1")
-    after = recombine @ Ket(layout.space, backend.apply(psi.amplitudes, spec))
+    after = recombine @ backend.apply(psi, spec)
     p_after = _reduced_parity(after, layout, "S1")
     assert p_before > 0.8
     assert p_after < -0.8
@@ -292,14 +300,11 @@ def test_phase_gate_parity_law_sweep(params):
     enc = cat_encoding(alpha, 30, variant="shifted")
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 30})
     backend = IdealBackend(layout)
-    raw = enc.ket0.amplitudes + enc.ket1.amplitudes
-    psi = tensor([qubit_ket(False), Ket(enc.ket0.space, raw).normalized()])
-    from cavitysim.fock import displacement
-
-    recombine = layout.lift(displacement(-alpha, layout.mode("S1")), "S1")
+    psi = tensor([qubit_ket(False), normalized(enc.ket0 + enc.ket1)])
+    recombine = lift(displacement(-alpha, layout.mode("S1")), layout.index["S1"], layout.space)
     for dphi in np.linspace(0, 2 * np.pi, 8, endpoint=False):
-        out = backend.apply(psi.amplitudes, single_cavity_phase_gate(dphi, enc, params))
-        out = recombine @ Ket(layout.space, out)
+        out = backend.apply(psi, single_cavity_phase_gate(dphi, enc, params))
+        out = recombine @ out
         p = _reduced_parity(out, layout, "S1")
         assert abs(p - np.cos(np.pi + dphi)) < 0.2
 
@@ -376,12 +381,10 @@ def test_cz_coherent_conditional_parity_flip(params):
     backend = IdealBackend(layout)
     spec = cz_coherent(alpha, params)
     enc = cat_encoding(alpha, 30)
-    even = Ket(
-        enc.ket0.space, enc.ket0.amplitudes + enc.ket1.amplitudes
-    ).normalized()
+    even = normalized(enc.ket0 + enc.ket1)
     for control, expected in ((enc.ket1, -1.0), (enc.ket0, +1.0)):
         psi = tensor([qubit_ket(False), control, even])
-        out = Ket(layout.space, backend.apply(psi.amplitudes, spec))
+        out = backend.apply(psi, spec)
         p = _reduced_parity(out, layout, "S2")
         assert abs(p - expected) < 0.1
 
@@ -391,8 +394,7 @@ def test_gate_norm_preserved(params):
     backend = IdealBackend(layout)
     rng = np.random.default_rng(4)
     v = rng.normal(size=layout.space.dim) + 1j * rng.normal(size=layout.space.dim)
-    psi = Ket(layout.space, v).normalized()
-    out = backend.apply(psi.amplitudes, cz_coherent(1.0, params))
+    out = backend.apply(normalized(v), cz_coherent(1.0, params))
     assert abs(np.linalg.norm(out) - 1.0) < 1e-8
 
 
@@ -414,10 +416,10 @@ def test_ideal_backend_matches_dense_conditional_rotation(condition):
     u = dense_conditional_rotation(layout, spec.steps[0])
     rng = np.random.default_rng(8)
     v = rng.normal(size=layout.space.dim) + 1j * rng.normal(size=layout.space.dim)
-    psi = Ket(layout.space, v).normalized()
+    psi = normalized(v)
     backend = IdealBackend(layout)
-    assert np.max(np.abs(backend.apply(psi.amplitudes, spec) - (u @ psi).amplitudes)) < 1e-12
-    assert np.max(np.abs(ideal_unitary(layout, spec).matrix - u.matrix)) < 1e-12
+    assert np.max(np.abs(backend.apply(psi, spec) - u @ psi)) < 1e-12
+    assert np.max(np.abs(ideal_unitary(layout, spec) - u)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -430,7 +432,7 @@ def test_ideal_backend_rejects_invalid_condition(driven, condition):
     psi = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0), fock_ket(layout.mode("S2"), 0)])
     spec = GateSpec("r", (ConditionalRotation(driven, 0.0, np.pi, 0.01, condition),))
     with pytest.raises(ValidationError):
-        IdealBackend(layout).apply(psi.amplitudes, spec)
+        IdealBackend(layout).apply(psi, spec)
 
 
 def test_gaussian_flattop_envelope():
@@ -454,9 +456,9 @@ def test_pulse_conditional_rotation_leakage_bound(params):
         spec = GateSpec(
             "cr", (ConditionalRotation("Q1", 0.0, np.pi, eps, (("S1", 0),)),)
         )
-        out = backend.apply(psi4.amplitudes, spec)
+        out = backend.apply(psi4, spec)
         pe = sum(
-            abs(out[layout.space.joint_index((1, n))]) ** 2
+            abs(out[joint_index(layout.space, (1, n))]) ** 2
             for n in range(6)
         )
         assert pe <= (eps / delta) ** 2 * 1.1
@@ -470,8 +472,8 @@ def test_pulse_conditional_rotation_on_condition(params):
         "cr", (ConditionalRotation("Q1", 0.0, np.pi, chi / 10, (("S1", 0),)),)
     )
     psi0 = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0)])
-    out = backend.apply(psi0.amplitudes, spec)
-    pe = abs(out[layout.space.joint_index((1, 0))]) ** 2
+    out = backend.apply(psi0, spec)
+    pe = abs(out[joint_index(layout.space, (1, 0))]) ** 2
     assert pe > 1 - 1e-6
 
 
@@ -483,7 +485,7 @@ def test_cz_coherent_pulse_process_fidelity(params):
     backend = PulseBackend(params, layout, compensate=True)
 
     enc = cat_encoding(alpha, dim)
-    b0, b1 = enc.orthonormal_basis()
+    b0, b1 = enc.basis.T
     logical = [tensor([a, b]) for a in (b0, b1) for b in (b0, b1)]
 
     code = code_columns(logical)
@@ -516,12 +518,10 @@ def test_cz_binomial_ideal_entangles():
     spec = cz_binomial_ideal()
     backend = IdealBackend(layout)
     enc = binomial_encoding(7)
-    plus = Ket(
-        enc.ket0.space, (enc.ket0.amplitudes + enc.ket1.amplitudes)
-    ).normalized()
-    out = backend.apply(tensor([qubit_ket(False), plus, plus]).amplitudes, spec)
-    rho1 = partial_trace(Ket(layout.space, out), [1])
-    ev = np.clip(np.linalg.eigvalsh(rho1.matrix), 1e-16, None)
+    plus = normalized(enc.ket0 + enc.ket1)
+    out = backend.apply(tensor([qubit_ket(False), plus, plus]), spec)
+    rho1 = partial_trace(out, layout.space.dims, [1])
+    ev = np.clip(np.linalg.eigvalsh(rho1), 1e-16, None)
     entropy = -float(np.sum(ev * np.log2(ev)))
     assert abs(entropy - 1.0) < 0.02
 
@@ -825,7 +825,7 @@ def test_blockwise_propagator_matches_full_evolution(params, dense_play):
     spec = problem.spec(problem.x0)
     blocks = joint_block_unitaries(spec, backend)
     cols = [
-        layout.space.joint_index((q, j, k)) for j, k in blocks for q in (0, 1)
+        joint_index(layout.space, (q, j, k)) for j, k in blocks for q in (0, 1)
     ]
     u = np.eye(layout.space.dim, dtype=complex)[:, cols]
     for kind, pulse in backend._segments(spec):
@@ -843,17 +843,15 @@ def test_snap_bell_fidelity():
         [qubit_ket(False), fock_ket(layout.mode("S1"), 0), fock_ket(layout.mode("S2"), 0)]
     )
     for sign in (+1, -1):
-        out = Ket(layout.space, backend.apply(vac.amplitudes, snap_bell(sign)))
+        out = backend.apply(vac, snap_bell(sign))
         v01 = tensor(
             [qubit_ket(False), fock_ket(layout.mode("S1"), 0), fock_ket(layout.mode("S2"), 1)]
         )
         v10 = tensor(
             [qubit_ket(False), fock_ket(layout.mode("S1"), 1), fock_ket(layout.mode("S2"), 0)]
         )
-        target = Ket(
-            vac.space, (v01.amplitudes + sign * v10.amplitudes) / np.sqrt(2)
-        )
-        fid = abs(out.overlap(target)) ** 2
+        target = (v01 + sign * v10) / np.sqrt(2)
+        fid = abs(np.vdot(out, target)) ** 2
         assert fid >= 0.95
 
 
@@ -863,11 +861,11 @@ def test_snap_bell_reduced_states_are_mixed():
     vac = tensor(
         [qubit_ket(False), fock_ket(layout.mode("S1"), 0), fock_ket(layout.mode("S2"), 0)]
     )
-    out = Ket(layout.space, backend.apply(vac.amplitudes, snap_bell(+1)))
+    out = backend.apply(vac, snap_bell(+1))
     for idx in (1, 2):
-        rho = partial_trace(out, [idx])
-        assert rho.purity() < 0.8
-        pops = np.real(np.diag(rho.matrix))
+        rho = partial_trace(out, layout.space.dims, [idx])
+        assert np.real(np.trace(rho @ rho)) < 0.8
+        pops = np.real(np.diag(rho))
         assert pops[0] + pops[1] > 0.9
 
 
@@ -903,12 +901,12 @@ def dense_gate_unitary(dense_play, layout, spec, params=None, compensate=True):
     t = 0.0
     for step in spec.steps:
         if isinstance(step, Displacement):
-            d = layout.lift(displacement(step.alpha, layout.mode(step.label)), step.label)
-            u = d.matrix @ u
+            d = lift(displacement(step.alpha, layout.mode(step.label)), layout.index[step.label], space)
+            u = d @ u
             continue
         if params is None:
             if isinstance(step, ConditionalRotation):
-                u = dense_conditional_rotation(layout, step).matrix @ u
+                u = dense_conditional_rotation(layout, step) @ u
             continue
         amps = _drive_samples(step, params, t)
         u = dense_play(u, h0, PulseSequence(step.qubit, amps, SAMPLE_DT), layout)
@@ -924,8 +922,7 @@ def dense_gate_unitary(dense_play, layout, spec, params=None, compensate=True):
             n = np.arange(1, mode.dim)
             chi = params.chi[(cavity, step.qubit)]
             theta = np.concatenate([[0.0], step.epsilon**2 * step.duration / (4 * n * chi)])
-            stark = LinearOp(CompositeSpace.single(mode), np.diag(np.exp(1j * theta)))
-            u = layout.lift(stark, cavity).matrix @ u
+            u = lift(np.diag(np.exp(1j * theta)), layout.index[cavity], space) @ u
     return u
 
 

@@ -7,13 +7,15 @@ import scipy.optimize
 from cavitysim import grape
 from cavitysim.device import SystemLayout, levels, load_params, default_config_text, static_hamiltonian
 from cavitysim.errors import ValidationError
-from cavitysim.fock import CompositeSpace, Ket, LinearOp, ModeSpec, fock_ket, qubit_ket, tensor
+from cavitysim.fock import CompositeSpace, LinearOp, ModeSpec, fock_ket, qubit_ket
 from cavitysim.grape import (
     DEFAULT_AMPLITUDE_BOUND,
     OptimizerReport,
     TransferTask,
     optimize,
 )
+
+from oracles import annihilation, lift, normalized, sigma_plus, tensor
 
 
 def _qubit_task(n_steps=50):
@@ -66,8 +68,8 @@ def _fidelity(amps, task):
 
 def _dense_fidelity(dense_evolve, amps, task):
     """Reference: |(1/K) Σ_k ⟨target_k|U|init_k⟩|², U by the dense oracle."""
-    ins = np.stack([p[0].amplitudes for p in task.pairs], axis=1)
-    targets = np.stack([p[1].amplitudes for p in task.pairs], axis=1)
+    ins = np.stack([p[0] for p in task.pairs], axis=1)
+    targets = np.stack([p[1] for p in task.pairs], axis=1)
     channels = dict(zip(task.channels, amps))
     out = dense_evolve(ins, task.H0, channels, grape._DT, task.layout)
     return float(abs(np.mean(np.sum(targets.conj() * out, axis=0))) ** 2)
@@ -93,7 +95,7 @@ def test_fidelity_invariant_under_global_target_phase():
     phase = np.exp(0.7j)
     rotated = TransferTask(
         pairs=tuple(
-            (i, Ket(t.space, phase * t.amplitudes)) for i, t in task.pairs
+            (i, phase * t) for i, t in task.pairs
         ),
         H0=task.H0,
         layout=task.layout,
@@ -146,7 +148,7 @@ def test_gradient_vanishes_at_unit_fidelity():
         ("H0", np.zeros(2, dtype=complex), "energy vector"),
         ("H0", np.zeros(3), "energy vector"),
         ("H0", np.zeros((2, 2)), "energy vector"),
-        ("H0", LinearOp(CompositeSpace.single(ModeSpec.qubit()), np.zeros((2, 2))), "energy vector"),
+        ("H0", LinearOp(CompositeSpace((ModeSpec.qubit(),)), np.zeros((2, 2))), "energy vector"),
         ("channels", (), "at least one drive channel"),
         ("channels", ("S1",), "not a label of the layout"),
         ("channels", ("Q1", "Q1"), "'Q1' is listed more than once"),
@@ -207,17 +209,10 @@ def test_fidelity_invariant_under_commuting_rotation():
     # rotation by a cavity-number phase commutes with the dispersive H0 and
     # with the qubit-only drive
     cav = task.layout.mode("S1")
-    number_phase = LinearOp(
-        CompositeSpace.single(cav),
-        np.diag(np.exp(0.31j * np.arange(cav.dim))).astype(complex),
-    )
-    v = task.layout.lift(number_phase, "S1")
-    vmat = v.matrix
+    number_phase = np.diag(np.exp(0.31j * np.arange(cav.dim)))
+    vmat = lift(number_phase, task.layout.index["S1"], task.layout.space)
     rotated = TransferTask(
-        pairs=tuple(
-            (Ket(i.space, vmat @ i.amplitudes), Ket(t.space, vmat @ t.amplitudes))
-            for i, t in task.pairs
-        ),
+        pairs=tuple((vmat @ i, vmat @ t) for i, t in task.pairs),
         H0=task.H0,
         layout=task.layout,
         channels=("Q1",),
@@ -231,7 +226,7 @@ def test_fidelity_invariant_under_commuting_rotation():
         n_steps=task.n_steps,
     )
     assert abs(_fidelity(pulse, rotated) - _fidelity(pulse, base)) < 1e-12
-    assert v.assert_unitary(1e-9)
+    assert np.max(np.abs(vmat.conj().T @ vmat - np.eye(len(vmat)))) < 1e-9
 
 
 def test_rediscretization_consistency():
@@ -282,8 +277,8 @@ def _per_step_fidelity_and_gradient(amps, task):
     """Reference: one eigh, one Loewner matrix and one V†OV per step."""
     ops = task.control_operators()
     dt, k = grape._DT, len(task.pairs)
-    psi = np.stack([p[0].amplitudes for p in task.pairs], axis=1)
-    targ = np.stack([p[1].amplitudes for p in task.pairs], axis=1)
+    psi = np.stack([p[0] for p in task.pairs], axis=1)
+    targ = np.stack([p[1] for p in task.pairs], axis=1)
     fwd, eigs = [psi], []
     for j in range(task.n_steps):
         h = np.diag(task.H0).astype(complex)
@@ -339,7 +334,7 @@ def _three_mode_task(n_steps=12):
 
     def ket():
         amps = rng.standard_normal(layout.space.dim) + 1j * rng.standard_normal(layout.space.dim)
-        return Ket(layout.space, amps).normalized()
+        return normalized(amps)
 
     return TransferTask(
         pairs=((ket(), ket()), (ket(), ket())),
@@ -451,3 +446,35 @@ def test_optimize_rejects_negative_max_iters():
 def test_optimize_rejects_non_finite_target(target):
     with pytest.raises(ValidationError):
         optimize(_qubit_task(n_steps=5), max_iters=500, target_fidelity=target, seed=0)
+
+
+@pytest.mark.parametrize("qubits, cavities", [(["Q1"], []), (["Q3"], ["S1", "S2"]), ([], ["S1"])], ids=["qubit", "three-mode", "cavity"])
+def test_control_operators_are_the_lifted_ladder_operators(qubits, cavities):
+    """Built from the level numbers, each control equals the dense lift of
+    ½σ⁺ or a† bit for bit, and is complex, as the lift was."""
+    layout = SystemLayout.build(qubits, cavities, {"S1": 3, "S2": 4})
+    for label, i in layout.index.items():
+        local = 0.5 * sigma_plus() if layout.is_qubit(label) else annihilation(layout.mode(label)).conj().T
+        op = grape.control_operator(layout, label)
+        assert op.dtype == complex
+        assert np.array_equal(op, lift(local, i, layout.space))
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((np.ones(3) / np.sqrt(3), np.array([0.0, 1.0])), "shape"),
+        ((np.array([1.0, 0.0]), np.array([[0.0, 1.0]])), "shape"),
+        ((np.array([1.0, 1.0]), np.array([0.0, 1.0])), "normalized"),
+    ],
+    ids=["init-length", "target-2d", "unnormalized"],
+)
+def test_transfer_task_refuses_pairs_it_cannot_transfer(pair, message):
+    with pytest.raises(ValidationError, match=message):
+        TransferTask(
+            pairs=(pair,),
+            H0=np.zeros(2),
+            layout=SystemLayout.build(["Q1"], [], {}),
+            channels=("Q1",),
+            n_steps=4,
+        )

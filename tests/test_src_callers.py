@@ -20,6 +20,10 @@ builds nothing.  An attribute reached through an imported module, such as
 `np.trace` or `np.linalg.norm`, names nothing of src.  A private
 module-level function, class or constant (one leading underscore) must be
 named somewhere in src/ outside its own statement too.
+
+The same parse keeps the (space, array) records `Ket`, `DensityOp` and
+`LinearOp` where perfbench/tracer.py reads them: everywhere else a state or
+operator is a plain ndarray.
 """
 
 import ast
@@ -40,6 +44,10 @@ ALLOWED = {
         "per-sample oracle is a product of it"
     ),
     "AssignmentMatrix.inverse": "perfbench/workloads.py reads it for the readout error bars",
+    "SystemLayout.lift": (
+        "perfbench/tracer.py's METHODS wraps it for its device.SystemLayout.lift span; "
+        "GRAPE builds its controls from the level numbers"
+    ),
 }
 
 
@@ -211,6 +219,53 @@ def test_every_private_module_level_name_is_used():
     private, unused = _unreferenced_private()
     assert private, "the guard found no private names to check"
     assert not unused, f"private names with no reference in src/: {unused}"
+
+
+#: the (space, array) records that perfbench/tracer.py reads
+RECORDS = ("Ket", "DensityOp", "LinearOp")
+#: the modules that may name them: the records' own, the two kernels that
+#: the tracer reads `.space` from, the backend that hands the kernels their
+#: records, and the layout whose `lift` the tracer wraps
+RECORD_MODULES = ("fock", "evolution", "gates", "device")
+
+
+def test_states_are_arrays_outside_the_traced_layers():
+    """A state or operator is a complex ndarray in every module the tracer
+    does not read one from: no other module imports or names a record."""
+    named = []
+    for module, tree in _modules():
+        if module not in RECORD_MODULES:
+            names = _referenced(tree, _imported_modules(tree))
+            named += [f"{module}: {r}" for r in RECORDS if names[r]]
+    assert not named, f"records named outside {RECORD_MODULES}: {named}"
+
+
+def _scopes(tree):
+    """(label, node) of each top-level statement, a class's statements as
+    `Class.name`: the unit a record may be built in."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield f"{node.name}.{getattr(item, 'name', '<body>')}", item
+        else:
+            yield getattr(node, "name", "<module>"), node
+
+
+def test_gates_builds_records_only_where_the_tracer_reads_them():
+    """In gates, only the two loops that hand `evolve_pulse` a Ket and
+    `lindblad_evolve` a DensityOp, one column or input at a time, build a
+    record; everything else there pushes arrays."""
+    tree = dict(_modules())["gates"]
+    builders = {
+        label
+        for label, node in _scopes(tree)
+        if any(_built(node)[r] for r in RECORDS)
+    }
+    assert builders == {"PulseBackend.apply", "PulseBackend.apply_density"}
+    built = collections.Counter()
+    for _, node in _scopes(tree):
+        built += _built(node)
+    assert not built["LinearOp"]
 
 
 #: defaulted parameters kept although no src call passes them, each with the reason
