@@ -18,7 +18,8 @@ grape-optimize (its start pulse) and readout-correct (its --shots sampling)
 draw random numbers, so only they take --seed.
 
 Exit codes: 0 on success, 1 on validation/usage errors, 2 on numerical
-failure.
+failure, an allocation that fails among them (a parity sweep whose tiny
+--epsilon asks for petabytes of drive samples).
 """
 
 from __future__ import annotations
@@ -542,6 +543,7 @@ def main(argv=None) -> int:
         np.linalg.LinAlgError,
         FloatingPointError,
         ArithmeticError,
+        MemoryError,
     ) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         return 2

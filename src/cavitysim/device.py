@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cavitysim.errors import ValidationError
-from cavitysim.fock import CompositeSpace, LinearOp, ModeSpec, embed
+from cavitysim.fock import CompositeSpace, ModeSpec, apply_on_factor
 
 MHZ = 2.0 * math.pi * 1e-3  # chi/2pi in MHz -> rad/ns
 US = 1e3  # us -> ns
@@ -171,29 +171,30 @@ class SystemLayout:
     def cavity_labels(self):
         return [l for l in self.index if not self.is_qubit(l)]
 
-    def lift(self, op: LinearOp, label: str) -> LinearOp:
-        return embed(op, self.index[label], self.space)
+    def lift(self, m: np.ndarray, label: str) -> np.ndarray:
+        """The single-factor matrix m of `label` as a dense matrix on the space."""
+        return apply_on_factor(m, self.index[label], self.space, np.eye(self.space.dim, dtype=complex))
 
 
 def levels(layout: SystemLayout) -> dict:
-    """Level number n of each label on the joint basis: the factor's
-    np.arange(d), shaped to broadcast along its own axis.  For a qubit it is
-    the |e⟩ population, for a cavity the photon number.  The static energies,
-    the Lindblad generator's dissipative part and its coherence-order
-    sectors (`evolution`) are functions of these grids."""
-    grids = np.indices(layout.space.dims, sparse=True)
-    return {label: grids[i] for label, i in layout.index.items()}
+    """Level number n of each label on the joint basis, as a (dim,) vector:
+    for a qubit the |e⟩ population, for a cavity the photon number.  The
+    static energies, the conditions and phases of the gates, the GRAPE
+    controls, and the Lindblad generator's dissipative part and its
+    coherence-order sectors (`evolution`) are functions of these vectors."""
+    n = np.indices(layout.space.dims).reshape(layout.space.n_factors, -1)
+    return {label: n[i] for label, i in layout.index.items()}
 
 
 def _minus_cavity_terms(diag: np.ndarray, params: DeviceParams, n: dict) -> np.ndarray:
-    """diag − Σ (K_i/2) n_i(n_i − 1) − χ_12 n_1 n_2, flattened to (dim,)."""
+    """diag − Σ (K_i/2) n_i(n_i − 1) − χ_12 n_1 n_2, all (dim,) vectors."""
     for cav, K in params.kerr.items():
         if cav in n:
             diag -= 0.5 * K * n[cav] * (n[cav] - 1.0)
     cavs = [c for c in CAVITY_LABELS if c in n]
     if len(cavs) == 2:
         diag -= params.cross_kerr * n[cavs[0]] * n[cavs[1]]
-    return diag.reshape(-1)
+    return diag
 
 
 def static_hamiltonian(params: DeviceParams, layout: SystemLayout) -> np.ndarray:
@@ -201,11 +202,11 @@ def static_hamiltonian(params: DeviceParams, layout: SystemLayout) -> np.ndarray
 
     H = − Σ χ_{si,qj} |e_j⟩⟨e_j| n_i − Σ (K_i/2) a†a†aa − χ_12 n_1 n_2,
     restricted to the labels present in the layout.  Every term is diagonal
-    in the joint Fock basis, so H is held as its diagonal, broadcast from the
-    per-factor level numbers.
+    in the joint Fock basis, so H is held as its diagonal, a function of the
+    level numbers.
     """
     n = levels(layout)
-    diag = np.zeros(layout.space.dims)
+    diag = np.zeros(layout.space.dim)
     for (cav, qub), chi in params.chi.items():
         if cav in n and qub in n:
             diag -= chi * n[qub] * n[cav]
@@ -218,5 +219,5 @@ def cavity_static_diag(params: DeviceParams, layout: SystemLayout) -> np.ndarray
     These phases are deterministic and qubit-independent; the decoding step
     compensates them exactly.
     """
-    return _minus_cavity_terms(np.zeros(layout.space.dims), params, levels(layout))
+    return _minus_cavity_terms(np.zeros(layout.space.dim), params, levels(layout))
 

@@ -18,6 +18,9 @@ one rotation per block and run, and `apply_block_rotations` applies them on
 the qubit axis; `evolve_pulse`, the ideal conditional rotations (and through
 them the component-level logical map `gates.component_logical_unitary`) and
 the binomial-CZ block calibration all run through these functions.
+A state and a density matrix may each be a stack (a `Ket` of a (dim, k)
+array, a `DensityOp` of a (k, dim, dim) array), so a gate plays each pulse
+once for all the columns or inputs it carries.
 `BlockScan` plays a drive sample by sample, keeping every prefix product:
 the binomial-CZ tone calibration reads its residual from the last and its
 exact Jacobian from `BlockScan.gradient`, one pass per point.
@@ -381,7 +384,7 @@ def evolve_pulse(
     state: Ket, H0: np.ndarray, pulse: PulseSequence, layout: SystemLayout
 ) -> Ket:
     """Apply the exact piecewise-constant propagator of diag(H0) + the drive
-    of one qubit.
+    of one qubit to a state, or to each column of a (dim, k) stack.
 
     H0 is the static Hamiltonian as its real (dim,) energy vector.  The
     Hamiltonian is c_j I + [[δ_j, ū/2], [u/2, −δ_j]] in each g/e block j of
@@ -415,7 +418,7 @@ def _coherence_sectors(layout: SystemLayout, qubit: str):
     key = np.zeros((dim, dim), dtype=int)
     for label, n in levels(layout).items():
         if label != qubit:
-            d, n = dims[layout.index[label]], np.broadcast_to(n, dims).reshape(-1)
+            d = dims[layout.index[label]]
             key = key * (2 * d - 1) + np.subtract.outer(n, n) + (d - 1)
     order = np.argsort(key.reshape(-1), kind="stable")
     flip = np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)  # ρ_ij -> ρ_ji
@@ -442,7 +445,7 @@ def _sector_generators(h0, collapses, layout: SystemLayout, qubit: str, u: compl
     """
     dims, dim = layout.space.dims, layout.space.dim
     grids = {
-        label: (np.broadcast_to(n, dims).reshape(-1), int(np.prod(dims[layout.index[label] + 1 :])))
+        label: (n, int(np.prod(dims[layout.index[label] + 1 :])))
         for label, n in levels(layout).items()
     }
     q, sq = grids[qubit]
@@ -490,8 +493,9 @@ class LindbladPropagators:
         self._cache = {}
 
     def apply(self, y: np.ndarray, qubit: str, u: complex, span: float) -> np.ndarray:
-        """exp(𝓛 span) vec(ρ) for the vectorization y of a Hermitian ρ, with
-        `qubit` driven by the constant sample u."""
+        """exp(𝓛 span) vec(ρ) for the vectorization y of a Hermitian ρ, or
+        for each column of a (dim², k) stack of them, with `qubit` driven by
+        the constant sample u."""
         key = (qubit, u, span)
         blocks = self._cache.get(key)
         if blocks is None:
@@ -513,7 +517,8 @@ class LindbladPropagators:
 def lindblad_evolve(
     rho: DensityOp, pulse: PulseSequence, propagators: LindbladPropagators
 ) -> DensityOp:
-    """Evolve ρ under dρ/dt = −i[H,ρ] + Σ (L ρ L† − ½{L†L, ρ}).
+    """Evolve ρ, or each of a (k, dim, dim) stack, under
+    dρ/dt = −i[H,ρ] + Σ (L ρ L† − ½{L†L, ρ}).
 
     H is diag(H0) + the qubit drive of `pulse`, piecewise constant at sample
     boundaries; `propagators` holds H0, the layout and the collapse set, and
@@ -524,25 +529,28 @@ def lindblad_evolve(
     (`_runs`), of length τ, is then one exact step
     vec(ρ) ← exp(𝓛 τ) vec(ρ), with 𝓛 in the row-major convention of the
     module docstring, formed per coherence-order sector C (see
-    `LindbladPropagators`): Σ|C|³ work per distinct run.
+    `LindbladPropagators`): Σ|C|³ work per distinct run.  A stack is
+    vectorized as (dim², k) columns, so each run's propagator acts on all
+    of them in one product.
 
     Raises ValidationError when ρ is on another space than the propagators'
     layout or the pulse drives no qubit of it, and NumericalError if the
-    result is not finite or its trace drifts from 1 by more than 1e-6 (the
-    map is trace-preserving).
+    result is not finite or the trace of any ρ drifts from 1 by more than
+    1e-6 (the map is trace-preserving).
     """
     _check_drive(rho.space, pulse, propagators.layout)
 
     m = rho.matrix
-    y = (0.5 * (m + m.conj().T)).reshape(-1)
+    stack = m.reshape((-1,) + m.shape[-2:])
+    y = (0.5 * (stack + stack.conj().swapaxes(-1, -2))).reshape(len(stack), -1).T
     for u, n in zip(*_runs(pulse.samples)):
         y = propagators.apply(y, pulse.qubit, u, n * pulse.dt)
 
-    m = y.reshape(rho.matrix.shape)
-    m = 0.5 * (m + m.conj().T)
-    if not np.all(np.isfinite(m)):
+    stack = y.T.reshape(stack.shape)
+    stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    if not np.all(np.isfinite(stack)):
         raise NumericalError("Lindblad evolution produced a non-finite state")
-    drift = abs(np.trace(m) - 1.0)
+    drift = np.max(np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0))
     if drift > 1e-6:
         raise NumericalError(f"Lindblad trace drift {drift:.2e} exceeds 1e-6")
-    return DensityOp(rho.space, m)
+    return DensityOp(rho.space, stack.reshape(m.shape))

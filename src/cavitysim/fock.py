@@ -5,8 +5,9 @@ or a (dim, dim) density matrix, and an operator is a dense complex matrix.
 A composite Hilbert space is an ordered tensor product of factors; the
 convention throughout the package is qubits first, then cavities, so joint
 indices read |qubit...; n1, n2⟩.  `Ket`, `DensityOp` and `LinearOp` are
-validated (space, array) records, handed only to the evolution kernels and
-the lift that perfbench/tracer.py observes.
+validated (space, array) records, handed only to the evolution kernels that
+perfbench/tracer.py observes; a record holds a whole stack of states, so a
+kernel plays each pulse once for all of them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -57,22 +58,26 @@ class CompositeSpace:
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
 
-    @property
+    # computed once per space; a frozen dataclass compares and hashes its
+    # fields only, so the cached values change neither
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(f.dim for f in self.factors)
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return int(np.prod(self.dims)) if self.factors else 1
+        return math.prod(self.dims)
 
     @property
     def n_factors(self) -> int:
         return len(self.factors)
 
 
-def _check_same_space(a, b):
-    if a.space != b.space:
-        raise ValidationError("objects live on different composite spaces")
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a, which leaves the caller's array writeable."""
+    v = a.view()
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
@@ -88,56 +93,53 @@ class LinearOp:
             raise ValidationError(
                 f"matrix shape {m.shape} does not match space dim {self.space.dim}"
             )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return np.max(np.abs(self.matrix - self.matrix.conj().T)) < tol
 
     def __matmul__(self, other):
-        if isinstance(other, LinearOp):
-            _check_same_space(self, other)
-            return LinearOp(self.space, self.matrix @ other.matrix)
-        if isinstance(other, Ket):
-            _check_same_space(self, other)
-            return Ket(self.space, self.matrix @ other.amplitudes)
-        return NotImplemented
-
-    @staticmethod
-    def identity(space: CompositeSpace) -> "LinearOp":
-        return LinearOp(space, np.eye(space.dim, dtype=complex))
+        if not isinstance(other, LinearOp):
+            return NotImplemented
+        if other.space != self.space:
+            raise ValidationError("operators live on different composite spaces")
+        return LinearOp(self.space, self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)
 class Ket:
-    """Pure state on a composite space.  Not automatically normalized."""
+    """Pure state on a composite space, a (dim,) vector, or a (dim, k) stack
+    of them.  Not automatically normalized."""
 
     space: CompositeSpace
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if v.shape != (self.space.dim,):
+        v = np.asarray(self.amplitudes, dtype=complex)
+        if v.ndim not in (1, 2) or v.shape[0] != self.space.dim:
             raise ValidationError(
-                f"amplitude length {v.shape[0]} does not match space dim {self.space.dim}"
+                f"amplitudes of shape {v.shape} are not a ({self.space.dim},) state or a "
+                f"({self.space.dim}, k) stack"
             )
-        v.setflags(write=False)
-        object.__setattr__(self, "amplitudes", v)
+        object.__setattr__(self, "amplitudes", _frozen(v))
 
 
 @dataclass(frozen=True)
 class DensityOp:
-    """Mixed state: hermitian, unit-trace, positive semidefinite matrix."""
+    """Mixed state, a hermitian, unit-trace, positive semidefinite (dim, dim)
+    matrix, or a (k, dim, dim) stack of them."""
 
     space: CompositeSpace
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.space.dim, self.space.dim):
-            raise ValidationError("density matrix shape does not match space dim")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        if m.ndim not in (2, 3) or m.shape[-2:] != (self.space.dim, self.space.dim):
+            raise ValidationError(
+                f"density matrices of shape {m.shape} are not a ({self.space.dim}, {self.space.dim}) "
+                "matrix or a stack of them"
+            )
+        object.__setattr__(self, "matrix", _frozen(m))
 
 
 # ---------------------------------------------------------------------------
@@ -223,24 +225,6 @@ def recommended_dim(alpha_max: float) -> int:
 
 # ---------------------------------------------------------------------------
 # Composite-space plumbing
-
-
-def embed(op: LinearOp, factor_index: int, space: CompositeSpace) -> LinearOp:
-    """Lift a single-factor operator to the composite space (identity elsewhere)."""
-    if not 0 <= factor_index < space.n_factors:
-        raise ValidationError("factor index out of range")
-    target = space.factors[factor_index]
-    if op.space.dim != target.dim:
-        raise ValidationError(
-            f"operator dim {op.space.dim} does not match factor dim {target.dim}"
-        )
-    parts = [
-        op if i == factor_index
-        else LinearOp.identity(CompositeSpace((f,)))
-        for i, f in enumerate(space.factors)
-    ]
-    m = reduce(np.kron, (p.matrix for p in parts))
-    return LinearOp(space, m)
 
 
 def apply_on_factor(

@@ -14,7 +14,8 @@ qubit rotations, multitone pulses) and realized by one of two backends:
   block kernel and tone calibration read their samples from it.
 
 Both apply each displacement as a single-cavity matrix along that cavity's
-axis of the state (`fock.apply_on_factor`), never as a lifted operator.
+axis of the state (`fock.apply_on_factor`), never as a lifted operator, and
+both push a whole stack of states through each step at once.
 
 The central identity: two successive conditional pi rotations about axes
 separated by an angle dphi imprint the geometric phase gamma = pi + dphi
@@ -34,6 +35,7 @@ from cavitysim.device import (
     DeviceParams,
     SystemLayout,
     cavity_static_diag,
+    levels,
     static_hamiltonian,
 )
 from cavitysim.errors import NumericalError, ValidationError
@@ -196,6 +198,14 @@ def _displace(x: np.ndarray, layout: SystemLayout, step: Displacement) -> np.nda
     return apply_on_factor(d, layout.index[step.label], layout.space, x)
 
 
+def _displace_rows(m: np.ndarray, layout: SystemLayout, step: Displacement) -> np.ndarray:
+    """D(step.alpha) m for a (dim, dim) matrix m or each of a (k, dim, dim)
+    stack: the row axis is the state axis of one (dim, k·dim) stack."""
+    rows = np.moveaxis(m, -2, 0)
+    out = _displace(rows.reshape(len(rows), -1), layout, step)
+    return np.moveaxis(out.reshape(rows.shape), 0, -2)
+
+
 class IdealBackend:
     """Realize gate steps with exact effective conditional-drive propagators.
 
@@ -208,24 +218,20 @@ class IdealBackend:
 
     def __init__(self, layout: SystemLayout):
         self.layout = layout
+        self._levels = levels(layout)
 
     def _condition_mask(self, step: ConditionalRotation) -> np.ndarray:
         """Boolean mask over the g/e blocks of step.qubit meeting the condition."""
-        layout = self.layout
-        dims = layout.space.dims
-        mask = np.ones(dims, dtype=bool)
-        for label, n in step.condition:
+        layout, n = self.layout, self._levels
+        mask = np.ones(layout.space.dim, dtype=bool)
+        for label, level in step.condition:
             if label not in layout.index or layout.is_qubit(label):
                 raise ValidationError(f"condition on {label!r}: not a cavity of the layout")
-            axis = layout.index[label]
-            if not 0 <= int(n) < dims[axis]:
-                raise ValidationError(
-                    f"Fock level {n} outside truncation 0..{dims[axis] - 1}"
-                )
-            shape = [1] * len(dims)
-            shape[axis] = dims[axis]
-            mask &= (np.arange(dims[axis]) == int(n)).reshape(shape)
-        return qubit_blocks(mask.reshape(-1), layout, step.qubit)[0]
+            d = layout.mode(label).dim
+            if not 0 <= int(level) < d:
+                raise ValidationError(f"Fock level {level} outside truncation 0..{d - 1}")
+            mask &= n[label] == int(level)
+        return qubit_blocks(mask, layout, step.qubit)[0]
 
     def apply(self, x: np.ndarray, spec: GateSpec) -> np.ndarray:
         """Apply the gate to a (dim,) state vector or a (dim, k) stack of them."""
@@ -345,9 +351,7 @@ class PulseBackend:
         stack = x.reshape(len(x), -1)
         for kind, item in self._segments(spec):
             if kind == "pulse":
-                # one column at a time: perfbench/tracer.py reads state.space (ROADMAP item 1)
-                kets = (Ket(self.layout.space, v) for v in stack.T)
-                stack = np.stack([evolve_pulse(k, self.h0, item, self.layout).amplitudes for k in kets], axis=1)
+                stack = evolve_pulse(Ket(self.layout.space, stack), self.h0, item, self.layout).amplitudes
             elif kind == "displace":
                 stack = _displace(stack, self.layout, item)
             else:
@@ -355,13 +359,14 @@ class PulseBackend:
         return stack.reshape(x.shape)
 
     def apply_density(self, m: np.ndarray, spec: GateSpec, collapses: tuple) -> np.ndarray:
-        """Apply `spec` to the (dim, dim) density matrix m with the collapse
-        channels acting throughout.
+        """Apply `spec` to the (dim, dim) density matrix m, or to each of a
+        (k, dim, dim) stack of them, with the collapse channels acting
+        throughout.
 
         `collapses` is a tuple of `evolution.Collapse` channels.  Each
         distinct run's propagator is built once per collapse set and kept on
-        the backend, so every input and repetition pushed through the same
-        gate reuses it.
+        the backend, so every repetition pushed through the same gate
+        reuses it.
         """
         if self._lindblad is None or self._lindblad.collapses is not collapses:
             self._lindblad = LindbladPropagators(self.h0, collapses, self.layout)
@@ -370,8 +375,8 @@ class PulseBackend:
                 m = lindblad_evolve(DensityOp(self.layout.space, m), item, self._lindblad).matrix
             elif kind == "displace":
                 # D ρ D† = (D (D ρ)†)†
-                m = _displace(m, self.layout, item)
-                m = _displace(m.conj().T, self.layout, item).conj().T
+                m = _displace_rows(m, self.layout, item)
+                m = _displace_rows(m.conj().swapaxes(-1, -2), self.layout, item).conj().swapaxes(-1, -2)
             else:
                 m = item[:, None] * m * item.conj()
         return m
@@ -500,7 +505,6 @@ def stark_phase_compensation(
     deterministic, so decoding undoes it exactly (to second order in
     eps/chi).  Rotations conditioned on several cavities are left alone.
     """
-    dims = layout.space.dims
     theta = {}  # cavity -> (levels,) phase
     for step in spec.steps:
         if isinstance(step, ConditionalRotation) and len(step.condition) == 1:
@@ -513,12 +517,11 @@ def stark_phase_compensation(
             phase[1:] += step.epsilon**2 * step.duration / (4.0 * n * chi)
     if not theta:
         return None
-    out = np.ones(dims, dtype=complex)
+    n = levels(layout)
+    out = np.ones(layout.space.dim, dtype=complex)
     for cavity, phase in theta.items():
-        shape = [1] * len(dims)
-        shape[layout.index[cavity]] = phase.size
-        out = out * np.exp(1j * phase).reshape(shape)
-    return out.reshape(-1)
+        out = out * np.exp(1j * phase)[n[cavity]]
+    return out
 
 
 _BINOMIAL_JOINT_STATES = tuple((j, k) for j in (0, 2, 4) for k in (0, 2, 4))
@@ -867,10 +870,10 @@ def realized_logical_map(backend, spec: GateSpec, code: np.ndarray, decode: np.n
     a (groups, dim, 2ⁿ) stack of decoding columns W_n; `code[None]` projects
     on the code space and loses as trace what leaks out of it.  Closed, the
     Kraus operators are K_n = W_n† Gᵐ code, and the gate pushes the whole
-    code basis at once; with collapses, code ρ code† of each input goes
-    through `apply_density`.  Each repetition's columns or states are kept,
-    so m = 0..M costs M gates.  The groups are summed from the first, so one
-    group is returned bit for bit.
+    code basis at once; with collapses, `apply_density` pushes the stack of
+    code ρ code† of every input at once.  Each repetition's columns or
+    states are kept, so m = 0..M costs M gates.  The groups are summed from
+    the first, so one group is returned bit for bit.
     """
     adjoint = decode.conj().transpose(0, 2, 1)
     if collapses is None:
@@ -890,8 +893,7 @@ def realized_logical_map(backend, spec: GateSpec, code: np.ndarray, decode: np.n
         def process(rhos: np.ndarray) -> np.ndarray:
             pushed = states.setdefault(rhos.tobytes(), [code @ rhos @ code.conj().T])
             while len(pushed) <= m:
-                # one input at a time: perfbench/tracer.py reads rho.space in lindblad_evolve (ROADMAP item 1)
-                pushed.append(np.stack([backend.apply_density(r, spec, collapses) for r in pushed[-1]]))
+                pushed.append(backend.apply_density(pushed[-1], spec, collapses))
             return reduce(np.add, adjoint[:, None] @ pushed[m] @ decode[:, None])
 
         return process

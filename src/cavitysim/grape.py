@@ -61,7 +61,7 @@ def control_operator(layout: SystemLayout, label: str) -> np.ndarray:
     every product it enters rounds as theirs did.
     """
     dims, axis = layout.space.dims, layout.index[label]
-    n = np.broadcast_to(levels(layout)[label], dims).ravel()
+    n = levels(layout)[label]
     stride = int(np.prod(dims[axis + 1 :]))
     amp = np.where(n < dims[axis] - 1, 0.5 if layout.is_qubit(label) else np.sqrt(n + 1.0), 0.0)
     return np.diag(amp[:-stride], k=-stride).astype(complex)
@@ -189,8 +189,8 @@ def _forward(amps: np.ndarray, task: TransferTask):
     h0 = np.diag(task.H0)
     n, d = task.n_steps, h0.shape[0]
     ops = np.array(task.control_operators())
-    grids, dims = levels(task.layout), task.layout.space.dims
-    n_c = np.array([np.broadcast_to(grids[c], dims).ravel() for c in task.channels])  # (channels, d)
+    level = levels(task.layout)
+    n_c = np.array([level[c] for c in task.channels])  # (channels, d)
     targ = np.stack([p[1] for p in task.pairs], axis=1)
     w = np.empty((n, d))
     v = np.empty((n, d, d), dtype=complex)

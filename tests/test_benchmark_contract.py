@@ -199,8 +199,8 @@ def test_error_budget_reaches_the_open_system_spans(monkeypatch):
 def test_pulse_recipes_hand_evolve_pulse_a_ket(monkeypatch):
     """The tracer reads `state.space.dim` from `evolution.evolve_pulse`, on
     `gate-recipes`, `open-system` and `cz-calibration`.  The pulse backend
-    pushes a stack of states but must still hand `evolve_pulse` one Ket at a
-    time, on its layout's space, or every traced run fails with an
+    pushes a stack of states, and must hand `evolve_pulse` the whole stack
+    as one Ket on its layout's space, or every traced run fails with an
     AttributeError where this test would have."""
     import cavitysim.evolution as evolution
     from cavitysim.experiments import run_qpt, run_zgate_repetition

@@ -837,3 +837,16 @@ def test_manifest_bytes_are_pinned(tmp_path, monkeypatch, args, manifest):
     (tmp_path / "p.csv").write_text("0.6,0.4\n")
     assert main(args + ["-o", "run"]) == 0
     assert (tmp_path / "run" / "manifest.json").read_text() == manifest
+
+
+def test_failed_allocation_exits_2_with_one_line(tmp_path, capsys):
+    """An --epsilon of 1e-15 asks for π·10¹⁵ drive samples: numpy's
+    allocation fails at once, and main reports it as a numerical failure
+    in one stderr line, with no traceback and no output directory."""
+    out = tmp_path / "sweep"
+    argv = ["parity-sweep", "--mode", "pulse", "--epsilon", "1e-15", "--phis", "0:1:1", "-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()

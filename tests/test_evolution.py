@@ -11,7 +11,6 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 import cavitysim.evolution as evolution
-import cavitysim.fock as fock
 from cavitysim.device import SystemLayout, default_config_text, load_params, static_hamiltonian
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.evolution import (
@@ -103,8 +102,8 @@ def test_segment_propagator_rejects_nonhermitian():
 
 @pytest.mark.parametrize(
     "h0",
-    [np.zeros((10, 10)), np.zeros(11), np.zeros(10, dtype=complex), LinearOp.identity(
-        CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(5)))
+    [np.zeros((10, 10)), np.zeros(11), np.zeros(10, dtype=complex), LinearOp(
+        CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(5))), np.eye(10)
     )],
     ids=["matrix", "length", "complex", "linear-op"],
 )
@@ -532,7 +531,6 @@ def test_collapses_and_propagators_lift_no_operator(params, monkeypatch):
         raise AssertionError("an operator was lifted")
 
     monkeypatch.setattr(SystemLayout, "lift", refuse)
-    monkeypatch.setattr(fock, "embed", refuse)
     layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 30})
     h0 = static_hamiltonian(params, layout)
     propagators = LindbladPropagators(h0, standard_collapses(params, layout), layout)
@@ -749,6 +747,30 @@ def test_lindblad_propagators_reuse_each_run(params):
     assert len(cache._cache) == 2
     ref = _expm_multiply_oracle(rho.matrix, h0, recurring, layout, cs)
     assert np.max(np.abs(out.matrix - ref)) < 1e-12
+
+
+def test_lindblad_evolve_stack_equals_each_item_alone(params):
+    """A (3, dim, dim) stack evolves as its three density matrices one at a
+    time, to 1e-15, through one product per run and sector."""
+    layout, h0, pulse = _qubit_driven_runs(params, 4)
+    cache = LindbladPropagators(h0, _all_channel_kinds(layout), layout)
+    rng = np.random.default_rng(8)
+    rhos = np.stack([_random_density(rng, layout.space.dim) for _ in range(3)])
+    out = lindblad_evolve(DensityOp(layout.space, rhos), pulse, cache).matrix
+    assert out.shape == rhos.shape
+    for rho, o in zip(rhos, out):
+        alone = lindblad_evolve(DensityOp(layout.space, rho), pulse, cache).matrix
+        assert np.max(np.abs(o - alone)) < 1e-15
+
+
+def test_lindblad_checks_the_trace_of_each_stacked_item(params):
+    """The trace-drift check runs on every item: one input of trace 2 in a
+    stack of unit-trace ones is a NumericalError."""
+    layout, h0, pulse = _qubit_driven_runs(params, 4)
+    cache = LindbladPropagators(h0, _all_channel_kinds(layout), layout)
+    rho = _random_density(np.random.default_rng(9), layout.space.dim)
+    with pytest.raises(NumericalError, match="trace drift"):
+        lindblad_evolve(DensityOp(layout.space, np.stack([rho, 2.0 * rho, rho])), pulse, cache)
 
 
 @pytest.mark.parametrize("scale", [2.0, np.nan])

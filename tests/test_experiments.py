@@ -324,11 +324,11 @@ def test_code_projection_reproduces_qpt_pulse_ptm(gate):
         (lambda: run_zgate_repetition(mode="ideal"), {"IdealBackend.apply": 4}),
         (
             lambda: run_zgate_repetition(mode="pulse+decoherence"),
-            {"PulseBackend.apply_density": 16},
+            {"PulseBackend.apply_density": 4},
         ),
         (
             lambda: run_error_budget("z"),
-            {"IdealBackend.apply": 1, "PulseBackend.apply": 2, "PulseBackend.apply_density": 4},
+            {"IdealBackend.apply": 1, "PulseBackend.apply": 2, "PulseBackend.apply_density": 1},
         ),
     ],
     ids=["zgate-repetition", "zgate-repetition-ideal", "zgate-repetition-decoherent", "error-budget"],
@@ -337,9 +337,9 @@ def test_closed_channel_pushes_one_stack_per_gate(monkeypatch, run, expected):
     """The closed channel pushes the stack (E|g,0⟩, E|e,0⟩) through the gate
     in one call, not the eigenvectors of each PTM input, and each repetition
     feeds the stack of the last one through one more gate: m = 0..4 costs 4
-    applications, and the decoherent channel 4·4 = 16 for its four PTM
-    inputs, one at a time.  Each of the error budget's three closed
-    fidelities costs 1, its decoherent one 4."""
+    applications.  The decoherent channel pushes the stack of its four PTM
+    inputs in one call too, so it also costs 4.  Each of the error budget's
+    three closed fidelities costs 1, and its decoherent one 1."""
     import cavitysim.gates as gates
 
     calls = collections.Counter()

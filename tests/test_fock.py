@@ -5,15 +5,17 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import cavitysim.fock as fock
+from cavitysim.device import SystemLayout
 from cavitysim.errors import ValidationError
 from cavitysim.fock import (
     CompositeSpace,
+    DensityOp,
+    Ket,
     LinearOp,
     ModeSpec,
     apply_on_factor,
     coherent,
     displacement,
-    embed,
     fock_ket,
     partial_trace,
     qubit_ket,
@@ -23,6 +25,7 @@ from oracles import (
     annihilation,
     density,
     expectation,
+    lift,
     normalized,
     number_op,
     parity_op,
@@ -31,11 +34,6 @@ from oracles import (
     tensor,
     validate_density,
 )
-
-
-def _op(spec, m):
-    """The single-mode matrix m as the LinearOp that `embed` lifts."""
-    return LinearOp(CompositeSpace((spec,)), m)
 
 
 def test_annihilation_lowers_one_photon():
@@ -148,32 +146,82 @@ def test_parity_single_photon_and_coherent():
     assert abs(p - np.exp(-2 * alpha**2)) < 1e-8
 
 
-def test_embed_commuting_factors():
-    space = CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(4)))
-    sp = embed(_op(ModeSpec.qubit(), sigma_plus()), 0, space)
-    a = embed(_op(ModeSpec.bosonic(4), annihilation(ModeSpec.bosonic(4))), 1, space)
-    assert np.allclose((sp @ a).matrix, (a @ sp).matrix)
+def test_records_hold_stacks_and_leave_the_callers_array_writeable():
+    """A Ket holds a (dim,) vector or a (dim, k) stack, a DensityOp a
+    (dim, dim) matrix or a (k, dim, dim) stack; every record freezes a view
+    of its array, never the array it was handed."""
+    space = CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(3)))
+    psi, stack = np.zeros(6, dtype=complex), np.zeros((6, 2), dtype=complex)
+    rho, rhos = np.eye(6, dtype=complex), np.zeros((3, 6, 6), dtype=complex)
+    held = [Ket(space, psi).amplitudes, Ket(space, stack).amplitudes]
+    held += [DensityOp(space, rho).matrix, DensityOp(space, rhos).matrix, LinearOp(space, rho).matrix]
+    assert [h.shape for h in held] == [(6,), (6, 2), (6, 6), (3, 6, 6), (6, 6)]
+    assert not any(h.flags.writeable for h in held)
+    assert all(a.flags.writeable for a in (psi, stack, rho, rhos))
 
 
-def test_embed_identity_and_expectation():
-    space = CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(4)))
-    ident = embed(LinearOp.identity(CompositeSpace((ModeSpec.qubit(),))), 0, space)
-    assert np.allclose(ident.matrix, np.eye(8))
-    n = embed(_op(ModeSpec.bosonic(4), number_op(ModeSpec.bosonic(4))), 1, space)
-    e1 = tensor([qubit_ket(True), fock_ket(ModeSpec.bosonic(4), 1)])
-    assert abs(expectation(e1, n.matrix) - 1.0) < 1e-12
-
-
-def test_embed_dim_mismatch():
-    space = CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(4)))
+@pytest.mark.parametrize(
+    "record, shape",
+    [(Ket, (5,)), (Ket, (6, 2, 1)), (Ket, (2, 6)), (DensityOp, (6,)), (DensityOp, (6, 5)), (DensityOp, (1, 2, 6, 6))],
+)
+def test_records_refuse_shapes_off_their_space(record, shape):
+    space = CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(3)))
     with pytest.raises(ValidationError):
-        embed(_op(ModeSpec.bosonic(5), annihilation(ModeSpec.bosonic(5))), 1, space)
+        record(space, np.zeros(shape, dtype=complex))
+
+
+def test_composite_space_computes_its_dims_once():
+    """`dims` and `dim` are cached on the instance; equality and hashing
+    still read the factors alone."""
+    a = CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(3)))
+    b = CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(3)))
+    assert (a.dims, a.dim) == ((2, 3), 6)
+    assert a.dims is a.dims
+    assert a == b and hash(a) == hash(b)
+    assert CompositeSpace(()).dim == 1
+
+
+def _qubit_cavity_layout():
+    return SystemLayout.build(["Q1"], ["S1"], {"S1": 4})
+
+
+def test_lift_commuting_factors():
+    layout = _qubit_cavity_layout()
+    sp = layout.lift(sigma_plus(), "Q1")
+    a = layout.lift(annihilation(ModeSpec.bosonic(4)), "S1")
+    assert np.allclose(sp @ a, a @ sp)
+
+
+def test_lift_identity_and_expectation():
+    layout = _qubit_cavity_layout()
+    assert np.allclose(layout.lift(np.eye(2), "Q1"), np.eye(8))
+    n = layout.lift(number_op(ModeSpec.bosonic(4)), "S1")
+    e1 = tensor([qubit_ket(True), fock_ket(ModeSpec.bosonic(4), 1)])
+    assert abs(expectation(e1, n) - 1.0) < 1e-12
+
+
+def test_lift_dim_mismatch():
+    with pytest.raises(ValidationError):
+        _qubit_cavity_layout().lift(annihilation(ModeSpec.bosonic(5)), "S1")
+
+
+def test_layout_lift_equals_the_dense_oracle():
+    """`SystemLayout.lift` is the Kronecker product with identities on the
+    other factors, bit for bit, on every factor of a qubit + two-cavity
+    layout with unequal cavity dims."""
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 4, "S2": 3})
+    rng = np.random.default_rng(4)
+    for label, i in layout.index.items():
+        d = layout.mode(label).dim
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        assert np.array_equal(layout.lift(m, label), lift(m, i, layout.space))
 
 
 @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "stack"])
 def test_apply_on_factor_matches_embed(shape):
-    """Oracle: the factor-local product equals the lifted dense product on
-    every factor of a qubit + two-cavity space with unequal cavity dims."""
+    """Oracle: the factor-local product equals the product with the dense
+    lift (`oracles.lift`) on every factor of a qubit + two-cavity space with
+    unequal cavity dims."""
     space = CompositeSpace((ModeSpec.qubit(), ModeSpec.bosonic(4), ModeSpec.bosonic(3)))
     rng = np.random.default_rng(21)
     x = rng.normal(size=(space.dim,) + shape) + 1j * rng.normal(size=(space.dim,) + shape)
@@ -181,7 +229,7 @@ def test_apply_on_factor_matches_embed(shape):
         m = rng.normal(size=(f.dim, f.dim)) + 1j * rng.normal(size=(f.dim, f.dim))
         out = apply_on_factor(m, i, space, x)
         assert out.shape == x.shape
-        assert np.max(np.abs(out - embed(_op(f, m), i, space).matrix @ x)) < 1e-14
+        assert np.max(np.abs(out - lift(m, i, space) @ x)) < 1e-14
 
 
 def test_apply_on_factor_dim_mismatch():

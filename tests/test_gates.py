@@ -958,7 +958,8 @@ def test_backends_match_dense_lifted_oracle(params, dense_play, name):
     dense lifted-operator gate.  Each backend maps a (dim, 3) stack to its
     columns pushed one at a time, and a state vector to its (dim, 1) stack,
     bit for bit, and rejects an input whose first axis is not the layout's
-    dim, a Ket among them."""
+    dim, a Ket among them.  `apply_density` maps a (2, dim, dim) stack to
+    its matrices pushed one at a time."""
     spec = _backend_oracle_specs(params)[name]
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 4})
     dim = layout.space.dim
@@ -984,4 +985,49 @@ def test_backends_match_dense_lifted_oracle(params, dense_play, name):
     rho = 0.7 * np.outer(x[:, 0], x[:, 0].conj()) + 0.3 * np.eye(dim) / dim
     out = backend.apply_density(rho, spec, ())
     assert np.max(np.abs(out - u @ rho @ u.conj().T)) < 1e-12
+    other = np.outer(x[:, 1], x[:, 1].conj())
+    stacked = backend.apply_density(np.stack([rho, other]), spec, ())
+    assert stacked.shape == (2, dim, dim)
+    assert np.max(np.abs(stacked[0] - out)) < 1e-15
+    assert np.max(np.abs(stacked[1] - backend.apply_density(other, spec, ()))) < 1e-15
+
+
+@pytest.mark.parametrize("width", [1, 3, 16])
+def test_pulse_backend_plays_each_pulse_once_per_stack(params, monkeypatch, width):
+    """`PulseBackend.apply` hands `evolve_pulse` one Ket of the whole
+    (dim, width) stack per pulse segment, whatever the width: a gate of two
+    rotations between displacements calls it twice."""
+    import cavitysim.gates as gates
+
+    shapes = []
+    evolve = gates.evolve_pulse
+
+    def observed(state, *args):
+        shapes.append(state.amplitudes.shape)
+        return evolve(state, *args)
+
+    monkeypatch.setattr(gates, "evolve_pulse", observed)
+    layout = SystemLayout.build(["Q3"], ["S1"], {"S1": 6})
+    cond = (("S1", 0),)
+    spec = GateSpec(
+        "two-rotations",
+        (
+            Displacement("S1", 0.4),
+            ConditionalRotation("Q3", 0.0, np.pi, 0.05, cond),
+            ConditionalRotation("Q3", 0.7, np.pi, 0.05, cond),
+            Displacement("S1", -0.4),
+        ),
+    )
+    x = np.random.default_rng(width).normal(size=(layout.space.dim, width)).astype(complex)
+    PulseBackend(params, layout).apply(x, spec)
+    assert shapes == [(layout.space.dim, width)] * 2
+
+
+def test_apply_density_leaves_its_input_writeable(params):
+    """The records that `apply_density` hands `lindblad_evolve` freeze a
+    view, not the caller's matrix."""
+    layout = SystemLayout.build(["Q3"], ["S1"], {"S1": 4})
+    rho = np.eye(layout.space.dim, dtype=complex) / layout.space.dim
+    PulseBackend(params, layout).apply_density(rho, _rotation("Q3", 0.0, np.pi, 0.05, (("S1", 0),)), ())
+    assert rho.flags.writeable
 

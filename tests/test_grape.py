@@ -382,7 +382,7 @@ def test_control_operators_raise_only_their_own_level():
     only basis states where that label's level rises by exactly one and
     every other label's level is unchanged."""
     layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 3, "S2": 4})
-    n = {label: np.broadcast_to(g, layout.space.dims).ravel() for label, g in levels(layout).items()}
+    n = levels(layout)
     for label in layout.index:
         op = grape.control_operator(layout, label)
         assert np.all(op.imag == 0)

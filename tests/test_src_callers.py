@@ -224,9 +224,9 @@ def test_every_private_module_level_name_is_used():
 #: the (space, array) records that perfbench/tracer.py reads
 RECORDS = ("Ket", "DensityOp", "LinearOp")
 #: the modules that may name them: the records' own, the two kernels that
-#: the tracer reads `.space` from, the backend that hands the kernels their
-#: records, and the layout whose `lift` the tracer wraps
-RECORD_MODULES = ("fock", "evolution", "gates", "device")
+#: the tracer reads `.space` from, and the backend that hands the kernels
+#: their records
+RECORD_MODULES = ("fock", "evolution", "gates")
 
 
 def test_states_are_arrays_outside_the_traced_layers():
@@ -252,8 +252,8 @@ def _scopes(tree):
 
 
 def test_gates_builds_records_only_where_the_tracer_reads_them():
-    """In gates, only the two loops that hand `evolve_pulse` a Ket and
-    `lindblad_evolve` a DensityOp, one column or input at a time, build a
+    """In gates, only the two backend methods that hand `evolve_pulse` a Ket
+    and `lindblad_evolve` a DensityOp, each holding the whole stack, build a
     record; everything else there pushes arrays."""
     tree = dict(_modules())["gates"]
     builders = {
