@@ -17,9 +17,11 @@ commands and grape-optimize read device parameters, so only they take
 grape-optimize (its start pulse) and readout-correct (its --shots sampling)
 draw random numbers, so only they take --seed.
 
-Exit codes: 0 on success, 1 on validation/usage errors, 2 on numerical
-failure, an allocation that fails among them (a parity sweep whose tiny
---epsilon asks for petabytes of drive samples).
+Exit codes: 0 on success, 1 on validation/usage errors and on files that
+cannot be read or written (an input file that is not UTF-8 text, an
+--output directory that cannot be created), 2 on numerical failure, an
+allocation that fails among them (a parity sweep whose tiny --epsilon asks
+for petabytes of drive samples).
 """
 
 from __future__ import annotations
@@ -137,11 +139,17 @@ def _number(token: str) -> float | None:
 
 
 def _file_text(ctx, param, path: str | None) -> str | None:
-    """The text of a file option's file; None if the option was not given."""
+    """The UTF-8 text of a file option's file; None if the option was not
+    given."""
     if path is None:
         return None
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise click.BadParameter(
+            f"{path!r} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def _sha256(text: str | None) -> str | None:
@@ -535,7 +543,7 @@ def main(argv=None) -> int:
         return 1
     except click.exceptions.Abort:
         return 1
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except (

@@ -850,3 +850,32 @@ def test_failed_allocation_exits_2_with_one_line(tmp_path, capsys):
     assert err.startswith("numerical failure:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("error-budget", "--config"), ("readout-correct", "--matrix"), ("readout-correct", "--probs")],
+)
+def test_input_file_that_is_not_utf8_exits_1_naming_the_flag(tmp_path, capsys, command, flag):
+    """A binary file given to a file option is refused by click as a bad
+    value of that option, before the command runs: exit 1, no traceback,
+    no output directory."""
+    binary = tmp_path / "data.bin"
+    binary.write_bytes(b"\xff\xfe\x00\x81 not text")
+    out = tmp_path / "out"
+    assert main([command, flag, str(binary), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"Invalid value for '{flag}'" in err and "not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_output_directory_that_cannot_be_created_exits_1_with_one_line(tmp_path, capsys):
+    """An -o path under a regular file cannot be made a directory: main
+    reports the OSError in one stderr line and exits 1."""
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    assert main(["wigner", "--points", "3", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(out) in err
