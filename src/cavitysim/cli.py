@@ -19,9 +19,9 @@ draw random numbers, so only they take --seed.
 
 Exit codes: 0 on success, 1 on validation/usage errors and on files that
 cannot be read or written (an input file that is not UTF-8 text, an
---output directory that cannot be created), 2 on numerical failure, an
-allocation that fails among them (a parity sweep whose tiny --epsilon asks
-for petabytes of drive samples).
+--output path under a regular file, refused before the command runs), 2 on
+numerical failure, an allocation that fails among them (a parity sweep
+whose tiny --epsilon asks for petabytes of drive samples).
 """
 
 from __future__ import annotations
@@ -152,6 +152,18 @@ def _file_text(ctx, param, path: str | None) -> str | None:
         ) from None
 
 
+def _output_dir(ctx, param, path: str) -> str:
+    """Refuse, before the command runs and creating nothing, an --output
+    that `_write_outputs` could not make a directory: one whose nearest
+    existing ancestor, or itself, is not a directory."""
+    ancestor = os.path.abspath(path)
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ValidationError(f"--output {path!r} cannot be a directory: {ancestor!r} is not one")
+    return path
+
+
 def _sha256(text: str | None) -> str | None:
     return None if text is None else hashlib.sha256(text.encode()).hexdigest()
 
@@ -166,6 +178,7 @@ _output_option = click.option(
     type=click.Path(file_okay=False),
     default="out",
     show_default=True,
+    callback=_output_dir,
     help="Directory receiving CSV/JSON outputs and manifest.json.",
 )
 # --config, --mode, --dim and --seed, declared only by the commands that use them

@@ -47,10 +47,13 @@ every other mode, a weak U(1) symmetry that splits 𝓛 into independent
 sectors (Buča & Prosen, New J. Phys. 14, 073007 (2012)), one per key of
 level differences (`_coherence_sectors`).  So 𝓛 is never formed whole:
 `_sector_generators` builds each sector's dense block from the energies,
-the run's sample and the level numbers, and exp(𝓛 τ) is one dense `expm` per
-sector, at a cost of Σ|C|³ per distinct run.  𝓛 maps ρ† to (𝓛ρ)†, so the
-sectors come in mirror pairs under ρ ↔ ρ† (keys k and −k); only one of each
-pair is formed, and the other half of a Hermitian ρ follows by conjugation.
+the run's sample and the level numbers, and exp(𝓛 τ) is one dense `_expm`
+per sector, at a cost of Σ|C|³ per distinct run.  `_expm` is scaling and
+squaring of the degree-13 Padé approximant (Higham, SIAM J. Matrix Anal.
+Appl. 26, 1179 (2005)) on numpy alone, so the decoherent path loads no scipy
+and runs on numpy's BLAS library only.  𝓛 maps ρ† to (𝓛ρ)†, so the sectors
+come in mirror pairs under ρ ↔ ρ† (keys k and −k); only one of each pair is
+formed, and the other half of a Hermitian ρ follows by conjugation.
 At dim 60 (one qubit, one cavity of 30 levels) the 3 600 elements fall into
 59 sectors of at most 120.  `LindbladPropagators` keeps the propagator of
 every distinct run, so a caller that evolves many inputs through the same
@@ -427,7 +430,7 @@ def _coherence_sectors(layout: SystemLayout, qubit: str):
         mirror = flip[idx]
         if idx[0] <= mirror.min():
             out.append((idx, None if idx[0] == mirror.min() else mirror))
-    # largest first, so that its `expm` temporaries come before the kept
+    # largest first, so that its `_expm` temporaries come before the kept
     # propagators add up: at dim 60, a traced peak of 2.8 MB, not 4.7 MB
     return sorted(out, key=lambda sector: -len(sector[0]))
 
@@ -471,13 +474,43 @@ def _sector_generators(h0, collapses, layout: SystemLayout, qubit: str, u: compl
         yield idx, mirror, gen + diss
 
 
+#: Coefficients b_0 … b_13 of the degree-13 Padé approximant of e^x, and θ₁₃,
+#: the largest ‖A‖₁ at which it meets double precision unscaled (Higham 2005,
+#: cited in the module docstring)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA_13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^A of a square array by scaling and squaring: the degree-13 Padé
+    approximant (V − U)⁻¹(V + U) of e^{A/2^s}, s = max(0, ⌈log₂(‖A‖₁/θ₁₃)⌉),
+    squared s times (Higham 2005, algorithm 2.3 at degree 13 only)."""
+    norm = np.linalg.norm(a, 1)
+    s = int(np.ceil(np.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
+    a = a * 2.0**-s
+    b, ident = _PADE13, np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 class LindbladPropagators:
     """The static energies H0 (the layout's real (dim,) energy vector), the
     layout and the collapse set of one open system, and the exact propagator
     exp(𝓛 τ) of every distinct drive run evolved in it.  `collapses` is a
     tuple of `Collapse` channels on modes of the layout.
 
-    A run's propagator is one dense `expm` per block of `_sector_generators`
+    A run's propagator is one dense `_expm` per block of `_sector_generators`
     for the run's Hamiltonian diag(H0) + (u/2)|e⟩⟨g| + (ū/2)|g⟩⟨e|; it is
     formed on first use and kept for the life of this object, keyed by the
     driven qubit, the run's sample and its length.
@@ -499,10 +532,8 @@ class LindbladPropagators:
         key = (qubit, u, span)
         blocks = self._cache.get(key)
         if blocks is None:
-            from scipy.linalg import expm  # at call time: only the open system needs scipy
-
             blocks = self._cache[key] = [
-                (idx, mirror, expm(block * span))
+                (idx, mirror, _expm(block * span))
                 for idx, mirror, block in _sector_generators(self.h0, self.collapses, self.layout, qubit, u)
             ]
         out = np.empty_like(y)

@@ -879,3 +879,31 @@ def test_output_directory_that_cannot_be_created_exits_1_with_one_line(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(out) in err
+
+
+@pytest.mark.parametrize(
+    "args, recipe",
+    [
+        (["qpt", "--gate", "cz-binomial", "--mode", "pulse"], "run_qpt"),
+        (["error-budget", "--gate", "z"], "run_error_budget"),
+        (["zgate-repeat", "--mode", "pulse+decoherence"], "run_zgate_repetition"),
+        (["wigner", "--points", "3"], "wigner_grid"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else x,
+)
+@pytest.mark.parametrize("under", [("sub",), ("sub", "deeper")], ids=["child", "grandchild"])
+def test_unusable_output_exits_1_before_the_recipe_runs(tmp_path, capsys, monkeypatch, args, recipe, under):
+    """An -o under a regular file is refused while the options are parsed:
+    the recipe is never called and nothing is written."""
+
+    def refused(*a, **k):
+        raise AssertionError(f"{recipe} ran")
+
+    monkeypatch.setattr(cli, recipe, refused)
+    (tmp_path / "file").write_text("")
+    out = tmp_path.joinpath("file", *under)
+    assert main(args + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(out) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]

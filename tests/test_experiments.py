@@ -171,12 +171,10 @@ def test_decoherent_z_gate_forms_one_run_propagator(monkeypatch, run):
     """The Z gate's two half-loops are one drive run: its propagator is formed
     once, one `expm` per coherence-order sector, and reused across both
     half-loops, the four PTM inputs and every repetition."""
-    import scipy.linalg
-
     import cavitysim.evolution as evolution
 
     built, exponentials = [], []
-    sectors, expm = evolution._coherence_sectors, scipy.linalg.expm
+    sectors, expm = evolution._coherence_sectors, evolution._expm
 
     def counted_sectors(layout, qubit):
         built.append(sectors(layout, qubit))
@@ -187,7 +185,7 @@ def test_decoherent_z_gate_forms_one_run_propagator(monkeypatch, run):
         return expm(a)
 
     monkeypatch.setattr(evolution, "_coherence_sectors", counted_sectors)
-    monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+    monkeypatch.setattr(evolution, "_expm", counted_expm)
     run()
     assert len(built) == 1
     assert len(exponentials) == len(built[0])
