@@ -18,9 +18,10 @@ one rotation per block and run, and `apply_block_rotations` applies them on
 the qubit axis; `evolve_pulse`, the ideal conditional rotations (and through
 them the component-level logical map `gates.component_logical_unitary`) and
 the binomial-CZ block calibration all run through these functions.
-A state and a density matrix may each be a stack (a `Ket` of a (dim, k)
-array, a `DensityOp` of a (k, dim, dim) array), so a gate plays each pulse
-once for all the columns or inputs it carries.
+A state and a density matrix may each be a stack, (dim, k) or (k, dim, dim),
+so a gate plays each pulse once for all the columns or inputs it carries.
+The kernels take it as the `fock` record whose `.space` perfbench/tracer.py
+reads, and return a plain array.
 `BlockScan` plays a drive sample by sample, keeping every prefix product:
 the binomial-CZ tone calibration reads its residual from the last and its
 exact Jacobian from `BlockScan.gradient`, one pass per point.
@@ -135,13 +136,14 @@ class Collapse:
 
 # no src caller: perfbench/tracer.py observes it for its dim_max probe, and
 # the tests' dense per-sample oracle is a product of it
-def segment_propagator(H: LinearOp, dt: float) -> LinearOp:
-    """U = exp(−i H dt) for hermitian H, via eigendecomposition."""
-    if not H.is_hermitian(1e-10):
+def segment_propagator(H: LinearOp, dt: float) -> np.ndarray:
+    """U = exp(−i H dt), a (dim, dim) array, for hermitian H (to 1e-10), via
+    eigendecomposition."""
+    h = H.matrix
+    if not np.max(np.abs(h - h.conj().T)) < 1e-10:  # also true for NaN
         raise ValidationError("segment Hamiltonian must be hermitian")
-    w, v = np.linalg.eigh(H.matrix)
-    u = (v * np.exp(-1j * w * dt)) @ v.conj().T
-    return LinearOp(H.space, u)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
 def dephasing_rate(T1: float, T2: float) -> float:
@@ -385,9 +387,10 @@ def apply_block_rotations(
 
 def evolve_pulse(
     state: Ket, H0: np.ndarray, pulse: PulseSequence, layout: SystemLayout
-) -> Ket:
+) -> np.ndarray:
     """Apply the exact piecewise-constant propagator of diag(H0) + the drive
-    of one qubit to a state, or to each column of a (dim, k) stack.
+    of one qubit to a state, or to each column of a (dim, k) stack, and
+    return the evolved (dim,) or (dim, k) amplitudes.
 
     H0 is the static Hamiltonian as its real (dim,) energy vector.  The
     Hamiltonian is c_j I + [[δ_j, ū/2], [u/2, −δ_j]] in each g/e block j of
@@ -399,7 +402,7 @@ def evolve_pulse(
     H0 = _energy_vector(H0, layout)
     delta, phase = block_detuning_phase(H0, layout, pulse.qubit, pulse.duration)
     a, b = block_rotations(delta, pulse.samples, pulse.dt)
-    return Ket(state.space, apply_block_rotations(state.amplitudes, layout, pulse.qubit, a, b, phase))
+    return apply_block_rotations(state.amplitudes, layout, pulse.qubit, a, b, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +550,10 @@ class LindbladPropagators:
 
 def lindblad_evolve(
     rho: DensityOp, pulse: PulseSequence, propagators: LindbladPropagators
-) -> DensityOp:
+) -> np.ndarray:
     """Evolve ρ, or each of a (k, dim, dim) stack, under
-    dρ/dt = −i[H,ρ] + Σ (L ρ L† − ½{L†L, ρ}).
+    dρ/dt = −i[H,ρ] + Σ (L ρ L† − ½{L†L, ρ}), and return the evolved
+    (dim, dim) or (k, dim, dim) density matrices.
 
     H is diag(H0) + the qubit drive of `pulse`, piecewise constant at sample
     boundaries; `propagators` holds H0, the layout and the collapse set, and
@@ -584,4 +588,4 @@ def lindblad_evolve(
     drift = np.max(np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0))
     if drift > 1e-6:
         raise NumericalError(f"Lindblad trace drift {drift:.2e} exceeds 1e-6")
-    return DensityOp(rho.space, stack.reshape(m.shape))
+    return stack.reshape(m.shape)

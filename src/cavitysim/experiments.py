@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -188,8 +188,7 @@ def _phase_gate(gate: str, params: DeviceParams, alpha: float):
 
 def _cz(code: str, params: DeviceParams, mode: str, alpha: float):
     """The backend realizing `mode` on the Q3+S1+S2 layout, the CZ of the
-    `code` ∈ {cat, binomial} qubits in S1 and S2 for it, and a function
-    returning their encoding, which a caller that reads none never builds.
+    `code` ∈ {cat, binomial} qubits in S1 and S2 for it, and their encoding.
 
     The cat CZ is `cz_coherent` of amplitude alpha on a compensating backend.
     The binomial CZ is exact conditional rotations when ideal and otherwise
@@ -203,8 +202,8 @@ def _cz(code: str, params: DeviceParams, mode: str, alpha: float):
     backend = _backend(mode, params, layout, compensate=code == "cat")
     if code == "binomial":
         spec = cz_binomial_ideal() if mode == "ideal" else cz_binomial(backend)[0]
-        return backend, spec, partial(binomial_encoding, dim)
-    return backend, cz_coherent(alpha, params), partial(cat_encoding, alpha, dim)
+        return backend, spec, binomial_encoding(dim)
+    return backend, cz_coherent(alpha, params), cat_encoding(alpha, dim)
 
 
 def _code_basis(enc: Encoding, n: int) -> np.ndarray:
@@ -396,8 +395,7 @@ def run_qpt(
         layout, enc, spec, ideal_u = _phase_gate(gate, params, alpha)
         backend, cavities, qubit = _backend(mode, params, layout), ["S1"], "Q1"
     elif gate in ("cz-coherent", "cz-binomial"):
-        backend, spec, encoding = _cz("cat" if family == "coherent" else family, params, mode, alpha)
-        enc = None if reduced else encoding()
+        backend, spec, enc = _cz("cat" if family == "coherent" else family, params, mode, alpha)
         ideal_u, cavities, qubit = _CZ, ["S1", "S2"], "Q3"
     else:
         raise ValidationError(f"unknown gate {gate!r}")
@@ -455,8 +453,8 @@ def run_bell_generation(
     Wigner cuts along the real axes.
     """
     params, cfg_hash = load_config(config_text)
-    backend, spec, make_encoding = _cz(encoding, params, mode, alpha)
-    layout, enc = backend.layout, make_encoding()
+    backend, spec, enc = _cz(encoding, params, mode, alpha)
+    layout = backend.layout
     g, plus = qubit_ket(0), logical_ket(enc, 1.0, 1.0)
     psi = backend.apply(reduce(np.kron, (g, plus, plus)), spec)
     # rotate CZ|++⟩ into (|01⟩_L + |10⟩_L)/√2: Hadamard on cavity 2, X on 1

@@ -5,9 +5,10 @@ or a (dim, dim) density matrix, and an operator is a dense complex matrix.
 A composite Hilbert space is an ordered tensor product of factors; the
 convention throughout the package is qubits first, then cavities, so joint
 indices read |qubit...; n1, n2⟩.  `Ket`, `DensityOp` and `LinearOp` are
-validated (space, array) records, handed only to the evolution kernels that
-perfbench/tracer.py observes; a record holds a whole stack of states, so a
-kernel plays each pulse once for all of them.
+validated (space, array) records, and nothing else: each is the argument of
+an evolution kernel from which perfbench/tracer.py reads `.space`.  A record
+holds a whole stack of states, so a kernel plays each pulse once for all of
+them, and every kernel returns a plain array.
 """
 
 from __future__ import annotations
@@ -94,9 +95,6 @@ class LinearOp:
                 f"matrix shape {m.shape} does not match space dim {self.space.dim}"
             )
         object.__setattr__(self, "matrix", _frozen(m))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return np.max(np.abs(self.matrix - self.matrix.conj().T)) < tol
 
     def __matmul__(self, other):
         if not isinstance(other, LinearOp):

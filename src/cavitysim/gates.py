@@ -206,6 +206,26 @@ def _displace_rows(m: np.ndarray, layout: SystemLayout, step: Displacement) -> n
     return np.moveaxis(out.reshape(rows.shape), 0, -2)
 
 
+def _check_condition(step: ConditionalRotation, layout: SystemLayout, chi=None) -> None:
+    """Refuse a condition of `step` that names a label that is not a cavity
+    of the layout, a level that is not a Fock level of its truncation, or a
+    cavity twice (which no joint level meets); given the dispersive shifts
+    `chi`, also a cavity with none to the driven qubit, whose levels no tone
+    selects."""
+    labels = [label for label, _ in step.condition]
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"condition {step.condition} names a cavity more than once")
+    for label, level in step.condition:
+        if label not in layout.index or layout.is_qubit(label):
+            raise ValidationError(f"condition on {label!r}: not a cavity of the layout")
+        d = layout.mode(label).dim
+        # a fractional level would be truncated by the ideal mask but detune the pulse
+        if not (float(level).is_integer() and 0 <= level < d):
+            raise ValidationError(f"condition level {level} is not a Fock level of truncation 0..{d - 1}")
+        if chi is not None and (label, step.qubit) not in chi:
+            raise ValidationError(f"condition on {label!r}: no dispersive shift to {step.qubit} selects its levels")
+
+
 class IdealBackend:
     """Realize gate steps with exact effective conditional-drive propagators.
 
@@ -222,16 +242,11 @@ class IdealBackend:
 
     def _condition_mask(self, step: ConditionalRotation) -> np.ndarray:
         """Boolean mask over the g/e blocks of step.qubit meeting the condition."""
-        layout, n = self.layout, self._levels
-        mask = np.ones(layout.space.dim, dtype=bool)
+        _check_condition(step, self.layout)
+        mask = np.ones(self.layout.space.dim, dtype=bool)
         for label, level in step.condition:
-            if label not in layout.index or layout.is_qubit(label):
-                raise ValidationError(f"condition on {label!r}: not a cavity of the layout")
-            d = layout.mode(label).dim
-            if not 0 <= int(level) < d:
-                raise ValidationError(f"Fock level {level} outside truncation 0..{d - 1}")
-            mask &= n[label] == int(level)
-        return qubit_blocks(mask, layout, step.qubit)[0]
+            mask &= self._levels[label] == int(level)
+        return qubit_blocks(mask, self.layout, step.qubit)[0]
 
     def apply(self, x: np.ndarray, spec: GateSpec) -> np.ndarray:
         """Apply the gate to a (dim,) state vector or a (dim, k) stack of them."""
@@ -286,7 +301,7 @@ def _drive_samples(step, params: DeviceParams, t0: float) -> np.ndarray:
         delta = step.detuning
         if delta is None:
             delta = -sum(
-                n_ph * params.chi.get((label, step.qubit), 0.0)
+                n_ph * params.chi[(label, step.qubit)]
                 for label, n_ph in step.condition
             )
         t = t0 + (np.arange(n) + 0.5) * dt
@@ -325,12 +340,15 @@ class PulseBackend:
     def _segments(self, spec: GateSpec):
         """Yield, in order, ("displace", step), ("pulse", PulseSequence) and
         ("phase", v) items, v a diagonal unitary as its (dim,) vector; each
-        pulse drives the step's qubit, and the clock starts at 0."""
+        pulse drives the step's qubit, and the clock starts at 0.  Conditions
+        are checked as on the ideal backend, and against the shifts χ."""
         t = 0.0
         for step in spec.steps:
             if isinstance(step, Displacement):
                 yield "displace", step
                 continue
+            if isinstance(step, ConditionalRotation):
+                _check_condition(step, self.layout, self.params.chi)
             amps = _drive_samples(step, self.params, t)
             yield "pulse", PulseSequence(step.qubit, amps, SAMPLE_DT)
             span = len(amps) * SAMPLE_DT
@@ -351,7 +369,7 @@ class PulseBackend:
         stack = x.reshape(len(x), -1)
         for kind, item in self._segments(spec):
             if kind == "pulse":
-                stack = evolve_pulse(Ket(self.layout.space, stack), self.h0, item, self.layout).amplitudes
+                stack = evolve_pulse(Ket(self.layout.space, stack), self.h0, item, self.layout)
             elif kind == "displace":
                 stack = _displace(stack, self.layout, item)
             else:
@@ -372,7 +390,7 @@ class PulseBackend:
             self._lindblad = LindbladPropagators(self.h0, collapses, self.layout)
         for kind, item in self._segments(spec):
             if kind == "pulse":
-                m = lindblad_evolve(DensityOp(self.layout.space, m), item, self._lindblad).matrix
+                m = lindblad_evolve(DensityOp(self.layout.space, m), item, self._lindblad)
             elif kind == "displace":
                 # D ρ D† = (D (D ρ)†)†
                 m = _displace_rows(m, self.layout, item)

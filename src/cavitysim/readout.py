@@ -28,23 +28,20 @@ _SINGULAR_COND = 1e12
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
-    """Column-stochastic matrix of assignment probabilities for n qubits.
+    """Column-stochastic matrix of assignment probabilities for n qubits: a
+    square R whose side is 2ⁿ.
 
     Column index: prepared computational basis state (first qubit is the most
     significant bit).  Row index: assigned outcome.
     """
 
-    n_qubits: int
     R: np.ndarray
 
     def __post_init__(self):
-        d = 2**self.n_qubits
         r = np.asarray(self.R, dtype=float)
-        if r.shape != (d, d):
-            raise ValidationError(
-                f"assignment matrix shape {r.shape} does not match {self.n_qubits} "
-                "qubits"
-            )
+        side = len(r) if r.ndim == 2 and r.shape[0] == r.shape[1] else 0
+        if side < 1 or side & (side - 1):
+            raise ValidationError(f"assignment matrix of shape {r.shape} is not square with a power-of-2 side")
         if np.any(r < 0):
             raise ValidationError("assignment probabilities may not be negative")
         sums = r.sum(axis=0)
@@ -60,7 +57,11 @@ class AssignmentMatrix:
 
     @property
     def dim(self) -> int:
-        return 2**self.n_qubits
+        return len(self.R)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.dim.bit_length() - 1
 
     @property
     def condition_number(self) -> float:
@@ -81,17 +82,10 @@ def load_assignment(table) -> AssignmentMatrix:
     rounding noise emit a warning, and gross deviations are rejected.
     """
     r = np.asarray(table, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValidationError("assignment table must be a square matrix")
-    n = int(np.log2(r.shape[0]))
-    if 2**n != r.shape[0]:
-        raise ValidationError("assignment table dimension must be a power of 2")
-    if np.any(r < 0):
-        raise ValidationError("assignment probabilities may not be negative")
-    sums = r.sum(axis=0)
+    sums = r.sum(axis=0) if r.ndim == 2 else 1.0  # AssignmentMatrix refuses any other shape
     if np.any(sums <= 0):
-        raise ValidationError("assignment table has an empty column")
-    dev = np.max(np.abs(sums - 1.0))
+        raise ValidationError("assignment table has a column whose sum is not positive")
+    dev = np.max(np.abs(sums - 1.0), initial=0.0)
     if dev > _MAX_COLUMN_DEVIATION:
         raise ValidationError(
             f"assignment table columns deviate from unit sum by {dev:.3f}"
@@ -101,7 +95,7 @@ def load_assignment(table) -> AssignmentMatrix:
             f"renormalizing assignment columns (worst sum deviation {dev:.3f})",
             stacklevel=2,
         )
-    return AssignmentMatrix(n, r / sums)
+    return AssignmentMatrix(r / sums)
 
 
 def load_assignment_csv(text: str) -> AssignmentMatrix:

@@ -23,7 +23,7 @@ def _dense_evolve(x, h0, channels, dt, layout):
         for label, op in ops.items():
             u = channels[label][j]
             h = h + u * op + np.conj(u) * op.conj().T
-        x = segment_propagator(LinearOp(layout.space, h), dt).matrix @ x
+        x = segment_propagator(LinearOp(layout.space, h), dt) @ x
     return x
 
 

@@ -161,7 +161,7 @@ def test_cavity_photon_number_decays_at_T1():
         # free evolution: one undriven sample of length t
         idle = PulseSequence("Q1", [0.0], t)
         out = lindblad_evolve(rho, idle, propagators)
-        n_t = float(np.real(np.trace(out.matrix @ n_op)))
+        n_t = float(np.real(np.trace(out @ n_op)))
         expected = 2.0 * np.exp(-t / t1)
         assert abs(n_t - expected) / expected < 1e-6
 
@@ -175,7 +175,7 @@ def test_qubit_coherence_decays_at_T2():
     for t in (0.5 * t2, 1.5 * t2, 3.0 * t2):
         idle = PulseSequence("Q1", [0.0], t)
         out = lindblad_evolve(rho, idle, propagators)
-        coherence = abs(out.matrix[0, 1])
+        coherence = abs(out[0, 1])
         expected = 0.5 * np.exp(-t / t2)
         assert abs(coherence - expected) / expected < 1e-6
 

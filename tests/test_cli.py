@@ -103,6 +103,19 @@ def test_readout_correct_refuses_non_numeric_probs(tmp_path, capsys, probs, bad)
     assert not out.exists()
 
 
+def test_readout_correct_refuses_probs_of_the_wrong_length(tmp_path, capsys):
+    """Four probabilities for the bundled three-qubit matrix exit 1 with one
+    error line that names both lengths, and nothing is written."""
+    p_path = tmp_path / "p.csv"
+    p_path.write_text("0.25,0.25,0.25,0.25")
+    out = tmp_path / "run"
+    assert main(["readout-correct", "--probs", str(p_path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "has 4 entries" in err and "expects 8" in err
+    assert not out.exists()
+
+
 def test_readout_correct_skips_a_leading_header_line(tmp_path):
     values = "0.3,0.1,0.1,0.1,0.1,0.1,0.1,0.1\n"
     outputs = []
@@ -620,6 +633,18 @@ def test_wigner_fock_state_fits_its_own_truncation(tmp_path, dim_args):
     assert len(rows) == 41 * 41
     at_origin = [float(w) for re, im, w in rows if float(re) == 0 and float(im) == 0]
     assert at_origin[0] == pytest.approx(-2.0 / np.pi, abs=1e-12)
+
+
+def test_wigner_binomial_state_integrates_to_one(tmp_path):
+    """The binomial |+⟩_L on its default 7 levels: the grid integral is 1 to
+    the 0.01 that the cat case is held to."""
+    out = tmp_path / "run"
+    assert main(["wigner", "--state", "binomial", "-o", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["parameters"]["dim"] == 7
+    result = json.loads((out / "result.json").read_text())
+    re_axis, im_axis = np.array(result["re_axis"]), np.array(result["im_axis"])
+    cell = (re_axis[1] - re_axis[0]) * (im_axis[1] - im_axis[0])
+    assert abs(np.sum(result["values"]) * cell - 1.0) < 0.01
 
 
 def test_wigner_refuses_a_negative_fock_level(tmp_path, capsys):

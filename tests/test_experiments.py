@@ -305,8 +305,8 @@ def test_code_projection_reproduces_qpt_pulse_ptm(gate):
         layout, enc, spec, _ = _phase_gate("z", params, alpha)
         backend, n = PulseBackend(params, layout, compensate=True), 1
     else:
-        backend, spec, encoding = _cz("cat", params, "pulse", alpha)
-        enc, n = encoding(), 2
+        backend, spec, enc = _cz("cat", params, "pulse", alpha)
+        n = 2
     g = np.array([1.0, 0.0], dtype=complex)
     words = itertools.product(enc.basis.T, repeat=n)
     code = np.stack([np.kron(g, tensor(w)) for w in words], axis=1)

@@ -83,7 +83,7 @@ def dense_conditional_rotation(layout, step):
     term = (0.5 * step.epsilon * np.exp(1j * step.phi_axis)) * (
         lift(sigma_plus(), layout.index[step.qubit], layout.space) @ proj
     )
-    return segment_propagator(LinearOp(layout.space, term + term.conj().T), step.duration).matrix
+    return segment_propagator(LinearOp(layout.space, term + term.conj().T), step.duration)
 
 
 def ideal_unitary(layout, spec):
@@ -428,6 +428,41 @@ def test_ideal_backend_rejects_invalid_condition(driven, condition):
     spec = GateSpec("r", (ConditionalRotation(driven, 0.0, np.pi, 0.01, condition),))
     with pytest.raises(ValidationError):
         IdealBackend(layout).apply(psi, spec)
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [(("S9", 0),), (("Q1", 0),), (("S1", 9),), (("S1", -1),), (("S1", 0.5),), (("S1", 0), ("S1", 1))],
+    ids=["absent", "qubit", "above-truncation", "negative", "fractional", "repeated-cavity"],
+)
+def test_both_backends_refuse_the_same_conditions(params, condition):
+    """A condition on a label that is no cavity, on a level outside the
+    truncation or on one cavity twice is a ValidationError on every backend.
+    The pulse backend used to play the first two as an unconditional π (or
+    raise a bare KeyError when compensating) and the next three at unchecked
+    detunings, while the ideal backend read level 0.5 as 0; a repeated
+    cavity gave the ideal backend an empty mask."""
+    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 6})
+    psi = tensor([qubit_ket(False), fock_ket(layout.mode("S1"), 0)])
+    spec = _rotation("Q1", 0.0, np.pi, params.chi[("S1", "Q1")] / 10, condition)
+    backends = [IdealBackend(layout), PulseBackend(params, layout), PulseBackend(params, layout, compensate=True)]
+    for backend in backends:
+        with pytest.raises(ValidationError):
+            backend.apply(psi, spec)
+
+
+def test_pulse_backend_refuses_a_condition_without_a_dispersive_shift(params):
+    """S2 has no χ to Q1: no tone selects its levels, so the pulse backend
+    refuses the condition (it read χ as 0), while the ideal backend, which
+    knows no χ, plays it."""
+    assert ("S2", "Q1") not in params.chi
+    layout = SystemLayout.build(["Q1"], ["S2"], {"S2": 4})
+    psi = tensor([qubit_ket(False), fock_ket(layout.mode("S2"), 0)])
+    spec = _rotation("Q1", 0.0, np.pi, 0.01, (("S2", 0),))
+    assert abs(IdealBackend(layout).apply(psi, spec)[joint_index(layout.space, (1, 0))]) > 1 - 1e-12
+    for compensate in (False, True):
+        with pytest.raises(ValidationError, match="dispersive shift"):
+            PulseBackend(params, layout, compensate=compensate).apply(psi, spec)
 
 
 def test_gaussian_flattop_envelope():

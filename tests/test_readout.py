@@ -54,7 +54,24 @@ def test_non_power_of_two_rejected():
 
 def test_column_stochastic_invariant_enforced():
     with pytest.raises(ValidationError):
-        AssignmentMatrix(1, np.array([[0.9, 0.0], [0.0, 1.0]]))
+        AssignmentMatrix(np.array([[0.9, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [np.eye(3), np.eye(4)[:2], np.ones(4) / 4, np.float64(1.0), np.ones((2, 2, 2)) / 2, np.zeros((0, 0))],
+    ids=["side-3", "non-square", "vector", "scalar", "stack", "empty"],
+)
+def test_assignment_matrix_holds_a_square_power_of_two_side(table):
+    """The class checks R's shape itself, and `load_assignment` leaves it to
+    it; n_qubits and dim are read off R's side."""
+    with pytest.raises(ValidationError, match="power-of-2 side"):
+        AssignmentMatrix(table)
+    with pytest.raises(ValidationError):
+        load_assignment(table)
+    am = AssignmentMatrix(np.eye(8))
+    assert (am.n_qubits, am.dim) == (3, 8)
+    assert am.outcome_labels()[-1] == "111"
 
 
 def test_csv_round_trip_matches_direct_load():

@@ -22,8 +22,9 @@ module-level function, class or constant (one leading underscore) must be
 named somewhere in src/ outside its own statement too.
 
 The same parse keeps the (space, array) records `Ket`, `DensityOp` and
-`LinearOp` where perfbench/tracer.py reads them: everywhere else a state or
-operator is a plain ndarray.
+`LinearOp` where perfbench/tracer.py reads them, as the arguments of the
+evolution kernels: everywhere else, the kernels' results included, a state
+or operator is a plain ndarray.
 """
 
 import ast
@@ -251,21 +252,46 @@ def _scopes(tree):
             yield getattr(node, "name", "<module>"), node
 
 
-def test_gates_builds_records_only_where_the_tracer_reads_them():
-    """In gates, only the two backend methods that hand `evolve_pulse` a Ket
-    and `lindblad_evolve` a DensityOp, each holding the whole stack, build a
-    record; everything else there pushes arrays."""
-    tree = dict(_modules())["gates"]
+#: every src scope that builds a record: the two backend methods that hand
+#: `evolve_pulse` a Ket and `lindblad_evolve` a DensityOp, each holding the
+#: whole stack, and the operator product that the tracer's METHODS wraps
+RECORD_BUILDERS = {"gates.PulseBackend.apply", "gates.PulseBackend.apply_density", "fock.LinearOp.__matmul__"}
+
+
+def test_records_are_built_only_where_the_tracer_reads_them():
+    """A record is only ever an argument the tracer reads: no other scope,
+    the evolution kernels among them, builds one."""
     builders = {
-        label
+        f"{module}.{label}"
+        for module, tree in _modules()
         for label, node in _scopes(tree)
         if any(_built(node)[r] for r in RECORDS)
     }
-    assert builders == {"PulseBackend.apply", "PulseBackend.apply_density"}
-    built = collections.Counter()
-    for _, node in _scopes(tree):
-        built += _built(node)
-    assert not built["LinearOp"]
+    assert builders == RECORD_BUILDERS
+
+
+def _functions(tree):
+    """(label, node) of every function of the module, a method as `Class.name`."""
+    for label, node in _scopes(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield label, node
+
+
+def test_no_src_function_returns_a_record():
+    """Every kernel returns a plain array: no function but the wrapped
+    operator product is annotated to return a record or returns one it builds."""
+    returning = []
+    for module, tree in _modules():
+        modules = _imported_modules(tree)
+        for label, node in _functions(tree):
+            annotated = node.returns is not None and _referenced(node.returns, modules)
+            built = collections.Counter()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Return) and n.value is not None:
+                    built += _built(n.value)
+            if any((annotated and annotated[r]) or built[r] for r in RECORDS):
+                returning.append(f"{module}.{label}")
+    assert returning == ["fock.LinearOp.__matmul__"]
 
 
 #: defaulted parameters kept although no src call passes them, each with the reason
