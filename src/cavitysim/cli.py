@@ -17,11 +17,11 @@ commands and grape-optimize read device parameters, so only they take
 grape-optimize (its start pulse) and readout-correct (its --shots sampling)
 draw random numbers, so only they take --seed.
 
-Exit codes: 0 on success, 1 on validation/usage errors and on files that
-cannot be read or written (an input file that is not UTF-8 text, an
---output path under a regular file, refused before the command runs), 2 on
-numerical failure, an allocation that fails among them (a parity sweep
-whose tiny --epsilon asks for petabytes of drive samples).
+Exit codes: 0 on success, 1 on validation/usage errors, on an interrupted
+run and on files that cannot be read or written (an input file that is not
+UTF-8 text, an --output path under a regular file, refused before the
+command runs), 2 on numerical failure, an allocation that fails among them
+(a parity sweep whose tiny --epsilon asks for petabytes of drive samples).
 """
 
 from __future__ import annotations
@@ -524,10 +524,6 @@ def cmd_readout_correct(output_dir, seed, shots, matrix_text, probs_text, projec
     if None in values:
         raise ValidationError(f"--probs entry {tokens[values.index(None)]!r} is not a number")
     p = np.asarray(values, dtype=float)
-    if p.size != assignment.dim:
-        raise ValidationError(
-            f"probability vector has {p.size} entries, matrix expects {assignment.dim}"
-        )
     if not 0 < p.sum() < np.inf:  # also false for NaN
         raise ValidationError("probabilities must be finite with a positive sum")
     p = p / p.sum()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
 
 import numpy as np
@@ -28,6 +28,7 @@ from cavitysim.device import (
     DeviceParams,
     SystemLayout,
     default_config_text,
+    levels,
     load_params,
 )
 from cavitysim.errors import ValidationError
@@ -57,6 +58,7 @@ from cavitysim.gates import (
 from cavitysim.tomography import (
     joint_wigner,
     pauli_labels,
+    pauli_matrix,
     pauli_transfer,
     process_fidelity,
     unitary_transfer,
@@ -73,8 +75,8 @@ REFERENCE_FIDELITIES = {
 }
 
 _CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_X = pauli_matrix("X")
+_HADAMARD = (_X + pauli_matrix("Z")) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -112,23 +114,13 @@ class ExperimentResult:
                 raise ValidationError(f"summary entry {key!r} must be a Scalar")
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "tables": {
-                k: {"columns": list(t["columns"]), "rows": [list(r) for r in t["rows"]]}
-                for k, t in self.tables.items()
-            },
-            "summary": {
-                k: {
-                    "value": s.value,
-                    "tolerance": s.tolerance,
-                    "reference": s.reference,
-                }
-                for k, s in self.summary.items()
-            },
-            "provenance": self.provenance,
-        }
+        """The result as result.json holds it: every field but `gate_spec`,
+        with each summary Scalar as the dict of its fields.  The tables are
+        passed as they are: `asdict` of the whole result would deep-copy every
+        row, 1.8 ms for a 16 × 16 PTM against 0.04 ms for this form."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "gate_spec"}
+        out["summary"] = {k: asdict(s) for k, s in self.summary.items()}
+        return out
 
 
 def load_config(config_text: str | None):
@@ -272,8 +264,7 @@ def run_parity_sweep(
     enc = cat_encoding(alpha, dim, variant="shifted")
     psi0 = np.kron(qubit_ket(0), logical_ket(enc, 1.0, 1.0))
     read_out = displacement(-alpha * np.exp(1j * delta), layout.mode("S1"))
-    # (−1)^n on the joint basis |q, n⟩ (qubit factor first)
-    parity = np.tile((-1.0) ** np.arange(dim), 2)
+    parity = (-1.0) ** levels(layout)["S1"]
 
     backend = _backend(mode, params, layout)
     rows = []
@@ -416,10 +407,12 @@ def run_qpt(
         for j in range(len(labels))
     )
     summary = {"process_fidelity": Scalar(float(f), tol)}
-    refs = REFERENCE_FIDELITIES[family]
-    summary["measured_F_ED_reference"] = Scalar(refs["F_ED"], reference=True)
-    summary["measured_F_gate_ED_reference"] = Scalar(refs["F_CZ_ED"], reference=True)
-    summary["measured_F_gate_reference"] = Scalar(refs["F_CZ"], reference=True)
+    if gate.startswith("cz-"):
+        # the references measure the CZ of each code, not a single-cavity gate
+        refs = REFERENCE_FIDELITIES[family]
+        summary["measured_F_ED_reference"] = Scalar(refs["F_ED"], reference=True)
+        summary["measured_F_gate_ED_reference"] = Scalar(refs["F_CZ_ED"], reference=True)
+        summary["measured_F_gate_reference"] = Scalar(refs["F_CZ"], reference=True)
     return ExperimentResult(
         name="qpt",
         parameters={
@@ -550,7 +543,8 @@ def run_error_budget(
     )
     budget = {name: val for name, val in rows}
     t_gate = spec.duration
-    t1_qubit = params.T1["Q1"]
+    # a missing T1 means no decay, as in `standard_collapses`
+    t1_qubit = params.T1.get("Q1", np.inf)
     estimate = t_gate / (2.0 * t1_qubit)
     row_sum = sum(v for name, v in rows if name != "total")
     return ExperimentResult(

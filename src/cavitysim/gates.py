@@ -40,6 +40,7 @@ from cavitysim.device import (
 )
 from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.evolution import (
+    SAMPLE_DT,
     BlockScan,
     LindbladPropagators,
     PulseSequence,
@@ -55,10 +56,6 @@ from cavitysim.fock import DensityOp, Ket, apply_on_factor, displacement
 #: Axis-angle offsets realizing the standard single-cavity phase gates via
 #: gamma = pi + dphi.
 CANONICAL_DELTA_PHI = {"Z": 0.0, "S": -np.pi / 2, "T": -3 * np.pi / 4}
-
-#: Drive sample period (ns) of every pulse: the pulse backend, the blockwise
-#: CZ propagator and its calibration all run on this one grid.
-SAMPLE_DT = 1.0
 
 
 def wrap_angle(x: float) -> float:

@@ -41,12 +41,10 @@ import numpy as np
 from cavitysim.codes import binomial_encoding, logical_ket
 from cavitysim.device import DeviceParams, SystemLayout, levels, static_hamiltonian
 from cavitysim.errors import ValidationError
+from cavitysim.evolution import SAMPLE_DT, _energy_vector
 from cavitysim.fock import fock_ket, qubit_ket
 
 DEFAULT_AMPLITUDE_BOUND = 2.0 * np.pi * 50e-3  # |amplitude| cap: 50 MHz in rad/ns
-
-#: Duration (ns) of each piecewise-constant step of an optimized pulse
-_DT = 1.0
 
 
 def control_operator(layout: SystemLayout, label: str) -> np.ndarray:
@@ -75,7 +73,7 @@ class TransferTask:
     layout's space.  H0 is the static Hamiltonian as its real (dim,) energy
     vector.  channels lists the layout labels the optimizer drives; each
     label's control is its `control_operator` O, and a complex amplitude u
-    contributes u·O + ū·O† to the Hamiltonian of its step of _DT ns.
+    contributes u·O + ū·O† to the Hamiltonian of its step of SAMPLE_DT ns.
     """
 
     pairs: tuple
@@ -86,12 +84,7 @@ class TransferTask:
 
     def __post_init__(self):
         dim = self.layout.space.dim
-        h0 = np.asarray(self.H0)
-        if h0.shape != (dim,) or np.iscomplexobj(h0):
-            raise ValidationError(
-                f"H0 must be the real energy vector of shape ({dim},), "
-                f"got {h0.dtype} of shape {h0.shape}"
-            )
+        h0 = _energy_vector(self.H0, self.layout)
         if not self.channels:
             raise ValidationError("transfer task needs at least one drive channel")
         for label in self.channels:
@@ -201,7 +194,7 @@ def _forward(amps: np.ndarray, task: TransferTask):
         w[s:e], r = np.linalg.eigh(h0 + drive + drive.transpose(0, 2, 1))
         theta = np.angle(amps[:, s:e]).T @ n_c  # the gauge phases θ_j (steps, d)
         v[s:e] = np.exp(1j * theta)[:, :, None] * r
-        u = _propagators(w[s:e], v[s:e], _DT)
+        u = _propagators(w[s:e], v[s:e], SAMPLE_DT)
         for j in range(s, e):
             fwd[j + 1] = u[j - s] @ fwd[j]
     a_mean = np.sum(np.conjugate(targ) * fwd[n], axis=0).mean()
@@ -226,7 +219,7 @@ def _loewner(w: np.ndarray, dt: float) -> np.ndarray:
 def _fidelity_and_gradient(amps: np.ndarray, task: TransferTask):
     a_mean, w, v, fwd, targ, ops = _forward(amps, task)
     n, d, k = task.n_steps, w.shape[1], targ.shape[1]
-    dt = _DT
+    dt = SAMPLE_DT
     # tr(B O) = Σ_ab B_ab O_ba and tr(B O†) = Σ_ab B_ab conj(O_ab): one
     # contraction of the flattened B with these rows gives both per channel
     probes = np.concatenate([ops.transpose(0, 2, 1), ops.conj()]).reshape(-1, d * d)

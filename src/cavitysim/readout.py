@@ -147,7 +147,8 @@ def default_assignment() -> AssignmentMatrix:
 def _check_probability_vector(p, dim: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (dim,):
-        raise ValidationError(f"probability vector must have length {dim}")
+        got = f"{p.size} entries" if p.ndim == 1 else f"shape {p.shape}"
+        raise ValidationError(f"probability vector has {got}, matrix expects {dim}")
     if not np.all(np.isfinite(p)):
         raise ValidationError("probabilities must be finite")
     if np.any(p < -1e-12):

@@ -22,6 +22,7 @@ from cavitysim.device import (
     static_hamiltonian,
 )
 from cavitysim.evolution import (
+    SAMPLE_DT,
     LindbladPropagators,
     PulseSequence,
     lindblad_evolve,
@@ -253,7 +254,7 @@ def test_gradient_matches_finite_differences_on_random_pulses(dense_evolve):
             channels = {
                 ch: amps[ch] + scale * direction[ch] for ch in task.channels
             }
-            out = dense_evolve(init, task.H0, channels, grape._DT, task.layout)
+            out = dense_evolve(init, task.H0, channels, SAMPLE_DT, task.layout)
             return abs(np.vdot(targ, out)) ** 2
 
         fd = (fidelity_at(h) - fidelity_at(-h)) / (2.0 * h)
@@ -276,7 +277,7 @@ def test_optimizer_reaches_encode_fidelity(dense_evolve):
     ins = np.stack([p[0] for p in task.pairs], axis=1)
     targets = np.stack([p[1] for p in task.pairs], axis=1)
     channels = dict(zip(task.channels, pulse))
-    out = dense_evolve(ins, static_hamiltonian(PARAMS, task.layout), channels, grape._DT, task.layout)
+    out = dense_evolve(ins, static_hamiltonian(PARAMS, task.layout), channels, SAMPLE_DT, task.layout)
     overlaps = np.sum(targets.conj() * out, axis=0)
     assert abs(abs(np.mean(overlaps)) ** 2 - report.final_fidelity) < 1e-10
     assert abs(overlaps[2]) ** 2 >= 0.98

@@ -401,6 +401,27 @@ def test_missing_t2_entry_is_named_where_decoherence_is_simulated(tmp_path, caps
     assert main(["qpt", "--gate", "z", "--mode", "pulse", "--config", str(cfg), "-o", str(tmp_path / "qpt")]) == 0
 
 
+def test_error_budget_reads_a_missing_t1_as_no_decay(tmp_path):
+    """Q1 without a [T1_us] entry does not decay, as in
+    `evolution.standard_collapses`: the budget equals the one of Q1 = inf,
+    and its relaxation estimate is 0 (it used to end in a KeyError)."""
+    from cavitysim.device import default_config_text
+
+    text = default_config_text()
+    entry = "[T1_us]\nS1 = 480\nS2 = 692\nQ1 = 35\n"
+    assert text.count(entry) == 1
+    results = []
+    for name, t1 in (("missing", ""), ("inf", "Q1 = inf\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text.replace(entry, entry.replace("Q1 = 35\n", t1)))
+        out = tmp_path / name
+        assert main(["error-budget", "--config", str(cfg), "-o", str(out)]) == 0
+        summary = json.loads((out / "result.json").read_text())["summary"]
+        assert summary["relaxation_estimate_T_over_2T1"]["value"] == 0.0
+        results.append(((out / "budget.csv").read_bytes(), summary))
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize(
     "entry, value, args, named",
     [
@@ -932,3 +953,39 @@ def test_unusable_output_exits_1_before_the_recipe_runs(tmp_path, capsys, monkey
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(out) in err
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [(object(), "object"), ({0.5}, "set"), (0.5j, "complex")],
+    ids=["object", "set", "complex"],
+)
+def test_json_default_refuses_what_it_cannot_write(value, name):
+    """Anything but a numpy scalar or array is a TypeError naming its type."""
+    with pytest.raises(TypeError, match=f"not JSON serializable: {name}$"):
+        cli._json_default(value)
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "Usage: sim" in capsys.readouterr().out
+
+
+def test_no_command_exits_1_with_the_usage_on_stderr(capsys):
+    assert main([]) == 1
+    captured = capsys.readouterr()
+    assert "Usage: sim" in captured.err
+    assert captured.out == ""
+
+
+def test_interrupted_run_exits_1_and_writes_nothing(tmp_path, monkeypatch):
+    """click turns a KeyboardInterrupt into Abort, which `main` maps to 1
+    before any output directory exists."""
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_qpt", interrupted)
+    out = tmp_path / "run"
+    assert main(["qpt", "--gate", "z", "-o", str(out)]) == 1
+    assert not out.exists()

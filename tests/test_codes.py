@@ -29,6 +29,14 @@ def test_symmetric_cat_degenerate_rejected():
         cat_encoding(0.0, 10, variant="symmetric")
 
 
+@pytest.mark.parametrize("variant", ["odd", "Shifted"])
+def test_cat_encoding_refuses_an_unknown_variant(variant):
+    """The variants are `symmetric` and `shifted`, spelled exactly; dim 21
+    is the recommended truncation at |alpha| = 1, so nothing warns."""
+    with pytest.raises(ValidationError, match=f"unknown cat variant '{variant}'"):
+        cat_encoding(1.0, 21, variant=variant)
+
+
 def test_symmetric_cat_overlap():
     enc = cat_encoding(np.sqrt(2), 30, variant="symmetric")
     assert abs(np.vdot(enc.ket0, enc.ket1) - np.exp(-4.0)) < 1e-8

@@ -12,7 +12,7 @@ from cavitysim.device import (
 )
 from cavitysim.errors import ValidationError
 from cavitysim.evolution import PulseSequence, evolve_pulse
-from cavitysim.fock import Ket, fock_ket, qubit_ket
+from cavitysim.fock import CompositeSpace, Ket, ModeSpec, fock_ket, qubit_ket
 from cavitysim.gates import ConditionalRotation, GateSpec, IdealBackend
 
 from oracles import density, joint_index, lift, sigma_plus, tensor
@@ -59,9 +59,13 @@ def test_chi_entries_readout_skipped_unknown_rejected(params):
 
 
 def test_t2_invariant_violation():
-    bad = default_config_text().replace("Q1 = 25", "Q1 = 105", 1)
-    with pytest.raises(ValidationError):
-        load_params(bad)
+    """T2 <= 2*T1 is checked once, on load: Q1's T1 is 35 us, so a T2 of
+    70 us loads and one of 105 us is refused by name."""
+    text = default_config_text()
+    assert "[T2_us]\nS1 = 559\nS2 = 312\nQ1 = 25\n" in text
+    assert load_params(text.replace("Q1 = 25", "Q1 = 70", 1)).T2["Q1"] == 70 * US
+    with pytest.raises(ValidationError, match=r"Q1: T2 = 105000.0 ns exceeds 2\*T1 = 70000.0 ns"):
+        load_params(text.replace("Q1 = 25", "Q1 = 105", 1))
 
 
 @pytest.mark.parametrize(
@@ -288,3 +292,28 @@ def test_cavity_static_diag_matches_full_without_chi(params):
         for n2 in range(4):
             i = joint_index(layout.space, (0, n1, n2))
             assert abs(diag[i] - h[i]) < 1e-15
+
+
+def _without(entry: str) -> str:
+    """The bundled config with its one line or section `entry` removed."""
+    text = default_config_text()
+    assert text.count(entry) == 1
+    return text.replace(entry, "")
+
+
+_ONE_QUBIT = CompositeSpace((ModeSpec.qubit(),))
+
+
+@pytest.mark.parametrize(
+    "run, match",
+    [
+        (lambda: load_params(_without("[kerr_MHz]\nS1 = 0.005\nS2 = 0.016\n")), "missing section 'kerr_MHz'"),
+        (lambda: load_params(_without("S2_Q3 = 1.494\n")), r"missing chi entries: \{\('S2', 'Q3'\)\}"),
+        (lambda: SystemLayout(_ONE_QUBIT, {"Q1": 0, "Q2": 0}), "one-to-one onto factors"),
+        (lambda: SystemLayout(_ONE_QUBIT, {"R1": 0}), "readout resonators are not quantum factors"),
+    ],
+    ids=["missing-section", "missing-chi", "two-labels-one-factor", "readout-resonator"],
+)
+def test_device_refusals(run, match):
+    with pytest.raises(ValidationError, match=match):
+        run()

@@ -199,8 +199,6 @@ def test_dephasing_rate_values():
     assert abs(g - (1 / 12e3 - 1 / 40e3)) < 1e-15
     assert abs(g - 0.0583333e-3) < 1e-7
     assert abs(dephasing_rate(50.0, 50.0) - 1 / 100.0) < 1e-15
-    with pytest.raises(ValidationError):
-        dephasing_rate(10.0, 30.0)
 
 
 def test_standard_collapses_count_and_rates(params):

@@ -393,6 +393,23 @@ def test_qpt_reference_rows_are_reference_only():
     assert r.summary["measured_F_gate_reference"].value == 0.894
 
 
+@pytest.mark.parametrize("gate", ["z", "s", "t"])
+def test_qpt_single_cavity_gate_carries_no_cz_reference(gate):
+    """The measured references are those of each code's CZ, so a
+    single-cavity phase gate carries none (it used to carry the cat CZ's)."""
+    assert sorted(run_qpt(gate, mode="ideal").summary) == ["process_fidelity"]
+
+
+def test_qpt_cat_cz_carries_the_cat_references():
+    summary = run_qpt("cz-coherent", mode="ideal").summary
+    values = {k: s.value for k, s in summary.items() if s.reference}
+    assert values == {
+        "measured_F_ED_reference": 0.954,
+        "measured_F_gate_ED_reference": 0.859,
+        "measured_F_gate_reference": 0.905,
+    }
+
+
 def test_qpt_ideal_s_gate_matches_analytic_ptm():
     r = run_qpt("s", mode="ideal")
     entries = {(a, b): v for a, b, v in r.tables["ptm"]["rows"]}
@@ -413,6 +430,12 @@ def test_qpt_pulse_cz_coherent():
 def test_qpt_unknown_gate_rejected():
     with pytest.raises(ValidationError):
         run_qpt("cnot")
+
+
+@pytest.mark.parametrize("gate", ["x", "cz-binomial"])
+def test_error_budget_refuses_a_gate_that_is_not_single_cavity(gate):
+    with pytest.raises(ValidationError, match=f"'{gate}' is not one of the single-cavity gates Z/S/T"):
+        run_error_budget(gate)
 
 
 def test_qpt_rejects_modes_it_does_not_simulate():

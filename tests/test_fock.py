@@ -352,3 +352,24 @@ def test_coherent_refuses_a_state_that_vanishes_on_its_truncation():
     """Every amplitude of |40⟩ underflows on 10 levels: refused, not NaN."""
     with pytest.raises(ValidationError, match="vanishes"):
         coherent(40.0, ModeSpec.bosonic(10))
+
+
+_ONE_QUBIT = CompositeSpace((ModeSpec.qubit(),))
+
+
+@pytest.mark.parametrize(
+    "run, match",
+    [
+        (lambda: ModeSpec("spin"), "unknown mode kind 'spin'"),
+        (lambda: ModeSpec("qubit", 3), "qubit modes have dim 2"),
+        (lambda: ModeSpec("bosonic", 1), "mode dim must be >= 2"),
+        (lambda: LinearOp(_ONE_QUBIT, np.eye(3)), r"matrix shape \(3, 3\) does not match space dim 2"),
+        (lambda: coherent(0.5, ModeSpec.qubit()), "requires a bosonic mode"),
+        (lambda: fock_ket(ModeSpec.bosonic(3), 3), r"Fock level 3 outside truncation 0\.\.2"),
+        (lambda: apply_on_factor(np.eye(2), 1, _ONE_QUBIT, qubit_ket(0)), "factor index out of range"),
+    ],
+    ids=["mode-kind", "qubit-dim", "mode-dim", "operator-shape", "qubit-coherent", "fock-level", "factor-index"],
+)
+def test_fock_refusals(run, match):
+    with pytest.raises(ValidationError, match=match):
+        run()

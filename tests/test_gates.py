@@ -1,5 +1,6 @@
 import functools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from cavitysim.evolution import (
     block_rotations,
     segment_propagator,
 )
-from cavitysim.errors import ValidationError
+from cavitysim.errors import NumericalError, ValidationError
 from cavitysim.fock import Ket, LinearOp, displacement, fock_ket, partial_trace, qubit_ket
 from cavitysim.gates import (
     CANONICAL_DELTA_PHI,
@@ -1062,3 +1063,76 @@ def test_apply_density_leaves_its_input_writeable(params):
     PulseBackend(params, layout).apply_density(rho, _rotation("Q3", 0.0, np.pi, 0.05, (("S1", 0),)), ())
     assert rho.flags.writeable
 
+
+
+_ON_VACUUM = (("S1", 0),)
+
+
+def _component_unitary(*steps):
+    """`component_logical_unitary` of the steps, for S1 and the qubit Q1."""
+    return lambda params, monkeypatch: component_logical_unitary(GateSpec("steps", steps), ["S1"], "Q1")
+
+
+def _failed_calibration(params, monkeypatch):
+    """The binomial CZ on a solver that stops at residuals far above
+    _CZ_RESIDUAL_TOL."""
+    import scipy.optimize
+
+    stop = lambda fun, x0, **kwargs: SimpleNamespace(x=x0, fun=np.full(36, 0.5))  # noqa: E731
+    monkeypatch.setattr(scipy.optimize, "least_squares", stop)
+    layout = SystemLayout.build(["Q3"], ["S1", "S2"], {"S1": 5, "S2": 5})
+    cz_binomial(PulseBackend(params, layout, compensate=False))
+
+
+@pytest.mark.parametrize(
+    "run, error, match",
+    [
+        (
+            _component_unitary(Displacement("S2", 0.5), Displacement("S2", -0.5)),
+            ValidationError,
+            "unknown cavity label S2",
+        ),
+        (
+            _component_unitary(ConditionalRotation("Q3", 0.0, np.pi, 0.1, _ON_VACUUM)),
+            ValidationError,
+            "all rotations must drive the declared qubit",
+        ),
+        (
+            _component_unitary(ConditionalRotation("Q1", 0.0, np.pi, 0.1, (("S1", 1),))),
+            ValidationError,
+            "only supports vacuum conditions",
+        ),
+        (
+            _component_unitary(MultitonePulse("Q1", (Tone(0.0, 0.1, 0.0),), 100.0)),
+            ValidationError,
+            "multitone pulses have no component-level reduction",
+        ),
+        (
+            _component_unitary(Displacement("S1", 0.5)),
+            ValidationError,
+            "displacements do not return to the original frame",
+        ),
+        (
+            _component_unitary(ConditionalRotation("Q1", 0.0, np.pi, 0.1, _ON_VACUUM)),
+            NumericalError,
+            "qubit does not return to the ground state",
+        ),
+        (lambda params, monkeypatch: cz_coherent(0.0, params), ValidationError, "cat amplitude must be nonzero"),
+        (_failed_calibration, NumericalError, "tone calibration failed; residuals 5.000e-01"),
+        (lambda params, monkeypatch: snap_bell(0), ValidationError, "sign must be"),
+    ],
+    ids=[
+        "unknown-cavity",
+        "other-qubit",
+        "non-vacuum-condition",
+        "multitone",
+        "open-frame",
+        "qubit-left-excited",
+        "zero-cat-amplitude",
+        "calibration-residual",
+        "snap-bell-sign",
+    ],
+)
+def test_gate_refusals(params, monkeypatch, run, error, match):
+    with pytest.raises(error, match=match):
+        run(params, monkeypatch)

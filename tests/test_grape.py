@@ -7,6 +7,7 @@ import scipy.optimize
 from cavitysim import grape
 from cavitysim.device import SystemLayout, levels, load_params, default_config_text, static_hamiltonian
 from cavitysim.errors import ValidationError
+from cavitysim.evolution import SAMPLE_DT
 from cavitysim.fock import CompositeSpace, LinearOp, ModeSpec, fock_ket, qubit_ket
 from cavitysim.grape import (
     DEFAULT_AMPLITUDE_BOUND,
@@ -71,7 +72,7 @@ def _dense_fidelity(dense_evolve, amps, task):
     ins = np.stack([p[0] for p in task.pairs], axis=1)
     targets = np.stack([p[1] for p in task.pairs], axis=1)
     channels = dict(zip(task.channels, amps))
-    out = dense_evolve(ins, task.H0, channels, grape._DT, task.layout)
+    out = dense_evolve(ins, task.H0, channels, SAMPLE_DT, task.layout)
     return float(abs(np.mean(np.sum(targets.conj() * out, axis=0))) ** 2)
 
 
@@ -152,16 +153,19 @@ def test_gradient_vanishes_at_unit_fidelity():
         ("channels", (), "at least one drive channel"),
         ("channels", ("S1",), "not a label of the layout"),
         ("channels", ("Q1", "Q1"), "'Q1' is listed more than once"),
+        ("pairs", (), "at least one state pair"),
+        ("n_steps", 0, "n_steps must be >= 1"),
     ],
     ids=[
         "complex-h0", "h0-length", "h0-matrix", "h0-linear-op", "no-channels", "absent-label",
-        "repeated-label",
+        "repeated-label", "no-pairs", "no-steps",
     ],
 )
 def test_transfer_task_refuses_what_it_cannot_drive(field, value, message):
     """H0 is the layout's real energy vector, and every channel a label of
     the layout, listed once: a task with no channel has nothing to optimize,
-    and a repeated label would write two column pairs of the same name."""
+    and a repeated label would write two column pairs of the same name.  A
+    task without pairs or steps has nothing to transfer."""
     with pytest.raises(ValidationError, match=message):
         dataclasses.replace(_qubit_task(n_steps=5), **{field: value})
 
@@ -276,7 +280,7 @@ def _per_step_loewner(w, dt):
 def _per_step_fidelity_and_gradient(amps, task):
     """Reference: one eigh, one Loewner matrix and one V†OV per step."""
     ops = task.control_operators()
-    dt, k = grape._DT, len(task.pairs)
+    dt, k = SAMPLE_DT, len(task.pairs)
     psi = np.stack([p[0] for p in task.pairs], axis=1)
     targ = np.stack([p[1] for p in task.pairs], axis=1)
     fwd, eigs = [psi], []

@@ -194,3 +194,36 @@ def test_law_of_large_numbers():
     shots = 1_000_000
     counts = sample_assignment(p_true, am, shots=shots, seed=5)
     assert np.max(np.abs(counts / shots - am.R @ p_true)) < 5e-3
+
+
+_ONE_QUBIT = AssignmentMatrix(np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "run, match",
+    [
+        (lambda: load_assignment([[1.0, 0.0], [0.7, 1.0]]), "deviate from unit sum by 0.700"),
+        (lambda: load_assignment_csv(",g,e\n"), "has no data rows"),
+        (lambda: load_assignment_csv(",e,g\n0,1,0\n1,0,1\n"), r"columns must be \['g', 'e'\]"),
+        (lambda: load_assignment_csv(",g,e\n1,0.9,0.1\n0,0.1,0.9\n"), r"rows must be \['0', '1'\]"),
+        (lambda: correct_readout([0.5, 0.25, 0.25], _ONE_QUBIT), "has 3 entries, matrix expects 2"),
+        (lambda: correct_readout([[0.5], [0.5]], _ONE_QUBIT), r"has shape \(2, 1\), matrix expects 2"),
+        (lambda: correct_readout([1.2, -0.2], _ONE_QUBIT), "may not be negative"),
+        (lambda: correct_readout([0.5, 0.4], _ONE_QUBIT), "must sum to 1 within 1e-6"),
+        (lambda: sample_assignment([0.5, 0.5], _ONE_QUBIT, shots=0, seed=0), "shots must be positive"),
+    ],
+    ids=[
+        "gross-column-deviation",
+        "csv-without-rows",
+        "csv-column-order",
+        "csv-row-order",
+        "vector-length",
+        "vector-shape",
+        "negative-probability",
+        "probability-sum",
+        "no-shots",
+    ],
+)
+def test_readout_refusals(run, match):
+    with pytest.raises(ValidationError, match=match):
+        run()
