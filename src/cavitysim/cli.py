@@ -65,23 +65,11 @@ _MODES = ("ideal", "pulse", "pulse+decoherence")
 
 def _fmt(value) -> str:
     """Fixed 17-significant-digit text for floats; plain text otherwise."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
     return str(value)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def _write_csv(path: str, columns, rows) -> None:
@@ -92,7 +80,7 @@ def _write_csv(path: str, columns, rows) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+    text = json.dumps(obj, sort_keys=True, indent=2)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cavitysim.errors import ValidationError
-from cavitysim.fock import CompositeSpace, ModeSpec, apply_on_factor
+from cavitysim.fock import QUBIT, CompositeSpace, ModeSpec, apply_on_factor
 
 MHZ = 2.0 * math.pi * 1e-3  # chi/2pi in MHz -> rad/ns
 US = 1e3  # us -> ns
@@ -163,7 +163,7 @@ class SystemLayout:
         return self.space.factors[self.index[label]]
 
     def is_qubit(self, label: str) -> bool:
-        return self.mode(label).kind == "qubit"
+        return self.mode(label).kind == QUBIT
 
     def qubit_labels(self):
         return [l for l in self.index if self.is_qubit(l)]

@@ -2,10 +2,11 @@
 decay, Bell generation, and error budgets.
 
 Every recipe returns an ExperimentResult with CSV-ready tables, summary
-scalars annotated with the tolerance reported as their bound, and enough
-provenance (config hash, mode) to re-run deterministically; no recipe
-draws random numbers, so none takes a seed.  Measured literature fidelities
-are attached as reference-only scalars and never asserted.
+scalars, and enough provenance (config hash, mode) to re-run
+deterministically; no recipe draws random numbers, so none takes a seed.
+A summary scalar is a value and a reference flag: the bounds the values
+must meet live in the tests that check them.  Measured literature
+fidelities are attached as reference-only scalars and never asserted.
 """
 
 from __future__ import annotations
@@ -81,21 +82,13 @@ _HADAMARD = (_X + pauli_matrix("Z")) / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Scalar:
-    """Summary number with the tolerance reported as its bound.
-
-    Nothing checks the value against the tolerance: it is the bound the
-    recipe reports for the number.  reference=True marks externally measured
-    values carried along for comparison; those need no tolerance because
-    nothing is asserted on them.
+    """Summary number.  reference=True marks an externally measured value
+    carried along for comparison, on which nothing is asserted; every other
+    scalar is computed by the recipe.
     """
 
     value: float
-    tolerance: float | None = None
     reference: bool = False
-
-    def __post_init__(self):
-        if not self.reference and self.tolerance is None:
-            raise ValidationError("non-reference summary scalars need a tolerance")
 
 
 @dataclass(frozen=True)
@@ -231,10 +224,12 @@ def run_parity_sweep(
     displacement D(−α e^{iδ}).
 
     For δ = 0 the ideal-mode curve follows P = cos(π + φ) up to the overlap
-    2e^{−4α²} of the code components |0⟩ and |2α⟩, which sets the reported
-    ideal-mode tolerance; at the default amplitude it is below 1e−13.  An
-    ideal sweep at |α| ≤ √(ln 2)/2, where that tolerance reaches 2 and so
-    cannot fail, is a ValidationError.
+    2e^{−4α²} of the code components |0⟩ and |2α⟩; at the default amplitude
+    it is below 1e−13.  Only then is the largest deviation from that law a
+    summary scalar: at δ ≠ 0 the sweep writes no summary.  An ideal sweep at
+    |α| ≤ √(ln 2)/2, where twice that overlap reaches 2, the largest
+    deviation a parity can have, cannot test the law and is a
+    ValidationError.
     """
     if not np.isfinite(delta):
         raise ValidationError("read-out phase delta must be finite")
@@ -247,13 +242,13 @@ def run_parity_sweep(
     if alpha is None:
         alpha = 2.8 if mode == "ideal" else float(np.sqrt(2.0))
     # the ideal deviation is the overlap 2e^{−4α²} (to 1e-5 relative for |α|
-    # in [1, 1.8]) above a floor below 6e-10: twice it, and at least 1e-6
-    tolerance = max(1e-6, 4.0 * np.exp(-4.0 * alpha**2)) if mode == "ideal" else 0.05
-    if tolerance >= 2.0:
-        # 2 is the largest deviation a parity can have
+    # in [1, 1.8]) above a floor below 6e-10; twice it reaches 2, the largest
+    # deviation a parity can have, at |α| ≤ √(ln 2)/2
+    if mode == "ideal" and 4.0 * np.exp(-4.0 * alpha**2) >= 2.0:
         raise ValidationError(
             f"an ideal parity sweep needs |alpha| > sqrt(ln 2)/2 = {np.sqrt(np.log(2.0)) / 2:.3f}, "
-            f"got {alpha}: up to it the tolerance 4e^(-4 alpha^2) = {tolerance:.3g} cannot fail"
+            f"got {alpha}: up to it twice the component overlap 2e^(-4 alpha^2) reaches 2, "
+            "the largest deviation a parity can have, so the sweep cannot test the cos law"
         )
     # the truncation must hold both code components and their read-out
     # displaced positions (up to 3|alpha| for delta = pi)
@@ -276,13 +271,9 @@ def run_parity_sweep(
         p = float(np.real(np.vdot(x, parity * x)))
         law = float(np.cos(np.pi + phi))
         rows.append((float(phi), p, law))
-        if abs(delta) < 1e-12:
-            worst = max(worst, abs(p - law))
-    summary = {
-        "max_abs_deviation_from_cos_law": Scalar(worst, tolerance)
-        if abs(delta) < 1e-12
-        else Scalar(worst, None, reference=True)
-    }
+        worst = max(worst, abs(p - law))
+    # the cos law holds only at delta = 0
+    summary = {"max_abs_deviation_from_cos_law": Scalar(worst)} if abs(delta) < 1e-12 else {}
     return ExperimentResult(
         name="parity-sweep",
         parameters={
@@ -338,8 +329,6 @@ def run_zgate_repetition(
     fids = np.array(fids)
     slope, intercept = np.polyfit(ms, fids, 1)
     consistency = (fids[0] - fids[1]) + slope  # slope estimate vs m∈{0,1} points
-
-    tol = 1e-6 if mode == "ideal" else 5e-3
     return ExperimentResult(
         name="zgate-repetition",
         parameters={"m_max": int(m_max), "alpha": float(alpha), "mode": mode},
@@ -350,10 +339,10 @@ def run_zgate_repetition(
             }
         },
         summary={
-            "slope_per_gate": Scalar(float(slope), tol),
-            "intercept_F_ED": Scalar(float(intercept), tol),
-            "per_gate_infidelity": Scalar(float(-slope), tol),
-            "slope_consistency_m01": Scalar(float(consistency), 10 * tol),
+            "slope_per_gate": Scalar(float(slope)),
+            "intercept_F_ED": Scalar(float(intercept)),
+            "per_gate_infidelity": Scalar(float(-slope)),
+            "slope_consistency_m01": Scalar(float(consistency)),
         },
         provenance=_provenance(cfg_hash, mode),
     )
@@ -398,7 +387,6 @@ def run_qpt(
         code = _code_basis(enc, n)
         ptm = pauli_transfer(realized_logical_map(backend, spec, code, code[None])(1), n)
     f = process_fidelity(ptm, unitary_transfer(ideal_u, n))
-    tol = 1e-8 if mode == "ideal" else (0.02 if gate == "cz-coherent" else 0.05)
 
     labels = pauli_labels(n)
     rows = tuple(
@@ -406,7 +394,7 @@ def run_qpt(
         for i in range(len(labels))
         for j in range(len(labels))
     )
-    summary = {"process_fidelity": Scalar(float(f), tol)}
+    summary = {"process_fidelity": Scalar(float(f))}
     if gate.startswith("cz-"):
         # the references measure the CZ of each code, not a single-cavity gate
         refs = REFERENCE_FIDELITIES[family]
@@ -464,11 +452,10 @@ def run_bell_generation(
         joint_wigner(psi, layout.space, xs, s * xs, factors=(1, 2)).tolist() for s in (1, -1)
     )
     cut_rows = tuple(zip(xs.tolist(), w_diag, w_antidiag))
-    tol = 1e-8 if mode == "ideal" and encoding == "binomial" else 0.05
     summary = {
-        "bell_fidelity": Scalar(float(fid), tol),
-        "purity_cavity_1": Scalar(purity1, 0.05),
-        "purity_cavity_2": Scalar(purity2, 0.05),
+        "bell_fidelity": Scalar(float(fid)),
+        "purity_cavity_1": Scalar(purity1),
+        "purity_cavity_2": Scalar(purity2),
         "measured_bell_fidelity_reference": Scalar(
             REFERENCE_FIDELITIES["bell_binomial"], reference=True
         ),
@@ -487,9 +474,7 @@ def run_bell_generation(
         four = np.kron(p, p) + np.kron(p, m) + np.kron(m, p) - np.kron(m, m)
         target = np.kron(np.array([1.0, 0.0]), four)
         target = target / float(np.linalg.norm(target))
-        summary["four_component_overlap"] = Scalar(
-            float(abs(np.vdot(psi_raw, target)) ** 2), 0.05
-        )
+        summary["four_component_overlap"] = Scalar(float(abs(np.vdot(psi_raw, target)) ** 2))
     return ExperimentResult(
         name="bell-generation",
         parameters={"encoding": encoding, "mode": mode, "alpha": float(alpha)},
@@ -556,10 +541,10 @@ def run_error_budget(
         },
         tables={"budget": {"columns": ("source", "infidelity"), "rows": rows}},
         summary={
-            "total_infidelity": Scalar(budget["total"], 0.2),
-            "row_sum_infidelity": Scalar(float(row_sum), 0.2 * max(budget["total"], 1e-12)),
-            "decoherence_infidelity": Scalar(budget["decoherence"], 2.0 * estimate),
-            "relaxation_estimate_T_over_2T1": Scalar(float(estimate), reference=True),
+            "total_infidelity": Scalar(budget["total"]),
+            "row_sum_infidelity": Scalar(float(row_sum)),
+            "decoherence_infidelity": Scalar(budget["decoherence"]),
+            "relaxation_estimate_T_over_2T1": Scalar(float(estimate)),
         },
         provenance=_provenance(cfg_hash, "pulse+decoherence"),
     )
@@ -609,10 +594,10 @@ def run_snap_bell(
             }
         },
         summary={
-            "bell_fidelity": Scalar(float(fid), 0.05),
-            "cross_fidelity": Scalar(float(cross), 0.05),
-            "purity_cavity_1": Scalar(purity1, 0.1),
-            "purity_cavity_2": Scalar(purity2, 0.1),
+            "bell_fidelity": Scalar(float(fid)),
+            "cross_fidelity": Scalar(float(cross)),
+            "purity_cavity_1": Scalar(purity1),
+            "purity_cavity_2": Scalar(purity2),
         },
         provenance=_provenance(cfg_hash, mode),
     )

@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from cavitysim.errors import ValidationError
-from cavitysim.fock import CompositeSpace, ModeSpec, partial_trace
+from cavitysim.fock import BOSONIC, CompositeSpace, ModeSpec, partial_trace
 
 # ---------------------------------------------------------------------------
 # Wigner functions
@@ -57,7 +57,7 @@ def _displaced_parities(betas: np.ndarray, spec: ModeSpec) -> np.ndarray:
     to there x grows only as 2d ln 4x (below 1e4 for d ≤ 300), so the 8
     recurrence steps between two renormalisations stay finite.
     """
-    if spec.kind != "bosonic":
+    if spec.kind != BOSONIC:
         raise ValidationError("Wigner functions need a bosonic mode")
     d = spec.dim
     alpha = 2.0 * np.asarray(betas, dtype=complex)
@@ -149,6 +149,8 @@ _PAULIS_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+for _matrix in _PAULIS_1Q.values():
+    _matrix.setflags(write=False)  # `pauli_matrix` returns these arrays themselves
 
 #: Input states used for process reconstruction: {|g⟩, |e⟩, (|g⟩+|e⟩)/√2,
 #: (|g⟩−i|e⟩)/√2} per qubit.

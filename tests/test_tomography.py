@@ -369,6 +369,16 @@ def test_wigner_grid_keeps_its_shape_on_an_empty_im_axis():
     assert grid.shape == (0, 2)
 
 
+def test_pauli_matrices_are_read_only():
+    """`pauli_matrix` returns the shared table's array for a one-letter
+    label, so a write into it would change every later PTM (the arrays were
+    writeable)."""
+    for label in "IXYZ":
+        with pytest.raises(ValueError, match="read-only"):
+            pauli_matrix(label)[0, 0] = 7.0
+    assert np.array_equal(pauli_matrix("X"), [[0, 1], [1, 0]])
+
+
 def test_ptm_identity_process():
     r = unitary_transfer(np.eye(2, dtype=complex), 1)
     assert np.max(np.abs(r - np.eye(4))) < 1e-10
