@@ -54,11 +54,16 @@ squaring of the degree-13 Padé approximant (Higham, SIAM J. Matrix Anal.
 Appl. 26, 1179 (2005)) on numpy alone, so the decoherent path loads no scipy
 and runs on numpy's BLAS library only.  𝓛 maps ρ† to (𝓛ρ)†, so the sectors
 come in mirror pairs under ρ ↔ ρ† (keys k and −k); only one of each pair is
-formed, and the other half of a Hermitian ρ follows by conjugation.
+formed, and the other half of a Hermitian ρ follows by conjugation.  The
+sector of key 0 is its own mirror.  It is held in Hermitian coordinates,
+ρ_ii, √2 Re ρ_ij and √2 Im ρ_ij over its pairs i < j
+(`_hermitian_coordinates`), in which its block is real, so it is
+exponentiated and applied in real arithmetic at a quarter of the complex
+flops.
 At dim 60 (one qubit, one cavity of 30 levels) the 3 600 elements fall into
-59 sectors of at most 120.  `LindbladPropagators` keeps the propagator of
-every distinct run, so a caller that evolves many inputs through the same
-gate builds each once.
+59 sectors of at most 120, the self-mirror one.  `LindbladPropagators`
+keeps the propagator of every distinct run, so a caller that evolves many
+inputs through the same gate builds each once.
 """
 
 from __future__ import annotations
@@ -439,7 +444,8 @@ def _coherence_sectors(layout: SystemLayout, qubit: str):
         if idx[0] <= mirror.min():
             out.append((idx, None if idx[0] == mirror.min() else mirror))
     # largest first, so that its `_expm` temporaries come before the kept
-    # propagators add up: at dim 60, a traced peak of 2.8 MB, not 4.7 MB
+    # propagators add up: at dim 60, one run on 4 inputs has a traced peak
+    # of 2.6 MB, not 3.9 MB, of which the kept propagators are 2.3 MB
     return sorted(out, key=lambda sector: -len(sector[0]))
 
 
@@ -465,21 +471,44 @@ def _sector_generators(h0, collapses, layout: SystemLayout, qubit: str, u: compl
         step_i, step_j = sq * (1 - 2 * q[i]), sq * (1 - 2 * q[j])  # index steps to the partners
         rows = np.arange(len(idx))
         gen = np.zeros((len(idx), len(idx)), dtype=complex)
-        gen[rows, rows] = -1j * (h0[i] - h0[j])
         gen[rows, np.searchsorted(idx, idx + step_i * dim)] = -1j * np.where(q[i], 0.5 * u, 0.5 * np.conj(u))
         gen[rows, np.searchsorted(idx, idx + step_j)] = 1j * np.where(q[j], 0.5 * np.conj(u), 0.5 * u)
-        diss = np.zeros(gen.shape)
+        diss = np.zeros(len(idx))
         for ch in collapses:
             n, s = grids[ch.label]
             ni, nj = n[i], n[j]
             if ch.kind == "dephasing":
-                diss[rows, rows] -= ch.rate * (ni - nj) ** 2
+                diss -= ch.rate * (ni - nj) ** 2
                 continue
-            diss[rows, rows] -= 0.5 * ch.rate * (ni + nj)
+            diss -= 0.5 * ch.rate * (ni + nj)
             src = np.flatnonzero(ni * nj)
             amp = np.sqrt(ch.rate) * np.sqrt(ni[src]) * (np.sqrt(ch.rate) * np.sqrt(nj[src]))
-            diss[np.searchsorted(idx, idx[src] - s * (dim + 1)), src] += amp
-        yield idx, mirror, gen + diss
+            gen[np.searchsorted(idx, idx[src] - s * (dim + 1)), src] += amp
+        gen[rows, rows] = -1j * (h0[i] - h0[j]) + diss
+        yield idx, mirror, gen
+
+
+_SQRT2, _SQRT_HALF = np.sqrt(2.0), np.sqrt(0.5)
+
+
+def _hermitian_coordinates(idx, gen, dim: int):
+    """The self-mirror sector idx and its generator block gen in Hermitian
+    coordinates: ρ_ii, then √2 Re ρ_ij and then √2 Im ρ_ij over its mirror
+    pairs i < j.  These are x = T vec(ρ)[idx] for a unitary T, real for a
+    Hermitian ρ, and since 𝓛(ρ†) = (𝓛ρ)† the block T gen T† is real; its
+    imaginary part is rounding and is dropped.
+
+    Returns ((diag, upper, lower), block): the indices into vec(ρ) of the
+    ρ_ii, of the ρ_ij with i < j and of their mirrors ρ_ji, and the real
+    block.
+    """
+    i, j = np.divmod(idx, dim)
+    d, p = np.flatnonzero(i == j), np.flatnonzero(i < j)
+    q = np.searchsorted(idx, j[p] * dim + i[p])
+    # T on the rows, then T† on the columns: Re(i z) = −Im z
+    t = np.concatenate([gen[d], _SQRT_HALF * (gen[p] + gen[q]), -1j * _SQRT_HALF * (gen[p] - gen[q])])
+    pair, skew = _SQRT_HALF * (t[:, p] + t[:, q]), _SQRT_HALF * (t[:, p] - t[:, q])
+    return (idx[d], idx[p], idx[q]), np.concatenate([t[:, d].real, pair.real, -skew.imag], axis=1)
 
 
 #: Coefficients b_0 … b_13 of the degree-13 Padé approximant of e^x, and θ₁₃,
@@ -496,17 +525,32 @@ _THETA_13 = 5.371920351148152
 def _expm(a: np.ndarray) -> np.ndarray:
     """e^A of a square array by scaling and squaring: the degree-13 Padé
     approximant (V − U)⁻¹(V + U) of e^{A/2^s}, s = max(0, ⌈log₂(‖A‖₁/θ₁₃)⌉),
-    squared s times (Higham 2005, algorithm 2.3 at degree 13 only)."""
+    squared s times (Higham 2005, algorithm 2.3 at degree 13 only).
+
+    A real A (the self-mirror sector's block in Hermitian coordinates) stays
+    real throughout.  A is not modified; U and V are summed in place, and A²,
+    A⁴ and A⁶ are freed before the solve.
+    """
     norm = np.linalg.norm(a, 1)
     s = int(np.ceil(np.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
-    a = a * 2.0**-s
+    a = a * 2.0**-s  # a copy: the caller's array is left as it was
     b, ident = _PADE13, np.eye(len(a))
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    r = np.linalg.solve(v - u, v + u)
+    u, v = b[13] * a6, b[12] * a6
+    for k, ak in ((10, a4), (8, a2)):
+        u += b[k + 1] * ak
+        v += b[k] * ak
+    u, v = a6 @ u, a6 @ v
+    for k, ak in ((6, a6), (4, a4), (2, a2), (0, ident)):
+        u += b[k + 1] * ak
+        v += b[k] * ak
+    del a2, a4, a6, ident
+    u = a @ u
+    r = v + u
+    v -= u
+    r = np.linalg.solve(v, r)
     for _ in range(s):
         r = r @ r
     return r
@@ -521,7 +565,12 @@ class LindbladPropagators:
     A run's propagator is one dense `_expm` per block of `_sector_generators`
     for the run's Hamiltonian diag(H0) + (u/2)|e⟩⟨g| + (ū/2)|g⟩⟨e|; it is
     formed on first use and kept for the life of this object, keyed by the
-    driven qubit, the run's sample and its length.
+    driven qubit, the run's sample and its length.  Each kept entry is
+    (idx, mirror, e): a sector with a mirror keeps its complex exponential
+    e, and the self-mirror sector (mirror None) keeps its float64
+    exponential in Hermitian coordinates, with idx the indices into vec(ρ)
+    of its ρ_ii, of its ρ_ij with i < j and of their mirrors ρ_ji
+    (`_hermitian_coordinates`).
     """
 
     def __init__(self, H0: np.ndarray, collapses: tuple, layout: SystemLayout):
@@ -540,16 +589,25 @@ class LindbladPropagators:
         key = (qubit, u, span)
         blocks = self._cache.get(key)
         if blocks is None:
-            blocks = self._cache[key] = [
-                (idx, mirror, _expm(block * span))
-                for idx, mirror, block in _sector_generators(self.h0, self.collapses, self.layout, qubit, u)
-            ]
+            blocks = []
+            for idx, mirror, block in _sector_generators(self.h0, self.collapses, self.layout, qubit, u):
+                if mirror is None:
+                    idx, block = _hermitian_coordinates(idx, block, self.layout.space.dim)
+                block *= span
+                blocks.append((idx, mirror, _expm(block)))
+            self._cache[key] = blocks  # kept only once every sector is formed
         out = np.empty_like(y)
         for idx, mirror, e in blocks:
+            if mirror is None:
+                diag, upper, lower = idx
+                v = e @ np.concatenate([y[diag].real, _SQRT2 * y[upper].real, _SQRT2 * y[upper].imag])
+                n, m = len(diag), len(diag) + len(upper)
+                w = _SQRT_HALF * (v[n:m] + 1j * v[m:])
+                out[diag], out[upper], out[lower] = v[:n], w, w.conj()
+                continue
             v = e @ y[idx]
             out[idx] = v
-            if mirror is not None:
-                out[mirror] = v.conj()
+            out[mirror] = v.conj()
         return out
 
 

@@ -276,7 +276,7 @@ def optimize(
     Non-convergence is reported in the OptimizerReport, never raised.
     """
     # imported here, not at module level, so that no other command pays for scipy.optimize
-    from scipy.optimize import minimize
+    from scipy.optimize import Bounds, minimize
 
     if max_iters < 0:
         raise ValidationError("max_iters must be >= 0")
@@ -331,7 +331,7 @@ def optimize(
                 _pack(amps0),
                 jac=True,
                 method="L-BFGS-B",
-                bounds=[(-bound, bound)] * (2 * nc * ns),
+                bounds=Bounds(-bound, bound),  # scipy broadcasts the scalars to x0
                 callback=callback,
                 options={"maxiter": max_iters, "gtol": 1e-8, "ftol": 1e-14},
             )

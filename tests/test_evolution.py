@@ -538,28 +538,43 @@ def test_collapses_and_propagators_lift_no_operator(params, monkeypatch):
     lindblad_evolve(rho, _idle(layout, 100.0), propagators)
 
 
-def test_lindblad_pulse_matches_dense_oracle(params):
-    layout = SystemLayout.build(["Q1"], ["S1"], {"S1": 6})
-    cs = _all_channel_kinds(layout)
+@pytest.mark.parametrize(
+    "qubit, cavities", [("Q1", {"S1": 6}), ("Q3", {"S1": 3, "S2": 3})], ids=["Q1-S1", "Q3-S1-S2"]
+)
+def test_lindblad_pulse_matches_dense_oracle(params, qubit, cavities):
+    """Oracle: `expm` of the dense generator, run by run, for every channel
+    kind on each mode of the layout.  Of each run's kept sector
+    exponentials, the self-mirror sector's is real (float64, in Hermitian
+    coordinates) and every other one complex."""
+    layout = SystemLayout.build([qubit], list(cavities), cavities)
+    cs = standard_collapses(params, layout) if qubit == "Q3" else _all_channel_kinds(layout)
+    assert {(c.label, c.kind) for c in cs} == {(m, k) for m in layout.index for k in ("loss", "dephasing")}
     h0 = static_hamiltonian(params, layout)
+    dim = layout.space.dim
     # runs of identical steps, each run one merged solver segment
     runs = [(0.02, 3), (0.01j, 2), (0.0, 4), (-0.015, 3)]
-    pulse = PulseSequence("Q1", np.concatenate([np.full(n, u) for u, n in runs]), 10.0)
+    pulse = PulseSequence(qubit, np.concatenate([np.full(n, u) for u, n in runs]), 10.0)
     rng = np.random.default_rng(4)
-    rho0 = _random_density(rng, 12)
+    rho0 = _random_density(rng, dim)
+    propagators = LindbladPropagators(h0, cs, layout)
 
-    out = _lindblad(DensityOp(layout.space, rho0), h0, pulse, cs, layout)
+    out = lindblad_evolve(DensityOp(layout.space, rho0), pulse, propagators)
 
+    assert len(propagators._cache) == len(runs)
+    for blocks in propagators._cache.values():
+        assert sum(mirror is None for _, mirror, _ in blocks) == 1
+        for _, mirror, e in blocks:
+            assert e.dtype == (np.float64 if mirror is None else np.complex128)
     # exact oracle: expm of the dense generator, built column by column from
     # the dense right-hand side, once per run
-    op = control_operator(layout, "Q1")
+    op = control_operator(layout, qubit)
     y = rho0.reshape(-1)
     for u, n in runs:
         h = np.diag(h0) + u * op + np.conj(u) * op.conj().T
         rhs = _dense_rhs(h, cs, layout)
-        gen = np.stack([rhs(0.0, e) for e in np.eye(144, dtype=complex)], axis=1)
+        gen = np.stack([rhs(0.0, e) for e in np.eye(dim * dim, dtype=complex)], axis=1)
         y = expm(gen * n * pulse.dt) @ y
-    ref = y.reshape(12, 12)
+    ref = y.reshape(dim, dim)
     ref = 0.5 * (ref + ref.conj().T)
     assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -780,6 +795,15 @@ def test_lindblad_checks_the_trace_of_each_stacked_item(params):
 _EXPM_RTOL = 2e-13
 
 
+def _scipy_expm(a):
+    """`scipy.linalg.expm` of a, through scipy's complex path also for a real
+    a.  Its float64 path loses accuracy on rotations: on [[0, w], [−w, 0]] at
+    w = 230 it is 6.9e-13 from the closed form, where its complex path and
+    `_expm` are within 1.7e-14 (`test_expm_of_a_real_rotation_is_the_closed_form`),
+    and the budgets' real self-mirror blocks are such rotations."""
+    return expm(a.astype(complex))
+
+
 def _budget_blocks(gate):
     """The generator blocks 𝓛_C τ that `run_error_budget(gate)` exponentiates."""
     blocks, kernel = [], evolution._expm
@@ -840,9 +864,22 @@ def test_expm_matches_scipy(params, blocks):
     blocks = blocks(params)
     assert blocks
     for a in blocks:
-        ref = expm(a)
+        ref = _scipy_expm(a)
         err = np.linalg.norm(evolution._expm(a) - ref, 1) / np.linalg.norm(ref, 1)
         assert err <= _EXPM_RTOL, (a.shape, np.linalg.norm(a, 1), err)
+
+
+@pytest.mark.parametrize("w", [3.0, 50.0, 230.0])
+def test_expm_of_a_real_rotation_is_the_closed_form(w):
+    """Oracle: e^A of the real generator A = [[0, w], [−w, 0]] is the
+    rotation [[cos w, sin w], [−sin w, cos w]], to `_EXPM_RTOL`; at w = 230
+    the scaling squares six times, as for the z budget's self-mirror block."""
+    a = np.array([[0.0, w], [-w, 0.0]])
+    ref = np.array([[np.cos(w), np.sin(w)], [-np.sin(w), np.cos(w)]])
+    out = evolution._expm(a)
+    assert out.dtype == np.float64
+    assert np.linalg.norm(out - ref, 1) <= _EXPM_RTOL
+    assert np.linalg.norm(_scipy_expm(a).real - ref, 1) <= _EXPM_RTOL
 
 
 @pytest.mark.parametrize("scale", [2.0, np.nan])
