@@ -60,7 +60,6 @@ from cavitysim.tomography import (
     joint_wigner,
     pauli_labels,
     pauli_matrix,
-    pauli_transfer,
     process_fidelity,
     unitary_transfer,
     wigner,
@@ -308,8 +307,10 @@ def run_zgate_repetition(
     """QPT fidelity after m = 0..m_max repeated Z gates on one encoded cavity.
 
     Encode once, apply the gate m times, decode, and reconstruct the qubit
-    process; a linear fit of F(m) gives the per-gate infidelity (slope) and
-    the encode/decode fidelity (intercept).
+    process: `realized_logical_map` plays the gate m_max times and returns
+    the PTMs of all m_max + 1 channels, each set beside Zᵐ.  A linear fit of
+    F(m) gives the per-gate infidelity (slope) and the encode/decode fidelity
+    (intercept).
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1 for the linear fit")
@@ -319,14 +320,11 @@ def run_zgate_repetition(
     decohere = mode == "pulse+decoherence"
     backend = _backend("pulse" if decohere else mode, params, layout)
     collapses = standard_collapses(params, layout) if decohere else None
-    channel = realized_logical_map(backend, spec, _code_basis(enc, 1), _encoder_columns(enc), collapses)
+    ptms = realized_logical_map(backend, spec, _code_basis(enc, 1), _encoder_columns(enc), m_max, collapses)
 
     ms = np.arange(m_max + 1)
-    fids = []
-    for m in ms:
-        ideal = unitary_transfer(np.linalg.matrix_power(zmat, int(m)), 1)
-        fids.append(process_fidelity(pauli_transfer(channel(int(m)), 1), ideal))
-    fids = np.array(fids)
+    ideals = (unitary_transfer(np.linalg.matrix_power(zmat, int(m)), 1) for m in ms)
+    fids = np.array([process_fidelity(ptm, ideal) for ptm, ideal in zip(ptms, ideals)])
     slope, intercept = np.polyfit(ms, fids, 1)
     consistency = (fids[0] - fids[1]) + slope  # slope estimate vs m∈{0,1} points
     return ExperimentResult(
@@ -385,7 +383,7 @@ def run_qpt(
         ptm = unitary_transfer(component_logical_unitary(spec, cavities, qubit), n)
     else:
         code = _code_basis(enc, n)
-        ptm = pauli_transfer(realized_logical_map(backend, spec, code, code[None])(1), n)
+        ptm = realized_logical_map(backend, spec, code, code[None], 1)[1]
     f = process_fidelity(ptm, unitary_transfer(ideal_u, n))
 
     labels = pauli_labels(n)
@@ -508,16 +506,16 @@ def run_error_budget(
     code, decode = _code_basis(enc, 1), _encoder_columns(enc)
     ideal_ptm = unitary_transfer(ideal_u, 1)
     no_kerr = replace(params, kerr={k: 0.0 for k in params.kerr}, cross_kerr=0.0)
-
-    def fidelity(backend, collapses=None):
-        channel = realized_logical_map(backend, spec, code, decode, collapses)(1)
-        return process_fidelity(pauli_transfer(channel, 1), ideal_ptm)
-
     pulse = _backend("pulse", params, layout)
-    f_ideal = fidelity(_backend("ideal", params, layout))
-    f_selectivity = fidelity(_backend("pulse", no_kerr, layout))
-    f_pulse = fidelity(pulse)
-    f_total = fidelity(pulse, standard_collapses(params, layout))
+    f_ideal, f_selectivity, f_pulse, f_total = (
+        process_fidelity(realized_logical_map(backend, spec, code, decode, 1, collapses)[1], ideal_ptm)
+        for backend, collapses in (
+            (_backend("ideal", params, layout), None),
+            (_backend("pulse", no_kerr, layout), None),
+            (pulse, None),
+            (pulse, standard_collapses(params, layout)),
+        )
+    )
 
     rows = (
         ("encode_decode", float(1.0 - f_ideal)),

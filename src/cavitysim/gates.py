@@ -52,6 +52,7 @@ from cavitysim.evolution import (
     qubit_blocks,
 )
 from cavitysim.fock import DensityOp, Ket, apply_on_factor, displacement
+from cavitysim.tomography import pauli_transfer
 
 #: Axis-angle offsets realizing the standard single-cavity phase gates via
 #: gamma = pi + dphi.
@@ -832,41 +833,36 @@ def snap_bell(sign: int) -> GateSpec:
 # Logical-map extraction
 
 
-def realized_logical_map(backend, spec: GateSpec, code: np.ndarray, decode: np.ndarray, collapses=None):
-    """The channels ρ ↦ Σ_n W_n† Gᵐ(code ρ code†) W_n of `spec` = G on
-    `backend`, as a function of m returning the channel, a function of a
-    (s, 2ⁿ, 2ⁿ) stack of input density matrices returning their outputs.
+def realized_logical_map(
+    backend, spec: GateSpec, code: np.ndarray, decode: np.ndarray, repetitions: int, collapses=None
+) -> np.ndarray:
+    """Pauli transfer matrices of the channels ρ ↦ Σ_n W_n† Gᵐ(code ρ code†) W_n
+    of `spec` = G on `backend`, for m = 0 … `repetitions`: a
+    (repetitions + 1, 4ⁿ, 4ⁿ) array, with 2ⁿ = code.shape[1].
 
     `code` is the (dim, 2ⁿ) encoded basis with the qubit in |g⟩ and `decode`
     a (groups, dim, 2ⁿ) stack of decoding columns W_n; `code[None]` projects
-    on the code space and loses as trace what leaks out of it.  Closed, the
-    Kraus operators are K_n = W_n† Gᵐ code, and the gate pushes the whole
-    code basis at once; with collapses, `apply_density` pushes the stack of
-    code ρ code† of every input at once.  Each repetition's columns or
-    states are kept, so m = 0..M costs M gates.  The groups are summed from
-    the first, so one group is returned bit for bit.
+    on the code space and loses as trace what leaks out of it.  The gate is
+    played `repetitions` times in all.  Closed, it pushes the code basis, and
+    the Kraus operators after m gates are K_n = W_n† Gᵐ code; with
+    collapses, `apply_density` pushes the stack of code ρ code† of every
+    tomography input.  The groups are summed from the
+    first, so one group is returned bit for bit.
     """
     adjoint = decode.conj().transpose(0, 2, 1)
-    if collapses is None:
-        pushed = [code]
+    closed = collapses is None
 
-        def channel(m: int):
-            while len(pushed) <= m:
-                pushed.append(backend.apply(pushed[-1], spec))
-            kraus = (adjoint @ pushed[m])[:, None]
-            return lambda rhos: reduce(np.add, kraus @ rhos @ kraus.conj().swapaxes(-1, -2))
+    def process(rhos: np.ndarray) -> np.ndarray:
+        state = code if closed else code @ rhos @ code.conj().T
+        outputs = []
+        for m in range(repetitions + 1):
+            if m:
+                state = backend.apply(state, spec) if closed else backend.apply_density(state, spec, collapses)
+            if closed:
+                kraus = (adjoint @ state)[:, None]
+                outputs.append(reduce(np.add, kraus @ rhos @ kraus.conj().swapaxes(-1, -2)))
+            else:
+                outputs.append(reduce(np.add, adjoint[:, None] @ state @ decode[:, None]))
+        return np.stack(outputs)
 
-        return channel
-
-    states = {}  # input stack bytes -> its states after 0, 1, ... gates
-
-    def channel(m: int):
-        def process(rhos: np.ndarray) -> np.ndarray:
-            pushed = states.setdefault(rhos.tobytes(), [code @ rhos @ code.conj().T])
-            while len(pushed) <= m:
-                pushed.append(backend.apply_density(pushed[-1], spec, collapses))
-            return reduce(np.add, adjoint[:, None] @ pushed[m] @ decode[:, None])
-
-        return process
-
-    return channel
+    return pauli_transfer(process, code.shape[1].bit_length() - 1)

@@ -180,14 +180,17 @@ def pauli_transfer(process, n_qubits: int) -> np.ndarray:
     product states of `_INPUT_KETS`, to the stack of their outputs, and is
     called once.  R is the solution of R·T_in = T_out, where column s of T_in
     and of T_out holds the Pauli expectations Tr(P_i ρ) of input s and of its
-    output: by linearity, Tr(P_i Λ(ρ)) = Σ_j R_ij Tr(P_j ρ).
+    output: by linearity, Tr(P_i Λ(ρ)) = Σ_j R_ij Tr(P_j ρ).  A process that
+    returns a (..., 4ⁿ, 2ⁿ, 2ⁿ) stack, the outputs of several channels, gets
+    the (..., 4ⁿ, 4ⁿ) stack of their PTMs, each bit for bit the one its
+    channel alone would get.
     """
     kets = np.array([reduce(np.kron, k) for k in itertools.product(_INPUT_KETS, repeat=n_qubits)])
     inputs = kets[:, :, None] * kets[:, None, :].conj()
     outputs = process(inputs)
     paulis = np.array([pauli_matrix(l) for l in pauli_labels(n_qubits)])
-    t_in, t_out = (np.einsum("iab,sba->is", paulis, m).real for m in (inputs, outputs))
-    return np.linalg.solve(t_in.T, t_out.T).T
+    t_in, t_out = (np.einsum("iab,...sba->...is", paulis, m).real for m in (inputs, outputs))
+    return np.linalg.solve(t_in.T, t_out.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def unitary_transfer(u: np.ndarray, n_qubits: int) -> np.ndarray:

@@ -223,18 +223,10 @@ def test_closed_encoded_channel_matches_eigenvector_propagation(mode, m):
         backend = IdealBackend(layout)
     else:
         backend = PulseBackend(params, layout, compensate=True)
-    channel = realized_logical_map(backend, spec, _code_basis(enc, 1), _encoder_columns(enc))(m)
+    ptms = realized_logical_map(backend, spec, _code_basis(enc, 1), _encoder_columns(enc), m)
     reference = _eigenvector_channel(layout, enc_u, backend, spec, m)
-    gaps = []
-
-    def both(rhos):
-        out = channel(rhos)
-        gaps.append(np.max(np.abs(out - reference(rhos))))
-        return out
-
-    pauli_transfer(both, 1)
-    assert len(gaps) == 1
-    assert max(gaps) < 1e-12
+    assert ptms.shape == (m + 1, 4, 4)
+    assert np.max(np.abs(ptms[m] - pauli_transfer(reference, 1))) < 1e-12
 
 
 def _encoder_trace_oracle(layout, enc_u, backend, spec, m, collapses=None):
@@ -275,18 +267,39 @@ def test_grouped_decode_matches_encoder_then_partial_trace(gate, mode, m):
     code, decode = _code_basis(enc, 1), _encoder_columns(enc)
     assert decode.shape == (enc.mode.dim, layout.space.dim, 2)
     assert np.array_equal(code, ideal_encoder(enc)[:, [0, enc.mode.dim]])
-    channel = realized_logical_map(backend, spec, code, decode, collapses)(m)
+    ptms = realized_logical_map(backend, spec, code, decode, m, collapses)
     oracle = _encoder_trace_oracle(layout, ideal_encoder(enc), backend, spec, m, collapses)
-    gaps = []
+    assert ptms.shape == (m + 1, 4, 4)
+    assert np.max(np.abs(ptms[m] - pauli_transfer(oracle, 1))) < 1e-13
 
-    def both(rhos):
-        out = channel(rhos)
-        gaps.append(np.max(np.abs(out - oracle(rhos))))
-        return out
 
-    pauli_transfer(both, 1)
-    assert len(gaps) == 1
-    assert max(gaps) < 1e-13
+def _backend_calls(monkeypatch):
+    """A counter of the `IdealBackend.apply`, `PulseBackend.apply` and
+    `PulseBackend.apply_density` calls made from now on."""
+    calls = collections.Counter()
+    for cls, method in ((IdealBackend, "apply"), (PulseBackend, "apply"), (PulseBackend, "apply_density")):
+
+        def counted(self, *args, _name=f"{cls.__name__}.{method}", _call=getattr(cls, method)):
+            calls[_name] += 1
+            return _call(self, *args)
+
+        monkeypatch.setattr(cls, method, counted)
+    return calls
+
+
+@pytest.mark.parametrize("repetitions, decohere", [(3, False), (2, True)], ids=["closed", "decoherence"])
+def test_realized_logical_map_plays_each_repetition_once(monkeypatch, repetitions, decohere):
+    """The map returns the (M + 1, 4ⁿ, 4ⁿ) PTMs of Gᵐ for m = 0 … M, and
+    plays the gate M times: closed, M `apply` calls on the code basis; with
+    collapses, M `apply_density` calls on the stack of PTM inputs."""
+    params = load_params()
+    layout, enc, spec, _ = _phase_gate("z", params, float(np.sqrt(2.0)))
+    backend = PulseBackend(params, layout, compensate=True)
+    collapses = standard_collapses(params, layout) if decohere else None
+    calls = _backend_calls(monkeypatch)
+    ptms = realized_logical_map(backend, spec, _code_basis(enc, 1), _encoder_columns(enc), repetitions, collapses)
+    assert ptms.shape == (repetitions + 1, 4, 4)
+    assert dict(calls) == {"PulseBackend.apply_density" if decohere else "PulseBackend.apply": repetitions}
 
 
 @pytest.mark.parametrize("gate", ["z", "cz-coherent"])
@@ -304,7 +317,7 @@ def test_code_projection_reproduces_qpt_pulse_ptm(gate):
     g = np.array([1.0, 0.0], dtype=complex)
     words = itertools.product(enc.basis.T, repeat=n)
     code = np.stack([np.kron(g, tensor(w)) for w in words], axis=1)
-    ptm = pauli_transfer(realized_logical_map(backend, spec, code, code[None])(1), n)
+    ptm = realized_logical_map(backend, spec, code, code[None], 1)[1]
     rows = run_qpt(gate, mode="pulse").tables["ptm"]["rows"]
     assert [v for _, _, v in rows] == ptm.ravel().tolist()
 
@@ -332,20 +345,7 @@ def test_closed_channel_pushes_one_stack_per_gate(monkeypatch, run, expected):
     applications.  The decoherent channel pushes the stack of its four PTM
     inputs in one call too, so it also costs 4.  Each of the error budget's
     three closed fidelities costs 1, and its decoherent one 1."""
-    import cavitysim.gates as gates
-
-    calls = collections.Counter()
-    for cls, method in (
-        (gates.IdealBackend, "apply"),
-        (gates.PulseBackend, "apply"),
-        (gates.PulseBackend, "apply_density"),
-    ):
-
-        def counted(self, *args, _name=f"{cls.__name__}.{method}", _call=getattr(cls, method)):
-            calls[_name] += 1
-            return _call(self, *args)
-
-        monkeypatch.setattr(cls, method, counted)
+    calls = _backend_calls(monkeypatch)
     run()
     assert dict(calls) == expected
 
@@ -366,7 +366,7 @@ def test_binomial_cz_pulse_ptm_is_exact_at_five_levels():
     backend = PulseBackend(params, layout, compensate=False)
     spec, _ = cz_binomial(backend)
     code = _code_basis(binomial_encoding(7), 2)
-    ref = pauli_transfer(realized_logical_map(backend, spec, code, code[None])(1), 2)
+    ref = realized_logical_map(backend, spec, code, code[None], 1)[1]
 
     r = run_qpt("cz-binomial", mode="pulse")
     assert r.gate_spec.to_json_dict() == spec.to_json_dict()

@@ -448,12 +448,16 @@ def test_ptm_nonunital_process():
     assert abs(r[1, 1] - np.sqrt(0.7)) < 1e-10
 
 
+def _random_kraus(rng, d, n_kraus):
+    """Kraus operators cut from a random (n_kraus·d)×d isometry."""
+    v, _ = np.linalg.qr(rng.normal(size=(n_kraus * d, d)) + 1j * rng.normal(size=(n_kraus * d, d)))
+    return [v[d * k : d * k + d] for k in range(n_kraus)]
+
+
 def test_ptm_matches_definition_on_a_random_two_qubit_channel():
     """Three Kraus operators cut from a random 12×4 isometry: a generic
     non-unital two-qubit channel, against the PTM definition."""
-    rng = np.random.default_rng(21)
-    v, _ = np.linalg.qr(rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4)))
-    kraus = [v[4 * k : 4 * k + 4] for k in range(3)]
+    kraus = _random_kraus(np.random.default_rng(21), 4, 3)
     expected = _kraus_ptm(kraus, 2)
     assert np.max(np.abs(expected[1:, 0])) > 0.05  # non-unital
     r = check_physical(pauli_transfer(_kraus_process(kraus), 2))
@@ -487,20 +491,32 @@ def test_process_fidelity_refuses_what_is_not_a_transfer_matrix(shape):
         process_fidelity(r, r)
 
 
-@pytest.mark.parametrize("n_qubits", [1, 2])
-def test_pauli_transfer_calls_its_process_once_on_the_input_stack(n_qubits):
+@pytest.mark.parametrize(
+    "n_qubits, stacked", [(1, False), (2, False), (1, True), (2, True)], ids=["1", "2", "1-stack", "2-stack"]
+)
+def test_pauli_transfer_calls_its_process_once_on_the_input_stack(n_qubits, stacked):
     """`process` gets all 4ⁿ product inputs as one (4ⁿ, 2ⁿ, 2ⁿ) stack of
-    density matrices, and the PTM is a (4ⁿ, 4ⁿ) array."""
+    density matrices, and the PTM is a (4ⁿ, 4ⁿ) array.  A process that
+    returns a (3, 4ⁿ, 2ⁿ, 2ⁿ) stack, the outputs of three channels, gets
+    their three PTMs, each bit for bit the one its channel alone gets."""
+    d = 2**n_qubits
+    rng = np.random.default_rng(5 + n_qubits)
+    channels = [_kraus_process(_random_kraus(rng, d, k)) for k in (1, 2, 3)] if stacked else [lambda rhos: rhos]
     seen = []
 
     def process(rhos):
         seen.append(rhos)
-        return rhos
+        outputs = np.stack([channel(rhos) for channel in channels])
+        return outputs if stacked else outputs[0]
 
     r = pauli_transfer(process, n_qubits)
-    d = 2**n_qubits
     assert len(seen) == 1
     assert seen[0].shape == (d * d, d, d)
     assert np.max(np.abs(np.trace(seen[0], axis1=1, axis2=2) - 1.0)) < 1e-15
-    assert r.shape == (d * d, d * d)
-    assert np.max(np.abs(r - np.eye(d * d))) < 1e-12
+    if not stacked:
+        assert r.shape == (d * d, d * d)
+        assert np.max(np.abs(r - np.eye(d * d))) < 1e-12
+        return
+    assert r.shape == (3, d * d, d * d)
+    for ptm, channel in zip(r, channels):
+        assert np.array_equal(ptm, pauli_transfer(channel, n_qubits))
